@@ -5,7 +5,7 @@ manipulates the balanced-matrix categories encoding measure automorphisms,
 and decides Rokhlin-type genericity properties from the clopen values set.
 """
 
-from .chain import AutomorphismPrefix, ClopenSet, GoodMeasureChain, new_chain
+from .chain import AutomorphismPrefix, ClopenSet, GoodMeasureChain
 from .composite import CompositeMeasure, maximality_refute, weighted_sum
 from .cycles import CycleTuple, TupleMorphism, rokhlin_decide
 from .matrices import BalancedMatrix, CycleMatrix, MatrixMorphism
@@ -24,10 +24,6 @@ from .values import (
     INF,
     IrrationalSymbol,
     RationalGroup,
-    classify,
-    enumerate_values,
-    member,
-    scale_value_set,
 )
 
 __all__ = [
@@ -49,14 +45,9 @@ __all__ = [
     "TupleMorphism",
     "WeightedPartition",
     "amalgamate",
-    "classify",
     "common_refinement",
-    "enumerate_values",
     "maximality_refute",
-    "member",
-    "new_chain",
     "rokhlin_decide",
-    "scale_value_set",
     "split_cell",
     "verify_morphism",
     "weighted_sum",

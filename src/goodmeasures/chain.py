@@ -13,6 +13,7 @@ Levels are append-only: witnesses may extend the chain but never rewrite it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -20,17 +21,17 @@ from . import jsonutil
 from .errors import (
     InvalidChallenge,
     NotGroupLike,
-    NotInV,
     NotSmaller,
     SumMismatch,
     WeightMismatch,
 )
-from .flows import decompose_entries
+from .flows import cycles_through, decompose_entries, orbits
 from .partitions import (
     PartitionMorphism,
     WeightedPartition,
+    _child_ids,
     amalgamate,
-    common_refinement,
+    refine_fibers,
     split_cell,
     verify_morphism,
 )
@@ -250,12 +251,12 @@ class GoodMeasureChain:
 
     def absorb_morphism(
         self, challenge: PartitionMorphism, target_level: int | None = None
-    ) -> int:
+    ) -> tuple[int, PartitionMorphism]:
         """Extend the chain with a response r to the challenge A -> P_i.
 
-        Afterwards there is a stage j and a recorded morphism r: P_j -> A with
+        Returns a stage j and the recorded morphism r: P_j -> A with
         challenge ∘ r equal to the chain projection from j to i, verified
-        cellwise before returning.
+        cellwise when it is first recorded.
         """
         if target_level is None:
             target_level = self.find_level(challenge.target)
@@ -265,44 +266,34 @@ class GoodMeasureChain:
             raise InvalidChallenge("challenge is not a valid morphism")
         check_all_in(challenge.source.weight_list(), self.V, "challenge weight")
         key = _mor_key(target_level, challenge)
-        if key in self._ledger_index:
-            return self.ledger[self._ledger_index[key]].stage
-        level_obj = self.levels[target_level]
-        is_identity = challenge.source.cells == level_obj.cells and all(
-            challenge.mapping[c] == c for c in level_obj.cells
+        if key not in self._ledger_index:
+            level_obj = self.levels[target_level]
+            is_identity = challenge.source.cells == level_obj.cells and all(
+                challenge.mapping[c] == c for c in level_obj.cells
+            )
+            if is_identity:
+                stage = self.depth
+                r = self.composite_morphism(stage, target_level)
+            else:
+                f1 = self.composite_morphism(self.depth, target_level)
+                f2 = PartitionMorphism(challenge.source, level_obj, dict(challenge.mapping))
+                G, p1, p2 = amalgamate(f1, f2, self.V)
+                self._append_level(G, p1)
+                stage = self.depth
+                r = p2
+            proj = self.composite_mapping(stage, target_level)
+            for c in self.levels[stage].cells:
+                if challenge.mapping[r.mapping[c]] != proj[c]:
+                    raise RuntimeError("absorption failed to commute; this is a bug")
+            self._ledger_index[key] = len(self.ledger)
+            self.ledger.append(LedgerEntry(
+                "morphism", key, stage, challenge.source, target_level,
+                dict(challenge.mapping), dict(r.mapping),
+            ))
+        entry = self.ledger[self._ledger_index[key]]
+        return entry.stage, PartitionMorphism(
+            self.levels[entry.stage], challenge.source, dict(entry.response_map)
         )
-        if is_identity:
-            stage = self.depth
-            r = self.composite_morphism(stage, target_level)
-        else:
-            f1 = self.composite_morphism(self.depth, target_level)
-            f2 = PartitionMorphism(challenge.source, level_obj, dict(challenge.mapping))
-            G, p1, p2 = amalgamate(f1, f2, self.V)
-            self._append_level(G, p1)
-            stage = self.depth
-            r = p2
-        proj = self.composite_mapping(stage, target_level)
-        for c in self.levels[stage].cells:
-            if challenge.mapping[r.mapping[c]] != proj[c]:
-                raise RuntimeError("absorption failed to commute; this is a bug")
-        entry = LedgerEntry(
-            "morphism", key, stage, challenge.source, target_level,
-            dict(challenge.mapping), dict(r.mapping),
-        )
-        self._ledger_index[key] = len(self.ledger)
-        self.ledger.append(entry)
-        return stage
-
-    def absorb_morphism_full(
-        self, challenge: PartitionMorphism, target_level: int | None = None
-    ) -> tuple[int, PartitionMorphism]:
-        """absorb_morphism, also returning the recorded response morphism."""
-        stage = self.absorb_morphism(challenge, target_level)
-        if target_level is None:
-            target_level = self.find_level(challenge.target)
-        entry = self.ledger[self._ledger_index[_mor_key(target_level, challenge)]]
-        r = PartitionMorphism(self.levels[stage], challenge.source, dict(entry.response_map))
-        return stage, r
 
     # -- deterministic schedule -------------------------------------------------
 
@@ -373,9 +364,8 @@ class GoodMeasureChain:
         top_level = self.depth
         WT = self.project(W, top_level)
         P = self.levels[top_level]
-        order = {c: i for i, c in enumerate(P.cells)}
         cells = _sort_cells_by_weight(
-            [(c, P.weight(c)) for c in P.cells if c in WT.cells], order, descending=True
+            [(c, P.weight(c)) for c in P.cells if c in WT.cells], descending=True
         )
         picked: list[str] = []
         r = mU
@@ -448,18 +438,14 @@ class GoodMeasureChain:
                 raise ValueError(f"unknown cell in partial isomorphism: {c} -> {f[c]}")
             if P.weight(c) != P.weight(f[c]):
                 raise WeightMismatch(f"{c} and {f[c]} have different weights")
-        sigma = dict(f)
-        order = {c: i for i, c in enumerate(P.cells)}
-        rest_src = _sort_cells_by_weight(
-            [(c, P.weight(c)) for c in P.cells if c not in f], order
+        taken = set(tgts)
+        rest = _match_by_weight(
+            [(c, P.weight(c)) for c in P.cells if c not in f],
+            [(c, P.weight(c)) for c in P.cells if c not in taken],
         )
-        rest_tgt = _sort_cells_by_weight(
-            [(c, P.weight(c)) for c in P.cells if c not in set(tgts)], order
-        )
-        for (a, wa), (b, wb) in zip(rest_src, rest_tgt):
-            if wa != wb:
-                raise RuntimeError("complement weights fail to match; this is a bug")
-            sigma[a] = b
+        if rest is None:
+            raise RuntimeError("complement weights fail to match; this is a bug")
+        sigma = {**f, **rest}
         maps: dict[int, dict[str, str]] = {level: sigma}
         self._descend(maps, level)
         self._ascend_to_top(maps, level)
@@ -483,20 +469,16 @@ class GoodMeasureChain:
 
     def _dense_lift(self, sigma: Mapping[str, str], k: int) -> dict[str, str] | None:
         """Lift a level-k bijection to level k+1 by matching child weights, or None."""
-        link = self.links[k]
-        children: dict[str, list[str]] = {c: [] for c in self.levels[k].cells}
-        for c in self.levels[k + 1].cells:
-            children[link.mapping[c]].append(c)
+        children = self.links[k].fibers()
         Q = self.levels[k + 1]
-        order = {c: i for i, c in enumerate(Q.cells)}
         out: dict[str, str] = {}
         for c, d in sigma.items():
-            A = _sort_cells_by_weight([(x, Q.weight(x)) for x in children[c]], order)
-            B = _sort_cells_by_weight([(x, Q.weight(x)) for x in children[d]], order)
-            if len(A) != len(B) or any(wa != wb for (_, wa), (_, wb) in zip(A, B)):
+            matched = _match_by_weight(
+                [(x, Q.weight(x)) for x in children[c]], [(y, Q.weight(y)) for y in children[d]]
+            )
+            if matched is None:
                 return None
-            for (x, _), (y, _) in zip(A, B):
-                out[x] = y
+            out.update(matched)
         return out
 
     def _transport_split(self, maps: dict[int, dict[str, str]], k: int) -> int:
@@ -509,56 +491,44 @@ class GoodMeasureChain:
         """
         T = self.depth
         top = self.levels[T]
-        anc = self.composite_mapping(T, k)
-        fibers: dict[str, list[str]] = {c: [] for c in self.levels[k].cells}
-        for c in top.cells:
-            fibers[anc[c]].append(c)
+        fibers = self.composite_morphism(T, k).fibers()
         entries: dict[tuple[str, str], ExactValue] = {}
         for c, d in maps[k].items():
-            ys, zs = fibers[c], fibers[d]
-            ref = common_refinement(
-                [top.weight(y) for y in ys], [top.weight(z) for z in zs], self.V
-            )
-            owner_l: dict[int, str] = {}
-            for i, block in enumerate(ref.left_blocks):
-                for s in block:
-                    owner_l[s] = ys[i]
-            owner_r: dict[int, str] = {}
-            for j, block in enumerate(ref.right_blocks):
-                for s in block:
-                    owner_r[s] = zs[j]
-            for s, w in enumerate(ref.parts):
-                e = (owner_l[s], owner_r[s])
-                entries[e] = entries.get(e, ZERO) + w
+            ys = [(y, top.weight(y)) for y in fibers[c]]
+            zs = [(z, top.weight(z)) for z in fibers[d]]
+            for y, z, w in refine_fibers(ys, zs, self.V):
+                entries[(y, z)] = entries.get((y, z), ZERO) + w
         cycles = decompose_entries(entries)
-        through: dict[str, list[int]] = {c: [] for c in top.cells}
-        succ: list[dict[str, str]] = []
-        for ci, (verts, w) in enumerate(cycles):
-            succ.append({verts[i]: verts[(i + 1) % len(verts)] for i in range(len(verts))})
-            for v in verts:
-                through[v].append(ci)
+        through = cycles_through(top.cells, [verts for verts, _ in cycles])
         if all(len(through[c]) == 1 for c in top.cells):
-            maps[T] = {c: succ[through[c][0]][c] for c in top.cells}
+            maps[T] = {c: through[c][0][1] for c in top.cells}
             return T
+        maps[T + 1] = self._append_cycle_split(cycles)
+        return self.depth
+
+    def _append_cycle_split(
+        self, cycles: Sequence[tuple[Sequence[str], ExactValue]]
+    ) -> dict[str, str]:
+        """Append a level splitting every top cell by the cycles through it.
+
+        ``cycles`` are (vertices, weight) pairs over the top cells that cover
+        each cell's weight exactly.  A cell on one cycle keeps its id; a cell
+        on several gets one child per cycle, in cycle order.  Returns the
+        permutation of the new level that moves each child along its cycle.
+        """
+        top = self.top
+        through = cycles_through(top.cells, [verts for verts, _ in cycles])
         new_cells: list[tuple[str, ExactValue]] = []
         link_map: dict[str, str] = {}
         child_id: dict[tuple[str, int], str] = {}
         for c in top.cells:
-            ids = (
-                [c] if len(through[c]) == 1 else [f"{c}/{j}" for j in range(len(through[c]))]
-            )
-            for cid, ci in zip(ids, through[c]):
+            for cid, (ci, _) in zip(_child_ids(c, len(through[c])), through[c]):
                 new_cells.append((cid, cycles[ci][1]))
                 link_map[cid] = c
                 child_id[(c, ci)] = cid
         newP = WeightedPartition.make(new_cells)
         self._append_level(newP, PartitionMorphism(newP, top, link_map))
-        maps[self.depth] = {
-            child_id[(c, ci)]: child_id[(succ[ci][c], ci)]
-            for c in top.cells
-            for ci in through[c]
-        }
-        return self.depth
+        return {child_id[(c, ci)]: child_id[(d, ci)] for c in top.cells for ci, d in through[c]}
 
     def _ascend_to_top(self, maps: dict[int, dict[str, str]], start: int) -> int:
         d = start
@@ -590,35 +560,15 @@ class GoodMeasureChain:
         return AutomorphismPrefix(tuple(sorted(maps)), maps)
 
     def _orbit_split(self, maps: dict[int, dict[str, str]], d: int) -> int:
+        """Split every top cell in two along two parallel copies of each orbit
+        of the top bijection, so the bijection lifts to the new level."""
         top = self.levels[d]
-        sigma = maps[d]
-        halves: dict[str, ExactValue] = {}
-        seen: set[str] = set()
-        for c in top.cells:
-            if c in seen:
-                continue
-            orbit = [c]
-            seen.add(c)
-            nxt = sigma[c]
-            while nxt != c:
-                orbit.append(nxt)
-                seen.add(nxt)
-                nxt = sigma[nxt]
-            a = self.V.smallest_below(top.weight(c))
-            for x in orbit:
-                halves[x] = a
-        new_cells: list[tuple[str, ExactValue]] = []
-        link_map: dict[str, str] = {}
-        for c in top.cells:
-            for j, w in enumerate([halves[c], top.weight(c) - halves[c]]):
-                cid = f"{c}/{j}"
-                new_cells.append((cid, w))
-                link_map[cid] = c
-        newP = WeightedPartition.make(new_cells)
-        self._append_level(newP, PartitionMorphism(newP, top, link_map))
-        maps[self.depth] = {
-            f"{c}/{j}": f"{sigma[c]}/{j}" for c in top.cells for j in (0, 1)
-        }
+        cycles: list[tuple[list[str], ExactValue]] = []
+        for orbit in orbits(maps[d], top.cells):
+            w = top.weight(orbit[0])
+            a = self.V.smallest_below(w)
+            cycles += [(orbit, a), (orbit, w - a)]
+        maps[d + 1] = self._append_cycle_split(cycles)
         return self.depth
 
     def ensure_depth(self, depth: int) -> None:
@@ -678,6 +628,8 @@ class GoodMeasureChain:
             for i, d in enumerate(data["links"])
         ]
         for e in data["ledger"]:
+            if not 0 <= e["stage"] < len(levels):
+                raise ValueError(f"ledger stage {e['stage']} is not a level of the snapshot")
             obj = WeightedPartition.from_json(e["challenge"], symbols)
             if e["kind"] == "object":
                 entry = LedgerEntry(
@@ -695,40 +647,38 @@ class GoodMeasureChain:
         return chain
 
 
-def new_chain(V: GroupDescriptor) -> GoodMeasureChain:
-    return GoodMeasureChain(V)
-
-
 def _sort_cells_by_weight(
-    items: list[tuple[str, ExactValue]], order: Mapping[str, int], descending: bool = False
+    items: list[tuple[str, ExactValue]], descending: bool = False
 ) -> list[tuple[str, ExactValue]]:
-    """Exact-comparison sort by weight (then original cell order)."""
-    out = list(items)
-    # insertion sort: sizes are small and ExactValue comparisons are exact
-    for i in range(1, len(out)):
-        j = i
-        while j > 0 and _weight_before(out[j], out[j - 1], order, descending):
-            out[j - 1], out[j] = out[j], out[j - 1]
-            j -= 1
-    return out
+    """Exact-comparison sort of (cell, weight) items by weight.
+
+    The sort is stable, so equal weights keep their input order; every caller
+    lists cells in level order.
+    """
+
+    def cmp(a, b) -> int:
+        s = (a[1] - b[1]).sign()
+        return -s if descending else s
+
+    return sorted(items, key=functools.cmp_to_key(cmp))
 
 
-def _weight_before(a, b, order, descending) -> bool:
-    s = (a[1] - b[1]).sign()
-    if s != 0:
-        return s > 0 if descending else s < 0
-    return order[a[0]] < order[b[0]]
+def _match_by_weight(
+    src: list[tuple[str, ExactValue]], dst: list[tuple[str, ExactValue]]
+) -> dict[str, str] | None:
+    """Pair the cells of two (cell, weight) lists in ascending weight order, or
+    None when their weight multisets differ."""
+    a, b = _sort_cells_by_weight(src), _sort_cells_by_weight(dst)
+    if len(a) != len(b) or any(wa != wb for (_, wa), (_, wb) in zip(a, b)):
+        return None
+    return {x: y for (x, _), (y, _) in zip(a, b)}
 
 
 def _weight_matching(src: WeightedPartition, dst: WeightedPartition) -> PartitionMorphism:
     """A weight-preserving bijection src -> dst (equal weight multisets required)."""
-    so = {c: i for i, c in enumerate(src.cells)}
-    do = {c: i for i, c in enumerate(dst.cells)}
-    a = _sort_cells_by_weight([(c, src.weight(c)) for c in src.cells], so)
-    b = _sort_cells_by_weight([(c, dst.weight(c)) for c in dst.cells], do)
-    mapping = {}
-    for (x, wx), (y, wy) in zip(a, b):
-        if wx != wy:
-            raise WeightMismatch("weight multisets differ")
-        mapping[x] = y
+    mapping = _match_by_weight(
+        [(c, src.weight(c)) for c in src.cells], [(c, dst.weight(c)) for c in dst.cells]
+    )
+    if mapping is None:
+        raise WeightMismatch("weight multisets differ")
     return PartitionMorphism(src, dst, mapping)

@@ -19,9 +19,10 @@ from . import composite as composite_mod
 from . import cycles as cycles_mod
 from . import jsonutil
 from . import matrices as matrices_mod
-from .chain import AutomorphismPrefix, ClopenSet, GoodMeasureChain
+from .chain import AutomorphismPrefix, ClopenSet, GoodMeasureChain, _obj_key
 from .errors import GoodMeasuresError
 from .matrices import BalancedMatrix
+from .partitions import PartitionMorphism, verify_morphism
 from .values import ExactValue, GroupDescriptor, parse_fraction
 
 
@@ -69,12 +70,14 @@ def _emit(op: str, input_obj, result, certificate, ws: Workspace | None) -> str:
     return h
 
 
-def _load_descriptor(args, ws) -> GroupDescriptor:
-    return GroupDescriptor.from_json(_read_json(args.descriptor, ws, "descriptors"))
-
-
-def _load_chain(args, ws) -> GoodMeasureChain:
-    return GoodMeasureChain.from_json(_read_json(args.snapshot, ws, "snapshots"))
+def _write(path, obj, what: str) -> bool:
+    """Write canonical JSON; on failure report it and return False (exit 3)."""
+    try:
+        jsonutil.write(path, obj)
+    except OSError as exc:
+        sys.stderr.write(f"cannot write {what}: {exc}\n")
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +100,7 @@ def cmd_build_chain(args) -> int:
         sys.stderr.write("build-chain needs --descriptor or --resume\n")
         return 2
     chain.run_schedule(args.budget)
-    snapshot = chain.to_json()
-    try:
-        jsonutil.write(args.out, snapshot)
-    except OSError as exc:
-        sys.stderr.write(f"cannot write snapshot: {exc}\n")
+    if not _write(args.out, chain.to_json(), "snapshot"):
         return 3
     result = {
         "levels": len(chain.levels),
@@ -155,23 +154,23 @@ def cmd_check_good(args) -> int:
     maximality = []
     for obj in chain._object_challenges(2):
         stage = chain.absorb_object(obj)
+        # the recorded lift must map the stage onto the challenge object
+        entry = chain.ledger[chain._ledger_index[_obj_key(obj)]]
+        lift = PartitionMorphism(chain.levels[stage], entry.challenge_object, entry.response_map)
         maximality.append({
-            "weights": [w.to_json() for w in obj.weight_list()], "stage": stage, "ok": True,
+            "weights": [w.to_json() for w in obj.weight_list()], "stage": stage,
+            "ok": verify_morphism(lift),
         })
+    all_ok = ok_count == len(pairs) and all(m["ok"] for m in maximality)
     report = {
-        "pairs_checked": count if count <= max_pairs else max_pairs,
+        "pairs_checked": len(pairs),
         "pairs_ok": ok_count,
         "pairs": pairs,
         "maximality": maximality,
         "truncated": truncated,
     }
-    if args.out:
-        try:
-            jsonutil.write(args.out, report)
-        except OSError as exc:
-            sys.stderr.write(f"cannot write report: {exc}\n")
-            return 3
-    all_ok = ok_count == len(pairs)
+    if args.out and not _write(args.out, report, "report"):
+        return 3
     _emit("check-good", {"snapshot": snapshot, "depth": depth},
           {"all_ok": all_ok, "pairs_checked": len(pairs)}, None, ws)
     return 0 if all_ok else 1
@@ -217,12 +216,8 @@ def cmd_witness(args) -> int:
     A = BalancedMatrix.from_json(matrix, chain.V.symbols())
     sigma = matrices_mod.compatible_witness(chain, A)
     ok = matrices_mod.compatible(chain, sigma, A)
-    if args.out_snapshot:
-        try:
-            jsonutil.write(args.out_snapshot, chain.to_json())
-        except OSError as exc:
-            sys.stderr.write(f"cannot write snapshot: {exc}\n")
-            return 3
+    if args.out_snapshot and not _write(args.out_snapshot, chain.to_json(), "snapshot"):
+        return 3
     _emit("witness", {"snapshot": snapshot, "matrix": matrix},
           {"compatible": ok, "depth": sigma.depth}, sigma.to_json(), ws)
     return 0 if ok else 1
@@ -330,10 +325,7 @@ def cmd_composite_build(args) -> int:
             {"scale": str(s), "snapshot": chain.to_json()} for chain, s in m.components
         ]
     }
-    try:
-        jsonutil.write(args.out, out)
-    except OSError as exc:
-        sys.stderr.write(f"cannot write composite: {exc}\n")
+    if not _write(args.out, out, "composite"):
         return 3
     result = {
         "components": len(m.components),
@@ -367,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         "for measures on the Cantor space",
     )
     parser.add_argument("--workspace", help="workspace root (or env CANTOR_WORKSPACE)")
-    parser.add_argument("--format", choices=["json"], default="json",
-                        help="envelope format (canonical JSON)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-chain", help="run the absorption schedule and save a snapshot")

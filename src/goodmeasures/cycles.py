@@ -102,19 +102,11 @@ def identity_tuple_morphism(c: CycleTuple) -> TupleMorphism:
 # ---------------------------------------------------------------------------
 
 
-def tuple_sum(c: CycleTuple, d: CycleTuple, V: GroupDescriptor) -> CycleTuple:
-    total = c.mass + d.mass
-    if (total - ONE).sign() > 0:
-        raise MassOverflow(f"masses sum to {total} > 1")
-    if not V.member(total):
-        raise NotInV(f"summed mass {total} not in V")
-    return CycleTuple.make(list(c.entries) + list(d.entries))
-
-
 def tuple_sum_with_positions(
     c: CycleTuple, d: CycleTuple, V: GroupDescriptor
 ) -> tuple[CycleTuple, list[int], list[int]]:
-    """tuple_sum plus the new positions of c's and d's entries in the sum."""
+    """The sum of two tuples (their concatenation, canonically sorted) and the
+    new positions of c's and d's entries in it."""
     total = c.mass + d.mass
     if (total - ONE).sign() > 0:
         raise MassOverflow(f"masses sum to {total} > 1")

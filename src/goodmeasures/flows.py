@@ -3,12 +3,14 @@
 Shared by the chain engine (transport refinement) and the balanced-matrix
 module.  Entries are keyed by (from, to) vertex pairs; vertices are strings.
 The peeling order is deterministic: walks start at the smallest vertex with an
-outgoing edge and always follow the smallest successor.
+outgoing edge and always follow the smallest successor.  The module also owns
+the two walks over cycles that both users need: the cycles through each
+vertex, and the orbits of a permutation.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import NotEquiSummed
 from .values import ExactValue, ZERO
@@ -73,4 +75,36 @@ def decompose_entries(
             else:
                 rest[e] = left
         out.append((_canonical_rotation(cycle), w))
+    return out
+
+
+def cycles_through(
+    cells: Iterable[str], cycles: Sequence[Sequence[str]]
+) -> dict[str, list[tuple[int, str]]]:
+    """For each cell, the (cycle index, successor) pairs of the cycles through it.
+
+    ``cycles`` are vertex sequences; pairs are listed in cycle order.
+    """
+    through: dict[str, list[tuple[int, str]]] = {c: [] for c in cells}
+    for ci, verts in enumerate(cycles):
+        for i, v in enumerate(verts):
+            through[v].append((ci, verts[(i + 1) % len(verts)]))
+    return through
+
+
+def orbits(perm: Mapping[str, str], order: Iterable[str]) -> list[list[str]]:
+    """The orbits of a permutation, each walked from its first element in ``order``."""
+    out: list[list[str]] = []
+    seen: set[str] = set()
+    for start in order:
+        if start in seen:
+            continue
+        orbit = [start]
+        seen.add(start)
+        nxt = perm[start]
+        while nxt != start:
+            orbit.append(nxt)
+            seen.add(nxt)
+            nxt = perm[nxt]
+        out.append(orbit)
     return out

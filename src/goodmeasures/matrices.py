@@ -16,12 +16,12 @@ from typing import Mapping, Sequence
 
 from .chain import AutomorphismPrefix, GoodMeasureChain, invert_prefix
 from .errors import DepthTooShallow, NotCycleObject, PreconditionFailed
-from .flows import decompose_entries
+from .flows import cycles_through, decompose_entries, orbits
 from .partitions import (
     PartitionMorphism,
     WeightedPartition,
-    common_refinement,
     compose,
+    refine_fibers,
     verify_morphism,
 )
 from .values import ExactValue, ZERO
@@ -145,9 +145,7 @@ def verify_matrix_morphism(chain: GoodMeasureChain, m: MatrixMorphism) -> bool:
     for (q, q2), w in m.source.entries.items():
         key = (f[q], f[q2])
         acc[key] = acc.get(key, ZERO) + w
-    if set(acc) != set(m.target.entries):
-        return False
-    return all(acc[k] == m.target.entries[k] for k in acc)
+    return acc == dict(m.target.entries)
 
 
 def identity_matrix_morphism(chain: GoodMeasureChain, A: BalancedMatrix) -> MatrixMorphism:
@@ -171,55 +169,26 @@ def _cycles_of_cycle_object(A: BalancedMatrix) -> list[CycleMatrix]:
         raise NotCycleObject("matrix has a row with several nonzero entries")
     succ = {a: b for (a, b) in A.entries}
     weight = {a: w for (a, _b), w in A.entries.items()}
-    out: list[CycleMatrix] = []
-    seen: set[str] = set()
-    for start in sorted(succ):
-        if start in seen:
-            continue
-        verts = [start]
-        seen.add(start)
-        nxt = succ[start]
-        while nxt != start:
-            verts.append(nxt)
-            seen.add(nxt)
-            nxt = succ[nxt]
-        out.append(CycleMatrix(tuple(verts), weight[start]))
-    return out
+    return [CycleMatrix(tuple(o), weight[o[0]]) for o in orbits(succ, sorted(succ))]
 
 
 def _lift_cycles_entries(
-    index: WeightedPartition,
-    cycles: Sequence[CycleMatrix],
-    p: PartitionMorphism,
-    V,
+    cycles: Sequence[CycleMatrix], p: PartitionMorphism, V
 ) -> dict[tuple[str, str], ExactValue]:
     """Entries of a lift of disjoint cycles along p, fiber pair by fiber pair.
 
     For each cycle edge the two fibers are refined jointly and each part
-    contributes its weight to the entry of its (left owner, right owner).
+    contributes its weight to the entry of its (left cell, right cell).
     """
     R = p.source
-    fibers: dict[str, list[str]] = {c: [] for c in index.cells}
-    for c in R.cells:
-        fibers[p.mapping[c]].append(c)
+    fibers = p.fibers()
     entries: dict[tuple[str, str], ExactValue] = {}
     for cyc in cycles:
         for d0, d1 in cyc.edges():
-            ys, zs = fibers[d0], fibers[d1]
-            ref = common_refinement(
-                [R.weight(y) for y in ys], [R.weight(z) for z in zs], V
-            )
-            owner_l: dict[int, str] = {}
-            for i, block in enumerate(ref.left_blocks):
-                for s in block:
-                    owner_l[s] = ys[i]
-            owner_r: dict[int, str] = {}
-            for j, block in enumerate(ref.right_blocks):
-                for s in block:
-                    owner_r[s] = zs[j]
-            for s, w in enumerate(ref.parts):
-                e = (owner_l[s], owner_r[s])
-                entries[e] = entries.get(e, ZERO) + w
+            ys = [(y, R.weight(y)) for y in fibers[d0]]
+            zs = [(z, R.weight(z)) for z in fibers[d1]]
+            for y, z, w in refine_fibers(ys, zs, V):
+                entries[(y, z)] = entries.get((y, z), ZERO) + w
     return entries
 
 
@@ -243,7 +212,7 @@ def lift_cycle(
         raise ValueError("morphism source is not the given chain level")
     if not verify_morphism(p):
         raise ValueError("p is not a valid morphism")
-    entries = _lift_cycles_entries(P_A, cycles, p, chain.V)
+    entries = _lift_cycles_entries(cycles, p, chain.V)
     return BalancedMatrix(source_level, entries)
 
 
@@ -256,34 +225,12 @@ def _split_at_top(
     chain: GoodMeasureChain, A: BalancedMatrix
 ) -> tuple[BalancedMatrix, MatrixMorphism]:
     """Split every top cell by the cycles through it; the split level carries
-    a cycle-category representative projecting onto A."""
-    top = chain.levels[A.level]
-    cycles = cycle_decompose(A)
-    through: dict[str, list[int]] = {c: [] for c in top.cells}
-    succ: list[dict[str, str]] = []
-    for ci, cyc in enumerate(cycles):
-        succ.append(dict(cyc.edges()))
-        for v in cyc.vertices:
-            through[v].append(ci)
-    new_cells: list[tuple[str, ExactValue]] = []
-    link_map: dict[str, str] = {}
-    child_id: dict[tuple[str, int], str] = {}
-    for c in top.cells:
-        ids = [c] if len(through[c]) == 1 else [f"{c}/{j}" for j in range(len(through[c]))]
-        for cid, ci in zip(ids, through[c]):
-            new_cells.append((cid, cycles[ci].weight))
-            link_map[cid] = c
-            child_id[(c, ci)] = cid
-    newP = WeightedPartition.make(new_cells)
-    link = PartitionMorphism(newP, top, link_map)
-    chain._append_level(newP, link)
-    entries = {
-        (child_id[(c, ci)], child_id[(succ[ci][c], ci)]): cycles[ci].weight
-        for c in top.cells
-        for ci in through[c]
-    }
-    C = BalancedMatrix(chain.depth, entries)
-    return C, MatrixMorphism(link, C, A)
+    a cycle-category representative projecting onto A.  Each child cell
+    weighs exactly its cycle's weight, which is its entry in the result."""
+    perm = chain._append_cycle_split(decompose_entries(A.entries))
+    top = chain.top
+    C = BalancedMatrix(chain.depth, {(x, y): top.weight(x) for x, y in perm.items()})
+    return C, MatrixMorphism(chain.links[-1], C, A)
 
 
 def _lift_to_fresh_level(
@@ -293,12 +240,9 @@ def _lift_to_fresh_level(
     A's cycles onto the responding level."""
     P_A = chain.levels[A.level]
     cycles = cycle_decompose(A)
-    through: dict[str, list[int]] = {c: [] for c in P_A.cells}
-    for ci, cyc in enumerate(cycles):
-        for v in cyc.vertices:
-            through[v].append(ci)
+    through = cycles_through(P_A.cells, [cyc.vertices for cyc in cycles])
     d_cells = [
-        (f"{c}@{ci}", cycles[ci].weight) for c in P_A.cells for ci in through[c]
+        (f"{c}@{ci}", cycles[ci].weight) for c in P_A.cells for ci, _ in through[c]
     ]
     D = WeightedPartition.make(d_cells)
     projD = PartitionMorphism(D, P_A, {cid: cid.rsplit("@", 1)[0] for cid, _ in d_cells})
@@ -306,8 +250,8 @@ def _lift_to_fresh_level(
         CycleMatrix(tuple(f"{v}@{ci}" for v in cyc.vertices), cyc.weight)
         for ci, cyc in enumerate(cycles)
     ]
-    stage, r = chain.absorb_morphism_full(projD, target_level=A.level)
-    entries = _lift_cycles_entries(D, d_cycles, r, chain.V)
+    stage, r = chain.absorb_morphism(projD, target_level=A.level)
+    entries = _lift_cycles_entries(d_cycles, r, chain.V)
     B = BalancedMatrix(stage, entries)
     return B, MatrixMorphism(compose(projD, r), B, A)
 
@@ -351,7 +295,7 @@ def reverse_projection(
     B, A = p.source, p.target
     Bc, projB = to_cycle_object(chain, B)
     challenge = compose(p.underlying, projB.underlying)
-    stage, r_part = chain.absorb_morphism_full(challenge, target_level=A.level)
+    stage, r_part = chain.absorb_morphism(challenge, target_level=A.level)
     C = lift_cycle(chain, Bc, r_part, stage)
     r = MatrixMorphism(compose(projB.underlying, r_part), C, B)
     if not verify_matrix_morphism(chain, r):
@@ -387,10 +331,7 @@ def transport_entries(
 
 def compatible(chain: GoodMeasureChain, sigma: AutomorphismPrefix, A: BalancedMatrix) -> bool:
     """Membership of the prefix in the neighbourhood determined by A."""
-    acc = transport_entries(chain, sigma, A.level)
-    if set(acc) != set(A.entries):
-        return False
-    return all(acc[k] == A.entries[k] for k in acc)
+    return transport_entries(chain, sigma, A.level) == dict(A.entries)
 
 
 def matrix_of_prefix(

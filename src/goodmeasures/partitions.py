@@ -76,8 +76,12 @@ class PartitionMorphism:
     def __call__(self, cell: str) -> str:
         return self.mapping[cell]
 
-    def fiber(self, target_cell: str) -> list[str]:
-        return [c for c in self.source.cells if self.mapping[c] == target_cell]
+    def fibers(self) -> dict[str, list[str]]:
+        """The source cells over each target cell, in source order, in one pass."""
+        out: dict[str, list[str]] = {x: [] for x in self.target.cells}
+        for c in self.source.cells:
+            out[self.mapping[c]].append(c)
+        return out
 
     def to_json(self) -> dict:
         return {"map": {c: self.mapping[c] for c in self.source.cells}}
@@ -89,9 +93,10 @@ def verify_morphism(m: PartitionMorphism) -> bool:
         return False
     if set(m.mapping.values()) != set(m.target.cells):
         return False
+    fibers = m.fibers()
     for x in m.target.cells:
         s = ZERO
-        for y in m.fiber(x):
+        for y in fibers[x]:
             s = s + m.source.weight(y)
         if s != m.target.weight(x):
             return False
@@ -147,35 +152,63 @@ def common_refinement(
     sr = sum(right[1:], right[0])
     if sl != sr:
         raise SumMismatch(f"left sums to {sl}, right sums to {sr}")
-    parts, lb, rb = _refine(list(left), list(right))
+    parts = _refine(left, right)
+    lb: list[list[int]] = [[] for _ in left]
+    rb: list[list[int]] = [[] for _ in right]
+    for s, (_, i, j) in enumerate(parts):
+        lb[i].append(s)
+        rb[j].append(s)
     return CommonRefinement(
-        tuple(parts),
-        tuple(tuple(sorted(b)) for b in lb),
-        tuple(tuple(sorted(b)) for b in rb),
+        tuple(w for w, _, _ in parts), tuple(map(tuple, lb)), tuple(map(tuple, rb))
     )
 
 
-def _refine(left, right):
-    k, l = len(left), len(right)
-    if k == 1:
-        return list(right), [list(range(l))], [[j] for j in range(l)]
-    if l == 1:
-        return list(left), [[i] for i in range(k)], [list(range(k))]
-    a, b = left[-1], right[-1]
-    s = (a - b).sign()
-    if s == 0:
-        parts, lb, rb = _refine(left[:-1], right[:-1])
-        idx = len(parts)
-        return parts + [a], lb + [[idx]], rb + [[idx]]
-    if s > 0:
-        parts, lb, rb = _refine(left[:-1] + [a - b], right[:-1])
-        idx = len(parts)
-        lb[-1] = lb[-1] + [idx]
-        return parts + [b], lb, rb + [[idx]]
-    parts, lb, rb = _refine(left[:-1], right[:-1] + [b - a])
-    idx = len(parts)
-    rb[-1] = rb[-1] + [idx]
-    return parts + [a], lb + [[idx]], rb
+def _refine(left, right) -> list[tuple[ExactValue, int, int]]:
+    """The induction as a loop: (part, left index, right index) in part order.
+
+    The parts of the base case (one side down to a single entry) come first,
+    then the peeled parts in reverse peeling order, so part indices are those
+    of the inductive construction and every block comes out ascending.
+    """
+    left, right = list(left), list(right)
+    peeled = []
+    while len(left) > 1 and len(right) > 1:
+        i, j = len(left) - 1, len(right) - 1
+        a, b = left[i], right[j]
+        s = (a - b).sign()
+        if s == 0:
+            peeled.append((a, i, j))
+            left.pop()
+            right.pop()
+        elif s > 0:
+            peeled.append((b, i, j))
+            left[i] = a - b
+            right.pop()
+        else:
+            peeled.append((a, i, j))
+            right[j] = b - a
+            left.pop()
+    if len(left) == 1:
+        base = [(w, 0, j) for j, w in enumerate(right)]
+    else:
+        base = [(w, i, 0) for i, w in enumerate(left)]
+    return base + peeled[::-1]
+
+
+def refine_fibers(
+    left: Sequence[tuple[str, ExactValue]],
+    right: Sequence[tuple[str, ExactValue]],
+    V: GroupDescriptor,
+) -> list[tuple[str, str, ExactValue]]:
+    """Common refinement of two equal-mass fibers given as (cell, weight) lists.
+
+    Each part is credited to the left cell and the right cell whose blocks
+    hold it; the result lists (left cell, right cell, part) in part order.
+    """
+    ref = common_refinement([w for _, w in left], [w for _, w in right], V)
+    owner_left = {s: left[i][0] for i, block in enumerate(ref.left_blocks) for s in block}
+    owner_right = {s: right[j][0] for j, block in enumerate(ref.right_blocks) for s in block}
+    return [(owner_left[s], owner_right[s], w) for s, w in enumerate(ref.parts)]
 
 
 def refinement_feasible(
@@ -227,7 +260,7 @@ def amalgamate(
 ) -> tuple[WeightedPartition, PartitionMorphism, PartitionMorphism]:
     """Amalgamate a cospan f1: E1 -> F <- E2 :f2 into (G, p1: G -> E1, p2: G -> E2).
 
-    Each fiber of F is refined jointly via ``common_refinement``; the square
+    Each fiber of F is refined jointly via ``refine_fibers``; the square
     f1 ∘ p1 = f2 ∘ p2 commutes exactly by construction.  New cells are named
     after their p1-image, one suffix per sibling, so chains built onto E1 keep
     a readable refinement history.
@@ -240,22 +273,12 @@ def amalgamate(
     m1: dict[str, str] = {}
     m2: dict[str, str] = {}
     pending: dict[str, list[tuple[ExactValue, str]]] = {y: [] for y in f1.source.cells}
+    fibers1, fibers2 = f1.fibers(), f2.fibers()
     for x in f1.target.cells:
-        ys = f1.fiber(x)
-        zs = f2.fiber(x)
-        ref = common_refinement(
-            [f1.source.weight(y) for y in ys], [f2.source.weight(z) for z in zs], V
-        )
-        owner_left = {}
-        for i, block in enumerate(ref.left_blocks):
-            for s in block:
-                owner_left[s] = ys[i]
-        owner_right = {}
-        for j, block in enumerate(ref.right_blocks):
-            for s in block:
-                owner_right[s] = zs[j]
-        for s, w in enumerate(ref.parts):
-            pending[owner_left[s]].append((w, owner_right[s]))
+        ys = [(y, f1.source.weight(y)) for y in fibers1[x]]
+        zs = [(z, f2.source.weight(z)) for z in fibers2[x]]
+        for y, z, w in refine_fibers(ys, zs, V):
+            pending[y].append((w, z))
     for y in f1.source.cells:
         group = pending[y]
         ids = _child_ids(y, len(group))
@@ -286,8 +309,7 @@ def split_cell(
     mapping: dict[str, str] = {}
     for c in P.cells:
         if c == cell:
-            ids = [f"{cell}/{i}" for i in range(len(parts))] if len(parts) > 1 else [cell]
-            for cid, w in zip(ids, parts):
+            for cid, w in zip(_child_ids(cell, len(parts)), parts):
                 new_cells.append((cid, w))
                 mapping[cid] = cell
         else:

@@ -100,6 +100,8 @@ class IrrationalSymbol:
 
     @staticmethod
     def sqrt(name: str, radicand: int, shift: _FracLike = 0) -> "IrrationalSymbol":
+        if radicand < 0 or math.isqrt(radicand) ** 2 == radicand:
+            raise ValueError(f"symbol {name}: sqrt({radicand}) is not an irrational real")
         shift = _frac(shift)
         return IrrationalSymbol(name, ("sqrt", radicand, shift), _sqrt_enclosure(radicand, shift))
 
@@ -309,6 +311,12 @@ def format_fraction(q: Fraction) -> str:
 
 
 def parse_fraction(text) -> Fraction:
+    """An exact fraction from a string, an int or a Fraction.
+
+    Binary floats (a JSON ``0.1`` is not 1/10) and bools are rejected.
+    """
+    if isinstance(text, (float, bool)):
+        raise TypeError(f"inexact number {text!r}; write fractions as strings such as \"1/10\"")
     return _frac(text)
 
 
@@ -605,27 +613,6 @@ class GroupDescriptor:
             s = IrrationalSymbol.from_json(entry["name"], entry["enclosure"])
             irr[s] = RationalGroup.from_json(entry["group"])
         return GroupDescriptor.make(rational, irr, data.get("infinite"))
-
-
-# ---------------------------------------------------------------------------
-# module-level operation aliases matching the operation vocabulary
-# ---------------------------------------------------------------------------
-
-
-def member(v: ExactValue, V: GroupDescriptor) -> bool:
-    return V.member(v)
-
-
-def classify(V: GroupDescriptor) -> Classification:
-    return V.classify()
-
-
-def enumerate_values(V: GroupDescriptor, budget: int) -> list[ExactValue]:
-    return V.enumerate_values(budget)
-
-
-def scale_value_set(V: GroupDescriptor, a: ExactValue) -> GroupDescriptor:
-    return V.scale_value_set(a)
 
 
 def check_all_in(values: Iterable[ExactValue], V: GroupDescriptor, what: str = "value") -> None:

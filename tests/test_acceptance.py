@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from goodmeasures import jsonutil
-from goodmeasures.chain import ClopenSet, GoodMeasureChain, new_chain
+from goodmeasures.chain import ClopenSet, GoodMeasureChain
 from goodmeasures.composite import (
     maximality_refute,
     member as composite_member,
@@ -117,7 +117,7 @@ def test_c03_goodness_at_finite_level(dyadic, triadic):
     pair_count = 0
     witness_count = 0
     for V in (dyadic, triadic):
-        chain = new_chain(V)
+        chain = GoodMeasureChain(V)
         chain.run_schedule(3)
         cells = list(chain.levels[2].cells)
         subsets = []
@@ -177,7 +177,7 @@ def test_c05_witness_nonemptiness_100(dyadic):
     rng = random.Random(1005)
     done = 0
     for block in range(10):
-        chain = new_chain(dyadic)
+        chain = GoodMeasureChain(dyadic)
         chain.run_schedule(3)
         for _ in range(10):
             level = rng.randint(1, min(3, chain.depth))
@@ -195,7 +195,7 @@ def test_c06_conjugation_transport_100(dyadic):
     rng = random.Random(1006)
     done = 0
     for block in range(10):
-        chain = new_chain(dyadic)
+        chain = GoodMeasureChain(dyadic)
         chain.run_schedule(3)
         for _ in range(10):
             level = rng.randint(1, min(2, chain.depth))
@@ -249,10 +249,10 @@ def test_c08_qlike_amalgamation_100(rationals):
 
 def test_c09_composite_example(triadic):
     rng = random.Random(1009)
-    c1 = new_chain(triadic)
+    c1 = GoodMeasureChain(triadic)
     c1.run_schedule(2)
     V2 = alpha_module()
-    c2 = new_chain(V2)
+    c2 = GoodMeasureChain(V2)
     c2.run_schedule(2)
     m = weighted_sum([(c1, Fraction(1, 3)), (c2, Fraction(2, 3))])
     assert composite_member(m, E("1/3"))
@@ -289,10 +289,10 @@ def test_c09_composite_example(triadic):
 
 def test_c10_snapshot_determinism(dyadic, triadic):
     for V in (dyadic, triadic):
-        first = new_chain(V)
+        first = GoodMeasureChain(V)
         first.run_schedule(3)
         bytes1 = jsonutil.dumps(first.to_json())
-        second = new_chain(V)
+        second = GoodMeasureChain(V)
         second.run_schedule(3)
         assert jsonutil.dumps(second.to_json()) == bytes1
         reloaded = GoodMeasureChain.from_json(jsonutil.loads(bytes1))

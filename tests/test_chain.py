@@ -3,7 +3,7 @@
 import pytest
 
 from goodmeasures import jsonutil
-from goodmeasures.chain import ClopenSet, GoodMeasureChain, invert_prefix, new_chain
+from goodmeasures.chain import ClopenSet, GoodMeasureChain, invert_prefix
 from goodmeasures.errors import (
     InvalidChallenge,
     NotGroupLike,
@@ -35,24 +35,24 @@ def check_chain_valid(chain):
 # -- construction ----------------------------------------------------------------
 
 
-def test_new_chain(dyadic, rationals):
+def test_fresh_chain(dyadic, rationals):
     for V in (dyadic, rationals):
-        ch = new_chain(V)
+        ch = GoodMeasureChain(V)
         assert ch.depth == 0
         check_chain_valid(ch)
 
 
-def test_new_chain_rejects_finite():
+def test_fresh_chain_rejects_finite():
     V = GroupDescriptor.make(RationalGroup.make(0, {2: 0}))
     with pytest.raises(NotGroupLike):
-        new_chain(V)
+        GoodMeasureChain(V)
 
 
 # -- object absorption --------------------------------------------------------------
 
 
 def test_absorb_object_halves(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     stage = ch.absorb_object(obj("1/2", "1/2"))
     assert stage == 1
     assert [ch.top.weight(c) for c in ch.top.cells] == [E("1/2"), E("1/2")]
@@ -60,7 +60,7 @@ def test_absorb_object_halves(dyadic):
 
 
 def test_absorb_object_top_is_noop(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.absorb_object(obj("1/2", "1/2"))
     depth = ch.depth
     stage = ch.absorb_object(obj("1/2", "1/2"))
@@ -68,7 +68,7 @@ def test_absorb_object_top_is_noop(dyadic):
 
 
 def test_absorb_object_rejects_foreign(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     with pytest.raises(NotInV):
         ch.absorb_object(obj("1/3", "1/3", "1/3"))
     with pytest.raises(SumMismatch):
@@ -76,7 +76,7 @@ def test_absorb_object_rejects_foreign(dyadic):
 
 
 def test_absorbed_object_lift_verifies(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     target = obj("1/4", "1/4", "1/2")
     stage = ch.absorb_object(target)
     entry = ch.ledger[-1]
@@ -88,17 +88,17 @@ def test_absorbed_object_lift_verifies(dyadic):
 
 
 def test_absorb_identity_morphism(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.absorb_object(obj("1/2", "1/2"))
     level1 = ch.levels[1]
     challenge = PartitionMorphism(level1, level1, {c: c for c in level1.cells})
-    stage = ch.absorb_morphism(challenge, target_level=1)
+    stage, _ = ch.absorb_morphism(challenge, target_level=1)
     entry = ch.ledger[-1]
     assert entry.response_map == ch.composite_mapping(stage, 1)
 
 
 def test_absorb_split_challenge(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.absorb_object(obj("1/2", "1/2"))
     level1 = ch.levels[1]
     cell = level1.cells[0]
@@ -108,7 +108,7 @@ def test_absorb_split_challenge(dyadic):
     challenge = PartitionMorphism(
         src, level1, {"s0": cell, "s1": cell, "s2": level1.cells[1]}
     )
-    stage = ch.absorb_morphism(challenge, target_level=1)
+    stage, _ = ch.absorb_morphism(challenge, target_level=1)
     entry = ch.ledger[-1]
     proj = ch.composite_mapping(stage, 1)
     for c in ch.levels[stage].cells:
@@ -117,7 +117,7 @@ def test_absorb_split_challenge(dyadic):
 
 
 def test_absorb_morphism_rejects_invalid(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.absorb_object(obj("1/2", "1/2"))
     level1 = ch.levels[1]
     src = WeightedPartition.make([("s0", E("1/4")), ("s1", E("3/4"))])
@@ -130,7 +130,7 @@ def test_absorb_morphism_rejects_invalid(dyadic):
 
 
 def test_schedule_budget1_dyadic(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.run_schedule(1)
     keys = {tuple(sorted(str(w) for w in e.challenge_object.weight_list()))
             for e in ch.ledger if e.kind == "object"}
@@ -140,11 +140,11 @@ def test_schedule_budget1_dyadic(dyadic):
 
 def test_schedule_rejects_zero_budget(dyadic):
     with pytest.raises(ValueError):
-        new_chain(dyadic).run_schedule(0)
+        GoodMeasureChain(dyadic).run_schedule(0)
 
 
 def test_schedule_idempotent(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.run_schedule(2)
     snapshot = jsonutil.dumps(ch.to_json())
     ch.run_schedule(2)
@@ -152,7 +152,7 @@ def test_schedule_idempotent(dyadic):
 
 
 def test_schedule_budget_growth_appends(triadic):
-    ch = new_chain(triadic)
+    ch = GoodMeasureChain(triadic)
     ch.run_schedule(1)
     levels_before = [L.to_json() for L in ch.levels]
     ch.run_schedule(2)
@@ -161,7 +161,7 @@ def test_schedule_budget_growth_appends(triadic):
 
 def test_schedule_absorptions_verified(dyadic, triadic):
     for V in (dyadic, triadic):
-        ch = new_chain(V)
+        ch = GoodMeasureChain(V)
         ch.run_schedule(3)
         check_chain_valid(ch)
         for entry in ch.ledger:
@@ -178,7 +178,7 @@ def test_schedule_absorptions_verified(dyadic, triadic):
 
 
 def test_measure_trivials(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.run_schedule(2)
     assert ch.measure(ClopenSet.of(1, [])) == ZERO
     assert ch.measure(ClopenSet.of(1, ch.levels[1].cells)) == ONE
@@ -187,7 +187,7 @@ def test_measure_trivials(dyadic):
 
 
 def test_subset_witness_split(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.absorb_object(obj("1/2", "1/4", "1/4"))
     U = ClopenSet.of(1, [ch.levels[1].cells[1]])  # mass 1/4
     W = ClopenSet.of(1, [ch.levels[1].cells[0]])  # mass 1/2
@@ -198,7 +198,7 @@ def test_subset_witness_split(dyadic):
 
 
 def test_subset_witness_not_smaller(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.absorb_object(obj("1/2", "1/2"))
     U = ClopenSet.of(1, [ch.levels[1].cells[0]])
     with pytest.raises(NotSmaller):
@@ -206,7 +206,7 @@ def test_subset_witness_not_smaller(dyadic):
 
 
 def test_subset_witness_triadic_third_of_space(triadic):
-    ch = new_chain(triadic)
+    ch = GoodMeasureChain(triadic)
     ch.absorb_object(obj("1/3", "2/3"))
     U = ClopenSet.of(1, [ch.levels[1].cells[0]])
     W = ClopenSet.of(0, ["r"])
@@ -215,9 +215,9 @@ def test_subset_witness_triadic_third_of_space(triadic):
 
 
 def test_maximal_partition_witness(dyadic, triadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     assert ch.maximal_partition_witness([E("1/2"), E("1/2")]) == 1
-    ch3 = new_chain(triadic)
+    ch3 = GoodMeasureChain(triadic)
     ch3.maximal_partition_witness([E("1/3")] * 3)
     with pytest.raises(NotInV):
         ch.maximal_partition_witness([E("1/3"), E("2/3")])
@@ -230,7 +230,7 @@ def test_no_atoms_every_cell_splits(dyadic, triadic):
     from goodmeasures.partitions import split_cell
 
     for V in (dyadic, triadic):
-        ch = new_chain(V)
+        ch = GoodMeasureChain(V)
         ch.run_schedule(2)
         for L in ch.levels:
             for c in L.cells:
@@ -240,7 +240,7 @@ def test_no_atoms_every_cell_splits(dyadic, triadic):
 
 
 def test_canonicalize_clopen(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.absorb_object(obj("1/2", "1/2"))
     full = ClopenSet.of(1, ch.levels[1].cells)
     assert ch.canonicalize(full) == ClopenSet.of(0, ["r"])
@@ -250,7 +250,7 @@ def test_canonicalize_clopen(dyadic):
 
 
 def test_extend_identity(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.run_schedule(2)
     L = ch.levels[1]
     sigma = ch.extend_partial_isomorphism(1, {c: c for c in L.cells})
@@ -260,7 +260,7 @@ def test_extend_identity(dyadic):
 
 
 def test_extend_swap(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.absorb_object(obj("1/2", "1/2"))
     a, b = ch.levels[1].cells
     sigma = ch.extend_partial_isomorphism(1, {a: b})
@@ -269,7 +269,7 @@ def test_extend_swap(dyadic):
 
 
 def test_extend_weight_mismatch(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.absorb_object(obj("1/4", "1/4", "1/2"))
     cells = ch.levels[1].cells
     with pytest.raises(WeightMismatch):
@@ -278,7 +278,7 @@ def test_extend_weight_mismatch(dyadic):
 
 def test_extend_needs_transport_split(dyadic):
     """Swapping cells whose fibers differ forces a refinement level."""
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.absorb_object(obj("1/2", "1/2"))
     a, b = ch.levels[1].cells
     # split only cell a one level deeper
@@ -296,7 +296,7 @@ def test_extend_needs_transport_split(dyadic):
 
 def test_fiber_crossing_partial_iso(dyadic):
     """A partial isomorphism moving mass across parent cells still extends."""
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.absorb_object(obj("1/2", "1/2"))
     ch.absorb_object(obj("1/4", "1/4", "1/4", "1/4"))
     anc = ch.composite_mapping(2, 1)
@@ -312,7 +312,7 @@ def test_fiber_crossing_partial_iso(dyadic):
 
 
 def test_extend_prefix_noop_and_deeper(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.run_schedule(2)
     sigma = ch.identity_prefix(1)
     same = ch.extend_prefix(sigma, 1)
@@ -322,7 +322,7 @@ def test_extend_prefix_noop_and_deeper(dyadic):
 
 
 def test_extend_prefix_beyond_chain_splits_orbits(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.absorb_object(obj("1/2", "1/2"))
     a, b = ch.levels[1].cells
     sigma = ch.extend_partial_isomorphism(1, {a: b})
@@ -333,7 +333,7 @@ def test_extend_prefix_beyond_chain_splits_orbits(dyadic):
 
 
 def test_compose_and_invert(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.run_schedule(2)
     a, b = ch.levels[1].cells[:2]
     swap = ch.extend_partial_isomorphism(1, {a: b})
@@ -348,7 +348,7 @@ def test_compose_and_invert(dyadic):
 
 def test_snapshot_round_trip(dyadic, triadic):
     for V in (dyadic, triadic):
-        ch = new_chain(V)
+        ch = GoodMeasureChain(V)
         ch.run_schedule(2)
         data = jsonutil.dumps(ch.to_json())
         again = GoodMeasureChain.from_json(jsonutil.loads(data))
@@ -356,7 +356,7 @@ def test_snapshot_round_trip(dyadic, triadic):
 
 
 def test_snapshot_reload_and_continue(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.run_schedule(2)
     again = GoodMeasureChain.from_json(ch.to_json())
     ch.run_schedule(3)
@@ -365,7 +365,7 @@ def test_snapshot_reload_and_continue(dyadic):
 
 
 def test_sqrt2_module_chain(sqrt2_module):
-    ch = new_chain(sqrt2_module)
+    ch = GoodMeasureChain(sqrt2_module)
     ch.run_schedule(1)
     check_chain_valid(ch)
     assert ch.depth >= 1

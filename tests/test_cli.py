@@ -160,6 +160,82 @@ def test_decompose_invalid_matrix(files, capsys):
     assert code == 2
 
 
+def _sqrt_descriptor(radicand, shift) -> dict:
+    return {
+        "rational": {"default": "0", "exceptions": {}},
+        "irrationals": [{"name": "a", "group": {"default": "0", "exceptions": {}},
+                         "enclosure": {"kind": "sqrt", "radicand": radicand, "shift": shift}}],
+    }
+
+
+def _one_line_error(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+def test_json_float_in_matrix_is_invalid_input(files, capsys):
+    mat = files / "float.json"
+    # written without jsonutil, which refuses floats
+    mat.write_text(json.dumps({"level": 1, "entries": [
+        {"from": "r/0", "to": "r/1", "w": {"q": 0.5}},
+        {"from": "r/1", "to": "r/0", "w": {"q": "1/2"}}]}))
+    assert main(["decompose", "--matrix", str(mat)]) == 2
+    assert "inexact number 0.5" in _one_line_error(capsys)
+
+
+def test_json_float_in_descriptor_is_invalid_input(files, capsys):
+    desc = files / "float_desc.json"
+    desc.write_text(json.dumps(_sqrt_descriptor(2, -0.5)))
+    assert main(["decide-rokhlin", "--descriptor", str(desc)]) == 2
+    assert "inexact number -0.5" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("radicand", [4, 0])
+def test_rational_sqrt_symbol_is_invalid_input(files, capsys, radicand):
+    desc = files / "square.json"
+    jsonutil.write(desc, _sqrt_descriptor(radicand, "-3/2" if radicand else "1/2"))
+    code = main(["build-chain", "--descriptor", str(desc), "--budget", "1",
+                 "--out", str(files / "never.json")])
+    assert code == 2
+    assert f"sqrt({radicand}) is not an irrational real" in _one_line_error(capsys)
+    assert not (files / "never.json").exists()
+
+
+def test_check_good_rejects_doctored_maximality_lift(files, capsys):
+    snap = files / "snap.json"
+    run(capsys, "build-chain", "--descriptor", str(files / "dyadic.json"),
+        "--budget", "1", "--out", str(snap))
+    data = jsonutil.read(snap)
+    entry = next(e for e in data["ledger"]
+                 if e["kind"] == "object" and len(e["challenge"]["cells"]) == 2)
+    first = entry["challenge"]["cells"][0]["id"]
+    entry["response"]["map"] = {c: first for c in entry["response"]["map"]}
+    doctored = files / "doctored.json"
+    jsonutil.write(doctored, data)
+    report = files / "report.json"
+    code, env = run(capsys, "check-good", "--snapshot", str(doctored), "--depth", "1",
+                    "--out", str(report))
+    assert code == 1 and env["result"]["all_ok"] is False
+    oks = [m["ok"] for m in jsonutil.read(report)["maximality"]]
+    assert False in oks and True in oks
+    code, env = run(capsys, "check-good", "--snapshot", str(snap), "--depth", "1")
+    assert code == 0 and env["result"]["all_ok"] is True
+
+
+def test_snapshot_with_ledger_stage_beyond_levels_is_invalid_input(files, capsys):
+    snap = files / "snap.json"
+    run(capsys, "build-chain", "--descriptor", str(files / "dyadic.json"),
+        "--budget", "1", "--out", str(snap))
+    data = jsonutil.read(snap)
+    data["ledger"][0]["stage"] = len(data["levels"])
+    jsonutil.write(snap, data)
+    assert main(["check-good", "--snapshot", str(snap), "--depth", "1"]) == 2
+    assert "is not a level of the snapshot" in _one_line_error(capsys)
+
+
 def test_witness_and_check_compat(files, capsys):
     snap = files / "snap.json"
     run(capsys, "build-chain", "--descriptor", str(files / "dyadic.json"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from goodmeasures.chain import ClopenSet, new_chain
+from goodmeasures.chain import ClopenSet, GoodMeasureChain
 from goodmeasures.composite import (
     maximality_refute,
     measure,
@@ -21,9 +21,9 @@ from conftest import E, alpha_module
 @pytest.fixture()
 def example_composite(triadic):
     """(1/3) * 3-adic measure next to (2/3) * (Z + Z*alpha) measure."""
-    c1 = new_chain(triadic)
+    c1 = GoodMeasureChain(triadic)
     c1.run_schedule(2)
-    c2 = new_chain(alpha_module())
+    c2 = GoodMeasureChain(alpha_module())
     c2.run_schedule(2)
     return weighted_sum([(c1, Fraction(1, 3)), (c2, Fraction(2, 3))])
 
@@ -32,7 +32,7 @@ def example_composite(triadic):
 
 
 def test_single_component(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.run_schedule(1)
     m = weighted_sum([(ch, Fraction(1))])
     assert member(m, E("1/2"))
@@ -40,15 +40,15 @@ def test_single_component(dyadic):
 
 
 def test_scale_sum_checked(triadic):
-    c1 = new_chain(triadic)
-    c2 = new_chain(alpha_module())
+    c1 = GoodMeasureChain(triadic)
+    c2 = GoodMeasureChain(alpha_module())
     with pytest.raises(SumMismatch):
         weighted_sum([(c1, Fraction(1, 2)), (c2, Fraction(1, 3))])
 
 
 def test_two_rational_components_rejected(dyadic, triadic):
-    c1 = new_chain(dyadic)
-    c2 = new_chain(triadic)
+    c1 = GoodMeasureChain(dyadic)
+    c2 = GoodMeasureChain(triadic)
     with pytest.raises(NotSeparable):
         weighted_sum([(c1, Fraction(1, 2)), (c2, Fraction(1, 2))])
 
@@ -126,7 +126,7 @@ def test_refute_rejects_non_values(example_composite):
 
 
 def test_refute_single_component_delegates(triadic):
-    ch = new_chain(triadic)
+    ch = GoodMeasureChain(triadic)
     ch.run_schedule(1)
     m = weighted_sum([(ch, Fraction(1))])
     out = maximality_refute(m, [E("1/3")] * 3)

@@ -2,7 +2,7 @@
 
 import random
 
-from goodmeasures.chain import ClopenSet, new_chain
+from goodmeasures.chain import ClopenSet, GoodMeasureChain
 from goodmeasures.matrices import (
     compatible,
     compatible_witness,
@@ -28,7 +28,7 @@ def _assert_chain_valid(chain):
 def test_mixed_operation_fuzz(dyadic, triadic, sqrt2_module):
     rng = random.Random(2024)
     for V in (dyadic, triadic, sqrt2_module):
-        chain = new_chain(V)
+        chain = GoodMeasureChain(V)
         chain.run_schedule(2)
         for step in range(30):
             op = rng.choice(["object", "witness", "iso", "matrix", "measure"])

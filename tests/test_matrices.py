@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from goodmeasures.chain import AutomorphismPrefix, new_chain
+from goodmeasures.chain import AutomorphismPrefix, GoodMeasureChain
 from goodmeasures.errors import DepthTooShallow, NotCycleObject, NotEquiSummed
 from goodmeasures.flows import decompose_entries
 from goodmeasures.matrices import (
@@ -32,7 +32,7 @@ from conftest import E, random_balanced_matrix, random_equi_summed
 
 
 def halves_chain(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.absorb_object(WeightedPartition.make([("x0", E("1/2")), ("x1", E("1/2"))]))
     return ch
 
@@ -167,7 +167,7 @@ def test_lift_cycle_identity(dyadic):
 
 
 def test_lift_cycle_self_loop_split(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     A = BalancedMatrix(0, {("r", "r"): ONE})
     ch.absorb_object(WeightedPartition.make([("x0", E("1/2")), ("x1", E("1/2"))]))
     link = ch.links[0]
@@ -209,7 +209,7 @@ def test_reverse_projection_identity(dyadic):
 
 
 def test_reverse_projection_two_cycle_over_loop(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     loop = BalancedMatrix(0, {("r", "r"): ONE})
     ch.absorb_object(WeightedPartition.make([("x0", E("1/2")), ("x1", E("1/2"))]))
     B = two_cycle(ch, 1)
@@ -225,7 +225,7 @@ def test_reverse_projection_two_cycle_over_loop(dyadic):
 def test_reverse_projection_random(dyadic):
     rng = random.Random(93)
     for _ in range(10):
-        ch = new_chain(dyadic)
+        ch = GoodMeasureChain(dyadic)
         ch.run_schedule(2)
         level = rng.randint(1, min(2, ch.depth))
         A = random_balanced_matrix(rng, ch, level)
@@ -243,7 +243,7 @@ def test_reverse_projection_non_projection_morphism(dyadic):
     projection (here: projection twisted by an equal-weight permutation)."""
     rng = random.Random(94)
     for _ in range(6):
-        ch = new_chain(dyadic)
+        ch = GoodMeasureChain(dyadic)
         ch.run_schedule(2)
         j = ch.depth
         i = 1
@@ -324,7 +324,7 @@ def test_witness_mixing(dyadic):
 def test_pi_lift_monotone(dyadic):
     """Prefixes compatible with a lift stay compatible with the base."""
     rng = random.Random(4)
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.run_schedule(2)
     for _ in range(10):
         A = random_balanced_matrix(rng, ch, 1)
@@ -348,7 +348,7 @@ def test_extension_preserves_compatibility(dyadic):
 
 
 def test_matrix_of_prefix_basis_property(dyadic):
-    ch = new_chain(dyadic)
+    ch = GoodMeasureChain(dyadic)
     ch.run_schedule(2)
     a, b = ch.levels[1].cells[:2]
     sigma = ch.extend_partial_isomorphism(1, {a: b})
@@ -406,7 +406,7 @@ def test_conjugate_fiber_permutation(dyadic):
 def test_conjugate_random_instances(dyadic):
     rng = random.Random(17)
     for _ in range(12):
-        ch = new_chain(dyadic)
+        ch = GoodMeasureChain(dyadic)
         ch.run_schedule(2)
         A = random_balanced_matrix(rng, ch, rng.randint(1, 2))
         B, p = to_cycle_object(ch, A)

@@ -16,10 +16,6 @@ from goodmeasures.values import (
     ONE,
     RationalGroup,
     ZERO,
-    classify,
-    enumerate_values,
-    member,
-    scale_value_set,
 )
 
 from conftest import E, alpha_module, sqrt2_symbol
@@ -29,23 +25,23 @@ from conftest import E, alpha_module, sqrt2_symbol
 
 
 def test_member_triadic_third(triadic):
-    assert member(E(Fraction(1, 3)), triadic)
+    assert triadic.member(E(Fraction(1, 3)))
 
 
 def test_member_endpoints(dyadic, triadic, rationals):
     for V in (dyadic, triadic, rationals):
-        assert member(ZERO, V)
-        assert member(ONE, V)
+        assert V.member(ZERO)
+        assert V.member(ONE)
 
 
 def test_member_mixed_valuations(mixed_23):
-    assert member(E(Fraction(1, 6)), mixed_23)
-    assert not member(E(Fraction(1, 9)), mixed_23)
+    assert mixed_23.member(E(Fraction(1, 6)))
+    assert not mixed_23.member(E(Fraction(1, 9)))
 
 
 def test_member_bounds(dyadic):
-    assert not member(E(Fraction(3, 2)), dyadic)
-    assert not member(E(Fraction(-1, 2)), dyadic)
+    assert not dyadic.member(E(Fraction(3, 2)))
+    assert not dyadic.member(E(Fraction(-1, 2)))
 
 
 def test_member_cross_checked_by_enumeration(mixed_23):
@@ -65,51 +61,51 @@ def test_member_cross_checked_by_enumeration(mixed_23):
 
 
 def test_classify_dyadic(dyadic):
-    cls = classify(dyadic)
+    cls = dyadic.classify()
     assert cls.group_like and not cls.q_like and cls.ring_like is True
 
 
 def test_classify_rationals(rationals):
-    cls = classify(rationals)
+    cls = rationals.classify()
     assert cls.group_like and cls.q_like and cls.ring_like is True
 
 
 def test_classify_finite_exponent_not_ring_like():
     V = GroupDescriptor.make(RationalGroup.make(0, {2: 3}))
-    assert classify(V).ring_like is False
+    assert V.classify().ring_like is False
 
 
 def test_classify_irrational_ring_like_undecided(sqrt2_module):
-    cls = classify(sqrt2_module)
+    cls = sqrt2_module.classify()
     assert cls.group_like and not cls.q_like and cls.ring_like is None
 
 
 def test_not_infinite_flag():
     V = GroupDescriptor.make(RationalGroup.make(0, {2: INF}), infinite=False)
-    assert not classify(V).group_like
+    assert not V.classify().group_like
 
 
 def test_trivial_group_never_infinite():
     V = GroupDescriptor.make(RationalGroup.integers())
-    assert not classify(V).group_like
+    assert not V.classify().group_like
 
 
 # -- enumeration ---------------------------------------------------------------
 
 
 def test_enumerate_dyadic_budget4(dyadic):
-    got = enumerate_values(dyadic, 4)
+    got = dyadic.enumerate_values(4)
     for q in (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(1)):
         assert E(q) in got
 
 
 def test_enumerate_contains_one(dyadic, triadic, rationals, sqrt2_module):
     for V in (dyadic, triadic, rationals, sqrt2_module):
-        assert ONE in enumerate_values(V, 1)
+        assert ONE in V.enumerate_values(1)
 
 
 def test_enumerate_sqrt2_module(sqrt2_module):
-    got = enumerate_values(sqrt2_module, 1)
+    got = sqrt2_module.enumerate_values(1)
     s = sqrt2_symbol()
     assert E(0, {s: 1}) in got
     assert E(1, {s: -1}) in got
@@ -117,13 +113,13 @@ def test_enumerate_sqrt2_module(sqrt2_module):
 
 def test_enumerate_prefix_stable(dyadic, rationals, sqrt2_module):
     for V in (dyadic, rationals, sqrt2_module):
-        small = enumerate_values(V, 3)
-        big = enumerate_values(V, 5)
+        small = V.enumerate_values(3)
+        big = V.enumerate_values(5)
         assert big[: len(small)] == small
 
 
 def test_enumerate_duplicate_free(rationals):
-    got = enumerate_values(rationals, 6)
+    got = rationals.enumerate_values(6)
     assert len(got) == len(set(got))
 
 
@@ -131,16 +127,16 @@ def test_enumerate_duplicate_free(rationals):
 
 
 def test_scale_dyadic_by_half_is_dyadic(dyadic):
-    scaled = scale_value_set(dyadic, E(Fraction(1, 2)))
+    scaled = dyadic.scale_value_set(E(Fraction(1, 2)))
     assert scaled.rational == dyadic.rational
 
 
 def test_scale_identity(mixed_23):
-    assert scale_value_set(mixed_23, ONE).rational == mixed_23.rational
+    assert mixed_23.scale_value_set(ONE).rational == mixed_23.rational
 
 
 def test_scale_mixed_by_third(mixed_23):
-    scaled = scale_value_set(mixed_23, E(Fraction(1, 3)))
+    scaled = mixed_23.scale_value_set(E(Fraction(1, 3)))
     assert scaled.rational.exponent(2) == INF
     assert scaled.rational.exponent(3) == 0
 
@@ -158,7 +154,7 @@ def test_scale_mixed_by_third(mixed_23):
 def test_scale_against_brute_force_oracle(exceptions, a):
     """The exponent-shift formula must agree with direct membership of v/a."""
     V = GroupDescriptor.make(RationalGroup.make(0, exceptions))
-    scaled = scale_value_set(V, E(a))
+    scaled = V.scale_value_set(E(a))
     for den in range(1, 30):
         for num in range(0, den + 1):
             q = Fraction(num, den)
@@ -169,17 +165,17 @@ def test_scale_against_brute_force_oracle(exceptions, a):
 def test_scale_requires_rational(sqrt2_module, dyadic):
     s = sqrt2_symbol()
     with pytest.raises(NonRationalScale):
-        scale_value_set(sqrt2_module, E(0, {s: 1}))
+        sqrt2_module.scale_value_set(E(0, {s: 1}))
     with pytest.raises(NonRationalScale):
-        scale_value_set(sqrt2_module, ONE)
+        sqrt2_module.scale_value_set(ONE)
     with pytest.raises(NotInV):
-        scale_value_set(dyadic, E(Fraction(1, 3)))
+        dyadic.scale_value_set(E(Fraction(1, 3)))
 
 
 def test_scale_round_trip(mixed_23):
     a = E(Fraction(3, 4))
-    scaled = scale_value_set(mixed_23, a)
-    for v in enumerate_values(scaled, 5):
+    scaled = mixed_23.scale_value_set(a)
+    for v in scaled.enumerate_values(5):
         assert mixed_23.in_group(v * a)
 
 
@@ -202,19 +198,19 @@ def test_rational_arithmetic_laws(a, b, c):
 
 def test_group_closure_from_enumeration(dyadic, triadic, sqrt2_module):
     for V in (dyadic, triadic, sqrt2_module):
-        values = enumerate_values(V, 3)
+        values = V.enumerate_values(3)
         for v in values:
             for w in values:
                 s = v + w
                 if (s - ONE).sign() <= 0:
-                    assert member(s, V)
+                    assert V.member(s)
                 if (v - w).sign() >= 0:
-                    assert member(v - w, V)
+                    assert V.member(v - w)
 
 
 def test_comparison_matches_enclosure_midpoints(sqrt2_module):
     rng = random.Random(7)
-    values = enumerate_values(sqrt2_module, 4)
+    values = sqrt2_module.enumerate_values(4)
     for _ in range(100):
         v, w = rng.choice(values), rng.choice(values)
         lo_v, hi_v = v.interval(64)
@@ -230,13 +226,13 @@ def test_comparison_matches_enclosure_midpoints(sqrt2_module):
 def test_ring_like_closed_under_sampled_products(dyadic, sixth_adic):
     rng = random.Random(11)
     for V in (dyadic, sixth_adic):
-        assert classify(V).ring_like is True
-        values = enumerate_values(V, 6)
+        assert V.classify().ring_like is True
+        values = V.enumerate_values(6)
         for _ in range(100):
             v, w = rng.choice(values), rng.choice(values)
             prod = v * w
             if (prod - ONE).sign() <= 0:
-                assert member(prod, V)
+                assert V.member(prod)
 
 
 def test_sign_structural_zero_fast():
