@@ -2,7 +2,8 @@
 
 Every command prints one canonical-JSON envelope
 ``{"op", "input_hash", "result", "certificate"}`` and uses exit codes
-0 (success), 1 (mathematically negative verdict), 2 (invalid input),
+0 (success), 1 (mathematically negative verdict), 2 (invalid input, including
+a comparison that the declared symbols leave undecided),
 3 (output I/O failure).  All outputs are deterministic for fixed inputs.
 """
 
@@ -441,7 +442,9 @@ def main(argv=None) -> int:
     except GoodMeasuresError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 2
-    except (OSError, KeyError, ValueError, TypeError) as exc:
+    except (OSError, KeyError, ValueError, TypeError, ArithmeticError) as exc:
+        # ArithmeticError: a sign left undecided by the declared symbols, or a
+        # zero denominator; neither is a mathematical "no"
         sys.stderr.write(f"invalid input: {type(exc).__name__}: {exc}\n")
         return 2
 

@@ -28,8 +28,12 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def _reject_float(text: str):
+    raise TypeError(f"inexact number {text}; write fractions as strings such as \"1/10\"")
+
+
 def loads(text: str):
-    return json.loads(text)
+    return json.loads(text, parse_float=_reject_float)
 
 
 def write(path: str | Path, obj) -> None:

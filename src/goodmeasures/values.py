@@ -3,9 +3,9 @@
 Every number handled by the package is an ``ExactValue``: a rational part plus
 rational coefficients on finitely many irrational symbols.  Symbols are
 declared together with an enclosure oracle (nested rational intervals) and are
-trusted to be linearly independent over the rationals together with 1, so
-equality is decided coefficientwise and sign questions terminate by refining
-the enclosures.
+linearly independent over the rationals together with 1 (checked for ``sqrt``
+symbols, trusted for ``digits`` symbols), so equality is decided
+coefficientwise and sign questions terminate by refining the enclosures.
 
 Value sets ("clopen values sets") are described by a ``GroupDescriptor``:
 a subgroup of the rationals given by prime exponents, plus one such subgroup
@@ -15,10 +15,11 @@ of coefficients per irrational symbol.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import NonRationalScale, NotInV, PrecisionExhausted
 
@@ -58,23 +59,30 @@ def _digits_enclosure(base: int, digits: str) -> Callable[[int], tuple[Fraction,
     raise ``PrecisionExhausted``.
     """
 
-    values = [int(d, base) for d in digits]
+    if not 2 <= base <= 36:
+        raise ValueError(f"digit base must lie in 2..36, got {base}")
+    for d in digits:
+        int(d, base)  # each character must be one digit in this base
 
     @functools.lru_cache(maxsize=64)
     def oracle(k: int) -> tuple[Fraction, Fraction]:
-        # stage k needs enough digits for width <= 2**-k
-        n = 1
-        while base**n < (1 << k) and n < len(values):
-            n += 1
-        if base**n < (1 << k):
+        # stage k needs the fewest digits n >= 1 with base**n >= 2**k;
+        # base**hi >= 2**(hi * (bit_length - 1)) >= 2**k bounds the search
+        target = 1 << k
+        lo, hi = 1, max(1, -(-k // (base.bit_length() - 1)))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if base**mid >= target:
+                hi = mid
+            else:
+                lo = mid + 1
+        n = min(lo, max(1, len(digits)))
+        if base**n < target:
             raise PrecisionExhausted(
-                f"digit oracle has {len(values)} digits, cannot reach width 2^-{k}"
+                f"digit oracle has {len(digits)} digits, cannot reach width 2^-{k}"
             )
-        acc = 0
-        for d in values[:n]:
-            acc = acc * base + d
-        lo = Fraction(acc, base**n)
-        return lo, lo + Fraction(1, base**n)
+        acc = int(digits[:n], base) if digits else 0
+        return Fraction(acc, base**n), Fraction(acc + 1, base**n)
 
     return oracle
 
@@ -130,9 +138,10 @@ class IrrationalSymbol:
     @staticmethod
     def from_json(name: str, data: Mapping) -> "IrrationalSymbol":
         if data["kind"] == "sqrt":
-            return IrrationalSymbol.sqrt(name, int(data["radicand"]), parse_fraction(data.get("shift", 0)))
+            radicand = parse_int(data["radicand"])
+            return IrrationalSymbol.sqrt(name, radicand, parse_fraction(data.get("shift", 0)))
         if data["kind"] == "digits":
-            return IrrationalSymbol.digits(name, int(data["base"]), data["digits"])
+            return IrrationalSymbol.digits(name, parse_int(data["base"]), data["digits"])
         raise ValueError(f"unknown enclosure kind {data['kind']!r}")
 
 
@@ -151,7 +160,8 @@ class ExactValue:
 
     Zero coefficients are never stored, so equality is plain field equality.
     All arithmetic is exact; comparisons refine symbol enclosures until the
-    sign of the (structurally nonzero) difference is determined.
+    sign of the (structurally nonzero) difference is determined.  The sign of
+    an irrational value is worked out once per instance and then remembered.
     """
 
     rational: Fraction = Fraction(0)
@@ -186,10 +196,34 @@ class ExactValue:
     # -- arithmetic ----------------------------------------------------------
 
     def _combine(self, other: "ExactValue", sign: int) -> "ExactValue":
-        acc = {s: c for s, c in self.coeffs}
-        for s, c in other.coeffs:
-            acc[s] = acc.get(s, Fraction(0)) + sign * c
-        return ExactValue.of(self.rational + sign * other.rational, acc)
+        q = self.rational + other.rational if sign > 0 else self.rational - other.rational
+        if not other.coeffs:
+            return ExactValue(q, self.coeffs)
+        if not self.coeffs and sign > 0:
+            return ExactValue(q, other.coeffs)
+        # both coefficient tuples are sorted by symbol name: merge them,
+        # keeping self's symbol on a tie and dropping a zero sum
+        a, b = self.coeffs, other.coeffs
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            s, c = a[i]
+            t, d = b[j]
+            if s.name == t.name:
+                x = c + d if sign > 0 else c - d
+                if x:
+                    out.append((s, x))
+                i += 1
+                j += 1
+            elif s.name < t.name:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j] if sign > 0 else (t, -d))
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:] if sign > 0 else ((t, -d) for t, d in b[j:]))
+        return ExactValue(q, tuple(out))
 
     def __add__(self, other: "ExactValue") -> "ExactValue":
         return self._combine(other, 1)
@@ -221,33 +255,55 @@ class ExactValue:
 
     def interval(self, bits: int) -> tuple[Fraction, Fraction]:
         """A rational interval containing this value, from stage-``bits`` enclosures."""
-        lo = hi = self.rational
+        q = self.rational
+        if not self.coeffs:
+            return q, q
+        # each bound as an int numerator and denominator, one Fraction at the end
+        ln = hn = q.numerator
+        ld = hd = q.denominator
         for s, c in self.coeffs:
             slo, shi = s.enclosure(bits)
-            if c >= 0:
-                lo, hi = lo + c * slo, hi + c * shi
-            else:
-                lo, hi = lo + c * shi, hi + c * slo
-        return lo, hi
+            if c < 0:
+                slo, shi = shi, slo
+            cn, cd = c.numerator, c.denominator
+            ln, ld = ln * cd * slo.denominator + cn * slo.numerator * ld, ld * cd * slo.denominator
+            hn, hd = hn * cd * shi.denominator + cn * shi.numerator * hd, hd * cd * shi.denominator
+        return Fraction(ln, ld), Fraction(hn, hd)
 
-    def sign(self) -> int:
+    def _cmp(self, r: Fraction | int) -> int:
+        """sign(self - r) for a rational r, by refining this value's enclosure.
+
+        Refines from width 2**-16, halving the width each round, until the
+        enclosure lies strictly on one side of r.
+        """
         if not self.coeffs:
             q = self.rational
-            return (q > 0) - (q < 0)
-        # structural zero is handled above; refine from width 2**-16,
-        # halving the width each round, until the sign is determined
+            return (q > r) - (q < r)
         bits = _START_BITS
         while bits <= _MAX_BITS:
             lo, hi = self.interval(bits)
-            if lo > 0:
+            if lo > r:
                 return 1
-            if hi < 0:
+            if hi < r:
                 return -1
             bits += 1
         raise ArithmeticError(
             "sign undecided at maximal precision; are the declared symbols "
             "really independent of 1 over the rationals?"
         )
+
+    @functools.cached_property
+    def _irrational_sign(self) -> int:
+        # kept in the instance dict, outside the dataclass fields, so
+        # equality, hashing, repr and serialisation ignore it
+        return self._cmp(0)
+
+    def sign(self) -> int:
+        if not self.coeffs:
+            n = self.rational.numerator
+            return (n > 0) - (n < 0)
+        # a structurally nonzero irrational value is never 0
+        return self._irrational_sign
 
     def __lt__(self, other: "ExactValue") -> bool:
         return self is not other and (self - other).sign() < 0
@@ -320,6 +376,13 @@ def parse_fraction(text) -> Fraction:
     return _frac(text)
 
 
+def parse_int(text) -> int:
+    """An integer from a string or an int; floats and bools are rejected, not truncated."""
+    if isinstance(text, (float, bool)):
+        raise TypeError(f"inexact number {text!r} where an integer is required")
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # subgroups of Q containing Z, described by prime exponents
 # ---------------------------------------------------------------------------
@@ -384,11 +447,16 @@ class RationalGroup:
         return self.default
 
     def contains(self, q: Fraction) -> bool:
-        q = _frac(q)
-        for p, k in _prime_factors(q.denominator).items():
-            if k > self.exponent(p):
+        d = _frac(q).denominator
+        for p, e in self.exceptions:
+            k = 0
+            while d % p == 0:
+                d //= p
+                k += 1
+            if k > e:
                 return False
-        return True
+        # every prime left in d has the default exponent
+        return d == 1 or self.default == INF
 
     @property
     def is_trivial(self) -> bool:
@@ -419,9 +487,30 @@ class RationalGroup:
     def from_json(data: Mapping) -> "RationalGroup":
         default = INF if data.get("default") == "inf" else 0
         exceptions = {
-            int(p): (INF if e == "inf" else int(e)) for p, e in data.get("exceptions", {}).items()
+            parse_int(p): (INF if e == "inf" else parse_int(e))
+            for p, e in data.get("exceptions", {}).items()
         }
         return RationalGroup.make(default, exceptions)
+
+
+def _heights(group: RationalGroup, with_negative: bool) -> Iterator[list[Fraction]]:
+    """Yield, for h = 1, 2, ..., the members of the group of height exactly h.
+
+    num/den in lowest terms has height max(|num|, den) and lies in the group
+    iff 1/den does.  Negative members are included only when asked for.
+    """
+    yield [Fraction(-1), Fraction(0), Fraction(1)] if with_negative else [Fraction(0), Fraction(1)]
+    dens = [1]  # admitted denominators below h
+    h = 1
+    while True:
+        h += 1
+        nums = (h, -h) if with_negative else (h,)
+        out = [Fraction(n, d) for d in dens if math.gcd(h, d) == 1 for n in nums]
+        if group.contains(Fraction(1, h)):
+            dens.append(h)
+            lo = -h if with_negative else 0
+            out += [Fraction(n, h) for n in range(lo + 1, h) if math.gcd(n, h) == 1]
+        yield out
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +550,16 @@ class GroupDescriptor:
         names = [s.name for s, _ in items]
         if len(set(names)) != len(names):
             raise ValueError("duplicate symbol names")
+        # square roots of distinct squarefree integers are independent over Q,
+        # and sqrt(m), sqrt(n) share a squarefree part iff m*n is a square
+        roots = [(s.name, s.spec[1]) for s, _ in items if s.spec[0] == "sqrt"]
+        for i, (a, m) in enumerate(roots):
+            for b, n in roots[i + 1:]:
+                if math.isqrt(m * n) ** 2 == m * n:
+                    raise ValueError(
+                        f"symbols {a} and {b} are rationally dependent: "
+                        f"sqrt({m}) and sqrt({n}) have the same squarefree part"
+                    )
         derived = not rational.is_trivial or bool(items)
         if infinite is None:
             infinite = derived
@@ -506,7 +605,7 @@ class GroupDescriptor:
         return True
 
     def member(self, v: ExactValue) -> bool:
-        return self.in_group(v) and v.sign() >= 0 and (v - ONE).sign() <= 0
+        return self.in_group(v) and v.sign() >= 0 and v._cmp(1) <= 0
 
     # -- classification ------------------------------------------------------
 
@@ -522,17 +621,32 @@ class GroupDescriptor:
 
     # -- enumeration ---------------------------------------------------------
 
-    def _rationals_of_height(self, group: RationalGroup, budget: int, with_negative: bool) -> list[Fraction]:
-        out = []
-        for den in range(1, budget + 1):
-            if not group.contains(Fraction(1, den)):
-                continue
-            lo = -budget if with_negative else 0
-            for num in range(lo, budget + 1):
-                q = Fraction(num, den)
-                if q.denominator == den:  # lowest terms only, avoids duplicates
-                    out.append(q)
-        return out
+    def _layers(self) -> Iterator[list[ExactValue]]:
+        """Yield, for h = 1, 2, ..., the elements of V ∩ (0,1] of height exactly h.
+
+        Each layer comes sorted by ``sort_key``.  A value's height is the
+        largest height of its components, so the tuples of components of
+        height exactly h are split by the first component that reaches h:
+        components before it lie below h, components after it at most h.
+        """
+        symbols = [s for s, _ in self.irr]
+        heights = [_heights(self.rational, with_negative=bool(symbols))]
+        heights += [_heights(g, with_negative=True) for _, g in self.irr]
+        below: list[list[Fraction]] = [[] for _ in heights]
+        while True:
+            exact = [next(it) for it in heights]
+            layer = []
+            for i in range(len(heights)):
+                upto = [b + e for b, e in zip(below[i + 1:], exact[i + 1:])]
+                parts = below[:i] + [exact[i]] + upto
+                for q, *cs in itertools.product(*parts):
+                    v = ExactValue(q, tuple((s, c) for s, c in zip(symbols, cs) if c))
+                    if v.sign() > 0 and v._cmp(1) <= 0:
+                        layer.append(v)
+            layer.sort(key=ExactValue.sort_key)
+            yield layer
+            for b, e in zip(below, exact):
+                b += e
 
     def enumerate_values(self, budget: int) -> list[ExactValue]:
         """Deterministic, prefix-stable listing of V ∩ (0,1] up to the given height.
@@ -542,33 +656,14 @@ class GroupDescriptor:
         """
         if budget < 1:
             raise ValueError("budget must be >= 1")
-        with_irr = bool(self.irr)
-        rats = self._rationals_of_height(self.rational, budget, with_negative=with_irr)
-        combos: list[dict[IrrationalSymbol, Fraction]] = [{}]
-        for s, g in self.irr:
-            cands = self._rationals_of_height(g, budget, with_negative=True)
-            combos = [{**c, s: x} for c in combos for x in cands]
-        seen = set()
-        out = []
-        for q in rats:
-            for coeffs in combos:
-                v = ExactValue.of(q, coeffs)
-                if v.height() > budget or v in seen:
-                    continue
-                if v.sign() > 0 and (v - ONE).sign() <= 0:
-                    seen.add(v)
-                    out.append(v)
-        out.sort(key=lambda v: (v.height(), v.sort_key()))
-        return out
+        return [v for layer in itertools.islice(self._layers(), budget) for v in layer]
 
     def smallest_below(self, w: ExactValue) -> ExactValue:
         """First enumerated element of V strictly below w (w must exceed some element)."""
-        budget = 2
-        while budget <= 1 << 16:
-            for v in self.enumerate_values(budget):
+        for layer in itertools.islice(self._layers(), 1 << 16):
+            for v in layer:
                 if v < w:
                     return v
-            budget *= 2
         raise NotInV(f"no element of V found below {w}")
 
     # -- scaling -------------------------------------------------------------

@@ -204,6 +204,51 @@ def test_rational_sqrt_symbol_is_invalid_input(files, capsys, radicand):
     assert not (files / "never.json").exists()
 
 
+def _descriptor(*enclosures, exponent="0") -> dict:
+    return {
+        "rational": {"default": "0", "exceptions": {"2": exponent}},
+        "irrationals": [{"name": n, "group": {"default": "0", "exceptions": {}}, "enclosure": e}
+                        for n, e in enclosures],
+    }
+
+
+def test_dependent_sqrt_symbols_are_invalid_input(files, capsys):
+    desc = files / "dependent.json"
+    jsonutil.write(desc, _descriptor(("s2", {"kind": "sqrt", "radicand": 2, "shift": "-1"}),
+                                     ("s8", {"kind": "sqrt", "radicand": 8, "shift": "-2"})))
+    code = main(["build-chain", "--descriptor", str(desc), "--budget", "1",
+                 "--out", str(files / "never.json")])
+    assert code == 2
+    assert "s2 and s8 are rationally dependent" in _one_line_error(capsys)
+    assert not (files / "never.json").exists()
+
+
+def test_undecided_sign_is_invalid_input(files, capsys):
+    # 0.111...1 in binary, 4096 digits: x - 1 straddles 0 at every precision
+    desc = files / "digits.json"
+    jsonutil.write(desc, _descriptor(("x", {"kind": "digits", "base": 2, "digits": "1" * 4096})))
+    code = main(["build-chain", "--descriptor", str(desc), "--budget", "1",
+                 "--out", str(files / "never.json")])
+    assert code == 2
+    assert "sign undecided" in _one_line_error(capsys)
+    assert not (files / "never.json").exists()
+
+
+def test_zero_denominator_is_invalid_input(files, capsys):
+    desc = files / "zero_den.json"
+    jsonutil.write(desc, _sqrt_descriptor(2, "1/0"))
+    assert main(["decide-rokhlin", "--descriptor", str(desc)]) == 2
+    assert "ZeroDivisionError" in _one_line_error(capsys)
+
+
+def test_json_float_in_integer_field_is_invalid_input(files, capsys):
+    desc = files / "float_exponent.json"
+    # written without jsonutil, which refuses floats
+    desc.write_text(json.dumps(_descriptor(exponent=2.5)))
+    assert main(["decide-rokhlin", "--descriptor", str(desc)]) == 2
+    assert "inexact number 2.5" in _one_line_error(capsys)
+
+
 def test_check_good_rejects_doctored_maximality_lift(files, capsys):
     snap = files / "snap.json"
     run(capsys, "build-chain", "--descriptor", str(files / "dyadic.json"),

@@ -1,13 +1,15 @@
 """Exact values, group descriptors, membership, classification, scaling."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goodmeasures.errors import NonRationalScale, NotInV
+from goodmeasures import jsonutil
+from goodmeasures.errors import NonRationalScale, NotInV, PrecisionExhausted
 from goodmeasures.values import (
     INF,
     ExactValue,
@@ -263,3 +265,224 @@ def test_exact_value_json_round_trip():
     data = v.to_json()
     assert data == {"q": "1/3", "irr": {"alpha": "-2/7"}}
     assert ExactValue.from_json(data, V.symbols()) == v
+
+
+# -- the comparison kernel against exact oracles ------------------------------
+
+
+def _sqrt2_sign(x: Fraction, y: Fraction) -> int:
+    """sign(x + y*sqrt(2)) from squares alone."""
+    if x >= 0 and y >= 0:
+        return int(x > 0 or y > 0)
+    if x <= 0 and y <= 0:
+        return -1
+    d = x * x - 2 * y * y  # nonzero: sqrt(2) is irrational
+    return (1 if d > 0 else -1) if x > 0 else (1 if d < 0 else -1)
+
+
+def _sqrt2_convergents(max_q: int) -> list[Fraction]:
+    """Convergents p/q of sqrt(2) (p^2 - 2q^2 = ±1) up to denominator max_q."""
+    p, q, out = 1, 1, []
+    while q <= max_q:
+        out.append(Fraction(p, q))
+        p, q = p + 2 * q, p + q
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.fractions(max_denominator=10**6), b=st.fractions(max_denominator=10**6))
+def test_sign_matches_squares_oracle(a, b):
+    s = sqrt2_symbol()  # sqrt(2) - 1
+    v = E(a, {s: b})
+    expected = _sqrt2_sign(a - b, b)
+    assert v.sign() == expected
+    assert v.sign() == expected  # memoised
+    assert (v - ONE).sign() == _sqrt2_sign(a - b - 1, b) == v._cmp(1)
+
+
+def test_sign_near_sqrt2_convergents():
+    """p/q - sqrt(2) is about 1/q^2: q near 2**40 needs some 80 bits, not 16."""
+    s = sqrt2_symbol()
+    convergents = _sqrt2_convergents(1 << 41)
+    assert convergents[-1].denominator > 1 << 40
+    for c in convergents:
+        for shift in (0, Fraction(1, c.denominator**2 * 4), -Fraction(1, c.denominator**2 * 4)):
+            r = c + shift
+            v = E(1 - r, {s: 1})  # sqrt(2) - r
+            assert v.sign() == _sqrt2_sign(-r, Fraction(1))
+            assert E(r - 1, {s: -1}).sign() == -v.sign()
+            assert v._cmp(Fraction(1, 2)) == _sqrt2_sign(-r - Fraction(1, 2), Fraction(1))
+
+
+_s2 = IrrationalSymbol.sqrt("s2", 2, -1)
+_s3 = IrrationalSymbol.sqrt("s3", 3, -1)
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q1=_small, a1=_small, b1=_small, q2=_small, a2=_small, b2=_small)
+# the difference cancels s2, the sum cancels s3
+@example(q1=Fraction(1, 3), a1=Fraction(1, 2), b1=1, q2=Fraction(1, 6), a2=Fraction(1, 2), b2=-1)
+# only the right operand has symbols
+@example(q1=Fraction(1, 2), a1=0, b1=0, q2=Fraction(1, 6), a2=Fraction(1, 2), b2=-1)
+def test_combine_matches_dict_construction(q1, a1, b1, q2, a2, b2):
+    v = ExactValue.of(q1, {_s2: a1, _s3: b1})
+    # equal-named copies of the symbols: a sum keeps the left operand's objects
+    s2, s3 = IrrationalSymbol.sqrt("s2", 2, -1), IrrationalSymbol.sqrt("s3", 3, -1)
+    w = ExactValue.of(q2, {s2: a2, s3: b2})
+    for sign, got in ((1, v + w), (-1, v - w)):
+        want = ExactValue.of(q1 + sign * q2, {_s2: a1 + sign * a2, _s3: b1 + sign * b2})
+        assert got == want and got.coeffs == want.coeffs
+        assert all(c != 0 for _, c in got.coeffs)
+        assert [s.name for s, _ in got.coeffs] == sorted(s.name for s, _ in got.coeffs)
+        for s, _ in got.coeffs:
+            assert s is ({"s2": _s2, "s3": _s3} if v.coeff(s) else {"s2": s2, "s3": s3})[s.name]
+    assert (v - v).coeffs == () and (v + -v) == E(0)
+
+
+def _factor_contains(group: RationalGroup, q: Fraction) -> bool:
+    d, p = q.denominator, 2
+    while d > 1:
+        k = 0
+        while d % p == 0:
+            d //= p
+            k += 1
+        if k > group.exponent(p):
+            return False
+        p += 1
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    default=st.sampled_from([0, INF]),
+    exceptions=st.dictionaries(
+        st.sampled_from([2, 3, 5, 7, 11]), st.one_of(st.integers(0, 3), st.just(INF))
+    ),
+    nums=st.lists(st.integers(-50, 50), min_size=1, max_size=5),
+    dens=st.lists(st.integers(1, 3000), min_size=1, max_size=5),
+)
+def test_contains_matches_factoring_oracle(default, exceptions, nums, dens):
+    group = RationalGroup.make(default, exceptions)
+    for n in nums:
+        for d in dens:
+            q = Fraction(n, d)
+            assert group.contains(q) == _factor_contains(group, q), (group, q)
+
+
+def test_memoised_sign_is_invisible():
+    s = sqrt2_symbol()
+    v = E(Fraction(1, 3), {s: Fraction(2, 5)})
+    assert v.sign() == 1
+    assert "_irrational_sign" in vars(v)
+    fresh = E(Fraction(1, 3), {s: Fraction(2, 5)})
+    assert "_irrational_sign" not in vars(fresh)
+    assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
+    assert v.to_json() == fresh.to_json()
+    assert jsonutil.dumps(v.to_json()) == jsonutil.dumps(fresh.to_json())
+    assert {fresh: "x"}[v] == "x"
+    assert not v < fresh and v <= fresh and (v - fresh).sign() == 0
+    assert v.sort_key() == fresh.sort_key()
+
+
+# -- enumeration by height layers -----------------------------------------------
+
+
+def _brute_values(V: GroupDescriptor, budget: int) -> list[ExactValue]:
+    """V ∩ (0,1] up to the given height, from all components of height <= budget."""
+
+    def comps(group, negative):
+        return {
+            Fraction(n, d)
+            for d in range(1, budget + 1)
+            for n in range(-budget if negative else 0, budget + 1)
+            if group.contains(Fraction(n, d))
+        }
+
+    symbols = [s for s, _ in V.irr]
+    tuples = [[q] for q in comps(V.rational, bool(symbols))]
+    for _, g in V.irr:
+        tuples = [t + [c] for t in tuples for c in comps(g, True)]
+    out = {ExactValue.of(t[0], dict(zip(symbols, t[1:]))) for t in tuples}
+    out = [v for v in out if v.height() <= budget and ZERO < v <= ONE]
+    return sorted(out, key=lambda v: (v.height(), v.sort_key()))
+
+
+def _doubling_smallest_below(V: GroupDescriptor, w: ExactValue) -> ExactValue:
+    budget = 2
+    while True:
+        for v in _brute_values(V, budget):
+            if v < w:
+                return v
+        budget *= 2
+
+
+@pytest.mark.parametrize("name", ["rationals", "dyadic", "triadic", "sqrt2_module"])
+def test_enumeration_and_smallest_below_match_doubling(name, request):
+    V = request.getfixturevalue(name)
+    for budget in range(1, 6):
+        assert V.enumerate_values(budget) == _brute_values(V, budget)
+    targets = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(1, 9), Fraction(5, 17)]
+    if not V.is_purely_rational:
+        s = sqrt2_symbol()
+        targets = [E(q) for q in targets] + [E(0, {s: 1}), E(Fraction(1, 2), {s: -1})]
+    else:
+        targets = [E(q) for q in targets]
+    for w in targets:
+        assert V.smallest_below(w) == _doubling_smallest_below(V, w), w
+
+
+# -- descriptors: dependent symbols and inexact integers ---------------------------
+
+
+@pytest.mark.parametrize("m,n", [(2, 8), (12, 27), (3, 75)])
+def test_dependent_sqrt_symbols_rejected(m, n):
+    a, b = (IrrationalSymbol.sqrt(name, r, -math.isqrt(r)) for name, r in (("a", m), ("b", n)))
+    with pytest.raises(ValueError, match="rationally dependent"):
+        GroupDescriptor.make(RationalGroup.integers(), {a: RationalGroup.integers(),
+                                                        b: RationalGroup.integers()})
+
+
+def test_independent_sqrt_symbols_accepted():
+    syms = [IrrationalSymbol.sqrt(f"r{n}", n, -math.isqrt(n)) for n in (2, 3, 6, 10)]
+    V = GroupDescriptor.make(RationalGroup.integers(), {s: RationalGroup.integers() for s in syms})
+    assert len(V.irr) == 4
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"rational": {"default": "0", "exceptions": {"2": 2.5}}, "irrationals": []},
+        {"rational": {"default": "0", "exceptions": {"2": True}}, "irrationals": []},
+        {"rational": {"default": "0", "exceptions": {}}, "irrationals": [
+            {"name": "a", "group": {"default": "0", "exceptions": {}},
+             "enclosure": {"kind": "sqrt", "radicand": 2.9, "shift": "-1"}}]},
+        {"rational": {"default": "0", "exceptions": {}}, "irrationals": [
+            {"name": "a", "group": {"default": "0", "exceptions": {}},
+             "enclosure": {"kind": "digits", "base": 10.0, "digits": "4142"}}]},
+    ],
+)
+def test_descriptor_integer_fields_reject_floats(data):
+    with pytest.raises(TypeError, match="inexact number"):
+        GroupDescriptor.from_json(data)
+
+
+def test_loads_rejects_json_floats():
+    with pytest.raises(TypeError, match="inexact number 2.5"):
+        jsonutil.loads('{"exceptions": {"2": 2.5}}')
+    assert jsonutil.loads('{"q": "1/2", "n": 3}') == {"q": "1/2", "n": 3}
+
+
+def test_digit_enclosures_use_the_fewest_digits():
+    for base, digits in ((2, "1011" * 30), (3, "2102" * 20), (10, "4142135623" * 8), (36, "zq9" * 9), (10, "41")):
+        oracle = IrrationalSymbol.digits("d", base, digits)._oracle
+        for k in range(0, 120):
+            n = 1
+            while base**n < 1 << k and n < len(digits):
+                n += 1
+            if base**n < 1 << k:
+                with pytest.raises(PrecisionExhausted):
+                    oracle(k)
+                continue
+            lo = Fraction(int(digits[:n], base), base**n)
+            assert oracle(k) == (lo, lo + Fraction(1, base**n))
