@@ -13,8 +13,8 @@ Levels are append-only: witnesses may extend the chain but never rewrite it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from . import jsonutil
@@ -31,7 +31,7 @@ from .partitions import (
     WeightedPartition,
     _child_ids,
     amalgamate,
-    refine_fibers,
+    lift_edges,
     split_cell,
     verify_morphism,
 )
@@ -72,9 +72,6 @@ class AutomorphismPrefix:
     @property
     def base(self) -> int:
         return self.levels[0]
-
-    def map_at(self, level: int) -> Mapping[str, str]:
-        return self.maps[level]
 
     @property
     def top_map(self) -> Mapping[str, str]:
@@ -315,7 +312,7 @@ class GoodMeasureChain:
                 return
             for i in range(lo, len(values)):
                 nxt = acc + values[i]
-                if (nxt - ONE).sign() > 0:
+                if nxt > ONE:
                     continue
                 seq.append(i)
                 grow(i, nxt)
@@ -343,7 +340,7 @@ class GoodMeasureChain:
                 w = P.weight(c)
                 for a in values:
                     rest = w - a
-                    if (rest - a).sign() < 0 or rest.sign() <= 0:
+                    if rest < a or rest.sign() <= 0:
                         continue
                     R, pi = split_cell(P, c, [a, rest], self.V)
                     self.absorb_morphism(pi, target_level=lvl)
@@ -359,20 +356,19 @@ class GoodMeasureChain:
         exactly, which the group-like value set always permits.
         """
         mU, mW = self.measure(U), self.measure(W)
-        if not (mU - mW).sign() < 0:
+        if not mU < mW:
             raise NotSmaller(f"measure {mU} is not smaller than {mW}")
         top_level = self.depth
         WT = self.project(W, top_level)
         P = self.levels[top_level]
-        cells = _sort_cells_by_weight(
-            [(c, P.weight(c)) for c in P.cells if c in WT.cells], descending=True
-        )
+        cells = [(c, P.weight(c)) for c in P.cells if c in WT.cells]
+        cells.sort(key=itemgetter(1), reverse=True)
         picked: list[str] = []
         r = mU
         for c, w in cells:
             if r.sign() == 0:
                 break
-            if (w - r).sign() <= 0:
+            if w <= r:
                 picked.append(c)
                 r = r - w
             else:
@@ -491,13 +487,7 @@ class GoodMeasureChain:
         """
         T = self.depth
         top = self.levels[T]
-        fibers = self.composite_morphism(T, k).fibers()
-        entries: dict[tuple[str, str], ExactValue] = {}
-        for c, d in maps[k].items():
-            ys = [(y, top.weight(y)) for y in fibers[c]]
-            zs = [(z, top.weight(z)) for z in fibers[d]]
-            for y, z, w in refine_fibers(ys, zs, self.V):
-                entries[(y, z)] = entries.get((y, z), ZERO) + w
+        entries = lift_edges(self.composite_morphism(T, k), maps[k].items(), self.V)
         cycles = decompose_entries(entries)
         through = cycles_through(top.cells, [verts for verts, _ in cycles])
         if all(len(through[c]) == 1 for c in top.cells):
@@ -647,28 +637,13 @@ class GoodMeasureChain:
         return chain
 
 
-def _sort_cells_by_weight(
-    items: list[tuple[str, ExactValue]], descending: bool = False
-) -> list[tuple[str, ExactValue]]:
-    """Exact-comparison sort of (cell, weight) items by weight.
-
-    The sort is stable, so equal weights keep their input order; every caller
-    lists cells in level order.
-    """
-
-    def cmp(a, b) -> int:
-        s = (a[1] - b[1]).sign()
-        return -s if descending else s
-
-    return sorted(items, key=functools.cmp_to_key(cmp))
-
-
 def _match_by_weight(
     src: list[tuple[str, ExactValue]], dst: list[tuple[str, ExactValue]]
 ) -> dict[str, str] | None:
     """Pair the cells of two (cell, weight) lists in ascending weight order, or
-    None when their weight multisets differ."""
-    a, b = _sort_cells_by_weight(src), _sort_cells_by_weight(dst)
+    None when their weight multisets differ.  The sort is stable, so equal
+    weights keep their input order; every caller lists cells in level order."""
+    a, b = sorted(src, key=itemgetter(1)), sorted(dst, key=itemgetter(1))
     if len(a) != len(b) or any(wa != wb for (_, wa), (_, wb) in zip(a, b)):
         return None
     return {x: y for (x, _), (y, _) in zip(a, b)}

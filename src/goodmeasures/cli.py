@@ -3,8 +3,9 @@
 Every command prints one canonical-JSON envelope
 ``{"op", "input_hash", "result", "certificate"}`` and uses exit codes
 0 (success), 1 (mathematically negative verdict), 2 (invalid input, including
-a comparison that the declared symbols leave undecided),
-3 (output I/O failure).  All outputs are deterministic for fixed inputs.
+a comparison that the declared symbols leave undecided, or no verdict, such
+as a search too deep to finish), 3 (output I/O failure).  All outputs are
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def cmd_check_good(args) -> int:
         for sw in subsets:
             U, W = ClopenSet(depth, su), ClopenSet(depth, sw)
             mU, mW = chain.measure(U), chain.measure(W)
-            if not (mU - mW).sign() < 0:
+            if not mU < mW:
                 continue
             count += 1
             if count > max_pairs:
@@ -446,6 +447,11 @@ def main(argv=None) -> int:
         # ArithmeticError: a sign left undecided by the declared symbols, or a
         # zero denominator; neither is a mathematical "no"
         sys.stderr.write(f"invalid input: {type(exc).__name__}: {exc}\n")
+        return 2
+    except RuntimeError as exc:
+        # RecursionError (an input too large for a recursive search) and the
+        # "this is a bug" checks: no verdict either way
+        sys.stderr.write(f"not decided: {type(exc).__name__}: {exc}\n")
         return 2
 
 

@@ -132,7 +132,7 @@ def member(m: CompositeMeasure, t: ExactValue) -> bool:
     """Membership in the composite's clopen values set."""
     if t == ZERO or t == ONE:
         return True
-    if t.sign() < 0 or (t - ONE).sign() > 0:
+    if not ZERO <= t <= ONE:
         return False
     return bool(_candidates(m, t))
 
@@ -195,7 +195,7 @@ def maximality_refute(m: CompositeMeasure, targets: Sequence[ExactValue]) -> Max
             return all(s == ONE for s in sums)
         for option in cand[j]:
             nxt = tuple(sums[i] + option[i] for i in range(k))
-            if any((s - ONE).sign() > 0 for s in nxt):
+            if any(s > ONE for s in nxt):
                 continue
             chosen.append(option)
             if search(j + 1, nxt):
@@ -239,7 +239,7 @@ def maximality_refute(m: CompositeMeasure, targets: Sequence[ExactValue]) -> Max
             if u in seen:
                 continue
             seen.add(u)
-            if ((acc + u) - ONE).sign() <= 0 and solo(i, j + 1, acc + u):
+            if acc + u <= ONE and solo(i, j + 1, acc + u):
                 return True
         return False
 

@@ -108,7 +108,7 @@ def tuple_sum_with_positions(
     """The sum of two tuples (their concatenation, canonically sorted) and the
     new positions of c's and d's entries in it."""
     total = c.mass + d.mass
-    if (total - ONE).sign() > 0:
+    if total > ONE:
         raise MassOverflow(f"masses sum to {total} > 1")
     if not V.member(total):
         raise NotInV(f"summed mass {total} not in V")
@@ -121,7 +121,7 @@ def tuple_scale(n: int, c: CycleTuple, V: GroupDescriptor) -> CycleTuple:
     if n < 1:
         raise ValueError("scale must be a positive integer")
     total = c.mass.scale(n)
-    if (total - ONE).sign() > 0:
+    if total > ONE:
         raise MassOverflow(f"scaled mass {total} > 1")
     if not V.member(total):
         raise NotInV(f"scaled mass {total} not in V")
@@ -204,7 +204,7 @@ def find_tuple_morphism(
         _w_j, k_j = tgt.entries[j]
         if n_i % k_j != 0:
             return False
-        return ((sums[j] + v_i.scale(n_i)) - targets[j]).sign() <= 0
+        return sums[j] + v_i.scale(n_i) <= targets[j]
 
     def place(i: int) -> bool:
         if i == m:
@@ -423,7 +423,7 @@ def dichotomy_analyze(
         return DichotomyVerdict("strong_rokhlin_all", None, None, {})
     if not V.member(b):
         raise PreconditionFailed("b in V", str(b))
-    if (b - ONE).sign() >= 0:
+    if b >= ONE:
         raise PreconditionFailed("b < 1", str(b))
     if n <= 1:
         raise PreconditionFailed("n > 1", str(n))
@@ -432,7 +432,7 @@ def dichotomy_analyze(
         raise PreconditionFailed("b/n not in V", str(b_over_n))
     if not V.member(c):
         raise PreconditionFailed("c in V", str(c))
-    if (c - b_over_n).sign() < 0 or (c - ExactValue.of(Fraction(1, n))).sign() > 0:
+    if not b_over_n <= c <= ExactValue.of(Fraction(1, n)):
         raise PreconditionFailed("c in [b/n, 1/n]", str(c))
     a = c.scale(n)
     scaled = V.scale_value_set(a)

@@ -64,16 +64,12 @@ def decompose_entries(
             seen[nxt] = len(path)
             path.append(nxt)
         edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
-        w = rest[edges[0]]
-        for e in edges[1:]:
-            if (rest[e] - w).sign() < 0:
-                w = rest[e]
+        w = min(rest[e] for e in edges)
         for e in edges:
-            left = rest[e] - w
-            if left.sign() == 0:
+            if rest[e] == w:
                 del rest[e]
             else:
-                rest[e] = left
+                rest[e] = rest[e] - w
         out.append((_canonical_rotation(cycle), w))
     return out
 

@@ -12,7 +12,7 @@ conjugation-transport facts this module machine-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .chain import AutomorphismPrefix, GoodMeasureChain, invert_prefix
 from .errors import DepthTooShallow, NotCycleObject, PreconditionFailed
@@ -21,7 +21,7 @@ from .partitions import (
     PartitionMorphism,
     WeightedPartition,
     compose,
-    refine_fibers,
+    lift_edges,
     verify_morphism,
 )
 from .values import ExactValue, ZERO
@@ -172,26 +172,6 @@ def _cycles_of_cycle_object(A: BalancedMatrix) -> list[CycleMatrix]:
     return [CycleMatrix(tuple(o), weight[o[0]]) for o in orbits(succ, sorted(succ))]
 
 
-def _lift_cycles_entries(
-    cycles: Sequence[CycleMatrix], p: PartitionMorphism, V
-) -> dict[tuple[str, str], ExactValue]:
-    """Entries of a lift of disjoint cycles along p, fiber pair by fiber pair.
-
-    For each cycle edge the two fibers are refined jointly and each part
-    contributes its weight to the entry of its (left cell, right cell).
-    """
-    R = p.source
-    fibers = p.fibers()
-    entries: dict[tuple[str, str], ExactValue] = {}
-    for cyc in cycles:
-        for d0, d1 in cyc.edges():
-            ys = [(y, R.weight(y)) for y in fibers[d0]]
-            zs = [(z, R.weight(z)) for z in fibers[d1]]
-            for y, z, w in refine_fibers(ys, zs, V):
-                entries[(y, z)] = entries.get((y, z), ZERO) + w
-    return entries
-
-
 def lift_cycle(
     chain: GoodMeasureChain,
     A: BalancedMatrix,
@@ -212,7 +192,7 @@ def lift_cycle(
         raise ValueError("morphism source is not the given chain level")
     if not verify_morphism(p):
         raise ValueError("p is not a valid morphism")
-    entries = _lift_cycles_entries(cycles, p, chain.V)
+    entries = lift_edges(p, [e for cyc in cycles for e in cyc.edges()], chain.V)
     return BalancedMatrix(source_level, entries)
 
 
@@ -251,7 +231,7 @@ def _lift_to_fresh_level(
         for ci, cyc in enumerate(cycles)
     ]
     stage, r = chain.absorb_morphism(projD, target_level=A.level)
-    entries = _lift_cycles_entries(d_cycles, r, chain.V)
+    entries = lift_edges(r, [e for cyc in d_cycles for e in cyc.edges()], chain.V)
     B = BalancedMatrix(stage, entries)
     return B, MatrixMorphism(compose(projD, r), B, A)
 

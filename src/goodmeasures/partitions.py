@@ -10,7 +10,7 @@ cellwise over the common target from such refinements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import SumMismatch
 from .values import ExactValue, GroupDescriptor, ZERO, check_all_in
@@ -175,12 +175,11 @@ def _refine(left, right) -> list[tuple[ExactValue, int, int]]:
     while len(left) > 1 and len(right) > 1:
         i, j = len(left) - 1, len(right) - 1
         a, b = left[i], right[j]
-        s = (a - b).sign()
-        if s == 0:
+        if a == b:
             peeled.append((a, i, j))
             left.pop()
             right.pop()
-        elif s > 0:
+        elif b < a:
             peeled.append((b, i, j))
             left[i] = a - b
             right.pop()
@@ -211,6 +210,25 @@ def refine_fibers(
     return [(owner_left[s], owner_right[s], w) for s, w in enumerate(ref.parts)]
 
 
+def lift_edges(
+    p: PartitionMorphism, edges: Iterable[tuple[str, str]], V: GroupDescriptor
+) -> dict[tuple[str, str], ExactValue]:
+    """Entries on p's source lifting edges between cells of p's target.
+
+    For each edge (c, d) the fibers of c and d are refined jointly and each
+    part adds its weight to the entry of its (left cell, right cell).
+    """
+    R = p.source
+    fibers = p.fibers()
+    entries: dict[tuple[str, str], ExactValue] = {}
+    for c, d in edges:
+        ys = [(y, R.weight(y)) for y in fibers[c]]
+        zs = [(z, R.weight(z)) for z in fibers[d]]
+        for y, z, w in refine_fibers(ys, zs, V):
+            entries[(y, z)] = entries.get((y, z), ZERO) + w
+    return entries
+
+
 def refinement_feasible(
     parts: Sequence[ExactValue], targets: Sequence[ExactValue], limit: int = 200_000
 ) -> bool:
@@ -234,7 +252,7 @@ def refinement_feasible(
             if key in seen:
                 continue
             seen.add(key)
-            if (remaining[j] - p).sign() >= 0:
+            if remaining[j] >= p:
                 remaining[j] = remaining[j] - p
                 if place(pos + 1):
                     return True

@@ -159,9 +159,9 @@ class ExactValue:
     """rational + sum of rational multiples of irrational symbols, canonical form.
 
     Zero coefficients are never stored, so equality is plain field equality.
-    All arithmetic is exact; comparisons refine symbol enclosures until the
-    sign of the (structurally nonzero) difference is determined.  The sign of
-    an irrational value is worked out once per instance and then remembered.
+    All arithmetic is exact; the comparison operators refine symbol enclosures
+    until the order is determined.  The sign of an irrational value is worked
+    out once per instance and then remembered.
     """
 
     rational: Fraction = Fraction(0)
@@ -305,17 +305,35 @@ class ExactValue:
         # a structurally nonzero irrational value is never 0
         return self._irrational_sign
 
+    # The order of exact values is decided here and nowhere else.  Against a
+    # rational side the irrational side's enclosure is refined directly
+    # (against 0 through the memoised sign); two irrational values compare
+    # by the sign of their difference.
+
     def __lt__(self, other: "ExactValue") -> bool:
+        if not other.coeffs:
+            q = other.rational
+            if not self.coeffs:
+                return self.rational < q
+            return (self._cmp(q) if q else self.sign()) < 0
+        if not self.coeffs:
+            q = self.rational
+            return (other._cmp(q) if q else other.sign()) > 0
         return self is not other and (self - other).sign() < 0
 
     def __le__(self, other: "ExactValue") -> bool:
-        return self is other or (self - other).sign() <= 0
+        if not (self.coeffs or other.coeffs):
+            return self.rational <= other.rational
+        if self.coeffs and other.coeffs:
+            return self is other or (self - other).sign() <= 0
+        # an irrational value never equals a rational one
+        return ExactValue.__lt__(self, other)
 
     def __gt__(self, other: "ExactValue") -> bool:
-        return self is not other and (self - other).sign() > 0
+        return ExactValue.__lt__(other, self)
 
     def __ge__(self, other: "ExactValue") -> bool:
-        return self is other or (self - other).sign() >= 0
+        return ExactValue.__le__(other, self)
 
     def floor(self) -> int:
         if not self.coeffs:

@@ -397,3 +397,25 @@ def test_workspace_named_artifacts(files, capsys):
     code, env = run(capsys, "--workspace", str(ws), "decide-rokhlin",
                     "--descriptor", "dyadic")
     assert code == 0 and env["result"]["rokhlin"] == "yes"
+
+
+def test_find_morphism_too_deep_for_recursion_is_not_a_verdict(files, capsys):
+    inp = files / "deep.json"
+    jsonutil.write(inp, {
+        "src": [{"w": {"q": "1/1500"}, "n": 1}] * 1500,
+        "tgt": [{"w": {"q": "1"}, "n": 1}],
+    })
+    assert main(["find-morphism", "--input", str(inp)]) == 2
+    assert "RecursionError" in _one_line_error(capsys)
+
+
+def test_composite_refute_too_deep_for_recursion_is_not_a_verdict(files, capsys):
+    spec = files / "q_only.json"
+    jsonutil.write(spec, {"components": [{
+        "descriptor": {"rational": {"default": "inf", "exceptions": {}}, "irrationals": []},
+        "scale": "1", "budget": 1,
+    }]})
+    code = main(["composite", "refute-maximality", "--spec", str(spec),
+                 "--targets", ",".join(["1/1200"] * 1200)])
+    assert code == 2
+    assert "RecursionError" in _one_line_error(capsys)

@@ -1,8 +1,11 @@
 """Exact values, group descriptors, membership, classification, scaling."""
 
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -486,3 +489,84 @@ def test_digit_enclosures_use_the_fewest_digits():
                 continue
             lo = Fraction(int(digits[:n], base), base**n)
             assert oracle(k) == (lo, lo + Fraction(1, base**n))
+
+
+# -- the order operators ---------------------------------------------------------
+
+_ORDER_OPS = [
+    (operator.lt, lambda s: s < 0),
+    (operator.le, lambda s: s <= 0),
+    (operator.gt, lambda s: s > 0),
+    (operator.ge, lambda s: s >= 0),
+]
+_coef = st.one_of(st.just(Fraction(0)), _small)
+
+
+def _s2_value(q: Fraction, c: Fraction) -> ExactValue:
+    """q + c*(sqrt(2) - 1), which is (q - c) + c*sqrt(2)."""
+    return E(q, {_s2: c})
+
+
+def _assert_order(v, w, x: Fraction, y: Fraction) -> None:
+    """All four operators on (v, w) against the oracle sign(v - w) = sign(x + y*sqrt(2))."""
+    s = _sqrt2_sign(x, y)
+    for op, expected in _ORDER_OPS:
+        assert op(v, w) is expected(s), (op.__name__, v, w)
+        assert op(w, v) is expected(-s), (op.__name__, w, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q1=_small, c1=_coef, q2=_small, c2=_coef, alias=st.sampled_from(["no", "same", "copy"]))
+@example(q1=Fraction(1, 2), c1=Fraction(0), q2=Fraction(1, 3), c2=Fraction(0), alias="no")
+@example(q1=Fraction(1, 2), c1=Fraction(0), q2=Fraction(1, 2), c2=Fraction(1), alias="no")
+@example(q1=Fraction(1), c1=Fraction(1), q2=Fraction(1), c2=Fraction(1), alias="no")
+@example(q1=Fraction(1), c1=Fraction(1), q2=Fraction(1, 2), c2=Fraction(1), alias="no")
+@example(q1=Fraction(0), c1=Fraction(1), q2=Fraction(1), c2=Fraction(-1), alias="no")
+@example(q1=Fraction(1), c1=Fraction(1), q2=Fraction(0), c2=Fraction(0), alias="same")
+@example(q1=Fraction(1, 3), c1=Fraction(0), q2=Fraction(0), c2=Fraction(0), alias="copy")
+def test_order_operators_match_squares_oracle(q1, c1, q2, c2, alias):
+    v = _s2_value(q1, c1)
+    if alias == "same":
+        w, q2, c2 = v, q1, c1
+    elif alias == "copy":
+        w, q2, c2 = _s2_value(q1, c1), q1, c1
+        assert w is not v and w == v
+    else:
+        w = _s2_value(q2, c2)
+    # rational/rational, rational/irrational both ways, irrational/irrational
+    _assert_order(v, w, (q1 - c1) - (q2 - c2), c1 - c2)
+    # the constants, which the engine compares against most
+    _assert_order(v, ZERO, q1 - c1, c1)
+    _assert_order(v, ONE, q1 - c1 - 1, c1)
+    _assert_order(v, E(Fraction(1, 2)), q1 - c1 - Fraction(1, 2), c1)
+
+
+def test_order_operators_near_sqrt2_convergents():
+    root2 = _s2_value(Fraction(1), Fraction(1))
+    for c in _sqrt2_convergents(1 << 41):
+        _assert_order(root2, E(c), -c, Fraction(1))
+        _assert_order(root2 - E(c), ZERO, -c, Fraction(1))
+
+
+def _cmp_sort(items, descending=False):
+    """The former exact-comparison sort of (cell, weight) items, kept as reference."""
+
+    def cmp(a, b) -> int:
+        s = (a[1] - b[1]).sign()
+        return -s if descending else s
+
+    return sorted(items, key=functools.cmp_to_key(cmp))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pool=st.lists(st.tuples(_small, _coef), min_size=1, max_size=4),
+    picks=st.lists(st.integers(min_value=0, max_value=3), max_size=14),
+)
+def test_weight_sort_matches_cmp_sort(pool, picks):
+    # few distinct weights, so most lists repeat some; each item gets its own
+    # (equal but distinct) value object
+    items = [(f"c{i}", _s2_value(*pool[k % len(pool)])) for i, k in enumerate(picks)]
+    for descending in (False, True):
+        got = sorted(items, key=itemgetter(1), reverse=descending)
+        assert [c for c, _ in got] == [c for c, _ in _cmp_sort(items, descending)]
