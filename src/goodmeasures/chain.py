@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from . import jsonutil
 from .errors import (
     InvalidChallenge,
     NotGroupLike,
@@ -92,21 +91,21 @@ def invert_prefix(sigma: AutomorphismPrefix) -> AutomorphismPrefix:
     )
 
 
-def _obj_key(P: WeightedPartition) -> str:
-    return jsonutil.dumps(["object", [list(k) for k in sorted(P.sorted_weight_key())]])
+def _obj_key(P: WeightedPartition) -> tuple:
+    return ("object", P.sorted_weight_key())
 
 
-def _mor_key(target_level: int, m: PartitionMorphism) -> str:
-    body = [
-        [c, m.source.weight(c).to_json(), m.mapping[c]] for c in m.source.cells
-    ]
-    return jsonutil.dumps(["morphism", target_level, body])
+def _mor_key(target_level: int, m: PartitionMorphism) -> tuple:
+    body = tuple(
+        (c, m.source.weight(c).sort_key(), m.mapping[c]) for c in m.source.cells
+    )
+    return ("morphism", target_level, body)
 
 
 @dataclass
 class LedgerEntry:
     kind: str  # "object" | "morphism"
-    key: str
+    key: tuple
     stage: int
     challenge_object: WeightedPartition
     target_level: int | None
@@ -137,7 +136,7 @@ class GoodMeasureChain:
         self.levels: list[WeightedPartition] = [base]
         self.links: list[PartitionMorphism] = []
         self.ledger: list[LedgerEntry] = []
-        self._ledger_index: dict[str, int] = {}
+        self._ledger_index: dict[tuple, int] = {}
 
     # -- structure -----------------------------------------------------------
 
@@ -174,12 +173,6 @@ class GoodMeasureChain:
             raise ValueError("link is not a valid morphism")
         self.levels.append(P)
         self.links.append(link)
-
-    def find_level(self, P: WeightedPartition) -> int | None:
-        for i, L in enumerate(self.levels):
-            if L is P or (L.cells == P.cells and all(L.weight(c) == P.weight(c) for c in P.cells)):
-                return i
-        return None
 
     # -- measures and clopen sets ---------------------------------------------
 
@@ -247,7 +240,7 @@ class GoodMeasureChain:
         return stage
 
     def absorb_morphism(
-        self, challenge: PartitionMorphism, target_level: int | None = None
+        self, challenge: PartitionMorphism, target_level: int
     ) -> tuple[int, PartitionMorphism]:
         """Extend the chain with a response r to the challenge A -> P_i.
 
@@ -255,10 +248,6 @@ class GoodMeasureChain:
         challenge ∘ r equal to the chain projection from j to i, verified
         cellwise when it is first recorded.
         """
-        if target_level is None:
-            target_level = self.find_level(challenge.target)
-            if target_level is None:
-                raise InvalidChallenge("challenge target is not a chain level")
         if not verify_morphism(challenge):
             raise InvalidChallenge("challenge is not a valid morphism")
         check_all_in(challenge.source.weight_list(), self.V, "challenge weight")

@@ -4,7 +4,7 @@ Every command prints one canonical-JSON envelope
 ``{"op", "input_hash", "result", "certificate"}`` and uses exit codes
 0 (success), 1 (mathematically negative verdict), 2 (invalid input, including
 a comparison that the declared symbols leave undecided, or no verdict, such
-as a search too deep to finish), 3 (output I/O failure).  All outputs are
+as a search that used up its effort), 3 (output I/O failure).  All outputs are
 deterministic for fixed inputs.
 """
 
@@ -449,8 +449,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"invalid input: {type(exc).__name__}: {exc}\n")
         return 2
     except RuntimeError as exc:
-        # RecursionError (an input too large for a recursive search) and the
-        # "this is a bug" checks: no verdict either way
+        # the "this is a bug" checks, and a RecursionError from a deep input:
+        # no verdict either way
         sys.stderr.write(f"not decided: {type(exc).__name__}: {exc}\n")
         return 2
 

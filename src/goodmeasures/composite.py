@@ -16,8 +16,12 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .chain import AutomorphismPrefix, ClopenSet, GoodMeasureChain
+from .cycles import exact_fill
 from .errors import ComponentMixing, NotAValue, NotSeparable, SumMismatch
 from .values import ExactValue, ONE, ZERO
+
+#: option tries allowed to each maximality search
+_EFFORT = 10**6
 
 #: a cell of a composite partition: (component index, chain level, cell id)
 CellRef = tuple[int, int, str]
@@ -175,6 +179,7 @@ def maximality_refute(m: CompositeMeasure, targets: Sequence[ExactValue]) -> Max
     so that every component is used up exactly.  Feasible instances are
     realized per component through the chains' maximality witnesses;
     infeasible ones return the certificate naming the failing constraint.
+    Raises EffortExhausted when a search uses up ``_EFFORT`` option tries.
     """
     total = sum(targets[1:], targets[0]) if targets else ZERO
     if total != ONE:
@@ -188,22 +193,10 @@ def maximality_refute(m: CompositeMeasure, targets: Sequence[ExactValue]) -> Max
             raise NotAValue(f"{t} is not a clopen value of the composite")
         cand.append(cs)
     k = len(m.components)
-    chosen: list[tuple[ExactValue, ...]] = []
-
-    def search(j: int, sums: tuple[ExactValue, ...]) -> bool:
-        if j == len(targets):
-            return all(s == ONE for s in sums)
-        for option in cand[j]:
-            nxt = tuple(sums[i] + option[i] for i in range(k))
-            if any(s > ONE for s in nxt):
-                continue
-            chosen.append(option)
-            if search(j + 1, nxt):
-                return True
-            chosen.pop()
-        return False
-
-    if search(0, tuple(ZERO for _ in range(k))):
+    options = [[list(enumerate(option)) for option in cs] for cs in cand]
+    picks = exact_fill(options, [ONE] * k, _EFFORT)
+    if picks is not None:
+        chosen = [cs[o] for cs, o in zip(cand, picks)]
         realization: dict = {}
         for i, (chain, scale) in enumerate(m.components):
             tup = [option[i] for option in chosen if option[i].sign() > 0]
@@ -230,26 +223,14 @@ def maximality_refute(m: CompositeMeasure, targets: Sequence[ExactValue]) -> Max
         ]
         certificate["component_scales"] = [str(s) for s in m.scales]
 
-    def solo(i: int, j: int, acc: ExactValue) -> bool:
-        if j == len(targets):
-            return acc == ONE
-        seen = set()
-        for option in cand[j]:
-            u = option[i]
-            if u in seen:
-                continue
-            seen.add(u)
-            if acc + u <= ONE and solo(i, j + 1, acc + u):
-                return True
-        return False
-
     # prefer naming the coefficient-pinned component when it alone fails
     order = list(range(k))
     if m.irrational_index is not None:
         order.remove(m.irrational_index)
         order.insert(0, m.irrational_index)
     for i in order:
-        if not solo(i, 0, ZERO):
+        solo = [[[(0, u)] for u in dict.fromkeys(o[i] for o in cs)] for cs in cand]
+        if exact_fill(solo, [ONE], _EFFORT) is None:
             certificate["failing_component"] = i
             certificate["required_total"] = "1"
             break

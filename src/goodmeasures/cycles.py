@@ -10,12 +10,14 @@ procedures for the (strong) Rokhlin property of the automorphism group.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    EffortExhausted,
     MassMismatch,
     MassOverflow,
     NotGroupLike,
@@ -184,50 +186,66 @@ def sum_tuple_morphisms(
     return TupleMorphism.make(blocks)
 
 
+def exact_fill(
+    options: Sequence[Sequence[Sequence[tuple[int, ExactValue]]]],
+    caps: Sequence[ExactValue],
+    effort: int,
+) -> list[int] | None:
+    """Pick one option per item so that every bin ends exactly at its cap.
+
+    ``options[i]`` lists item i's options: (bin, amount) pairs with distinct
+    bins and amounts >= 0.  Depth-first in list order on an explicit stack, so
+    the first choice found is the lexicographically least.  Returns the chosen
+    option index per item, or None when no choice exists; raises
+    EffortExhausted once ``effort`` option tries are used up.
+    """
+    sums = [ZERO] * len(caps)
+    stack: list[tuple[int, list]] = []  # per placed item: its option, the sums it replaced
+    tries = start = 0
+    while True:
+        i = len(stack)
+        if i == len(options) and all(s == c for s, c in zip(sums, caps)):
+            return [o for o, _ in stack]
+        for o in range(start, len(options[i]) if i < len(options) else 0):
+            tries += 1
+            if tries > effort:
+                raise EffortExhausted(f"effort {effort} used up without a verdict")
+            option = options[i][o]
+            if all(sums[b] + a <= caps[b] for b, a in option):
+                stack.append((o, [(b, sums[b]) for b, _ in option]))
+                for b, a in option:
+                    sums[b] = sums[b] + a
+                start = 0
+                break
+        else:  # no option of item i fits after ``start``: undo the last choice
+            if not stack:
+                return None
+            o, replaced = stack.pop()
+            for b, s in replaced:
+                sums[b] = s
+            start = o + 1
+
+
 def find_tuple_morphism(
     src: CycleTuple, tgt: CycleTuple, effort: int = 10**6
 ) -> TupleMorphism | None:
-    """Exhaustive blocked search for a morphism; None when none exists within
-    the node budget (a semi-decision).  The first morphism in assignment
-    order is the lexicographically least one.
+    """Exhaustive blocked search for a morphism; None when none exists.  The
+    first morphism in assignment order is the lexicographically least one.
+    Raises EffortExhausted after ``effort`` placements without a verdict.
     """
     if src.mass != tgt.mass:
         raise MassMismatch(f"masses differ: {src.mass} vs {tgt.mass}")
-    m, l = len(src.entries), len(tgt.entries)
-    assign = [-1] * m
-    sums = [ZERO] * l
-    targets = [w.scale(k) for w, k in tgt.entries]
-    budget = [effort]
-
-    def feasible(i: int, j: int) -> bool:
-        v_i, n_i = src.entries[i]
-        _w_j, k_j = tgt.entries[j]
-        if n_i % k_j != 0:
-            return False
-        return sums[j] + v_i.scale(n_i) <= targets[j]
-
-    def place(i: int) -> bool:
-        if i == m:
-            return all(sums[j] == targets[j] for j in range(l))
-        for j in range(l):
-            budget[0] -= 1
-            if budget[0] < 0:
-                return False
-            if feasible(i, j):
-                v_i, n_i = src.entries[i]
-                assign[i] = j
-                sums[j] = sums[j] + v_i.scale(n_i)
-                if place(i + 1):
-                    return True
-                sums[j] = sums[j] - v_i.scale(n_i)
-                assign[i] = -1
-        return False
-
-    if not place(0):
+    options: list[list[list[tuple[int, ExactValue]]]] = []
+    for (v, n), equal in itertools.groupby(src.entries):  # equal entries share options
+        a = v.scale(n)
+        slots = [[(j, a)] for j, (_w, k) in enumerate(tgt.entries) if n % k == 0]
+        options += [slots] * len(list(equal))
+    chosen = exact_fill(options, [w.scale(k) for w, k in tgt.entries], effort)
+    if chosen is None:
         return None
-    blocks: list[list[int]] = [[] for _ in range(l)]
-    for i, j in enumerate(assign):
-        blocks[j].append(i)
+    blocks: list[list[int]] = [[] for _ in tgt.entries]
+    for i, o in enumerate(chosen):
+        blocks[options[i][o][0][0]].append(i)
     return TupleMorphism.make(blocks)
 
 
@@ -327,13 +345,6 @@ class RokhlinVerdict:
     strong_rokhlin: str  # "yes" | "no" | "unknown"
     rokhlin: str
     certificate: dict
-
-    def to_json(self) -> dict:
-        return {
-            "strong_rokhlin": self.strong_rokhlin,
-            "rokhlin": self.rokhlin,
-            "certificate": self.certificate,
-        }
 
 
 def rokhlin_decide(V: GroupDescriptor) -> RokhlinVerdict:

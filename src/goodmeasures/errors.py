@@ -86,3 +86,7 @@ class NotSeparable(GoodMeasuresError):
 
 class PrecisionExhausted(GoodMeasuresError):
     """An enclosure oracle cannot reach the requested interval width."""
+
+
+class EffortExhausted(GoodMeasuresError):
+    """A bounded search used up its effort before reaching a verdict."""

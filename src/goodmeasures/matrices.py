@@ -38,12 +38,6 @@ class BalancedMatrix:
     level: int
     entries: Mapping[tuple[str, str], ExactValue]
 
-    def entry(self, p: str, q: str) -> ExactValue:
-        return self.entries.get((p, q), ZERO)
-
-    def row(self, p: str) -> dict[str, ExactValue]:
-        return {q: w for (a, q), w in self.entries.items() if a == p}
-
     def to_json(self) -> dict:
         return {
             "level": self.level,

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from goodmeasures import jsonutil
+from goodmeasures import composite, jsonutil
 from goodmeasures.cli import main
+from goodmeasures.cycles import CycleTuple, TupleMorphism, verify_tuple_morphism
 
 DYADIC = {"rational": {"default": "0", "exceptions": {"2": "inf"}}, "irrationals": []}
 BAD23 = {"rational": {"default": "0", "exceptions": {"2": 3}}, "irrationals": []}
@@ -399,23 +400,44 @@ def test_workspace_named_artifacts(files, capsys):
     assert code == 0 and env["result"]["rokhlin"] == "yes"
 
 
-def test_find_morphism_too_deep_for_recursion_is_not_a_verdict(files, capsys):
+def test_find_morphism_on_1500_entries_gives_a_verdict(files, capsys):
     inp = files / "deep.json"
-    jsonutil.write(inp, {
+    data = {
         "src": [{"w": {"q": "1/1500"}, "n": 1}] * 1500,
         "tgt": [{"w": {"q": "1"}, "n": 1}],
-    })
-    assert main(["find-morphism", "--input", str(inp)]) == 2
-    assert "RecursionError" in _one_line_error(capsys)
+    }
+    jsonutil.write(inp, data)
+    code, env = run(capsys, "find-morphism", "--input", str(inp))
+    assert code == 0 and env["result"]["found"]
+    src, tgt = CycleTuple.from_json(data["src"], {}), CycleTuple.from_json(data["tgt"], {})
+    assert verify_tuple_morphism(TupleMorphism.from_json(env["certificate"]), src, tgt)
 
 
-def test_composite_refute_too_deep_for_recursion_is_not_a_verdict(files, capsys):
+def test_composite_refute_on_1200_targets_gives_a_verdict(files, capsys):
     spec = files / "q_only.json"
     jsonutil.write(spec, {"components": [{
         "descriptor": {"rational": {"default": "inf", "exceptions": {}}, "irrationals": []},
         "scale": "1", "budget": 1,
     }]})
-    code = main(["composite", "refute-maximality", "--spec", str(spec),
-                 "--targets", ",".join(["1/1200"] * 1200)])
+    code, env = run(capsys, "composite", "refute-maximality", "--spec", str(spec),
+                    "--targets", ",".join(["1/1200"] * 1200))
+    assert code == 0 and env["result"]["feasible"]
+
+
+def test_find_morphism_out_of_effort_is_not_a_verdict(files, capsys):
+    # a morphism exists (two 1/8-cycles onto each 1/4-cycle), but one try cannot find it
+    inp = files / "findm.json"
+    jsonutil.write(inp, {
+        "src": [{"w": {"q": "1/8"}, "n": 2}] * 4,
+        "tgt": [{"w": {"q": "1/4"}, "n": 2}] * 2,
+    })
+    assert main(["find-morphism", "--input", str(inp), "--effort", "1"]) == 2
+    assert _one_line_error(capsys).startswith("EffortExhausted: ")
+
+
+def test_composite_refute_out_of_effort_is_not_a_verdict(files, capsys, monkeypatch):
+    monkeypatch.setattr(composite, "_EFFORT", 2)
+    code = main(["composite", "refute-maximality", "--spec", str(files / "composite.json"),
+                 "--targets", "1/3,1/3,1/3"])
     assert code == 2
-    assert "RecursionError" in _one_line_error(capsys)
+    assert _one_line_error(capsys).startswith("EffortExhausted: ")

@@ -7,6 +7,7 @@ import pytest
 
 from goodmeasures.chain import ClopenSet, GoodMeasureChain
 from goodmeasures.composite import (
+    _candidates,
     maximality_refute,
     measure,
     member,
@@ -14,8 +15,9 @@ from goodmeasures.composite import (
     weighted_sum,
 )
 from goodmeasures.errors import ComponentMixing, NotAValue, NotSeparable, SumMismatch
+from goodmeasures.values import ONE, ZERO
 
-from conftest import E, alpha_module
+from conftest import E, alpha_module, random_split, value_pool
 
 
 @pytest.fixture()
@@ -131,6 +133,84 @@ def test_refute_single_component_delegates(triadic):
     m = weighted_sum([(ch, Fraction(1))])
     out = maximality_refute(m, [E("1/3")] * 3)
     assert out.feasible
+
+
+def _recursive_refute(m, targets):
+    """The recursive search and certificate that exact_fill replaced, kept as
+    the reference (input checks omitted: every target here is a value)."""
+    cand = [_candidates(m, t) for t in targets]
+    k = len(m.components)
+    chosen = []
+
+    def search(j, sums):
+        if j == len(targets):
+            return all(s == ONE for s in sums)
+        for option in cand[j]:
+            nxt = tuple(sums[i] + option[i] for i in range(k))
+            if any(s > ONE for s in nxt):
+                continue
+            chosen.append(option)
+            if search(j + 1, nxt):
+                return True
+            chosen.pop()
+        return False
+
+    if search(0, tuple(ZERO for _ in range(k))):
+        return True, [[option[i] for option in chosen if option[i].sign() > 0]
+                      for i in range(k)]
+
+    def solo(i, j, acc):
+        if j == len(targets):
+            return acc == ONE
+        seen = set()
+        for option in cand[j]:
+            u = option[i]
+            if u in seen:
+                continue
+            seen.add(u)
+            if acc + u <= ONE and solo(i, j + 1, acc + u):
+                return True
+        return False
+
+    order = list(range(k))
+    if m.irrational_index is not None:
+        order.remove(m.irrational_index)
+        order.insert(0, m.irrational_index)
+    return False, next((i for i in order if not solo(i, 0, ZERO)), None)
+
+
+def test_refute_matches_recursive_search(example_composite):
+    m = example_composite
+    rng = random.Random(8)
+    triadic, alpha_pool = m.components[0][0].V, value_pool(alpha_module(), 4)
+    feasible = infeasible = 0
+    for _ in range(80):
+        if rng.random() < 0.4:
+            # scaled pieces of a partition of each component: always feasible
+            pieces = [p.scale(Fraction(1, 3)) for p in random_split(rng, triadic, ONE, 4)]
+            pieces += [p.scale(Fraction(2, 3))
+                       for p in random_split(rng, alpha_module(), ONE, 3, alpha_pool)]
+        else:
+            # rational targets: feasible iff one of them holds the whole irrational piece
+            pieces = random_split(rng, triadic, ONE, 6)
+        rng.shuffle(pieces)
+        targets = []
+        for p in pieces:
+            if targets and rng.random() < 0.2:
+                targets[-1] = targets[-1] + p
+            else:
+                targets.append(p)
+        ok, detail = _recursive_refute(m, targets)
+        out = maximality_refute(m, targets)
+        assert out.feasible == ok
+        if ok:
+            feasible += 1
+            for i, weights in enumerate(detail):
+                assert out.realization[str(i)]["weights"] == [u.to_json() for u in weights]
+        else:
+            infeasible += 1
+            assert out.certificate.get("failing_component") == detail
+    assert feasible > 10 and infeasible > 10
 
 
 # -- ultrahomogeneity ---------------------------------------------------------------------

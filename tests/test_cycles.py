@@ -1,5 +1,7 @@
 """Cycle tuples: algebra, morphism search, lifts, Rokhlin decisions."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from goodmeasures.cycles import (
     compose_tuple_morphisms,
     dichotomy_analyze,
     divisibility_closure_check,
+    exact_fill,
     find_tuple_morphism,
     identity_tuple_morphism,
     qlike_amalgamate,
@@ -24,15 +27,16 @@ from goodmeasures.cycles import (
     verify_tuple_morphism,
 )
 from goodmeasures.errors import (
+    EffortExhausted,
     MassMismatch,
     MassOverflow,
     NotQLike,
     NotRingLike,
     PreconditionFailed,
 )
-from goodmeasures.values import GroupDescriptor, INF, ONE, RationalGroup
+from goodmeasures.values import GroupDescriptor, INF, ONE, RationalGroup, ZERO
 
-from conftest import E, random_cycle_tuple, random_tuple_cospan
+from conftest import E, random_cycle_tuple, random_split, random_tuple_cospan
 
 
 def T(*entries):
@@ -129,10 +133,121 @@ def test_find_provably_absent():
 def test_find_respects_effort():
     src = T(*(("1/8", 2) for _ in range(4)))
     tgt = T(("1/4", 2), ("1/4", 2))
-    assert find_tuple_morphism(src, tgt, effort=1) is None
+    with pytest.raises(EffortExhausted):
+        find_tuple_morphism(src, tgt, effort=1)
     found = find_tuple_morphism(src, tgt)
     assert found is not None
     assert verify_tuple_morphism(found, src, tgt)
+
+
+_amounts = st.sampled_from(["0", "1/4", "1/3", "1/2", "1"]).map(E)
+_options = st.lists(
+    st.lists(st.lists(st.tuples(st.integers(0, 2), _amounts), max_size=3), max_size=3),
+    max_size=5,
+)
+
+
+def _first_fill_by_enumeration(options, caps):
+    """The lexicographically least exact choice, by listing every choice."""
+    for choice in itertools.product(*(range(len(opts)) for opts in options)):
+        sums = [ZERO] * len(caps)
+        for opts, o in zip(options, choice):
+            for b, a in opts[o]:
+                sums[b] = sums[b] + a
+        if sums == list(caps):
+            return list(choice)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    raw=_options,
+    picks=st.lists(st.integers(0, 2), min_size=5, max_size=5),
+    caps=st.none() | st.lists(_amounts, min_size=3, max_size=3),
+)
+def test_exact_fill_matches_enumeration(raw, picks, caps):
+    # distinct bins per option; amounts are nonnegative, so pruning at the caps is exact
+    options = [[list(dict(opt).items()) for opt in opts] for opts in raw]
+    if caps is None:  # the caps of one planted choice, so that a fill often exists
+        caps = [ZERO] * 3
+        for opts, p in zip(options, picks):
+            for b, a in opts[p % len(opts)] if opts else []:
+                caps[b] = caps[b] + a
+    expected = _first_fill_by_enumeration(options, caps)
+    nodes = sum(math.prod(len(opts) for opts in options[: i + 1]) for i in range(len(options)))
+    assert exact_fill(options, caps, nodes) == expected
+    effort = 0
+    while True:
+        try:
+            got = exact_fill(options, caps, effort)
+            break
+        except EffortExhausted:
+            effort += 1
+    assert got == expected and effort <= nodes
+
+
+def _recursive_find(src, tgt, effort=10**6):
+    """The recursive search that exact_fill replaced, kept as the reference;
+    None both when no morphism exists and when the effort runs out."""
+    m, l = len(src.entries), len(tgt.entries)
+    assign = [-1] * m
+    sums = [ZERO] * l
+    targets = [w.scale(k) for w, k in tgt.entries]
+    budget = [effort]
+
+    def place(i):
+        if i == m:
+            return all(sums[j] == targets[j] for j in range(l))
+        v_i, n_i = src.entries[i]
+        for j in range(l):
+            budget[0] -= 1
+            if budget[0] < 0:
+                return False
+            if n_i % tgt.entries[j][1] == 0 and sums[j] + v_i.scale(n_i) <= targets[j]:
+                assign[i] = j
+                sums[j] = sums[j] + v_i.scale(n_i)
+                if place(i + 1):
+                    return True
+                sums[j] = sums[j] - v_i.scale(n_i)
+                assign[i] = -1
+        return False
+
+    if not place(0):
+        return None
+    blocks = [[] for _ in range(l)]
+    for i, j in enumerate(assign):
+        blocks[j].append(i)
+    return TupleMorphism.make(blocks)
+
+
+def _refined_tuple(rng, V, tgt):
+    """A tuple that covers tgt: each target cycle split into wound pieces."""
+    entries = []
+    for w, k in tgt.entries:
+        for part in random_split(rng, V, w.scale(k), 3):
+            n = k * rng.randint(1, 3)
+            entries.append((part.scale(Fraction(1, n)), n))
+    return CycleTuple.make(entries)
+
+
+def test_find_matches_recursive_search(rationals):
+    rng = random.Random(6)
+    found = absent = 0
+    for _ in range(300):
+        tgt = random_cycle_tuple(rng, rationals, 3)
+        if rng.random() < 0.5:
+            src = _refined_tuple(rng, rationals, tgt)
+        else:
+            src = random_cycle_tuple(rng, rationals, 5)
+        expected = _recursive_find(src, tgt)
+        assert find_tuple_morphism(src, tgt) == expected
+        found += expected is not None
+        absent += expected is None
+        # effort counts only compatible placements: never more tries than before
+        effort = rng.randint(1, 12)
+        if _recursive_find(src, tgt, effort) is not None:
+            assert find_tuple_morphism(src, tgt, effort) == expected
+    assert found > 50 and absent > 50
 
 
 # -- ring product lift -----------------------------------------------------------------
