@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InvalidChallenge,
@@ -285,30 +285,10 @@ class GoodMeasureChain:
 
     def _object_challenges(self, height: int) -> list[WeightedPartition]:
         values = self.V.enumerate_values(height + 1)
-        out: list[WeightedPartition] = []
-        seq: list[int] = []
-
-        def emit() -> None:
-            weights = [values[i] for i in seq]
-            cells = [(f"x{k}", w) for k, w in enumerate(weights)]
-            out.append(WeightedPartition.make(cells))
-
-        def grow(lo: int, acc: ExactValue) -> None:
-            if acc == ONE and seq:
-                emit()
-                return
-            if len(seq) == height + 1:
-                return
-            for i in range(lo, len(values)):
-                nxt = acc + values[i]
-                if nxt > ONE:
-                    continue
-                seq.append(i)
-                grow(i, nxt)
-                seq.pop()
-
-        grow(0, ZERO)
-        return out
+        return [
+            WeightedPartition.make([(f"x{k}", values[i]) for k, i in enumerate(seq)])
+            for seq in _index_sums_to_one(values, 0, ZERO, height + 1)
+        ]
 
     def run_schedule(self, budget: int) -> "GoodMeasureChain":
         """Absorb all object and morphism challenges up to the given height.
@@ -624,6 +604,24 @@ class GoodMeasureChain:
             chain._ledger_index[entry.key] = len(chain.ledger)
             chain.ledger.append(entry)
         return chain
+
+
+def _index_sums_to_one(
+    values: list[ExactValue], lo: int, acc: ExactValue, room: int
+) -> Iterator[tuple[int, ...]]:
+    """Index tuples lo <= i1 <= i2 <= ... of at most ``room`` entries with
+    acc + values[i1] + values[i2] + ... == 1, depth first.
+
+    A module-level generator, not a recursive closure: a closure that calls
+    itself is a reference cycle, which only the cyclic collector frees.
+    """
+    for i in range(lo, len(values)):
+        nxt = acc + values[i]
+        if nxt == ONE:
+            yield (i,)
+        elif room > 1 and not nxt > ONE:
+            for rest in _index_sums_to_one(values, i, nxt, room - 1):
+                yield (i, *rest)
 
 
 def _match_by_weight(

@@ -25,7 +25,7 @@ from .chain import AutomorphismPrefix, ClopenSet, GoodMeasureChain, _obj_key
 from .errors import GoodMeasuresError
 from .matrices import BalancedMatrix
 from .partitions import PartitionMorphism, verify_morphism
-from .values import ExactValue, GroupDescriptor, parse_fraction
+from .values import ExactValue, GroupDescriptor
 
 
 class Workspace:
@@ -299,8 +299,8 @@ def cmd_dichotomy(args) -> int:
     ws = _workspace(args)
     descriptor = _read_json(args.descriptor, ws, "descriptors")
     V = GroupDescriptor.from_json(descriptor)
-    b = ExactValue.of(parse_fraction(args.b))
-    c = ExactValue.of(parse_fraction(args.c))
+    b = ExactValue.of(jsonutil.parse_fraction(args.b))
+    c = ExactValue.of(jsonutil.parse_fraction(args.c))
     verdict = cycles_mod.dichotomy_analyze(V, b, args.n, c)
     _emit("dichotomy", {"descriptor": descriptor, "b": args.b, "n": args.n, "c": args.c},
           verdict.to_json(), verdict.violation or None, ws)
@@ -314,7 +314,7 @@ def _build_composite(data) -> composite_mod.CompositeMeasure:
         chain = GoodMeasureChain(V)
         budget = int(comp.get("budget", 1))
         chain.run_schedule(budget)
-        parts.append((chain, Fraction(parse_fraction(comp["scale"]))))
+        parts.append((chain, Fraction(jsonutil.parse_fraction(comp["scale"]))))
     return composite_mod.weighted_sum(parts)
 
 
@@ -342,7 +342,7 @@ def cmd_composite_refute(args) -> int:
     ws = _workspace(args)
     spec = _read_json(args.spec, ws, "descriptors")
     m = _build_composite(spec)
-    targets = [ExactValue.of(parse_fraction(t.strip())) for t in args.targets.split(",")]
+    targets = [ExactValue.of(jsonutil.parse_fraction(t.strip())) for t in args.targets.split(",")]
     outcome = composite_mod.maximality_refute(m, targets)
     _emit("composite-refute-maximality", {"spec": spec, "targets": args.targets},
           outcome.to_json(), outcome.certificate, ws)

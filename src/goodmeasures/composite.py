@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .chain import AutomorphismPrefix, ClopenSet, GoodMeasureChain
 from .cycles import exact_fill
-from .errors import ComponentMixing, NotAValue, NotSeparable, SumMismatch
+from .errors import ComponentMixing, EffortExhausted, NotAValue, NotSeparable, SumMismatch
 from .values import ExactValue, ONE, ZERO
 
 #: option tries allowed to each maximality search
@@ -179,7 +179,9 @@ def maximality_refute(m: CompositeMeasure, targets: Sequence[ExactValue]) -> Max
     so that every component is used up exactly.  Feasible instances are
     realized per component through the chains' maximality witnesses;
     infeasible ones return the certificate naming the failing constraint.
-    Raises EffortExhausted when a search uses up ``_EFFORT`` option tries.
+    Raises EffortExhausted when the main search uses up ``_EFFORT`` option
+    tries.  When a component's certificate search runs out instead, the "no"
+    stands and the certificate names no ``failing_component``.
     """
     total = sum(targets[1:], targets[0]) if targets else ZERO
     if total != ONE:
@@ -230,7 +232,13 @@ def maximality_refute(m: CompositeMeasure, targets: Sequence[ExactValue]) -> Max
         order.insert(0, m.irrational_index)
     for i in order:
         solo = [[[(0, u)] for u in dict.fromkeys(o[i] for o in cs)] for cs in cand]
-        if exact_fill(solo, [ONE], _EFFORT) is None:
+        try:
+            fill = exact_fill(solo, [ONE], _EFFORT)
+        except EffortExhausted:
+            # the "no" is decided already; naming a later component instead
+            # would make the certificate depend on the effort
+            break
+        if fill is None:
             certificate["failing_component"] = i
             certificate["required_total"] = "1"
             break

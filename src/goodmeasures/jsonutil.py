@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import re
+from fractions import Fraction
 from pathlib import Path
 
 
@@ -46,3 +49,49 @@ def read(path: str | Path):
 
 def digest(obj) -> str:
     return hashlib.sha256(dumps(obj).encode("utf-8")).hexdigest()
+
+
+# -- exact numbers in JSON ------------------------------------------------------
+
+
+def parse_fraction(text) -> Fraction:
+    """An exact fraction from a string, an int or a Fraction.
+
+    Binary floats (a JSON ``0.1`` is not 1/10) and bools are rejected.
+    """
+    if isinstance(text, (float, bool)):
+        raise TypeError(f"inexact number {text!r}; write fractions as strings such as \"1/10\"")
+    return Fraction(text)
+
+
+def parse_int(text) -> int:
+    """An integer from a string or an int; floats and bools are rejected, not truncated."""
+    if isinstance(text, (float, bool)):
+        raise TypeError(f"inexact number {text!r} where an integer is required")
+    return int(text)
+
+
+_RATIO_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_ratio(text) -> tuple[int, int]:
+    """``parse_fraction(text)`` as a numerator and denominator in lowest terms.
+
+    Text of the form n or n/d is read straight into integers; anything else
+    goes through ``Fraction``, which accepts and rejects the same inputs.
+    """
+    if isinstance(text, str):
+        m = _RATIO_TEXT.fullmatch(text)
+        d = int(m[2] or 1) if m else 0
+        if d:
+            n = int(m[1])
+            g = math.gcd(n, d)
+            return n // g, d // g
+    q = parse_fraction(text)
+    return q.numerator, q.denominator
+
+
+def format_ratio(n: int, d: int) -> str:
+    """n/d in lowest terms as "n" or "n/d", for d > 0."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"

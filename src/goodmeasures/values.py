@@ -1,11 +1,12 @@
 """Exact arithmetic over the group spanned by 1 and declared irrational symbols.
 
 Every number handled by the package is an ``ExactValue``: a rational part plus
-rational coefficients on finitely many irrational symbols.  Symbols are
-declared together with an enclosure oracle (nested rational intervals) and are
-linearly independent over the rationals together with 1 (checked for ``sqrt``
-symbols, trusted for ``digits`` symbols), so equality is decided
-coefficientwise and sign questions terminate by refining the enclosures.
+rational coefficients on finitely many irrational symbols (``symbols``).
+Symbols are declared together with an enclosure oracle (nested rational
+intervals) and are linearly independent over the rationals together with 1
+(checked for ``sqrt`` symbols, trusted for ``digits`` symbols), so equality is
+decided coefficientwise and sign questions terminate by refining the
+enclosures.
 
 Value sets ("clopen values sets") are described by a ``GroupDescriptor``:
 a subgroup of the rationals given by prime exponents, plus one such subgroup
@@ -14,14 +15,15 @@ of coefficients per irrational symbol.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import NonRationalScale, NotInV, PrecisionExhausted
+from .errors import NonRationalScale, NotInV
+from .jsonutil import format_ratio, parse_int, parse_ratio
+from .symbols import IrrationalSymbol, compare, enclose, stages
 
 #: Exponent value standing for "all powers of the prime are admitted".
 INF = float("inf")
@@ -29,201 +31,104 @@ INF = float("inf")
 _FracLike = Fraction | int | str
 
 
-def _frac(x: _FracLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-# ---------------------------------------------------------------------------
-# irrational symbols and their enclosures
-# ---------------------------------------------------------------------------
-
-
-def _sqrt_enclosure(radicand: int, shift: Fraction) -> Callable[[int], tuple[Fraction, Fraction]]:
-    """Dyadic enclosures of sqrt(radicand) + shift, width 2**-k at stage k."""
-
-    @functools.lru_cache(maxsize=64)
-    def oracle(k: int) -> tuple[Fraction, Fraction]:
-        scale = 1 << k
-        a = math.isqrt(radicand * scale * scale)
-        lo = Fraction(a, scale) + shift
-        hi = Fraction(a + 1, scale) + shift
-        return lo, hi
-
-    return oracle
-
-
-def _digits_enclosure(base: int, digits: str) -> Callable[[int], tuple[Fraction, Fraction]]:
-    """Enclosures from an explicit digit expansion 0.d1 d2 ... in the given base.
-
-    Only as many stages as declared digits are available; deeper requests
-    raise ``PrecisionExhausted``.
-    """
-
-    if not 2 <= base <= 36:
-        raise ValueError(f"digit base must lie in 2..36, got {base}")
-    for d in digits:
-        int(d, base)  # each character must be one digit in this base
-
-    @functools.lru_cache(maxsize=64)
-    def oracle(k: int) -> tuple[Fraction, Fraction]:
-        # stage k needs the fewest digits n >= 1 with base**n >= 2**k;
-        # base**hi >= 2**(hi * (bit_length - 1)) >= 2**k bounds the search
-        target = 1 << k
-        lo, hi = 1, max(1, -(-k // (base.bit_length() - 1)))
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if base**mid >= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        n = min(lo, max(1, len(digits)))
-        if base**n < target:
-            raise PrecisionExhausted(
-                f"digit oracle has {len(digits)} digits, cannot reach width 2^-{k}"
-            )
-        acc = int(digits[:n], base) if digits else 0
-        return Fraction(acc, base**n), Fraction(acc + 1, base**n)
-
-    return oracle
-
-
-@dataclass(frozen=True)
-class IrrationalSymbol:
-    """A named irrational constant in (0,1) with a nested-interval oracle.
-
-    Symbols are identified by name: two symbols with equal names are the same
-    symbol.  Names must therefore be unique within any one descriptor.  The
-    oracle maps a stage k to a rational interval of width at most 2**-k;
-    successive intervals are nested.
-    """
-
-    name: str
-    spec: tuple = field(compare=False)
-    _oracle: Callable[[int], tuple[Fraction, Fraction]] = field(compare=False, repr=False)
-
-    def __post_init__(self):
-        lo, hi = self.enclosure(4)
-        if not (lo >= 0 and hi <= 1):
-            raise ValueError(f"symbol {self.name} must lie in (0,1), got [{lo},{hi}]")
-
-    @staticmethod
-    def sqrt(name: str, radicand: int, shift: _FracLike = 0) -> "IrrationalSymbol":
-        if radicand < 0 or math.isqrt(radicand) ** 2 == radicand:
-            raise ValueError(f"symbol {name}: sqrt({radicand}) is not an irrational real")
-        shift = _frac(shift)
-        return IrrationalSymbol(name, ("sqrt", radicand, shift), _sqrt_enclosure(radicand, shift))
-
-    @staticmethod
-    def digits(name: str, base: int, digits: str) -> "IrrationalSymbol":
-        return IrrationalSymbol(name, ("digits", base, digits), _digits_enclosure(base, digits))
-
-    def enclosure(self, k: int) -> tuple[Fraction, Fraction]:
-        lo, hi = self._oracle(k)
-        return lo, hi
-
-    def __hash__(self):
-        return hash(self.name)
-
-    def __lt__(self, other: "IrrationalSymbol") -> bool:
-        return self.name < other.name
-
-    def to_json(self) -> dict:
-        kind = self.spec[0]
-        if kind == "sqrt":
-            return {"kind": "sqrt", "radicand": self.spec[1], "shift": format_fraction(self.spec[2])}
-        if kind == "digits":
-            return {"kind": "digits", "base": self.spec[1], "digits": self.spec[2]}
-        raise ValueError(f"symbol {self.name} has no serialisable enclosure")
-
-    @staticmethod
-    def from_json(name: str, data: Mapping) -> "IrrationalSymbol":
-        if data["kind"] == "sqrt":
-            radicand = parse_int(data["radicand"])
-            return IrrationalSymbol.sqrt(name, radicand, parse_fraction(data.get("shift", 0)))
-        if data["kind"] == "digits":
-            return IrrationalSymbol.digits(name, parse_int(data["base"]), data["digits"])
-        raise ValueError(f"unknown enclosure kind {data['kind']!r}")
-
-
 # ---------------------------------------------------------------------------
 # exact values
 # ---------------------------------------------------------------------------
 
-#: Comparison precision schedule starts at width 2**-_START_BITS and halves.
-_START_BITS = 16
-_MAX_BITS = 4096
 
-
-@dataclass(frozen=True)
 class ExactValue:
     """rational + sum of rational multiples of irrational symbols, canonical form.
 
-    Zero coefficients are never stored, so equality is plain field equality.
-    All arithmetic is exact; the comparison operators refine symbol enclosures
-    until the order is determined.  The sign of an irrational value is worked
-    out once per instance and then remembered.
+    Stored as integers over one positive common denominator ``den``:
+    ``nums[0]`` is the numerator of the rational part and ``nums[i]`` that of
+    the coefficient of ``syms[i - 1]``.  Symbols are sorted by name, zero
+    coefficients are never stored and ``gcd(den, *nums) == 1``, so equality
+    is plain field equality.  ``rational`` and ``coeffs`` are ``Fraction``
+    views of these integers.  All arithmetic is exact; the comparison
+    operators refine symbol enclosures until the order is determined.  The
+    sign of an irrational value is worked out once per instance and then
+    remembered.
+
+    Values are immutable.  Build them with ``of`` or ``from_json``; the
+    constructor takes its integers as they are.
     """
 
-    rational: Fraction = Fraction(0)
-    coeffs: tuple[tuple[IrrationalSymbol, Fraction], ...] = ()
+    __slots__ = ("den", "nums", "syms", "_sign")
+
+    def __init__(self, den: int, nums: tuple[int, ...], syms: tuple[IrrationalSymbol, ...] = ()):
+        self.den = den
+        self.nums = nums
+        self.syms = syms
+        self._sign = None  # memo of an irrational value's sign
 
     @staticmethod
     def of(q: _FracLike, coeffs: Mapping[IrrationalSymbol, _FracLike] | None = None) -> "ExactValue":
-        items = tuple(
-            sorted((s, _frac(c)) for s, c in (coeffs or {}).items() if _frac(c) != 0)
-        )
-        return ExactValue(_frac(q), items)
+        items = sorted((coeffs or {}).items(), key=lambda sc: sc[0].name)
+        return _from_ratios([_ratio(q)] + [_ratio(c) for _, c in items], [s for s, _ in items])
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def rational(self) -> Fraction:
+        return Fraction(self.nums[0], self.den)
+
+    @property
+    def coeffs(self) -> tuple[tuple[IrrationalSymbol, Fraction], ...]:
+        return tuple((s, Fraction(n, self.den)) for s, n in zip(self.syms, self.nums[1:]))
+
+    @property
     def is_rational(self) -> bool:
-        return not self.coeffs
+        return not self.syms
 
     def coeff(self, symbol: IrrationalSymbol) -> Fraction:
-        for s, c in self.coeffs:
-            if s == symbol:
-                return c
-        return Fraction(0)
+        return dict(self.coeffs).get(symbol, Fraction(0))
 
     def height(self) -> int:
         """max of numerator/denominator magnitudes over all components."""
-        h = max(abs(self.rational.numerator), self.rational.denominator)
-        for _, c in self.coeffs:
-            h = max(h, abs(c.numerator), c.denominator)
+        den, h = self.den, 0
+        for n in self.nums:
+            g = math.gcd(n, den)
+            h = max(h, abs(n) // g, den // g)
         return h
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, ExactValue):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums and self.syms == other.syms
+
+    def __hash__(self) -> int:
+        # integers only, so the hash does not depend on PYTHONHASHSEED
+        return hash((self.den, self.nums))
+
+    def __repr__(self) -> str:
+        return f"ExactValue(rational={self.rational!r}, coeffs={self.coeffs!r})"
 
     # -- arithmetic ----------------------------------------------------------
 
     def _combine(self, other: "ExactValue", sign: int) -> "ExactValue":
-        q = self.rational + other.rational if sign > 0 else self.rational - other.rational
-        if not other.coeffs:
-            return ExactValue(q, self.coeffs)
-        if not self.coeffs and sign > 0:
-            return ExactValue(q, other.coeffs)
-        # both coefficient tuples are sorted by symbol name: merge them,
-        # keeping self's symbol on a tie and dropping a zero sum
-        a, b = self.coeffs, other.coeffs
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            s, c = a[i]
-            t, d = b[j]
-            if s.name == t.name:
-                x = c + d if sign > 0 else c - d
-                if x:
-                    out.append((s, x))
-                i += 1
-                j += 1
-            elif s.name < t.name:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j] if sign > 0 else (t, -d))
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:] if sign > 0 else ((t, -d) for t, d in b[j:]))
-        return ExactValue(q, tuple(out))
+        # over the lcm of the two denominators: self * m1 + other * m2
+        g = math.gcd(self.den, other.den)
+        m1, m2 = other.den // g, self.den // g * sign
+        den = self.den * m1
+        a, b = self.nums, other.nums
+        s, t = self.syms, other.syms
+        if len(s) <= 1 and len(t) <= 1 and (s == t or not s or not t):
+            # at most one symbol in all, the engine's common case: no loop
+            x = a[0] * m1 + b[0] * m2
+            y = (a[1] * m1 if s else 0) + (b[1] * m2 if t else 0)
+            g = math.gcd(den, x, y)
+            if y:
+                return ExactValue(den // g, (x // g, y // g), s or t)
+            return ExactValue(den // g, (x // g,))
+        # several symbols: merge by name, keeping self's symbol on a tie
+        merged = {k.name: [k, x * m1] for k, x in zip(s, a[1:])}
+        for k, y in zip(t, b[1:]):
+            merged.setdefault(k.name, [k, 0])[1] += y * m2
+        items = sorted(merged.items())
+        nums = [a[0] * m1 + b[0] * m2] + [x for _, (_, x) in items]
+        return _reduced(den, nums, tuple(k for _, (k, _) in items))
 
     def __add__(self, other: "ExactValue") -> "ExactValue":
         return self._combine(other, 1)
@@ -232,11 +137,14 @@ class ExactValue:
         return self._combine(other, -1)
 
     def __neg__(self) -> "ExactValue":
-        return ExactValue.of(-self.rational, {s: -c for s, c in self.coeffs})
+        v = ExactValue(self.den, tuple([-n for n in self.nums]), self.syms)
+        if self._sign is not None:
+            v._sign = -self._sign
+        return v
 
     def scale(self, k: _FracLike) -> "ExactValue":
-        k = _frac(k)
-        return ExactValue.of(self.rational * k, {s: c * k for s, c in self.coeffs})
+        kn, kd = _ratio(k)
+        return _reduced(self.den * kd, [n * kn for n in self.nums], self.syms) if kn else ZERO
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -255,150 +163,126 @@ class ExactValue:
 
     def interval(self, bits: int) -> tuple[Fraction, Fraction]:
         """A rational interval containing this value, from stage-``bits`` enclosures."""
-        q = self.rational
-        if not self.coeffs:
-            return q, q
-        # each bound as an int numerator and denominator, one Fraction at the end
-        ln = hn = q.numerator
-        ld = hd = q.denominator
-        for s, c in self.coeffs:
-            slo, shi = s.enclosure(bits)
-            if c < 0:
-                slo, shi = shi, slo
-            cn, cd = c.numerator, c.denominator
-            ln, ld = ln * cd * slo.denominator + cn * slo.numerator * ld, ld * cd * slo.denominator
-            hn, hd = hn * cd * shi.denominator + cn * shi.numerator * hd, hd * cd * shi.denominator
-        return Fraction(ln, ld), Fraction(hn, hd)
+        lo, hi, d = enclose(self.nums, self.syms, bits)
+        d *= self.den
+        return Fraction(lo, d), Fraction(hi, d)
 
-    def _cmp(self, r: Fraction | int) -> int:
-        """sign(self - r) for a rational r, by refining this value's enclosure.
+    def _cmp(self, r: Fraction | int, d: int = 1) -> int:
+        """sign(self - r/d) for an int or Fraction r and an int d > 0.
 
-        Refines from width 2**-16, halving the width each round, until the
-        enclosure lies strictly on one side of r.
+        Refines this value's enclosure at the precisions of ``stages`` until
+        it lies strictly on one side of r/d.
         """
-        if not self.coeffs:
-            q = self.rational
-            return (q > r) - (q < r)
-        bits = _START_BITS
-        while bits <= _MAX_BITS:
-            lo, hi = self.interval(bits)
-            if lo > r:
-                return 1
-            if hi < r:
-                return -1
-            bits += 1
-        raise ArithmeticError(
-            "sign undecided at maximal precision; are the declared symbols "
-            "really independent of 1 over the rationals?"
-        )
-
-    @functools.cached_property
-    def _irrational_sign(self) -> int:
-        # kept in the instance dict, outside the dataclass fields, so
-        # equality, hashing, repr and serialisation ignore it
-        return self._cmp(0)
+        rn, rd = r.numerator, r.denominator * d
+        if not self.syms:
+            x, y = self.nums[0] * rd, rn * self.den
+            return (x > y) - (x < y)
+        return compare(self.nums, self.syms, rn * self.den, rd)
 
     def sign(self) -> int:
-        if not self.coeffs:
-            n = self.rational.numerator
+        if not self.syms:
+            n = self.nums[0]
             return (n > 0) - (n < 0)
         # a structurally nonzero irrational value is never 0
-        return self._irrational_sign
+        s = self._sign
+        if s is None:
+            s = self._sign = compare(self.nums, self.syms, 0, 1)
+        return s
 
     # The order of exact values is decided here and nowhere else.  Against a
     # rational side the irrational side's enclosure is refined directly
     # (against 0 through the memoised sign); two irrational values compare
-    # by the sign of their difference.
+    # by the sign of their difference.  The order is total, so the other
+    # three operators are __lt__ with the operands swapped or negated.
 
     def __lt__(self, other: "ExactValue") -> bool:
-        if not other.coeffs:
-            q = other.rational
-            if not self.coeffs:
-                return self.rational < q
-            return (self._cmp(q) if q else self.sign()) < 0
-        if not self.coeffs:
-            q = self.rational
-            return (other._cmp(q) if q else other.sign()) > 0
+        if not other.syms:
+            n = other.nums[0]
+            if not self.syms:
+                return self.nums[0] * other.den < n * self.den
+            return (self._cmp(n, other.den) if n else self.sign()) < 0
+        if not self.syms:
+            n = self.nums[0]
+            return (other._cmp(n, self.den) if n else other.sign()) > 0
         return self is not other and (self - other).sign() < 0
 
     def __le__(self, other: "ExactValue") -> bool:
-        if not (self.coeffs or other.coeffs):
-            return self.rational <= other.rational
-        if self.coeffs and other.coeffs:
-            return self is other or (self - other).sign() <= 0
-        # an irrational value never equals a rational one
-        return ExactValue.__lt__(self, other)
+        return not ExactValue.__lt__(other, self)
 
     def __gt__(self, other: "ExactValue") -> bool:
         return ExactValue.__lt__(other, self)
 
     def __ge__(self, other: "ExactValue") -> bool:
-        return ExactValue.__le__(other, self)
+        return not ExactValue.__lt__(self, other)
 
     def floor(self) -> int:
-        if not self.coeffs:
-            return math.floor(self.rational)
-        bits = _START_BITS
-        while bits <= _MAX_BITS:
-            lo, hi = self.interval(bits)
-            if math.floor(lo) == math.floor(hi):
-                return math.floor(lo)
-            bits *= 2
+        # a rational value is decided at the first stage
+        for bits in stages(self.syms):
+            lo, hi, d = enclose(self.nums, self.syms, bits)
+            d *= self.den
+            if lo // d == hi // d:
+                return lo // d
         raise ArithmeticError("floor undecided at maximal precision")
 
     # -- serialisation -------------------------------------------------------
 
     def sort_key(self):
-        return (
-            self.rational.numerator,
-            self.rational.denominator,
-            tuple((s.name, c.numerator, c.denominator) for s, c in self.coeffs),
-        )
+        den, nums = self.den, self.nums
+        coeffs = []
+        for i, s in enumerate(self.syms, 1):
+            g = math.gcd(nums[i], den)
+            coeffs.append((s.name, nums[i] // g, den // g))
+        g = math.gcd(nums[0], den)
+        return nums[0] // g, den // g, tuple(coeffs)
 
     def to_json(self) -> dict:
-        out: dict = {"q": format_fraction(self.rational)}
-        if self.coeffs:
-            out["irr"] = {s.name: format_fraction(c) for s, c in self.coeffs}
+        den = self.den
+        out: dict = {"q": format_ratio(self.nums[0], den)}
+        if self.syms:
+            out["irr"] = {s.name: format_ratio(n, den) for s, n in zip(self.syms, self.nums[1:])}
         return out
 
     @staticmethod
     def from_json(data: Mapping, symbols: Mapping[str, IrrationalSymbol]) -> "ExactValue":
-        coeffs = {symbols[n]: parse_fraction(c) for n, c in data.get("irr", {}).items()}
-        return ExactValue.of(parse_fraction(data["q"]), coeffs)
+        items = sorted(
+            ((symbols[n], parse_ratio(c)) for n, c in data.get("irr", {}).items()),
+            key=lambda sc: sc[0].name,
+        )
+        return _from_ratios([parse_ratio(data["q"])] + [c for _, c in items], [s for s, _ in items])
 
     def __str__(self):
-        parts = []
-        if self.rational or not self.coeffs:
-            parts.append(format_fraction(self.rational))
-        for s, c in self.coeffs:
-            parts.append(f"{format_fraction(c)}*{s.name}")
+        den, parts = self.den, []
+        if self.nums[0] or not self.syms:
+            parts.append(format_ratio(self.nums[0], den))
+        for s, n in zip(self.syms, self.nums[1:]):
+            parts.append(f"{format_ratio(n, den)}*{s.name}")
         return " + ".join(parts)
+
+
+def _reduced(den: int, nums: list[int], syms: tuple[IrrationalSymbol, ...]) -> ExactValue:
+    """The value nums over den, divided by one gcd, zero coefficients dropped."""
+    g = math.gcd(den, *nums)
+    keep = [i for i in range(1, len(nums)) if nums[i]]
+    reduced = (nums[0] // g, *[nums[i] // g for i in keep])
+    return ExactValue(den // g, reduced, tuple([syms[i - 1] for i in keep]))
+
+
+def _from_ratios(ratios: Sequence[tuple[int, int]], syms: Sequence[IrrationalSymbol]) -> ExactValue:
+    """ratios[0] + sum of ratios[i] * syms[i - 1] for (n, d) pairs, syms sorted by name."""
+    den = math.lcm(*[d for _, d in ratios])
+    nums = [n * (den // d) for n, d in ratios]
+    return _reduced(den, nums, tuple(syms))
+
+
+def _ratio(x: _FracLike) -> tuple[int, int]:
+    """x as a numerator and positive denominator in lowest terms."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 ZERO = ExactValue.of(0)
 ONE = ExactValue.of(1)
-
-
-def format_fraction(q: Fraction) -> str:
-    q = _frac(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def parse_fraction(text) -> Fraction:
-    """An exact fraction from a string, an int or a Fraction.
-
-    Binary floats (a JSON ``0.1`` is not 1/10) and bools are rejected.
-    """
-    if isinstance(text, (float, bool)):
-        raise TypeError(f"inexact number {text!r}; write fractions as strings such as \"1/10\"")
-    return _frac(text)
-
-
-def parse_int(text) -> int:
-    """An integer from a string or an int; floats and bools are rejected, not truncated."""
-    if isinstance(text, (float, bool)):
-        raise TypeError(f"inexact number {text!r} where an integer is required")
-    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +348,13 @@ class RationalGroup:
                 return e
         return self.default
 
-    def contains(self, q: Fraction) -> bool:
-        d = _frac(q).denominator
+    def contains(self, q: _FracLike) -> bool:
+        return self.admits(_ratio(q)[1])
+
+    def admits(self, d: int) -> bool:
+        """Whether 1/d lies in the group, for an integer d >= 1."""
+        if d == 1:
+            return True
         for p, e in self.exceptions:
             k = 0
             while d % p == 0:
@@ -511,23 +400,24 @@ class RationalGroup:
         return RationalGroup.make(default, exceptions)
 
 
-def _heights(group: RationalGroup, with_negative: bool) -> Iterator[list[Fraction]]:
+def _heights(group: RationalGroup, with_negative: bool) -> Iterator[list[tuple[int, int]]]:
     """Yield, for h = 1, 2, ..., the members of the group of height exactly h.
 
-    num/den in lowest terms has height max(|num|, den) and lies in the group
-    iff 1/den does.  Negative members are included only when asked for.
+    Members come as (num, den) in lowest terms, of height max(|num|, den);
+    such a member lies in the group iff 1/den does.  Negative members are
+    included only when asked for.
     """
-    yield [Fraction(-1), Fraction(0), Fraction(1)] if with_negative else [Fraction(0), Fraction(1)]
+    yield [(-1, 1), (0, 1), (1, 1)] if with_negative else [(0, 1), (1, 1)]
     dens = [1]  # admitted denominators below h
     h = 1
     while True:
         h += 1
         nums = (h, -h) if with_negative else (h,)
-        out = [Fraction(n, d) for d in dens if math.gcd(h, d) == 1 for n in nums]
-        if group.contains(Fraction(1, h)):
+        out = [(n, d) for d in dens if math.gcd(h, d) == 1 for n in nums]
+        if group.admits(h):
             dens.append(h)
             lo = -h if with_negative else 0
-            out += [Fraction(n, h) for n in range(lo + 1, h) if math.gcd(n, h) == 1]
+            out += [(n, h) for n in range(lo + 1, h) if math.gcd(n, h) == 1]
         yield out
 
 
@@ -602,7 +492,7 @@ class GroupDescriptor:
 
     def symbol_group(self, symbol: IrrationalSymbol) -> RationalGroup | None:
         for s, g in self.irr:
-            if s == symbol:
+            if s.name == symbol.name:
                 return g
         return None
 
@@ -613,12 +503,16 @@ class GroupDescriptor:
     # -- membership ----------------------------------------------------------
 
     def in_group(self, v: ExactValue) -> bool:
-        """Membership in G = V + Z (no [0,1] clamp)."""
-        if not self.rational.contains(v.rational):
+        """Membership in G = V + Z (no [0,1] clamp).
+
+        Each component n/den is tested by its reduced denominator.
+        """
+        den, nums = v.den, v.nums
+        if not self.rational.admits(den // math.gcd(den, nums[0])):
             return False
-        for s, c in v.coeffs:
+        for s, n in zip(v.syms, nums[1:]):
             g = self.symbol_group(s)
-            if g is None or not g.contains(c):
+            if g is None or not g.admits(den // math.gcd(den, n)):
                 return False
         return True
 
@@ -650,15 +544,15 @@ class GroupDescriptor:
         symbols = [s for s, _ in self.irr]
         heights = [_heights(self.rational, with_negative=bool(symbols))]
         heights += [_heights(g, with_negative=True) for _, g in self.irr]
-        below: list[list[Fraction]] = [[] for _ in heights]
+        below: list[list[tuple[int, int]]] = [[] for _ in heights]
         while True:
             exact = [next(it) for it in heights]
             layer = []
             for i in range(len(heights)):
                 upto = [b + e for b, e in zip(below[i + 1:], exact[i + 1:])]
                 parts = below[:i] + [exact[i]] + upto
-                for q, *cs in itertools.product(*parts):
-                    v = ExactValue(q, tuple((s, c) for s, c in zip(symbols, cs) if c))
+                for ratios in itertools.product(*parts):
+                    v = _from_ratios(ratios, symbols)
                     if v.sign() > 0 and v._cmp(1) <= 0:
                         layer.append(v)
             layer.sort(key=ExactValue.sort_key)

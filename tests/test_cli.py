@@ -436,8 +436,18 @@ def test_find_morphism_out_of_effort_is_not_a_verdict(files, capsys):
 
 
 def test_composite_refute_out_of_effort_is_not_a_verdict(files, capsys, monkeypatch):
-    monkeypatch.setattr(composite, "_EFFORT", 2)
+    # one try cannot finish the main search (two decide it)
+    monkeypatch.setattr(composite, "_EFFORT", 1)
     code = main(["composite", "refute-maximality", "--spec", str(files / "composite.json"),
                  "--targets", "1/3,1/3,1/3"])
     assert code == 2
     assert _one_line_error(capsys).startswith("EffortExhausted: ")
+
+
+def test_composite_refute_keeps_a_decided_no(files, capsys, monkeypatch):
+    # the main search decides within 5 tries, naming the failing component takes 9
+    monkeypatch.setattr(composite, "_EFFORT", 5)
+    code, env = run(capsys, "composite", "refute-maximality", "--spec",
+                    str(files / "composite.json"), "--targets", ",".join(["1/9"] * 9))
+    assert code == 1 and env["result"]["feasible"] is False
+    assert "failing_component" not in env["certificate"]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from goodmeasures import composite
 from goodmeasures.chain import ClopenSet, GoodMeasureChain
 from goodmeasures.composite import (
     _candidates,
@@ -125,6 +126,20 @@ def test_refute_rejects_non_values(example_composite):
         maximality_refute(example_composite, [E("1/2"), E("1/2")])
     with pytest.raises(SumMismatch):
         maximality_refute(example_composite, [E("1/3"), E("1/3")])
+
+
+@pytest.mark.parametrize("effort", [5, 8, 9, 10**6])
+def test_refute_no_survives_an_exhausted_certificate_search(example_composite, monkeypatch, effort):
+    # the main search decides within 5 tries; naming component 1 takes 9
+    monkeypatch.setattr(composite, "_EFFORT", effort)
+    out = maximality_refute(example_composite, [E("1/9")] * 9)
+    assert not out.feasible
+    if effort >= 9:
+        assert out.certificate["failing_component"] == 1
+        assert out.certificate["required_total"] == "1"
+    else:
+        assert "failing_component" not in out.certificate
+        assert "required_total" not in out.certificate
 
 
 def test_refute_single_component_delegates(triadic):

@@ -4,6 +4,7 @@ import functools
 import math
 import operator
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -377,9 +378,9 @@ def test_memoised_sign_is_invisible():
     s = sqrt2_symbol()
     v = E(Fraction(1, 3), {s: Fraction(2, 5)})
     assert v.sign() == 1
-    assert "_irrational_sign" in vars(v)
+    assert v._sign == 1
     fresh = E(Fraction(1, 3), {s: Fraction(2, 5)})
-    assert "_irrational_sign" not in vars(fresh)
+    assert fresh._sign is None
     assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
     assert v.to_json() == fresh.to_json()
     assert jsonutil.dumps(v.to_json()) == jsonutil.dumps(fresh.to_json())
@@ -570,3 +571,303 @@ def test_weight_sort_matches_cmp_sort(pool, picks):
     for descending in (False, True):
         got = sorted(items, key=itemgetter(1), reverse=descending)
         assert [c for c, _ in got] == [c for c, _ in _cmp_sort(items, descending)]
+
+
+# -- the integer kernel against the former Fraction-based ExactValue -------------------
+
+
+@dataclass(frozen=True)
+class _FractionValue:
+    """The former ``ExactValue``: Fraction fields, compared by stepping one bit a round.
+
+    Kept as the reference for the integer kernel; its enclosures come from
+    ``IrrationalSymbol.enclosure``.
+    """
+
+    rational: Fraction = Fraction(0)
+    coeffs: tuple = ()
+
+    @staticmethod
+    def of(q, coeffs=None) -> "_FractionValue":
+        items = tuple(
+            sorted((s, Fraction(c)) for s, c in (coeffs or {}).items() if Fraction(c) != 0)
+        )
+        return _FractionValue(Fraction(q), items)
+
+    def _combine(self, other, sign):
+        q = self.rational + other.rational if sign > 0 else self.rational - other.rational
+        if not other.coeffs:
+            return _FractionValue(q, self.coeffs)
+        if not self.coeffs and sign > 0:
+            return _FractionValue(q, other.coeffs)
+        a, b = self.coeffs, other.coeffs
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            s, c = a[i]
+            t, d = b[j]
+            if s.name == t.name:
+                x = c + d if sign > 0 else c - d
+                if x:
+                    out.append((s, x))
+                i += 1
+                j += 1
+            elif s.name < t.name:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j] if sign > 0 else (t, -d))
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:] if sign > 0 else ((t, -d) for t, d in b[j:]))
+        return _FractionValue(q, tuple(out))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return _FractionValue.of(-self.rational, {s: -c for s, c in self.coeffs})
+
+    def scale(self, k):
+        k = Fraction(k)
+        return _FractionValue.of(self.rational * k, {s: c * k for s, c in self.coeffs})
+
+    def interval(self, bits):
+        lo = hi = self.rational
+        for s, c in self.coeffs:
+            slo, shi = s.enclosure(bits)
+            if c < 0:
+                slo, shi = shi, slo
+            lo, hi = lo + c * slo, hi + c * shi
+        return lo, hi
+
+    def _cmp(self, r) -> int:
+        if not self.coeffs:
+            return (self.rational > r) - (self.rational < r)
+        bits = 16
+        while bits <= 4096:
+            lo, hi = self.interval(bits)
+            if lo > r:
+                return 1
+            if hi < r:
+                return -1
+            bits += 1
+        raise ArithmeticError(
+            "sign undecided at maximal precision; are the declared symbols "
+            "really independent of 1 over the rationals?"
+        )
+
+    def sign(self) -> int:
+        return self._cmp(0)
+
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def __le__(self, other):
+        return (self - other).sign() <= 0
+
+    def sort_key(self):
+        return (
+            self.rational.numerator,
+            self.rational.denominator,
+            tuple((s.name, c.numerator, c.denominator) for s, c in self.coeffs),
+        )
+
+    def to_json(self) -> dict:
+        out = {"q": _fmt(self.rational)}
+        if self.coeffs:
+            out["irr"] = {s.name: _fmt(c) for s, c in self.coeffs}
+        return out
+
+    def __str__(self):
+        parts = []
+        if self.rational or not self.coeffs:
+            parts.append(_fmt(self.rational))
+        for s, c in self.coeffs:
+            parts.append(f"{_fmt(c)}*{s.name}")
+        return " + ".join(parts)
+
+
+def _fmt(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _ref_member(V: GroupDescriptor, v: _FractionValue) -> tuple[bool, bool]:
+    """(in_group, member) of the reference value, groups tested by factoring."""
+    groups = {s.name: g for s, g in V.irr}
+    in_group = _factor_contains(V.rational, v.rational) and all(
+        s.name in groups and _factor_contains(groups[s.name], c) for s, c in v.coeffs
+    )
+    return in_group, in_group and v.sign() >= 0 and v._cmp(1) <= 0
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (ArithmeticError, PrecisionExhausted, ValueError, TypeError) as e:
+        return type(e), str(e)
+
+
+def _assert_same(v: ExactValue, ref: _FractionValue) -> None:
+    assert v.rational == ref.rational
+    assert v.coeffs == ref.coeffs
+    # the same symbol objects, not only equal names
+    assert all(s is t for (s, _), (t, _) in zip(v.coeffs, ref.coeffs))
+    assert v.sort_key() == ref.sort_key()
+    assert jsonutil.dumps(v.to_json()) == jsonutil.dumps(ref.to_json())
+    assert str(v) == str(ref)
+    assert v.is_rational == (not ref.coeffs)
+
+
+_kernel_frac = st.one_of(
+    _small,
+    st.just(Fraction(0)),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**5),
+)
+_kernel_syms = {
+    "s2": [_s2, IrrationalSymbol.sqrt("s2", 2, -1)],
+    "s3": [_s3, IrrationalSymbol.sqrt("s3", 3, -1)],
+}
+
+
+@st.composite
+def _kernel_pair(draw):
+    """The same value built twice: by the kernel and by the reference."""
+    q = draw(_kernel_frac)
+    coeffs = {}
+    for name in draw(st.sampled_from([[], ["s2"], ["s3"], ["s2", "s3"]])):
+        # an equal-named copy of the symbol in some values
+        coeffs[draw(st.sampled_from(_kernel_syms[name]))] = draw(_kernel_frac)
+    return ExactValue.of(q, coeffs), _FractionValue.of(q, coeffs)
+
+
+_KERNEL_V = GroupDescriptor.make(
+    RationalGroup.make(0, {2: INF}),
+    {_s2: RationalGroup.make(0, {3: 1}), _s3: RationalGroup.all_rationals()},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_kernel_pair(), b=_kernel_pair(), k=_kernel_frac)
+# cancellation to zero, and of one symbol only
+@example(a=(E(Fraction(1, 3), {_s2: 2}), _FractionValue.of(Fraction(1, 3), {_s2: 2})),
+         b=(E(Fraction(1, 3), {_s2: 2}), _FractionValue.of(Fraction(1, 3), {_s2: 2})),
+         k=Fraction(0))
+@example(a=(E(Fraction(1, 6), {_s2: 2, _s3: 1}),
+            _FractionValue.of(Fraction(1, 6), {_s2: 2, _s3: 1})),
+         b=(E(Fraction(1, 2), {_s2: 2}), _FractionValue.of(Fraction(1, 2), {_s2: 2})),
+         k=Fraction(-1, 2))
+def test_kernel_matches_fraction_reference(a, b, k):
+    (v, rv), (w, rw) = a, b
+    _assert_same(v, rv)
+    _assert_same(v + w, rv + rw)
+    _assert_same(v - w, rv - rw)
+    _assert_same(-v, -rv)
+    _assert_same(v.scale(k), rv.scale(k))
+    assert (v == w) == (rv == rw)
+    if v == w:
+        assert hash(v) == hash(w)
+    assert (v - v) == ZERO and hash(v - v) == hash(ZERO)
+    assert _outcome(lambda: v < w) == _outcome(lambda: rv < rw)
+    assert _outcome(lambda: v <= w) == _outcome(lambda: rv <= rw)
+    assert _outcome(v.sign) == _outcome(rv.sign)
+    assert (_KERNEL_V.in_group(v), _KERNEL_V.member(v)) == _ref_member(_KERNEL_V, rv)
+
+
+@pytest.mark.parametrize(
+    "q,c",
+    [("2/4", "-0"), ("-0", " 3/6 "), (" 3/6 ", "1.5"), ("1.5", "2/4"), ("007", "+3"),
+     ("-6/4", "0/5"), ("1e2", "3_0"), (5, Fraction(2, 4)), ("1/0", "1"), ("1", "1/00"),
+     ("abc", "1"), ("1/-2", "1"), (1.5, "1"), ("1", True)],
+)
+def test_from_json_accepts_what_fraction_accepts(q, c):
+    def parent(text):
+        # the former parse_fraction
+        if isinstance(text, (float, bool)):
+            raise TypeError(f"inexact number {text!r}; write fractions as strings such as \"1/10\"")
+        return Fraction(text)
+
+    def ref():
+        coeffs = {_s2: parent(c)}
+        return _FractionValue.of(parent(q), coeffs)
+
+    got = _outcome(ExactValue.from_json, {"q": q, "irr": {"s2": c}}, {"s2": _s2})
+    want = _outcome(ref)
+    if isinstance(want, _FractionValue):
+        _assert_same(got, want)
+    else:
+        assert got == want
+
+
+# -- one clamped doubling loop for comparisons and floor ----------------------------
+
+
+def _digit_symbol(rng: random.Random, base: int, length: int):
+    digits = "".join(rng.choice("0123456789abcdef"[:base]) for _ in range(length))
+    try:
+        return IrrationalSymbol.digits("d", base, digits)
+    except PrecisionExhausted:
+        # the (0,1) check reads stage 4, which fewer digits cannot reach
+        assert base**length < 16
+        return None
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 16])
+def test_clamped_doubling_matches_stepping(base):
+    rng = random.Random(f"clamp/{base}")
+    for length in range(1, 41):
+        sym = _digit_symbol(rng, base, length)
+        if sym is None:
+            continue
+        depth = (base**length).bit_length() - 1
+        assert sym.depth == depth
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        c = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+        v, ref = E(q, {sym: c}), _FractionValue.of(q, {sym: c})
+        rs = [Fraction(rng.randint(-40, 40), rng.randint(1, 9))]
+        for k in sorted({16, rng.randint(16, 40), depth}):
+            if k <= depth:
+                lo, hi = ref.interval(k)
+                tiny = Fraction(1, 2 ** (k + 1))
+                rs += [lo, hi, lo - tiny, hi + tiny, (lo + hi) / 2]
+        for r in rs:
+            assert _outcome(v._cmp, r) == _outcome(ref._cmp, r), (base, length, r)
+
+
+def test_clamp_decides_what_unclamped_doubling_would_not():
+    # stage 32 is past the 20 digits, but stage 20 decides
+    sym = IrrationalSymbol.digits("d", 2, "10110011100011110000")
+    v = E(0, {sym: 1})
+    lo, _ = sym.enclosure(20)
+    r = lo - Fraction(1, 2**21)
+    assert v._cmp(r) == _FractionValue.of(0, {sym: 1})._cmp(r) == 1
+
+
+def test_undecided_comparison_takes_few_rounds():
+    sym = IrrationalSymbol.digits("x", 2, "1" * 4096)  # 1 - 2**-4096 <= x <= 1
+    calls = []
+    bounds = sym._bounds
+
+    def counted(k):
+        calls.append(k)
+        return bounds(k)
+
+    object.__setattr__(sym, "_bounds", counted)
+    with pytest.raises(ArithmeticError, match="sign undecided"):
+        E(-1, {sym: 1}).sign()
+    assert len(calls) <= 10 and calls[-1] == 4096
+
+
+@pytest.mark.parametrize("length", [17, 20, 40])
+def test_floor_reads_the_deepest_stage(length):
+    # x = 0.11...10 in binary: only the last digit shows that x < 1
+    x = IrrationalSymbol.digits("x", 2, "1" * (length - 1) + "0")
+    assert E(0, {x: 1}).floor() == 0
+    # y = 0.11...11: 1 - 2**-length <= y <= 1 at every stage, so floor(y) is undecided
+    y = IrrationalSymbol.digits("y", 2, "1" * length)
+    with pytest.raises(PrecisionExhausted, match=f"width 2\\^-{length + 1}$"):
+        E(0, {y: 1}).floor()
