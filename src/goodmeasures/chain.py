@@ -20,16 +20,18 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import (
     InvalidChallenge,
     NotGroupLike,
+    NotInV,
     NotSmaller,
     SumMismatch,
     WeightMismatch,
 )
 from .flows import cycles_through, decompose_entries, orbits
+from .jsonutil import parse_int
 from .partitions import (
     PartitionMorphism,
     WeightedPartition,
     _child_ids,
-    amalgamate,
+    amalgamate_valid,
     lift_edges,
     split_cell,
     verify_morphism,
@@ -37,6 +39,9 @@ from .partitions import (
 from .values import ExactValue, GroupDescriptor, ONE, ZERO, check_all_in
 
 ROOT_CELL = "r"
+
+#: Rounds of ``align_prefixes`` before it gives up.
+_ALIGN_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ class AutomorphismPrefix:
 
     @staticmethod
     def from_json(data: Mapping) -> "AutomorphismPrefix":
-        maps = {int(k): dict(v) for k, v in data["maps"].items()}
+        maps = {parse_int(k): dict(v) for k, v in data["maps"].items()}
         return AutomorphismPrefix(tuple(sorted(maps)), maps)
 
 
@@ -126,7 +131,16 @@ class LedgerEntry:
 
 
 class GoodMeasureChain:
-    """Single-writer, append-only prefix of a Fraïssé chain over a value set."""
+    """Single-writer, append-only prefix of a Fraïssé chain over a value set.
+
+    Invariant: level 0 has total 1, every level weight lies in V, each link
+    is a valid morphism from level k+1 onto level k, and each ledger
+    response maps its stage onto its challenge (commuting with the chain
+    projection for morphism entries).  Public methods check their arguments
+    and ``from_json`` checks a snapshot, once, where the data enters; every
+    level the engine appends is derived from checked data by V's group
+    operations, so the invariant holds without checking it again.
+    """
 
     def __init__(self, V: GroupDescriptor):
         if not V.classify().group_like:
@@ -152,11 +166,15 @@ class GoodMeasureChain:
         """Cell map of the composite projection from a deeper to a shallower level."""
         if not 0 <= to_level <= from_level <= self.depth:
             raise ValueError("levels out of range")
-        mapping = {c: c for c in self.levels[from_level].cells}
-        for lvl in range(from_level, to_level, -1):
+        return self._project_up({c: c for c in self.levels[to_level].cells}, to_level, from_level)
+
+    def _project_up(self, proj: dict[str, str], level: int, from_level: int) -> dict[str, str]:
+        """A projection of ``level`` onto a lower level, composed with the links
+        from ``from_level`` down to ``level``: the projection of ``from_level``."""
+        for lvl in range(level + 1, from_level + 1):
             link = self.links[lvl - 1].mapping
-            mapping = {c: link[m] for c, m in mapping.items()}
-        return mapping
+            proj = {c: proj[link[c]] for c in self.levels[lvl].cells}
+        return proj
 
     def composite_morphism(self, from_level: int, to_level: int) -> PartitionMorphism:
         return PartitionMorphism(
@@ -166,11 +184,14 @@ class GoodMeasureChain:
         )
 
     def _append_level(self, P: WeightedPartition, link: PartitionMorphism) -> None:
-        check_all_in(P.weight_list(), self.V, "level weight")
+        """Append P with its link onto the current top.
+
+        Precondition: the link is a valid morphism and P's weights lie in V.
+        Every caller builds P from the top by an amalgam, a checked split or
+        a cycle split whose weights sum back to each parent cell.
+        """
         if link.source is not P or link.target is not self.top:
             raise ValueError("link must map the new level onto the current top")
-        if not verify_morphism(link):
-            raise ValueError("link is not a valid morphism")
         self.levels.append(P)
         self.links.append(link)
 
@@ -230,7 +251,8 @@ class GoodMeasureChain:
             lift = _weight_matching(self.top, target)
             stage = self.depth
         else:
-            G, p1, p2 = amalgamate(self._collapse(self.top), self._collapse(target), self.V)
+            # both collapses are valid: the top and the target have total 1
+            G, p1, p2 = amalgamate_valid(self._collapse(self.top), self._collapse(target))
             self._append_level(G, p1)
             lift = p2
             stage = self.depth
@@ -248,12 +270,15 @@ class GoodMeasureChain:
         challenge ∘ r equal to the chain projection from j to i, verified
         cellwise when it is first recorded.
         """
-        if not verify_morphism(challenge):
-            raise InvalidChallenge("challenge is not a valid morphism")
+        if not 0 <= target_level <= self.depth:
+            raise ValueError(f"target level {target_level} is not a level of the chain")
+        level_obj = self.levels[target_level]
+        f2 = PartitionMorphism(challenge.source, level_obj, dict(challenge.mapping))
+        if not verify_morphism(f2):
+            raise InvalidChallenge(f"challenge is not a valid morphism onto level {target_level}")
         check_all_in(challenge.source.weight_list(), self.V, "challenge weight")
         key = _mor_key(target_level, challenge)
         if key not in self._ledger_index:
-            level_obj = self.levels[target_level]
             is_identity = challenge.source.cells == level_obj.cells and all(
                 challenge.mapping[c] == c for c in level_obj.cells
             )
@@ -262,15 +287,13 @@ class GoodMeasureChain:
                 r = self.composite_morphism(stage, target_level)
             else:
                 f1 = self.composite_morphism(self.depth, target_level)
-                f2 = PartitionMorphism(challenge.source, level_obj, dict(challenge.mapping))
-                G, p1, p2 = amalgamate(f1, f2, self.V)
+                G, p1, p2 = amalgamate_valid(f1, f2)
                 self._append_level(G, p1)
                 stage = self.depth
                 r = p2
             proj = self.composite_mapping(stage, target_level)
-            for c in self.levels[stage].cells:
-                if challenge.mapping[r.mapping[c]] != proj[c]:
-                    raise RuntimeError("absorption failed to commute; this is a bug")
+            if not _commutes(challenge.mapping, r.mapping, proj):
+                raise RuntimeError("absorption failed to commute; this is a bug")
             self._ledger_index[key] = len(self.ledger)
             self.ledger.append(LedgerEntry(
                 "morphism", key, stage, challenge.source, target_level,
@@ -452,11 +475,14 @@ class GoodMeasureChain:
         Builds the balanced transport of top fibers along the bijection,
         decomposes it into cycles, and either reads off a top-level bijection
         directly (when the transport is a permutation) or appends one new
-        level splitting every top cell by the cycles through it.
+        level splitting every top cell by the cycles through it.  The level-k
+        bijection preserves weights (``extend_prefix`` and
+        ``extend_partial_isomorphism`` check it), so each edge joins fibers of
+        equal mass and every transport entry is a refinement part, in V.
         """
         T = self.depth
         top = self.levels[T]
-        entries = lift_edges(self.composite_morphism(T, k), maps[k].items(), self.V)
+        entries = lift_edges(self.composite_morphism(T, k), maps[k].items())
         cycles = decompose_entries(entries)
         through = cycles_through(top.cells, [verts for verts, _ in cycles])
         if all(len(through[c]) == 1 for c in top.cells):
@@ -470,8 +496,9 @@ class GoodMeasureChain:
     ) -> dict[str, str]:
         """Append a level splitting every top cell by the cycles through it.
 
-        ``cycles`` are (vertices, weight) pairs over the top cells that cover
-        each cell's weight exactly.  A cell on one cycle keeps its id; a cell
+        ``cycles`` are (vertices, weight) pairs over the top cells with
+        weights in V that cover each cell's weight exactly, so the link onto
+        the top is a valid morphism.  A cell on one cycle keeps its id; a cell
         on several gets one child per cycle, in cycle order.  Returns the
         permutation of the new level that moves each child along its cycle.
         """
@@ -505,10 +532,18 @@ class GoodMeasureChain:
 
         May refine the chain: transport splits while climbing to the top, and
         orbit splits (every cell and its image split identically) when asked
-        to go beyond the current chain depth.
+        to go beyond the current chain depth.  Both splits need sigma's top
+        map to be a weight-preserving bijection of its level, checked here.
         """
         if to_depth < sigma.depth:
             raise ValueError("to_depth must be at least the current depth")
+        if sigma.depth > self.depth:
+            raise ValueError(f"prefix depth {sigma.depth} is beyond the chain depth {self.depth}")
+        top, m = self.levels[sigma.depth], sigma.top_map
+        if set(m) != set(top.cells) or set(m.values()) != set(top.cells):
+            raise WeightMismatch(f"prefix map at level {sigma.depth} is not a bijection of its cells")
+        if any(top.weight(m[c]) != top.weight(c) for c in top.cells):
+            raise WeightMismatch(f"prefix map at level {sigma.depth} does not preserve weights")
         maps = {k: dict(sigma.maps[k]) for k in sigma.levels}
         d = sigma.depth
         while d < to_depth:
@@ -520,7 +555,9 @@ class GoodMeasureChain:
 
     def _orbit_split(self, maps: dict[int, dict[str, str]], d: int) -> int:
         """Split every top cell in two along two parallel copies of each orbit
-        of the top bijection, so the bijection lifts to the new level."""
+        of the top bijection, so the bijection lifts to the new level.  The
+        bijection preserves weights, so one orbit has one weight w, and both
+        pieces, a = smallest_below(w) and w - a, lie in V."""
         top = self.levels[d]
         cycles: list[tuple[list[str], ExactValue]] = []
         for orbit in orbits(maps[d], top.cells):
@@ -536,9 +573,7 @@ class GoodMeasureChain:
             maps = {self.depth: {c: c for c in self.top.cells}}
             self._orbit_split(maps, self.depth)
 
-    def align_prefixes(
-        self, prefixes: Sequence[AutomorphismPrefix], rounds: int = 8
-    ) -> list[AutomorphismPrefix]:
+    def align_prefixes(self, prefixes: Sequence[AutomorphismPrefix]) -> list[AutomorphismPrefix]:
         """Extend prefixes until they share their top stored level.
 
         Each extension may refine the chain, which can invalidate the common
@@ -546,7 +581,7 @@ class GoodMeasureChain:
         keeps escaping (which cannot happen for the constructions used here).
         """
         ps = list(prefixes)
-        for _ in range(rounds):
+        for _ in range(_ALIGN_ROUNDS):
             d = max(p.depth for p in ps)
             ps = [self.extend_prefix(p, d) if p.depth < d else p for p in ps]
             if len({p.depth for p in ps}) == 1:
@@ -577,33 +612,94 @@ class GoodMeasureChain:
 
     @staticmethod
     def from_json(data: Mapping) -> "GoodMeasureChain":
+        """Load a snapshot and verify it once; a fault raises a one-line ValueError.
+
+        Checked: every distinct weight of the levels and of the ledger
+        challenges lies in V, level 0 has total 1, each link maps level k+1
+        onto level k, every ledger stage and target level is an integer in
+        range, each response maps its stage onto its challenge, and each
+        morphism challenge maps onto its target level with a response that
+        commutes with the chain projection.
+        """
         V = GroupDescriptor.from_json(data["descriptor"])
         chain = GoodMeasureChain(V)
         symbols = V.symbols()
         levels = [WeightedPartition.from_json(d, symbols) for d in data["levels"]]
+        if len(data["links"]) != len(levels) - 1:
+            raise ValueError(f"snapshot has {len(levels)} levels but {len(data['links'])} links")
         chain.levels = levels
         chain.links = [
             PartitionMorphism(levels[i + 1], levels[i], dict(d["map"]))
             for i, d in enumerate(data["links"])
         ]
-        for e in data["ledger"]:
-            if not 0 <= e["stage"] < len(levels):
-                raise ValueError(f"ledger stage {e['stage']} is not a level of the snapshot")
-            obj = WeightedPartition.from_json(e["challenge"], symbols)
-            if e["kind"] == "object":
-                entry = LedgerEntry(
-                    "object", _obj_key(obj), e["stage"], obj, None, None, dict(e["response"]["map"])
+        entries = [
+            _ledger_entry_from_json(n, e, levels, symbols) for n, e in enumerate(data["ledger"])
+        ]
+        challenges = [e.challenge_object for e in entries]
+        weights = dict.fromkeys(w for P in [*levels, *challenges] for w in P.weight_list())
+        try:
+            check_all_in(list(weights), V, "snapshot weight")
+        except NotInV as exc:
+            raise ValueError(str(exc)) from None
+        if levels[0].total != ONE:
+            raise ValueError(f"level 0 of the snapshot has total {levels[0].total}, expected 1")
+        for i, link in enumerate(chain.links):
+            if not verify_morphism(link):
+                raise ValueError(f"snapshot link {i} does not map level {i + 1} onto level {i}")
+        # per target level: the last stage projected onto it, and that projection
+        projections: dict[int, tuple[int, dict[str, str]]] = {}
+        for n, entry in enumerate(entries):
+            stage = entry.stage
+            response = PartitionMorphism(levels[stage], entry.challenge_object, entry.response_map)
+            if not verify_morphism(response):
+                raise ValueError(
+                    f"ledger entry {n}: response does not map level {stage} onto its challenge"
                 )
-            else:
-                cm = dict(e["challenge_map"])
-                mor = PartitionMorphism(obj, levels[e["target_level"]], cm)
-                entry = LedgerEntry(
-                    "morphism", _mor_key(e["target_level"], mor), e["stage"], obj,
-                    e["target_level"], cm, dict(e["response"]["map"]),
-                )
-            chain._ledger_index[entry.key] = len(chain.ledger)
-            chain.ledger.append(entry)
+            if entry.kind == "morphism":
+                t = entry.target_level
+                k, proj = projections.get(t, (stage + 1, None))
+                if k > stage:
+                    k, proj = t, {c: c for c in levels[t].cells}
+                proj = chain._project_up(proj, k, stage)
+                projections[t] = (stage, proj)
+                if not _commutes(entry.challenge_map, entry.response_map, proj):
+                    raise ValueError(f"ledger entry {n}: response does not commute with the chain")
+            chain._ledger_index[entry.key] = n
+        chain.ledger = entries
         return chain
+
+
+def _ledger_entry_from_json(
+    n: int, e: Mapping, levels: Sequence[WeightedPartition], symbols
+) -> LedgerEntry:
+    """Ledger entry n of a snapshot, with its stage, its target level and, for
+    a morphism entry, its challenge map checked against the snapshot's levels."""
+    stage = parse_int(e["stage"])
+    if not 0 <= stage < len(levels):
+        raise ValueError(f"ledger entry {n}: stage {stage} is not a level of the snapshot")
+    obj = WeightedPartition.from_json(e["challenge"], symbols)
+    response = dict(e["response"]["map"])
+    if e["kind"] == "object":
+        return LedgerEntry("object", _obj_key(obj), stage, obj, None, None, response)
+    if e["kind"] != "morphism":
+        raise ValueError(f"ledger entry {n}: unknown kind {e['kind']!r}")
+    target = parse_int(e["target_level"])
+    if not 0 <= target <= stage:
+        raise ValueError(
+            f"ledger entry {n}: target level {target} is not a level at or below stage {stage}"
+        )
+    cm = dict(e["challenge_map"])
+    mor = PartitionMorphism(obj, levels[target], cm)
+    if not verify_morphism(mor):
+        raise ValueError(f"ledger entry {n}: challenge does not map onto level {target}")
+    return LedgerEntry("morphism", _mor_key(target, mor), stage, obj, target, cm, response)
+
+
+def _commutes(
+    challenge_map: Mapping[str, str], response_map: Mapping[str, str], proj: Mapping[str, str]
+) -> bool:
+    """challenge ∘ response equals proj, the chain projection from the response's stage."""
+    return all(challenge_map[response_map[c]] == t for c, t in proj.items())
 
 
 def _index_sums_to_one(

@@ -312,7 +312,7 @@ def _build_composite(data) -> composite_mod.CompositeMeasure:
     for comp in data["components"]:
         V = GroupDescriptor.from_json(comp["descriptor"])
         chain = GoodMeasureChain(V)
-        budget = int(comp.get("budget", 1))
+        budget = jsonutil.parse_int(comp.get("budget", 1))
         chain.run_schedule(budget)
         parts.append((chain, Fraction(jsonutil.parse_fraction(comp["scale"]))))
     return composite_mod.weighted_sum(parts)

@@ -26,6 +26,7 @@ from .errors import (
     NotRingLike,
     PreconditionFailed,
 )
+from .jsonutil import parse_int
 from .partitions import common_refinement
 from .values import ExactValue, GroupDescriptor, ONE, ZERO, check_all_in
 
@@ -60,7 +61,7 @@ class CycleTuple:
     @staticmethod
     def from_json(data, symbols) -> "CycleTuple":
         return CycleTuple.make(
-            [(ExactValue.from_json(e["w"], symbols), int(e["n"])) for e in data]
+            [(ExactValue.from_json(e["w"], symbols), parse_int(e["n"])) for e in data]
         )
 
 
@@ -92,7 +93,7 @@ class TupleMorphism:
 
     @staticmethod
     def from_json(data) -> "TupleMorphism":
-        return TupleMorphism.make([list(map(int, b)) for b in data])
+        return TupleMorphism.make([list(map(parse_int, b)) for b in data])
 
 
 def identity_tuple_morphism(c: CycleTuple) -> TupleMorphism:
@@ -226,6 +227,24 @@ def exact_fill(
             start = o + 1
 
 
+class _Slots:
+    """One item's options for ``exact_fill``, built on access: the item's
+    amount in each target slot its length fits.  Items share the slot list
+    of their length, so memory stays linear in the input."""
+
+    __slots__ = ("slots", "amount")
+
+    def __init__(self, slots: list[int], amount: ExactValue):
+        self.slots = slots
+        self.amount = amount
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def __getitem__(self, o: int) -> tuple[tuple[int, ExactValue]]:
+        return ((self.slots[o], self.amount),)
+
+
 def find_tuple_morphism(
     src: CycleTuple, tgt: CycleTuple, effort: int = 10**6
 ) -> TupleMorphism | None:
@@ -235,17 +254,18 @@ def find_tuple_morphism(
     """
     if src.mass != tgt.mass:
         raise MassMismatch(f"masses differ: {src.mass} vs {tgt.mass}")
-    options: list[list[list[tuple[int, ExactValue]]]] = []
+    slots_of: dict[int, list[int]] = {}
+    options: list[_Slots] = []
     for (v, n), equal in itertools.groupby(src.entries):  # equal entries share options
-        a = v.scale(n)
-        slots = [[(j, a)] for j, (_w, k) in enumerate(tgt.entries) if n % k == 0]
-        options += [slots] * len(list(equal))
+        if n not in slots_of:
+            slots_of[n] = [j for j, (_w, k) in enumerate(tgt.entries) if n % k == 0]
+        options += [_Slots(slots_of[n], v.scale(n))] * len(list(equal))
     chosen = exact_fill(options, [w.scale(k) for w, k in tgt.entries], effort)
     if chosen is None:
         return None
     blocks: list[list[int]] = [[] for _ in tgt.entries]
     for i, o in enumerate(chosen):
-        blocks[options[i][o][0][0]].append(i)
+        blocks[options[i].slots[o]].append(i)
     return TupleMorphism.make(blocks)
 
 

@@ -14,20 +14,10 @@ from fractions import Fraction
 from pathlib import Path
 
 
-def _check_no_floats(obj) -> None:
-    if isinstance(obj, float):
-        raise TypeError("floating point values are banned from canonical JSON")
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            _check_no_floats(k)
-            _check_no_floats(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _check_no_floats(v)
-
-
 def dumps(obj) -> str:
-    _check_no_floats(obj)
+    """Canonical text of obj.  Floats are not checked for here: ``loads``
+    rejects them on the way in, and every ``to_json`` writes numbers as
+    strings or ints."""
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 

@@ -17,6 +17,7 @@ from typing import Mapping
 from .chain import AutomorphismPrefix, GoodMeasureChain, invert_prefix
 from .errors import DepthTooShallow, NotCycleObject, PreconditionFailed
 from .flows import cycles_through, decompose_entries, orbits
+from .jsonutil import parse_int
 from .partitions import (
     PartitionMorphism,
     WeightedPartition,
@@ -53,7 +54,7 @@ class BalancedMatrix:
             (e["from"], e["to"]): ExactValue.from_json(e["w"], symbols)
             for e in data["entries"]
         }
-        return BalancedMatrix(int(data["level"]), entries)
+        return BalancedMatrix(parse_int(data["level"]), entries)
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,11 @@ def lift_cycle(
 
     ``p`` maps the partition of ``source_level`` onto the index partition of
     A; the result is a valid matrix on ``source_level`` that ``p`` projects
-    onto A.
+    onto A.  A valid cycle-category matrix joins cells of equal weight only,
+    which is what ``lift_edges`` needs.
     """
+    if not validate(chain, A):
+        raise ValueError("matrix is not a valid balanced matrix over the chain")
     cycles = _cycles_of_cycle_object(A)
     P_A = chain.levels[A.level]
     if p.target.cells != P_A.cells:
@@ -186,7 +190,7 @@ def lift_cycle(
         raise ValueError("morphism source is not the given chain level")
     if not verify_morphism(p):
         raise ValueError("p is not a valid morphism")
-    entries = lift_edges(p, [e for cyc in cycles for e in cyc.edges()], chain.V)
+    entries = lift_edges(p, [e for cyc in cycles for e in cyc.edges()])
     return BalancedMatrix(source_level, entries)
 
 
@@ -211,7 +215,8 @@ def _lift_to_fresh_level(
     chain: GoodMeasureChain, A: BalancedMatrix
 ) -> tuple[BalancedMatrix, MatrixMorphism]:
     """Absorb the abstract cycle split of A as a morphism challenge and lift
-    A's cycles onto the responding level."""
+    A's cycles onto the responding level.  All cells of one cycle of D carry
+    the cycle's weight, so every lifted edge joins fibers of equal mass."""
     P_A = chain.levels[A.level]
     cycles = cycle_decompose(A)
     through = cycles_through(P_A.cells, [cyc.vertices for cyc in cycles])
@@ -225,7 +230,7 @@ def _lift_to_fresh_level(
         for ci, cyc in enumerate(cycles)
     ]
     stage, r = chain.absorb_morphism(projD, target_level=A.level)
-    entries = lift_edges(r, [e for cyc in d_cycles for e in cyc.edges()], chain.V)
+    entries = lift_edges(r, [e for cyc in d_cycles for e in cyc.edges()])
     B = BalancedMatrix(stage, entries)
     return B, MatrixMorphism(compose(projD, r), B, A)
 

@@ -5,6 +5,10 @@ set; morphisms are mass-preserving surjections of cells.  The common
 refinement of two equal-sum weight tuples is computed by the deterministic
 peel-the-last-entry induction, and amalgamation of a cospan is assembled
 cellwise over the common target from such refinements.
+
+Public functions check their arguments.  The kernels ``refine_fibers``,
+``lift_edges`` and ``amalgamate_valid`` check nothing: they only see checked
+or derived data, and each states the precondition it relies on.
 """
 
 from __future__ import annotations
@@ -73,9 +77,6 @@ class PartitionMorphism:
     target: WeightedPartition
     mapping: Mapping[str, str]
 
-    def __call__(self, cell: str) -> str:
-        return self.mapping[cell]
-
     def fibers(self) -> dict[str, list[str]]:
         """The source cells over each target cell, in source order, in one pass."""
         out: dict[str, list[str]] = {x: [] for x in self.target.cells}
@@ -93,11 +94,11 @@ def verify_morphism(m: PartitionMorphism) -> bool:
         return False
     if set(m.mapping.values()) != set(m.target.cells):
         return False
-    fibers = m.fibers()
-    for x in m.target.cells:
-        s = ZERO
-        for y in fibers[x]:
-            s = s + m.source.weight(y)
+    weight = m.source.weights
+    for x, (first, *rest) in m.fibers().items():
+        s = weight[first]
+        for y in rest:
+            s = s + weight[y]
         if s != m.target.weight(x):
             return False
     return True
@@ -195,28 +196,29 @@ def _refine(left, right) -> list[tuple[ExactValue, int, int]]:
 
 
 def refine_fibers(
-    left: Sequence[tuple[str, ExactValue]],
-    right: Sequence[tuple[str, ExactValue]],
-    V: GroupDescriptor,
+    left: Sequence[tuple[str, ExactValue]], right: Sequence[tuple[str, ExactValue]]
 ) -> list[tuple[str, str, ExactValue]]:
     """Common refinement of two equal-mass fibers given as (cell, weight) lists.
 
-    Each part is credited to the left cell and the right cell whose blocks
-    hold it; the result lists (left cell, right cell, part) in part order.
+    Lists (left cell, right cell, part) in part order.  Precondition: both
+    sides are nonempty, their weights are positive V-values and their sums
+    are equal; the caller guarantees this, nothing here re-checks it.  Each
+    part is an input weight or a difference a - b of two V-values with
+    b < a, so it stays in V because V is group-like.
     """
-    ref = common_refinement([w for _, w in left], [w for _, w in right], V)
-    owner_left = {s: left[i][0] for i, block in enumerate(ref.left_blocks) for s in block}
-    owner_right = {s: right[j][0] for j, block in enumerate(ref.right_blocks) for s in block}
-    return [(owner_left[s], owner_right[s], w) for s, w in enumerate(ref.parts)]
+    parts = _refine([w for _, w in left], [w for _, w in right])
+    return [(left[i][0], right[j][0], w) for w, i, j in parts]
 
 
 def lift_edges(
-    p: PartitionMorphism, edges: Iterable[tuple[str, str]], V: GroupDescriptor
+    p: PartitionMorphism, edges: Iterable[tuple[str, str]]
 ) -> dict[tuple[str, str], ExactValue]:
     """Entries on p's source lifting edges between cells of p's target.
 
     For each edge (c, d) the fibers of c and d are refined jointly and each
     part adds its weight to the entry of its (left cell, right cell).
+    Precondition: p is a valid morphism and every edge joins two cells of
+    equal weight, so the two fibers have equal mass (``refine_fibers``).
     """
     R = p.source
     fibers = p.fibers()
@@ -224,7 +226,7 @@ def lift_edges(
     for c, d in edges:
         ys = [(y, R.weight(y)) for y in fibers[c]]
         zs = [(z, R.weight(z)) for z in fibers[d]]
-        for y, z, w in refine_fibers(ys, zs, V):
+        for y, z, w in refine_fibers(ys, zs):
             entries[(y, z)] = entries.get((y, z), ZERO) + w
     return entries
 
@@ -278,15 +280,31 @@ def amalgamate(
 ) -> tuple[WeightedPartition, PartitionMorphism, PartitionMorphism]:
     """Amalgamate a cospan f1: E1 -> F <- E2 :f2 into (G, p1: G -> E1, p2: G -> E2).
 
-    Each fiber of F is refined jointly via ``refine_fibers``; the square
-    f1 ∘ p1 = f2 ∘ p2 commutes exactly by construction.  New cells are named
-    after their p1-image, one suffix per sibling, so chains built onto E1 keep
-    a readable refinement history.
+    Checks that both maps are valid morphisms onto one shared target and
+    that every source weight lies in V, then builds the amalgam with
+    ``amalgamate_valid``.
     """
     if not verify_morphism(f1) or not verify_morphism(f2):
         raise ValueError("amalgamation needs valid morphisms")
     if f1.target.cells != f2.target.cells:
         raise ValueError("morphisms must share their target")
+    check_all_in(f1.source.weight_list(), V, "left entry")
+    check_all_in(f2.source.weight_list(), V, "right entry")
+    return amalgamate_valid(f1, f2)
+
+
+def amalgamate_valid(
+    f1: PartitionMorphism, f2: PartitionMorphism
+) -> tuple[WeightedPartition, PartitionMorphism, PartitionMorphism]:
+    """The amalgam of a cospan of valid morphisms with V-valued sources.
+
+    Each fiber of F is refined jointly via ``refine_fibers``: both fibers of
+    a target cell carry its weight, so their masses agree, and every cell of
+    G is a refinement part, hence in V.  The square f1 ∘ p1 = f2 ∘ p2
+    commutes exactly by construction.  New cells are named after their
+    p1-image, one suffix per sibling, so chains built onto E1 keep a
+    readable refinement history.
+    """
     cells: list[tuple[str, ExactValue]] = []
     m1: dict[str, str] = {}
     m2: dict[str, str] = {}
@@ -295,7 +313,7 @@ def amalgamate(
     for x in f1.target.cells:
         ys = [(y, f1.source.weight(y)) for y in fibers1[x]]
         zs = [(z, f2.source.weight(z)) for z in fibers2[x]]
-        for y, z, w in refine_fibers(ys, zs, V):
+        for y, z, w in refine_fibers(ys, zs):
             pending[y].append((w, z))
     for y in f1.source.cells:
         group = pending[y]

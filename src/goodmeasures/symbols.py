@@ -114,8 +114,6 @@ class IrrationalSymbol:
         lo, hi, d = self._bounds(k)
         return Fraction(lo, d), Fraction(hi, d)
 
-    _oracle = enclosure  # the name the digit-oracle tests read
-
     def __hash__(self):
         return hash(self.name)
 

@@ -392,12 +392,13 @@ class RationalGroup:
 
     @staticmethod
     def from_json(data: Mapping) -> "RationalGroup":
-        default = INF if data.get("default") == "inf" else 0
-        exceptions = {
-            parse_int(p): (INF if e == "inf" else parse_int(e))
-            for p, e in data.get("exceptions", {}).items()
-        }
-        return RationalGroup.make(default, exceptions)
+        exceptions = {parse_int(p): _exponent(e) for p, e in data.get("exceptions", {}).items()}
+        return RationalGroup.make(_exponent(data.get("default", "0")), exceptions)
+
+
+def _exponent(text) -> float:
+    """A prime exponent from JSON: "inf", or an integer read by ``parse_int``."""
+    return INF if text == "inf" else parse_int(text)
 
 
 def _heights(group: RationalGroup, with_negative: bool) -> Iterator[list[tuple[int, int]]]:

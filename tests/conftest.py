@@ -64,6 +64,13 @@ def sqrt2_module() -> GroupDescriptor:
     )
 
 
+@pytest.fixture(scope="session")
+def sqrt2_dyadic() -> GroupDescriptor:
+    """Z[1/2] + Z[1/2]*(sqrt(2)-1), the value set of the benchmark's schedule."""
+    dyadic = RationalGroup.make(0, {2: INF})
+    return GroupDescriptor.make(dyadic, {sqrt2_symbol(): dyadic})
+
+
 def alpha_symbol() -> IrrationalSymbol:
     return IrrationalSymbol.sqrt("alpha", 2, -1)
 

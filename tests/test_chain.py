@@ -1,9 +1,12 @@
 """Chain engine: absorption, schedule, witnesses, automorphism prefixes."""
 
+import hashlib
+import sys
+
 import pytest
 
-from goodmeasures import jsonutil
-from goodmeasures.chain import ClopenSet, GoodMeasureChain, invert_prefix
+from goodmeasures import jsonutil, partitions, values
+from goodmeasures.chain import AutomorphismPrefix, ClopenSet, GoodMeasureChain, invert_prefix
 from goodmeasures.errors import (
     InvalidChallenge,
     NotGroupLike,
@@ -12,8 +15,14 @@ from goodmeasures.errors import (
     SumMismatch,
     WeightMismatch,
 )
-from goodmeasures.partitions import PartitionMorphism, WeightedPartition, verify_morphism
-from goodmeasures.values import GroupDescriptor, ONE, RationalGroup, ZERO
+from goodmeasures.matrices import BalancedMatrix, to_cycle_object
+from goodmeasures.partitions import (
+    PartitionMorphism,
+    WeightedPartition,
+    split_cell,
+    verify_morphism,
+)
+from goodmeasures.values import GroupDescriptor, ONE, RationalGroup, ZERO, check_all_in
 
 from conftest import E
 
@@ -369,3 +378,150 @@ def test_sqrt2_module_chain(sqrt2_module):
     ch.run_schedule(1)
     check_chain_valid(ch)
     assert ch.depth >= 1
+
+
+# -- the chain invariant, checked from outside the engine ---------------------------------
+
+
+def assert_chain_sound(chain):
+    """Every property the engine relies on without re-checking it."""
+    assert chain.levels[0].total == ONE
+    for P in chain.levels:
+        check_all_in(P.weight_list(), chain.V, "level weight")
+    for k, link in enumerate(chain.links):
+        assert link.source is chain.levels[k + 1] and link.target is chain.levels[k]
+        assert verify_morphism(link)
+    for e in chain.ledger:
+        A = e.challenge_object
+        check_all_in(A.weight_list(), chain.V, "challenge weight")
+        stage = chain.levels[e.stage]
+        assert verify_morphism(PartitionMorphism(stage, A, dict(e.response_map)))
+        if e.kind == "morphism":
+            target = chain.levels[e.target_level]
+            assert verify_morphism(PartitionMorphism(A, target, dict(e.challenge_map)))
+            # the projection walked down link by link, independent of composite_mapping
+            proj = {c: c for c in stage.cells}
+            for k in range(e.stage, e.target_level, -1):
+                proj = {c: chain.links[k - 1].mapping[p] for c, p in proj.items()}
+            assert proj == chain.composite_mapping(e.stage, e.target_level)
+            assert all(e.challenge_map[e.response_map[c]] == proj[c] for c in stage.cells)
+
+
+def _schedule(budget):
+    def build(V):
+        ch = GoodMeasureChain(V)
+        ch.run_schedule(budget)
+        return ch
+    return build
+
+
+def _subset_witness(V):
+    ch = GoodMeasureChain(V)
+    ch.absorb_object(obj("1/2", "1/4", "1/4"))
+    ch.subset_witness(ClopenSet.of(1, [ch.levels[1].cells[1]]),
+                      ClopenSet.of(1, [ch.levels[1].cells[0]]))
+    assert ch.depth == 2
+    return ch
+
+
+def _mixing(ch, level):
+    a, b = ch.levels[level].cells
+    q = E("1/4")
+    return BalancedMatrix(level, {(a, a): q, (a, b): q, (b, a): q, (b, b): q})
+
+
+def _cycle_object_at_top(V):
+    ch = GoodMeasureChain(V)
+    ch.absorb_object(obj("1/2", "1/2"))
+    to_cycle_object(ch, _mixing(ch, 1))
+    assert ch.depth == 2 and len(ch.ledger) == 1
+    return ch
+
+
+def _cycle_object_below_top(V):
+    ch = GoodMeasureChain(V)
+    ch.absorb_object(obj("1/2", "1/2"))
+    ch.absorb_object(obj("1/4", "1/4", "1/4", "1/4"))
+    ledger = len(ch.ledger)
+    to_cycle_object(ch, _mixing(ch, 1))
+    assert ch.ledger[ledger].kind == "morphism"
+    return ch
+
+
+def _transport_split(V):
+    ch = GoodMeasureChain(V)
+    ch.absorb_object(obj("1/2", "1/2"))
+    a, b = ch.levels[1].cells
+    R, pi = split_cell(ch.levels[1], a, [E("1/4"), E("1/4")], V)
+    ch._append_level(R, pi)
+    ch.extend_partial_isomorphism(1, {a: b})
+    assert ch.depth == 3
+    return ch
+
+
+def _orbit_split(V):
+    ch = GoodMeasureChain(V)
+    ch.absorb_object(obj("1/2", "1/2"))
+    a, b = ch.levels[1].cells
+    ch.extend_prefix(ch.extend_partial_isomorphism(1, {a: b}), 3)
+    assert ch.depth == 3
+    return ch
+
+
+@pytest.mark.parametrize("build,descriptor", [
+    (_schedule(3), "dyadic"),
+    (_schedule(3), "triadic"),
+    (_schedule(2), "sqrt2_module"),
+    (_subset_witness, "dyadic"),
+    (_cycle_object_at_top, "dyadic"),
+    (_cycle_object_below_top, "dyadic"),
+    (_transport_split, "dyadic"),
+    (_orbit_split, "dyadic"),
+], ids=["schedule-dyadic", "schedule-triadic", "schedule-sqrt2", "subset-witness",
+        "cycle-object-at-top", "cycle-object-below-top", "transport-split", "orbit-split"])
+def test_every_append_path_keeps_the_chain_sound(build, descriptor, request):
+    ch = build(request.getfixturevalue(descriptor))
+    assert_chain_sound(ch)
+    assert_chain_sound(GoodMeasureChain.from_json(ch.to_json()))
+
+
+def test_schedule_checks_each_value_once(sqrt2_dyadic, monkeypatch):
+    """Values the engine derived itself are not checked again."""
+    counts = {"values": 0, "morphisms": 0}
+    real_check, real_verify = values.check_all_in, partitions.verify_morphism
+
+    def counting_check(vals, V, what="value"):
+        counts["values"] += len(vals)
+        real_check(vals, V, what)
+
+    def counting_verify(m):
+        counts["morphisms"] += 1
+        return real_verify(m)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("goodmeasures")]:
+        for name, val in list(vars(mod).items()):
+            if val is real_check:
+                monkeypatch.setattr(mod, name, counting_check)
+            elif val is real_verify:
+                monkeypatch.setattr(mod, name, counting_verify)
+    ch = GoodMeasureChain(sqrt2_dyadic)
+    ch.run_schedule(2)
+    assert counts["values"] <= 197 and counts["morphisms"] <= 18
+    snapshot = jsonutil.dumps(ch.to_json()).encode("utf-8")
+    assert hashlib.sha256(snapshot).hexdigest() == (
+        "60b9f371f3388eb2df9a5f66935e930dbdf8e6f0b89f84c0a5ba5379c0a179ba"
+    )
+
+
+# -- prefixes handed to extend_prefix --------------------------------------------------------
+
+
+def test_extend_prefix_rejects_weight_changing_maps(dyadic):
+    ch = GoodMeasureChain(dyadic)
+    ch.absorb_object(obj("1/4", "1/4", "1/2"))
+    a, b, c = ch.levels[1].cells
+    for top_map in ({a: c, c: a, b: b}, {a: a, b: a, c: c}):
+        sigma = AutomorphismPrefix((1,), {1: top_map})
+        with pytest.raises(WeightMismatch):
+            ch.extend_prefix(sigma, 3)
+    assert ch.depth == 1

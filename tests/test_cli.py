@@ -48,7 +48,7 @@ def files(tmp_path):
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out.strip() else None)
+    return code, (jsonutil.loads(out) if out.strip() else None)
 
 
 def test_build_chain_deterministic(files, capsys):
@@ -262,11 +262,11 @@ def test_check_good_rejects_doctored_maximality_lift(files, capsys):
     doctored = files / "doctored.json"
     jsonutil.write(doctored, data)
     report = files / "report.json"
-    code, env = run(capsys, "check-good", "--snapshot", str(doctored), "--depth", "1",
-                    "--out", str(report))
-    assert code == 1 and env["result"]["all_ok"] is False
-    oks = [m["ok"] for m in jsonutil.read(report)["maximality"]]
-    assert False in oks and True in oks
+    code = main(["check-good", "--snapshot", str(doctored), "--depth", "1",
+                 "--out", str(report)])
+    assert code == 2
+    assert "response does not map level" in _one_line_error(capsys)
+    assert not report.exists()
     code, env = run(capsys, "check-good", "--snapshot", str(snap), "--depth", "1")
     assert code == 0 and env["result"]["all_ok"] is True
 
@@ -451,3 +451,177 @@ def test_composite_refute_keeps_a_decided_no(files, capsys, monkeypatch):
                     str(files / "composite.json"), "--targets", ",".join(["1/9"] * 9))
     assert code == 1 and env["result"]["feasible"] is False
     assert "failing_component" not in env["certificate"]
+
+
+# -- snapshots are verified on load ----------------------------------------------------
+
+
+def _snapshot_inputs(files, capsys):
+    """A budget-3 dyadic snapshot, a two-cycle on level 1 and the identity on level 1."""
+    snap = files / "snap.json"
+    run(capsys, "build-chain", "--descriptor", str(files / "dyadic.json"),
+        "--budget", "3", "--out", str(snap))
+    mat = files / "mat.json"
+    jsonutil.write(mat, {"level": 1, "entries": [
+        {"from": "r/0", "to": "r/1", "w": {"q": "1/2"}},
+        {"from": "r/1", "to": "r/0", "w": {"q": "1/2"}}]})
+    prefix = files / "prefix.json"
+    jsonutil.write(prefix, {"maps": {"1": {"r/0": "r/0", "r/1": "r/1"}}})
+    return snap, mat, prefix
+
+
+def _load_commands(snapshot, mat, prefix):
+    return {
+        "check-compat": ["check-compat", "--matrix", str(mat), "--snapshot", str(snapshot),
+                         "--prefix", str(prefix)],
+        "witness": ["witness", "--matrix", str(mat), "--snapshot", str(snapshot)],
+    }
+
+
+def _weight_outside_v(data):
+    data["levels"][-1]["cells"][0]["w"] = {"q": "1/3"}
+    return "snapshot weight 1/3 is not in V"
+
+
+def _link_moves_mass(data):
+    k = len(data["links"]) - 1
+    link = data["links"][k]["map"]
+    first, *_, last = link
+    assert link[first] != link[last]
+    link[last] = link[first]
+    return f"snapshot link {k} does not map level {k + 1} onto level {k}"
+
+
+def _object_response_not_a_morphism(data):
+    n, entry = next((n, e) for n, e in enumerate(data["ledger"])
+                    if e["kind"] == "object" and len(e["challenge"]["cells"]) > 1)
+    first = entry["challenge"]["cells"][0]["id"]
+    entry["response"]["map"] = {c: first for c in entry["response"]["map"]}
+    return f"ledger entry {n}: response does not map level {entry['stage']} onto its challenge"
+
+
+def _morphism_response_not_commuting(data):
+    # swap the images of two stage cells of equal weight over different cells
+    # of the target level: the response stays a morphism but leaves its fibers
+    for n, e in enumerate(data["ledger"]):
+        if e["kind"] != "morphism":
+            continue
+        r, cm = e["response"]["map"], e["challenge_map"]
+        weight = {c["id"]: c["w"] for c in data["levels"][e["stage"]]["cells"]}
+        for a in r:
+            for b in r:
+                if weight[a] == weight[b] and cm[r[a]] != cm[r[b]]:
+                    r[a], r[b] = r[b], r[a]
+                    return f"ledger entry {n}: response does not commute with the chain"
+    raise AssertionError("no morphism entry to doctor")
+
+
+def _target_level(value):
+    def doctor(data):
+        n, entry = next((n, e) for n, e in enumerate(data["ledger"]) if e["kind"] == "morphism")
+        entry["target_level"] = value(data)
+        return (f"ledger entry {n}: target level {entry['target_level']} is not a level "
+                f"at or below stage {entry['stage']}")
+    return doctor
+
+
+DOCTORED = {
+    "weight_outside_v": _weight_outside_v,
+    "link_moves_mass": _link_moves_mass,
+    "object_response_not_a_morphism": _object_response_not_a_morphism,
+    "morphism_response_not_commuting": _morphism_response_not_commuting,
+    "target_level_negative": _target_level(lambda data: -1),
+    "target_level_past_the_top": _target_level(lambda data: len(data["levels"])),
+}
+
+
+@pytest.mark.parametrize("command", ["check-compat", "witness"])
+@pytest.mark.parametrize("case", sorted(DOCTORED))
+def test_doctored_snapshot_is_invalid_input(files, capsys, case, command):
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    assert main(_load_commands(snap, mat, prefix)[command]) in (0, 1)
+    capsys.readouterr()
+    data = jsonutil.read(snap)
+    reason = DOCTORED[case](data)
+    doctored = files / "doctored.json"
+    jsonutil.write(doctored, data)
+    assert main(_load_commands(doctored, mat, prefix)[command]) == 2
+    assert _one_line_error(capsys) == f"invalid input: ValueError: {reason}"
+
+
+def test_written_snapshots_load(files, capsys):
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    out = files / "extended.json"
+    code, _ = run(capsys, "witness", "--matrix", str(mat), "--snapshot", str(snap),
+                  "--out-snapshot", str(out))
+    assert code == 0
+    resumed = files / "resumed.json"
+    code, _ = run(capsys, "build-chain", "--resume", str(out), "--budget", "3",
+                  "--out", str(resumed))
+    assert code == 0
+    for path in (snap, out, resumed):
+        assert main(_load_commands(path, mat, prefix)["check-compat"]) in (0, 1)
+        assert capsys.readouterr().err == ""
+
+
+# -- JSON integers are read exactly -----------------------------------------------------
+
+
+@pytest.mark.parametrize("default", ["INF", "5"])
+def test_default_exponent_other_than_0_or_inf_is_invalid_input(files, capsys, default):
+    desc = files / "default.json"
+    jsonutil.write(desc, {"rational": {"default": default, "exceptions": {"2": "inf"}},
+                          "irrationals": []})
+    assert main(["decide-rokhlin", "--descriptor", str(desc)]) == 2
+    _one_line_error(capsys)
+
+
+_BOOL_INT = "inexact number True where an integer is required"
+
+
+def test_bool_matrix_level_is_invalid_input(files, capsys):
+    snap, mat, _ = _snapshot_inputs(files, capsys)
+    data = jsonutil.read(mat)
+    data["level"] = True
+    jsonutil.write(mat, data)
+    assert main(["witness", "--matrix", str(mat), "--snapshot", str(snap)]) == 2
+    assert _BOOL_INT in _one_line_error(capsys)
+
+
+def test_bool_cycle_length_is_invalid_input(files, capsys):
+    inp = files / "findm.json"
+    jsonutil.write(inp, {"src": [{"w": {"q": "1"}, "n": True}],
+                         "tgt": [{"w": {"q": "1"}, "n": 1}]})
+    assert main(["find-morphism", "--input", str(inp)]) == 2
+    assert _BOOL_INT in _one_line_error(capsys)
+
+
+def test_bool_tuple_morphism_block_is_invalid_input(files, capsys):
+    halves = [{"w": {"q": "1/2"}, "n": 1}, {"w": {"q": "1/2"}, "n": 1}]
+    tuples = files / "tuples.json"
+    jsonutil.write(tuples, {
+        "descriptor": {"rational": {"default": "inf", "exceptions": {}}, "irrationals": []},
+        "A": halves, "B0": halves, "p0": [[0], [True]], "B1": halves, "p1": [[0], [1]],
+    })
+    assert main(["amalgamate-tuples", "--input", str(tuples)]) == 2
+    assert _BOOL_INT in _one_line_error(capsys)
+
+
+def test_bool_ledger_stage_is_invalid_input(files, capsys):
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    data = jsonutil.read(snap)
+    next(e for e in data["ledger"] if e["stage"] == 1)["stage"] = True
+    jsonutil.write(snap, data)
+    assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
+    assert _BOOL_INT in _one_line_error(capsys)
+
+
+def test_bool_composite_budget_is_invalid_input(files, capsys):
+    spec = json.loads(json.dumps(COMPOSITE_SPEC))
+    spec["components"][0]["budget"] = True
+    path = files / "bool_budget.json"
+    jsonutil.write(path, spec)
+    assert main(["composite", "build", "--spec", str(path),
+                 "--out", str(files / "never.json")]) == 2
+    assert _BOOL_INT in _one_line_error(capsys)
+    assert not (files / "never.json").exists()

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -248,6 +249,19 @@ def test_find_matches_recursive_search(rationals):
         if _recursive_find(src, tgt, effort) is not None:
             assert find_tuple_morphism(src, tgt, effort) == expected
     assert found > 50 and absent > 50
+
+
+def test_find_memory_is_linear_in_the_input():
+    """300 distinct entries onto the same 300: options are built on access."""
+    t = CycleTuple.make([(E(Fraction(i, 10**6)), 1) for i in range(1, 301)])
+    tracemalloc.start()
+    try:
+        found = find_tuple_morphism(t, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 10**6
+    assert found == _recursive_find(t, t)
 
 
 # -- ring product lift -----------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from goodmeasures.chain import AutomorphismPrefix, GoodMeasureChain
-from goodmeasures.errors import DepthTooShallow, NotCycleObject, NotEquiSummed
+from goodmeasures.errors import DepthTooShallow, NotCycleObject, NotEquiSummed, WeightMismatch
 from goodmeasures.flows import decompose_entries
 from goodmeasures.matrices import (
     BalancedMatrix,
@@ -187,6 +187,15 @@ def test_lift_cycle_two_cycle_uneven_split(dyadic):
     assert validate(ch, B)
     m = MatrixMorphism(pi, B, A)
     assert verify_matrix_morphism(ch, m)
+
+
+def test_lift_cycle_rejects_invalid_matrix(dyadic):
+    ch = halves_chain(dyadic)
+    a, b = ch.levels[1].cells
+    A = BalancedMatrix(1, {(a, b): E("1/2"), (b, a): E("1/4")})
+    P = ch.levels[1]
+    with pytest.raises(ValueError, match="not a valid balanced matrix"):
+        lift_cycle(ch, A, PartitionMorphism(P, P, {c: c for c in P.cells}), 1)
 
 
 def test_lift_cycle_rejects_non_cycle(dyadic):
@@ -413,3 +422,17 @@ def test_conjugate_random_instances(dyadic):
         f = compatible_witness(ch, B)
         g = fiber_permutation(ch, B.level, f.depth, rng=rng, group_level=A.level)
         assert conjugate_transport_check(ch, f, g, p)
+
+
+def test_conjugate_rejects_weight_changing_prefix(dyadic):
+    ch = halves_chain(dyadic)
+    a, b = ch.levels[1].cells
+    R, pi = split_cell(ch.levels[1], a, [E("1/8"), E("3/8")], dyadic)
+    ch._append_level(R, pi)
+    A = two_cycle(ch, 1)
+    f = compatible_witness(ch, A)
+    # g respects the fibers of level 1 but swaps cells of weights 1/8 and 3/8
+    g = AutomorphismPrefix((2,), {2: {f"{a}/0": f"{a}/1", f"{a}/1": f"{a}/0", b: b}})
+    assert f.depth > g.depth
+    with pytest.raises(WeightMismatch):
+        conjugate_transport_check(ch, f, g, identity_matrix_morphism(ch, A))

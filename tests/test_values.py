@@ -479,7 +479,7 @@ def test_loads_rejects_json_floats():
 
 def test_digit_enclosures_use_the_fewest_digits():
     for base, digits in ((2, "1011" * 30), (3, "2102" * 20), (10, "4142135623" * 8), (36, "zq9" * 9), (10, "41")):
-        oracle = IrrationalSymbol.digits("d", base, digits)._oracle
+        oracle = IrrationalSymbol.digits("d", base, digits).enclosure
         for k in range(0, 120):
             n = 1
             while base**n < 1 << k and n < len(digits):
