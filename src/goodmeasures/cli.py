@@ -288,8 +288,8 @@ def cmd_check_closure(args) -> int:
     ws = _workspace(args)
     descriptor = _read_json(args.descriptor, ws, "descriptors")
     V = GroupDescriptor.from_json(descriptor)
-    violations = cycles_mod.divisibility_closure_check(V, args.samples)
-    _emit("check-closure", {"descriptor": descriptor, "samples": args.samples},
+    violations = cycles_mod.divisibility_closure_check(V)
+    _emit("check-closure", {"descriptor": descriptor},
           {"violations": violations, "count": len(violations)},
           violations[0] if violations else None, ws)
     return 1 if violations else 0
@@ -410,9 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--effort", type=int, default=10**6)
     p.set_defaults(func=cmd_find_morphism)
 
-    p = sub.add_parser("check-closure", help="sampled divisibility closure of the value set")
+    p = sub.add_parser("check-closure", help="exact divisibility closure of the value set")
     p.add_argument("--descriptor", required=True)
-    p.add_argument("--samples", type=int, default=10)
     p.set_defaults(func=cmd_check_closure)
 
     p = sub.add_parser("dichotomy", help="scaled value set without a dense conjugacy class")

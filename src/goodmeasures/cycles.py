@@ -28,7 +28,7 @@ from .errors import (
 )
 from .jsonutil import parse_int
 from .partitions import common_refinement
-from .values import ExactValue, GroupDescriptor, ONE, ZERO, check_all_in
+from .values import ExactValue, GroupDescriptor, INF, ONE, ZERO, _is_prime, check_all_in
 
 Entry = tuple[ExactValue, int]
 
@@ -394,35 +394,40 @@ def rokhlin_decide(V: GroupDescriptor) -> RokhlinVerdict:
     return RokhlinVerdict("unknown", "unknown", {})
 
 
-def divisibility_closure_check(V: GroupDescriptor, samples: int) -> list[dict]:
-    """Sampled closure test of Q = {n : 1/n in V} and of division of V by Q.
+def divisibility_closure_check(V: GroupDescriptor) -> list[dict]:
+    """Decide whether Q = {n >= 2 : 1/n in V} is closed under products and V
+    under division by Q, from the exponent tables alone.
 
-    Any reported violation certifies that the Rokhlin property fails.
+    Write e_p for the rational group's exponent at the prime p.  Products
+    fail iff some p has 0 < e_p < inf; the least such p gives n = p,
+    m = p**e_p.  Quotients fail iff some p with e_p >= 1 has a finite
+    exponent f in a component group (the rational group, then each symbol's
+    in name order); the least such p and the first such group give
+    v = 1/p**f or s/p**f, n = p.  Every prime listed in no table takes the
+    defaults, so the listed primes and the least unlisted one decide both.
+
+    Returns at most one violation of each kind, the product first.  Where
+    ``rokhlin_decide`` answers "yes" there is none, and where it answers "no"
+    there is one.  A violation on a set it leaves "unknown", such as
+    Z[1/2] + Z*s, is a fact about V, not a verdict on the Rokhlin property.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    qs: list[int] = []
-    n = 2
-    while len(qs) < samples and n <= 16 * samples + 64:
-        if V.member(ExactValue.of(Fraction(1, n))):
-            qs.append(n)
-        n += 1
-    budget = 4
-    vals = V.enumerate_values(budget)
-    while len(vals) < samples and budget < 64:
-        budget *= 2
-        vals = V.enumerate_values(budget)
-    vals = vals[:samples]
-    violations: list[dict] = []
-    for i, a in enumerate(qs):
-        for b in qs[i:]:
-            if not V.member(ExactValue.of(Fraction(1, a * b))):
-                violations.append({"kind": "product", "n": a, "m": b})
-    for v in vals:
-        for a in qs:
-            if not V.member(v.scale(Fraction(1, a))):
-                violations.append({"kind": "quotient", "v": v.to_json(), "n": a})
-    return violations
+    groups = [(None, V.rational), *V.irr]
+    listed = {p for _, g in groups for p, _ in g.exceptions}
+    unlisted = next(p for p in itertools.count(2) if p not in listed and _is_prime(p))
+    product = quotient = None
+    for p in sorted(listed | {unlisted}):
+        e = V.rational.exponent(p)
+        if product is None and 0 < e < INF:
+            product = {"kind": "product", "n": p, "m": p**e}
+        if quotient is None and e >= 1:
+            for s, g in groups:
+                f = g.exponent(p)
+                if f != INF:
+                    coeff = Fraction(1, p**f)
+                    v = ExactValue.of(coeff) if s is None else ExactValue.of(0, {s: coeff})
+                    quotient = {"kind": "quotient", "v": v.to_json(), "n": p}
+                    break
+    return [x for x in (product, quotient) if x is not None]
 
 
 @dataclass(frozen=True)

@@ -231,39 +231,6 @@ def lift_edges(
     return entries
 
 
-def refinement_feasible(
-    parts: Sequence[ExactValue], targets: Sequence[ExactValue], limit: int = 200_000
-) -> bool:
-    """Brute-force check that the parts can be grouped into blocks with the
-    given sums.  Independent of the inductive construction; used as an oracle.
-    """
-    order = sorted(range(len(parts)), key=lambda i: parts[i].sort_key(), reverse=True)
-    remaining = [targets[j] for j in range(len(targets))]
-    budget = [limit]
-
-    def place(pos: int) -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise RuntimeError("feasibility search budget exhausted")
-        if pos == len(order):
-            return all(r == ZERO for r in remaining)
-        p = parts[order[pos]]
-        seen = set()
-        for j in range(len(remaining)):
-            key = remaining[j]
-            if key in seen:
-                continue
-            seen.add(key)
-            if remaining[j] >= p:
-                remaining[j] = remaining[j] - p
-                if place(pos + 1):
-                    return True
-                remaining[j] = remaining[j] + p
-        return False
-
-    return place(0)
-
-
 # ---------------------------------------------------------------------------
 # amalgamation and splitting
 # ---------------------------------------------------------------------------

@@ -440,20 +440,16 @@ class GroupDescriptor:
     """A finitely described group-like set V = G ∩ [0,1].
 
     G is the rational component plus, per declared symbol s, its coefficient
-    group times s.  The set is countably infinite iff the rational component
-    is bigger than Z or at least one symbol is declared; ``infinite`` is the
-    user's assertion of that fact and is checked against it.
+    group times s.  The set is countably infinite, and so group-like, iff the
+    rational component is bigger than Z or at least one symbol is declared.
     """
 
     rational: RationalGroup
     irr: tuple[tuple[IrrationalSymbol, RationalGroup], ...] = ()
-    infinite: bool = True
 
     @staticmethod
     def make(
-        rational: RationalGroup,
-        irr: Mapping[IrrationalSymbol, RationalGroup] | None = None,
-        infinite: bool | None = None,
+        rational: RationalGroup, irr: Mapping[IrrationalSymbol, RationalGroup] | None = None
     ) -> "GroupDescriptor":
         items = tuple(sorted((irr or {}).items(), key=lambda kv: kv[0].name))
         names = [s.name for s, _ in items]
@@ -469,10 +465,7 @@ class GroupDescriptor:
                         f"symbols {a} and {b} are rationally dependent: "
                         f"sqrt({m}) and sqrt({n}) have the same squarefree part"
                     )
-        derived = not rational.is_trivial or bool(items)
-        if infinite is None:
-            infinite = derived
-        return GroupDescriptor(rational, items, infinite and derived)
+        return GroupDescriptor(rational, items)
 
     # convenient stock descriptors -----------------------------------------
 
@@ -523,7 +516,7 @@ class GroupDescriptor:
     # -- classification ------------------------------------------------------
 
     def classify(self) -> Classification:
-        group_like = self.infinite and (not self.rational.is_trivial or bool(self.irr))
+        group_like = not self.rational.is_trivial or bool(self.irr)
         q_like = self.rational.is_all_rationals and all(g.is_all_rationals for _, g in self.irr)
         ring_like: bool | None
         if self.irr:
@@ -620,7 +613,7 @@ class GroupDescriptor:
         for entry in data.get("irrationals", []):
             s = IrrationalSymbol.from_json(entry["name"], entry["enclosure"])
             irr[s] = RationalGroup.from_json(entry["group"])
-        return GroupDescriptor.make(rational, irr, data.get("infinite"))
+        return GroupDescriptor.make(rational, irr)
 
 
 def check_all_in(values: Iterable[ExactValue], V: GroupDescriptor, what: str = "value") -> None:

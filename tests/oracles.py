@@ -1,0 +1,79 @@
+"""Brute-force oracles the tests check the engine against.
+
+Each one is independent of the construction it checks: it enumerates or
+searches where the engine decides in closed form or by induction.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from goodmeasures.values import ExactValue, GroupDescriptor, ZERO
+
+
+def refinement_feasible(
+    parts: Sequence[ExactValue], targets: Sequence[ExactValue], limit: int = 200_000
+) -> bool:
+    """Brute-force check that the parts can be grouped into blocks with the
+    given sums.  Independent of the inductive construction; used as an oracle.
+    """
+    order = sorted(range(len(parts)), key=lambda i: parts[i].sort_key(), reverse=True)
+    remaining = [targets[j] for j in range(len(targets))]
+    budget = [limit]
+
+    def place(pos: int) -> bool:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise RuntimeError("feasibility search budget exhausted")
+        if pos == len(order):
+            return all(r == ZERO for r in remaining)
+        p = parts[order[pos]]
+        seen = set()
+        for j in range(len(remaining)):
+            key = remaining[j]
+            if key in seen:
+                continue
+            seen.add(key)
+            if remaining[j] >= p:
+                remaining[j] = remaining[j] - p
+                if place(pos + 1):
+                    return True
+                remaining[j] = remaining[j] + p
+        return False
+
+    return place(0)
+
+
+def sampled_closure_violations(V: GroupDescriptor, samples: int) -> list[dict]:
+    """Sampled closure test of Q = {n : 1/n in V} and of division of V by Q.
+
+    Tries the first ``samples`` members of Q (searched up to 16 * samples + 64)
+    against each other and against the first ``samples`` enumerated values of
+    V, and reports every pair that leaves V.  It can miss violations, never
+    invent one, so it is a soundness reference for the exact decision.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    qs: list[int] = []
+    n = 2
+    while len(qs) < samples and n <= 16 * samples + 64:
+        if V.member(ExactValue.of(Fraction(1, n))):
+            qs.append(n)
+        n += 1
+    budget = 4
+    vals = V.enumerate_values(budget)
+    while len(vals) < samples and budget < 64:
+        budget *= 2
+        vals = V.enumerate_values(budget)
+    vals = vals[:samples]
+    violations: list[dict] = []
+    for i, a in enumerate(qs):
+        for b in qs[i:]:
+            if not V.member(ExactValue.of(Fraction(1, a * b))):
+                violations.append({"kind": "product", "n": a, "m": b})
+    for v in vals:
+        for a in qs:
+            if not V.member(v.scale(Fraction(1, a))):
+                violations.append({"kind": "quotient", "v": v.to_json(), "n": a})
+    return violations

@@ -1,11 +1,13 @@
 """CLI envelopes, exit codes, determinism, artifact round-trips."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from goodmeasures import composite, jsonutil
-from goodmeasures.cli import main
+from goodmeasures.cli import build_parser, main
 from goodmeasures.cycles import CycleTuple, TupleMorphism, verify_tuple_morphism
 
 DYADIC = {"rational": {"default": "0", "exceptions": {"2": "inf"}}, "irrationals": []}
@@ -354,15 +356,57 @@ def test_find_morphism_exit_codes(files, capsys):
 
 
 def test_check_closure_exit_codes(files, capsys):
-    code, env = run(capsys, "check-closure", "--descriptor", str(files / "dyadic.json"),
-                    "--samples", "6")
+    code, env = run(capsys, "check-closure", "--descriptor", str(files / "dyadic.json"))
     assert code == 0 and env["result"]["count"] == 0
     mixed = files / "mixed.json"
     jsonutil.write(mixed, {"rational": {"default": "0",
                                         "exceptions": {"2": "inf", "3": 1}},
                            "irrationals": []})
-    code, env = run(capsys, "check-closure", "--descriptor", str(mixed), "--samples", "6")
+    code, env = run(capsys, "check-closure", "--descriptor", str(mixed))
     assert code == 1 and env["result"]["count"] >= 1
+
+
+SQRT2 = {"kind": "sqrt", "radicand": 2, "shift": "-1"}
+
+
+@pytest.mark.parametrize("descriptor,certificate", [
+    # Z[1/1009]: 1/1009 is in V, 1/1009**2 is not
+    ({"rational": {"default": "0", "exceptions": {"1009": 1}}, "irrationals": []},
+     {"kind": "product", "n": 1009, "m": 1009}),
+    # Q + Q*s, where s's coefficient group stops at 1009
+    ({"rational": {"default": "inf", "exceptions": {}},
+      "irrationals": [{"name": "s", "enclosure": SQRT2,
+                       "group": {"default": "inf", "exceptions": {"1009": 0}}}]},
+     {"kind": "quotient", "v": {"q": "0", "irr": {"s": "1"}}, "n": 1009}),
+])
+def test_check_closure_decides_beyond_small_primes(files, capsys, descriptor, certificate):
+    path = files / "closure.json"
+    jsonutil.write(path, descriptor)
+    code, env = run(capsys, "check-closure", "--descriptor", str(path))
+    assert code == 1
+    assert env["certificate"] == certificate == env["result"]["violations"][0]
+    assert env["input_hash"] == jsonutil.digest({"descriptor": descriptor})
+    code, verdict = run(capsys, "decide-rokhlin", "--descriptor", str(path))
+    assert code == 1 and verdict["result"]["rokhlin"] == "no"
+
+
+def test_infinite_key_is_ignored(files, capsys):
+    path = files / "dyadic-infinite.json"
+    jsonutil.write(path, dict(DYADIC, infinite=False))
+    code, env = run(capsys, "decide-rokhlin", "--descriptor", str(path))
+    assert code == 0 and env["result"]["rokhlin"] == "yes"
+    code, env = run(capsys, "check-closure", "--descriptor", str(path))
+    assert code == 0 and env["result"]["count"] == 0
+
+
+def test_readme_command_examples_parse():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    examples = [line for line in readme.read_text(encoding="utf-8").splitlines()
+                if line.startswith("goodmeasures ")]
+    assert len(examples) >= 13
+    parser = build_parser()
+    for line in examples:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_composite_commands(files, capsys):

@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from goodmeasures.cycles import (
@@ -35,9 +35,18 @@ from goodmeasures.errors import (
     NotRingLike,
     PreconditionFailed,
 )
-from goodmeasures.values import GroupDescriptor, INF, ONE, RationalGroup, ZERO
+from goodmeasures.values import (
+    ExactValue,
+    GroupDescriptor,
+    INF,
+    IrrationalSymbol,
+    ONE,
+    RationalGroup,
+    ZERO,
+)
 
 from conftest import E, random_cycle_tuple, random_split, random_tuple_cospan
+from oracles import sampled_closure_violations
 
 
 def T(*entries):
@@ -430,16 +439,97 @@ def test_decide_qlike_with_symbols(sqrt2_module):
 
 
 def test_closure_dyadic_empty(dyadic):
-    assert divisibility_closure_check(dyadic, 8) == []
+    assert divisibility_closure_check(dyadic) == []
 
 
 def test_closure_rationals_empty(rationals):
-    assert divisibility_closure_check(rationals, 8) == []
+    assert divisibility_closure_check(rationals) == []
 
 
 def test_closure_mixed_finds_nine(mixed_23):
-    report = divisibility_closure_check(mixed_23, 8)
+    report = divisibility_closure_check(mixed_23)
     assert {"kind": "product", "n": 3, "m": 3} in report
+
+
+def _closure_certified(V, violation) -> bool:
+    """Check one violation by membership alone."""
+    n = violation["n"]
+    if violation["kind"] == "product":
+        m = violation["m"]
+        return (V.member(E(Fraction(1, n))) and V.member(E(Fraction(1, m)))
+                and not V.member(E(Fraction(1, n * m))))
+    v = ExactValue.from_json(violation["v"], V.symbols())
+    return V.member(v) and V.member(E(Fraction(1, n))) and not V.member(v.scale(Fraction(1, n)))
+
+
+_S2 = IrrationalSymbol.sqrt("s2", 2, -1)
+_S3 = IrrationalSymbol.sqrt("s3", 3, -1)
+_CLOSURE_S = {"q": "0", "irr": {"s2": "1"}}
+
+
+def _quotient(v, n):
+    return {"kind": "quotient", "v": v, "n": n}
+
+
+@pytest.mark.parametrize("rational,s_group,expected", [
+    # Z[1/1009]: 1/1009 is in V, 1/1009**2 is not
+    (RationalGroup.make(0, {1009: 1}), None,
+     [{"kind": "product", "n": 1009, "m": 1009}, _quotient({"q": "1/1009"}, 1009)]),
+    # Q + Q*s with s's coefficient group stopping at 1009
+    (RationalGroup.all_rationals(), RationalGroup.make(INF, {1009: 0}),
+     [_quotient(_CLOSURE_S, 1009)]),
+    # Z[1/2] + Z*s, Z[1/6] + Z[1/2]*s, and exponent 2 at 2 with Z[1/2]*s
+    (RationalGroup.make(0, {2: INF}), RationalGroup.integers(), [_quotient(_CLOSURE_S, 2)]),
+    (RationalGroup.make(0, {2: INF, 3: INF}), RationalGroup.make(0, {2: INF}),
+     [_quotient(_CLOSURE_S, 3)]),
+    (RationalGroup.make(0, {2: 2}), RationalGroup.make(0, {2: INF}),
+     [{"kind": "product", "n": 2, "m": 4}, _quotient({"q": "1/4"}, 2)]),
+    # the least prime listed in no table
+    (RationalGroup.all_rationals(), RationalGroup.make(0, {2: INF, 3: INF}),
+     [_quotient(_CLOSURE_S, 5)]),
+])
+def test_closure_exact_certificates(rational, s_group, expected):
+    V = GroupDescriptor.make(rational, {_S2: s_group} if s_group else None)
+    violations = divisibility_closure_check(V)
+    assert violations == expected
+    assert all(_closure_certified(V, x) for x in violations)
+
+
+_closure_groups = st.builds(
+    RationalGroup.make,
+    st.sampled_from([0, INF]),
+    st.dictionaries(st.sampled_from([2, 3, 5, 7, 1009]), st.sampled_from([0, 1, 2, INF]),
+                    max_size=3),
+)
+_closure_descriptors = st.builds(
+    lambda rational, groups: GroupDescriptor.make(rational, dict(zip((_S2, _S3), groups))),
+    _closure_groups,
+    st.lists(_closure_groups, max_size=2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(V=_closure_descriptors)
+def test_closure_exact_covers_sampler(V):
+    """Every sampled violation kind is also decided, and every decided
+    violation is certified by membership."""
+    violations = divisibility_closure_check(V)
+    assert len(violations) <= 2
+    assert all(_closure_certified(V, x) for x in violations)
+    sampled = {x["kind"] for x in sampled_closure_violations(V, 12)}
+    assert sampled <= {x["kind"] for x in violations}
+
+
+@settings(max_examples=200, deadline=None)
+@given(V=_closure_descriptors)
+def test_closure_agrees_with_rokhlin_decide(V):
+    assume(V.classify().group_like)
+    verdict = rokhlin_decide(V).rokhlin
+    violations = divisibility_closure_check(V)
+    if verdict == "no":
+        assert violations
+    if verdict == "yes":
+        assert violations == []
 
 
 # -- dichotomy ------------------------------------------------------------------------------
@@ -488,7 +578,7 @@ def test_yes_verdicts_back_up_with_lifts(dyadic, sixth_adic, rationals):
 def test_no_verdicts_back_up_with_violations(mixed_23):
     for V in (GroupDescriptor.make(RationalGroup.make(0, {2: 3})), mixed_23):
         assert rokhlin_decide(V).rokhlin == "no"
-        assert divisibility_closure_check(V, 10)
+        assert divisibility_closure_check(V)
 
 
 # -- canonical form (hypothesis) ------------------------------------------------------------------

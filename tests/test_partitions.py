@@ -12,13 +12,13 @@ from goodmeasures.partitions import (
     common_refinement,
     compose,
     identity,
-    refinement_feasible,
     split_cell,
     verify_morphism,
 )
 from goodmeasures.values import ONE, ZERO
 
 from conftest import E, random_partition, random_refining_morphism, random_split
+from oracles import refinement_feasible
 
 
 def P(*weights, prefix="c"):

@@ -86,11 +86,6 @@ def test_classify_irrational_ring_like_undecided(sqrt2_module):
     assert cls.group_like and not cls.q_like and cls.ring_like is None
 
 
-def test_not_infinite_flag():
-    V = GroupDescriptor.make(RationalGroup.make(0, {2: INF}), infinite=False)
-    assert not V.classify().group_like
-
-
 def test_trivial_group_never_infinite():
     V = GroupDescriptor.make(RationalGroup.integers())
     assert not V.classify().group_like
