@@ -241,25 +241,38 @@ class GoodMeasureChain:
         """Extend the chain so the target partition has a lift; returns the stage.
 
         Challenges already absorbed (same weight multiset) are detected in the
-        ledger and do not extend the chain.
+        ledger and do not extend the chain.  A challenge the top already
+        refines is answered from the current top, with no new level.
         """
         self._check_object(target)
         key = _obj_key(target)
         if key in self._ledger_index:
             return self.ledger[self._ledger_index[key]].stage
         if target.sorted_weight_key() == self.top.sorted_weight_key():
-            lift = _weight_matching(self.top, target)
-            stage = self.depth
+            lift = _weight_matching(self.top, target).mapping
         else:
             # both collapses are valid: the top and the target have total 1
-            G, p1, p2 = amalgamate_valid(self._collapse(self.top), self._collapse(target))
-            self._append_level(G, p1)
-            lift = p2
-            stage = self.depth
-        entry = LedgerEntry("object", key, stage, target, None, None, dict(lift.mapping))
+            lift = self._absorb_amalgam(self._collapse(self.top), self._collapse(target))
+        entry = LedgerEntry("object", key, self.depth, target, None, None, lift)
         self._ledger_index[key] = len(self.ledger)
         self.ledger.append(entry)
-        return stage
+        return entry.stage
+
+    def _absorb_amalgam(self, f1: PartitionMorphism, f2: PartitionMorphism) -> dict[str, str]:
+        """Amalgamate f1 (from the top) with f2 and return the response, a
+        map from the top after this call onto f2's source.
+
+        When the amalgam has as many cells as the top, its p1 is a bijection:
+        the top already refines f2's source and ``p2 ∘ p1⁻¹`` answers from
+        it, so no level is appended.  Otherwise the amalgam becomes the new
+        top and p2 is the response.  Either way f2 ∘ response equals f1 on
+        the top, because the amalgam square commutes.
+        """
+        G, p1, p2 = amalgamate_valid(f1, f2)
+        if len(G.cells) == len(self.top.cells):
+            return {p1.mapping[g]: p2.mapping[g] for g in G.cells}
+        self._append_level(G, p1)
+        return dict(p2.mapping)
 
     def absorb_morphism(
         self, challenge: PartitionMorphism, target_level: int
@@ -268,7 +281,8 @@ class GoodMeasureChain:
 
         Returns a stage j and the recorded morphism r: P_j -> A with
         challenge ∘ r equal to the chain projection from j to i, verified
-        cellwise when it is first recorded.
+        cellwise when it is first recorded.  A challenge the top already
+        refines is answered from the current top, with no new level.
         """
         if not 0 <= target_level <= self.depth:
             raise ValueError(f"target level {target_level} is not a level of the chain")
@@ -279,25 +293,15 @@ class GoodMeasureChain:
         check_all_in(challenge.source.weight_list(), self.V, "challenge weight")
         key = _mor_key(target_level, challenge)
         if key not in self._ledger_index:
-            is_identity = challenge.source.cells == level_obj.cells and all(
-                challenge.mapping[c] == c for c in level_obj.cells
-            )
-            if is_identity:
-                stage = self.depth
-                r = self.composite_morphism(stage, target_level)
-            else:
-                f1 = self.composite_morphism(self.depth, target_level)
-                G, p1, p2 = amalgamate_valid(f1, f2)
-                self._append_level(G, p1)
-                stage = self.depth
-                r = p2
+            r = self._absorb_amalgam(self.composite_morphism(self.depth, target_level), f2)
+            stage = self.depth
             proj = self.composite_mapping(stage, target_level)
-            if not _commutes(challenge.mapping, r.mapping, proj):
+            if not _commutes(challenge.mapping, r, proj):
                 raise RuntimeError("absorption failed to commute; this is a bug")
             self._ledger_index[key] = len(self.ledger)
             self.ledger.append(LedgerEntry(
                 "morphism", key, stage, challenge.source, target_level,
-                dict(challenge.mapping), dict(r.mapping),
+                dict(challenge.mapping), r,
             ))
         entry = self.ledger[self._ledger_index[key]]
         return entry.stage, PartitionMorphism(
@@ -318,7 +322,9 @@ class GoodMeasureChain:
 
         Objects come before morphisms at each height; the ledger makes the
         schedule idempotent for a fixed budget, and larger budgets only append
-        further levels.
+        further levels.  A challenge the top already refines is answered from
+        the current top, so only challenges that need a finer partition
+        append a level.
         """
         if budget < 1:
             raise ValueError("budget must be >= 1")

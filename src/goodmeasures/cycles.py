@@ -410,7 +410,11 @@ def divisibility_closure_check(V: GroupDescriptor) -> list[dict]:
     ``rokhlin_decide`` answers "yes" there is none, and where it answers "no"
     there is one.  A violation on a set it leaves "unknown", such as
     Z[1/2] + Z*s, is a fact about V, not a verdict on the Rokhlin property.
+    A descriptor that is not group-like raises ``NotGroupLike``, as in
+    ``rokhlin_decide``.
     """
+    if not V.classify().group_like:
+        raise NotGroupLike("descriptor is not group-like")
     groups = [(None, V.rational), *V.irr]
     listed = {p for _, g in groups for p, _ in g.exceptions}
     unlisted = next(p for p in itertools.count(2) if p not in listed and _is_prime(p))

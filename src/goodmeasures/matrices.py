@@ -211,12 +211,13 @@ def _split_at_top(
     return C, MatrixMorphism(chain.links[-1], C, A)
 
 
-def _lift_to_fresh_level(
+def _lift_to_response_level(
     chain: GoodMeasureChain, A: BalancedMatrix
 ) -> tuple[BalancedMatrix, MatrixMorphism]:
     """Absorb the abstract cycle split of A as a morphism challenge and lift
-    A's cycles onto the responding level.  All cells of one cycle of D carry
-    the cycle's weight, so every lifted edge joins fibers of equal mass."""
+    A's cycles onto the responding level: the current top when it already
+    refines the split, otherwise a new level.  All cells of one cycle of D
+    carry the cycle's weight, so every lifted edge joins fibers of equal mass."""
     P_A = chain.levels[A.level]
     cycles = cycle_decompose(A)
     through = cycles_through(P_A.cells, [cyc.vertices for cyc in cycles])
@@ -255,7 +256,7 @@ def to_cycle_object(
         if cur.level == chain.depth:
             cur, step = _split_at_top(chain, cur)
         else:
-            cur, step = _lift_to_fresh_level(chain, cur)
+            cur, step = _lift_to_response_level(chain, cur)
         proj = step if proj is None else compose_matrix_morphisms(proj, step)
     else:
         raise RuntimeError("cycle representative did not stabilise; this is a bug")

@@ -180,13 +180,16 @@ def _refine(left, right) -> list[tuple[ExactValue, int, int]]:
             peeled.append((a, i, j))
             left.pop()
             right.pop()
-        elif b < a:
+            continue
+        # one difference decides the order and is the remainder; -d keeps its sign
+        d = a - b
+        if ZERO < d:
             peeled.append((b, i, j))
-            left[i] = a - b
+            left[i] = d
             right.pop()
         else:
             peeled.append((a, i, j))
-            right[j] = b - a
+            right[j] = -d
             left.pop()
     if len(left) == 1:
         base = [(w, 0, j) for j, w in enumerate(right)]

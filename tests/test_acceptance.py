@@ -119,6 +119,7 @@ def test_c03_goodness_at_finite_level(dyadic, triadic):
     for V in (dyadic, triadic):
         chain = GoodMeasureChain(V)
         chain.run_schedule(3)
+        chain.ensure_depth(2)
         cells = list(chain.levels[2].cells)
         subsets = []
         for mask in range(1, 2 ** len(cells)):

@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ from goodmeasures.partitions import (
 from goodmeasures.values import GroupDescriptor, ONE, RationalGroup, ZERO, check_all_in
 
 from conftest import E
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def obj(*weights):
@@ -97,13 +100,17 @@ def test_absorbed_object_lift_verifies(dyadic):
 
 
 def test_absorb_identity_morphism(dyadic):
+    """An identity challenge is answered by the chain projection from the top,
+    at the top and below it, with no new level."""
     ch = GoodMeasureChain(dyadic)
     ch.absorb_object(obj("1/2", "1/2"))
-    level1 = ch.levels[1]
-    challenge = PartitionMorphism(level1, level1, {c: c for c in level1.cells})
-    stage, _ = ch.absorb_morphism(challenge, target_level=1)
-    entry = ch.ledger[-1]
-    assert entry.response_map == ch.composite_mapping(stage, 1)
+    ch.ensure_depth(2)
+    for level in (2, 1):
+        L = ch.levels[level]
+        challenge = PartitionMorphism(L, L, {c: c for c in L.cells})
+        stage, r = ch.absorb_morphism(challenge, target_level=level)
+        assert stage == ch.depth == 2
+        assert ch.ledger[-1].response_map == r.mapping == ch.composite_mapping(stage, level)
 
 
 def test_absorb_split_challenge(dyadic):
@@ -133,6 +140,46 @@ def test_absorb_morphism_rejects_invalid(dyadic):
     bad = PartitionMorphism(src, level1, {"s0": level1.cells[0], "s1": level1.cells[1]})
     with pytest.raises(InvalidChallenge):
         ch.absorb_morphism(bad, target_level=1)
+
+
+# -- challenges the top already refines ------------------------------------------------
+
+
+def test_relabelled_object_appends_no_level(dyadic):
+    ch = GoodMeasureChain(dyadic)
+    ch.absorb_object(obj("1/4", "1/4", "1/2"))
+    target = obj("1/2", "1/2")
+    stage = ch.absorb_object(target)
+    assert stage == ch.depth == 1
+    entry = ch.ledger[-1]
+    assert verify_morphism(PartitionMorphism(ch.top, target, dict(entry.response_map)))
+
+
+def test_relabelled_morphism_appends_no_level(dyadic):
+    ch = GoodMeasureChain(dyadic)
+    ch.absorb_object(obj("1/2", "1/2"))
+    ch.absorb_object(obj("1/4", "1/4", "1/2"))
+    assert ch.depth == 2 and ch.composite_mapping(2, 1) == {
+        "r/0/0": "r/0", "r/0/1": "r/0", "r/1": "r/1"
+    }
+    level1 = ch.levels[1]
+    # the split of r/0 into quarters, which the top already carries
+    src = WeightedPartition.make([("s0", E("1/2")), ("s1", E("1/4")), ("s2", E("1/4"))])
+    challenge = PartitionMorphism(src, level1, {"s0": "r/1", "s1": "r/0", "s2": "r/0"})
+    stage, r = ch.absorb_morphism(challenge, target_level=1)
+    assert stage == ch.depth == 2
+    assert verify_morphism(r) and r.source is ch.top
+    proj = ch.composite_mapping(stage, 1)
+    assert all(challenge.mapping[r.mapping[c]] == proj[c] for c in ch.top.cells)
+
+
+def test_relabelling_keeps_sqrt2_dyadic_budget3_short(sqrt2_dyadic):
+    ch = GoodMeasureChain(sqrt2_dyadic)
+    ch.run_schedule(3)
+    assert len(ch.levels) <= 130
+    for entry in ch.ledger:
+        r = PartitionMorphism(ch.levels[entry.stage], entry.challenge_object, entry.response_map)
+        assert verify_morphism(r)
 
 
 # -- schedule ---------------------------------------------------------------------------
@@ -373,6 +420,26 @@ def test_snapshot_reload_and_continue(dyadic):
     assert jsonutil.dumps(again.to_json()) == jsonutil.dumps(ch.to_json())
 
 
+def test_snapshot_written_before_relabelling_still_answers():
+    """A dyadic budget-3 snapshot from when every absorption appended a level
+    loads; each ledger challenge is answered at its recorded stage with no new
+    level, and rerunning the schedule leaves its bytes unchanged."""
+    text = (FIXTURES / "dyadic_budget3_before_relabel.json").read_text(encoding="utf-8")
+    ch = GoodMeasureChain.from_json(jsonutil.loads(text))
+    assert len(ch.levels) == 8
+    for entry in list(ch.ledger):
+        if entry.kind == "object":
+            assert ch.absorb_object(entry.challenge_object) == entry.stage
+        else:
+            target = ch.levels[entry.target_level]
+            challenge = PartitionMorphism(entry.challenge_object, target, entry.challenge_map)
+            stage, r = ch.absorb_morphism(challenge, entry.target_level)
+            assert stage == entry.stage and r.mapping == entry.response_map
+    assert len(ch.levels) == 8
+    ch.run_schedule(3)
+    assert jsonutil.dumps(ch.to_json()) == text
+
+
 def test_sqrt2_module_chain(sqrt2_module):
     ch = GoodMeasureChain(sqrt2_module)
     ch.run_schedule(1)
@@ -509,7 +576,7 @@ def test_schedule_checks_each_value_once(sqrt2_dyadic, monkeypatch):
     assert counts["values"] <= 197 and counts["morphisms"] <= 18
     snapshot = jsonutil.dumps(ch.to_json()).encode("utf-8")
     assert hashlib.sha256(snapshot).hexdigest() == (
-        "60b9f371f3388eb2df9a5f66935e930dbdf8e6f0b89f84c0a5ba5379c0a179ba"
+        "430cdb0f8146b112b55d1836d26e3cffff62e3ee479b84c79bf98c493dabe7af"
     )
 
 

@@ -390,6 +390,17 @@ def test_check_closure_decides_beyond_small_primes(files, capsys, descriptor, ce
     assert code == 1 and verdict["result"]["rokhlin"] == "no"
 
 
+def test_check_closure_rejects_non_group_like(files, capsys):
+    """On Z both commands exit 2 with the same one-line reason and no envelope."""
+    path = files / "integers.json"
+    jsonutil.write(path, {"rational": {"default": "0", "exceptions": {}}})
+    for command in ("check-closure", "decide-rokhlin"):
+        assert main([command, "--descriptor", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "NotGroupLike: descriptor is not group-like\n"
+
+
 def test_infinite_key_is_ignored(files, capsys):
     path = files / "dyadic-infinite.json"
     jsonutil.write(path, dict(DYADIC, infinite=False))

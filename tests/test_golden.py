@@ -21,19 +21,19 @@ from conftest import E, random_balanced_matrix
 from test_matrices import fiber_permutation
 
 SCHEDULE_DIGESTS = {
-    ("dyadic", 1): "8251e29e14ffd9cdfc781b66858e68c9581756cfb5c8a081b23ffede0949ac34",
-    ("dyadic", 2): "8251e29e14ffd9cdfc781b66858e68c9581756cfb5c8a081b23ffede0949ac34",
-    ("dyadic", 3): "d5d7ae3dbf856156e8a3c0734e82d70f0bde08a35b7fb6246bc5d92373846c4a",
+    ("dyadic", 1): "ea0282d0ba9699087168e59ed03bec210e2445045a67c08de454da1f3f94b1d7",
+    ("dyadic", 2): "ea0282d0ba9699087168e59ed03bec210e2445045a67c08de454da1f3f94b1d7",
+    ("dyadic", 3): "c9bc0d2fc6b620e5e046edff28ea1816dd6d524d08f6863979e06c7908fc3fa8",
     ("triadic", 1): "c6c61549405990c1fd8dd2340cdad71374140487e426a694e7aadf45d8c681a4",
-    ("triadic", 2): "7c46ecee23143ad0770321c50b7a13bce1916d39b06f3da4cc0df7ef83a39677",
-    ("triadic", 3): "7c46ecee23143ad0770321c50b7a13bce1916d39b06f3da4cc0df7ef83a39677",
-    ("sqrt2_module", 1): "5e71873adc70b92d60461fae0471fe456c48bb7bbff03b2d12b3394f6836d7a9",
-    ("sqrt2_module", 2): "701ffe1bd372d5c097fca3d2339e52bd40274ae18ddf6fac46d04c14a220a7cb",
+    ("triadic", 2): "80a794bbd50f00904968b22daa1795c6af009d79e4e437fa8640a5d92452cdfa",
+    ("triadic", 3): "80a794bbd50f00904968b22daa1795c6af009d79e4e437fa8640a5d92452cdfa",
+    ("sqrt2_module", 1): "d0d4ac4f6f4d2dd94470b63d4e7c3379b97a1cb3a5a0f5d74977c62d4973081d",
+    ("sqrt2_module", 2): "b3ab5770f7ef8c0e926068fa6cc380ef52d4139ed20d3d6de632f1c36b25ebbb",
 }
-WITNESS_DIGEST = "87a294bfb22f0f5c0d390b7a1edaf55a06a28c8a7bf971934e9e06d8742ea954"
-TRANSPORT_DIGEST = "5f484b40a442e6e98eead8ec139e9e4d1a7ced4c161ec08ad4d49e87faec3026"
-ORBIT_SPLIT_DIGEST = "e6b16c770f97bc73887d4044f7daa2a531b4d2e3c96863a307c191ee251f743a"
-CHECK_GOOD_DIGEST = "c569d352c50909a5b213d2855feefdb121866bfd37c61e019dac367e736257a0"
+WITNESS_DIGEST = "47b95e7b863965babd6a4452fe8ff82e02d59a499e455f1b0dc7224336b1e71b"
+TRANSPORT_DIGEST = "a9a509051836880fe29e47001945a54f3f6fc8d3872afcb8dbd081261b3306b5"
+ORBIT_SPLIT_DIGEST = "30c3f33110d94bdf5f24c353d57fd98785cf5108aac88f190ec8d8ff6f9dd291"
+CHECK_GOOD_DIGEST = "2ac7137da69d096bb3e905b750878a78ee9c4d94c4cf10fbf56f4927b17fb053"
 
 
 def _sha(obj) -> str:

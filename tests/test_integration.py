@@ -30,6 +30,7 @@ def test_mixed_operation_fuzz(dyadic, triadic, sqrt2_module):
     for V in (dyadic, triadic, sqrt2_module):
         chain = GoodMeasureChain(V)
         chain.run_schedule(2)
+        chain.ensure_depth(2)
         for step in range(30):
             op = rng.choice(["object", "witness", "iso", "matrix", "measure"])
             if op == "object":

@@ -147,6 +147,7 @@ def test_to_cycle_object_mixing(dyadic):
 def test_to_cycle_object_below_top(dyadic):
     ch = halves_chain(dyadic)
     ch.run_schedule(2)
+    ch.ensure_depth(2)
     A = mixing_matrix(ch, 1)
     assert A.level < ch.depth
     C, proj = to_cycle_object(ch, A)
@@ -417,6 +418,7 @@ def test_conjugate_random_instances(dyadic):
     for _ in range(12):
         ch = GoodMeasureChain(dyadic)
         ch.run_schedule(2)
+        ch.ensure_depth(2)
         A = random_balanced_matrix(rng, ch, rng.randint(1, 2))
         B, p = to_cycle_object(ch, A)
         f = compatible_witness(ch, B)
