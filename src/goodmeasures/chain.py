@@ -13,9 +13,11 @@ Levels are append-only: witnesses may extend the chain but never rewrite it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     InvalidChallenge,
@@ -36,7 +38,7 @@ from .partitions import (
     split_cell,
     verify_morphism,
 )
-from .values import ExactValue, GroupDescriptor, ONE, ZERO, check_all_in
+from .values import ExactValue, GroupDescriptor, ONE, PackedValues, ZERO, check_all_in
 
 ROOT_CELL = "r"
 
@@ -130,6 +132,23 @@ class LedgerEntry:
         return out
 
 
+class _TopIndex:
+    """What absorption reads off one top level, each part on first use: its
+    sorted weight key, and per target level the projection onto that level
+    and the cumulative sums of each fiber (``GoodMeasureChain._fiber_index``).
+    ``GoodMeasureChain._append_level`` drops it with the old top.
+    """
+
+    def __init__(self, top: WeightedPartition):
+        self.top = top
+        self.projections: dict[int, dict[str, str]] = {}
+        self.fibers: dict[int, dict[str, tuple[list[str], dict[ExactValue, int]]]] = {}
+
+    @cached_property
+    def weight_key(self) -> tuple:
+        return self.top.sorted_weight_key()
+
+
 class GoodMeasureChain:
     """Single-writer, append-only prefix of a Fraïssé chain over a value set.
 
@@ -151,6 +170,7 @@ class GoodMeasureChain:
         self.links: list[PartitionMorphism] = []
         self.ledger: list[LedgerEntry] = []
         self._ledger_index: dict[tuple, int] = {}
+        self._top: _TopIndex | None = None  # what absorption reads off the top
 
     # -- structure -----------------------------------------------------------
 
@@ -194,6 +214,7 @@ class GoodMeasureChain:
             raise ValueError("link must map the new level onto the current top")
         self.levels.append(P)
         self.links.append(link)
+        self._top = None
 
     # -- measures and clopen sets ---------------------------------------------
 
@@ -248,31 +269,94 @@ class GoodMeasureChain:
         key = _obj_key(target)
         if key in self._ledger_index:
             return self.ledger[self._ledger_index[key]].stage
-        if target.sorted_weight_key() == self.top.sorted_weight_key():
+        if key[1] == self._top_index().weight_key:
             lift = _weight_matching(self.top, target).mapping
         else:
-            # both collapses are valid: the top and the target have total 1
-            lift = self._absorb_amalgam(self._collapse(self.top), self._collapse(target))
+            # the collapse is valid: the target has total 1
+            lift = self._respond(self._collapse(target), 0)
         entry = LedgerEntry("object", key, self.depth, target, None, None, lift)
         self._ledger_index[key] = len(self.ledger)
         self.ledger.append(entry)
         return entry.stage
 
-    def _absorb_amalgam(self, f1: PartitionMorphism, f2: PartitionMorphism) -> dict[str, str]:
-        """Amalgamate f1 (from the top) with f2 and return the response, a
-        map from the top after this call onto f2's source.
+    def _top_index(self) -> _TopIndex:
+        index = self._top
+        if index is None:
+            index = self._top = _TopIndex(self.top)
+        return index
 
-        When the amalgam has as many cells as the top, its p1 is a bijection:
-        the top already refines f2's source and ``p2 ∘ p1⁻¹`` answers from
-        it, so no level is appended.  Otherwise the amalgam becomes the new
-        top and p2 is the response.  Either way f2 ∘ response equals f1 on
-        the top, because the amalgam square commutes.
+    def _projection(self, level: int) -> dict[str, str]:
+        """The chain projection from the top onto a level, computed once per top."""
+        index = self._top_index()
+        proj = index.projections.get(level)
+        if proj is None:
+            proj = index.projections[level] = self.composite_mapping(self.depth, level)
+        return proj
+
+    def _fiber_index(self, level: int) -> dict[str, tuple[list[str], dict[ExactValue, int]]]:
+        """Per cell x of a level: the top cells over x in top order, and a
+        dict that ``_interval_response`` fills on first use with each
+        cumulative sum of their weights, mapped to the number of cells it
+        covers.  Both are kept for the top's lifetime."""
+        index = self._top_index()
+        fibers = index.fibers.get(level)
+        if fibers is None:
+            f1 = PartitionMorphism(self.top, self.levels[level], self._projection(level))
+            fibers = index.fibers[level] = {x: (ys, {}) for x, ys in f1.fibers().items()}
+        return fibers
+
+    def _interval_response(self, f2: PartitionMorphism, level: int) -> dict[str, str] | None:
+        """The response from the current top to a challenge f2 onto a level,
+        or None when the top does not refine f2's source.
+
+        Within each fiber over a cell of the level, both sides are interval
+        partitions of the same mass laid out in cell order.  The top refines
+        the challenge there iff every cumulative sum of the challenge's fiber
+        is one of the top's; each top cell then maps to the challenge cell
+        whose interval holds it.  This is the ``p2 ∘ p1⁻¹`` of an amalgam
+        with exactly as many cells as the top, read off without building it.
+        Precondition: f2 is a valid morphism onto the level.
         """
-        G, p1, p2 = amalgamate_valid(f1, f2)
-        if len(G.cells) == len(self.top.cells):
-            return {p1.mapping[g]: p2.mapping[g] for g in G.cells}
+        fibers, top_weight, weight = self._fiber_index(level), self.top.weights, f2.source.weights
+        response: dict[str, str] = {}
+        for x, zs in f2.fibers().items():
+            ys, sums = fibers[x]
+            if not sums:
+                acc = None
+                for n, y in enumerate(ys, 1):
+                    acc = top_weight[y] if acc is None else acc + top_weight[y]
+                    sums[acc] = n
+            start, acc = 0, None
+            for z in zs:
+                acc = weight[z] if acc is None else acc + weight[z]
+                end = sums.get(acc)
+                if end is None:
+                    return None
+                for y in ys[start:end]:
+                    response[y] = z
+                start = end
+        return response
+
+    def _respond(self, f2: PartitionMorphism, level: int) -> dict[str, str]:
+        """Answer the challenge f2 onto a level; returns a map from the top
+        after this call onto f2's source.
+
+        The current top answers when it refines f2's source
+        (``_interval_response``).  Otherwise some boundary of the challenge
+        is missing, so the amalgam of the top's projection with f2 has more
+        cells than the top: it becomes the new top and its p2 is the
+        response.  Either way f2 ∘ response is the chain projection onto the
+        level.
+        """
+        response = self._interval_response(f2, level)
+        if response is not None:
+            return response
+        proj = self._projection(level)
+        G, p1, p2 = amalgamate_valid(PartitionMorphism(self.top, self.levels[level], proj), f2)
         self._append_level(G, p1)
-        return dict(p2.mapping)
+        # the new top projects through p1, without walking the levels again
+        self._top_index().projections[level] = {g: proj[y] for g, y in p1.mapping.items()}
+        return p2.mapping
 
     def absorb_morphism(
         self, challenge: PartitionMorphism, target_level: int
@@ -293,14 +377,12 @@ class GoodMeasureChain:
         check_all_in(challenge.source.weight_list(), self.V, "challenge weight")
         key = _mor_key(target_level, challenge)
         if key not in self._ledger_index:
-            r = self._absorb_amalgam(self.composite_morphism(self.depth, target_level), f2)
-            stage = self.depth
-            proj = self.composite_mapping(stage, target_level)
-            if not _commutes(challenge.mapping, r, proj):
+            r = self._respond(f2, target_level)
+            if not _commutes(challenge.mapping, r, self._projection(target_level)):
                 raise RuntimeError("absorption failed to commute; this is a bug")
             self._ledger_index[key] = len(self.ledger)
             self.ledger.append(LedgerEntry(
-                "morphism", key, stage, challenge.source, target_level,
+                "morphism", key, self.depth, challenge.source, target_level,
                 dict(challenge.mapping), r,
             ))
         entry = self.ledger[self._ledger_index[key]]
@@ -310,11 +392,18 @@ class GoodMeasureChain:
 
     # -- deterministic schedule -------------------------------------------------
 
-    def _object_challenges(self, height: int) -> list[WeightedPartition]:
-        values = self.V.enumerate_values(height + 1)
+    def _object_challenges(
+        self, height: int, values: list[ExactValue] | None = None
+    ) -> list[WeightedPartition]:
+        """The object challenges of a height: every nondecreasing index tuple
+        of at most height + 1 values of height at most height + 1 summing to
+        1, in depth-first order.  ``values`` is that enumeration, when the
+        caller already has it."""
+        if values is None:
+            values = self.V.enumerate_values(height + 1)
         return [
             WeightedPartition.make([(f"x{k}", values[i]) for k, i in enumerate(seq)])
-            for seq in _index_sums_to_one(values, 0, ZERO, height + 1)
+            for seq in _sums_to_one(values, height + 1)
         ]
 
     def run_schedule(self, budget: int) -> "GoodMeasureChain":
@@ -324,16 +413,19 @@ class GoodMeasureChain:
         schedule idempotent for a fixed budget, and larger budgets only append
         further levels.  A challenge the top already refines is answered from
         the current top, so only challenges that need a finer partition
-        append a level.
+        append a level.  V is enumerated once, up to height budget + 1; the
+        values of height at most h + 1 are a prefix of that list.
         """
         if budget < 1:
             raise ValueError("budget must be >= 1")
+        enumerated = self.V.enumerate_values(budget + 1)
+        heights = [v.height() for v in enumerated]
         for h in range(1, budget + 1):
-            for obj in self._object_challenges(h):
+            values = enumerated[:bisect_right(heights, h + 1)]
+            for obj in self._object_challenges(h, values):
                 self.absorb_object(obj)
             lvl = min(h - 1, self.depth)
             P = self.levels[lvl]
-            values = self.V.enumerate_values(h + 1)
             for c in P.cells:
                 w = P.weight(c)
                 for a in values:
@@ -708,22 +800,49 @@ def _commutes(
     return all(challenge_map[response_map[c]] == t for c, t in proj.items())
 
 
-def _index_sums_to_one(
-    values: list[ExactValue], lo: int, acc: ExactValue, room: int
-) -> Iterator[tuple[int, ...]]:
-    """Index tuples lo <= i1 <= i2 <= ... of at most ``room`` entries with
-    acc + values[i1] + values[i2] + ... == 1, depth first.
+def _sums_to_one(values: list[ExactValue], room: int) -> list[tuple[int, ...]]:
+    """Index tuples i1 <= i2 <= ... of at most ``room`` entries with
+    values[i1] + values[i2] + ... == 1, depth first.
 
-    A module-level generator, not a recursive closure: a closure that calls
-    itself is a reference cycle, which only the cyclic collector frees.
+    Partial sums are packed ints (``PackedValues``), so a sum is one int
+    addition and ``== 1`` one int comparison.  A partial sum is extended only
+    if it is not above 1; that is decided by ``ExactValue`` once per distinct
+    sum, in the order the sums are first met.  The last entry of a tuple is
+    looked up: the values are distinct, so at most one completes the sum.
     """
-    for i in range(lo, len(values)):
-        nxt = acc + values[i]
-        if nxt == ONE:
-            yield (i,)
-        elif room > 1 and not nxt > ONE:
-            for rest in _index_sums_to_one(values, i, nxt, room - 1):
-                yield (i, *rest)
+    pv = PackedValues(values, room)
+    packed, one = pv.packed, pv.one
+    where = {p: j for j, p in enumerate(packed)}
+    above: dict[int, bool] = {}
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+    sums = [0]  # sums[k]: the packed sum of prefix[:k]
+    i, n = 0, len(packed)
+    while True:
+        acc = sums[-1]
+        if len(prefix) == room - 1:
+            j = where.get(one - acc)
+            if j is not None and j >= i:
+                out.append((*prefix, j))
+            i = n
+        while i < n:
+            s = acc + packed[i]
+            if s == one:
+                out.append((*prefix, i))
+            else:
+                big = above.get(s)
+                if big is None:
+                    big = above[s] = pv.unpack(s) > ONE
+                if not big:
+                    prefix.append(i)  # the next entry starts at i again
+                    sums.append(s)
+                    break
+            i += 1
+        else:
+            if not prefix:
+                return out
+            i = prefix.pop() + 1
+            sums.pop()
 
 
 def _match_by_weight(

@@ -285,6 +285,52 @@ ZERO = ExactValue.of(0)
 ONE = ExactValue.of(1)
 
 
+class PackedValues:
+    """The values of one list as single ints, for sums of at most ``room`` of them.
+
+    Each value is written over the list's common denominator ``den``, and its
+    integer coordinates (the rational part, then one per symbol by name) are
+    packed as signed digits, ``width`` bits per slot.  Slots are wide enough
+    that every coordinate of such a sum, and of 1, stays below
+    2**(width - 1) in magnitude, so no slot carries: packing is additive, and
+    two such sums are equal as values iff their packed ints are equal.
+    """
+
+    def __init__(self, values: Sequence[ExactValue], room: int):
+        symbols: dict[str, IrrationalSymbol] = {}
+        for v in values:
+            for s in v.syms:
+                symbols.setdefault(s.name, s)
+        names = sorted(symbols)
+        slot = {n: i for i, n in enumerate(names, 1)}
+        self.syms = tuple(symbols[n] for n in names)
+        self.den = math.lcm(1, *[v.den for v in values])
+        coords = []
+        bound = self.den  # the coordinates of 1 are (den, 0, ...)
+        for v in values:
+            m = self.den // v.den
+            c = [(0, v.nums[0] * m)] + [(slot[s.name], n * m) for s, n in zip(v.syms, v.nums[1:])]
+            coords.append(c)
+            bound = max(bound, room * max(abs(x) for _, x in c))
+        self.width = bound.bit_length() + 1
+        #: the packed int of each value, in list order, and that of 1
+        self.packed = [sum(x << (i * self.width) for i, x in c) for c in coords]
+        self.one = self.den
+
+    def unpack(self, p: int) -> ExactValue:
+        """The value of a packed sum of at most ``room`` of the values."""
+        w = self.width
+        mask, half = (1 << w) - 1, 1 << (w - 1)
+        nums = []
+        for _ in range(len(self.syms) + 1):
+            x = p & mask
+            if x >= half:
+                x -= 1 << w
+            nums.append(x)
+            p = (p - x) >> w
+        return _reduced(self.den, nums, self.syms)
+
+
 # ---------------------------------------------------------------------------
 # subgroups of Q containing Z, described by prime exponents
 # ---------------------------------------------------------------------------

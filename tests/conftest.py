@@ -71,6 +71,16 @@ def sqrt2_dyadic() -> GroupDescriptor:
     return GroupDescriptor.make(dyadic, {sqrt2_symbol(): dyadic})
 
 
+@pytest.fixture(scope="session")
+def two_symbol() -> GroupDescriptor:
+    """Z[1/2] + Z[1/2]*(sqrt(2)-1) + Z*(sqrt(3)-1): two symbols, two groups."""
+    dyadic = RationalGroup.make(0, {2: INF})
+    return GroupDescriptor.make(
+        dyadic,
+        {sqrt2_symbol(): dyadic, IrrationalSymbol.sqrt("s3", 3, -1): RationalGroup.integers()},
+    )
+
+
 def alpha_symbol() -> IrrationalSymbol:
     return IrrationalSymbol.sqrt("alpha", 2, -1)
 

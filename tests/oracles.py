@@ -7,9 +7,9 @@ searches where the engine decides in closed form or by induction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from goodmeasures.values import ExactValue, GroupDescriptor, ZERO
+from goodmeasures.values import ExactValue, GroupDescriptor, ONE, ZERO
 
 
 def refinement_feasible(
@@ -77,3 +77,22 @@ def sampled_closure_violations(V: GroupDescriptor, samples: int) -> list[dict]:
             if not V.member(v.scale(Fraction(1, a))):
                 violations.append({"kind": "quotient", "v": v.to_json(), "n": a})
     return violations
+
+
+def index_sums_to_one(
+    values: list[ExactValue], lo: int, acc: ExactValue, room: int
+) -> Iterator[tuple[int, ...]]:
+    """Index tuples lo <= i1 <= i2 <= ... of at most ``room`` entries with
+    acc + values[i1] + values[i2] + ... == 1, depth first.
+
+    The engine's former enumeration of object challenges: every partial sum
+    is an ``ExactValue``, and ``> 1`` is decided afresh for each one.  The
+    reference for the packed-integer enumeration ``chain._sums_to_one``.
+    """
+    for i in range(lo, len(values)):
+        nxt = acc + values[i]
+        if nxt == ONE:
+            yield (i,)
+        elif room > 1 and not nxt > ONE:
+            for rest in index_sums_to_one(values, i, nxt, room - 1):
+                yield (i, *rest)

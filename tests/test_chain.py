@@ -1,11 +1,16 @@
 """Chain engine: absorption, schedule, witnesses, automorphism prefixes."""
 
 import hashlib
+import itertools
+import random
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from goodmeasures import chain as chain_module
 from goodmeasures import jsonutil, partitions, values
 from goodmeasures.chain import AutomorphismPrefix, ClopenSet, GoodMeasureChain, invert_prefix
 from goodmeasures.errors import (
@@ -20,12 +25,14 @@ from goodmeasures.matrices import BalancedMatrix, to_cycle_object
 from goodmeasures.partitions import (
     PartitionMorphism,
     WeightedPartition,
+    amalgamate_valid,
     split_cell,
     verify_morphism,
 )
 from goodmeasures.values import GroupDescriptor, ONE, RationalGroup, ZERO, check_all_in
 
-from conftest import E
+from conftest import E, random_partition, random_refining_morphism, value_pool
+from oracles import index_sums_to_one
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -180,6 +187,134 @@ def test_relabelling_keeps_sqrt2_dyadic_budget3_short(sqrt2_dyadic):
     for entry in ch.ledger:
         r = PartitionMorphism(ch.levels[entry.stage], entry.challenge_object, entry.response_map)
         assert verify_morphism(r)
+
+
+def _coarsening(rng, cells, weights, prefix):
+    """Merge random runs of consecutive cells into (cell, weight) pairs."""
+    out, acc = [], None
+    for n, c in enumerate(cells):
+        acc = weights[c] if acc is None else acc + weights[c]
+        if n == len(cells) - 1 or rng.random() < 0.5:
+            out.append((f"{prefix}{len(out)}", acc))
+            acc = None
+    return out
+
+
+def _interval_challenge(rng, ch, kind):
+    """A challenge onto some level of ch, as (f2, level).
+
+    ``coarsen`` merges runs of the top's fibers in order, so the top refines
+    it; ``permute`` first shuffles each fiber; ``random`` draws an object or
+    a refinement of the level cell by cell, and ``split`` splits one cell of
+    the level in two, as the schedule does.  The last three often need a
+    finer level.
+    """
+    V, top = ch.V, ch.top
+    level = rng.choice([0, rng.randint(0, ch.depth)])
+    L = ch.levels[level]
+    if kind in ("coarsen", "permute"):
+        proj = ch.composite_mapping(ch.depth, level)
+        cells, mapping = [], {}
+        for x in L.cells:
+            fiber = [y for y in top.cells if proj[y] == x]
+            if kind == "permute":
+                rng.shuffle(fiber)
+            merged = _coarsening(rng, fiber, top.weights, f"{x}:")
+            cells += merged
+            mapping.update((cid, x) for cid, _ in merged)
+        A = WeightedPartition.make(cells)
+        return PartitionMorphism(A, L, mapping), level
+    if kind == "random":
+        if level == 0:
+            A = random_partition(rng, V, 5, prefix="z")
+            return ch._collapse(A), 0
+        return random_refining_morphism(rng, V, L, 3, "z"), level
+    c = rng.choice(L.cells)
+    w = L.weight(c)
+    parts = [a for a in value_pool(V, 4) if a < w]
+    if not parts:
+        return PartitionMorphism(L, L, {x: x for x in L.cells}), level
+    a = rng.choice(parts)
+    _, pi = split_cell(L, c, [a, w - a], V)
+    return pi, level
+
+
+def _interval_top(rng, V):
+    """A chain whose top comes from a few random object challenges."""
+    ch = GoodMeasureChain(V)
+    for _ in range(rng.randint(1, 4)):
+        ch.absorb_object(random_partition(rng, V, 4))
+    return ch
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    irrational=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["coarsen", "permute", "random", "split"]),
+)
+def test_interval_response_matches_amalgam(irrational, seed, kind, dyadic, sqrt2_dyadic):
+    """The top answers a challenge exactly when its amalgam with the top has
+    as many cells as the top, and then with the amalgam's p2 ∘ p1⁻¹."""
+    rng = random.Random(seed)
+    ch = _interval_top(rng, sqrt2_dyadic if irrational else dyadic)
+    f2, level = _interval_challenge(rng, ch, kind)
+    fast = ch._interval_response(f2, level)
+    f1 = ch.composite_morphism(ch.depth, level)
+    G, p1, p2 = amalgamate_valid(f1, f2)
+    assert (fast is not None) == (len(G.cells) == len(ch.top.cells))
+    if fast is not None:
+        assert fast == {p1.mapping[g]: p2.mapping[g] for g in G.cells}
+    if kind == "coarsen":
+        assert fast is not None
+
+
+def test_interval_draws_need_finer_levels(dyadic, sqrt2_dyadic):
+    """The oracle's draws reach both answers for every kind but ``coarsen``."""
+    answered = {}
+    for seed in range(60):
+        rng = random.Random(seed)
+        ch = _interval_top(rng, sqrt2_dyadic if seed % 2 else dyadic)
+        for kind in ("coarsen", "permute", "random", "split"):
+            f2, level = _interval_challenge(rng, ch, kind)
+            hit = ch._interval_response(f2, level) is not None
+            answered.setdefault(kind, set()).add(hit)
+    assert answered == {"coarsen": {True}, "permute": {True, False},
+                        "random": {True, False}, "split": {True, False}}
+
+
+def test_schedule_builds_one_amalgam_per_level(sqrt2_dyadic, monkeypatch):
+    """Only a challenge that needs a finer level builds an amalgam."""
+    calls = []
+
+    def counting(f1, f2):
+        calls.append(f2)
+        return amalgamate_valid(f1, f2)
+
+    monkeypatch.setattr(chain_module, "amalgamate_valid", counting)
+    ch = GoodMeasureChain(sqrt2_dyadic)
+    ch.run_schedule(3)
+    assert ch.depth == 89 and len(calls) == 89
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+@pytest.mark.parametrize(
+    "name", ["dyadic", "triadic", "sqrt2_module", "sqrt2_dyadic", "two_symbol"]
+)
+def test_sums_to_one_matches_oracle(name, height, request):
+    """The packed enumeration lists the oracle's tuples in the oracle's order.
+
+    Two symbols at height 3 give 62,840 tuples, which the oracle takes
+    minutes to list; there the first 200 are compared.
+    """
+    V = request.getfixturevalue(name)
+    vals = V.enumerate_values(height + 1)
+    got = chain_module._sums_to_one(vals, height + 1)
+    want = index_sums_to_one(vals, 0, ZERO, height + 1)
+    if name == "two_symbol" and height == 3:
+        assert len(got) == 62840
+        got, want = got[:200], itertools.islice(want, 200)
+    assert got == list(want)
 
 
 # -- schedule ---------------------------------------------------------------------------

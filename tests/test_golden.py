@@ -29,6 +29,8 @@ SCHEDULE_DIGESTS = {
     ("triadic", 3): "80a794bbd50f00904968b22daa1795c6af009d79e4e437fa8640a5d92452cdfa",
     ("sqrt2_module", 1): "d0d4ac4f6f4d2dd94470b63d4e7c3379b97a1cb3a5a0f5d74977c62d4973081d",
     ("sqrt2_module", 2): "b3ab5770f7ef8c0e926068fa6cc380ef52d4139ed20d3d6de632f1c36b25ebbb",
+    ("sqrt2_dyadic", 3): "14cbdb25e3b9c17472e21551d616306db72f39560c69a10758815e4bca0a095f",
+    ("two_symbol", 2): "b992f2d90aa3a4d7e6777ffccb6079f880927b3f5ede7bb1872a799fc6877b67",
 }
 WITNESS_DIGEST = "47b95e7b863965babd6a4452fe8ff82e02d59a499e455f1b0dc7224336b1e71b"
 TRANSPORT_DIGEST = "a9a509051836880fe29e47001945a54f3f6fc8d3872afcb8dbd081261b3306b5"
