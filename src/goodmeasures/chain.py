@@ -722,7 +722,8 @@ class GoodMeasureChain:
         V = GroupDescriptor.from_json(data["descriptor"])
         chain = GoodMeasureChain(V)
         symbols = V.symbols()
-        levels = [WeightedPartition.from_json(d, symbols) for d in data["levels"]]
+        memo: dict = {}  # one parse per distinct weight, see WeightedPartition.from_json
+        levels = [WeightedPartition.from_json(d, symbols, memo) for d in data["levels"]]
         if len(data["links"]) != len(levels) - 1:
             raise ValueError(f"snapshot has {len(levels)} levels but {len(data['links'])} links")
         chain.levels = levels
@@ -731,7 +732,8 @@ class GoodMeasureChain:
             for i, d in enumerate(data["links"])
         ]
         entries = [
-            _ledger_entry_from_json(n, e, levels, symbols) for n, e in enumerate(data["ledger"])
+            _ledger_entry_from_json(n, e, levels, symbols, memo)
+            for n, e in enumerate(data["ledger"])
         ]
         challenges = [e.challenge_object for e in entries]
         weights = dict.fromkeys(w for P in [*levels, *challenges] for w in P.weight_list())
@@ -768,14 +770,14 @@ class GoodMeasureChain:
 
 
 def _ledger_entry_from_json(
-    n: int, e: Mapping, levels: Sequence[WeightedPartition], symbols
+    n: int, e: Mapping, levels: Sequence[WeightedPartition], symbols, memo: dict
 ) -> LedgerEntry:
     """Ledger entry n of a snapshot, with its stage, its target level and, for
     a morphism entry, its challenge map checked against the snapshot's levels."""
     stage = parse_int(e["stage"])
     if not 0 <= stage < len(levels):
         raise ValueError(f"ledger entry {n}: stage {stage} is not a level of the snapshot")
-    obj = WeightedPartition.from_json(e["challenge"], symbols)
+    obj = WeightedPartition.from_json(e["challenge"], symbols, memo)
     response = dict(e["response"]["map"])
     if e["kind"] == "object":
         return LedgerEntry("object", _obj_key(obj), stage, obj, None, None, response)

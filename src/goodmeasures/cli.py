@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -435,8 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: each parse fills a fresh namespace, so no call
+# sees another's arguments
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GoodMeasuresError as exc:

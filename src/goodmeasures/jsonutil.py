@@ -11,14 +11,71 @@ import json
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
 
 
 def dumps(obj) -> str:
-    """Canonical text of obj.  Floats are not checked for here: ``loads``
-    rejects them on the way in, and every ``to_json`` writes numbers as
-    strings or ints."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Canonical text of obj: the text of
+    ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``.
+
+    The stdlib reaches its C encoder only without ``indent``, so the same text
+    is assembled here, pieces joined once.  Floats raise ``TypeError``, as in
+    ``loads``, and so do dict keys that are not strings.
+    """
+    chunks: list[str] = []
+    _encode(obj, chunks.append, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _encode(o, out, nl: str) -> None:
+    """Append the text of o, whose lines after the first begin with ``nl``."""
+    if type(o) is str:
+        out(_encode_str(o))
+    elif isinstance(o, dict):
+        if not o:
+            out("{}")
+            return
+        inner = nl + "  "
+        lead, sep = "{" + inner, "," + inner
+        for k in sorted(o):
+            out(lead)
+            out(_encode_str(k))  # a TypeError if k is not a string
+            out(": ")
+            _encode(o[k], out, inner)
+            lead = sep
+        out(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out("[]")
+            return
+        inner = nl + "  "
+        lead, sep = "[" + inner, "," + inner
+        for v in o:
+            out(lead)
+            _encode(v, out, inner)
+            lead = sep
+        out(nl + "]")
+    else:
+        out(_scalar(o))
+
+
+def _scalar(o) -> str:
+    """The text of a JSON leaf, tested in the stdlib encoder's order."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        raise TypeError(f"inexact number {o!r}; write fractions as strings such as \"1/10\"")
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _reject_float(text: str):

@@ -63,10 +63,22 @@ class WeightedPartition:
         }
 
     @staticmethod
-    def from_json(data: Mapping, symbols) -> "WeightedPartition":
-        return WeightedPartition.make(
-            [(e["id"], ExactValue.from_json(e["w"], symbols)) for e in data["cells"]]
-        )
+    def from_json(data: Mapping, symbols, memo: dict | None = None) -> "WeightedPartition":
+        """The partition of data.  ``memo``, kept for one snapshot, maps the
+        repr of a weight's JSON to its value, so that each distinct weight is
+        parsed once and its value shared.  The repr keeps JSON types apart
+        where a dict key would not: ``1 == True``, but ``"1" != "True"``."""
+        if memo is None:
+            memo = {}
+        cells = []
+        for e in data["cells"]:
+            w = e["w"]
+            key = repr(w)
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = ExactValue.from_json(w, symbols)
+            cells.append((e["id"], value))
+        return WeightedPartition.make(cells)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,22 @@
 """CLI envelopes, exit codes, determinism, artifact round-trips."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from goodmeasures import composite, jsonutil
+from goodmeasures.chain import GoodMeasureChain
 from goodmeasures.cli import build_parser, main
 from goodmeasures.cycles import CycleTuple, TupleMorphism, verify_tuple_morphism
 
 DYADIC = {"rational": {"default": "0", "exceptions": {"2": "inf"}}, "irrationals": []}
 BAD23 = {"rational": {"default": "0", "exceptions": {"2": 3}}, "irrationals": []}
+SRC = Path(__file__).resolve().parent.parent / "src"
 COMPOSITE_SPEC = {
     "components": [
         {
@@ -70,8 +75,6 @@ def test_snapshot_save_load_save(files, capsys):
     out = files / "snap.json"
     run(capsys, "build-chain", "--descriptor", str(files / "dyadic.json"),
         "--budget", "2", "--out", str(out))
-    from goodmeasures.chain import GoodMeasureChain
-
     chain = GoodMeasureChain.from_json(jsonutil.read(out))
     again = files / "again.json"
     jsonutil.write(again, chain.to_json())
@@ -617,6 +620,90 @@ def test_written_snapshots_load(files, capsys):
     for path in (snap, out, resumed):
         assert main(_load_commands(path, mat, prefix)["check-compat"]) in (0, 1)
         assert capsys.readouterr().err == ""
+
+
+# -- one parse per distinct weight -------------------------------------------------------
+
+
+SQRT2_DYADIC = {
+    "rational": {"default": "0", "exceptions": {"2": "inf"}},
+    "irrationals": [{"name": "s2", "enclosure": {"kind": "sqrt", "radicand": 2, "shift": "-1"},
+                     "group": {"default": "0", "exceptions": {"2": "inf"}}}],
+}
+S2 = {"irr": {"s2": "1"}, "q": "0"}
+S2_AS_INTS = {"irr": {"s2": 1}, "q": 0}
+
+
+def _sqrt2_snapshot(files, capsys):
+    desc = files / "sqrt2_dyadic.json"
+    jsonutil.write(desc, SQRT2_DYADIC)
+    snap = files / "sqrt2_snap.json"
+    code, _ = run(capsys, "build-chain", "--descriptor", str(desc), "--budget", "2",
+                  "--out", str(snap))
+    assert code == 0
+    return snap
+
+
+def _s2_cells(data) -> list[dict]:
+    """The cells of weight s2, in the order from_json parses them: the levels,
+    then the ledger challenges."""
+    cells = [c for L in data["levels"] for c in L["cells"]]
+    cells += [c for e in data["ledger"] for c in e["challenge"]["cells"]]
+    found = [c for c in cells if c["w"] == S2]
+    assert len(found) > 2
+    return found
+
+
+def test_loaded_snapshot_writes_the_bytes_it_was_read_from(files, capsys):
+    snap = _sqrt2_snapshot(files, capsys)
+    chain = GoodMeasureChain.from_json(jsonutil.read(snap))
+    assert jsonutil.dumps(chain.to_json()).encode("utf-8") == snap.read_bytes()
+    # the same weight written as JSON ints is parsed to the same value
+    data = jsonutil.read(snap)
+    for cell in _s2_cells(data):
+        cell["w"] = dict(S2_AS_INTS)
+    assert jsonutil.dumps(GoodMeasureChain.from_json(data).to_json()) == snap.read_text()
+
+
+@pytest.mark.parametrize("bad,reason", [
+    # equal to S2_AS_INTS as a dict key (True == 1), but a bool is not a number
+    ({"irr": {"s2": True}, "q": 0}, "TypeError: inexact number True;"),
+    ({"irr": {"s2": True}, "q": False}, "TypeError: inexact number True;"),
+    ({"irr": {"t": "1"}, "q": "0"}, "KeyError: 't'"),
+])
+def test_a_repeated_weight_in_a_bad_form_is_still_rejected(files, capsys, bad, reason):
+    snap = _sqrt2_snapshot(files, capsys)
+    data = jsonutil.read(snap)
+    first, *_, last = _s2_cells(data)
+    first["w"], last["w"] = dict(S2_AS_INTS), bad
+    with pytest.raises((TypeError, KeyError)):
+        GoodMeasureChain.from_json(data)
+    doctored = files / "doctored.json"
+    jsonutil.write(doctored, data)
+    mat = files / "mat.json"
+    jsonutil.write(mat, {"level": 0, "entries": [{"from": "r", "to": "r", "w": {"q": "1"}}]})
+    assert main(["witness", "--matrix", str(mat), "--snapshot", str(doctored)]) == 2
+    assert _one_line_error(capsys).startswith(f"invalid input: {reason}")
+
+
+# -- one parser per process ---------------------------------------------------------------
+
+
+def test_main_twice_in_one_process_carries_nothing_over(files, capsys, monkeypatch):
+    monkeypatch.delenv("CANTOR_WORKSPACE", raising=False)
+    second = ["check-closure", "--descriptor", str(files / "bad.json")]
+    env = {k: v for k, v in os.environ.items() if k != "CANTOR_WORKSPACE"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    alone = subprocess.run([sys.executable, "-m", "goodmeasures.cli", *second],
+                           capture_output=True, text=True, env=env, check=False)
+    ws = files / "ws"
+    assert main(["--workspace", str(ws), "decide-rokhlin",
+                 "--descriptor", str(files / "dyadic.json")]) == 0
+    capsys.readouterr()
+    code = main(second)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (alone.returncode, alone.stdout, alone.stderr)
+    assert len((ws / "runlog.jsonl").read_text(encoding="utf-8").splitlines()) == 1
 
 
 # -- JSON integers are read exactly -----------------------------------------------------

@@ -1,0 +1,81 @@
+"""Canonical JSON: ``dumps`` against the stdlib's indent-2 text, and its refusals."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from goodmeasures import jsonutil
+from goodmeasures.chain import GoodMeasureChain
+
+
+def stdlib_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+_STRINGS = st.text() | st.sampled_from([
+    "", '"', "\\", '\\"', "a\"b\\c", "\x00\x01\x1f\x7f", "\b\f\n\r\t", "  ",
+    "é", "√2−1", "\U0001d538\U0001f600", "\ud800",
+])
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | _STRINGS
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_STRINGS, inner, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_JSON)
+@example(obj={})
+@example(obj=[])
+@example(obj=())
+@example(obj={"b": {}, "a": [[], {}, ()], "": [{"z": None, "y": True, "x": False}]})
+@example(obj=[-(10**300), 10**300, 0, -1])
+@example(obj={"\U0001d538": "\x00", "é": "\\", "E": '"'})
+def test_dumps_matches_the_stdlib_indent_2_text(obj):
+    assert jsonutil.dumps(obj) == stdlib_text(obj)
+
+
+def test_dumps_matches_the_stdlib_on_a_sqrt2_dyadic_snapshot(sqrt2_dyadic):
+    chain = GoodMeasureChain(sqrt2_dyadic)
+    chain.run_schedule(3)
+    snapshot = chain.to_json()
+    assert jsonutil.dumps(snapshot) == stdlib_text(snapshot)
+
+
+@pytest.mark.parametrize("obj", [
+    1.5,
+    0.0,
+    float("nan"),
+    {"w": {"q": 0.5}},
+    [1, [2, [3.0]]],
+    Fraction(1, 2),
+    {1: "one"},
+    {"a": 1, 2: "two"},
+    {None: 0},
+    {True: 0},
+    {(1, 2): 0},
+])
+def test_dumps_refuses_floats_non_json_values_and_non_string_keys(obj):
+    with pytest.raises(TypeError):
+        jsonutil.dumps(obj)
+    with pytest.raises(TypeError):
+        jsonutil.digest(obj)
+
+
+def test_float_in_dumps_names_the_contract():
+    with pytest.raises(TypeError, match="inexact number 1.5"):
+        jsonutil.dumps({"w": [1.5]})
