@@ -32,8 +32,11 @@ from .jsonutil import parse_int
 from .partitions import (
     PartitionMorphism,
     WeightedPartition,
+    _assemble,
     _child_ids,
-    amalgamate_valid,
+    _cumulative,
+    _parts,
+    _place,
     lift_edges,
     split_cell,
     verify_morphism,
@@ -142,7 +145,7 @@ class _TopIndex:
     def __init__(self, top: WeightedPartition):
         self.top = top
         self.projections: dict[int, dict[str, str]] = {}
-        self.fibers: dict[int, dict[str, tuple[list[str], dict[ExactValue, int]]]] = {}
+        self.fibers: dict[int, dict[str, tuple]] = {}
 
     @cached_property
     def weight_key(self) -> tuple:
@@ -293,66 +296,50 @@ class GoodMeasureChain:
             proj = index.projections[level] = self.composite_mapping(self.depth, level)
         return proj
 
-    def _fiber_index(self, level: int) -> dict[str, tuple[list[str], dict[ExactValue, int]]]:
-        """Per cell x of a level: the top cells over x in top order, and a
-        dict that ``_interval_response`` fills on first use with each
-        cumulative sum of their weights, mapped to the number of cells it
-        covers.  Both are kept for the top's lifetime."""
+    def _fiber_index(self, level: int) -> dict[str, tuple]:
+        """Per cell x of a level: the top cells over x in top order, their
+        weights and those weights' ``_cumulative``, kept for the top's lifetime."""
         index = self._top_index()
         fibers = index.fibers.get(level)
         if fibers is None:
             f1 = PartitionMorphism(self.top, self.levels[level], self._projection(level))
-            fibers = index.fibers[level] = {x: (ys, {}) for x, ys in f1.fibers().items()}
+            fibers = index.fibers[level] = {}
+            for x, ys in f1.fibers().items():
+                left = [self.top.weights[y] for y in ys]
+                fibers[x] = (ys, left, *_cumulative(left))
         return fibers
-
-    def _interval_response(self, f2: PartitionMorphism, level: int) -> dict[str, str] | None:
-        """The response from the current top to a challenge f2 onto a level,
-        or None when the top does not refine f2's source.
-
-        Within each fiber over a cell of the level, both sides are interval
-        partitions of the same mass laid out in cell order.  The top refines
-        the challenge there iff every cumulative sum of the challenge's fiber
-        is one of the top's; each top cell then maps to the challenge cell
-        whose interval holds it.  This is the ``p2 ∘ p1⁻¹`` of an amalgam
-        with exactly as many cells as the top, read off without building it.
-        Precondition: f2 is a valid morphism onto the level.
-        """
-        fibers, top_weight, weight = self._fiber_index(level), self.top.weights, f2.source.weights
-        response: dict[str, str] = {}
-        for x, zs in f2.fibers().items():
-            ys, sums = fibers[x]
-            if not sums:
-                acc = None
-                for n, y in enumerate(ys, 1):
-                    acc = top_weight[y] if acc is None else acc + top_weight[y]
-                    sums[acc] = n
-            start, acc = 0, None
-            for z in zs:
-                acc = weight[z] if acc is None else acc + weight[z]
-                end = sums.get(acc)
-                if end is None:
-                    return None
-                for y in ys[start:end]:
-                    response[y] = z
-                start = end
-        return response
 
     def _respond(self, f2: PartitionMorphism, level: int) -> dict[str, str]:
         """Answer the challenge f2 onto a level; returns a map from the top
         after this call onto f2's source.
 
-        The current top answers when it refines f2's source
-        (``_interval_response``).  Otherwise some boundary of the challenge
-        is missing, so the amalgam of the top's projection with f2 has more
-        cells than the top: it becomes the new top and its p2 is the
-        response.  Either way f2 ∘ response is the chain projection onto the
-        level.
+        Each challenge fiber is placed once among the top's cumulative sums
+        over its cell (``partitions._place``).  If no sum cuts a top cell,
+        each top cell maps to the challenge cell whose interval holds it: the
+        ``p2 ∘ p1⁻¹`` of an amalgam as large as the top, read off without
+        building it.  Otherwise the same placements give the amalgam of the
+        top's projection with f2, the new top, and its p2 is the response.
+        Either way f2 ∘ response is the chain projection onto the level.
+        Precondition: f2 is a valid morphism onto the level.
         """
-        response = self._interval_response(f2, level)
-        if response is not None:
-            return response
+        fibers, weight = self._fiber_index(level), f2.source.weights
+        walks = []
+        for x, zs in f2.fibers().items():
+            ys, left, sums, index = fibers[x]
+            right = [weight[z] for z in zs]
+            walks.append((ys, zs, left, right, sums, _place(sums, index, right)))
+        if all(acc is None for *_, places in walks for _, acc in places):
+            return {
+                y: z
+                for ys, zs, *_, places in walks
+                for z, (start, _), (end, _) in zip(zs, [(0, None), *places], places)
+                for y in ys[start:end]
+            }
         proj = self._projection(level)
-        G, p1, p2 = amalgamate_valid(PartitionMorphism(self.top, self.levels[level], proj), f2)
+        G, p1, p2 = _assemble(self.top, f2.source, [
+            (ys, zs, _parts(left, right, sums, places))
+            for ys, zs, left, right, sums, places in walks
+        ])
         self._append_level(G, p1)
         # the new top projects through p1, without walking the levels again
         self._top_index().projections[level] = {g: proj[y] for g, y in p1.mapping.items()}

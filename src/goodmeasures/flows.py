@@ -42,9 +42,9 @@ def decompose_entries(
 
     Returns (vertices, weight) pairs whose cycle matrices sum back to the
     input exactly; at most one cycle per nonzero entry is produced.  Cycles
-    are rotated to start at their smallest vertex.
+    are rotated to start at their smallest vertex.  Precondition: the
+    entries are nonnegative and equi-summed (``check_equi_summed``).
     """
-    check_equi_summed(entries)
     rest = {e: w for e, w in entries.items() if w.sign() > 0}
     out: list[tuple[tuple[str, ...], ExactValue]] = []
     while rest:

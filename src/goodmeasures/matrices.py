@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .chain import AutomorphismPrefix, GoodMeasureChain, invert_prefix
 from .errors import DepthTooShallow, NotCycleObject, PreconditionFailed
-from .flows import cycles_through, decompose_entries, orbits
+from .flows import check_equi_summed, cycles_through, decompose_entries, orbits
 from .jsonutil import parse_int
 from .partitions import (
     PartitionMorphism,
@@ -120,9 +120,10 @@ def in_cycle_category(A: BalancedMatrix) -> bool:
 def cycle_decompose(A) -> list[CycleMatrix]:
     """Greedy cycle peeling of an equi-summed matrix; cycles sum back exactly.
 
-    Accepts a BalancedMatrix or a raw entries mapping.
+    Accepts a BalancedMatrix or a raw entries mapping, checked to be equi-summed.
     """
     entries = A.entries if isinstance(A, BalancedMatrix) else A
+    check_equi_summed(entries)
     return [CycleMatrix(v, w) for v, w in decompose_entries(entries)]
 
 
@@ -219,16 +220,16 @@ def _lift_to_response_level(
     refines the split, otherwise a new level.  All cells of one cycle of D
     carry the cycle's weight, so every lifted edge joins fibers of equal mass."""
     P_A = chain.levels[A.level]
-    cycles = cycle_decompose(A)
-    through = cycles_through(P_A.cells, [cyc.vertices for cyc in cycles])
+    cycles = decompose_entries(A.entries)
+    through = cycles_through(P_A.cells, [verts for verts, _ in cycles])
     d_cells = [
-        (f"{c}@{ci}", cycles[ci].weight) for c in P_A.cells for ci, _ in through[c]
+        (f"{c}@{ci}", cycles[ci][1]) for c in P_A.cells for ci, _ in through[c]
     ]
     D = WeightedPartition.make(d_cells)
     projD = PartitionMorphism(D, P_A, {cid: cid.rsplit("@", 1)[0] for cid, _ in d_cells})
     d_cycles = [
-        CycleMatrix(tuple(f"{v}@{ci}" for v in cyc.vertices), cyc.weight)
-        for ci, cyc in enumerate(cycles)
+        CycleMatrix(tuple(f"{v}@{ci}" for v in verts), w)
+        for ci, (verts, w) in enumerate(cycles)
     ]
     stage, r = chain.absorb_morphism(projD, target_level=A.level)
     entries = lift_edges(r, [e for cyc in d_cycles for e in cyc.edges()])

@@ -1,19 +1,22 @@
 """Measured clopen partitions, their morphisms, and amalgamation.
 
 Objects are finite partitions with positive weights from a group-like value
-set; morphisms are mass-preserving surjections of cells.  The common
-refinement of two equal-sum weight tuples is computed by the deterministic
-peel-the-last-entry induction, and amalgamation of a cospan is assembled
-cellwise over the common target from such refinements.
+set; morphisms are mass-preserving surjections of cells.  Two equal-sum
+weight tuples are refined jointly as intervals of one mass: each cumulative
+sum of one is placed among the other's (``_place``) and the pieces between
+breakpoints are read off in order (``_parts``).  An amalgam assembles the
+joint refinements of the fibers of a cospan (``_assemble``).
 
-Public functions check their arguments.  The kernels ``refine_fibers``,
-``lift_edges`` and ``amalgamate_valid`` check nothing: they only see checked
-or derived data, and each states the precondition it relies on.
+Public functions check their arguments.  The kernels ``lift_edges``,
+``_refine``, ``_place``, ``_parts`` and ``_assemble`` check nothing: they only
+see checked or derived data, and each states the precondition it relies on.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SumMismatch
@@ -152,10 +155,10 @@ def common_refinement(
 ) -> CommonRefinement:
     """Joint refinement of two equal-sum tuples of positive V-values.
 
-    Follows the induction on the combined length: compare the last entries,
-    peel both when they are equal, otherwise subtract the smaller from the
-    larger and peel the smaller.  Output has at most len(left)+len(right)-1
-    parts, all in V.
+    Both tuples are laid out as consecutive intervals of [0, total); the
+    parts are the pieces between consecutive breakpoints of either side, in
+    interval order.  Output has at most len(left)+len(right)-1 parts, each
+    an input entry or the difference of two cumulative sums, so all in V.
     """
     if not left or not right:
         raise ValueError("tuples must be nonempty")
@@ -177,52 +180,63 @@ def common_refinement(
 
 
 def _refine(left, right) -> list[tuple[ExactValue, int, int]]:
-    """The induction as a loop: (part, left index, right index) in part order.
-
-    The parts of the base case (one side down to a single entry) come first,
-    then the peeled parts in reverse peeling order, so part indices are those
-    of the inductive construction and every block comes out ascending.
-    """
-    left, right = list(left), list(right)
-    peeled = []
-    while len(left) > 1 and len(right) > 1:
-        i, j = len(left) - 1, len(right) - 1
-        a, b = left[i], right[j]
-        if a == b:
-            peeled.append((a, i, j))
-            left.pop()
-            right.pop()
-            continue
-        # one difference decides the order and is the remainder; -d keeps its sign
-        d = a - b
-        if ZERO < d:
-            peeled.append((b, i, j))
-            left[i] = d
-            right.pop()
-        else:
-            peeled.append((a, i, j))
-            right[j] = -d
-            left.pop()
+    """(part, left index, right index) in interval order; a one-entry side
+    is cut by all of the other's breakpoints.  Precondition: see ``_place``."""
     if len(left) == 1:
-        base = [(w, 0, j) for j, w in enumerate(right)]
-    else:
-        base = [(w, i, 0) for i, w in enumerate(left)]
-    return base + peeled[::-1]
+        return [(w, 0, j) for j, w in enumerate(right)]
+    if len(right) == 1:
+        return [(w, i, 0) for i, w in enumerate(left)]
+    sums, index = _cumulative(left)
+    return _parts(left, right, sums, _place(sums, index, right))
 
 
-def refine_fibers(
-    left: Sequence[tuple[str, ExactValue]], right: Sequence[tuple[str, ExactValue]]
-) -> list[tuple[str, str, ExactValue]]:
-    """Common refinement of two equal-mass fibers given as (cell, weight) lists.
+def _cumulative(weights) -> tuple[list[ExactValue], dict[ExactValue, int]]:
+    """The increasing cumulative sums of positive weights, and each sum
+    mapped to the number of entries it covers."""
+    sums = list(accumulate(weights))
+    return sums, {s: n for n, s in enumerate(sums, 1)}
 
-    Lists (left cell, right cell, part) in part order.  Precondition: both
-    sides are nonempty, their weights are positive V-values and their sums
-    are equal; the caller guarantees this, nothing here re-checks it.  Each
-    part is an input weight or a difference a - b of two V-values with
-    b < a, so it stays in V because V is group-like.
+
+def _place(sums, index, right) -> list[tuple[int, ExactValue | None]]:
+    """Where each cumulative sum of ``right`` lies among a left tuple's
+    ``_cumulative`` sums: (n, None) when it is the n-th, found in ``index``
+    with no comparison, or (n, sum) when it cuts left entry n (0-based),
+    found by bisection.  Precondition: both tuples are nonempty, of positive
+    V-values and equal totals; every part is then in V, as V is group-like.
     """
-    parts = _refine([w for _, w in left], [w for _, w in right])
-    return [(left[i][0], right[j][0], w) for w, i, j in parts]
+    out: list[tuple[int, ExactValue | None]] = []
+    lo, hi = 0, len(sums) - 1  # every sum before the last lies below the total
+    for acc in accumulate(right[:-1]):
+        n = index.get(acc)
+        if n is None:
+            lo = bisect_right(sums, acc, lo, hi)
+            out.append((lo, acc))
+        else:
+            lo = n
+            out.append((n, None))
+    out.append((len(sums), None))
+    return out
+
+
+def _parts(left, right, sums, places) -> list[tuple[ExactValue, int, int]]:
+    """(part, left index, right index) in interval order from ``_place``: a
+    piece between two breakpoints of one side is that side's entry, any
+    other a difference of two cumulative sums."""
+    out: list[tuple[ExactValue, int, int]] = []
+    i, cut = 0, None  # the left entry the next piece starts in, and where it was cut
+    for j, (n, acc) in enumerate(places):
+        for k in range(i, n):  # left entries ending at or before this right sum
+            if k > i or cut is None:
+                w = left[k]
+            elif acc is None and k == n - 1:
+                w = right[j]
+            else:
+                w = sums[k] - cut
+            out.append((w, k, j))
+        if acc is not None:  # this right sum cuts left entry n
+            out.append((right[j] if n == i else acc - sums[n - 1], n, j))
+        i, cut = n, acc
+    return out
 
 
 def lift_edges(
@@ -233,16 +247,14 @@ def lift_edges(
     For each edge (c, d) the fibers of c and d are refined jointly and each
     part adds its weight to the entry of its (left cell, right cell).
     Precondition: p is a valid morphism and every edge joins two cells of
-    equal weight, so the two fibers have equal mass (``refine_fibers``).
+    equal weight, so the two fibers have equal mass (``_refine``).
     """
-    R = p.source
-    fibers = p.fibers()
+    weight, fibers = p.source.weights, p.fibers()
     entries: dict[tuple[str, str], ExactValue] = {}
     for c, d in edges:
-        ys = [(y, R.weight(y)) for y in fibers[c]]
-        zs = [(z, R.weight(z)) for z in fibers[d]]
-        for y, z, w in refine_fibers(ys, zs):
-            entries[(y, z)] = entries.get((y, z), ZERO) + w
+        ys, zs = fibers[c], fibers[d]
+        for w, i, j in _refine([weight[y] for y in ys], [weight[z] for z in zs]):
+            entries[(ys[i], zs[j])] = entries.get((ys[i], zs[j]), ZERO) + w
     return entries
 
 
@@ -263,8 +275,9 @@ def amalgamate(
     """Amalgamate a cospan f1: E1 -> F <- E2 :f2 into (G, p1: G -> E1, p2: G -> E2).
 
     Checks that both maps are valid morphisms onto one shared target and
-    that every source weight lies in V, then builds the amalgam with
-    ``amalgamate_valid``.
+    that every source weight lies in V.  Both fibers of a cell of F carry
+    its weight, so each pair is refined jointly (``_refine``) and the parts
+    become the cells of G (``_assemble``).
     """
     if not verify_morphism(f1) or not verify_morphism(f2):
         raise ValueError("amalgamation needs valid morphisms")
@@ -272,42 +285,39 @@ def amalgamate(
         raise ValueError("morphisms must share their target")
     check_all_in(f1.source.weight_list(), V, "left entry")
     check_all_in(f2.source.weight_list(), V, "right entry")
-    return amalgamate_valid(f1, f2)
+    w1, w2 = f1.source.weights, f2.source.weights
+    fibers1, fibers2 = f1.fibers(), f2.fibers()
+    refined = []
+    for x in f1.target.cells:
+        ys, zs = fibers1[x], fibers2[x]
+        refined.append((ys, zs, _refine([w1[y] for y in ys], [w2[z] for z in zs])))
+    return _assemble(f1.source, f2.source, refined)
 
 
-def amalgamate_valid(
-    f1: PartitionMorphism, f2: PartitionMorphism
+def _assemble(
+    E1: WeightedPartition, E2: WeightedPartition, refined
 ) -> tuple[WeightedPartition, PartitionMorphism, PartitionMorphism]:
-    """The amalgam of a cospan of valid morphisms with V-valued sources.
+    """The amalgam (G, p1: G -> E1, p2: G -> E2) of jointly refined fibers.
 
-    Each fiber of F is refined jointly via ``refine_fibers``: both fibers of
-    a target cell carry its weight, so their masses agree, and every cell of
-    G is a refinement part, hence in V.  The square f1 ∘ p1 = f2 ∘ p2
-    commutes exactly by construction.  New cells are named after their
-    p1-image, one suffix per sibling, so chains built onto E1 keep a
-    readable refinement history.
+    ``refined`` holds (ys, zs, parts) per cell of the common target: each
+    part (w, i, j) is a cell of weight w over ys[i] and zs[j], named after
+    its p1-image with one suffix per sibling, and the square commutes.
     """
+    pending: dict[str, list[tuple[ExactValue, str]]] = {y: [] for y in E1.cells}
+    for ys, zs, parts in refined:
+        for w, i, j in parts:
+            pending[ys[i]].append((w, zs[j]))
     cells: list[tuple[str, ExactValue]] = []
     m1: dict[str, str] = {}
     m2: dict[str, str] = {}
-    pending: dict[str, list[tuple[ExactValue, str]]] = {y: [] for y in f1.source.cells}
-    fibers1, fibers2 = f1.fibers(), f2.fibers()
-    for x in f1.target.cells:
-        ys = [(y, f1.source.weight(y)) for y in fibers1[x]]
-        zs = [(z, f2.source.weight(z)) for z in fibers2[x]]
-        for y, z, w in refine_fibers(ys, zs):
-            pending[y].append((w, z))
-    for y in f1.source.cells:
+    for y in E1.cells:
         group = pending[y]
-        ids = _child_ids(y, len(group))
-        for cid, (w, z) in zip(ids, group):
+        for cid, (w, z) in zip(_child_ids(y, len(group)), group):
             cells.append((cid, w))
             m1[cid] = y
             m2[cid] = z
     G = WeightedPartition.make(cells)
-    p1 = PartitionMorphism(G, f1.source, m1)
-    p2 = PartitionMorphism(G, f2.source, m2)
-    return G, p1, p2
+    return G, PartitionMorphism(G, E1, m1), PartitionMorphism(G, E2, m2)
 
 
 def split_cell(

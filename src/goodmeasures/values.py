@@ -244,8 +244,13 @@ class ExactValue:
 
     @staticmethod
     def from_json(data: Mapping, symbols: Mapping[str, IrrationalSymbol]) -> "ExactValue":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"value {data!r} is not an object")
+        irr = data.get("irr", {})
+        if not isinstance(irr, Mapping):
+            raise ValueError(f"irrational part {irr!r} is not an object")
         items = sorted(
-            ((symbols[n], parse_ratio(c)) for n, c in data.get("irr", {}).items()),
+            ((symbols[n], parse_ratio(c)) for n, c in irr.items()),
             key=lambda sc: sc[0].name,
         )
         return _from_ratios([parse_ratio(data["q"])] + [c for _, c in items], [s for s, _ in items])

@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from goodmeasures.partitions import PartitionMorphism, WeightedPartition, _assemble
 from goodmeasures.values import ExactValue, GroupDescriptor, ONE, ZERO
 
 
@@ -96,3 +97,55 @@ def index_sums_to_one(
         elif room > 1 and not nxt > ONE:
             for rest in index_sums_to_one(values, i, nxt, room - 1):
                 yield (i, *rest)
+
+
+def peel_refinement(left, right) -> list[tuple[ExactValue, int, int]]:
+    """The common refinement by the induction on the combined length, as a
+    loop: (part, left index, right index) in part order.
+
+    Compare the last entries, peel both when they are equal, otherwise
+    subtract the smaller from the larger and peel the smaller.  The parts of
+    the base case (one side down to a single entry) come first, then the
+    peeled parts in reverse peeling order, so part indices are those of the
+    inductive construction and every block comes out ascending.  The engine's
+    former refinement kernel; the reference for ``partitions._refine``.
+    """
+    left, right = list(left), list(right)
+    peeled = []
+    while len(left) > 1 and len(right) > 1:
+        i, j = len(left) - 1, len(right) - 1
+        a, b = left[i], right[j]
+        if a == b:
+            peeled.append((a, i, j))
+            left.pop()
+            right.pop()
+            continue
+        # one difference decides the order and is the remainder; -d keeps its sign
+        d = a - b
+        if ZERO < d:
+            peeled.append((b, i, j))
+            left[i] = d
+            right.pop()
+        else:
+            peeled.append((a, i, j))
+            right[j] = -d
+            left.pop()
+    if len(left) == 1:
+        base = [(w, 0, j) for j, w in enumerate(right)]
+    else:
+        base = [(w, i, 0) for i, w in enumerate(left)]
+    return base + peeled[::-1]
+
+
+def peel_amalgam(
+    f1: PartitionMorphism, f2: PartitionMorphism
+) -> tuple[WeightedPartition, PartitionMorphism, PartitionMorphism]:
+    """The amalgam of a cospan of valid morphisms, each fiber refined by
+    ``peel_refinement`` and assembled as the engine assembles its own."""
+    w1, w2 = f1.source.weights, f2.source.weights
+    fibers1, fibers2 = f1.fibers(), f2.fibers()
+    refined = []
+    for x in f1.target.cells:
+        ys, zs = fibers1[x], fibers2[x]
+        refined.append((ys, zs, peel_refinement([w1[y] for y in ys], [w2[z] for z in zs])))
+    return _assemble(f1.source, f2.source, refined)

@@ -25,14 +25,14 @@ from goodmeasures.matrices import BalancedMatrix, to_cycle_object
 from goodmeasures.partitions import (
     PartitionMorphism,
     WeightedPartition,
-    amalgamate_valid,
+    _assemble,
     split_cell,
     verify_morphism,
 )
 from goodmeasures.values import GroupDescriptor, ONE, RationalGroup, ZERO, check_all_in
 
 from conftest import E, random_partition, random_refining_morphism, value_pool
-from oracles import index_sums_to_one
+from oracles import index_sums_to_one, peel_amalgam
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -253,32 +253,40 @@ def _interval_top(rng, V):
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["coarsen", "permute", "random", "split"]),
 )
-def test_interval_response_matches_amalgam(irrational, seed, kind, dyadic, sqrt2_dyadic):
-    """The top answers a challenge exactly when its amalgam with the top has
-    as many cells as the top, and then with the amalgam's p2 ∘ p1⁻¹."""
+def test_respond_matches_peel_amalgam(irrational, seed, kind, dyadic, sqrt2_dyadic):
+    """Against the amalgam G of the challenge with the top, built by the
+    peel: when G has as many cells as the top, the top answers with no new
+    level and with G's p2 ∘ p1⁻¹; otherwise G becomes the new top, linked by
+    its p1, and its p2 is the response."""
     rng = random.Random(seed)
     ch = _interval_top(rng, sqrt2_dyadic if irrational else dyadic)
     f2, level = _interval_challenge(rng, ch, kind)
-    fast = ch._interval_response(f2, level)
-    f1 = ch.composite_morphism(ch.depth, level)
-    G, p1, p2 = amalgamate_valid(f1, f2)
-    assert (fast is not None) == (len(G.cells) == len(ch.top.cells))
-    if fast is not None:
-        assert fast == {p1.mapping[g]: p2.mapping[g] for g in G.cells}
+    top, depth = ch.top, ch.depth
+    G, p1, p2 = peel_amalgam(ch.composite_morphism(depth, level), f2)
+    response = ch._respond(f2, level)
+    if len(G.cells) == len(top.cells):
+        assert ch.depth == depth
+        assert response == {p1.mapping[g]: p2.mapping[g] for g in G.cells}
+    else:
+        assert ch.depth == depth + 1
+        assert ch.top.cells == G.cells and ch.top.weights == G.weights
+        assert ch.links[-1].target is top and ch.links[-1].mapping == p1.mapping
+        assert response == p2.mapping
     if kind == "coarsen":
-        assert fast is not None
+        assert ch.depth == depth
 
 
-def test_interval_draws_need_finer_levels(dyadic, sqrt2_dyadic):
+def test_respond_draws_need_finer_levels(dyadic, sqrt2_dyadic):
     """The oracle's draws reach both answers for every kind but ``coarsen``."""
     answered = {}
     for seed in range(60):
-        rng = random.Random(seed)
-        ch = _interval_top(rng, sqrt2_dyadic if seed % 2 else dyadic)
         for kind in ("coarsen", "permute", "random", "split"):
+            rng = random.Random(seed)
+            ch = _interval_top(rng, sqrt2_dyadic if seed % 2 else dyadic)
             f2, level = _interval_challenge(rng, ch, kind)
-            hit = ch._interval_response(f2, level) is not None
-            answered.setdefault(kind, set()).add(hit)
+            depth = ch.depth
+            ch._respond(f2, level)
+            answered.setdefault(kind, set()).add(ch.depth == depth)
     assert answered == {"coarsen": {True}, "permute": {True, False},
                         "random": {True, False}, "split": {True, False}}
 
@@ -287,11 +295,11 @@ def test_schedule_builds_one_amalgam_per_level(sqrt2_dyadic, monkeypatch):
     """Only a challenge that needs a finer level builds an amalgam."""
     calls = []
 
-    def counting(f1, f2):
-        calls.append(f2)
-        return amalgamate_valid(f1, f2)
+    def counting(E1, E2, refined):
+        calls.append(E2)
+        return _assemble(E1, E2, refined)
 
-    monkeypatch.setattr(chain_module, "amalgamate_valid", counting)
+    monkeypatch.setattr(chain_module, "_assemble", counting)
     ch = GoodMeasureChain(sqrt2_dyadic)
     ch.run_schedule(3)
     assert ch.depth == 89 and len(calls) == 89

@@ -162,8 +162,8 @@ def test_decompose_invalid_matrix(files, capsys):
     mat = files / "mat.json"
     jsonutil.write(mat, {"level": 0, "entries": [
         {"from": "a", "to": "b", "w": {"q": "1/2"}}]})
-    code, _ = run(capsys, "decompose", "--matrix", str(mat))
-    assert code == 2
+    assert main(["decompose", "--matrix", str(mat)]) == 2
+    assert _one_line_error(capsys).startswith("NotEquiSummed: row/column sums differ at ")
 
 
 def _sqrt_descriptor(radicand, shift) -> dict:
@@ -541,6 +541,16 @@ def _weight_outside_v(data):
     return "snapshot weight 1/3 is not in V"
 
 
+def _weight_not_an_object(data):
+    data["levels"][-1]["cells"][0]["w"] = "1"
+    return "value '1' is not an object"
+
+
+def _irrational_part_not_an_object(data):
+    data["levels"][-1]["cells"][0]["w"] = {"q": "1", "irr": []}
+    return "irrational part [] is not an object"
+
+
 def _link_moves_mass(data):
     k = len(data["links"]) - 1
     link = data["links"][k]["map"]
@@ -585,6 +595,8 @@ def _target_level(value):
 
 DOCTORED = {
     "weight_outside_v": _weight_outside_v,
+    "weight_not_an_object": _weight_not_an_object,
+    "irrational_part_not_an_object": _irrational_part_not_an_object,
     "link_moves_mass": _link_moves_mass,
     "object_response_not_a_morphism": _object_response_not_a_morphism,
     "morphism_response_not_commuting": _morphism_response_not_commuting,

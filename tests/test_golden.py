@@ -35,7 +35,8 @@ SCHEDULE_DIGESTS = {
 WITNESS_DIGEST = "47b95e7b863965babd6a4452fe8ff82e02d59a499e455f1b0dc7224336b1e71b"
 TRANSPORT_DIGEST = "a9a509051836880fe29e47001945a54f3f6fc8d3872afcb8dbd081261b3306b5"
 ORBIT_SPLIT_DIGEST = "30c3f33110d94bdf5f24c353d57fd98785cf5108aac88f190ec8d8ff6f9dd291"
-CHECK_GOOD_DIGEST = "2ac7137da69d096bb3e905b750878a78ee9c4d94c4cf10fbf56f4927b17fb053"
+# re-recorded when the report's maximality entries lost their always-true "ok"
+CHECK_GOOD_DIGEST = "25a85567d9ef2dcbcea5b7a17f379d7f4b394a80be1649c83b19c567dc645529"
 
 
 def _sha(obj) -> str:

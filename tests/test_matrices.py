@@ -6,7 +6,6 @@ import pytest
 
 from goodmeasures.chain import AutomorphismPrefix, GoodMeasureChain
 from goodmeasures.errors import DepthTooShallow, NotCycleObject, NotEquiSummed, WeightMismatch
-from goodmeasures.flows import decompose_entries
 from goodmeasures.matrices import (
     BalancedMatrix,
     CycleMatrix,
@@ -121,7 +120,9 @@ def test_decompose_sums_back_and_counts(dyadic, triadic):
 
 def test_decompose_rejects_non_equi_summed():
     with pytest.raises(NotEquiSummed):
-        decompose_entries({("a", "b"): E("1/2")})
+        cycle_decompose({("a", "b"): E("1/2")})
+    with pytest.raises(NotEquiSummed):
+        cycle_decompose({("a", "b"): E("1/2"), ("b", "a"): E("-1/2")})
 
 
 # -- cycle objects -----------------------------------------------------------------

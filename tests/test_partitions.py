@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goodmeasures.errors import NotInV, SumMismatch
 from goodmeasures.partitions import (
     PartitionMorphism,
     WeightedPartition,
+    _refine,
     amalgamate,
     common_refinement,
     compose,
@@ -17,8 +20,8 @@ from goodmeasures.partitions import (
 )
 from goodmeasures.values import ONE, ZERO
 
-from conftest import E, random_partition, random_refining_morphism, random_split
-from oracles import refinement_feasible
+from conftest import E, random_partition, random_refining_morphism, random_split, value_pool
+from oracles import peel_refinement, refinement_feasible
 
 
 def P(*weights, prefix="c"):
@@ -90,6 +93,41 @@ def test_refinement_random_instances(dyadic, triadic):
             if len(ref.parts) <= 8:
                 assert refinement_feasible(ref.parts, left)
                 assert refinement_feasible(ref.parts, right)
+
+
+def _runs(atoms, cuts):
+    """Sums of the runs of atoms between the given cut positions."""
+    bounds = [0, *sorted(cuts), len(atoms)]
+    out = []
+    for a, b in zip(bounds, bounds[1:]):
+        acc = atoms[a]
+        for w in atoms[a + 1:b]:
+            acc = acc + w
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["rationals", "sqrt2_dyadic"]))
+def test_refine_matches_peel(data, name, request):
+    """Both tuples group one row of atoms into runs of 1 to 8 entries: a cut
+    of both sides is a shared breakpoint, a cut of one side a missing one;
+    ``coarsen`` keeps only cuts of the left, and one side may have a single
+    entry."""
+    pool = value_pool(request.getfixturevalue(name), 5)
+    atoms = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    between = list(range(1, len(atoms)))
+    cuts = st.lists(st.sampled_from(between), max_size=7, unique=True) if between else st.just([])
+    left_cuts = data.draw(cuts)
+    if data.draw(st.booleans(), label="coarsen"):
+        right_cuts = data.draw(st.lists(st.sampled_from(left_cuts), unique=True)
+                               if left_cuts else st.just([]))
+    else:
+        right_cuts = data.draw(cuts)
+    left, right = _runs(atoms, left_cuts), _runs(atoms, right_cuts)
+    if data.draw(st.booleans(), label="swap"):
+        left, right = right, left
+    assert _refine(left, right) == peel_refinement(left, right)
 
 
 # -- morphisms --------------------------------------------------------------------
