@@ -28,15 +28,15 @@ from .errors import (
     WeightMismatch,
 )
 from .flows import cycles_through, decompose_entries, orbits
-from .jsonutil import parse_int
+from .jsonutil import parse_int, parse_object
 from .partitions import (
     PartitionMorphism,
     WeightedPartition,
     _assemble,
-    _child_ids,
     _cumulative,
     _parts,
     _place,
+    _subdivide,
     lift_edges,
     split_cell,
     verify_morphism,
@@ -91,7 +91,7 @@ class AutomorphismPrefix:
 
     @staticmethod
     def from_json(data: Mapping) -> "AutomorphismPrefix":
-        maps = {parse_int(k): dict(v) for k, v in data["maps"].items()}
+        maps = {parse_int(k): dict(v) for k, v in parse_object(data["maps"], "prefix maps").items()}
         return AutomorphismPrefix(tuple(sorted(maps)), maps)
 
 
@@ -168,8 +168,7 @@ class GoodMeasureChain:
         if not V.classify().group_like:
             raise NotGroupLike("descriptor does not describe an infinite group-like set")
         self.V = V
-        base = WeightedPartition.make([(ROOT_CELL, ONE)])
-        self.levels: list[WeightedPartition] = [base]
+        self.levels: list[WeightedPartition] = [WeightedPartition((ROOT_CELL,), {ROOT_CELL: ONE})]
         self.links: list[PartitionMorphism] = []
         self.ledger: list[LedgerEntry] = []
         self._ledger_index: dict[tuple, int] = {}
@@ -253,11 +252,6 @@ class GoodMeasureChain:
 
     # -- absorption -----------------------------------------------------------
 
-    def _check_object(self, target: WeightedPartition) -> None:
-        check_all_in(target.weight_list(), self.V, "challenge weight")
-        if target.total != ONE:
-            raise SumMismatch(f"object challenge has total {target.total}, expected 1")
-
     def _collapse(self, P: WeightedPartition) -> PartitionMorphism:
         return PartitionMorphism(P, self.levels[0], {c: ROOT_CELL for c in P.cells})
 
@@ -268,7 +262,13 @@ class GoodMeasureChain:
         ledger and do not extend the chain.  A challenge the top already
         refines is answered from the current top, with no new level.
         """
-        self._check_object(target)
+        check_all_in(target.weight_list(), self.V, "challenge weight")
+        if target.total != ONE:
+            raise SumMismatch(f"object challenge has total {target.total}, expected 1")
+        return self._absorb_object(target)
+
+    def _absorb_object(self, target: WeightedPartition) -> int:
+        """``absorb_object`` unchecked.  Precondition: weights in V, summing to 1."""
         key = _obj_key(target)
         if key in self._ledger_index:
             return self.ledger[self._ledger_index[key]].stage
@@ -357,24 +357,26 @@ class GoodMeasureChain:
         """
         if not 0 <= target_level <= self.depth:
             raise ValueError(f"target level {target_level} is not a level of the chain")
-        level_obj = self.levels[target_level]
-        f2 = PartitionMorphism(challenge.source, level_obj, dict(challenge.mapping))
+        f2 = PartitionMorphism(challenge.source, self.levels[target_level], dict(challenge.mapping))
         if not verify_morphism(f2):
             raise InvalidChallenge(f"challenge is not a valid morphism onto level {target_level}")
         check_all_in(challenge.source.weight_list(), self.V, "challenge weight")
-        key = _mor_key(target_level, challenge)
+        return self._absorb_morphism(f2, target_level)
+
+    def _absorb_morphism(self, f2: PartitionMorphism, level: int) -> tuple[int, PartitionMorphism]:
+        """``absorb_morphism`` unchecked: f2 is a valid morphism of V-weights onto levels[level]."""
+        key = _mor_key(level, f2)
         if key not in self._ledger_index:
-            r = self._respond(f2, target_level)
-            if not _commutes(challenge.mapping, r, self._projection(target_level)):
+            r = self._respond(f2, level)
+            if not _commutes(f2.mapping, r, self._projection(level)):
                 raise RuntimeError("absorption failed to commute; this is a bug")
             self._ledger_index[key] = len(self.ledger)
             self.ledger.append(LedgerEntry(
-                "morphism", key, self.depth, challenge.source, target_level,
-                dict(challenge.mapping), r,
+                "morphism", key, self.depth, f2.source, level, dict(f2.mapping), r,
             ))
         entry = self.ledger[self._ledger_index[key]]
         return entry.stage, PartitionMorphism(
-            self.levels[entry.stage], challenge.source, dict(entry.response_map)
+            self.levels[entry.stage], f2.source, dict(entry.response_map)
         )
 
     # -- deterministic schedule -------------------------------------------------
@@ -384,12 +386,13 @@ class GoodMeasureChain:
     ) -> list[WeightedPartition]:
         """The object challenges of a height: every nondecreasing index tuple
         of at most height + 1 values of height at most height + 1 summing to
-        1, in depth-first order.  ``values`` is that enumeration, when the
-        caller already has it."""
+        1, in depth-first order, built unchecked.  ``values`` is that
+        enumeration, when the caller already has it."""
         if values is None:
             values = self.V.enumerate_values(height + 1)
+        ids = [f"x{k}" for k in range(height + 1)]
         return [
-            WeightedPartition.make([(f"x{k}", values[i]) for k, i in enumerate(seq)])
+            WeightedPartition(tuple(ids[:len(seq)]), {ids[k]: values[i] for k, i in enumerate(seq)})
             for seq in _sums_to_one(values, height + 1)
         ]
 
@@ -401,8 +404,8 @@ class GoodMeasureChain:
         further levels.  A challenge the top already refines is answered from
         the current top, so only challenges that need a finer partition
         append a level.  V is enumerated once, up to height budget + 1; the
-        values of height at most h + 1 are a prefix of that list.
-        """
+        values of height at most h + 1 are a prefix of that list.  Challenges
+        built from V skip the public checks; ``split_cell`` checks its parts."""
         if budget < 1:
             raise ValueError("budget must be >= 1")
         enumerated = self.V.enumerate_values(budget + 1)
@@ -410,7 +413,7 @@ class GoodMeasureChain:
         for h in range(1, budget + 1):
             values = enumerated[:bisect_right(heights, h + 1)]
             for obj in self._object_challenges(h, values):
-                self.absorb_object(obj)
+                self._absorb_object(obj)
             lvl = min(h - 1, self.depth)
             P = self.levels[lvl]
             for c in P.cells:
@@ -420,7 +423,7 @@ class GoodMeasureChain:
                     if rest < a or rest.sign() <= 0:
                         continue
                     R, pi = split_cell(P, c, [a, rest], self.V)
-                    self.absorb_morphism(pi, target_level=lvl)
+                    self._absorb_morphism(pi, lvl)
         return self
 
     # -- goodness witnesses -----------------------------------------------------
@@ -461,12 +464,8 @@ class GoodMeasureChain:
 
     def maximal_partition_witness(self, targets: Sequence[ExactValue]) -> int:
         """Absorb the partition with the given weights; witnesses maximality."""
-        check_all_in(targets, self.V, "target")
-        total = sum(targets[1:], targets[0])
-        if total != ONE:
-            raise SumMismatch(f"targets sum to {total}, expected 1")
-        obj = WeightedPartition.make([(f"t{k}", w) for k, w in enumerate(targets)])
-        return self.absorb_object(obj)
+        cells = tuple(f"t{k}" for k in range(len(targets)))
+        return self.absorb_object(WeightedPartition(cells, dict(zip(cells, targets))))
 
     # -- automorphism prefixes ----------------------------------------------------
 
@@ -589,16 +588,10 @@ class GoodMeasureChain:
         """
         top = self.top
         through = cycles_through(top.cells, [verts for verts, _ in cycles])
-        new_cells: list[tuple[str, ExactValue]] = []
-        link_map: dict[str, str] = {}
-        child_id: dict[tuple[str, int], str] = {}
-        for c in top.cells:
-            for cid, (ci, _) in zip(_child_ids(c, len(through[c])), through[c]):
-                new_cells.append((cid, cycles[ci][1]))
-                link_map[cid] = c
-                child_id[(c, ci)] = cid
-        newP = WeightedPartition.make(new_cells)
-        self._append_level(newP, PartitionMorphism(newP, top, link_map))
+        link = _subdivide(top, {c: [cycles[ci][1] for ci, _ in through[c]] for c in top.cells})
+        self._append_level(link.source, link)
+        visits = [(c, ci) for c in top.cells for ci, _ in through[c]]
+        child_id = dict(zip(visits, link.source.cells))
         return {child_id[(c, ci)]: child_id[(d, ci)] for c in top.cells for ci, d in through[c]}
 
     def _ascend_to_top(self, maps: dict[int, dict[str, str]], start: int) -> int:

@@ -27,6 +27,9 @@ from .errors import GoodMeasuresError
 from .matrices import BalancedMatrix
 from .values import ExactValue, GroupDescriptor
 
+#: The most cells of a level ``check-good`` appends, each doubling the top's.
+MAX_APPENDED_CELLS = 256
+
 
 class Workspace:
     """A directory with named descriptors, named snapshots, and a run log."""
@@ -119,6 +122,10 @@ def cmd_check_good(args) -> int:
     snapshot = _read_json(args.snapshot, ws, "snapshots")
     chain = GoodMeasureChain.from_json(snapshot)
     depth = args.depth
+    extra = min(max(depth - chain.depth, 0), 64)  # 2**64 cells are past any bound
+    if extra and len(chain.top.cells) << extra > MAX_APPENDED_CELLS:
+        sys.stderr.write(f"depth {depth} needs a level of over {MAX_APPENDED_CELLS} cells\n")
+        return 2
     chain.ensure_depth(depth)
     cells = list(chain.levels[depth].cells)
     pairs = []
@@ -156,7 +163,7 @@ def cmd_check_good(args) -> int:
     # a loaded snapshot's lifts are verified on load, and the engine builds
     # the ones absorbed here, so each stage is all there is to report
     maximality = [
-        {"weights": [w.to_json() for w in obj.weight_list()], "stage": chain.absorb_object(obj)}
+        {"weights": [w.to_json() for w in obj.weight_list()], "stage": chain._absorb_object(obj)}
         for obj in chain._object_challenges(2)
     ]
     all_ok = ok_count == len(pairs)

@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
@@ -116,6 +117,13 @@ def parse_int(text) -> int:
     if isinstance(text, (float, bool)):
         raise TypeError(f"inexact number {text!r} where an integer is required")
     return int(text)
+
+
+def parse_object(value, what: str) -> Mapping:
+    """value, if it is a JSON object; otherwise a one-line ValueError naming it."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} {value!r} is not an object")
+    return value
 
 
 _RATIO_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")

@@ -22,6 +22,7 @@ from .partitions import (
     PartitionMorphism,
     WeightedPartition,
     compose,
+    identity,
     lift_edges,
     verify_morphism,
 )
@@ -145,8 +146,7 @@ def verify_matrix_morphism(chain: GoodMeasureChain, m: MatrixMorphism) -> bool:
 
 
 def identity_matrix_morphism(chain: GoodMeasureChain, A: BalancedMatrix) -> MatrixMorphism:
-    P = chain.levels[A.level]
-    return MatrixMorphism(PartitionMorphism(P, P, {c: c for c in P.cells}), A, A)
+    return MatrixMorphism(identity(chain.levels[A.level]), A, A)
 
 
 def compose_matrix_morphisms(m_outer: MatrixMorphism, m_inner: MatrixMorphism) -> MatrixMorphism:
@@ -218,20 +218,19 @@ def _lift_to_response_level(
     """Absorb the abstract cycle split of A as a morphism challenge and lift
     A's cycles onto the responding level: the current top when it already
     refines the split, otherwise a new level.  All cells of one cycle of D
-    carry the cycle's weight, so every lifted edge joins fibers of equal mass."""
+    carry the cycle's weight, so every lifted edge joins fibers of equal mass.
+    A is valid, so D is a valid challenge, absorbed without the public checks."""
     P_A = chain.levels[A.level]
     cycles = decompose_entries(A.entries)
     through = cycles_through(P_A.cells, [verts for verts, _ in cycles])
-    d_cells = [
-        (f"{c}@{ci}", cycles[ci][1]) for c in P_A.cells for ci, _ in through[c]
-    ]
-    D = WeightedPartition.make(d_cells)
-    projD = PartitionMorphism(D, P_A, {cid: cid.rsplit("@", 1)[0] for cid, _ in d_cells})
+    d_weights = {f"{c}@{ci}": cycles[ci][1] for c in P_A.cells for ci, _ in through[c]}
+    D = WeightedPartition(tuple(d_weights), d_weights)
+    projD = PartitionMorphism(D, P_A, {cid: cid.rsplit("@", 1)[0] for cid in d_weights})
     d_cycles = [
         CycleMatrix(tuple(f"{v}@{ci}" for v in verts), w)
         for ci, (verts, w) in enumerate(cycles)
     ]
-    stage, r = chain.absorb_morphism(projD, target_level=A.level)
+    stage, r = chain._absorb_morphism(projD, A.level)
     entries = lift_edges(r, [e for cyc in d_cycles for e in cyc.edges()])
     B = BalancedMatrix(stage, entries)
     return B, MatrixMorphism(compose(projD, r), B, A)

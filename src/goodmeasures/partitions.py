@@ -7,15 +7,17 @@ sum of one is placed among the other's (``_place``) and the pieces between
 breakpoints are read off in order (``_parts``).  An amalgam assembles the
 joint refinements of the fibers of a cospan (``_assemble``).
 
-Public functions check their arguments.  The kernels ``lift_edges``,
-``_refine``, ``_place``, ``_parts`` and ``_assemble`` check nothing: they only
-see checked or derived data, and each states the precondition it relies on.
+Public functions and ``WeightedPartition.make`` check their arguments.  The
+kernels ``lift_edges``, ``_refine``, ``_place``, ``_parts``, ``_assemble`` and
+``_subdivide`` check nothing: they only see checked or derived data, and each
+states the precondition it relies on.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
@@ -25,30 +27,28 @@ from .values import ExactValue, GroupDescriptor, ZERO, check_all_in
 
 @dataclass(frozen=True)
 class WeightedPartition:
-    """Ordered cells with positive weights; ``total`` is their exact sum."""
+    """Ordered cells with positive weights; ``total`` is their exact sum.  The
+    constructor checks nothing; ``make`` checks partitions from outside."""
 
     cells: tuple[str, ...]
     weights: Mapping[str, ExactValue]
-    total: ExactValue = field(init=False)
-
-    def __post_init__(self):
-        if not self.cells:
-            raise ValueError("partitions must be nonempty")
-        if len(set(self.cells)) != len(self.cells):
-            raise ValueError("cell identifiers must be unique")
-        if set(self.cells) != set(self.weights):
-            raise ValueError("cells and weights disagree")
-        total = ZERO
-        for c in self.cells:
-            w = self.weights[c]
-            if w.sign() <= 0:
-                raise ValueError(f"weight of {c} must be positive")
-            total = total + w
-        object.__setattr__(self, "total", total)
 
     @staticmethod
     def make(weights: Sequence[tuple[str, ExactValue]]) -> "WeightedPartition":
-        return WeightedPartition(tuple(c for c, _ in weights), dict(weights))
+        """Nonempty, with unique ids and positive weights, or ValueError."""
+        if not weights:
+            raise ValueError("partitions must be nonempty")
+        cells = tuple(c for c, _ in weights)
+        if len(set(cells)) != len(cells):
+            raise ValueError("cell identifiers must be unique")
+        for c, w in weights:
+            if w.sign() <= 0:
+                raise ValueError(f"weight of {c} must be positive")
+        return WeightedPartition(cells, dict(weights))
+
+    @cached_property
+    def total(self) -> ExactValue:
+        return sum(self.weight_list(), ZERO)
 
     def weight(self, cell: str) -> ExactValue:
         return self.weights[cell]
@@ -263,10 +263,21 @@ def lift_edges(
 # ---------------------------------------------------------------------------
 
 
-def _child_ids(parent: str, count: int) -> list[str]:
-    if count == 1:
-        return [parent]
-    return [f"{parent}/{i}" for i in range(count)]
+def _subdivide(P: WeightedPartition, children: Mapping[str, list]) -> PartitionMorphism:
+    """The merge morphism onto P from the partition of the children of P's
+    cells, in order, with the given weights.  An only child keeps its
+    parent's id; siblings are ``parent/0``, ``parent/1``, ...  Precondition:
+    each cell's children are V-values summing to its weight."""
+    weights: dict[str, ExactValue] = {}
+    link: dict[str, str] = {}
+    for c in P.cells:
+        ws = children[c]
+        for cid, w in zip([c] if len(ws) == 1 else [f"{c}/{i}" for i in range(len(ws))], ws):
+            weights[cid] = w
+            link[cid] = c
+    if len(weights) != sum(map(len, children.values())):  # P held both c and c/0
+        raise ValueError("cell identifiers must be unique")
+    return PartitionMorphism(WeightedPartition(tuple(weights), weights), P, link)
 
 
 def amalgamate(
@@ -301,23 +312,16 @@ def _assemble(
 
     ``refined`` holds (ys, zs, parts) per cell of the common target: each
     part (w, i, j) is a cell of weight w over ys[i] and zs[j], named after
-    its p1-image with one suffix per sibling, and the square commutes.
+    its p1-image (``_subdivide``), and the square commutes.
     """
     pending: dict[str, list[tuple[ExactValue, str]]] = {y: [] for y in E1.cells}
     for ys, zs, parts in refined:
         for w, i, j in parts:
             pending[ys[i]].append((w, zs[j]))
-    cells: list[tuple[str, ExactValue]] = []
-    m1: dict[str, str] = {}
-    m2: dict[str, str] = {}
-    for y in E1.cells:
-        group = pending[y]
-        for cid, (w, z) in zip(_child_ids(y, len(group)), group):
-            cells.append((cid, w))
-            m1[cid] = y
-            m2[cid] = z
-    G = WeightedPartition.make(cells)
-    return G, PartitionMorphism(G, E1, m1), PartitionMorphism(G, E2, m2)
+    p1 = _subdivide(E1, {y: [w for w, _ in group] for y, group in pending.items()})
+    G = p1.source
+    images = (z for group in pending.values() for _, z in group)
+    return G, p1, PartitionMorphism(G, E2, dict(zip(G.cells, images)))
 
 
 def split_cell(
@@ -333,15 +337,5 @@ def split_cell(
     total = sum(parts[1:], parts[0])
     if total != P.weight(cell):
         raise SumMismatch(f"parts sum to {total}, cell has weight {P.weight(cell)}")
-    new_cells: list[tuple[str, ExactValue]] = []
-    mapping: dict[str, str] = {}
-    for c in P.cells:
-        if c == cell:
-            for cid, w in zip(_child_ids(cell, len(parts)), parts):
-                new_cells.append((cid, w))
-                mapping[cid] = cell
-        else:
-            new_cells.append((c, P.weight(c)))
-            mapping[c] = c
-    R = WeightedPartition.make(new_cells)
-    return R, PartitionMorphism(R, P, mapping)
+    pi = _subdivide(P, {c: parts if c == cell else [w] for c, w in P.weights.items()})
+    return pi.source, pi

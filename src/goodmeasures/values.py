@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NonRationalScale, NotInV
-from .jsonutil import format_ratio, parse_int, parse_ratio
+from .jsonutil import format_ratio, parse_int, parse_object, parse_ratio
 from .symbols import IrrationalSymbol, compare, enclose, stages
 
 #: Exponent value standing for "all powers of the prime are admitted".
@@ -244,11 +244,8 @@ class ExactValue:
 
     @staticmethod
     def from_json(data: Mapping, symbols: Mapping[str, IrrationalSymbol]) -> "ExactValue":
-        if not isinstance(data, Mapping):
-            raise ValueError(f"value {data!r} is not an object")
-        irr = data.get("irr", {})
-        if not isinstance(irr, Mapping):
-            raise ValueError(f"irrational part {irr!r} is not an object")
+        data = parse_object(data, "value")
+        irr = parse_object(data.get("irr", {}), "irrational part")
         items = sorted(
             ((symbols[n], parse_ratio(c)) for n, c in irr.items()),
             key=lambda sc: sc[0].name,
@@ -443,7 +440,9 @@ class RationalGroup:
 
     @staticmethod
     def from_json(data: Mapping) -> "RationalGroup":
-        exceptions = {parse_int(p): _exponent(e) for p, e in data.get("exceptions", {}).items()}
+        data = parse_object(data, "rational group")
+        table = parse_object(data.get("exceptions", {}), "exponent table")
+        exceptions = {parse_int(p): _exponent(e) for p, e in table.items()}
         return RationalGroup.make(_exponent(data.get("default", "0")), exceptions)
 
 

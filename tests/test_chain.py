@@ -26,12 +26,20 @@ from goodmeasures.partitions import (
     PartitionMorphism,
     WeightedPartition,
     _assemble,
+    _refine,
     split_cell,
     verify_morphism,
 )
-from goodmeasures.values import GroupDescriptor, ONE, RationalGroup, ZERO, check_all_in
+from goodmeasures.values import (
+    ExactValue,
+    GroupDescriptor,
+    ONE,
+    RationalGroup,
+    ZERO,
+    check_all_in,
+)
 
-from conftest import E, random_partition, random_refining_morphism, value_pool
+from conftest import E, random_partition, random_refining_morphism, sqrt2_symbol, value_pool
 from oracles import index_sums_to_one, peel_amalgam
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -422,6 +430,8 @@ def test_maximal_partition_witness(dyadic, triadic):
         ch.maximal_partition_witness([E("1/3"), E("2/3")])
     with pytest.raises(SumMismatch):
         ch.maximal_partition_witness([E("1/2"), E("1/4")])
+    with pytest.raises(NotInV):
+        ch.maximal_partition_witness([E("3/2"), E("-1/2")])
 
 
 def test_no_atoms_every_cell_splits(dyadic, triadic):
@@ -696,7 +706,8 @@ def test_every_append_path_keeps_the_chain_sound(build, descriptor, request):
 
 
 def test_schedule_checks_each_value_once(sqrt2_dyadic, monkeypatch):
-    """Values the engine derived itself are not checked again."""
+    """Values the engine derived itself are not checked again: the schedule
+    checks the two parts of each split (``split_cell``) and nothing else."""
     counts = {"values": 0, "morphisms": 0}
     real_check, real_verify = values.check_all_in, partitions.verify_morphism
 
@@ -716,11 +727,44 @@ def test_schedule_checks_each_value_once(sqrt2_dyadic, monkeypatch):
                 monkeypatch.setattr(mod, name, counting_verify)
     ch = GoodMeasureChain(sqrt2_dyadic)
     ch.run_schedule(2)
-    assert counts["values"] <= 197 and counts["morphisms"] <= 18
+    assert counts["values"] <= 36 and counts["morphisms"] == 0
     snapshot = jsonutil.dumps(ch.to_json()).encode("utf-8")
     assert hashlib.sha256(snapshot).hexdigest() == (
         "430cdb0f8146b112b55d1836d26e3cffff62e3ee479b84c79bf98c493dabe7af"
     )
+
+
+def test_engine_builds_partitions_without_arithmetic(sqrt2_dyadic, monkeypatch):
+    """The root level, the schedule's object challenges, an amalgam and a
+    cycle split are built with no sign() call and no addition; their totals
+    are summed on first use."""
+    s = E(0, {sqrt2_symbol(): 1})
+    values_ = sqrt2_dyadic.enumerate_values(3)
+    E1 = WeightedPartition.make([("a0", s), ("a1", ONE - s)])
+    E2 = WeightedPartition.make([("b0", E("1/2")), ("b1", E("1/2"))])
+    refined = [(E1.cells, E2.cells, _refine(E1.weight_list(), E2.weight_list()))]
+    cycles = [(["r"], s), (["r"], ONE - s)]
+    calls = []
+
+    def counted(name):
+        real = getattr(ExactValue, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("sign", "__add__"):
+        monkeypatch.setattr(ExactValue, name, counted(name))
+    ch = GoodMeasureChain(sqrt2_dyadic)
+    challenges = ch._object_challenges(2, values_)
+    G, _, _ = _assemble(E1, E2, refined)
+    ch._append_cycle_split(cycles)
+    assert calls == []
+    assert len(challenges) == 38 and all(P.total == ONE for P in challenges)
+    assert G.weight_list() == [s, E("1/2") - s, E("1/2")] and G.total == ONE
+    assert ch.top.weight_list() == [s, ONE - s] and ch.top.total == ONE
+    assert "__add__" in calls
 
 
 # -- prefixes handed to extend_prefix --------------------------------------------------------

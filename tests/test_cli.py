@@ -136,6 +136,17 @@ def test_check_good_depth_beyond_levels(files, capsys):
     assert code == 0 and env["result"]["all_ok"]
 
 
+@pytest.mark.parametrize("depth", [9, 1000, 10**12])
+def test_check_good_refuses_a_depth_past_the_cell_bound(files, capsys, depth):
+    # a budget-1 dyadic snapshot has a top of 2 cells at level 1; depth 8
+    # appends a level of 256 cells, depth 9 one of 512
+    snap = files / "snap.json"
+    run(capsys, "build-chain", "--descriptor", str(files / "dyadic.json"),
+        "--budget", "1", "--out", str(snap))
+    assert main(["check-good", "--snapshot", str(snap), "--depth", str(depth)]) == 2
+    assert _one_line_error(capsys) == f"depth {depth} needs a level of over 256 cells"
+
+
 def test_decide_exit_codes(files, capsys):
     code, env = run(capsys, "decide-rokhlin", "--descriptor", str(files / "dyadic.json"))
     assert code == 0 and env["result"] == {"strong_rokhlin": "yes", "rokhlin": "yes"}
@@ -551,6 +562,17 @@ def _irrational_part_not_an_object(data):
     return "irrational part [] is not an object"
 
 
+def _empty_level(data):
+    data["levels"][-1]["cells"] = []
+    return "partitions must be nonempty"
+
+
+def _duplicate_cell_id(data):
+    cells = data["levels"][-1]["cells"]
+    cells[1]["id"] = cells[0]["id"]
+    return "cell identifiers must be unique"
+
+
 def _link_moves_mass(data):
     k = len(data["links"]) - 1
     link = data["links"][k]["map"]
@@ -597,6 +619,8 @@ DOCTORED = {
     "weight_outside_v": _weight_outside_v,
     "weight_not_an_object": _weight_not_an_object,
     "irrational_part_not_an_object": _irrational_part_not_an_object,
+    "empty_level": _empty_level,
+    "duplicate_cell_id": _duplicate_cell_id,
     "link_moves_mass": _link_moves_mass,
     "object_response_not_a_morphism": _object_response_not_a_morphism,
     "morphism_response_not_commuting": _morphism_response_not_commuting,
@@ -696,6 +720,41 @@ def test_a_repeated_weight_in_a_bad_form_is_still_rejected(files, capsys, bad, r
     jsonutil.write(mat, {"level": 0, "entries": [{"from": "r", "to": "r", "w": {"q": "1"}}]})
     assert main(["witness", "--matrix", str(mat), "--snapshot", str(doctored)]) == 2
     assert _one_line_error(capsys).startswith(f"invalid input: {reason}")
+
+
+# -- a non-object where JSON needs an object ----------------------------------------------
+
+
+def _irrational_group(data):
+    data["irrationals"][0]["group"] = []
+    return "rational group [] is not an object"
+
+
+def _rational_part(data):
+    data["rational"] = []
+    return "rational group [] is not an object"
+
+
+def _exponent_table(data):
+    data["rational"]["exceptions"] = [2]
+    return "exponent table [2] is not an object"
+
+
+@pytest.mark.parametrize("doctor", [_irrational_group, _rational_part, _exponent_table])
+def test_descriptor_part_not_an_object_is_invalid_input(files, capsys, doctor):
+    data = json.loads(json.dumps(SQRT2_DYADIC))
+    reason = doctor(data)
+    desc = files / "not_an_object.json"
+    jsonutil.write(desc, data)
+    assert main(["decide-rokhlin", "--descriptor", str(desc)]) == 2
+    assert _one_line_error(capsys) == f"invalid input: ValueError: {reason}"
+
+
+def test_prefix_maps_not_an_object_is_invalid_input(files, capsys):
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    jsonutil.write(prefix, {"maps": []})
+    assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
+    assert _one_line_error(capsys) == "invalid input: ValueError: prefix maps [] is not an object"
 
 
 # -- one parser per process ---------------------------------------------------------------

@@ -20,12 +20,44 @@ from goodmeasures.partitions import (
 )
 from goodmeasures.values import ONE, ZERO
 
-from conftest import E, random_partition, random_refining_morphism, random_split, value_pool
+from conftest import (
+    E,
+    random_partition,
+    random_refining_morphism,
+    random_split,
+    sqrt2_symbol,
+    value_pool,
+)
 from oracles import peel_refinement, refinement_feasible
 
 
 def P(*weights, prefix="c"):
     return WeightedPartition.make([(f"{prefix}{i}", E(w)) for i, w in enumerate(weights)])
+
+
+S = E(0, {sqrt2_symbol(): 1})  # sqrt(2) - 1
+
+
+# -- the checked constructor --------------------------------------------------------
+
+
+@pytest.mark.parametrize("weights,reason", [
+    ([], "partitions must be nonempty"),
+    ([("a", E("1/2")), ("a", E("1/2"))], "cell identifiers must be unique"),
+    ([("a", ONE), ("b", ZERO)], "weight of b must be positive"),
+    ([("a", E("3/2")), ("b", E("-1/2"))], "weight of b must be positive"),
+    ([("a", ONE), ("b", S - S)], "weight of b must be positive"),
+    ([("a", E("3/2") - S), ("b", S - E("1/2"))], "weight of b must be positive"),
+])
+def test_make_rejects(weights, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        WeightedPartition.make(weights)
+
+
+def test_make_sums_the_total_on_first_use():
+    part = WeightedPartition.make([("a", S), ("b", E("1/2")), ("c", E("1/2") - S)])
+    assert "total" not in vars(part)
+    assert part.total == ONE and vars(part)["total"] is part.total
 
 
 # -- common refinement ---------------------------------------------------------
@@ -247,3 +279,16 @@ def test_split_rejects_foreign_values(dyadic):
         split_cell(part, "c0", [E("1/3"), E("1/6")], dyadic)
     with pytest.raises(SumMismatch):
         split_cell(part, "c0", [E("1/4"), E("1/8")], dyadic)
+
+
+def test_children_may_not_take_a_cell_id(dyadic):
+    """A cell c next to a cell c/0 cannot be split or refined: its children
+    would be named c/0 and c/1."""
+    part = WeightedPartition.make([("c", E("1/2")), ("c/0", E("1/2"))])
+    with pytest.raises(ValueError, match="^cell identifiers must be unique$"):
+        split_cell(part, "c", [E("1/4"), E("1/4")], dyadic)
+    base = WeightedPartition.make([("r", ONE)])
+    f1 = PartitionMorphism(part, base, {"c": "r", "c/0": "r"})
+    f2 = PartitionMorphism(P("1/4", "3/4"), base, {"c0": "r", "c1": "r"})
+    with pytest.raises(ValueError, match="^cell identifiers must be unique$"):
+        amalgamate(f1, f2, dyadic)
