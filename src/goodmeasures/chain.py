@@ -71,8 +71,11 @@ class AutomorphismPrefix:
     be absent when the bijection does not descend to them.
     """
 
-    levels: tuple[int, ...]
     maps: Mapping[int, Mapping[str, str]]
+
+    @cached_property
+    def levels(self) -> tuple[int, ...]:
+        return tuple(sorted(self.maps))
 
     @property
     def depth(self) -> int:
@@ -91,14 +94,14 @@ class AutomorphismPrefix:
 
     @staticmethod
     def from_json(data: Mapping) -> "AutomorphismPrefix":
-        maps = {parse_int(k): dict(v) for k, v in parse_object(data["maps"], "prefix maps").items()}
-        return AutomorphismPrefix(tuple(sorted(maps)), maps)
+        return AutomorphismPrefix({
+            parse_int(k): dict(parse_object(v, f"prefix map {k}"))
+            for k, v in parse_object(data["maps"], "prefix maps").items()
+        })
 
 
 def invert_prefix(sigma: AutomorphismPrefix) -> AutomorphismPrefix:
-    return AutomorphismPrefix(
-        sigma.levels, {k: {v: c for c, v in m.items()} for k, m in sigma.maps.items()}
-    )
+    return AutomorphismPrefix({k: {v: c for c, v in m.items()} for k, m in sigma.maps.items()})
 
 
 def _obj_key(P: WeightedPartition) -> tuple:
@@ -135,23 +138,6 @@ class LedgerEntry:
         return out
 
 
-class _TopIndex:
-    """What absorption reads off one top level, each part on first use: its
-    sorted weight key, and per target level the projection onto that level
-    and the cumulative sums of each fiber (``GoodMeasureChain._fiber_index``).
-    ``GoodMeasureChain._append_level`` drops it with the old top.
-    """
-
-    def __init__(self, top: WeightedPartition):
-        self.top = top
-        self.projections: dict[int, dict[str, str]] = {}
-        self.fibers: dict[int, dict[str, tuple]] = {}
-
-    @cached_property
-    def weight_key(self) -> tuple:
-        return self.top.sorted_weight_key()
-
-
 class GoodMeasureChain:
     """Single-writer, append-only prefix of a Fraïssé chain over a value set.
 
@@ -172,7 +158,11 @@ class GoodMeasureChain:
         self.links: list[PartitionMorphism] = []
         self.ledger: list[LedgerEntry] = []
         self._ledger_index: dict[tuple, int] = {}
-        self._top: _TopIndex | None = None  # what absorption reads off the top
+        # per target level: the deepest level projected onto it so far, and that projection
+        self._projections: dict[int, tuple[int, dict[str, str]]] = {}
+        # the top's sorted weight key and its fibers per level, on first use (``_fiber_index``)
+        self._top_key: tuple | None = None
+        self._fibers: dict[int, dict[str, tuple]] = {}
 
     # -- structure -----------------------------------------------------------
 
@@ -185,17 +175,25 @@ class GoodMeasureChain:
         return self.levels[-1]
 
     def composite_mapping(self, from_level: int, to_level: int) -> dict[str, str]:
-        """Cell map of the composite projection from a deeper to a shallower level."""
+        """Cell map of the composite projection from a deeper to a shallower level.
+
+        Levels are append-only, so a projection never changes: per target
+        level the deepest one computed so far is kept, a deeper request walks
+        only the links below it and is kept instead, and a shallower one
+        walks up from the identity.  The returned dict is shared: read only.
+        """
         if not 0 <= to_level <= from_level <= self.depth:
             raise ValueError("levels out of range")
-        return self._project_up({c: c for c in self.levels[to_level].cells}, to_level, from_level)
-
-    def _project_up(self, proj: dict[str, str], level: int, from_level: int) -> dict[str, str]:
-        """A projection of ``level`` onto a lower level, composed with the links
-        from ``from_level`` down to ``level``: the projection of ``from_level``."""
+        kept = self._projections.get(to_level)
+        if kept is not None and kept[0] <= from_level:
+            level, proj = kept
+        else:
+            level, proj = to_level, {c: c for c in self.levels[to_level].cells}
         for lvl in range(level + 1, from_level + 1):
             link = self.links[lvl - 1].mapping
             proj = {c: proj[link[c]] for c in self.levels[lvl].cells}
+        if kept is None or kept[0] < from_level:
+            self._projections[to_level] = (from_level, proj)
         return proj
 
     def composite_morphism(self, from_level: int, to_level: int) -> PartitionMorphism:
@@ -216,7 +214,7 @@ class GoodMeasureChain:
             raise ValueError("link must map the new level onto the current top")
         self.levels.append(P)
         self.links.append(link)
-        self._top = None
+        self._top_key, self._fibers = None, {}
 
     # -- measures and clopen sets ---------------------------------------------
 
@@ -272,7 +270,9 @@ class GoodMeasureChain:
         key = _obj_key(target)
         if key in self._ledger_index:
             return self.ledger[self._ledger_index[key]].stage
-        if key[1] == self._top_index().weight_key:
+        if self._top_key is None:
+            self._top_key = self.top.sorted_weight_key()
+        if key[1] == self._top_key:
             lift = _weight_matching(self.top, target).mapping
         else:
             # the collapse is valid: the target has total 1
@@ -282,28 +282,14 @@ class GoodMeasureChain:
         self.ledger.append(entry)
         return entry.stage
 
-    def _top_index(self) -> _TopIndex:
-        index = self._top
-        if index is None:
-            index = self._top = _TopIndex(self.top)
-        return index
-
-    def _projection(self, level: int) -> dict[str, str]:
-        """The chain projection from the top onto a level, computed once per top."""
-        index = self._top_index()
-        proj = index.projections.get(level)
-        if proj is None:
-            proj = index.projections[level] = self.composite_mapping(self.depth, level)
-        return proj
-
     def _fiber_index(self, level: int) -> dict[str, tuple]:
         """Per cell x of a level: the top cells over x in top order, their
         weights and those weights' ``_cumulative``, kept for the top's lifetime."""
-        index = self._top_index()
-        fibers = index.fibers.get(level)
+        fibers = self._fibers.get(level)
         if fibers is None:
-            f1 = PartitionMorphism(self.top, self.levels[level], self._projection(level))
-            fibers = index.fibers[level] = {}
+            proj = self.composite_mapping(self.depth, level)
+            f1 = PartitionMorphism(self.top, self.levels[level], proj)
+            fibers = self._fibers[level] = {}
             for x, ys in f1.fibers().items():
                 left = [self.top.weights[y] for y in ys]
                 fibers[x] = (ys, left, *_cumulative(left))
@@ -335,14 +321,11 @@ class GoodMeasureChain:
                 for z, (start, _), (end, _) in zip(zs, [(0, None), *places], places)
                 for y in ys[start:end]
             }
-        proj = self._projection(level)
         G, p1, p2 = _assemble(self.top, f2.source, [
             (ys, zs, _parts(left, right, sums, places))
             for ys, zs, left, right, sums, places in walks
         ])
         self._append_level(G, p1)
-        # the new top projects through p1, without walking the levels again
-        self._top_index().projections[level] = {g: proj[y] for g, y in p1.mapping.items()}
         return p2.mapping
 
     def absorb_morphism(
@@ -368,7 +351,7 @@ class GoodMeasureChain:
         key = _mor_key(level, f2)
         if key not in self._ledger_index:
             r = self._respond(f2, level)
-            if not _commutes(f2.mapping, r, self._projection(level)):
+            if not _commutes(f2.mapping, r, self.composite_mapping(self.depth, level)):
                 raise RuntimeError("absorption failed to commute; this is a bug")
             self._ledger_index[key] = len(self.ledger)
             self.ledger.append(LedgerEntry(
@@ -472,7 +455,7 @@ class GoodMeasureChain:
     def identity_prefix(self, depth: int | None = None) -> AutomorphismPrefix:
         depth = self.depth if depth is None else depth
         maps = {k: {c: c for c in self.levels[k].cells} for k in range(depth + 1)}
-        return AutomorphismPrefix(tuple(range(depth + 1)), maps)
+        return AutomorphismPrefix(maps)
 
     def prefix_valid(self, sigma: AutomorphismPrefix) -> bool:
         for k in sigma.levels:
@@ -521,7 +504,7 @@ class GoodMeasureChain:
         maps: dict[int, dict[str, str]] = {level: sigma}
         self._descend(maps, level)
         self._ascend_to_top(maps, level)
-        return AutomorphismPrefix(tuple(sorted(maps)), maps)
+        return AutomorphismPrefix(maps)
 
     def _descend(self, maps: dict[int, dict[str, str]], level: int) -> None:
         k = level
@@ -629,7 +612,7 @@ class GoodMeasureChain:
                 d = self._ascend_to_top(maps, d)
             else:
                 d = self._orbit_split(maps, d)
-        return AutomorphismPrefix(tuple(sorted(maps)), maps)
+        return AutomorphismPrefix(maps)
 
     def _orbit_split(self, maps: dict[int, dict[str, str]], d: int) -> int:
         """Split every top cell in two along two parallel copies of each orbit
@@ -676,7 +659,7 @@ class GoodMeasureChain:
             k: {c: outer.maps[k][inner.maps[k][c]] for c in self.levels[k].cells}
             for k in shared
         }
-        return AutomorphismPrefix(tuple(shared), maps)
+        return AutomorphismPrefix(maps)
 
     # -- serialisation -------------------------------------------------------------
 
@@ -708,7 +691,9 @@ class GoodMeasureChain:
             raise ValueError(f"snapshot has {len(levels)} levels but {len(data['links'])} links")
         chain.levels = levels
         chain.links = [
-            PartitionMorphism(levels[i + 1], levels[i], dict(d["map"]))
+            PartitionMorphism(
+                levels[i + 1], levels[i], dict(parse_object(d["map"], f"snapshot link {i} map"))
+            )
             for i, d in enumerate(data["links"])
         ]
         entries = [
@@ -726,8 +711,6 @@ class GoodMeasureChain:
         for i, link in enumerate(chain.links):
             if not verify_morphism(link):
                 raise ValueError(f"snapshot link {i} does not map level {i + 1} onto level {i}")
-        # per target level: the last stage projected onto it, and that projection
-        projections: dict[int, tuple[int, dict[str, str]]] = {}
         for n, entry in enumerate(entries):
             stage = entry.stage
             response = PartitionMorphism(levels[stage], entry.challenge_object, entry.response_map)
@@ -736,12 +719,7 @@ class GoodMeasureChain:
                     f"ledger entry {n}: response does not map level {stage} onto its challenge"
                 )
             if entry.kind == "morphism":
-                t = entry.target_level
-                k, proj = projections.get(t, (stage + 1, None))
-                if k > stage:
-                    k, proj = t, {c: c for c in levels[t].cells}
-                proj = chain._project_up(proj, k, stage)
-                projections[t] = (stage, proj)
+                proj = chain.composite_mapping(stage, entry.target_level)
                 if not _commutes(entry.challenge_map, entry.response_map, proj):
                     raise ValueError(f"ledger entry {n}: response does not commute with the chain")
             chain._ledger_index[entry.key] = n
@@ -758,7 +736,7 @@ def _ledger_entry_from_json(
     if not 0 <= stage < len(levels):
         raise ValueError(f"ledger entry {n}: stage {stage} is not a level of the snapshot")
     obj = WeightedPartition.from_json(e["challenge"], symbols, memo)
-    response = dict(e["response"]["map"])
+    response = dict(parse_object(e["response"]["map"], f"ledger entry {n}: response map"))
     if e["kind"] == "object":
         return LedgerEntry("object", _obj_key(obj), stage, obj, None, None, response)
     if e["kind"] != "morphism":
@@ -768,7 +746,7 @@ def _ledger_entry_from_json(
         raise ValueError(
             f"ledger entry {n}: target level {target} is not a level at or below stage {stage}"
         )
-    cm = dict(e["challenge_map"])
+    cm = dict(parse_object(e["challenge_map"], f"ledger entry {n}: challenge map"))
     mor = PartitionMorphism(obj, levels[target], cm)
     if not verify_morphism(mor):
         raise ValueError(f"ledger entry {n}: challenge does not map onto level {target}")

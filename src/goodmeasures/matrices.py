@@ -84,15 +84,14 @@ class MatrixMorphism:
 
 def validate(chain: GoodMeasureChain, A: BalancedMatrix) -> bool:
     """All invariants, checked exactly: nonnegative V-entries, equal row and
-    column sums, total one, row sums equal to the level's cell measures, and
-    no zero rows."""
+    column sums, and row sums equal to the level's cell measures (so no zero
+    rows, and the entries sum to the level's total, one)."""
     if not 0 <= A.level <= chain.depth:
         return False
     P = chain.levels[A.level]
     cells = set(P.cells)
     rows: dict[str, ExactValue] = {c: ZERO for c in cells}
     cols: dict[str, ExactValue] = {c: ZERO for c in cells}
-    total = ZERO
     for (a, b), w in A.entries.items():
         if a not in cells or b not in cells:
             return False
@@ -100,12 +99,9 @@ def validate(chain: GoodMeasureChain, A: BalancedMatrix) -> bool:
             return False
         rows[a] = rows[a] + w
         cols[b] = cols[b] + w
-        total = total + w
     if any(rows[c] != cols[c] for c in cells):
         return False
-    if any(rows[c] != P.weight(c) for c in cells):
-        return False
-    return total == P.total
+    return all(rows[c] == P.weight(c) for c in cells)
 
 
 def in_cycle_category(A: BalancedMatrix) -> bool:

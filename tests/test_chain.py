@@ -611,6 +611,18 @@ def assert_chain_sound(chain):
     for k, link in enumerate(chain.links):
         assert link.source is chain.levels[k + 1] and link.target is chain.levels[k]
         assert verify_morphism(link)
+    # every projection walked down link by link, independent of composite_mapping,
+    # then asked for in a seeded shuffled order: kept projections get extended
+    # by deeper requests and outlive shallower ones
+    walked = {}
+    for hi in range(chain.depth + 1):
+        proj = walked[hi, hi] = {c: c for c in chain.levels[hi].cells}
+        for lo in range(hi, 0, -1):
+            proj = walked[hi, lo - 1] = {c: chain.links[lo - 1].mapping[p] for c, p in proj.items()}
+    pairs = sorted(walked)
+    random.Random(0).shuffle(pairs)
+    for hi, lo in pairs:
+        assert chain.composite_mapping(hi, lo) == walked[hi, lo]
     for e in chain.ledger:
         A = e.challenge_object
         check_all_in(A.weight_list(), chain.V, "challenge weight")
@@ -619,11 +631,7 @@ def assert_chain_sound(chain):
         if e.kind == "morphism":
             target = chain.levels[e.target_level]
             assert verify_morphism(PartitionMorphism(A, target, dict(e.challenge_map)))
-            # the projection walked down link by link, independent of composite_mapping
-            proj = {c: c for c in stage.cells}
-            for k in range(e.stage, e.target_level, -1):
-                proj = {c: chain.links[k - 1].mapping[p] for c, p in proj.items()}
-            assert proj == chain.composite_mapping(e.stage, e.target_level)
+            proj = walked[e.stage, e.target_level]
             assert all(e.challenge_map[e.response_map[c]] == proj[c] for c in stage.cells)
 
 
@@ -700,9 +708,13 @@ def _orbit_split(V):
 ], ids=["schedule-dyadic", "schedule-triadic", "schedule-sqrt2", "subset-witness",
         "cycle-object-at-top", "cycle-object-below-top", "transport-split", "orbit-split"])
 def test_every_append_path_keeps_the_chain_sound(build, descriptor, request):
-    ch = build(request.getfixturevalue(descriptor))
-    assert_chain_sound(ch)
-    assert_chain_sound(GoodMeasureChain.from_json(ch.to_json()))
+    built = build(request.getfixturevalue(descriptor))
+    loaded = GoodMeasureChain.from_json(built.to_json())
+    for ch in (built, loaded):
+        assert_chain_sound(ch)
+        # one level past every kept projection
+        ch.ensure_depth(ch.depth + 1)
+        assert_chain_sound(ch)
 
 
 def test_schedule_checks_each_value_once(sqrt2_dyadic, monkeypatch):
@@ -775,7 +787,7 @@ def test_extend_prefix_rejects_weight_changing_maps(dyadic):
     ch.absorb_object(obj("1/4", "1/4", "1/2"))
     a, b, c = ch.levels[1].cells
     for top_map in ({a: c, c: a, b: b}, {a: a, b: a, c: c}):
-        sigma = AutomorphismPrefix((1,), {1: top_map})
+        sigma = AutomorphismPrefix({1: top_map})
         with pytest.raises(WeightMismatch):
             ch.extend_prefix(sigma, 3)
     assert ch.depth == 1

@@ -606,6 +606,29 @@ def _morphism_response_not_commuting(data):
     raise AssertionError("no morphism entry to doctor")
 
 
+def _as_pairs(mapping):
+    """A JSON object written as a list of [key, value] pairs."""
+    return [[k, v] for k, v in mapping.items()]
+
+
+def _link_map_not_an_object(data):
+    link = data["links"][0]
+    link["map"] = _as_pairs(link["map"])
+    return f"snapshot link 0 map {link['map']!r} is not an object"
+
+
+def _response_map_not_an_object(data):
+    response = data["ledger"][0]["response"]
+    response["map"] = _as_pairs(response["map"])
+    return f"ledger entry 0: response map {response['map']!r} is not an object"
+
+
+def _challenge_map_not_an_object(data):
+    n, entry = next((n, e) for n, e in enumerate(data["ledger"]) if e["kind"] == "morphism")
+    entry["challenge_map"] = _as_pairs(entry["challenge_map"])
+    return f"ledger entry {n}: challenge map {entry['challenge_map']!r} is not an object"
+
+
 def _target_level(value):
     def doctor(data):
         n, entry = next((n, e) for n, e in enumerate(data["ledger"]) if e["kind"] == "morphism")
@@ -626,6 +649,9 @@ DOCTORED = {
     "morphism_response_not_commuting": _morphism_response_not_commuting,
     "target_level_negative": _target_level(lambda data: -1),
     "target_level_past_the_top": _target_level(lambda data: len(data["levels"])),
+    "link_map_not_an_object": _link_map_not_an_object,
+    "response_map_not_an_object": _response_map_not_an_object,
+    "challenge_map_not_an_object": _challenge_map_not_an_object,
 }
 
 
@@ -755,6 +781,15 @@ def test_prefix_maps_not_an_object_is_invalid_input(files, capsys):
     jsonutil.write(prefix, {"maps": []})
     assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
     assert _one_line_error(capsys) == "invalid input: ValueError: prefix maps [] is not an object"
+
+
+def test_prefix_map_written_as_pairs_is_invalid_input(files, capsys):
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    swap = [["r/0", "r/1"], ["r/1", "r/0"]]
+    jsonutil.write(prefix, {"maps": {"1": swap}})
+    assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
+    reason = f"prefix map 1 {swap!r} is not an object"
+    assert _one_line_error(capsys) == f"invalid input: ValueError: {reason}"
 
 
 # -- one parser per process ---------------------------------------------------------------

@@ -392,7 +392,7 @@ def fiber_permutation(ch, base_level, depth, rng=None, group_level=None):
             rotated = lst[1:] + lst[:1]
             for x, y in zip(lst, rotated):
                 mapping[x] = y
-    return AutomorphismPrefix((depth,), {depth: mapping})
+    return AutomorphismPrefix({depth: mapping})
 
 
 def test_conjugate_identity_reduction(dyadic):
@@ -435,7 +435,7 @@ def test_conjugate_rejects_weight_changing_prefix(dyadic):
     A = two_cycle(ch, 1)
     f = compatible_witness(ch, A)
     # g respects the fibers of level 1 but swaps cells of weights 1/8 and 3/8
-    g = AutomorphismPrefix((2,), {2: {f"{a}/0": f"{a}/1", f"{a}/1": f"{a}/0", b: b}})
+    g = AutomorphismPrefix({2: {f"{a}/0": f"{a}/1", f"{a}/1": f"{a}/0", b: b}})
     assert f.depth > g.depth
     with pytest.raises(WeightMismatch):
         conjugate_transport_check(ch, f, g, identity_matrix_morphism(ch, A))
