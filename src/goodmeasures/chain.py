@@ -38,6 +38,7 @@ from .partitions import (
     _place,
     _subdivide,
     lift_edges,
+    maps_onto,
     split_cell,
     verify_morphism,
 )
@@ -675,12 +676,17 @@ class GoodMeasureChain:
     def from_json(data: Mapping) -> "GoodMeasureChain":
         """Load a snapshot and verify it once; a fault raises a one-line ValueError.
 
-        Checked: every distinct weight of the levels and of the ledger
-        challenges lies in V, level 0 has total 1, each link maps level k+1
-        onto level k, every ledger stage and target level is an integer in
-        range, each response maps its stage onto its challenge, and each
-        morphism challenge maps onto its target level with a response that
-        commutes with the chain projection.
+        The snapshot is parsed first: its levels, its link maps and its
+        ledger entries, each ledger stage and target level an integer in
+        range.  It is then checked: every distinct weight of the levels and
+        of the ledger challenges lies in V, level 0 has total 1, each link
+        maps level k+1 onto level k, each morphism challenge maps onto its
+        target level, each response maps its stage onto its challenge, and a
+        morphism response commutes with the chain projection.
+
+        The mass checks add ints, not values: the distinct weights are packed
+        once into one ``PackedValues`` with room for the largest partition,
+        so every fiber sum and level 0's total are exact.
         """
         V = GroupDescriptor.from_json(data["descriptor"])
         chain = GoodMeasureChain(V)
@@ -689,68 +695,68 @@ class GoodMeasureChain:
         levels = [WeightedPartition.from_json(d, symbols, memo) for d in data["levels"]]
         if len(data["links"]) != len(levels) - 1:
             raise ValueError(f"snapshot has {len(levels)} levels but {len(data['links'])} links")
-        chain.levels = levels
-        chain.links = [
-            PartitionMorphism(
-                levels[i + 1], levels[i], dict(parse_object(d["map"], f"snapshot link {i} map"))
-            )
+        link_maps = [
+            dict(parse_object(d["map"], f"snapshot link {i} map"))
             for i, d in enumerate(data["links"])
         ]
-        entries = [
-            _ledger_entry_from_json(n, e, levels, symbols, memo)
-            for n, e in enumerate(data["ledger"])
-        ]
-        challenges = [e.challenge_object for e in entries]
-        weights = dict.fromkeys(w for P in [*levels, *challenges] for w in P.weight_list())
+        parsed = []  # (kind, stage, challenge, target level, challenge map, response map)
+        for n, e in enumerate(data["ledger"]):
+            stage = parse_int(e["stage"])
+            if not 0 <= stage < len(levels):
+                raise ValueError(f"ledger entry {n}: stage {stage} is not a level of the snapshot")
+            obj = WeightedPartition.from_json(e["challenge"], symbols, memo)
+            response = dict(parse_object(e["response"]["map"], f"ledger entry {n}: response map"))
+            kind, target, cm = e["kind"], None, None
+            if kind == "morphism":
+                target = parse_int(e["target_level"])
+                if not 0 <= target <= stage:
+                    raise ValueError(
+                        f"ledger entry {n}: target level {target} is not a level "
+                        f"at or below stage {stage}"
+                    )
+                cm = dict(parse_object(e["challenge_map"], f"ledger entry {n}: challenge map"))
+            elif kind != "object":
+                raise ValueError(f"ledger entry {n}: unknown kind {kind!r}")
+            parsed.append((kind, stage, obj, target, cm, response))
+
+        values = list(memo.values())  # every weight of the snapshot is one of these objects
         try:
-            check_all_in(list(weights), V, "snapshot weight")
+            check_all_in(values, V, "snapshot weight")
         except NotInV as exc:
             raise ValueError(str(exc)) from None
-        if levels[0].total != ONE:
+        room = max(len(P.cells) for P in [*levels, *(p[2] for p in parsed)])
+        pv = PackedValues(values, room)
+        # keyed by identity: the memo holds one object per distinct weight, so no value is hashed
+        packed_of = dict(zip(map(id, values), pv.packed))
+
+        def packed(P: WeightedPartition) -> dict[str, int]:
+            return {c: packed_of[id(w)] for c, w in P.weights.items()}
+
+        weights = [packed(P) for P in levels]  # each level's packed weights by cell
+        if sum(weights[0].values()) != pv.one:
             raise ValueError(f"level 0 of the snapshot has total {levels[0].total}, expected 1")
-        for i, link in enumerate(chain.links):
-            if not verify_morphism(link):
+        chain.levels = levels
+        for i, mapping in enumerate(link_maps):
+            if not maps_onto(mapping, weights[i + 1], weights[i]):
                 raise ValueError(f"snapshot link {i} does not map level {i + 1} onto level {i}")
-        for n, entry in enumerate(entries):
-            stage = entry.stage
-            response = PartitionMorphism(levels[stage], entry.challenge_object, entry.response_map)
-            if not verify_morphism(response):
+            chain.links.append(PartitionMorphism(levels[i + 1], levels[i], mapping))
+        for n, (kind, stage, obj, target, cm, response) in enumerate(parsed):
+            ow = packed(obj)
+            if kind == "morphism" and not maps_onto(cm, ow, weights[target]):
+                raise ValueError(f"ledger entry {n}: challenge does not map onto level {target}")
+            if not maps_onto(response, weights[stage], ow):
                 raise ValueError(
                     f"ledger entry {n}: response does not map level {stage} onto its challenge"
                 )
-            if entry.kind == "morphism":
-                proj = chain.composite_mapping(stage, entry.target_level)
-                if not _commutes(entry.challenge_map, entry.response_map, proj):
+            if kind == "object":
+                key = _obj_key(obj)
+            else:
+                if not _commutes(cm, response, chain.composite_mapping(stage, target)):
                     raise ValueError(f"ledger entry {n}: response does not commute with the chain")
-            chain._ledger_index[entry.key] = n
-        chain.ledger = entries
+                key = _mor_key(target, PartitionMorphism(obj, levels[target], cm))
+            chain.ledger.append(LedgerEntry(kind, key, stage, obj, target, cm, response))
+            chain._ledger_index[key] = n
         return chain
-
-
-def _ledger_entry_from_json(
-    n: int, e: Mapping, levels: Sequence[WeightedPartition], symbols, memo: dict
-) -> LedgerEntry:
-    """Ledger entry n of a snapshot, with its stage, its target level and, for
-    a morphism entry, its challenge map checked against the snapshot's levels."""
-    stage = parse_int(e["stage"])
-    if not 0 <= stage < len(levels):
-        raise ValueError(f"ledger entry {n}: stage {stage} is not a level of the snapshot")
-    obj = WeightedPartition.from_json(e["challenge"], symbols, memo)
-    response = dict(parse_object(e["response"]["map"], f"ledger entry {n}: response map"))
-    if e["kind"] == "object":
-        return LedgerEntry("object", _obj_key(obj), stage, obj, None, None, response)
-    if e["kind"] != "morphism":
-        raise ValueError(f"ledger entry {n}: unknown kind {e['kind']!r}")
-    target = parse_int(e["target_level"])
-    if not 0 <= target <= stage:
-        raise ValueError(
-            f"ledger entry {n}: target level {target} is not a level at or below stage {stage}"
-        )
-    cm = dict(parse_object(e["challenge_map"], f"ledger entry {n}: challenge map"))
-    mor = PartitionMorphism(obj, levels[target], cm)
-    if not verify_morphism(mor):
-        raise ValueError(f"ledger entry {n}: challenge does not map onto level {target}")
-    return LedgerEntry("morphism", _mor_key(target, mor), stage, obj, target, cm, response)
 
 
 def _commutes(

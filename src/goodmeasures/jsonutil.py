@@ -119,10 +119,23 @@ def parse_int(text) -> int:
     return int(text)
 
 
+_JSON_TYPES = {
+    list: "a JSON array",
+    str: "a JSON string",
+    bool: "a JSON boolean",
+    int: "a JSON number",
+    float: "a JSON number",
+    type(None): "JSON null",
+}
+
+
 def parse_object(value, what: str) -> Mapping:
-    """value, if it is a JSON object; otherwise a one-line ValueError naming it."""
+    """value, if it is a JSON object; otherwise a one-line ValueError naming
+    the place and the JSON type found there, never the value itself, which
+    may be as large as a whole level's map."""
     if not isinstance(value, Mapping):
-        raise ValueError(f"{what} {value!r} is not an object")
+        found = _JSON_TYPES.get(type(value), f"a Python {type(value).__name__}")
+        raise ValueError(f"{what} is {found}, not an object")
     return value
 
 

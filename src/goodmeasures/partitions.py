@@ -105,18 +105,34 @@ class PartitionMorphism:
 
 def verify_morphism(m: PartitionMorphism) -> bool:
     """True iff the map is a well-defined, surjective, mass-preserving cell map."""
-    if set(m.mapping) != set(m.source.cells):
+    return maps_onto(m.mapping, m.source.weights, m.target.weights)
+
+
+def maps_onto(mapping: Mapping[str, str], source: Mapping, target: dict) -> bool:
+    """True iff ``mapping`` is defined on exactly the cells of ``source``, its
+    image is exactly the cells of ``target``, and the weights over each target
+    cell sum to that cell's weight.
+
+    ``source`` and the dict ``target`` map cells to weights that add and
+    compare exactly: ``ExactValue``s, or the packed ints of one
+    ``PackedValues`` whose ``room`` is at least the number of source cells,
+    so that no fiber sum carries.  A target cell with no preimage fails
+    whatever its weight.
+    """
+    if len(mapping) != len(source):
         return False
-    if set(m.mapping.values()) != set(m.target.cells):
-        return False
-    weight = m.source.weights
-    for x, (first, *rest) in m.fibers().items():
-        s = weight[first]
-        for y in rest:
-            s = s + weight[y]
-        if s != m.target.weight(x):
+    weight = source.get
+    sums: dict = {}  # the mass over each image cell
+    for c, x in mapping.items():
+        w = weight(c)
+        if w is None:  # not a source cell
             return False
-    return True
+        if x in sums:
+            sums[x] += w
+        else:
+            sums[x] = w
+    # equal keys: onto the target and nowhere else; equal values: masses kept
+    return sums == target
 
 
 def compose(outer: PartitionMorphism, inner: PartitionMorphism) -> PartitionMorphism:

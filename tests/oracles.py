@@ -149,3 +149,23 @@ def peel_amalgam(
         ys, zs = fibers1[x], fibers2[x]
         refined.append((ys, zs, peel_refinement([w1[y] for y in ys], [w2[z] for z in zs])))
     return _assemble(f1.source, f2.source, refined)
+
+
+def morphism_by_sets(m: PartitionMorphism) -> bool:
+    """True iff the map is a well-defined, surjective, mass-preserving cell
+    map, decided by comparing the key and image sets and then adding each
+    fiber's values.  The engine's former ``verify_morphism``; the reference
+    for ``partitions.maps_onto``.
+    """
+    if set(m.mapping) != set(m.source.cells):
+        return False
+    if set(m.mapping.values()) != set(m.target.cells):
+        return False
+    weight = m.source.weights
+    for x, (first, *rest) in m.fibers().items():
+        s = weight[first]
+        for y in rest:
+            s = s + weight[y]
+        if s != m.target.weight(x):
+            return False
+    return True

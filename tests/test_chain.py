@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -571,6 +572,104 @@ def test_snapshot_reload_and_continue(dyadic):
     ch.run_schedule(3)
     again.run_schedule(3)
     assert jsonutil.dumps(again.to_json()) == jsonutil.dumps(ch.to_json())
+
+
+def test_load_verifies_masses_without_adding_values(sqrt2_dyadic, monkeypatch):
+    """``from_json`` checks every link, challenge map and response on packed
+    ints: it calls no ``verify_morphism`` and adds no two values."""
+    ch = GoodMeasureChain(sqrt2_dyadic)
+    ch.run_schedule(2)
+    data = jsonutil.loads(jsonutil.dumps(ch.to_json()))
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("__add__", "__sub__"):
+        monkeypatch.setattr(ExactValue, name, counted(name, getattr(ExactValue, name)))
+    monkeypatch.setattr(chain_module, "verify_morphism", counted("verify", verify_morphism))
+    loaded = GoodMeasureChain.from_json(data)
+    assert calls == []
+    assert len(loaded.ledger) == len(ch.ledger) and jsonutil.dumps(loaded.to_json()) == (
+        jsonutil.dumps(ch.to_json())
+    )
+
+
+def _tower_snapshot(V, levels):
+    """Snapshot JSON of a tower with no ledger.  ``levels`` lists each level's
+    cells as (id, q, c), weight q + c·(√2−1); a cell's parent is its id up to
+    the last slash."""
+    def weight(q, c):
+        return {"q": str(q), "irr": {"s2": str(c)}} if c else {"q": str(q)}
+    return {
+        "descriptor": V.to_json(),
+        "levels": [{"cells": [{"id": i, "w": weight(q, c)} for i, q, c in cells]}
+                   for cells in levels],
+        "links": [{"map": {i: i.rsplit("/", 1)[0] for i, _, _ in cells}} for cells in levels[1:]],
+        "ledger": [],
+    }
+
+
+def _split_in_two(rng, cells):
+    """Each (id, q, c) cut into two, at a random numerator over the cell's
+    own denominator in whichever coordinate is not zero."""
+    out = []
+    for i, q, c in cells:
+        x = q or c
+        a = Fraction(rng.randrange(1, x.numerator), x.denominator)
+        out += [(f"{i}/0", a, 0), (f"{i}/1", x - a, 0)] if q else [
+            (f"{i}/0", 0, a), (f"{i}/1", 0, x - a)]
+    return out
+
+
+def _triadic_tower(rng):
+    """Level 1: 70 cells over 3**40 (some reduce to 3**39); level 2 halves each."""
+    den = 3**40
+    nums = [rng.randrange(den // 140, den // 70) for _ in range(69)]
+    nums[::7] = [n - n % 3 for n in nums[::7]]
+    nums.append(den - sum(nums))
+    level1 = [(f"r/{k}", Fraction(n, den), 0) for k, n in enumerate(nums)]
+    return level1, _split_in_two(rng, level1), Fraction(1, den)
+
+
+def _sqrt2_dyadic_tower(rng):
+    """Level 1: 33 cells k·s/2**64 and one cell 1 − K·s/2**64; level 2 halves
+    the first 33 and cuts the last into 32 cells 1/32 − m·s/2**64, whose
+    negative s-coordinates borrow from the rational one when packed."""
+    den = 2**64
+    ks = [rng.randrange(2**57, 2**58) for _ in range(33)]
+    K = sum(ks)
+    ms = [K // 32 + rng.randrange(-(2**50), 2**50) for _ in range(31)]
+    ms.append(K - sum(ms))
+    level1 = [(f"r/{k}", 0, Fraction(n, den)) for k, n in enumerate(ks)]
+    level1.append(("r/33", 1, -Fraction(K, den)))
+    level2 = _split_in_two(rng, level1[:-1])
+    level2 += [(f"r/33/{j}", Fraction(1, 32), -Fraction(m, den)) for j, m in enumerate(ms)]
+    return level1, level2, Fraction(1, den)
+
+
+@pytest.mark.parametrize("descriptor,tower", [
+    ("triadic", _triadic_tower), ("sqrt2_dyadic", _sqrt2_dyadic_tower)])
+def test_huge_denominators_load_and_a_numerator_moved_by_one_does_not(descriptor, tower, request):
+    """The packed mass checks neither carry nor lose a unit: the tower loads,
+    and moving one numerator of either level by 1 over its denominator
+    breaks the link above it."""
+    V = request.getfixturevalue(descriptor)
+    level1, level2, unit = tower(random.Random(4040))
+    root = [("r", 1, 0)]
+    chain = GoodMeasureChain.from_json(_tower_snapshot(V, [root, level1, level2]))
+    assert len(chain.top.cells) >= 64 and chain.top.total == ONE
+    assert max(w.den for w in chain.top.weight_list()) == unit.denominator
+    for k, level in ((1, level1), (2, level2)):
+        i, q, c = level[-1]
+        moved = [*level[:-1], (i, q, c + unit) if c else (i, q + unit, c)]
+        levels = [root, level1, level2]
+        levels[k] = moved
+        with pytest.raises(ValueError, match=f"^snapshot link {k - 1} does not map level {k} "):
+            GoodMeasureChain.from_json(_tower_snapshot(V, levels))
 
 
 def test_snapshot_written_before_relabelling_still_answers():

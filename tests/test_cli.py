@@ -554,12 +554,12 @@ def _weight_outside_v(data):
 
 def _weight_not_an_object(data):
     data["levels"][-1]["cells"][0]["w"] = "1"
-    return "value '1' is not an object"
+    return "value is a JSON string, not an object"
 
 
 def _irrational_part_not_an_object(data):
     data["levels"][-1]["cells"][0]["w"] = {"q": "1", "irr": []}
-    return "irrational part [] is not an object"
+    return "irrational part is a JSON array, not an object"
 
 
 def _empty_level(data):
@@ -580,6 +580,40 @@ def _link_moves_mass(data):
     assert link[first] != link[last]
     link[last] = link[first]
     return f"snapshot link {k} does not map level {k + 1} onto level {k}"
+
+
+def _link_map(edit):
+    """A doctored last link: ``edit`` changes its map in place."""
+    def doctor(data):
+        k = len(data["links"]) - 1
+        edit(data["links"][k]["map"])
+        return f"snapshot link {k} does not map level {k + 1} onto level {k}"
+    return doctor
+
+
+def _level_0_total_half(data):
+    data["levels"][0]["cells"][0]["w"] = {"q": "1/2"}
+    return "level 0 of the snapshot has total 1/2, expected 1"
+
+
+def _challenge_map_moves_mass(data):
+    # send one challenge cell to another target cell: two fibers change mass
+    for n, e in enumerate(data["ledger"]):
+        if e["kind"] != "morphism":
+            continue
+        cm = e["challenge_map"]
+        first, *others = dict.fromkeys(cm.values())
+        if others:
+            cm[next(c for c, t in cm.items() if t == first)] = others[0]
+            return f"ledger entry {n}: challenge does not map onto level {e['target_level']}"
+    raise AssertionError("no morphism entry to doctor")
+
+
+def _response_names_unknown_cell(data):
+    n, entry = next((n, e) for n, e in enumerate(data["ledger"]) if e["kind"] == "object")
+    r = entry["response"]["map"]
+    r[next(iter(r))] = "nowhere"
+    return f"ledger entry {n}: response does not map level {entry['stage']} onto its challenge"
 
 
 def _object_response_not_a_morphism(data):
@@ -614,19 +648,19 @@ def _as_pairs(mapping):
 def _link_map_not_an_object(data):
     link = data["links"][0]
     link["map"] = _as_pairs(link["map"])
-    return f"snapshot link 0 map {link['map']!r} is not an object"
+    return "snapshot link 0 map is a JSON array, not an object"
 
 
 def _response_map_not_an_object(data):
     response = data["ledger"][0]["response"]
     response["map"] = _as_pairs(response["map"])
-    return f"ledger entry 0: response map {response['map']!r} is not an object"
+    return "ledger entry 0: response map is a JSON array, not an object"
 
 
 def _challenge_map_not_an_object(data):
     n, entry = next((n, e) for n, e in enumerate(data["ledger"]) if e["kind"] == "morphism")
     entry["challenge_map"] = _as_pairs(entry["challenge_map"])
-    return f"ledger entry {n}: challenge map {entry['challenge_map']!r} is not an object"
+    return f"ledger entry {n}: challenge map is a JSON array, not an object"
 
 
 def _target_level(value):
@@ -645,6 +679,12 @@ DOCTORED = {
     "empty_level": _empty_level,
     "duplicate_cell_id": _duplicate_cell_id,
     "link_moves_mass": _link_moves_mass,
+    "link_map_missing_a_cell": _link_map(lambda m: m.pop(next(iter(m)))),
+    "link_map_image_not_below": _link_map(lambda m: m.update({next(iter(m)): "nowhere"})),
+    "link_map_extra_key": _link_map(lambda m: m.update(ghost=next(iter(m.values())))),
+    "level_0_total_half": _level_0_total_half,
+    "challenge_map_moves_mass": _challenge_map_moves_mass,
+    "response_names_unknown_cell": _response_names_unknown_cell,
     "object_response_not_a_morphism": _object_response_not_a_morphism,
     "morphism_response_not_commuting": _morphism_response_not_commuting,
     "target_level_negative": _target_level(lambda data: -1),
@@ -753,17 +793,17 @@ def test_a_repeated_weight_in_a_bad_form_is_still_rejected(files, capsys, bad, r
 
 def _irrational_group(data):
     data["irrationals"][0]["group"] = []
-    return "rational group [] is not an object"
+    return "rational group is a JSON array, not an object"
 
 
 def _rational_part(data):
     data["rational"] = []
-    return "rational group [] is not an object"
+    return "rational group is a JSON array, not an object"
 
 
 def _exponent_table(data):
     data["rational"]["exceptions"] = [2]
-    return "exponent table [2] is not an object"
+    return "exponent table is a JSON array, not an object"
 
 
 @pytest.mark.parametrize("doctor", [_irrational_group, _rational_part, _exponent_table])
@@ -780,7 +820,9 @@ def test_prefix_maps_not_an_object_is_invalid_input(files, capsys):
     snap, mat, prefix = _snapshot_inputs(files, capsys)
     jsonutil.write(prefix, {"maps": []})
     assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
-    assert _one_line_error(capsys) == "invalid input: ValueError: prefix maps [] is not an object"
+    assert _one_line_error(capsys) == (
+        "invalid input: ValueError: prefix maps is a JSON array, not an object"
+    )
 
 
 def test_prefix_map_written_as_pairs_is_invalid_input(files, capsys):
@@ -788,7 +830,7 @@ def test_prefix_map_written_as_pairs_is_invalid_input(files, capsys):
     swap = [["r/0", "r/1"], ["r/1", "r/0"]]
     jsonutil.write(prefix, {"maps": {"1": swap}})
     assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
-    reason = f"prefix map 1 {swap!r} is not an object"
+    reason = "prefix map 1 is a JSON array, not an object"
     assert _one_line_error(capsys) == f"invalid input: ValueError: {reason}"
 
 

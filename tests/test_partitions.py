@@ -15,10 +15,11 @@ from goodmeasures.partitions import (
     common_refinement,
     compose,
     identity,
+    maps_onto,
     split_cell,
     verify_morphism,
 )
-from goodmeasures.values import ONE, ZERO
+from goodmeasures.values import ONE, PackedValues, ZERO
 
 from conftest import (
     E,
@@ -28,7 +29,7 @@ from conftest import (
     sqrt2_symbol,
     value_pool,
 )
-from oracles import peel_refinement, refinement_feasible
+from oracles import morphism_by_sets, peel_refinement, refinement_feasible
 
 
 def P(*weights, prefix="c"):
@@ -186,6 +187,59 @@ def test_verify_not_surjective():
     src = P("1/2", "1/2")
     tgt = P("1/2", "1/2", prefix="t")
     assert not verify_morphism(PartitionMorphism(src, tgt, {"c0": "t0", "c1": "t0"}))
+
+
+def _doctored_maps(rng, source, target, mapping):
+    """The map, then copies that swap two images, move one, drop a key, add
+    a key, rename a key, send a cell off the target, and a map drawn at
+    random."""
+    cells = list(mapping)
+    yield dict(mapping)
+    a, b = rng.choice(cells), rng.choice(cells)
+    yield {**mapping, a: mapping[b], b: mapping[a]}  # valid iff equal weights or one fiber
+    yield {**mapping, a: rng.choice(target.cells)}
+    yield {c: x for c, x in mapping.items() if c != a}
+    yield {**mapping, "ghost": mapping[a]}
+    yield {("ghost" if c == a else c): x for c, x in mapping.items()}
+    yield {**mapping, a: "nowhere"}
+    yield {c: rng.choice(target.cells) for c in source.cells}
+
+
+def _packed_verdict(m: PartitionMorphism) -> bool:
+    """``maps_onto`` over one packing of both sides' weights, with room for
+    the source cells."""
+    n = len(m.source.cells)
+    pv = PackedValues([*m.source.weight_list(), *m.target.weight_list()], n)
+    source = dict(zip(m.source.cells, pv.packed[:n]))
+    target = dict(zip(m.target.cells, pv.packed[n:]))
+    return maps_onto(m.mapping, source, target)
+
+
+@pytest.mark.parametrize("descriptor", ["dyadic", "triadic", "sqrt2_dyadic"])
+def test_verify_agrees_with_the_set_oracle_over_values_and_packed_ints(descriptor, request):
+    V = request.getfixturevalue(descriptor)
+    rng = random.Random(1601)
+    verdicts = set()
+    for _ in range(25):
+        F = random_partition(rng, V, 4, prefix="f")
+        m = random_refining_morphism(rng, V, F, 3, "a")
+        if rng.random() < 0.25:  # a zero-weight target cell, from the bare constructor
+            F = WeightedPartition((*F.cells, "z"), {**F.weights, "z": ZERO})
+        for mapping in _doctored_maps(rng, m.source, F, m.mapping):
+            mor = PartitionMorphism(m.source, F, mapping)
+            want = morphism_by_sets(mor)
+            verdicts.add(want)
+            assert verify_morphism(mor) is want
+            assert _packed_verdict(mor) is want
+    assert verdicts == {True, False}
+
+
+def test_verify_rejects_an_unreached_zero_weight_cell():
+    src = P("1/2", "1/2")
+    tgt = WeightedPartition(("t0", "z"), {"t0": ONE, "z": ZERO})
+    mor = PartitionMorphism(src, tgt, {"c0": "t0", "c1": "t0"})
+    assert not morphism_by_sets(mor)
+    assert not verify_morphism(mor) and not _packed_verdict(mor)
 
 
 def test_morphism_composition_valid(dyadic):
