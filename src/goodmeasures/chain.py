@@ -91,7 +91,7 @@ class AutomorphismPrefix:
         return self.maps[self.depth]
 
     def to_json(self) -> dict:
-        return {"maps": {str(k): dict(sorted(self.maps[k].items())) for k in self.levels}}
+        return {"maps": {str(k): dict(self.maps[k]) for k in self.levels}}
 
     @staticmethod
     def from_json(data: Mapping) -> "AutomorphismPrefix":
@@ -119,7 +119,6 @@ def _mor_key(target_level: int, m: PartitionMorphism) -> tuple:
 @dataclass
 class LedgerEntry:
     kind: str  # "object" | "morphism"
-    key: tuple
     stage: int
     challenge_object: WeightedPartition
     target_level: int | None
@@ -131,11 +130,11 @@ class LedgerEntry:
             "kind": self.kind,
             "stage": self.stage,
             "challenge": self.challenge_object.to_json(),
-            "response": {"map": dict(sorted(self.response_map.items()))},
+            "response": {"map": dict(self.response_map)},
         }
         if self.kind == "morphism":
             out["target_level"] = self.target_level
-            out["challenge_map"] = dict(sorted(self.challenge_map.items()))
+            out["challenge_map"] = dict(self.challenge_map)
         return out
 
 
@@ -278,7 +277,7 @@ class GoodMeasureChain:
         else:
             # the collapse is valid: the target has total 1
             lift = self._respond(self._collapse(target), 0)
-        entry = LedgerEntry("object", key, self.depth, target, None, None, lift)
+        entry = LedgerEntry("object", self.depth, target, None, None, lift)
         self._ledger_index[key] = len(self.ledger)
         self.ledger.append(entry)
         return entry.stage
@@ -356,7 +355,7 @@ class GoodMeasureChain:
                 raise RuntimeError("absorption failed to commute; this is a bug")
             self._ledger_index[key] = len(self.ledger)
             self.ledger.append(LedgerEntry(
-                "morphism", key, self.depth, f2.source, level, dict(f2.mapping), r,
+                "morphism", self.depth, f2.source, level, dict(f2.mapping), r,
             ))
         entry = self.ledger[self._ledger_index[key]]
         return entry.stage, PartitionMorphism(
@@ -460,11 +459,8 @@ class GoodMeasureChain:
 
     def prefix_valid(self, sigma: AutomorphismPrefix) -> bool:
         for k in sigma.levels:
-            P = self.levels[k]
-            m = sigma.maps[k]
-            if set(m) != set(P.cells) or set(m.values()) != set(P.cells):
-                return False
-            if any(P.weight(m[c]) != P.weight(c) for c in P.cells):
+            W = self.levels[k].weights
+            if not maps_onto(sigma.maps[k], W, W):  # a weight-preserving bijection
                 return False
         for lo, hi in zip(sigma.levels, sigma.levels[1:]):
             anc = self.composite_mapping(hi, lo)
@@ -601,13 +597,10 @@ class GoodMeasureChain:
             raise ValueError("to_depth must be at least the current depth")
         if sigma.depth > self.depth:
             raise ValueError(f"prefix depth {sigma.depth} is beyond the chain depth {self.depth}")
-        top, m = self.levels[sigma.depth], sigma.top_map
-        if set(m) != set(top.cells) or set(m.values()) != set(top.cells):
-            raise WeightMismatch(f"prefix map at level {sigma.depth} is not a bijection of its cells")
-        if any(top.weight(m[c]) != top.weight(c) for c in top.cells):
-            raise WeightMismatch(f"prefix map at level {sigma.depth} does not preserve weights")
+        d, W = sigma.depth, self.levels[sigma.depth].weights
+        if not maps_onto(sigma.top_map, W, W):
+            raise WeightMismatch(f"prefix map at level {d} is not a weight-preserving bijection")
         maps = {k: dict(sigma.maps[k]) for k in sigma.levels}
-        d = sigma.depth
         while d < to_depth:
             if d < self.depth:
                 d = self._ascend_to_top(maps, d)
@@ -668,7 +661,7 @@ class GoodMeasureChain:
         return {
             "descriptor": self.V.to_json(),
             "levels": [L.to_json() for L in self.levels],
-            "links": [{"map": dict(sorted(l.mapping.items()))} for l in self.links],
+            "links": [{"map": dict(l.mapping)} for l in self.links],
             "ledger": [e.to_json() for e in self.ledger],
         }
 
@@ -754,7 +747,7 @@ class GoodMeasureChain:
                 if not _commutes(cm, response, chain.composite_mapping(stage, target)):
                     raise ValueError(f"ledger entry {n}: response does not commute with the chain")
                 key = _mor_key(target, PartitionMorphism(obj, levels[target], cm))
-            chain.ledger.append(LedgerEntry(kind, key, stage, obj, target, cm, response))
+            chain.ledger.append(LedgerEntry(kind, stage, obj, target, cm, response))
             chain._ledger_index[key] = n
         return chain
 

@@ -27,7 +27,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .jsonutil import parse_int
-from .partitions import common_refinement
+from .partitions import common_refinement, maps_onto
 from .values import ExactValue, GroupDescriptor, INF, ONE, ZERO, _is_prime, check_all_in
 
 Entry = tuple[ExactValue, int]
@@ -145,17 +145,14 @@ def verify_tuple_morphism(m: TupleMorphism, src: CycleTuple, tgt: CycleTuple) ->
     flat = [i for b in m.blocks for i in b]
     if sorted(flat) != list(range(len(src.entries))):
         return False
-    for j, block in enumerate(m.blocks):
-        w_j, k_j = tgt.entries[j]
-        s = ZERO
-        for i in block:
-            v_i, n_i = src.entries[i]
-            if n_i % k_j != 0:
-                return False
-            s = s + v_i.scale(n_i)
-        if s != w_j.scale(k_j):
-            return False
-    return True
+    block_of = {i: j for j, b in enumerate(m.blocks) for i in b}  # one block each, as checked
+    if any(src.entries[i][1] % tgt.entries[j][1] for i, j in block_of.items()):
+        return False
+    return maps_onto(
+        block_of,
+        {i: v.scale(n) for i, (v, n) in enumerate(src.entries)},
+        {j: w.scale(k) for j, (w, k) in enumerate(tgt.entries)},
+    )
 
 
 def compose_tuple_morphisms(outer: TupleMorphism, inner: TupleMorphism) -> TupleMorphism:

@@ -13,19 +13,19 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NotEquiSummed
+from .partitions import pushforward
 from .values import ExactValue, ZERO
 
 
 def check_equi_summed(entries: Mapping[tuple[str, str], ExactValue]) -> None:
-    """Raise NotEquiSummed unless all row sums equal the matching column sums."""
-    rows: dict[str, ExactValue] = {}
-    cols: dict[str, ExactValue] = {}
+    """Raise NotEquiSummed unless all row sums equal the matching column
+    sums, naming the first negative entry or the least differing vertex."""
     for (a, b), w in entries.items():
         if w.sign() < 0:
             raise NotEquiSummed(f"negative entry at ({a},{b})")
-        rows[a] = rows.get(a, ZERO) + w
-        cols[b] = cols.get(b, ZERO) + w
-    for v in set(rows) | set(cols):
+    rows = pushforward({e: e[0] for e in entries}, entries)
+    cols = pushforward({e: e[1] for e in entries}, entries)
+    for v in sorted(rows.keys() | cols.keys()):
         if rows.get(v, ZERO) != cols.get(v, ZERO):
             raise NotEquiSummed(f"row/column sums differ at {v}")
 

@@ -24,9 +24,11 @@ from .partitions import (
     compose,
     identity,
     lift_edges,
+    maps_onto,
+    pushforward,
     verify_morphism,
 )
-from .values import ExactValue, ZERO
+from .values import ExactValue
 
 
 @dataclass(frozen=True)
@@ -88,20 +90,10 @@ def validate(chain: GoodMeasureChain, A: BalancedMatrix) -> bool:
     rows, and the entries sum to the level's total, one)."""
     if not 0 <= A.level <= chain.depth:
         return False
-    P = chain.levels[A.level]
-    cells = set(P.cells)
-    rows: dict[str, ExactValue] = {c: ZERO for c in cells}
-    cols: dict[str, ExactValue] = {c: ZERO for c in cells}
-    for (a, b), w in A.entries.items():
-        if a not in cells or b not in cells:
-            return False
-        if w.sign() <= 0 or not chain.V.member(w):
-            return False
-        rows[a] = rows[a] + w
-        cols[b] = cols[b] + w
-    if any(rows[c] != cols[c] for c in cells):
+    weights, entries = chain.levels[A.level].weights, A.entries
+    if not all(maps_onto({e: e[i] for e in entries}, entries, weights) for i in (0, 1)):
         return False
-    return all(rows[c] == P.weight(c) for c in cells)
+    return all(w.sign() > 0 and chain.V.member(w) for w in entries.values())
 
 
 def in_cycle_category(A: BalancedMatrix) -> bool:
@@ -133,12 +125,8 @@ def verify_matrix_morphism(chain: GoodMeasureChain, m: MatrixMorphism) -> bool:
         return False
     if m.underlying.target.cells != chain.levels[m.target.level].cells:
         return False
-    acc: dict[tuple[str, str], ExactValue] = {}
-    f = m.underlying.mapping
-    for (q, q2), w in m.source.entries.items():
-        key = (f[q], f[q2])
-        acc[key] = acc.get(key, ZERO) + w
-    return acc == dict(m.target.entries)
+    f, entries = m.underlying.mapping, m.source.entries
+    return maps_onto({e: (f[e[0]], f[e[1]]) for e in entries}, entries, dict(m.target.entries))
 
 
 def identity_matrix_morphism(chain: GoodMeasureChain, A: BalancedMatrix) -> MatrixMorphism:
@@ -294,15 +282,9 @@ def transport_entries(
     """Mass carried between the cells of a level by the prefix's top bijection."""
     if sigma.depth < level:
         raise DepthTooShallow(f"prefix depth {sigma.depth} < level {level}")
-    T = sigma.depth
-    anc = chain.composite_mapping(T, level)
-    top = chain.levels[T]
-    acc: dict[tuple[str, str], ExactValue] = {}
-    m = sigma.top_map
-    for c in top.cells:
-        key = (anc[c], anc[m[c]])
-        acc[key] = acc.get(key, ZERO) + top.weight(c)
-    return acc
+    anc, m = chain.composite_mapping(sigma.depth, level), sigma.top_map
+    top = chain.levels[sigma.depth]
+    return pushforward({c: (anc[c], anc[m[c]]) for c in top.cells}, top.weights)
 
 
 def compatible(chain: GoodMeasureChain, sigma: AutomorphismPrefix, A: BalancedMatrix) -> bool:

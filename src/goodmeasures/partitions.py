@@ -66,13 +66,11 @@ class WeightedPartition:
         }
 
     @staticmethod
-    def from_json(data: Mapping, symbols, memo: dict | None = None) -> "WeightedPartition":
+    def from_json(data: Mapping, symbols, memo: dict) -> "WeightedPartition":
         """The partition of data.  ``memo``, kept for one snapshot, maps the
         repr of a weight's JSON to its value, so that each distinct weight is
         parsed once and its value shared.  The repr keeps JSON types apart
         where a dict key would not: ``1 == True``, but ``"1" != "True"``."""
-        if memo is None:
-            memo = {}
         cells = []
         for e in data["cells"]:
             w = e["w"]
@@ -108,31 +106,36 @@ def verify_morphism(m: PartitionMorphism) -> bool:
     return maps_onto(m.mapping, m.source.weights, m.target.weights)
 
 
-def maps_onto(mapping: Mapping[str, str], source: Mapping, target: dict) -> bool:
-    """True iff ``mapping`` is defined on exactly the cells of ``source``, its
-    image is exactly the cells of ``target``, and the weights over each target
-    cell sum to that cell's weight.
+def maps_onto(mapping: Mapping, source: Mapping, target: dict) -> bool:
+    """True iff ``mapping`` is defined on exactly the cells of ``source`` and
+    its ``pushforward`` is the dict ``target``: the image is exactly the
+    target's cells, and the weights over each sum to its weight.  A target
+    cell with no preimage fails whatever its weight."""
+    return pushforward(mapping, source) == target
 
-    ``source`` and the dict ``target`` map cells to weights that add and
-    compare exactly: ``ExactValue``s, or the packed ints of one
-    ``PackedValues`` whose ``room`` is at least the number of source cells,
-    so that no fiber sum carries.  A target cell with no preimage fails
-    whatever its weight.
+
+def pushforward(mapping: Mapping, source: Mapping) -> dict | None:
+    """The mass ``mapping`` carries onto each image cell, in the order the
+    images first appear, or None unless it is defined on exactly the cells
+    of ``source``.
+
+    ``source`` maps cells to weights that add and compare exactly:
+    ``ExactValue``s, or the packed ints of one ``PackedValues`` whose
+    ``room`` is at least the number of source cells, so that no sum carries.
     """
     if len(mapping) != len(source):
-        return False
+        return None
     weight = source.get
-    sums: dict = {}  # the mass over each image cell
+    sums: dict = {}
     for c, x in mapping.items():
         w = weight(c)
         if w is None:  # not a source cell
-            return False
+            return None
         if x in sums:
             sums[x] += w
         else:
             sums[x] = w
-    # equal keys: onto the target and nowhere else; equal values: masses kept
-    return sums == target
+    return sums
 
 
 def compose(outer: PartitionMorphism, inner: PartitionMorphism) -> PartitionMorphism:

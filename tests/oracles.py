@@ -9,7 +9,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from goodmeasures.partitions import PartitionMorphism, WeightedPartition, _assemble
+from goodmeasures.chain import AutomorphismPrefix, GoodMeasureChain
+from goodmeasures.cycles import CycleTuple, TupleMorphism
+from goodmeasures.errors import DepthTooShallow, MassMismatch, NotEquiSummed
+from goodmeasures.matrices import BalancedMatrix, MatrixMorphism
+from goodmeasures.partitions import (
+    PartitionMorphism,
+    WeightedPartition,
+    _assemble,
+    verify_morphism,
+)
 from goodmeasures.values import ExactValue, GroupDescriptor, ONE, ZERO
 
 
@@ -167,5 +176,129 @@ def morphism_by_sets(m: PartitionMorphism) -> bool:
         for y in rest:
             s = s + weight[y]
         if s != m.target.weight(x):
+            return False
+    return True
+
+
+# -- mass identities, each summed by its own loop ------------------------------
+#
+# The engine's former checks of matrices, tuple morphisms and prefix maps,
+# each adding ``ExactValue``s from ``ZERO`` in a loop of its own; the
+# references for the ``partitions.pushforward`` kernel that decides them now.
+
+
+def matrix_by_rows(chain: GoodMeasureChain, A: BalancedMatrix) -> bool:
+    """Nonnegative V-entries between cells of A's level, equal row and
+    column sums, and row sums equal to the cell measures: the reference for
+    ``matrices.validate``."""
+    if not 0 <= A.level <= chain.depth:
+        return False
+    P = chain.levels[A.level]
+    cells = set(P.cells)
+    rows: dict[str, ExactValue] = {c: ZERO for c in cells}
+    cols: dict[str, ExactValue] = {c: ZERO for c in cells}
+    for (a, b), w in A.entries.items():
+        if a not in cells or b not in cells:
+            return False
+        if w.sign() <= 0 or not chain.V.member(w):
+            return False
+        rows[a] = rows[a] + w
+        cols[b] = cols[b] + w
+    if any(rows[c] != cols[c] for c in cells):
+        return False
+    return all(rows[c] == P.weight(c) for c in cells)
+
+
+def matrix_morphism_by_fibers(chain: GoodMeasureChain, m: MatrixMorphism) -> bool:
+    """A valid underlying morphism between the matrices' levels along whose
+    fibers the source entries add up to the target's: the reference for
+    ``matrices.verify_matrix_morphism``."""
+    if not verify_morphism(m.underlying):
+        return False
+    if m.underlying.source.cells != chain.levels[m.source.level].cells:
+        return False
+    if m.underlying.target.cells != chain.levels[m.target.level].cells:
+        return False
+    acc: dict[tuple[str, str], ExactValue] = {}
+    f = m.underlying.mapping
+    for (q, q2), w in m.source.entries.items():
+        key = (f[q], f[q2])
+        acc[key] = acc.get(key, ZERO) + w
+    return acc == dict(m.target.entries)
+
+
+def transport_by_cells(
+    chain: GoodMeasureChain, sigma: AutomorphismPrefix, level: int
+) -> dict[tuple[str, str], ExactValue]:
+    """The mass the prefix's top bijection carries between the cells of a
+    level, cell by cell: the reference for ``matrices.transport_entries``."""
+    if sigma.depth < level:
+        raise DepthTooShallow(f"prefix depth {sigma.depth} < level {level}")
+    T = sigma.depth
+    anc = chain.composite_mapping(T, level)
+    top = chain.levels[T]
+    acc: dict[tuple[str, str], ExactValue] = {}
+    m = sigma.top_map
+    for c in top.cells:
+        key = (anc[c], anc[m[c]])
+        acc[key] = acc.get(key, ZERO) + top.weight(c)
+    return acc
+
+
+def tuple_morphism_by_blocks(m: TupleMorphism, src: CycleTuple, tgt: CycleTuple) -> bool:
+    """Each block's winding numbers divide and its masses add up to its
+    target entry's: the reference for ``cycles.verify_tuple_morphism``."""
+    if src.mass != tgt.mass:
+        raise MassMismatch(f"masses differ: {src.mass} vs {tgt.mass}")
+    if len(m.blocks) != len(tgt.entries):
+        return False
+    flat = [i for b in m.blocks for i in b]
+    if sorted(flat) != list(range(len(src.entries))):
+        return False
+    for j, block in enumerate(m.blocks):
+        w_j, k_j = tgt.entries[j]
+        s = ZERO
+        for i in block:
+            v_i, n_i = src.entries[i]
+            if n_i % k_j != 0:
+                return False
+            s = s + v_i.scale(n_i)
+        if s != w_j.scale(k_j):
+            return False
+    return True
+
+
+def equi_summed_by_vertices(entries) -> None:
+    """NotEquiSummed at the first negative entry or the least vertex whose
+    row and column sums differ: the reference for ``flows.check_equi_summed``."""
+    rows: dict[str, ExactValue] = {}
+    cols: dict[str, ExactValue] = {}
+    for (a, b), w in entries.items():
+        if w.sign() < 0:
+            raise NotEquiSummed(f"negative entry at ({a},{b})")
+        rows[a] = rows.get(a, ZERO) + w
+        cols[b] = cols.get(b, ZERO) + w
+    for v in sorted(set(rows) | set(cols)):
+        if rows.get(v, ZERO) != cols.get(v, ZERO):
+            raise NotEquiSummed(f"row/column sums differ at {v}")
+
+
+def bijection_by_sets(P: WeightedPartition, m) -> bool:
+    """True iff m permutes P's cells and keeps each cell's weight."""
+    if set(m) != set(P.cells) or set(m.values()) != set(P.cells):
+        return False
+    return all(P.weight(m[c]) == P.weight(c) for c in P.cells)
+
+
+def prefix_by_sets(chain: GoodMeasureChain, sigma: AutomorphismPrefix) -> bool:
+    """Each stored map a weight-preserving bijection of its level, and
+    consecutive maps commuting with the chain: the reference for
+    ``GoodMeasureChain.prefix_valid``."""
+    if not all(bijection_by_sets(chain.levels[k], sigma.maps[k]) for k in sigma.levels):
+        return False
+    for lo, hi in zip(sigma.levels, sigma.levels[1:]):
+        anc = chain.composite_mapping(hi, lo)
+        lo_map, hi_map = sigma.maps[lo], sigma.maps[hi]
+        if any(anc[hi_map[c]] != lo_map[anc[c]] for c in chain.levels[hi].cells):
             return False
     return True
