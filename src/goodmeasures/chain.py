@@ -95,9 +95,11 @@ class AutomorphismPrefix:
 
     @staticmethod
     def from_json(data: Mapping) -> "AutomorphismPrefix":
+        maps = parse_object(data["maps"], "prefix maps")
+        if not maps:
+            raise ValueError("prefix maps is empty")
         return AutomorphismPrefix({
-            parse_int(k): dict(parse_object(v, f"prefix map {k}"))
-            for k, v in parse_object(data["maps"], "prefix maps").items()
+            parse_int(k): dict(parse_object(v, f"prefix map {k}")) for k, v in maps.items()
         })
 
 

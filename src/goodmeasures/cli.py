@@ -236,6 +236,15 @@ def cmd_check_compat(args) -> int:
     chain = GoodMeasureChain.from_json(snapshot)
     A = BalancedMatrix.from_json(matrix, chain.V.symbols())
     sigma = AutomorphismPrefix.from_json(prefix)
+    # levels[-1] is the top, so a negative level must be refused before
+    # prefix_valid indexes the chain's levels with it
+    for k in sigma.levels:
+        if not 0 <= k <= chain.depth:
+            raise ValueError(f"prefix level {k} is not a level of the snapshot")
+    if not chain.prefix_valid(sigma):
+        raise ValueError("prefix is not an automorphism prefix of the snapshot")
+    if not matrices_mod.validate(chain, A):
+        raise ValueError("matrix is not a valid balanced matrix over the chain")
     ok = matrices_mod.compatible(chain, sigma, A)
     _emit("check-compat", {"snapshot": snapshot, "matrix": matrix, "prefix": prefix},
           {"compatible": ok}, None, ws)
@@ -450,9 +459,10 @@ def main(argv=None) -> int:
     except GoodMeasuresError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 2
-    except (OSError, KeyError, ValueError, TypeError, ArithmeticError) as exc:
-        # ArithmeticError: a sign left undecided by the declared symbols, or a
-        # zero denominator; neither is a mathematical "no"
+    except (OSError, LookupError, ValueError, TypeError, ArithmeticError) as exc:
+        # LookupError: a missing key or index of the input; ArithmeticError: a
+        # sign left undecided by the declared symbols, or a zero denominator;
+        # none is a mathematical "no"
         sys.stderr.write(f"invalid input: {type(exc).__name__}: {exc}\n")
         return 2
     except RuntimeError as exc:

@@ -3,7 +3,9 @@
 Shared by the chain engine (transport refinement) and the balanced-matrix
 module.  Entries are keyed by (from, to) vertex pairs; vertices are strings.
 The peeling order is deterministic: walks start at the smallest vertex with an
-outgoing edge and always follow the smallest successor.  The module also owns
+outgoing edge and always follow the smallest successor.  The peel is one
+pass: successor lists are sorted once and only shrink, so no cycle rebuilds
+them.  The module also owns the equi-summed check the peel presumes, and
 the two walks over cycles that both users need: the cycles through each
 vertex, and the orbits of a permutation.
 """
@@ -30,9 +32,9 @@ def check_equi_summed(entries: Mapping[tuple[str, str], ExactValue]) -> None:
             raise NotEquiSummed(f"row/column sums differ at {v}")
 
 
-def _canonical_rotation(vertices: Sequence[str]) -> tuple[str, ...]:
-    k = min(range(len(vertices)), key=lambda i: vertices[i])
-    return tuple(vertices[k:]) + tuple(vertices[:k])
+def _canonical_rotation(vertices: list[str]) -> tuple[str, ...]:
+    k = vertices.index(min(vertices))
+    return tuple(vertices[k:] + vertices[:k])
 
 
 def decompose_entries(
@@ -44,20 +46,30 @@ def decompose_entries(
     input exactly; at most one cycle per nonzero entry is produced.  Cycles
     are rotated to start at their smallest vertex.  Precondition: the
     entries are nonnegative and equi-summed (``check_equi_summed``).
+
+    One pass: each vertex's successors are sorted once, descending, so the
+    smallest is last.  A walk leaves every vertex by its smallest successor,
+    so each edge a peel empties is the last of its vertex's list and is
+    popped.  Vertices never gain edges, so the smallest vertex with an edge
+    left is found by a cursor that only moves forward.
     """
     rest = {e: w for e, w in entries.items() if w.sign() > 0}
+    succ: dict[str, list[str]] = {}
+    for a, b in rest:
+        succ.setdefault(a, []).append(b)
+    for bs in succ.values():
+        bs.sort(reverse=True)
+    starts = sorted(succ)
+    cursor = 0
     out: list[tuple[tuple[str, ...], ExactValue]] = []
     while rest:
-        succ: dict[str, list[str]] = {}
-        for a, b in rest:
-            succ.setdefault(a, []).append(b)
-        for a in succ:
-            succ[a].sort()
-        start = min(succ)
+        while not succ[starts[cursor]]:
+            cursor += 1
+        start = starts[cursor]
         path = [start]
         seen = {start: 0}
         while True:
-            nxt = succ[path[-1]][0]
+            nxt = succ[path[-1]][-1]
             if nxt in seen:
                 cycle = path[seen[nxt]:]
                 break
@@ -68,6 +80,7 @@ def decompose_entries(
         for e in edges:
             if rest[e] == w:
                 del rest[e]
+                succ[e[0]].pop()
             else:
                 rest[e] = rest[e] - w
         out.append((_canonical_rotation(cycle), w))

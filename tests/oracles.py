@@ -302,3 +302,39 @@ def prefix_by_sets(chain: GoodMeasureChain, sigma: AutomorphismPrefix) -> bool:
         if any(anc[hi_map[c]] != lo_map[anc[c]] for c in chain.levels[hi].cells):
             return False
     return True
+
+
+def peel_cycles_by_rebuild(entries) -> list[tuple[tuple[str, ...], ExactValue]]:
+    """Cycles peeled off an equi-summed matrix, the successor map rebuilt
+    and re-sorted from the remaining entries before every cycle: each walk
+    starts at the least vertex with an edge left and follows the least
+    successor.  The engine's former peel; the reference for
+    ``flows.decompose_entries``."""
+    rest = {e: w for e, w in entries.items() if w.sign() > 0}
+    out = []
+    while rest:
+        succ: dict[str, list[str]] = {}
+        for a, b in rest:
+            succ.setdefault(a, []).append(b)
+        for a in succ:
+            succ[a].sort()
+        start = min(succ)
+        path = [start]
+        seen = {start: 0}
+        while True:
+            nxt = succ[path[-1]][0]
+            if nxt in seen:
+                cycle = path[seen[nxt]:]
+                break
+            seen[nxt] = len(path)
+            path.append(nxt)
+        edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
+        w = min(rest[e] for e in edges)
+        for e in edges:
+            if rest[e] == w:
+                del rest[e]
+            else:
+                rest[e] = rest[e] - w
+        k = min(range(len(cycle)), key=lambda i: cycle[i])
+        out.append((tuple(cycle[k:]) + tuple(cycle[:k]), w))
+    return out

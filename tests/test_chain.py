@@ -890,3 +890,8 @@ def test_extend_prefix_rejects_weight_changing_maps(dyadic):
         with pytest.raises(WeightMismatch):
             ch.extend_prefix(sigma, 3)
     assert ch.depth == 1
+
+
+def test_prefix_from_json_refuses_empty_maps():
+    with pytest.raises(ValueError, match="^prefix maps is empty$"):
+        AutomorphismPrefix.from_json({"maps": {}})

@@ -834,6 +834,69 @@ def test_prefix_map_written_as_pairs_is_invalid_input(files, capsys):
     assert _one_line_error(capsys) == f"invalid input: ValueError: {reason}"
 
 
+# -- check-compat refuses what is not a prefix or a matrix of the snapshot ----------------
+
+
+_NOT_A_PREFIX = "invalid input: ValueError: prefix is not an automorphism prefix of the snapshot"
+
+
+@pytest.mark.parametrize("top_map", [
+    {"r/0": "r/0", "r/1": "r/0"},  # both cells onto one: not a bijection
+    {"r/0": "r/1"},  # a cell missing
+])
+def test_check_compat_refuses_a_map_that_is_no_prefix(files, capsys, top_map):
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    # the matrix this map would induce, so only the prefix is at fault
+    jsonutil.write(mat, {"level": 1, "entries": [
+        {"from": "r/0", "to": "r/0", "w": {"q": "1/2"}},
+        {"from": "r/1", "to": "r/0", "w": {"q": "1/2"}}]})
+    jsonutil.write(prefix, {"maps": {"1": top_map}})
+    assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
+    assert _one_line_error(capsys) == _NOT_A_PREFIX
+
+
+@pytest.mark.parametrize("level", [-1, "past the top"])
+def test_check_compat_refuses_a_prefix_level_off_the_snapshot(files, capsys, level):
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    if level == "past the top":
+        level = len(jsonutil.read(snap)["levels"])
+    # level 1 is a valid prefix map on its own: -1 must not reach the top
+    jsonutil.write(prefix, {"maps": {"1": {"r/0": "r/0", "r/1": "r/1"},
+                                     str(level): {"r/0": "r/0", "r/1": "r/1"}}})
+    assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
+    assert _one_line_error(capsys) == (
+        f"invalid input: ValueError: prefix level {level} is not a level of the snapshot"
+    )
+
+
+def test_check_compat_refuses_an_invalid_matrix(files, capsys):
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    jsonutil.write(mat, {"level": 1, "entries": [
+        {"from": "r/0", "to": "r/1", "w": {"q": "1/2"}}]})
+    assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
+    assert _one_line_error(capsys) == (
+        "invalid input: ValueError: matrix is not a valid balanced matrix over the chain"
+    )
+
+
+def test_check_compat_refuses_an_empty_prefix(files, capsys):
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    jsonutil.write(prefix, {"maps": {}})
+    assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
+    assert _one_line_error(capsys) == "invalid input: ValueError: prefix maps is empty"
+
+
+def test_stray_index_error_is_invalid_input(files, capsys, monkeypatch):
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+
+    def out_of_range(*args):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr("goodmeasures.matrices.compatible", out_of_range)
+    assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
+    assert _one_line_error(capsys) == "invalid input: IndexError: list index out of range"
+
+
 # -- one parser per process ---------------------------------------------------------------
 
 
