@@ -127,11 +127,12 @@ class LedgerEntry:
     challenge_map: Mapping[str, str] | None
     response_map: Mapping[str, str]  # lift (object) or r (morphism), from levels[stage]
 
-    def to_json(self) -> dict:
+    def _to_json(self, formatted: dict) -> dict:
+        """The entry's JSON; the challenge is written by ``WeightedPartition._to_json``."""
         out: dict = {
             "kind": self.kind,
             "stage": self.stage,
-            "challenge": self.challenge_object.to_json(),
+            "challenge": self.challenge_object._to_json(formatted),
             "response": {"map": dict(self.response_map)},
         }
         if self.kind == "morphism":
@@ -660,11 +661,13 @@ class GoodMeasureChain:
     # -- serialisation -------------------------------------------------------------
 
     def to_json(self) -> dict:
+        """The snapshot; each distinct weight is formatted once per call."""
+        formatted: dict = {}  # see WeightedPartition._to_json
         return {
             "descriptor": self.V.to_json(),
-            "levels": [L.to_json() for L in self.levels],
+            "levels": [L._to_json(formatted) for L in self.levels],
             "links": [{"map": dict(l.mapping)} for l in self.links],
-            "ledger": [e.to_json() for e in self.ledger],
+            "ledger": [e._to_json(formatted) for e in self.ledger],
         }
 
     @staticmethod
@@ -681,7 +684,10 @@ class GoodMeasureChain:
 
         The mass checks add ints, not values: the distinct weights are packed
         once into one ``PackedValues`` with room for the largest partition,
-        so every fiber sum and level 0's total are exact.
+        so every fiber sum and level 0's total are exact.  Once they pass,
+        every partition of the snapshot has total 1, since level 0 does and
+        links and responses preserve mass, so that total is recorded on each
+        and never summed.
         """
         V = GroupDescriptor.from_json(data["descriptor"])
         chain = GoodMeasureChain(V)
@@ -751,6 +757,8 @@ class GoodMeasureChain:
                 key = _mor_key(target, PartitionMorphism(obj, levels[target], cm))
             chain.ledger.append(LedgerEntry(kind, stage, obj, target, cm, response))
             chain._ledger_index[key] = n
+        for P in [*levels, *(p[2] for p in parsed)]:
+            vars(P)["total"] = ONE  # the cache of the cached_property ``total``
         return chain
 
 

@@ -4,8 +4,8 @@ Every command prints one canonical-JSON envelope
 ``{"op", "input_hash", "result", "certificate"}`` and uses exit codes
 0 (success), 1 (mathematically negative verdict), 2 (invalid input, including
 a comparison that the declared symbols leave undecided, or no verdict, such
-as a search that used up its effort), 3 (output I/O failure).  All outputs are
-deterministic for fixed inputs.
+as a search that used up its effort or an "unknown" from ``decide-rokhlin``),
+3 (output I/O failure).  All outputs are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -185,6 +185,10 @@ def cmd_decide_rokhlin(args) -> int:
     ws = _workspace(args)
     descriptor = _read_json(args.descriptor, ws, "descriptors")
     verdict = cycles_mod.rokhlin_decide(GroupDescriptor.from_json(descriptor))
+    if verdict.rokhlin == "unknown":
+        # no verdict, not a "no"; strong_rokhlin is then unknown as well
+        sys.stderr.write("not decided: the Rokhlin property of this value set is unknown\n")
+        return 2
     _emit("decide-rokhlin", {"descriptor": descriptor},
           {"strong_rokhlin": verdict.strong_rokhlin, "rokhlin": verdict.rokhlin},
           verdict.certificate, ws)

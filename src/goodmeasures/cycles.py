@@ -403,6 +403,11 @@ def divisibility_closure_check(V: GroupDescriptor) -> list[dict]:
     v = 1/p**f or s/p**f, n = p.  Every prime listed in no table takes the
     defaults, so the listed primes and the least unlisted one decide both.
 
+    A violation carries the exponent, not the power, which may be too long
+    to write: ``{"kind": "product", "n": p, "exponent": e}`` stands for
+    m = n**e, and ``{"kind": "quotient", "n": p, "exponent": f, "symbol":
+    None or s}`` for v = 1/n**f or s/n**f.
+
     Returns at most one violation of each kind, the product first.  Where
     ``rokhlin_decide`` answers "yes" there is none, and where it answers "no"
     there is one.  A violation on a set it leaves "unknown", such as
@@ -419,14 +424,13 @@ def divisibility_closure_check(V: GroupDescriptor) -> list[dict]:
     for p in sorted(listed | {unlisted}):
         e = V.rational.exponent(p)
         if product is None and 0 < e < INF:
-            product = {"kind": "product", "n": p, "m": p**e}
+            product = {"kind": "product", "n": p, "exponent": int(e)}
         if quotient is None and e >= 1:
             for s, g in groups:
                 f = g.exponent(p)
                 if f != INF:
-                    coeff = Fraction(1, p**f)
-                    v = ExactValue.of(coeff) if s is None else ExactValue.of(0, {s: coeff})
-                    quotient = {"kind": "quotient", "v": v.to_json(), "n": p}
+                    name = None if s is None else s.name
+                    quotient = {"kind": "quotient", "n": p, "exponent": int(f), "symbol": name}
                     break
     return [x for x in (product, quotient) if x is not None]
 

@@ -28,7 +28,8 @@ from .values import ExactValue, GroupDescriptor, ZERO, check_all_in
 @dataclass(frozen=True)
 class WeightedPartition:
     """Ordered cells with positive weights; ``total`` is their exact sum.  The
-    constructor checks nothing; ``make`` checks partitions from outside."""
+    constructor checks nothing; ``make`` and ``from_json`` check partitions
+    from outside."""
 
     cells: tuple[str, ...]
     weights: Mapping[str, ExactValue]
@@ -36,15 +37,7 @@ class WeightedPartition:
     @staticmethod
     def make(weights: Sequence[tuple[str, ExactValue]]) -> "WeightedPartition":
         """Nonempty, with unique ids and positive weights, or ValueError."""
-        if not weights:
-            raise ValueError("partitions must be nonempty")
-        cells = tuple(c for c, _ in weights)
-        if len(set(cells)) != len(cells):
-            raise ValueError("cell identifiers must be unique")
-        for c, w in weights:
-            if w.sign() <= 0:
-                raise ValueError(f"weight of {c} must be positive")
-        return WeightedPartition(cells, dict(weights))
+        return _checked(weights, weights)
 
     @cached_property
     def total(self) -> ExactValue:
@@ -60,26 +53,71 @@ class WeightedPartition:
         return tuple(sorted(w.sort_key() for w in self.weight_list()))
 
     def to_json(self) -> dict:
+        return self._to_json({})
+
+    def _to_json(self, formatted: dict) -> dict:
+        """``to_json`` with ``formatted``, one caller's table of the JSON of
+        each value it has written (``_value_json``)."""
         return {
-            "cells": [{"id": c, "w": self.weights[c].to_json()} for c in self.cells],
-            "total": self.total.to_json(),
+            "cells": [{"id": c, "w": _value_json(self.weights[c], formatted)} for c in self.cells],
+            "total": _value_json(self.total, formatted),
         }
 
     @staticmethod
     def from_json(data: Mapping, symbols, memo: dict) -> "WeightedPartition":
-        """The partition of data.  ``memo``, kept for one snapshot, maps the
-        repr of a weight's JSON to its value, so that each distinct weight is
-        parsed once and its value shared.  The repr keeps JSON types apart
-        where a dict key would not: ``1 == True``, but ``"1" != "True"``."""
+        """The partition of data, refused as ``make`` refuses (``_checked``).
+
+        ``memo``, kept for one snapshot, maps the repr of a weight's JSON to
+        its value, so that each distinct weight is parsed, and its sign
+        checked, once, and its value shared; a cell only looks its weight up.
+        The weights new to the memo enter it once their partition is
+        accepted, so it holds positive weights only.  The repr keeps JSON
+        types apart where a dict key would not: ``1 == True``, but
+        ``"1" != "True"``."""
         cells = []
+        fresh: dict = {}  # repr -> (first cell, value) of each weight new to the memo
         for e in data["cells"]:
             w = e["w"]
             key = repr(w)
             value = memo.get(key)
             if value is None:
-                value = memo[key] = ExactValue.from_json(w, symbols)
+                first = fresh.get(key)
+                if first is None:
+                    value = ExactValue.from_json(w, symbols)
+                    fresh[key] = (e["id"], value)
+                else:
+                    value = first[1]
             cells.append((e["id"], value))
-        return WeightedPartition.make(cells)
+        P = _checked(cells, fresh.values())
+        memo.update((key, value) for key, (_, value) in fresh.items())
+        return P
+
+
+def _checked(cells: Sequence[tuple[str, ExactValue]], unchecked) -> WeightedPartition:
+    """The partition of (id, weight) pairs, or the ValueError of its first
+    fault: no cell, then a repeated id, then the first of the ``unchecked``
+    (id, weight) pairs, in cell order, whose weight is not positive.  The
+    other cells carry weights already known to be positive."""
+    if not cells:
+        raise ValueError("partitions must be nonempty")
+    weights = dict(cells)
+    if len(weights) != len(cells):
+        raise ValueError("cell identifiers must be unique")
+    for c, w in unchecked:
+        if w.sign() <= 0:
+            raise ValueError(f"weight of {c} must be positive")
+    return WeightedPartition(tuple(weights), weights)
+
+
+def _value_json(v: ExactValue, formatted: dict) -> dict:
+    """A fresh copy of ``v.to_json()``, which runs once per ``formatted``
+    table: equal weights are formatted once, but no two cells share a dict."""
+    out = formatted.get(v)
+    if out is None:
+        out = formatted[v] = v.to_json()
+    if "irr" in out:
+        return {"q": out["q"], "irr": dict(out["irr"])}
+    return {"q": out["q"]}
 
 
 @dataclass(frozen=True)

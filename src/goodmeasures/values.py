@@ -46,20 +46,21 @@ class ExactValue:
     is plain field equality.  ``rational`` and ``coeffs`` are ``Fraction``
     views of these integers.  All arithmetic is exact; the comparison
     operators refine symbol enclosures until the order is determined.  The
-    sign of an irrational value is worked out once per instance and then
-    remembered.
+    sign of an irrational value and the sort key of any value are worked out
+    once per instance and then remembered.
 
     Values are immutable.  Build them with ``of`` or ``from_json``; the
     constructor takes its integers as they are.
     """
 
-    __slots__ = ("den", "nums", "syms", "_sign")
+    __slots__ = ("den", "nums", "syms", "_sign", "_key")
 
     def __init__(self, den: int, nums: tuple[int, ...], syms: tuple[IrrationalSymbol, ...] = ()):
         self.den = den
         self.nums = nums
         self.syms = syms
         self._sign = None  # memo of an irrational value's sign
+        self._key = None  # memo of ``sort_key``
 
     @staticmethod
     def of(q: _FracLike, coeffs: Mapping[IrrationalSymbol, _FracLike] | None = None) -> "ExactValue":
@@ -227,13 +228,16 @@ class ExactValue:
     # -- serialisation -------------------------------------------------------
 
     def sort_key(self):
-        den, nums = self.den, self.nums
-        coeffs = []
-        for i, s in enumerate(self.syms, 1):
-            g = math.gcd(nums[i], den)
-            coeffs.append((s.name, nums[i] // g, den // g))
-        g = math.gcd(nums[0], den)
-        return nums[0] // g, den // g, tuple(coeffs)
+        key = self._key
+        if key is None:
+            den, nums = self.den, self.nums
+            coeffs = []
+            for i, s in enumerate(self.syms, 1):
+                g = math.gcd(nums[i], den)
+                coeffs.append((s.name, nums[i] // g, den // g))
+            g = math.gcd(nums[0], den)
+            key = self._key = (nums[0] // g, den // g, tuple(coeffs))
+        return key
 
     def to_json(self) -> dict:
         den = self.den

@@ -598,6 +598,62 @@ def test_load_verifies_masses_without_adding_values(sqrt2_dyadic, monkeypatch):
     )
 
 
+def _loaded_sqrt2_dyadic(V):
+    ch = GoodMeasureChain(V)
+    ch.run_schedule(2)
+    return GoodMeasureChain.from_json(jsonutil.loads(jsonutil.dumps(ch.to_json())))
+
+
+def test_save_formats_each_distinct_weight_once(sqrt2_dyadic, monkeypatch):
+    """A loaded chain is written with one ``ExactValue.to_json`` per distinct
+    weight and no addition: the loader recorded each partition's total."""
+    loaded = _loaded_sqrt2_dyadic(sqrt2_dyadic)
+    partitions_ = [*loaded.levels, *(e.challenge_object for e in loaded.ledger)]
+    distinct = {w for P in partitions_ for w in P.weight_list()}
+    assert ONE in distinct and len(distinct) < sum(len(P.cells) for P in partitions_) // 10
+    calls = []
+
+    def counted(name):
+        real = getattr(ExactValue, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("to_json", "__add__", "__sub__"):
+        monkeypatch.setattr(ExactValue, name, counted(name))
+    loaded.to_json()
+    assert calls.count("__add__") == calls.count("__sub__") == 0
+    assert calls.count("to_json") == len(distinct)
+
+
+def _written_weights(out) -> list[str]:
+    """Every weight dict of a written snapshot, cells and totals, as text."""
+    parts = [*out["levels"], *(e["challenge"] for e in out["ledger"])]
+    return [jsonutil.dumps(w) for P in parts for w in [*(c["w"] for c in P["cells"]), P["total"]]]
+
+
+def test_saved_cells_share_no_dict(sqrt2_dyadic):
+    """Cells and totals of equal weight get weight dicts of their own:
+    editing one in place changes nothing else and no later ``to_json``."""
+    loaded = _loaded_sqrt2_dyadic(sqrt2_dyadic)
+    text = jsonutil.dumps(loaded.to_json())
+    out = loaded.to_json()
+    parts = [*out["levels"], *(e["challenge"] for e in out["ledger"])]
+    cells = [c for P in parts for c in P["cells"]]
+    edits = [c["w"] for c in cells if c["w"] == {"q": "1/2"}][:1]
+    edits += [c["w"] for c in cells if "irr" in c["w"]][:1]
+    edits += [P["total"] for P in parts][:1]
+    for w in edits:
+        before = _written_weights(out)
+        w["q"] = "1/3"
+        w.setdefault("irr", {})["s2"] = "-5"
+        after = _written_weights(out)
+        assert sum(a != b for a, b in zip(before, after)) == 1
+    assert jsonutil.dumps(loaded.to_json()) == text
+
+
 def _tower_snapshot(V, levels):
     """Snapshot JSON of a tower with no ledger.  ``levels`` lists each level's
     cells as (id, q, c), weight q + c·(√2−1); a cell's parent is its id up to

@@ -386,12 +386,12 @@ SQRT2 = {"kind": "sqrt", "radicand": 2, "shift": "-1"}
 @pytest.mark.parametrize("descriptor,certificate", [
     # Z[1/1009]: 1/1009 is in V, 1/1009**2 is not
     ({"rational": {"default": "0", "exceptions": {"1009": 1}}, "irrationals": []},
-     {"kind": "product", "n": 1009, "m": 1009}),
+     {"kind": "product", "n": 1009, "exponent": 1}),
     # Q + Q*s, where s's coefficient group stops at 1009
     ({"rational": {"default": "inf", "exceptions": {}},
       "irrationals": [{"name": "s", "enclosure": SQRT2,
                        "group": {"default": "inf", "exceptions": {"1009": 0}}}]},
-     {"kind": "quotient", "v": {"q": "0", "irr": {"s": "1"}}, "n": 1009}),
+     {"kind": "quotient", "n": 1009, "exponent": 0, "symbol": "s"}),
 ])
 def test_check_closure_decides_beyond_small_primes(files, capsys, descriptor, certificate):
     path = files / "closure.json"
@@ -402,6 +402,36 @@ def test_check_closure_decides_beyond_small_primes(files, capsys, descriptor, ce
     assert env["input_hash"] == jsonutil.digest({"descriptor": descriptor})
     code, verdict = run(capsys, "decide-rokhlin", "--descriptor", str(path))
     assert code == 1 and verdict["result"]["rokhlin"] == "no"
+
+
+def test_check_closure_answers_a_large_exponent(files, capsys):
+    """1/2**20000 is in V and 1/2**20001 is not: the certificate carries the
+    exponent, never the 6,021-digit power."""
+    descriptor = {"rational": {"default": "0", "exceptions": {"2": "20000"}}, "irrationals": []}
+    path = files / "closure.json"
+    jsonutil.write(path, descriptor)
+    code, env = run(capsys, "check-closure", "--descriptor", str(path))
+    assert code == 1
+    assert env["result"]["violations"] == [
+        {"kind": "product", "n": 2, "exponent": 20000},
+        {"kind": "quotient", "n": 2, "exponent": 20000, "symbol": None},
+    ]
+    assert env["certificate"] == {"kind": "product", "n": 2, "exponent": 20000}
+    code, verdict = run(capsys, "decide-rokhlin", "--descriptor", str(path))
+    assert code == 1 and verdict["result"]["rokhlin"] == "no"
+
+
+def test_decide_rokhlin_unknown_is_no_verdict(files, capsys):
+    """On Z + Z*s (s = sqrt(2) - 1) neither property is decided: exit 2 with
+    one line and no envelope, as for a search that used up its effort."""
+    path = files / "sqrt2_module.json"
+    jsonutil.write(path, {"rational": {"default": "0", "exceptions": {}},
+                          "irrationals": [{"name": "s", "enclosure": SQRT2,
+                                           "group": {"default": "0", "exceptions": {}}}]})
+    assert main(["decide-rokhlin", "--descriptor", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "not decided: the Rokhlin property of this value set is unknown\n"
 
 
 def test_check_closure_rejects_non_group_like(files, capsys):
@@ -562,6 +592,12 @@ def _irrational_part_not_an_object(data):
     return "irrational part is a JSON array, not an object"
 
 
+def _zero_weight(data):
+    cell = data["levels"][-1]["cells"][1]
+    cell["w"] = {"q": "0"}
+    return f"weight of {cell['id']} must be positive"
+
+
 def _empty_level(data):
     data["levels"][-1]["cells"] = []
     return "partitions must be nonempty"
@@ -678,6 +714,7 @@ DOCTORED = {
     "irrational_part_not_an_object": _irrational_part_not_an_object,
     "empty_level": _empty_level,
     "duplicate_cell_id": _duplicate_cell_id,
+    "zero_weight": _zero_weight,
     "link_moves_mass": _link_moves_mass,
     "link_map_missing_a_cell": _link_map(lambda m: m.pop(next(iter(m)))),
     "link_map_image_not_below": _link_map(lambda m: m.update({next(iter(m)): "nowhere"})),

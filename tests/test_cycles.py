@@ -449,45 +449,43 @@ def test_closure_rationals_empty(rationals):
 
 def test_closure_mixed_finds_nine(mixed_23):
     report = divisibility_closure_check(mixed_23)
-    assert {"kind": "product", "n": 3, "m": 3} in report
+    assert {"kind": "product", "n": 3, "exponent": 1} in report
 
 
 def _closure_certified(V, violation) -> bool:
-    """Check one violation by membership alone."""
-    n = violation["n"]
+    """Check one violation by membership alone: m = n**e for a product,
+    v = 1/n**f or s/n**f for a quotient."""
+    n, power = violation["n"], Fraction(1, violation["n"] ** violation["exponent"])
     if violation["kind"] == "product":
-        m = violation["m"]
-        return (V.member(E(Fraction(1, n))) and V.member(E(Fraction(1, m)))
-                and not V.member(E(Fraction(1, n * m))))
-    v = ExactValue.from_json(violation["v"], V.symbols())
+        return (V.member(E(Fraction(1, n))) and V.member(E(power))
+                and not V.member(E(power / n)))
+    name = violation["symbol"]
+    v = E(power) if name is None else ExactValue.of(0, {V.symbols()[name]: power})
     return V.member(v) and V.member(E(Fraction(1, n))) and not V.member(v.scale(Fraction(1, n)))
 
 
 _S2 = IrrationalSymbol.sqrt("s2", 2, -1)
 _S3 = IrrationalSymbol.sqrt("s3", 3, -1)
-_CLOSURE_S = {"q": "0", "irr": {"s2": "1"}}
-
-
-def _quotient(v, n):
-    return {"kind": "quotient", "v": v, "n": n}
+def _quotient(n, exponent, symbol=None):
+    return {"kind": "quotient", "n": n, "exponent": exponent, "symbol": symbol}
 
 
 @pytest.mark.parametrize("rational,s_group,expected", [
     # Z[1/1009]: 1/1009 is in V, 1/1009**2 is not
     (RationalGroup.make(0, {1009: 1}), None,
-     [{"kind": "product", "n": 1009, "m": 1009}, _quotient({"q": "1/1009"}, 1009)]),
+     [{"kind": "product", "n": 1009, "exponent": 1}, _quotient(1009, 1)]),
     # Q + Q*s with s's coefficient group stopping at 1009
     (RationalGroup.all_rationals(), RationalGroup.make(INF, {1009: 0}),
-     [_quotient(_CLOSURE_S, 1009)]),
+     [_quotient(1009, 0, "s2")]),
     # Z[1/2] + Z*s, Z[1/6] + Z[1/2]*s, and exponent 2 at 2 with Z[1/2]*s
-    (RationalGroup.make(0, {2: INF}), RationalGroup.integers(), [_quotient(_CLOSURE_S, 2)]),
+    (RationalGroup.make(0, {2: INF}), RationalGroup.integers(), [_quotient(2, 0, "s2")]),
     (RationalGroup.make(0, {2: INF, 3: INF}), RationalGroup.make(0, {2: INF}),
-     [_quotient(_CLOSURE_S, 3)]),
+     [_quotient(3, 0, "s2")]),
     (RationalGroup.make(0, {2: 2}), RationalGroup.make(0, {2: INF}),
-     [{"kind": "product", "n": 2, "m": 4}, _quotient({"q": "1/4"}, 2)]),
+     [{"kind": "product", "n": 2, "exponent": 2}, _quotient(2, 2)]),
     # the least prime listed in no table
     (RationalGroup.all_rationals(), RationalGroup.make(0, {2: INF, 3: INF}),
-     [_quotient(_CLOSURE_S, 5)]),
+     [_quotient(5, 0, "s2")]),
 ])
 def test_closure_exact_certificates(rational, s_group, expected):
     V = GroupDescriptor.make(rational, {_S2: s_group} if s_group else None)

@@ -19,7 +19,7 @@ from goodmeasures.partitions import (
     split_cell,
     verify_morphism,
 )
-from goodmeasures.values import ONE, PackedValues, ZERO
+from goodmeasures.values import IrrationalSymbol, ONE, PackedValues, ZERO
 
 from conftest import (
     E,
@@ -42,17 +42,69 @@ S = E(0, {sqrt2_symbol(): 1})  # sqrt(2) - 1
 # -- the checked constructor --------------------------------------------------------
 
 
-@pytest.mark.parametrize("weights,reason", [
+_REFUSED = [
     ([], "partitions must be nonempty"),
     ([("a", E("1/2")), ("a", E("1/2"))], "cell identifiers must be unique"),
     ([("a", ONE), ("b", ZERO)], "weight of b must be positive"),
     ([("a", E("3/2")), ("b", E("-1/2"))], "weight of b must be positive"),
     ([("a", ONE), ("b", S - S)], "weight of b must be positive"),
     ([("a", E("3/2") - S), ("b", S - E("1/2"))], "weight of b must be positive"),
-])
+    # a repeated id is reported before a non-positive weight, wherever each lies
+    ([("a", ZERO), ("b", ONE), ("b", ONE)], "cell identifiers must be unique"),
+    ([("a", ONE), ("a", ZERO)], "cell identifiers must be unique"),
+    # the first cell of non-positive weight, in cell order
+    ([("a", ONE), ("b", E("-1/2")), ("c", ZERO), ("d", E("-1/2"))],
+     "weight of b must be positive"),
+]
+
+
+@pytest.mark.parametrize("weights,reason", _REFUSED)
 def test_make_rejects(weights, reason):
     with pytest.raises(ValueError, match=f"^{reason}$"):
         WeightedPartition.make(weights)
+
+
+@pytest.mark.parametrize("weights,reason", _REFUSED)
+def test_from_json_refuses_as_make_does(weights, reason):
+    """Each weight is parsed and its sign checked once per memo, and a
+    second partition read with the same memo is refused the same way."""
+    data = {"cells": [{"id": c, "w": w.to_json()} for c, w in weights]}
+    symbols = {s.name: s for s in S.syms}
+    memo: dict = {}
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            WeightedPartition.from_json(data, symbols, memo)
+    assert all(v.sign() > 0 for v in memo.values())
+
+
+_X = IrrationalSymbol.digits("x", 2, "1" * 4096)  # 1 - 2**-4096 <= x <= 1
+_UNDECIDED = {"q": "-1", "irr": {"x": "1"}}  # x - 1: its sign is undecided
+
+
+@pytest.mark.parametrize("cells,reason", [
+    ([("a", _UNDECIDED), ("a", {"q": "1/2"})], "cell identifiers must be unique"),
+    ([("a", _UNDECIDED), ("b", {"q": "1", "irr": []})],
+     "irrational part is a JSON array, not an object"),
+])
+def test_from_json_checks_signs_after_parsing_and_ids(cells, reason):
+    """A sign is decided only once every weight is parsed and every id
+    known to be unique, as ``make`` decides it."""
+    data = {"cells": [{"id": c, "w": w} for c, w in cells]}
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        WeightedPartition.from_json(data, {"x": _X}, {})
+    with pytest.raises(ArithmeticError, match="sign undecided"):
+        WeightedPartition.from_json({"cells": data["cells"][:1]}, {"x": _X}, {})
+
+
+def test_from_json_shares_one_value_per_distinct_weight():
+    data = {"cells": [{"id": f"c{i}", "w": w} for i, w in
+                      enumerate([{"q": "1/4"}, {"q": "1/2"}, {"q": "1/4"}])]}
+    memo: dict = {}
+    part = WeightedPartition.from_json(data, {}, memo)
+    again = WeightedPartition.from_json(data, {}, memo)
+    assert part.cells == ("c0", "c1", "c2") and part.weight_list() == [E("1/4"), E("1/2"), E("1/4")]
+    assert part.weights["c0"] is part.weights["c2"] is again.weights["c0"]
+    assert len(memo) == 2 and "total" not in vars(part)
 
 
 def test_make_sums_the_total_on_first_use():

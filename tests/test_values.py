@@ -537,6 +537,27 @@ def test_order_operators_match_squares_oracle(q1, c1, q2, c2, alias):
     _assert_order(v, E(Fraction(1, 2)), q1 - c1 - Fraction(1, 2), c1)
 
 
+def _fresh_sort_key(v: ExactValue):
+    """``sort_key`` read off the Fraction views, with no memo."""
+    q = v.rational
+    return q.numerator, q.denominator, tuple((s.name, c.numerator, c.denominator)
+                                             for s, c in v.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(st.tuples(_small, _coef), min_size=1, max_size=8))
+@example(pool=[(Fraction(1, 2), Fraction(0)), (Fraction(1, 2), Fraction(1)),
+               (Fraction(1, 2), Fraction(-1))])
+def test_memoised_sort_key_matches_a_fresh_computation(pool):
+    values = [_s2_value(q, c) for q, c in pool] + [E(q) for q, _ in pool]
+    values += [-v for v in values] + [v + v for v in values]
+    for v in values:
+        key = v.sort_key()
+        assert v.sort_key() is key
+        assert key == _fresh_sort_key(v) == ExactValue(v.den, v.nums, v.syms).sort_key()
+    assert sorted(values, key=ExactValue.sort_key) == sorted(values, key=_fresh_sort_key)
+
+
 def test_order_operators_near_sqrt2_convergents():
     root2 = _s2_value(Fraction(1), Fraction(1))
     for c in _sqrt2_convergents(1 << 41):
