@@ -166,6 +166,8 @@ class GoodMeasureChain:
         # the top's sorted weight key and its fibers per level, on first use (``_fiber_index``)
         self._top_key: tuple | None = None
         self._fibers: dict[int, dict[str, tuple]] = {}
+        # the level, placements and link of the amalgam that made the top (``_respond``)
+        self._seed: tuple | None = None
 
     # -- structure -----------------------------------------------------------
 
@@ -217,7 +219,7 @@ class GoodMeasureChain:
             raise ValueError("link must map the new level onto the current top")
         self.levels.append(P)
         self.links.append(link)
-        self._top_key, self._fibers = None, {}
+        self._top_key, self._fibers, self._seed = None, {}, None
 
     # -- measures and clopen sets ---------------------------------------------
 
@@ -273,9 +275,8 @@ class GoodMeasureChain:
         key = _obj_key(target)
         if key in self._ledger_index:
             return self.ledger[self._ledger_index[key]].stage
-        if self._top_key is None:
-            self._top_key = self.top.sorted_weight_key()
-        if key[1] == self._top_key:
+        # equal sorted weight keys need as many cells as the top
+        if len(target.cells) == len(self.top.cells) and key[1] == self._sorted_top_key():
             lift = _weight_matching(self.top, target).mapping
         else:
             # the collapse is valid: the target has total 1
@@ -285,11 +286,24 @@ class GoodMeasureChain:
         self.ledger.append(entry)
         return entry.stage
 
+    def _sorted_top_key(self) -> tuple:
+        """The top's sorted weight key, kept for the top's lifetime."""
+        if self._top_key is None:
+            self._top_key = self.top.sorted_weight_key()
+        return self._top_key
+
     def _fiber_index(self, level: int) -> dict[str, tuple]:
         """Per cell x of a level: the top cells over x in top order, their
-        weights and those weights' ``_cumulative``, kept for the top's lifetime."""
+        weights and those weights' ``_cumulative``, kept for the top's
+        lifetime, on first use.  Over the level an amalgam answered when it
+        made the top, the index is read off that amalgam's placements
+        (``_seeded_fibers``); over any other level it is computed here."""
         fibers = self._fibers.get(level)
-        if fibers is None:
+        if fibers is not None:
+            return fibers
+        if self._seed is not None and self._seed[0] == level:
+            fibers = self._fibers[level] = _seeded_fibers(*self._seed[1:])
+        else:
             proj = self.composite_mapping(self.depth, level)
             f1 = PartitionMorphism(self.top, self.levels[level], proj)
             fibers = self._fibers[level] = {}
@@ -307,28 +321,32 @@ class GoodMeasureChain:
         each top cell maps to the challenge cell whose interval holds it: the
         ``p2 ∘ p1⁻¹`` of an amalgam as large as the top, read off without
         building it.  Otherwise the same placements give the amalgam of the
-        top's projection with f2, the new top, and its p2 is the response.
-        Either way f2 ∘ response is the chain projection onto the level.
-        Precondition: f2 is a valid morphism onto the level.
+        top's projection with f2, the new top, and its p2 is the response;
+        the placements are kept for the new top's fiber index over the
+        level, which then needs no addition.  Either way f2 ∘ response is
+        the chain projection onto the level.  Precondition: f2 is a valid
+        morphism onto the level.
         """
         fibers, weight = self._fiber_index(level), f2.source.weights
         walks = []
         for x, zs in f2.fibers().items():
             ys, left, sums, index = fibers[x]
             right = [weight[z] for z in zs]
-            walks.append((ys, zs, left, right, sums, _place(sums, index, right)))
+            walks.append((x, ys, zs, left, right, sums, _place(sums, index, right)))
         if all(acc is None for *_, places in walks for _, acc in places):
             return {
                 y: z
-                for ys, zs, *_, places in walks
+                for _, ys, zs, *_, places in walks
                 for z, (start, _), (end, _) in zip(zs, [(0, None), *places], places)
                 for y in ys[start:end]
             }
-        G, p1, p2 = _assemble(self.top, f2.source, [
+        refined = [
             (ys, zs, _parts(left, right, sums, places))
-            for ys, zs, left, right, sums, places in walks
-        ])
+            for _, ys, zs, left, right, sums, places in walks
+        ]
+        G, p1, p2 = _assemble(self.top, f2.source, refined)
         self._append_level(G, p1)
+        self._seed = (level, walks, refined, p1)
         return p2.mapping
 
     def absorb_morphism(
@@ -391,7 +409,9 @@ class GoodMeasureChain:
         the current top, so only challenges that need a finer partition
         append a level.  V is enumerated once, up to height budget + 1; the
         values of height at most h + 1 are a prefix of that list.  Challenges
-        built from V skip the public checks; ``split_cell`` checks its parts."""
+        built from V skip the public checks, and no value or morphism is
+        checked: each split of a level weight w into a and w - a, with a in V
+        and 0 < a <= w - a < w <= 1, has both parts in V summing to w."""
         if budget < 1:
             raise ValueError("budget must be >= 1")
         enumerated = self.V.enumerate_values(budget + 1)
@@ -406,10 +426,10 @@ class GoodMeasureChain:
                 w = P.weight(c)
                 for a in values:
                     rest = w - a
-                    if rest < a or rest.sign() <= 0:
+                    if rest < a:  # a > 0, so a kept rest is positive
                         continue
-                    R, pi = split_cell(P, c, [a, rest], self.V)
-                    self._absorb_morphism(pi, lvl)
+                    children = {d: [a, rest] if d == c else [P.weights[d]] for d in P.cells}
+                    self._absorb_morphism(_subdivide(P, children), lvl)
         return self
 
     # -- goodness witnesses -----------------------------------------------------
@@ -769,15 +789,41 @@ def _commutes(
     return all(challenge_map[response_map[c]] == t for c, t in proj.items())
 
 
+def _seeded_fibers(walks, refined, link: PartitionMorphism) -> dict[str, tuple]:
+    """The ``_fiber_index`` of an amalgam's top over the level its challenge
+    named, from ``_respond``'s walks and refined fibers and the amalgam's
+    link onto the old top.  The top cells over x are the parts of x's fiber,
+    in order, and their cumulative sums are the old top's with the cuts put
+    in place, so no value is added."""
+    children = link.fibers()
+    out: dict[str, tuple] = {}
+    for (x, ys, *_, sums, places), (_, _, parts) in zip(walks, refined):
+        cut, start = [], 0
+        for n, acc in places:
+            if acc is not None:  # a cut inside old entry n
+                cut += sums[start:n]
+                cut.append(acc)
+                start = n
+        cut += sums[start:]
+        out[x] = (
+            [c for y in ys for c in children[y]],
+            [w for w, _, _ in parts],
+            cut,
+            {s: n for n, s in enumerate(cut, 1)},
+        )
+    return out
+
+
 def _sums_to_one(values: list[ExactValue], room: int) -> list[tuple[int, ...]]:
     """Index tuples i1 <= i2 <= ... of at most ``room`` entries with
     values[i1] + values[i2] + ... == 1, depth first.
 
     Partial sums are packed ints (``PackedValues``), so a sum is one int
     addition and ``== 1`` one int comparison.  A partial sum is extended only
-    if it is not above 1; that is decided by ``ExactValue`` once per distinct
-    sum, in the order the sums are first met.  The last entry of a tuple is
-    looked up: the values are distinct, so at most one completes the sum.
+    if it is not above 1; that is decided on its packed coordinates
+    (``PackedValues.above_one``) once per distinct sum, in the order the sums
+    are first met.  The last entry of a tuple is looked up: the values are
+    distinct, so at most one completes the sum.
     """
     pv = PackedValues(values, room)
     packed, one = pv.packed, pv.one
@@ -801,7 +847,7 @@ def _sums_to_one(values: list[ExactValue], room: int) -> list[tuple[int, ...]]:
             else:
                 big = above.get(s)
                 if big is None:
-                    big = above[s] = pv.unpack(s) > ONE
+                    big = above[s] = pv.above_one(s)
                 if not big:
                     prefix.append(i)  # the next entry starts at i again
                     sums.append(s)

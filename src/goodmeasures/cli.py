@@ -122,6 +122,9 @@ def cmd_check_good(args) -> int:
     snapshot = _read_json(args.snapshot, ws, "snapshots")
     chain = GoodMeasureChain.from_json(snapshot)
     depth = args.depth
+    if depth < 0:  # levels[-1] is the top: a negative depth must not index it
+        sys.stderr.write(f"depth {depth} is not a level of the snapshot\n")
+        return 2
     extra = min(max(depth - chain.depth, 0), 64)  # 2**64 cells are past any bound
     if extra and len(chain.top.cells) << extra > MAX_APPENDED_CELLS:
         sys.stderr.write(f"depth {depth} needs a level of over {MAX_APPENDED_CELLS} cells\n")

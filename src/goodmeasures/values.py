@@ -280,6 +280,34 @@ def _from_ratios(ratios: Sequence[tuple[int, int]], syms: Sequence[IrrationalSym
     return _reduced(den, nums, tuple(syms))
 
 
+def _in_unit(
+    ratios: Sequence[tuple[int, int]], syms: Sequence[IrrationalSymbol]
+) -> ExactValue | None:
+    """``_from_ratios(ratios, syms)`` if it lies in (0, 1], else None.
+
+    The bounds are decided on the integer coordinates over the common
+    denominator, zero coefficients left out as ``ExactValue`` leaves them
+    out, so a refused candidate builds no value, and a kept irrational one
+    starts with its sign known."""
+    den = math.lcm(*[d for _, d in ratios])
+    nums = [ratios[0][0] * (den // ratios[0][1])]
+    kept = []
+    for s, (n, d) in zip(syms, ratios[1:]):
+        if n:
+            nums.append(n * (den // d))
+            kept.append(s)
+    if not kept:
+        if not 0 < nums[0] <= den:
+            return None
+    elif compare(nums, kept, 0, 1) <= 0 or compare(nums, kept, den, 1) > 0:
+        return None
+    g = math.gcd(den, *nums)
+    v = ExactValue(den // g, tuple([n // g for n in nums]), tuple(kept))
+    if kept:
+        v._sign = 1
+    return v
+
+
 def _ratio(x: _FracLike) -> tuple[int, int]:
     """x as a numerator and positive denominator in lowest terms."""
     if not isinstance(x, (int, Fraction)):
@@ -323,18 +351,24 @@ class PackedValues:
         self.packed = [sum(x << (i * self.width) for i, x in c) for c in coords]
         self.one = self.den
 
-    def unpack(self, p: int) -> ExactValue:
-        """The value of a packed sum of at most ``room`` of the values."""
+    def above_one(self, p: int) -> bool:
+        """Whether a packed sum of at most ``room`` of the values exceeds 1,
+        decided on its integer coordinates over ``den``, zero coefficients
+        left out, with no value built."""
         w = self.width
         mask, half = (1 << w) - 1, 1 << (w - 1)
-        nums = []
+        coords = []
         for _ in range(len(self.syms) + 1):
             x = p & mask
             if x >= half:
                 x -= 1 << w
-            nums.append(x)
+            coords.append(x)
             p = (p - x) >> w
-        return _reduced(self.den, nums, self.syms)
+        kept = [s for s, x in zip(self.syms, coords[1:]) if x]
+        if not kept:
+            return coords[0] > self.den
+        nums = [coords[0], *[x for x in coords[1:] if x]]
+        return compare(nums, kept, self.den, 1) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +622,8 @@ class GroupDescriptor:
         largest height of its components, so the tuples of components of
         height exactly h are split by the first component that reaches h:
         components before it lie below h, components after it at most h.
+        A candidate's bounds are decided on its integer coordinates
+        (``_in_unit``); only a kept one becomes an ``ExactValue``.
         """
         symbols = [s for s, _ in self.irr]
         heights = [_heights(self.rational, with_negative=bool(symbols))]
@@ -600,8 +636,8 @@ class GroupDescriptor:
                 upto = [b + e for b, e in zip(below[i + 1:], exact[i + 1:])]
                 parts = below[:i] + [exact[i]] + upto
                 for ratios in itertools.product(*parts):
-                    v = _from_ratios(ratios, symbols)
-                    if v.sign() > 0 and v._cmp(1) <= 0:
+                    v = _in_unit(ratios, symbols)
+                    if v is not None:
                         layer.append(v)
             layer.sort(key=ExactValue.sort_key)
             yield layer

@@ -6,6 +6,7 @@ searches where the engine decides in closed form or by induction.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -19,7 +20,16 @@ from goodmeasures.partitions import (
     _assemble,
     verify_morphism,
 )
-from goodmeasures.values import ExactValue, GroupDescriptor, ONE, ZERO
+from goodmeasures.values import (
+    ExactValue,
+    GroupDescriptor,
+    ONE,
+    PackedValues,
+    ZERO,
+    _from_ratios,
+    _heights,
+    _reduced,
+)
 
 
 def refinement_feasible(
@@ -106,6 +116,67 @@ def index_sums_to_one(
         elif room > 1 and not nxt > ONE:
             for rest in index_sums_to_one(values, i, nxt, room - 1):
                 yield (i, *rest)
+
+
+def values_by_filter(V: GroupDescriptor, budget: int) -> list[ExactValue]:
+    """V ∩ (0,1] up to the given height, listed as ``enumerate_values``
+    lists it, by the engine's former loop: every candidate tuple of
+    components becomes an ``ExactValue``, which is kept iff its sign is
+    positive and it is at most 1.  The reference for ``values._in_unit``."""
+    symbols = [s for s, _ in V.irr]
+    heights = [_heights(V.rational, with_negative=bool(symbols))]
+    heights += [_heights(g, with_negative=True) for _, g in V.irr]
+    below: list[list[tuple[int, int]]] = [[] for _ in heights]
+    out: list[ExactValue] = []
+    for _ in range(budget):
+        exact = [next(it) for it in heights]
+        layer = []
+        for i in range(len(heights)):
+            upto = [b + e for b, e in zip(below[i + 1:], exact[i + 1:])]
+            for ratios in itertools.product(*below[:i], exact[i], *upto):
+                v = _from_ratios(ratios, symbols)
+                if v.sign() > 0 and v._cmp(1) <= 0:
+                    layer.append(v)
+        out += sorted(layer, key=ExactValue.sort_key)
+        for b, e in zip(below, exact):
+            b += e
+    return out
+
+
+def unpack(pv: PackedValues, p: int) -> ExactValue:
+    """The value of a packed sum of at most ``pv``'s room of its values, read
+    back digit by digit.  The engine's former way to decide ``> 1``, as
+    ``unpack(pv, p) > ONE``; the reference for ``PackedValues.above_one``."""
+    w = pv.width
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    nums = []
+    for _ in range(len(pv.syms) + 1):
+        x = p & mask
+        if x >= half:
+            x -= 1 << w
+        nums.append(x)
+        p = (p - x) >> w
+    return _reduced(pv.den, nums, pv.syms)
+
+
+def fiber_index_by_walk(chain: GoodMeasureChain, level: int) -> dict[str, tuple]:
+    """Per cell x of a level: the top cells over x in top order, their
+    weights, the running sums of those weights and each sum mapped to its
+    count, with the top's projection walked afresh link by link.  The
+    reference for ``GoodMeasureChain._fiber_index``, fresh or seeded."""
+    over = {c: c for c in chain.top.cells}
+    for k in range(chain.depth, level, -1):
+        link = chain.links[k - 1].mapping
+        over = {c: link[a] for c, a in over.items()}
+    out: dict[str, tuple] = {x: ([], [], [], {}) for x in chain.levels[level].cells}
+    for c in chain.top.cells:
+        ys, ws, sums, index = out[over[c]]
+        w = chain.top.weights[c]
+        ys.append(c)
+        ws.append(w)
+        sums.append(sums[-1] + w if sums else w)
+        index[sums[-1]] = len(sums)
+    return out
 
 
 def peel_refinement(left, right) -> list[tuple[ExactValue, int, int]]:

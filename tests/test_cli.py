@@ -147,6 +147,21 @@ def test_check_good_refuses_a_depth_past_the_cell_bound(files, capsys, depth):
     assert _one_line_error(capsys) == f"depth {depth} needs a level of over 256 cells"
 
 
+@pytest.mark.parametrize("depth", [-1, -2, -5])
+def test_check_good_refuses_a_negative_depth(files, capsys, depth):
+    # a budget-1 dyadic snapshot has two levels: -1 would name its top, -2
+    # its root, and -5 no level at all
+    snap = files / "snap.json"
+    run(capsys, "build-chain", "--descriptor", str(files / "dyadic.json"),
+        "--budget", "1", "--out", str(snap))
+    report = files / "report.json"
+    code = main(["check-good", "--snapshot", str(snap), "--depth", str(depth),
+                 "--out", str(report)])
+    assert code == 2
+    assert _one_line_error(capsys) == f"depth {depth} is not a level of the snapshot"
+    assert not report.exists()
+
+
 def test_decide_exit_codes(files, capsys):
     code, env = run(capsys, "decide-rokhlin", "--descriptor", str(files / "dyadic.json"))
     assert code == 0 and env["result"] == {"strong_rokhlin": "yes", "rokhlin": "yes"}

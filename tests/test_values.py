@@ -20,11 +20,13 @@ from goodmeasures.values import (
     GroupDescriptor,
     IrrationalSymbol,
     ONE,
+    PackedValues,
     RationalGroup,
     ZERO,
 )
 
 from conftest import E, alpha_module, sqrt2_symbol
+from oracles import unpack, values_by_filter
 
 
 # -- membership -------------------------------------------------------------
@@ -429,6 +431,87 @@ def test_enumeration_and_smallest_below_match_doubling(name, request):
         targets = [E(q) for q in targets]
     for w in targets:
         assert V.smallest_below(w) == _doubling_smallest_below(V, w), w
+
+
+#: pi - 3 to 50 decimal places: a ``digits`` symbol that decides every
+#: comparison the tests make, and a prefix of it too short to decide any
+_PI_DIGITS = "14159265358979323846264338327950288419716939937510"
+
+
+def _digits_descriptor() -> GroupDescriptor:
+    dyadic = RationalGroup.make(0, {2: INF})
+    return GroupDescriptor.make(dyadic, {IrrationalSymbol.digits("p", 10, _PI_DIGITS): dyadic})
+
+
+@pytest.mark.parametrize("name", ["rationals", "sqrt2_dyadic", "two_symbol", "digits"])
+def test_enumeration_matches_the_build_then_filter_loop(name, request):
+    """Bounds decided on integer coordinates keep the values, and the order,
+    that building every candidate and filtering it kept."""
+    V = _digits_descriptor() if name == "digits" else request.getfixturevalue(name)
+    for budget in range(1, 5):
+        assert V.enumerate_values(budget) == values_by_filter(V, budget)
+
+
+def test_enumeration_keeps_the_sign_it_decided(sqrt2_dyadic):
+    """A kept irrational value starts with its sign known, and it is right."""
+    values = sqrt2_dyadic.enumerate_values(4)
+    irrational = [v for v in values if v.syms]
+    assert irrational and all(v._sign == 1 for v in irrational)
+    assert all(v.interval(64)[0] > 0 for v in irrational)
+
+
+_symbol_specs = st.sampled_from([
+    ("sqrt", "s2", 2), ("sqrt", "s3", 3), ("sqrt", "s5", 5),
+    ("digits", "p", _PI_DIGITS), ("digits", "q", _PI_DIGITS[:4]),
+])
+
+
+@st.composite
+def _descriptors(draw) -> GroupDescriptor:
+    """A descriptor with up to two symbols, ``sqrt`` or ``digits``; the
+    4-digit ``q`` leaves every comparison it enters undecided."""
+    def group():
+        exponents = {p: draw(st.sampled_from([0, 1, 2, INF])) for p in (2, 3)}
+        return RationalGroup.make(draw(st.sampled_from([0, INF])), exponents)
+
+    specs = draw(st.lists(_symbol_specs, max_size=2, unique_by=lambda spec: spec[1]))
+    irr = {}
+    for kind, name, arg in specs:
+        if kind == "sqrt":
+            symbol = IrrationalSymbol.sqrt(name, arg, -math.isqrt(arg))
+        else:
+            symbol = IrrationalSymbol.digits(name, 10, arg)
+        irr[symbol] = group()
+    rational = group()
+    if rational.is_trivial and not irr:
+        rational = RationalGroup.make(0, {2: INF})
+    return GroupDescriptor.make(rational, irr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(V=_descriptors(), budget=st.integers(1, 3))
+def test_enumeration_matches_the_loop_on_drawn_descriptors(V, budget):
+    assert _outcome(V.enumerate_values, budget) == _outcome(values_by_filter, V, budget)
+
+
+@settings(max_examples=80, deadline=None)
+@given(V=_descriptors(), seed=st.integers(0, 2**32 - 1), room=st.integers(1, 5))
+def test_packed_above_one_matches_unpacking(V, seed, room):
+    """``above_one`` on a packed sum says what unpacking it and comparing
+    with 1 says, and what adding the values and comparing says."""
+    values = _outcome(V.enumerate_values, 4)
+    if not isinstance(values, list):  # a digits symbol left a bound undecided
+        return
+    rng = random.Random(seed)
+    pool = rng.sample(values, min(len(values), 12))
+    pv = PackedValues(pool, room)
+    for _ in range(20):
+        picked = [rng.randrange(len(pool)) for _ in range(rng.randint(1, room))]
+        p = sum(pv.packed[i] for i in picked)
+        total = sum([pool[i] for i in picked[1:]], pool[picked[0]])
+        assert unpack(pv, p) == total
+        want = _outcome(lambda: total > ONE)
+        assert _outcome(pv.above_one, p) == _outcome(lambda: unpack(pv, p) > ONE) == want
 
 
 # -- descriptors: dependent symbols and inexact integers ---------------------------
