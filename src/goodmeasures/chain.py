@@ -13,11 +13,12 @@ Levels are append-only: witnesses may extend the chain but never rewrite it.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import (
     InvalidChallenge,
@@ -39,7 +40,6 @@ from .partitions import (
     _subdivide,
     lift_edges,
     maps_onto,
-    split_cell,
     verify_morphism,
 )
 from .values import ExactValue, GroupDescriptor, ONE, PackedValues, ZERO, check_all_in
@@ -48,6 +48,20 @@ ROOT_CELL = "r"
 
 #: Rounds of ``align_prefixes`` before it gives up.
 _ALIGN_ROUNDS = 8
+
+#: Powers of each admitted prime a weight table with a symbol slot
+#: reserves in its denominator (``_den_slack``).  A benchmark ``schedule``
+#: op builds 3 tables at 3 or 4 powers, 4 at 1 or 2, and 6.1 with no
+#: slack, which ran about 14% fewer ops per second (``BENCH_21.json``).
+_SLACK_POWER = 4
+
+#: Room of a level's weight table per cell of the level: enough for the
+#: sums over the level, a challenge or a matrix beside it, and the levels
+#: that inherit the table (``GoodMeasureChain._table``).  A ``schedule``
+#: op builds 11 tables at 1, 5 at 4, 4 at 8 to 32 and 3 from 64 up; at 1
+#: it ran about 20% fewer ops per second, and 64 with 3 slack powers no
+#: faster than 256 with 4 (``BENCH_21.json``).
+_ROOM_PER_CELL = 256
 
 
 @dataclass(frozen=True)
@@ -168,6 +182,9 @@ class GoodMeasureChain:
         self._fibers: dict[int, dict[str, tuple]] = {}
         # the level, placements and link of the amalgam that made the top (``_respond``)
         self._seed: tuple | None = None
+        # per level: its weight table and each cell's packed weight (``_table``)
+        self._tables: dict[int, tuple[PackedValues, dict[str, int]]] = {}
+        self._slack = _den_slack(V)
 
     # -- structure -----------------------------------------------------------
 
@@ -220,18 +237,57 @@ class GoodMeasureChain:
         self.levels.append(P)
         self.links.append(link)
         self._top_key, self._fibers, self._seed = None, {}, None
+        vars(P)["total"] = ONE  # links preserve mass; the cache of ``total``
+
+    def _table(
+        self, level: int, values: Collection[ExactValue] = (), summands: int = 0
+    ) -> tuple[PackedValues, dict[str, int], list[int]]:
+        """The level's weight table, each cell's packed weight, and the given
+        values packed in the table.
+
+        The table is built on first use, or inherited from the level the
+        engine derived this one from (``_adopt``), and then kept: levels are
+        append-only, so it never goes stale.  A table that cannot take a
+        value (one not over its denominator, say 1/6 on a level of thirds),
+        or that has no room left for a signed sum of ``summands`` members,
+        is replaced by one over the level's weights and the values, with
+        room for the sums.  The top's fiber index is in the top's packing,
+        so it goes with the top's table.
+        """
+        table = self._tables.get(level)
+        if table is not None:
+            pv, weights = table
+            packed = pv.pack_all(values)
+            if packed is not None and pv.room >= summands:
+                return pv, weights, packed
+        P = self.levels[level]
+        n = len(P.cells)
+        pv = PackedValues(
+            [*P.weight_list(), *values], _ROOM_PER_CELL * max(n, summands), self._slack
+        )
+        self._tables[level] = pv, dict(zip(P.cells, pv.packed))
+        if table is not None and level == self.depth:
+            self._fibers, self._seed = {}, None
+        return pv, self._tables[level][1], pv.packed[n:]
+
+    def _adopt(self, pv: PackedValues, packed: dict[str, int]) -> None:
+        """Give the top, just appended, the table pv in which the engine
+        derived its weights, with each cell's packed weight."""
+        self._tables[self.depth] = pv, packed
 
     # -- measures and clopen sets ---------------------------------------------
 
-    def measure(self, U: ClopenSet) -> ExactValue:
-        P = self.levels[U.level]
-        if not U.cells <= set(P.cells):
+    def _check_clopen(self, U: ClopenSet) -> None:
+        if not 0 <= U.level <= self.depth:
+            raise ValueError(f"clopen set level {U.level} is not a level of the chain")
+        if not U.cells <= self.levels[U.level].weights.keys():
             raise ValueError("clopen set uses unknown cells")
-        total = ZERO
-        for c in P.cells:
-            if c in U.cells:
-                total = total + P.weight(c)
-        return total
+
+    def measure(self, U: ClopenSet) -> ExactValue:
+        """The exact measure of U: its cells' packed weights added, read back once."""
+        self._check_clopen(U)
+        pv, weights, _ = self._table(U.level, summands=len(U.cells))
+        return pv.unpack(sum([weights[c] for c in U.cells]))
 
     def project(self, U: ClopenSet, to_level: int) -> ClopenSet:
         """Rewrite U as a union of cells at a deeper level."""
@@ -294,10 +350,11 @@ class GoodMeasureChain:
 
     def _fiber_index(self, level: int) -> dict[str, tuple]:
         """Per cell x of a level: the top cells over x in top order, their
-        weights and those weights' ``_cumulative``, kept for the top's
-        lifetime, on first use.  Over the level an amalgam answered when it
-        made the top, the index is read off that amalgam's placements
-        (``_seeded_fibers``); over any other level it is computed here."""
+        packed weights in the top's table and those weights' ``_cumulative``,
+        kept for the top's lifetime (and its table's), on first use.  Over
+        the level an amalgam answered when it made the top, the index is read
+        off that amalgam's placements (``_seeded_fibers``); over any other
+        level it is computed here."""
         fibers = self._fibers.get(level)
         if fibers is not None:
             return fibers
@@ -306,9 +363,10 @@ class GoodMeasureChain:
         else:
             proj = self.composite_mapping(self.depth, level)
             f1 = PartitionMorphism(self.top, self.levels[level], proj)
+            weight = self._table(self.depth)[1]
             fibers = self._fibers[level] = {}
             for x, ys in f1.fibers().items():
-                left = [self.top.weights[y] for y in ys]
+                left = [weight[y] for y in ys]
                 fibers[x] = (ys, left, *_cumulative(left))
         return fibers
 
@@ -326,13 +384,21 @@ class GoodMeasureChain:
         level, which then needs no addition.  Either way f2 ∘ response is
         the chain projection onto the level.  Precondition: f2 is a valid
         morphism onto the level.
+
+        The walk adds and compares packed ints of the top's table, which
+        takes f2's weights too (``_table``); each part of the amalgam is read
+        back once, and the new top inherits the table.
         """
-        fibers, weight = self._fiber_index(level), f2.source.weights
+        source, depth = f2.source, len(self.links)
+        pv, _, right = self._table(
+            depth, source.weights.values(), len(self.levels[depth].cells) + len(source.cells)
+        )
+        fibers, weight = self._fiber_index(level), dict(zip(source.weights, right))
         walks = []
         for x, zs in f2.fibers().items():
             ys, left, sums, index = fibers[x]
             right = [weight[z] for z in zs]
-            walks.append((x, ys, zs, left, right, sums, _place(sums, index, right)))
+            walks.append((x, ys, zs, left, right, sums, _place(sums, index, right, pv)))
         if all(acc is None for *_, places in walks for _, acc in places):
             return {
                 y: z
@@ -344,8 +410,12 @@ class GoodMeasureChain:
             (ys, zs, _parts(left, right, sums, places))
             for _, ys, zs, left, right, sums, places in walks
         ]
-        G, p1, p2 = _assemble(self.top, f2.source, refined)
+        # the amalgam of packed weights, then its parts read back as its weights
+        Gp, p1, p2 = _assemble(self.top, source, refined)
+        G = WeightedPartition(Gp.cells, pv.unpacked(Gp.weights))
+        p1 = PartitionMorphism(G, self.top, p1.mapping)
         self._append_level(G, p1)
+        self._adopt(pv, Gp.weights)
         self._seed = (level, walks, refined, p1)
         return p2.mapping
 
@@ -411,7 +481,9 @@ class GoodMeasureChain:
         values of height at most h + 1 are a prefix of that list.  Challenges
         built from V skip the public checks, and no value or morphism is
         checked: each split of a level weight w into a and w - a, with a in V
-        and 0 < a <= w - a < w <= 1, has both parts in V summing to w."""
+        and 0 < a <= w - a < w <= 1, has both parts in V summing to w.  The
+        splits are tried on packed ints of the level's table, which takes
+        the values too, and a kept w - a is read back once."""
         if budget < 1:
             raise ValueError("budget must be >= 1")
         enumerated = self.V.enumerate_values(budget + 1)
@@ -422,13 +494,16 @@ class GoodMeasureChain:
                 self._absorb_object(obj)
             lvl = min(h - 1, self.depth)
             P = self.levels[lvl]
+            pv, weight, packed = self._table(lvl, values, 3)
             for c in P.cells:
-                w = P.weight(c)
-                for a in values:
-                    rest = w - a
-                    if rest < a:  # a > 0, so a kept rest is positive
+                w = weight[c]
+                for a, pa in zip(values, packed):
+                    rest = w - pa
+                    if pv.sign(rest - pa) < 0:  # a > 0, so a kept rest is positive
                         continue
-                    children = {d: [a, rest] if d == c else [P.weights[d]] for d in P.cells}
+                    children = {
+                        d: [a, pv.unpack(rest)] if d == c else [P.weights[d]] for d in P.cells
+                    }
                     self._absorb_morphism(_subdivide(P, children), lvl)
         return self
 
@@ -439,32 +514,48 @@ class GoodMeasureChain:
 
         Whole top-level cells of W are taken greedily in descending weight;
         at most one cell is split (extending the chain) to hit the measure
-        exactly, which the group-like value set always permits.
+        exactly, which the group-like value set always permits.  Both
+        measures and the remainder are packed ints of the top's table; the
+        two parts of a split cell are read back once, and lie in V as
+        differences of V-values between 0 and the cell's weight.
         """
-        mU, mW = self.measure(U), self.measure(W)
-        if not mU < mW:
-            raise NotSmaller(f"measure {mU} is not smaller than {mW}")
+        self._check_clopen(U)
+        self._check_clopen(W)
         top_level = self.depth
-        WT = self.project(W, top_level)
         P = self.levels[top_level]
-        cells = [(c, P.weight(c)) for c in P.cells if c in WT.cells]
-        cells.sort(key=itemgetter(1), reverse=True)
+        pv, packed, _ = self._table(top_level, summands=2 * len(P.cells) + 1)
+        over_u = self.composite_mapping(top_level, U.level)
+        over_w = self.composite_mapping(top_level, W.level)
+        mU = sum([packed[c] for c in P.cells if over_u[c] in U.cells])
+        cells = [c for c in P.cells if over_w[c] in W.cells]
+        mW = sum([packed[c] for c in cells])
+        if pv.sign(mW - mU) <= 0:
+            raise NotSmaller(f"measure {pv.unpack(mU)} is not smaller than {pv.unpack(mW)}")
+        # packed ints of a table with no symbol are ordered as the values are
+        cells.sort(key=P.weights.__getitem__ if pv.syms else packed.__getitem__, reverse=True)
         picked: list[str] = []
         r = mU
-        for c, w in cells:
-            if r.sign() == 0:
+        for c in cells:
+            if not r:
                 break
-            if w <= r:
+            w = packed[c]
+            if pv.sign(r - w) >= 0:
                 picked.append(c)
-                r = r - w
+                r -= w
             else:
-                R, pi = split_cell(P, c, [r, w - r], self.V)
-                self._append_level(R, pi)
-                picked.append(f"{c}/0")  # whole cells keep their ids in R
-                r = ZERO
+                pieces = (r, w - r)
+                link = _subdivide(
+                    P, {d: [*map(pv.unpack, pieces)] if d == c else [P.weights[d]] for d in P.cells}
+                )
+                self._append_level(link.source, link)
+                self._adopt(pv, dict(zip(link.source.cells, [
+                    x for d in P.cells for x in (pieces if d == c else (packed[d],))
+                ])))
+                picked.append(f"{c}/0")  # whole cells keep their ids in the new level
+                r = 0
                 top_level = self.depth
                 break
-        if r.sign() != 0:
+        if r:
             raise RuntimeError("greedy subset accumulation failed; this is a bug")
         return ClopenSet.of(top_level, picked)
 
@@ -481,8 +572,10 @@ class GoodMeasureChain:
         return AutomorphismPrefix(maps)
 
     def prefix_valid(self, sigma: AutomorphismPrefix) -> bool:
+        if not 0 <= sigma.base <= sigma.depth <= self.depth:
+            return False
         for k in sigma.levels:
-            W = self.levels[k].weights
+            W = self._table(k, summands=len(self.levels[k].cells))[1]
             if not maps_onto(sigma.maps[k], W, W):  # a weight-preserving bijection
                 return False
         for lo, hi in zip(sigma.levels, sigma.levels[1:]):
@@ -569,17 +662,20 @@ class GoodMeasureChain:
         """
         T = self.depth
         top = self.levels[T]
-        entries = lift_edges(self.composite_morphism(T, k), maps[k].items())
-        cycles = decompose_entries(entries)
+        pv, weight, _ = self._table(T, summands=2 * len(top.cells))
+        entries = lift_edges(self.composite_morphism(T, k), maps[k].items(), weight, pv)
+        if pv.syms:  # packed ints with a symbol slot are not ordered as the values are
+            entries, pv = {e: pv.unpack(w) for e, w in entries.items()}, None
+        cycles = decompose_entries(entries, ZERO if pv is None else 0)
         through = cycles_through(top.cells, [verts for verts, _ in cycles])
         if all(len(through[c]) == 1 for c in top.cells):
             maps[T] = {c: through[c][0][1] for c in top.cells}
             return T
-        maps[T + 1] = self._append_cycle_split(cycles)
+        maps[T + 1] = self._append_cycle_split(cycles, pv)
         return self.depth
 
     def _append_cycle_split(
-        self, cycles: Sequence[tuple[Sequence[str], ExactValue]]
+        self, cycles: Sequence[tuple[Sequence[str], ExactValue]], pv: PackedValues | None = None
     ) -> dict[str, str]:
         """Append a level splitting every top cell by the cycles through it.
 
@@ -588,11 +684,18 @@ class GoodMeasureChain:
         the top is a valid morphism.  A cell on one cycle keeps its id; a cell
         on several gets one child per cycle, in cycle order.  Returns the
         permutation of the new level that moves each child along its cycle.
+        With a table pv the weights are its packed ints: each is read back
+        once, and the new level inherits pv.
         """
         top = self.top
         through = cycles_through(top.cells, [verts for verts, _ in cycles])
-        link = _subdivide(top, {c: [cycles[ci][1] for ci, _ in through[c]] for c in top.cells})
+        weights = [w for _, w in cycles] if pv is None else [pv.unpack(w) for _, w in cycles]
+        link = _subdivide(top, {c: [weights[ci] for ci, _ in through[c]] for c in top.cells})
         self._append_level(link.source, link)
+        if pv is not None:
+            self._adopt(pv, dict(zip(link.source.cells, [
+                cycles[ci][1] for c in top.cells for ci, _ in through[c]
+            ])))
         visits = [(c, ci) for c in top.cells for ci, _ in through[c]]
         child_id = dict(zip(visits, link.source.cells))
         return {child_id[(c, ci)]: child_id[(d, ci)] for c in top.cells for ci, d in through[c]}
@@ -620,7 +723,10 @@ class GoodMeasureChain:
             raise ValueError("to_depth must be at least the current depth")
         if sigma.depth > self.depth:
             raise ValueError(f"prefix depth {sigma.depth} is beyond the chain depth {self.depth}")
-        d, W = sigma.depth, self.levels[sigma.depth].weights
+        if sigma.base < 0:
+            raise ValueError(f"prefix level {sigma.base} is not a level of the chain")
+        d = sigma.depth
+        W = self._table(d, summands=len(self.levels[d].cells))[1]
         if not maps_onto(sigma.top_map, W, W):
             raise WeightMismatch(f"prefix map at level {d} is not a weight-preserving bijection")
         maps = {k: dict(sigma.maps[k]) for k in sigma.levels}
@@ -707,7 +813,8 @@ class GoodMeasureChain:
         so every fiber sum and level 0's total are exact.  Once they pass,
         every partition of the snapshot has total 1, since level 0 does and
         links and responses preserve mass, so that total is recorded on each
-        and never summed.
+        and never summed.  That table stays every level's weight table
+        (``_table``), so the chain builds none for a loaded level.
         """
         V = GroupDescriptor.from_json(data["descriptor"])
         chain = GoodMeasureChain(V)
@@ -746,7 +853,7 @@ class GoodMeasureChain:
         except NotInV as exc:
             raise ValueError(str(exc)) from None
         room = max(len(P.cells) for P in [*levels, *(p[2] for p in parsed)])
-        pv = PackedValues(values, room)
+        pv = PackedValues(values, _ROOM_PER_CELL * room, chain._slack)
         # keyed by identity: the memo holds one object per distinct weight, so no value is hashed
         packed_of = dict(zip(map(id, values), pv.packed))
 
@@ -757,6 +864,7 @@ class GoodMeasureChain:
         if sum(weights[0].values()) != pv.one:
             raise ValueError(f"level 0 of the snapshot has total {levels[0].total}, expected 1")
         chain.levels = levels
+        chain._tables = {i: (pv, w) for i, w in enumerate(weights)}
         for i, mapping in enumerate(link_maps):
             if not maps_onto(mapping, weights[i + 1], weights[i]):
                 raise ValueError(f"snapshot link {i} does not map level {i + 1} onto level {i}")
@@ -780,6 +888,19 @@ class GoodMeasureChain:
         for P in [*levels, *(p[2] for p in parsed)]:
             vars(P)["total"] = ONE  # the cache of the cached_property ``total``
         return chain
+
+
+def _den_slack(V: GroupDescriptor) -> int:
+    """The factor a weight table with a symbol slot puts on its common
+    denominator: four more powers of each prime whose powers V's groups
+    admit without a bound (or up to its bound), so that the finer values
+    challenges bring rarely force a new table (``PackedValues``)."""
+    slack = 1
+    for g in (V.rational, *(g for _, g in V.irr)):
+        if g.default == 0:
+            for p, e in g.exceptions:
+                slack = math.lcm(slack, p ** int(min(e, _SLACK_POWER)))
+    return slack
 
 
 def _commutes(

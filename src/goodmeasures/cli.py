@@ -243,8 +243,7 @@ def cmd_check_compat(args) -> int:
     chain = GoodMeasureChain.from_json(snapshot)
     A = BalancedMatrix.from_json(matrix, chain.V.symbols())
     sigma = AutomorphismPrefix.from_json(prefix)
-    # levels[-1] is the top, so a negative level must be refused before
-    # prefix_valid indexes the chain's levels with it
+    # prefix_valid says False for such a level too; this line names it
     for k in sigma.levels:
         if not 0 <= k <= chain.depth:
             raise ValueError(f"prefix level {k} is not a level of the snapshot")

@@ -38,14 +38,16 @@ def _canonical_rotation(vertices: list[str]) -> tuple[str, ...]:
 
 
 def decompose_entries(
-    entries: Mapping[tuple[str, str], ExactValue]
+    entries: Mapping[tuple[str, str], ExactValue], zero=ZERO
 ) -> list[tuple[tuple[str, ...], ExactValue]]:
     """Peel directed cycles off an equi-summed matrix until nothing remains.
 
     Returns (vertices, weight) pairs whose cycle matrices sum back to the
     input exactly; at most one cycle per nonzero entry is produced.  Cycles
     are rotated to start at their smallest vertex.  Precondition: the
-    entries are nonnegative and equi-summed (``check_equi_summed``).
+    entries are nonnegative and equi-summed (``check_equi_summed``).  They
+    are ``ExactValue``s, or, with ``zero`` 0, the packed ints of one table
+    with no symbol, which are ordered and subtract as the values do.
 
     One pass: each vertex's successors are sorted once, descending, so the
     smallest is last.  A walk leaves every vertex by its smallest successor,
@@ -53,7 +55,7 @@ def decompose_entries(
     popped.  Vertices never gain edges, so the smallest vertex with an edge
     left is found by a cursor that only moves forward.
     """
-    rest = {e: w for e, w in entries.items() if w.sign() > 0}
+    rest = {e: w for e, w in entries.items() if w > zero}
     succ: dict[str, list[str]] = {}
     for a, b in rest:
         succ.setdefault(a, []).append(b)

@@ -28,7 +28,7 @@ from .partitions import (
     pushforward,
     verify_morphism,
 )
-from .values import ExactValue
+from .values import ExactValue, PackedValues
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,23 @@ class MatrixMorphism:
 def validate(chain: GoodMeasureChain, A: BalancedMatrix) -> bool:
     """All invariants, checked exactly: nonnegative V-entries, equal row and
     column sums, and row sums equal to the level's cell measures (so no zero
-    rows, and the entries sum to the level's total, one)."""
+    rows, and the entries sum to the level's total, one).
+
+    Both marginals are decided on packed ints of the level's table, which
+    takes the entries too.  In a table with no symbol whose denominator D
+    V's rational group admits, every n/D lies in V + Z, so an entry n/D is
+    a positive member of V iff 0 < n <= D; otherwise each entry is tested
+    as a value.
+    """
     if not 0 <= A.level <= chain.depth:
         return False
-    weights, entries = chain.levels[A.level].weights, A.entries
-    if not all(maps_onto({e: e[i] for e in entries}, entries, weights) for i in (0, 1)):
+    entries = A.entries
+    pv, weights, packed = chain._table(A.level, entries.values(), len(entries))
+    packed_entries = dict(zip(entries, packed))
+    if not all(maps_onto({e: e[i] for e in entries}, packed_entries, weights) for i in (0, 1)):
         return False
+    if not pv.syms and chain.V.rational.admits(pv.den):
+        return all(0 < n <= pv.den for n in packed)
     return all(w.sign() > 0 and chain.V.member(w) for w in entries.values())
 
 
@@ -118,15 +129,28 @@ def cycle_decompose(A) -> list[CycleMatrix]:
 
 def verify_matrix_morphism(chain: GoodMeasureChain, m: MatrixMorphism) -> bool:
     """Underlying map is a valid morphism of the index partitions and the
-    entries aggregate exactly along its fibers."""
-    if not verify_morphism(m.underlying):
+    entries aggregate exactly along its fibers.
+
+    Both mass identities are decided on packed ints of the source level's
+    table, which takes the underlying partitions' weights and both
+    matrices' entries."""
+    S, T = m.underlying.source, m.underlying.target
+    if not (0 <= m.source.level <= chain.depth and 0 <= m.target.level <= chain.depth):
         return False
-    if m.underlying.source.cells != chain.levels[m.source.level].cells:
+    if S.cells != chain.levels[m.source.level].cells:
         return False
-    if m.underlying.target.cells != chain.levels[m.target.level].cells:
+    if T.cells != chain.levels[m.target.level].cells:
         return False
-    f, entries = m.underlying.mapping, m.source.entries
-    return maps_onto({e: (f[e[0]], f[e[1]]) for e in entries}, entries, dict(m.target.entries))
+    f, source, target = m.underlying.mapping, m.source.entries, m.target.entries
+    values = [*S.weight_list(), *T.weight_list(), *source.values(), *target.values()]
+    s, t, n = len(S.cells), len(T.cells), len(source)
+    _, _, packed = chain._table(m.source.level, values, s + n)
+    if not maps_onto(f, dict(zip(S.cells, packed[:s])), dict(zip(T.cells, packed[s:s + t]))):
+        return False
+    source = dict(zip(source, packed[s + t:s + t + n]))
+    return maps_onto(
+        {e: (f[e[0]], f[e[1]]) for e in source}, source, dict(zip(target, packed[s + t + n:]))
+    )
 
 
 def identity_matrix_morphism(chain: GoodMeasureChain, A: BalancedMatrix) -> MatrixMorphism:
@@ -175,8 +199,29 @@ def lift_cycle(
         raise ValueError("morphism source is not the given chain level")
     if not verify_morphism(p):
         raise ValueError("p is not a valid morphism")
-    entries = lift_edges(p, [e for cyc in cycles for e in cyc.edges()])
-    return BalancedMatrix(source_level, entries)
+    return BalancedMatrix(source_level, _lifted(chain, p, source_level, [
+        e for cyc in cycles for e in cyc.edges()
+    ]))
+
+
+def _lifted(
+    chain: GoodMeasureChain, p: PartitionMorphism, level: int, edges
+) -> dict[tuple[str, str], ExactValue]:
+    """``lift_edges`` along p from a chain level, on p's source weights
+    packed in the level's table, each entry read back once."""
+    pv, _, packed = chain._table(level, p.source.weight_list(), 2 * len(p.source.cells))
+    weight = dict(zip(p.source.cells, packed))
+    return {e: pv.unpack(w) for e, w in lift_edges(p, edges, weight, pv).items()}
+
+
+def _cycles(chain: GoodMeasureChain, A: BalancedMatrix):
+    """A's cycles (``decompose_entries``) and the table their weights are
+    packed in, or None when that table has a symbol slot and the cycles
+    are peeled off the values.  Precondition: A is valid."""
+    pv, _, packed = chain._table(A.level, A.entries.values(), len(A.entries))
+    if pv.syms:  # packed ints with a symbol slot are not ordered as the values are
+        return decompose_entries(A.entries), None
+    return decompose_entries(dict(zip(A.entries, packed)), 0), pv
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +235,7 @@ def _split_at_top(
     """Split every top cell by the cycles through it; the split level carries
     a cycle-category representative projecting onto A.  Each child cell
     weighs exactly its cycle's weight, which is its entry in the result."""
-    perm = chain._append_cycle_split(decompose_entries(A.entries))
+    perm = chain._append_cycle_split(*_cycles(chain, A))
     top = chain.top
     C = BalancedMatrix(chain.depth, {(x, y): top.weight(x) for x, y in perm.items()})
     return C, MatrixMorphism(chain.links[-1], C, A)
@@ -205,7 +250,9 @@ def _lift_to_response_level(
     carry the cycle's weight, so every lifted edge joins fibers of equal mass.
     A is valid, so D is a valid challenge, absorbed without the public checks."""
     P_A = chain.levels[A.level]
-    cycles = decompose_entries(A.entries)
+    cycles, pv = _cycles(chain, A)
+    if pv is not None:
+        cycles = [(verts, pv.unpack(w)) for verts, w in cycles]
     through = cycles_through(P_A.cells, [verts for verts, _ in cycles])
     d_weights = {f"{c}@{ci}": cycles[ci][1] for c in P_A.cells for ci, _ in through[c]}
     D = WeightedPartition(tuple(d_weights), d_weights)
@@ -215,8 +262,8 @@ def _lift_to_response_level(
         for ci, (verts, w) in enumerate(cycles)
     ]
     stage, r = chain._absorb_morphism(projD, A.level)
-    entries = lift_edges(r, [e for cyc in d_cycles for e in cyc.edges()])
-    B = BalancedMatrix(stage, entries)
+    edges = [e for cyc in d_cycles for e in cyc.edges()]
+    B = BalancedMatrix(stage, _lifted(chain, r, stage, edges))
     return B, MatrixMorphism(compose(projD, r), B, A)
 
 
@@ -276,20 +323,40 @@ def reverse_projection(
 # ---------------------------------------------------------------------------
 
 
+def _transport(
+    chain: GoodMeasureChain, sigma: AutomorphismPrefix, level: int, values=()
+) -> tuple[PackedValues, dict[tuple[str, str], int], list[int]]:
+    """The prefix top level's table, the transport onto a level as its packed
+    ints, and the given values packed in the same table.  A top map that
+    misses a cell of its level, or sends one outside it, is refused."""
+    if sigma.depth < level:
+        raise DepthTooShallow(f"prefix depth {sigma.depth} < level {level}")
+    T = sigma.depth
+    anc, m = chain.composite_mapping(T, level), sigma.top_map
+    top = chain.levels[T]
+    try:
+        pairs = {c: (anc[c], anc[m[c]]) for c in top.cells}
+    except KeyError:
+        raise ValueError(f"prefix map at level {T} does not cover its level") from None
+    pv, weights, packed = chain._table(T, values, len(top.cells))
+    return pv, pushforward(pairs, weights), packed
+
+
 def transport_entries(
     chain: GoodMeasureChain, sigma: AutomorphismPrefix, level: int
 ) -> dict[tuple[str, str], ExactValue]:
-    """Mass carried between the cells of a level by the prefix's top bijection."""
-    if sigma.depth < level:
-        raise DepthTooShallow(f"prefix depth {sigma.depth} < level {level}")
-    anc, m = chain.composite_mapping(sigma.depth, level), sigma.top_map
-    top = chain.levels[sigma.depth]
-    return pushforward({c: (anc[c], anc[m[c]]) for c in top.cells}, top.weights)
+    """Mass carried between the cells of a level by the prefix's top
+    bijection: the top's packed weights added per pair, each sum read back
+    once."""
+    pv, entries, _ = _transport(chain, sigma, level)
+    return {e: pv.unpack(w) for e, w in entries.items()}
 
 
 def compatible(chain: GoodMeasureChain, sigma: AutomorphismPrefix, A: BalancedMatrix) -> bool:
-    """Membership of the prefix in the neighbourhood determined by A."""
-    return transport_entries(chain, sigma, A.level) == dict(A.entries)
+    """Membership of the prefix in the neighbourhood determined by A,
+    decided on packed ints of the prefix top level's table."""
+    _, entries, packed = _transport(chain, sigma, A.level, A.entries.values())
+    return entries == dict(zip(A.entries, packed))
 
 
 def matrix_of_prefix(

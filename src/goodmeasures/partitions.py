@@ -18,11 +18,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SumMismatch
-from .values import ExactValue, GroupDescriptor, ZERO, check_all_in
+from .values import ExactValue, GroupDescriptor, PackedValues, ZERO, check_all_in
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def common_refinement(
     )
 
 
-def _refine(left, right) -> list[tuple[ExactValue, int, int]]:
+def _refine(left, right, pv: PackedValues | None = None) -> list[tuple[ExactValue, int, int]]:
     """(part, left index, right index) in interval order; a one-entry side
     is cut by all of the other's breakpoints.  Precondition: see ``_place``."""
     if len(left) == 1:
@@ -244,7 +244,7 @@ def _refine(left, right) -> list[tuple[ExactValue, int, int]]:
     if len(right) == 1:
         return [(w, i, 0) for i, w in enumerate(left)]
     sums, index = _cumulative(left)
-    return _parts(left, right, sums, _place(sums, index, right))
+    return _parts(left, right, sums, _place(sums, index, right, pv))
 
 
 def _cumulative(weights) -> tuple[list[ExactValue], dict[ExactValue, int]]:
@@ -254,19 +254,25 @@ def _cumulative(weights) -> tuple[list[ExactValue], dict[ExactValue, int]]:
     return sums, {s: n for n, s in enumerate(sums, 1)}
 
 
-def _place(sums, index, right) -> list[tuple[int, ExactValue | None]]:
+def _place(
+    sums, index, right, pv: PackedValues | None = None
+) -> list[tuple[int, ExactValue | None]]:
     """Where each cumulative sum of ``right`` lies among a left tuple's
     ``_cumulative`` sums: (n, None) when it is the n-th, found in ``index``
     with no comparison, or (n, sum) when it cuts left entry n (0-based),
     found by bisection.  Precondition: both tuples are nonempty, of positive
     V-values and equal totals; every part is then in V, as V is group-like.
+
+    The weights are ``ExactValue``s, or the packed ints of the table pv
+    with room for both tuples together, bisected by ``pv.bisect``.
     """
     out: list[tuple[int, ExactValue | None]] = []
     lo, hi = 0, len(sums) - 1  # every sum before the last lies below the total
+    bisect = bisect_right if pv is None else pv.bisect
     for acc in accumulate(right[:-1]):
         n = index.get(acc)
         if n is None:
-            lo = bisect_right(sums, acc, lo, hi)
+            lo = bisect(sums, acc, lo, hi)
             out.append((lo, acc))
         else:
             lo = n
@@ -297,21 +303,27 @@ def _parts(left, right, sums, places) -> list[tuple[ExactValue, int, int]]:
 
 
 def lift_edges(
-    p: PartitionMorphism, edges: Iterable[tuple[str, str]]
-) -> dict[tuple[str, str], ExactValue]:
-    """Entries on p's source lifting edges between cells of p's target.
+    p: PartitionMorphism,
+    edges: Iterable[tuple[str, str]],
+    weight: Mapping[str, int],
+    pv: PackedValues,
+) -> dict[tuple[str, str], int]:
+    """Entries on p's source lifting edges between cells of p's target, as
+    packed ints of the table pv.
 
     For each edge (c, d) the fibers of c and d are refined jointly and each
     part adds its weight to the entry of its (left cell, right cell).
-    Precondition: p is a valid morphism and every edge joins two cells of
-    equal weight, so the two fibers have equal mass (``_refine``).
+    ``weight`` holds p's source weights as pv's packed ints, and pv has room
+    for twice the source's cells.  Precondition: p is a valid morphism and
+    every edge joins two cells of equal weight, so the two fibers have equal
+    mass (``_refine``).
     """
-    weight, fibers = p.source.weights, p.fibers()
-    entries: dict[tuple[str, str], ExactValue] = {}
+    fibers = p.fibers()
+    entries: dict[tuple[str, str], int] = {}
     for c, d in edges:
         ys, zs = fibers[c], fibers[d]
-        for w, i, j in _refine([weight[y] for y in ys], [weight[z] for z in zs]):
-            entries[(ys[i], zs[j])] = entries.get((ys[i], zs[j]), ZERO) + w
+        for w, i, j in _refine([weight[y] for y in ys], [weight[z] for z in zs], pv):
+            entries[(ys[i], zs[j])] = entries.get((ys[i], zs[j]), 0) + w
     return entries
 
 
@@ -329,7 +341,12 @@ def _subdivide(P: WeightedPartition, children: Mapping[str, list]) -> PartitionM
     link: dict[str, str] = {}
     for c in P.cells:
         ws = children[c]
-        for cid, w in zip([c] if len(ws) == 1 else [f"{c}/{i}" for i in range(len(ws))], ws):
+        if len(ws) == 1:
+            weights[c] = ws[0]
+            link[c] = c
+            continue
+        for i, w in enumerate(ws):
+            cid = f"{c}/{i}"
             weights[cid] = w
             link[cid] = c
     if len(weights) != sum(map(len, children.values())):  # P held both c and c/0
@@ -371,14 +388,16 @@ def _assemble(
     part (w, i, j) is a cell of weight w over ys[i] and zs[j], named after
     its p1-image (``_subdivide``), and the square commutes.
     """
-    pending: dict[str, list[tuple[ExactValue, str]]] = {y: [] for y in E1.cells}
+    weights: dict[str, list[ExactValue]] = {y: [] for y in E1.cells}
+    images: dict[str, list[str]] = {y: [] for y in E1.cells}
     for ys, zs, parts in refined:
         for w, i, j in parts:
-            pending[ys[i]].append((w, zs[j]))
-    p1 = _subdivide(E1, {y: [w for w, _ in group] for y, group in pending.items()})
+            weights[ys[i]].append(w)
+            images[ys[i]].append(zs[j])
+    p1 = _subdivide(E1, weights)
     G = p1.source
-    images = (z for group in pending.values() for _, z in group)
-    return G, p1, PartitionMorphism(G, E2, dict(zip(G.cells, images)))
+    p2 = dict(zip(G.cells, chain.from_iterable(images.values())))
+    return G, p1, PartitionMorphism(G, E2, p2)
 
 
 def split_cell(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -320,55 +321,181 @@ ONE = ExactValue.of(1)
 
 
 class PackedValues:
-    """The values of one list as single ints, for sums of at most ``room`` of them.
+    """Values as single ints, so that a sum of values is one int addition.
 
-    Each value is written over the list's common denominator ``den``, and its
-    integer coordinates (the rational part, then one per symbol by name) are
-    packed as signed digits, ``width`` bits per slot.  Slots are wide enough
-    that every coordinate of such a sum, and of 1, stays below
-    2**(width - 1) in magnitude, so no slot carries: packing is additive, and
-    two such sums are equal as values iff their packed ints are equal.
+    Each member value is written over the common denominator ``den``, and
+    its integer coordinates (the rational part, then one per symbol of
+    ``syms`` by name) are packed as signed digits, ``width`` bits per slot.
+    Packing is linear, so it is additive.  ``cap`` bounds every coordinate
+    of every member and of 1, and slots are wide enough that a signed sum of
+    at most ``room`` members keeps each coordinate below 2**(width - 1) in
+    magnitude: no slot carries, and two such sums are equal as values iff
+    their packed ints are equal.  A table with no symbol has one slot, which
+    cannot carry, so its room is unbounded and its ints are the members'
+    numerators over ``den``, ordered as the values are.
+
+    The members are the listed values, every value ``pack`` accepts and
+    every value ``unpack`` reads back.  A member's coordinate beyond ``cap``
+    raises ``cap``, so ``room`` only shrinks: a caller checks ``room`` after
+    packing its values and before adding them.  A sum decided before that
+    involved members under the old cap, for which the old room held.  With
+    a symbol, ``den`` is ``slack`` times the listed values' common
+    denominator, so that values somewhat finer than the listed ones still
+    pack and the table is built again less often.
     """
 
-    def __init__(self, values: Sequence[ExactValue], room: int):
+    def __init__(self, values: Sequence[ExactValue], room: int, slack: int = 1):
         symbols: dict[str, IrrationalSymbol] = {}
         for v in values:
             for s in v.syms:
                 symbols.setdefault(s.name, s)
         names = sorted(symbols)
-        slot = {n: i for i, n in enumerate(names, 1)}
+        self._slot = {n: i for i, n in enumerate(names, 1)}
         self.syms = tuple(symbols[n] for n in names)
-        self.den = math.lcm(1, *[v.den for v in values])
-        coords = []
-        bound = self.den  # the coordinates of 1 are (den, 0, ...)
-        for v in values:
-            m = self.den // v.den
-            c = [(0, v.nums[0] * m)] + [(slot[s.name], n * m) for s, n in zip(v.syms, v.nums[1:])]
-            coords.append(c)
-            bound = max(bound, room * max(abs(x) for _, x in c))
-        self.width = bound.bit_length() + 1
-        #: the packed int of each value, in list order, and that of 1
-        self.packed = [sum(x << (i * self.width) for i, x in c) for c in coords]
-        self.one = self.den
+        self.den = den = math.lcm(1, *[v.den for v in values]) * (slack if symbols else 1)
+        self.one = den
+        self.cap = den  # the coordinates of 1 are (den, 0, ...)
+        #: the packed int of each value, in list order
+        if not self.syms:
+            self.packed = [v.nums[0] * (den // v.den) for v in values]
+            self.cap = max([den, *map(abs, self.packed)])
+            self.width = (room * self.cap).bit_length() + 1
+        else:
+            coords = [self._coords(v) for v in values]
+            self.cap = max([den, *[abs(x) for c in coords for x in c]])
+            self.width = (room * self.cap).bit_length() + 1
+            self.packed = [self._join(c) for c in coords]
+        self._base = 1 << self.width
+        self._mask, self._half = self._base - 1, self._base >> 1
+        self.room = INF if not self.syms else (self._half - 1) // self.cap
+        #: ``bisect_right`` on increasing packed sums, ordered as their values
+        self.bisect = bisect_right if not self.syms else self._bisect_signed
+        # the value of each packed int met so far, so each is unpacked once
+        self._values = dict(zip(self.packed, values))
+        # id -> (value, packed int) of each member object met so far, so each is packed once
+        self._packs = {id(v): (v, p) for v, p in zip(values, self.packed)}
 
-    def above_one(self, p: int) -> bool:
-        """Whether a packed sum of at most ``room`` of the values exceeds 1,
-        decided on its integer coordinates over ``den``, zero coefficients
-        left out, with no value built."""
-        w = self.width
-        mask, half = (1 << w) - 1, 1 << (w - 1)
+    def _cover(self, x: int) -> None:
+        """Raise ``cap`` to a new member's largest coordinate x; a table with
+        no symbol keeps its unbounded room."""
+        if x > self.cap and self.syms:
+            self.cap = x
+            self.room = (self._half - 1) // x
+
+    def _coords(self, v: ExactValue) -> list[int] | None:
+        """v's coordinates over ``den``, one per slot, or None unless v lies
+        over ``den`` with no symbol outside ``syms``."""
+        m, r = divmod(self.den, v.den)
+        if r:
+            return None
+        out = [v.nums[0] * m] + [0] * len(self.syms)
+        for s, n in zip(v.syms, v.nums[1:]):
+            i = self._slot.get(s.name)
+            if i is None:
+                return None
+            out[i] = n * m
+        return out
+
+    def _join(self, coords: list[int]) -> int:
+        """The packed int of coordinates, one per slot, as signed digits."""
+        w, p = self.width, 0
+        for x in reversed(coords):
+            p = (p << w) + x
+        return p
+
+    def _split(self, p: int) -> list[int]:
+        """The coordinates of a packed int: the rational one, then one per symbol."""
+        w, base, mask, half = self.width, self._base, self._mask, self._half
         coords = []
-        for _ in range(len(self.syms) + 1):
+        for _ in range(len(self.syms)):
             x = p & mask
             if x >= half:
-                x -= 1 << w
+                x -= base
             coords.append(x)
             p = (p - x) >> w
+        coords.append(p)  # the last slot takes what is left, sign and all
+        return coords
+
+    def pack(self, v: ExactValue) -> int | None:
+        """v's packed int, which makes v a member, or None unless v lies over
+        ``den`` and has no symbol outside ``syms``."""
+        if not self.syms:
+            m, r = divmod(self.den, v.den)
+            return None if r or v.syms else v.nums[0] * m
+        known = self._packs.get(id(v))
+        if known is not None and known[0] is v:
+            return known[1]
+        coords = self._coords(v)
+        if coords is None:
+            return None
+        self._cover(max(map(abs, coords)))
+        p = self._join(coords)
+        self._values.setdefault(p, v)
+        self._packs[id(v)] = v, p
+        return p
+
+    def unpack(self, p: int) -> ExactValue:
+        """The value of a packed sum of at most ``room`` members, which
+        becomes a member; each distinct int is read back once."""
+        v = self._values.get(p)
+        if v is None:
+            coords = self._split(p)
+            self._cover(max(map(abs, coords)))
+            v = self._values[p] = _reduced(self.den, coords, self.syms)
+            self._packs[id(v)] = v, p
+        return v
+
+    def pack_all(self, values: Iterable[ExactValue]) -> list[int] | None:
+        """``pack`` of each value, or None if one does not pack."""
+        out = []
+        for v in values:
+            p = self.pack(v)
+            if p is None:
+                return None
+            out.append(p)
+        return out
+
+    def unpacked(self, packed: Mapping[str, int]) -> dict[str, ExactValue]:
+        """``unpack`` of each packed int of a dict, keys kept."""
+        return {c: self.unpack(p) for c, p in packed.items()}
+
+    def sign(self, p: int) -> int:
+        """The sign of a packed signed sum of at most ``room`` members,
+        decided on its integer coordinates, zero coefficients left out, with
+        no value built.  With no symbol it is the int's own sign."""
+        if not self.syms:
+            return (p > 0) - (p < 0)
+        x = p & self._mask
+        if x >= self._half:
+            x -= self._base
+        if p == x:  # every symbol coordinate is 0
+            return (x > 0) - (x < 0)
+        coords = self._split(p)
+        kept = [s for s, x in zip(self.syms, coords[1:]) if x]
+        return compare([coords[0], *[x for x in coords[1:] if x]], kept, 0, 1)
+
+    def _bisect_signed(self, sums: list[int], acc: int, lo: int, hi: int) -> int:
+        """``bisect_right`` of acc in increasing packed sums, each step
+        decided by the sign of a packed difference."""
+        sign = self.sign
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign(acc - sums[mid]) < 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def above_one(self, p: int) -> bool:
+        """Whether a packed sum of at most ``room`` members exceeds 1,
+        decided on its integer coordinates, with no value built."""
+        if not self.syms:
+            return p > self.den
+        coords = self._split(p)
         kept = [s for s, x in zip(self.syms, coords[1:]) if x]
         if not kept:
             return coords[0] > self.den
-        nums = [coords[0], *[x for x in coords[1:] if x]]
-        return compare(nums, kept, self.den, 1) > 0
+        return compare([coords[0], *[x for x in coords[1:] if x]], kept, self.den, 1) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,17 @@ def equi_summed_by_vertices(entries) -> None:
             raise NotEquiSummed(f"row/column sums differ at {v}")
 
 
+def measure_by_cells(chain: GoodMeasureChain, U) -> ExactValue:
+    """The weights of U's cells added in level order: the reference for
+    ``GoodMeasureChain.measure``."""
+    P = chain.levels[U.level]
+    total = ZERO
+    for c in P.cells:
+        if c in U.cells:
+            total = total + P.weight(c)
+    return total
+
+
 def bijection_by_sets(P: WeightedPartition, m) -> bool:
     """True iff m permutes P's cells and keeps each cell's weight."""
     if set(m) != set(P.cells) or set(m.values()) != set(P.cells):

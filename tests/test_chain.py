@@ -285,16 +285,27 @@ def test_respond_matches_peel_amalgam(irrational, seed, kind, dyadic, sqrt2_dyad
         assert ch.depth == depth
 
 
+def _index_values(ch, index) -> dict[str, tuple]:
+    """A fiber index of packed ints read back in the top's table."""
+    value = ch._tables[ch.depth][0].unpack
+    return {
+        x: (ys, [*map(value, left)], [*map(value, sums)], {value(s): n for s, n in at.items()})
+        for x, (ys, left, sums, at) in index.items()
+    }
+
+
 def _assert_fiber_indexes_fresh(ch) -> None:
     """The index an amalgam seeded, and every other kept one, equals a
-    fresh ``_fiber_index`` and the walk; the kept ones stay in place."""
+    fresh ``_fiber_index`` and, read back, the walk; the kept ones stay in
+    place."""
     if ch._seed is not None:
         ch._fiber_index(ch._seed[0])  # read off the amalgam's placements
     kept, seed = ch._fibers, ch._seed
     ch._seed = None
     for level, index in kept.items():
         ch._fibers = {}
-        assert ch._fiber_index(level) == index == fiber_index_by_walk(ch, level)
+        assert ch._fiber_index(level) == index
+        assert _index_values(ch, index) == fiber_index_by_walk(ch, level)
     ch._fibers, ch._seed = kept, seed
 
 

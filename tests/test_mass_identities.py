@@ -1,19 +1,25 @@
 """Every mass identity the engine decides with ``partitions.pushforward``,
 against the summing loop that decided it before, on valid and doctored
-inputs: the same verdict, or the same exception type."""
+inputs: the same verdict, or the same exception type.
+
+The chain's identities run on packed ints of its per-level weight tables,
+so the cases include a level whose table has a symbol slot, entries that do
+not lie over the level's denominator, and sums of more entries than the
+level has cells."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from goodmeasures.chain import AutomorphismPrefix, GoodMeasureChain
+from goodmeasures.chain import AutomorphismPrefix, ClopenSet, GoodMeasureChain
 from goodmeasures.cycles import CycleTuple, TupleMorphism, verify_tuple_morphism
 from goodmeasures.errors import WeightMismatch
 from goodmeasures.flows import check_equi_summed
 from goodmeasures.matrices import (
     BalancedMatrix,
     MatrixMorphism,
+    compatible,
     compatible_witness,
     matrix_of_prefix,
     transport_entries,
@@ -21,7 +27,7 @@ from goodmeasures.matrices import (
     verify_matrix_morphism,
 )
 from goodmeasures.partitions import PartitionMorphism, WeightedPartition, pushforward
-from goodmeasures.values import ZERO
+from goodmeasures.values import ONE, ZERO
 
 from conftest import (
     E,
@@ -29,12 +35,14 @@ from conftest import (
     random_equi_summed,
     random_partition,
     random_tuple_cospan,
+    sqrt2_symbol,
 )
 from oracles import (
     bijection_by_sets,
     equi_summed_by_vertices,
     matrix_by_rows,
     matrix_morphism_by_fibers,
+    measure_by_cells,
     prefix_by_sets,
     transport_by_cells,
     tuple_morphism_by_blocks,
@@ -84,10 +92,13 @@ def doctored_maps(rng, m):
     yield {**m, a: "ghost"}
 
 
-def chain_with_prefix(rng, V):
-    """A chain with two random absorbed objects and a prefix compatible with
-    a random matrix on its top, which may refine the chain further."""
+def chain_with_prefix(rng, V, first=None):
+    """A chain with two random absorbed objects, after ``first`` if given,
+    and a prefix compatible with a random matrix on its top, which may
+    refine the chain further."""
     chain = GoodMeasureChain(V)
+    if first is not None:
+        chain.absorb_object(first)
     for i in range(2):
         chain.absorb_object(random_partition(rng, V, 3, prefix=f"o{i}"))
     sigma = compatible_witness(chain, random_balanced_matrix(rng, chain, chain.depth))
@@ -96,8 +107,21 @@ def chain_with_prefix(rng, V):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_matrix_checks_agree_with_their_references(dyadic, seed):
-    rng = random.Random(1700 + seed)
-    chain, sigma = chain_with_prefix(rng, dyadic)
+    _matrix_checks_agree(random.Random(1700 + seed), dyadic)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_matrix_checks_agree_on_levels_with_a_symbol_slot(sqrt2_dyadic, seed):
+    """The same, over the sqrt(2)-dyadic module, after an object with an
+    irrational weight: the tables have a symbol slot."""
+    s = E(0, {sqrt2_symbol(): 1})
+    first = WeightedPartition.make([("s", s), ("c", ONE - s)])
+    chain = _matrix_checks_agree(random.Random(1740 + seed), sqrt2_dyadic, first)
+    assert chain._table(chain.depth)[0].syms
+
+
+def _matrix_checks_agree(rng, V, first=None):
+    chain, sigma = chain_with_prefix(rng, V, first)
     verdicts, repeated = set(), False
     for level in range(sigma.depth + 1):
         want = transport_by_cells(chain, sigma, level)
@@ -119,11 +143,106 @@ def test_matrix_checks_agree_with_their_references(dyadic, seed):
                      for e in doctored_entries(rng, B.entries)]
         morphisms += [MatrixMorphism(p, B, BalancedMatrix(lo, e))
                       for e in doctored_entries(rng, A.entries)]
+        # a copy of the source level, and one with two weights swapped, are
+        # checked on their own weights, packed in the level's table
+        S = chain.levels[hi]
+        weights = dict(S.weights)
+        a, b = rng.sample(S.cells, 2) if len(S.cells) > 1 else (S.cells[0],) * 2
+        for W in (dict(weights), {**weights, a: weights[b], b: weights[a]}):
+            q = PartitionMorphism(WeightedPartition(S.cells, W), p.target, p.mapping)
+            morphisms.append(MatrixMorphism(q, B, A))
         for m in morphisms:
             want = outcome(matrix_morphism_by_fibers, chain, m)
             verdicts.add(want)
             assert outcome(verify_matrix_morphism, chain, m) == want
     assert {("returned", True), ("returned", False)} <= verdicts
+    for level in range(sigma.depth + 1):
+        A = matrix_of_prefix(chain, sigma, level)
+        for entries in doctored_entries(rng, A.entries):
+            B = BalancedMatrix(level, entries)
+            want = entries == transport_by_cells(chain, sigma, level)
+            assert compatible(chain, sigma, B) is want
+    return chain
+
+
+def thirds_chain(V):
+    """A chain whose top is a level of thirds."""
+    chain = GoodMeasureChain(V)
+    chain.absorb_object(WeightedPartition.make([(f"t{i}", E("1/3")) for i in range(3)]))
+    return chain
+
+
+def sixths(chain):
+    """A valid matrix of sixths on the chain's level of thirds: none of its
+    entries lies over the level's denominator 3."""
+    a, b, c = chain.top.cells
+    six = E("1/6")
+    return BalancedMatrix(chain.depth, {(a, a): six, (a, b): six, (b, a): six, (b, b): six,
+                                        (c, c): E("1/3")})
+
+
+@pytest.mark.parametrize("name", ["rationals", "triadic"])
+def test_entries_that_do_not_pack_over_the_level(name, request):
+    """Entries of 1/6 on a level of thirds: valid over Q, not over the
+    triadic rationals, and each check says what its reference says."""
+    V = request.getfixturevalue(name)
+    rng = random.Random(1750)
+    chain = thirds_chain(V)
+    A = sixths(chain)
+    assert chain._table(A.level)[0].den == 3
+    assert validate(chain, A) is matrix_by_rows(chain, A) is (name == "rationals")
+    for entries in doctored_entries(rng, A.entries):
+        B = BalancedMatrix(chain.depth, entries)
+        assert validate(chain, B) is matrix_by_rows(chain, B)
+        sigma = chain.identity_prefix()
+        assert compatible(chain, sigma, B) is (entries == transport_by_cells(chain, sigma, B.level))
+        top = chain.levels[chain.depth]
+        p = PartitionMorphism(top, top, {c: c for c in top.cells})
+        m = MatrixMorphism(p, B, A)
+        want = outcome(matrix_morphism_by_fibers, chain, m)
+        assert outcome(verify_matrix_morphism, chain, m) == want
+    if name == "rationals":
+        sigma = compatible_witness(chain, A)
+        assert compatible(chain, sigma, A)
+        assert transport_entries(chain, sigma, A.level) == transport_by_cells(chain, sigma, A.level)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sums_of_more_entries_than_cells_on_a_symbol_level(sqrt2_dyadic, seed):
+    """A matrix with more entries than its level has cells, over a table
+    with a symbol slot, and a table asked for more room than it has."""
+    rng = random.Random(1760 + seed)
+    chain = GoodMeasureChain(sqrt2_dyadic)
+    for i in range(3):
+        chain.absorb_object(random_partition(rng, sqrt2_dyadic, 4, prefix=f"o{i}"))
+    level = chain.depth
+    A = random_balanced_matrix(rng, chain, level, moves=24)
+    assert len(A.entries) > len(chain.levels[level].cells)
+    for entries in doctored_entries(rng, A.entries):
+        B = BalancedMatrix(level, entries)
+        assert validate(chain, B) is matrix_by_rows(chain, B)
+    pv = chain._table(level)[0]
+    wider, weights, _ = chain._table(level, summands=pv.room + 1)
+    assert wider.room > pv.room
+    assert wider.unpacked(weights) == chain.levels[level].weights
+
+
+@pytest.mark.parametrize("name", ["dyadic", "sqrt2_dyadic"])
+def test_measures_and_subset_witnesses_agree_with_the_cell_sums(name, request):
+    V = request.getfixturevalue(name)
+    rng = random.Random(1770)
+    chain, _ = chain_with_prefix(rng, V)
+    for _ in range(12):
+        level = rng.randint(0, chain.depth)
+        cells = chain.levels[level].cells
+        U = ClopenSet.of(level, [c for c in cells if rng.random() < 0.4])
+        W = ClopenSet.of(level, [c for c in cells if rng.random() < 0.7])
+        mU, mW = measure_by_cells(chain, U), measure_by_cells(chain, W)
+        assert chain.measure(U) == mU and chain.measure(W) == mW
+        if mU < mW:
+            Wp = chain.subset_witness(U, W)
+            assert measure_by_cells(chain, Wp) == mU
+            assert set(Wp.cells) <= set(chain.project(W, Wp.level).cells)
 
 
 @pytest.mark.parametrize("seed", range(4))

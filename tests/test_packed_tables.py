@@ -1,0 +1,231 @@
+"""The chain's per-level weight tables: the mass identities and order tests
+over chain weights add and compare packed ints, so the witness path on Q
+towers, the schedule's answers and checks along a copy of a level make no
+``ExactValue`` addition; a loaded snapshot keeps the one table it was
+checked with; and every table the chain keeps, built, inherited or rebuilt,
+reads back its level's weights."""
+
+import random
+import sys
+
+import pytest
+
+from goodmeasures import values as values_module
+from goodmeasures.chain import AutomorphismPrefix, ClopenSet, GoodMeasureChain
+from goodmeasures.matrices import (
+    BalancedMatrix,
+    MatrixMorphism,
+    _lifted,
+    compatible,
+    compatible_witness,
+    conjugate_transport_check,
+    lift_cycle,
+    matrix_of_prefix,
+    to_cycle_object,
+    transport_entries,
+    validate,
+    verify_matrix_morphism,
+)
+from goodmeasures.partitions import PartitionMorphism, WeightedPartition, pushforward
+from goodmeasures.values import ExactValue
+
+from conftest import E, random_balanced_matrix, random_partition
+from oracles import matrix_morphism_by_fibers
+
+WATCHED = {
+    "pushforward": pushforward,
+    "validate": validate,
+    "compatible": compatible,
+    "_respond": GoodMeasureChain._respond,
+    "verify_matrix_morphism": verify_matrix_morphism,
+    "_lifted": _lifted,
+}
+
+
+def additions_inside(monkeypatch, names, run) -> list[str]:
+    """Run run(); return, per ``ExactValue`` addition or subtraction made
+    while one of the named functions was on the stack, that function's name."""
+    codes = {WATCHED[n].__code__: n for n in names}
+    seen: list[str] = []
+
+    def watched(real):
+        def op(self, other):
+            frame = sys._getframe(1)
+            while frame is not None:
+                name = codes.get(frame.f_code)
+                if name is not None:
+                    seen.append(name)
+                    break
+                frame = frame.f_back
+            return real(self, other)
+        return op
+
+    for op in ("__add__", "__sub__"):
+        monkeypatch.setattr(ExactValue, op, watched(getattr(ExactValue, op)))
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def q_tower(rng, rationals) -> GoodMeasureChain:
+    """A chain over Q of a few random absorbed objects, saved and loaded."""
+    chain = GoodMeasureChain(rationals)
+    for i in range(4):
+        chain.absorb_object(random_partition(rng, rationals, 4, prefix=f"o{i}"))
+    return GoodMeasureChain.from_json(chain.to_json())
+
+
+def assert_tables_fresh(chain: GoodMeasureChain) -> None:
+    """Each kept table holds exactly its level's cells, and reads back
+    their weights."""
+    for level, (pv, packed) in chain._tables.items():
+        assert pv.unpacked(packed) == chain.levels[level].weights
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_witness_path_on_a_q_tower_adds_no_value(rationals, seed, monkeypatch):
+    rng = random.Random(2100 + seed)
+    chain = q_tower(rng, rationals)
+    level = rng.randint(1, chain.depth)
+    A = random_balanced_matrix(rng, chain, level)
+    out = {}
+
+    def run():
+        B, p = to_cycle_object(chain, A)
+        f = compatible_witness(chain, B)
+        out["compatible"] = compatible(chain, f, A)
+        g = chain.identity_prefix(f.depth)  # keeps every fiber of p
+        out["transported"] = conjugate_transport_check(chain, f, g, p)
+        cells = chain.levels[level].cells
+        U, W = ClopenSet.of(level, cells[:1]), ClopenSet.of(level, cells)
+        out["subset"] = chain.subset_witness(U, W)
+        out["measures"] = (chain.measure(out["subset"]), chain.measure(U))
+
+    seen = additions_inside(monkeypatch, WATCHED, run)
+    assert seen == []
+    assert out["compatible"] and out["transported"]
+    assert out["measures"][0] == out["measures"][1]
+    assert_tables_fresh(chain)
+
+
+def test_schedule_answers_add_no_value(sqrt2_dyadic, monkeypatch):
+    """A budget-2 schedule over the sqrt(2)-dyadic module, whose tables have
+    a symbol slot."""
+    chain = GoodMeasureChain(sqrt2_dyadic)
+    seen = additions_inside(monkeypatch, ["pushforward", "_respond"], lambda: chain.run_schedule(2))
+    assert seen == []
+    assert any(pv.syms for pv, _ in chain._tables.values())
+    assert_tables_fresh(chain)
+
+
+def test_from_json_builds_one_table_and_keeps_it(sqrt2_dyadic, monkeypatch):
+    snapshot = GoodMeasureChain(sqrt2_dyadic).run_schedule(2).to_json()
+    built = []
+    real = values_module.PackedValues.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(values_module.PackedValues, "__init__", counting)
+    chain = GoodMeasureChain.from_json(snapshot)
+    assert len(built) == 1
+    assert sorted(chain._tables) == list(range(chain.depth + 1))
+    assert {id(pv) for pv, _ in chain._tables.values()} == {id(built[0])}
+    assert_tables_fresh(chain)
+
+
+def test_morphisms_along_a_copy_of_a_level_add_no_value(dyadic, monkeypatch):
+    """A matrix morphism or a cycle lift along a partition that only copies
+    its level's cells, with the level's weights or with two of them
+    swapped, is decided on packed ints of the level's table, like one along
+    the level itself."""
+    chain = GoodMeasureChain(dyadic)
+    chain.absorb_object(WeightedPartition.make([("x0", E("1/2")), ("x1", E("1/2"))]))
+    chain.absorb_object(WeightedPartition.make([("y0", E("1/8")), ("y1", E("7/8"))]))
+    a, b = chain.levels[1].cells
+    A = BalancedMatrix(1, {(a, b): E("1/2"), (b, a): E("1/2")})
+    T = chain.depth
+    p, S = chain.composite_morphism(T, 1), chain.levels[T]
+    B = lift_cycle(chain, A, p, T)
+    x, y = next(
+        (x, y) for x in S.cells for y in S.cells
+        if p.mapping[x] != p.mapping[y] and S.weights[x] != S.weights[y]
+    )
+    copies = [
+        PartitionMorphism(WeightedPartition(S.cells, W), p.target, p.mapping)
+        for W in (dict(S.weights), {**S.weights, x: S.weights[y], y: S.weights[x]})
+    ]
+    out = {}
+
+    def run():
+        out["verdicts"] = [verify_matrix_morphism(chain, MatrixMorphism(q, B, A)) for q in copies]
+        out["lifted"] = lift_cycle(chain, A, copies[0], T)
+
+    assert additions_inside(monkeypatch, ["verify_matrix_morphism", "_lifted"], run) == []
+    want = [matrix_morphism_by_fibers(chain, MatrixMorphism(q, B, A)) for q in copies]
+    assert out["verdicts"] == want == [True, False]
+    assert out["lifted"] == B
+    assert validate(chain, B)
+
+
+@pytest.mark.parametrize("name", ["dyadic", "sqrt2_dyadic"])
+def test_inherited_tables_read_back_their_levels(name, request):
+    """Levels appended by amalgams, cycle splits, orbit splits and subset
+    splits inherit or build tables that match their weights."""
+    V = request.getfixturevalue(name)
+    rng = random.Random(2110)
+    chain = GoodMeasureChain(V)
+    for i in range(3):
+        chain.absorb_object(random_partition(rng, V, 4, prefix=f"o{i}"))
+    for _ in range(3):
+        level = rng.randint(0, chain.depth)
+        compatible_witness(chain, random_balanced_matrix(rng, chain, level))
+        cells = chain.levels[level].cells
+        U, W = ClopenSet.of(level, cells[:1]), ClopenSet.of(level, cells)
+        if len(cells) > 1:
+            chain.subset_witness(U, W)
+    chain.ensure_depth(chain.depth + 1)
+    for k in range(chain.depth + 1):
+        chain._table(k)
+    assert_tables_fresh(chain)
+
+
+# -- arguments outside the chain --------------------------------------------------
+
+
+def test_measure_refuses_a_level_outside_the_chain(dyadic):
+    chain = GoodMeasureChain(dyadic).run_schedule(1)
+    for level in (-1, chain.depth + 1):
+        refused = f"^clopen set level {level} is not a level of the chain$"
+        with pytest.raises(ValueError, match=refused):
+            chain.measure(ClopenSet.of(level, ["r/0"]))
+        with pytest.raises(ValueError, match=f"^clopen set level {level} is not"):
+            chain.subset_witness(ClopenSet.of(level, []), ClopenSet.of(0, ["r"]))
+
+
+def test_prefixes_at_levels_outside_the_chain_are_refused(dyadic):
+    chain = GoodMeasureChain(dyadic).run_schedule(1)
+    below = AutomorphismPrefix({-1: {"r/0": "r/0"}})
+    assert not chain.prefix_valid(below)
+    assert not chain.prefix_valid(AutomorphismPrefix({chain.depth + 1: {"r": "r"}}))
+    with pytest.raises(ValueError, match="^prefix level -1 is not a level of the chain$"):
+        chain.extend_prefix(below, chain.depth)
+
+
+def test_top_maps_that_miss_their_level_are_refused(dyadic):
+    chain = GoodMeasureChain(dyadic).run_schedule(1)
+    T = chain.depth
+    cells = chain.levels[T].cells
+    A = matrix_of_prefix(chain, chain.identity_prefix(), 0)
+    missing = AutomorphismPrefix({T: {c: c for c in cells[1:]}})
+    outside = AutomorphismPrefix({T: {**{c: c for c in cells}, cells[0]: "ghost"}})
+    for sigma in (missing, outside):
+        for call in (
+            lambda: transport_entries(chain, sigma, 0),
+            lambda: compatible(chain, sigma, A),
+            lambda: matrix_of_prefix(chain, sigma, 0),
+        ):
+            with pytest.raises(ValueError, match=f"^prefix map at level {T} does not cover"):
+                call()
+    assert validate(chain, BalancedMatrix(0, A.entries))
