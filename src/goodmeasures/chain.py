@@ -42,7 +42,7 @@ from .partitions import (
     maps_onto,
     verify_morphism,
 )
-from .values import ExactValue, GroupDescriptor, ONE, PackedValues, ZERO, check_all_in
+from .values import ExactValue, GroupDescriptor, ONE, PackedValues, check_all_in
 
 ROOT_CELL = "r"
 
@@ -142,11 +142,11 @@ class LedgerEntry:
     response_map: Mapping[str, str]  # lift (object) or r (morphism), from levels[stage]
 
     def _to_json(self, formatted: dict) -> dict:
-        """The entry's JSON; the challenge is written by ``WeightedPartition._to_json``."""
+        """The entry's JSON; the challenge (total 1) is written by ``WeightedPartition._to_json``."""
         out: dict = {
             "kind": self.kind,
             "stage": self.stage,
-            "challenge": self.challenge_object._to_json(formatted),
+            "challenge": self.challenge_object._to_json(formatted, ONE),
             "response": {"map": dict(self.response_map)},
         }
         if self.kind == "morphism":
@@ -237,7 +237,6 @@ class GoodMeasureChain:
         self.levels.append(P)
         self.links.append(link)
         self._top_key, self._fibers, self._seed = None, {}, None
-        vars(P)["total"] = ONE  # links preserve mass; the cache of ``total``
 
     def _table(
         self, level: int, values: Collection[ExactValue] = (), summands: int = 0
@@ -664,9 +663,7 @@ class GoodMeasureChain:
         top = self.levels[T]
         pv, weight, _ = self._table(T, summands=2 * len(top.cells))
         entries = lift_edges(self.composite_morphism(T, k), maps[k].items(), weight, pv)
-        if pv.syms:  # packed ints with a symbol slot are not ordered as the values are
-            entries, pv = {e: pv.unpack(w) for e, w in entries.items()}, None
-        cycles = decompose_entries(entries, ZERO if pv is None else 0)
+        cycles = decompose_entries(entries, pv)
         through = cycles_through(top.cells, [verts for verts, _ in cycles])
         if all(len(through[c]) == 1 for c in top.cells):
             maps[T] = {c: through[c][0][1] for c in top.cells}
@@ -675,27 +672,27 @@ class GoodMeasureChain:
         return self.depth
 
     def _append_cycle_split(
-        self, cycles: Sequence[tuple[Sequence[str], ExactValue]], pv: PackedValues | None = None
+        self, cycles: Sequence[tuple[Sequence[str], int]], pv: PackedValues
     ) -> dict[str, str]:
         """Append a level splitting every top cell by the cycles through it.
 
-        ``cycles`` are (vertices, weight) pairs over the top cells with
-        weights in V that cover each cell's weight exactly, so the link onto
-        the top is a valid morphism.  A cell on one cycle keeps its id; a cell
-        on several gets one child per cycle, in cycle order.  Returns the
-        permutation of the new level that moves each child along its cycle.
-        With a table pv the weights are its packed ints: each is read back
-        once, and the new level inherits pv.
+        ``cycles`` are (vertices, weight) pairs over the top cells, each
+        weight a packed int of the table pv (``decompose_entries``) whose
+        value lies in V, and they cover each cell's weight exactly, so the
+        link onto the top is a valid morphism.  A cell on one cycle keeps
+        its id; a cell on several gets one child per cycle, in cycle order.
+        Each weight is read back once, and the new level inherits pv.
+        Returns the permutation of the new level that moves each child
+        along its cycle.
         """
         top = self.top
         through = cycles_through(top.cells, [verts for verts, _ in cycles])
-        weights = [w for _, w in cycles] if pv is None else [pv.unpack(w) for _, w in cycles]
+        weights = [pv.unpack(w) for _, w in cycles]
         link = _subdivide(top, {c: [weights[ci] for ci, _ in through[c]] for c in top.cells})
         self._append_level(link.source, link)
-        if pv is not None:
-            self._adopt(pv, dict(zip(link.source.cells, [
-                cycles[ci][1] for c in top.cells for ci, _ in through[c]
-            ])))
+        self._adopt(pv, dict(zip(link.source.cells, [
+            cycles[ci][1] for c in top.cells for ci, _ in through[c]
+        ])))
         visits = [(c, ci) for c in top.cells for ci, _ in through[c]]
         child_id = dict(zip(visits, link.source.cells))
         return {child_id[(c, ci)]: child_id[(d, ci)] for c in top.cells for ci, d in through[c]}
@@ -741,14 +738,16 @@ class GoodMeasureChain:
         """Split every top cell in two along two parallel copies of each orbit
         of the top bijection, so the bijection lifts to the new level.  The
         bijection preserves weights, so one orbit has one weight w, and both
-        pieces, a = smallest_below(w) and w - a, lie in V."""
+        pieces, a = smallest_below(w) and w - a, lie in V.  They are packed
+        ints of the top's table, w - a a difference of two members."""
         top = self.levels[d]
-        cycles: list[tuple[list[str], ExactValue]] = []
-        for orbit in orbits(maps[d], top.cells):
-            w = top.weight(orbit[0])
-            a = self.V.smallest_below(w)
-            cycles += [(orbit, a), (orbit, w - a)]
-        maps[d + 1] = self._append_cycle_split(cycles)
+        perm_orbits = orbits(maps[d], top.cells)
+        below = [self.V.smallest_below(top.weight(orbit[0])) for orbit in perm_orbits]
+        pv, weight, packed = self._table(d, below, 2)
+        cycles: list[tuple[list[str], int]] = []
+        for orbit, a in zip(perm_orbits, packed):
+            cycles += [(orbit, a), (orbit, weight[orbit[0]] - a)]
+        maps[d + 1] = self._append_cycle_split(cycles, pv)
         return self.depth
 
     def ensure_depth(self, depth: int) -> None:
@@ -787,11 +786,12 @@ class GoodMeasureChain:
     # -- serialisation -------------------------------------------------------------
 
     def to_json(self) -> dict:
-        """The snapshot; each distinct weight is formatted once per call."""
+        """The snapshot; each distinct weight is formatted once per call, and
+        every total is written as 1, the chain's invariant, not summed."""
         formatted: dict = {}  # see WeightedPartition._to_json
         return {
             "descriptor": self.V.to_json(),
-            "levels": [L._to_json(formatted) for L in self.levels],
+            "levels": [L._to_json(formatted, ONE) for L in self.levels],
             "links": [{"map": dict(l.mapping)} for l in self.links],
             "ledger": [e._to_json(formatted) for e in self.ledger],
         }
@@ -812,9 +812,9 @@ class GoodMeasureChain:
         once into one ``PackedValues`` with room for the largest partition,
         so every fiber sum and level 0's total are exact.  Once they pass,
         every partition of the snapshot has total 1, since level 0 does and
-        links and responses preserve mass, so that total is recorded on each
-        and never summed.  That table stays every level's weight table
-        (``_table``), so the chain builds none for a loaded level.
+        links and responses preserve mass.  That table stays every level's
+        weight table (``_table``), so the chain builds none for a loaded
+        level.
         """
         V = GroupDescriptor.from_json(data["descriptor"])
         chain = GoodMeasureChain(V)
@@ -885,8 +885,6 @@ class GoodMeasureChain:
                 key = _mor_key(target, PartitionMorphism(obj, levels[target], cm))
             chain.ledger.append(LedgerEntry(kind, stage, obj, target, cm, response))
             chain._ledger_index[key] = n
-        for P in [*levels, *(p[2] for p in parsed)]:
-            vars(P)["total"] = ONE  # the cache of the cached_property ``total``
         return chain
 
 
@@ -941,12 +939,13 @@ def _sums_to_one(values: list[ExactValue], room: int) -> list[tuple[int, ...]]:
 
     Partial sums are packed ints (``PackedValues``), so a sum is one int
     addition and ``== 1`` one int comparison.  A partial sum is extended only
-    if it is not above 1; that is decided on its packed coordinates
-    (``PackedValues.above_one``) once per distinct sum, in the order the sums
-    are first met.  The last entry of a tuple is looked up: the values are
-    distinct, so at most one completes the sum.
+    if it is not above 1, decided by the sign of its packed difference with
+    1 (``PackedValues.sign``; the table has room for that one more member)
+    once per distinct sum, in the order the sums are first met.  The last
+    entry of a tuple is looked up: the values are distinct, so at most one
+    completes the sum.
     """
-    pv = PackedValues(values, room)
+    pv = PackedValues(values, room + 1)
     packed, one = pv.packed, pv.one
     where = {p: j for j, p in enumerate(packed)}
     above: dict[int, bool] = {}
@@ -968,7 +967,7 @@ def _sums_to_one(values: list[ExactValue], room: int) -> list[tuple[int, ...]]:
             else:
                 big = above.get(s)
                 if big is None:
-                    big = above[s] = pv.above_one(s)
+                    big = above[s] = pv.sign(s - one) > 0
                 if not big:
                     prefix.append(i)  # the next entry starts at i again
                     sums.append(s)

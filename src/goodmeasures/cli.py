@@ -205,11 +205,7 @@ def cmd_decompose(args) -> int:
     if args.descriptor:
         V = GroupDescriptor.from_json(_read_json(args.descriptor, ws, "descriptors"))
         symbols = V.symbols()
-    entries = {
-        (e["from"], e["to"]): ExactValue.from_json(e["w"], symbols)
-        for e in matrix["entries"]
-    }
-    cycles = matrices_mod.cycle_decompose(entries)
+    cycles = matrices_mod.cycle_decompose(matrices_mod.entries_from_json(matrix, symbols))
     result = {
         "cycles": [
             {"vertices": list(c.vertices), "w": c.weight.to_json()} for c in cycles

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import NotEquiSummed
 from .partitions import pushforward
-from .values import ExactValue, ZERO
+from .values import ExactValue, PackedValues, ZERO
 
 
 def check_equi_summed(entries: Mapping[tuple[str, str], ExactValue]) -> None:
@@ -38,16 +38,21 @@ def _canonical_rotation(vertices: list[str]) -> tuple[str, ...]:
 
 
 def decompose_entries(
-    entries: Mapping[tuple[str, str], ExactValue], zero=ZERO
-) -> list[tuple[tuple[str, ...], ExactValue]]:
+    entries: Mapping[tuple[str, str], ExactValue | int], pv: PackedValues | None = None
+) -> list[tuple[tuple[str, ...], ExactValue | int]]:
     """Peel directed cycles off an equi-summed matrix until nothing remains.
 
     Returns (vertices, weight) pairs whose cycle matrices sum back to the
     input exactly; at most one cycle per nonzero entry is produced.  Cycles
     are rotated to start at their smallest vertex.  Precondition: the
-    entries are nonnegative and equi-summed (``check_equi_summed``).  They
-    are ``ExactValue``s, or, with ``zero`` 0, the packed ints of one table
-    with no symbol, which are ordered and subtract as the values do.
+    entries are nonnegative and equi-summed (``check_equi_summed``).
+
+    Entries and cycle weights are the packed ints of the table pv, or
+    ``ExactValue``s with no table.  Ints with no symbol slot are ordered
+    and subtract as the values do.  With a symbol slot the entries are
+    read back, peeled as values (a rest can be a signed sum of more entries
+    than any room allows) and each cycle weight is packed again; one that
+    no longer fits a slot raises RuntimeError.
 
     One pass: each vertex's successors are sorted once, descending, so the
     smallest is last.  A walk leaves every vertex by its smallest successor,
@@ -55,6 +60,10 @@ def decompose_entries(
     popped.  Vertices never gain edges, so the smallest vertex with an edge
     left is found by a cursor that only moves forward.
     """
+    readback = pv is not None and pv.syms
+    if readback:
+        entries = {e: pv.unpack(p) for e, p in entries.items()}
+    zero = ZERO if pv is None or readback else 0
     rest = {e: w for e, w in entries.items() if w > zero}
     succ: dict[str, list[str]] = {}
     for a, b in rest:
@@ -63,7 +72,7 @@ def decompose_entries(
         bs.sort(reverse=True)
     starts = sorted(succ)
     cursor = 0
-    out: list[tuple[tuple[str, ...], ExactValue]] = []
+    out: list[tuple[tuple[str, ...], ExactValue | int]] = []
     while rest:
         while not succ[starts[cursor]]:
             cursor += 1
@@ -85,6 +94,8 @@ def decompose_entries(
                 succ[e[0]].pop()
             else:
                 rest[e] = rest[e] - w
+        if readback and (w := pv.pack(w)) is None:
+            raise RuntimeError("a cycle weight does not fit the slots of its weight table")
         out.append((_canonical_rotation(cycle), w))
     return out
 

@@ -53,11 +53,19 @@ class BalancedMatrix:
 
     @staticmethod
     def from_json(data: Mapping, symbols) -> "BalancedMatrix":
-        entries = {
-            (e["from"], e["to"]): ExactValue.from_json(e["w"], symbols)
-            for e in data["entries"]
-        }
-        return BalancedMatrix(parse_int(data["level"]), entries)
+        return BalancedMatrix(parse_int(data["level"]), entries_from_json(data, symbols))
+
+
+def entries_from_json(data: Mapping, symbols) -> dict[tuple[str, str], ExactValue]:
+    """The entries of a matrix's JSON by (from, to) pair; a pair listed
+    twice is refused with a ValueError rather than read as its last entry."""
+    entries: dict[tuple[str, str], ExactValue] = {}
+    for e in data["entries"]:
+        pair = (e["from"], e["to"])
+        if pair in entries:
+            raise ValueError(f"matrix entry {pair[0]}->{pair[1]} is repeated")
+        entries[pair] = ExactValue.from_json(e["w"], symbols)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -215,13 +223,11 @@ def _lifted(
 
 
 def _cycles(chain: GoodMeasureChain, A: BalancedMatrix):
-    """A's cycles (``decompose_entries``) and the table their weights are
-    packed in, or None when that table has a symbol slot and the cycles
-    are peeled off the values.  Precondition: A is valid."""
+    """A's cycles (``decompose_entries``), their weights packed ints of the
+    table of A's level, which takes A's entries, and that table.
+    Precondition: A is valid."""
     pv, _, packed = chain._table(A.level, A.entries.values(), len(A.entries))
-    if pv.syms:  # packed ints with a symbol slot are not ordered as the values are
-        return decompose_entries(A.entries), None
-    return decompose_entries(dict(zip(A.entries, packed)), 0), pv
+    return decompose_entries(dict(zip(A.entries, packed)), pv), pv
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +257,7 @@ def _lift_to_response_level(
     A is valid, so D is a valid challenge, absorbed without the public checks."""
     P_A = chain.levels[A.level]
     cycles, pv = _cycles(chain, A)
-    if pv is not None:
-        cycles = [(verts, pv.unpack(w)) for verts, w in cycles]
+    cycles = [(verts, pv.unpack(w)) for verts, w in cycles]
     through = cycles_through(P_A.cells, [verts for verts, _ in cycles])
     d_weights = {f"{c}@{ci}": cycles[ci][1] for c in P_A.cells for ci, _ in through[c]}
     D = WeightedPartition(tuple(d_weights), d_weights)

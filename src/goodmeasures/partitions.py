@@ -53,14 +53,15 @@ class WeightedPartition:
         return tuple(sorted(w.sort_key() for w in self.weight_list()))
 
     def to_json(self) -> dict:
-        return self._to_json({})
+        return self._to_json({}, self.total)
 
-    def _to_json(self, formatted: dict) -> dict:
+    def _to_json(self, formatted: dict, total: ExactValue) -> dict:
         """``to_json`` with ``formatted``, one caller's table of the JSON of
-        each value it has written (``_value_json``)."""
+        each value it has written (``_value_json``), and the ``total`` the
+        caller knows the partition to have."""
         return {
             "cells": [{"id": c, "w": _value_json(self.weights[c], formatted)} for c in self.cells],
-            "total": _value_json(self.total, formatted),
+            "total": _value_json(total, formatted),
         }
 
     @staticmethod

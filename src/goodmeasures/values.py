@@ -115,18 +115,9 @@ class ExactValue:
         m1, m2 = other.den // g, self.den // g * sign
         den = self.den * m1
         a, b = self.nums, other.nums
-        s, t = self.syms, other.syms
-        if len(s) <= 1 and len(t) <= 1 and (s == t or not s or not t):
-            # at most one symbol in all, the engine's common case: no loop
-            x = a[0] * m1 + b[0] * m2
-            y = (a[1] * m1 if s else 0) + (b[1] * m2 if t else 0)
-            g = math.gcd(den, x, y)
-            if y:
-                return ExactValue(den // g, (x // g, y // g), s or t)
-            return ExactValue(den // g, (x // g,))
-        # several symbols: merge by name, keeping self's symbol on a tie
-        merged = {k.name: [k, x * m1] for k, x in zip(s, a[1:])}
-        for k, y in zip(t, b[1:]):
+        # merge the symbols by name, keeping self's symbol on a tie
+        merged = {k.name: [k, x * m1] for k, x in zip(self.syms, a[1:])}
+        for k, y in zip(other.syms, b[1:]):
             merged.setdefault(k.name, [k, 0])[1] += y * m2
         items = sorted(merged.items())
         nums = [a[0] * m1 + b[0] * m2] + [x for _, (_, x) in items]
@@ -418,7 +409,8 @@ class PackedValues:
 
     def pack(self, v: ExactValue) -> int | None:
         """v's packed int, which makes v a member, or None unless v lies over
-        ``den`` and has no symbol outside ``syms``."""
+        ``den``, has no symbol outside ``syms`` and has every coordinate
+        inside a slot, so that its int is no other value's."""
         if not self.syms:
             m, r = divmod(self.den, v.den)
             return None if r or v.syms else v.nums[0] * m
@@ -428,7 +420,10 @@ class PackedValues:
         coords = self._coords(v)
         if coords is None:
             return None
-        self._cover(max(map(abs, coords)))
+        top = max(map(abs, coords))
+        if top >= self._half:  # it would carry into the next slot
+            return None
+        self._cover(top)
         p = self._join(coords)
         self._values.setdefault(p, v)
         self._packs[id(v)] = v, p
@@ -485,17 +480,6 @@ class PackedValues:
             else:
                 lo = mid + 1
         return lo
-
-    def above_one(self, p: int) -> bool:
-        """Whether a packed sum of at most ``room`` members exceeds 1,
-        decided on its integer coordinates, with no value built."""
-        if not self.syms:
-            return p > self.den
-        coords = self._split(p)
-        kept = [s for s, x in zip(self.syms, coords[1:]) if x]
-        if not kept:
-            return coords[0] > self.den
-        return compare([coords[0], *[x for x in coords[1:] if x]], kept, self.den, 1) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,8 @@ def values_by_filter(V: GroupDescriptor, budget: int) -> list[ExactValue]:
 def unpack(pv: PackedValues, p: int) -> ExactValue:
     """The value of a packed sum of at most ``pv``'s room of its values, read
     back digit by digit.  The engine's former way to decide ``> 1``, as
-    ``unpack(pv, p) > ONE``; the reference for ``PackedValues.above_one``."""
+    ``unpack(pv, p) > ONE``; the reference for ``PackedValues.sign`` of a
+    packed sum minus 1."""
     w = pv.width
     mask, half = (1 << w) - 1, 1 << (w - 1)
     nums = []

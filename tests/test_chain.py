@@ -988,7 +988,6 @@ def test_engine_builds_partitions_without_arithmetic(sqrt2_dyadic, monkeypatch):
     E1 = WeightedPartition.make([("a0", s), ("a1", ONE - s)])
     E2 = WeightedPartition.make([("b0", E("1/2")), ("b1", E("1/2"))])
     refined = [(E1.cells, E2.cells, _refine(E1.weight_list(), E2.weight_list()))]
-    cycles = [(["r"], s), (["r"], ONE - s)]
     calls = []
 
     def counted(name):
@@ -1004,7 +1003,9 @@ def test_engine_builds_partitions_without_arithmetic(sqrt2_dyadic, monkeypatch):
     ch = GoodMeasureChain(sqrt2_dyadic)
     challenges = ch._object_challenges(2, values_)
     G, _, _ = _assemble(E1, E2, refined)
-    ch._append_cycle_split(cycles)
+    # the cycles cross as packed ints of the root's table, 1 - s a difference
+    pv, weight, (ps,) = ch._table(0, [s], 2)
+    ch._append_cycle_split([(["r"], ps), (["r"], weight["r"] - ps)], pv)
     assert calls == []
     assert len(challenges) == 38 and all(P.total == ONE for P in challenges)
     assert G.weight_list() == [s, E("1/2") - s, E("1/2")] and G.total == ONE

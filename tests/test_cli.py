@@ -776,6 +776,30 @@ def test_written_snapshots_load(files, capsys):
         assert capsys.readouterr().err == ""
 
 
+# -- a matrix lists each entry once ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["decompose", "check-compat", "witness"])
+def test_repeated_matrix_entry_is_invalid_input(files, capsys, command):
+    """r->r 1/2 listed beside r->r 1 is refused with one line; read with the
+    last entry winning, it was the valid matrix r->r 1, which is answered."""
+    snap, _, _ = _snapshot_inputs(files, capsys)
+    prefix = files / "root.json"
+    jsonutil.write(prefix, {"maps": {"0": {"r": "r"}}})
+    mat = files / "loop.json"
+    argv = {
+        "decompose": ["decompose", "--matrix", str(mat)],
+        **_load_commands(snap, mat, prefix),
+    }[command]
+    once = {"from": "r", "to": "r", "w": {"q": "1"}}
+    jsonutil.write(mat, {"level": 0, "entries": [once]})
+    assert main(argv) == 0
+    capsys.readouterr()
+    jsonutil.write(mat, {"level": 0, "entries": [{**once, "w": {"q": "1/2"}}, once]})
+    assert main(argv) == 2
+    assert _one_line_error(capsys) == "invalid input: ValueError: matrix entry r->r is repeated"
+
+
 # -- one parse per distinct weight -------------------------------------------------------
 
 

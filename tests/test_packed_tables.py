@@ -27,7 +27,7 @@ from goodmeasures.matrices import (
     verify_matrix_morphism,
 )
 from goodmeasures.partitions import PartitionMorphism, WeightedPartition, pushforward
-from goodmeasures.values import ExactValue
+from goodmeasures.values import ONE, ExactValue
 
 from conftest import E, random_balanced_matrix, random_partition
 from oracles import matrix_morphism_by_fibers
@@ -189,6 +189,48 @@ def test_inherited_tables_read_back_their_levels(name, request):
     for k in range(chain.depth + 1):
         chain._table(k)
     assert_tables_fresh(chain)
+
+
+def test_a_save_after_a_witness_sums_no_partition(sqrt2_dyadic, monkeypatch):
+    """On a loaded sqrt(2)-dyadic budget-2 snapshot, ``compatible_witness``
+    absorbs a cycle split as a challenge and appends a cycle split level,
+    which keeps the table, symbol slot and all, its cycles crossed in.  A
+    save then writes every total as 1 and adds no value: every level and
+    ledger challenge has total 1 by the chain's invariant."""
+    chain = GoodMeasureChain.from_json(GoodMeasureChain(sqrt2_dyadic).run_schedule(2).to_json())
+    rng = random.Random(0)
+    A = random_balanced_matrix(rng, chain, rng.randint(1, chain.depth))
+    ledger, split = len(chain.ledger), []
+    real = GoodMeasureChain._append_cycle_split
+
+    def recording(self, cycles, pv):
+        perm = real(self, cycles, pv)
+        split.append((self.depth, pv))
+        return perm
+
+    monkeypatch.setattr(GoodMeasureChain, "_append_cycle_split", recording)
+    compatible_witness(chain, A)
+    monkeypatch.undo()
+    assert len(chain.ledger) > ledger and split
+    for level, pv in split:
+        kept, packed = chain._tables[level]
+        assert kept is pv and pv.syms and pv.unpacked(packed) == chain.levels[level].weights
+    calls = []
+
+    def counted(real):
+        def op(self, other):
+            calls.append(real.__name__)
+            return real(self, other)
+        return op
+
+    for op in ("__add__", "__sub__"):
+        monkeypatch.setattr(ExactValue, op, counted(getattr(ExactValue, op)))
+    data = chain.to_json()
+    monkeypatch.undo()
+    assert calls == []
+    written = [*data["levels"], *(e["challenge"] for e in data["ledger"])]
+    assert all(P["total"] == {"q": "1"} for P in written)
+    assert all(P.total == ONE for P in [*chain.levels, *(e.challenge_object for e in chain.ledger)])
 
 
 # -- arguments outside the chain --------------------------------------------------

@@ -497,21 +497,35 @@ def test_enumeration_matches_the_loop_on_drawn_descriptors(V, budget):
 @settings(max_examples=80, deadline=None)
 @given(V=_descriptors(), seed=st.integers(0, 2**32 - 1), room=st.integers(1, 5))
 def test_packed_above_one_matches_unpacking(V, seed, room):
-    """``above_one`` on a packed sum says what unpacking it and comparing
-    with 1 says, and what adding the values and comparing says."""
+    """The sign of a packed sum minus 1 says what unpacking the sum and
+    comparing with 1 says, and what adding the values and comparing says;
+    the table has room for the sum and the 1."""
     values = _outcome(V.enumerate_values, 4)
     if not isinstance(values, list):  # a digits symbol left a bound undecided
         return
     rng = random.Random(seed)
     pool = rng.sample(values, min(len(values), 12))
-    pv = PackedValues(pool, room)
+    pv = PackedValues(pool, room + 1)
     for _ in range(20):
         picked = [rng.randrange(len(pool)) for _ in range(rng.randint(1, room))]
         p = sum(pv.packed[i] for i in picked)
         total = sum([pool[i] for i in picked[1:]], pool[picked[0]])
         assert unpack(pv, p) == total
         want = _outcome(lambda: total > ONE)
-        assert _outcome(pv.above_one, p) == _outcome(lambda: unpack(pv, p) > ONE) == want
+        above = _outcome(lambda: pv.sign(p - pv.one) > 0)
+        assert above == _outcome(lambda: unpack(pv, p) > ONE) == want
+
+
+def test_pack_refuses_a_value_wider_than_a_slot():
+    """A coordinate too wide for its slot would carry into the next one, so
+    its int could be another value's: ``pack`` refuses it, records nothing,
+    and the other value still reads back as itself."""
+    s = sqrt2_symbol()
+    pv = PackedValues([E("1/2"), E(0, {s: "1/2"}), E(1)], 1)
+    wide = E(1 << (pv.width - 1), {s: 1})  # its rational coordinate overflows the slot
+    assert pv.pack(wide) is None and pv.room == 1
+    narrow = E(0, {s: "3/2"})  # packed with the carry, wide would be this int
+    assert unpack(pv, pv.pack(narrow)) == pv.unpack(pv.pack(narrow)) == narrow
 
 
 # -- descriptors: dependent symbols and inexact integers ---------------------------
