@@ -17,7 +17,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -177,8 +176,7 @@ class GoodMeasureChain:
         self._ledger_index: dict[tuple, int] = {}
         # per target level: the deepest level projected onto it so far, and that projection
         self._projections: dict[int, tuple[int, dict[str, str]]] = {}
-        # the top's sorted weight key and its fibers per level, on first use (``_fiber_index``)
-        self._top_key: tuple | None = None
+        # per level: the top's fibers over it, on first use (``_fiber_index``)
         self._fibers: dict[int, dict[str, tuple]] = {}
         # the level, placements and link of the amalgam that made the top (``_respond``)
         self._seed: tuple | None = None
@@ -236,7 +234,7 @@ class GoodMeasureChain:
             raise ValueError("link must map the new level onto the current top")
         self.levels.append(P)
         self.links.append(link)
-        self._top_key, self._fibers, self._seed = None, {}, None
+        self._fibers, self._seed = {}, None
 
     def _table(
         self, level: int, values: Collection[ExactValue] = (), summands: int = 0
@@ -295,19 +293,6 @@ class GoodMeasureChain:
         anc = self.composite_mapping(to_level, U.level)
         return ClopenSet.of(to_level, (c for c in self.levels[to_level].cells if anc[c] in U.cells))
 
-    def canonicalize(self, U: ClopenSet) -> ClopenSet:
-        """Shallowest-level representation of U as a union of cells."""
-        level, cells = U.level, set(U.cells)
-        while level > 0:
-            link = self.links[level - 1]
-            parents = {link.mapping[c] for c in cells}
-            lifted = {c for c in self.levels[level].cells if link.mapping[c] in parents}
-            if lifted != cells:
-                break
-            level -= 1
-            cells = parents
-        return ClopenSet.of(level, cells)
-
     # -- absorption -----------------------------------------------------------
 
     def _collapse(self, P: WeightedPartition) -> PartitionMorphism:
@@ -326,26 +311,20 @@ class GoodMeasureChain:
         return self._absorb_object(target)
 
     def _absorb_object(self, target: WeightedPartition) -> int:
-        """``absorb_object`` unchecked.  Precondition: weights in V, summing to 1."""
+        """``absorb_object`` unchecked.  Precondition: weights in V, summing to 1.
+        A challenge with the top's weight multiset is answered by pairing its
+        cells with the top's (``_match_by_weight``), any other by an amalgam."""
         key = _obj_key(target)
         if key in self._ledger_index:
             return self.ledger[self._ledger_index[key]].stage
-        # equal sorted weight keys need as many cells as the top
-        if len(target.cells) == len(self.top.cells) and key[1] == self._sorted_top_key():
-            lift = _weight_matching(self.top, target).mapping
-        else:
+        lift = _match_by_weight(self.top.cells, target.cells, self.top.weights, target.weights)
+        if lift is None:
             # the collapse is valid: the target has total 1
             lift = self._respond(self._collapse(target), 0)
         entry = LedgerEntry("object", self.depth, target, None, None, lift)
         self._ledger_index[key] = len(self.ledger)
         self.ledger.append(entry)
         return entry.stage
-
-    def _sorted_top_key(self) -> tuple:
-        """The top's sorted weight key, kept for the top's lifetime."""
-        if self._top_key is None:
-            self._top_key = self.top.sorted_weight_key()
-        return self._top_key
 
     def _fiber_index(self, level: int) -> dict[str, tuple]:
         """Per cell x of a level: the top cells over x in top order, their
@@ -607,8 +586,8 @@ class GoodMeasureChain:
                 raise WeightMismatch(f"{c} and {f[c]} have different weights")
         taken = set(tgts)
         rest = _match_by_weight(
-            [(c, P.weight(c)) for c in P.cells if c not in f],
-            [(c, P.weight(c)) for c in P.cells if c not in taken],
+            [c for c in P.cells if c not in f], [c for c in P.cells if c not in taken],
+            P.weights, P.weights,
         )
         if rest is None:
             raise RuntimeError("complement weights fail to match; this is a bug")
@@ -640,9 +619,7 @@ class GoodMeasureChain:
         Q = self.levels[k + 1]
         out: dict[str, str] = {}
         for c, d in sigma.items():
-            matched = _match_by_weight(
-                [(x, Q.weight(x)) for x in children[c]], [(y, Q.weight(y)) for y in children[d]]
-            )
+            matched = _match_by_weight(children[c], children[d], Q.weights, Q.weights)
             if matched is None:
                 return None
             out.update(matched)
@@ -981,22 +958,23 @@ def _sums_to_one(values: list[ExactValue], room: int) -> list[tuple[int, ...]]:
 
 
 def _match_by_weight(
-    src: list[tuple[str, ExactValue]], dst: list[tuple[str, ExactValue]]
+    src: Sequence[str], dst: Sequence[str],
+    src_weight: Mapping[str, ExactValue], dst_weight: Mapping[str, ExactValue],
 ) -> dict[str, str] | None:
-    """Pair the cells of two (cell, weight) lists in ascending weight order, or
-    None when their weight multisets differ.  The sort is stable, so equal
-    weights keep their input order; every caller lists cells in level order."""
-    a, b = sorted(src, key=itemgetter(1)), sorted(dst, key=itemgetter(1))
-    if len(a) != len(b) or any(wa != wb for (_, wa), (_, wb) in zip(a, b)):
+    """Pair the k-th cell of each weight in src with the k-th cell of that
+    weight in dst, or None when the weight multisets differ.  Weights are
+    hashed and tested for equality, never ordered: one bucket per weight is
+    filled in dst order and emptied in src order (every caller lists cells
+    in level order)."""
+    if len(src) != len(dst):
         return None
-    return {x: y for (x, _), (y, _) in zip(a, b)}
-
-
-def _weight_matching(src: WeightedPartition, dst: WeightedPartition) -> PartitionMorphism:
-    """A weight-preserving bijection src -> dst (equal weight multisets required)."""
-    mapping = _match_by_weight(
-        [(c, src.weight(c)) for c in src.cells], [(c, dst.weight(c)) for c in dst.cells]
-    )
-    if mapping is None:
-        raise WeightMismatch("weight multisets differ")
-    return PartitionMorphism(src, dst, mapping)
+    buckets: dict[ExactValue, list[str]] = {}
+    for y in reversed(dst):
+        buckets.setdefault(dst_weight[y], []).append(y)
+    out: dict[str, str] = {}
+    for x in src:
+        cells = buckets.get(src_weight[x])
+        if not cells:
+            return None
+        out[x] = cells.pop()
+    return out

@@ -31,6 +31,10 @@ from .values import ExactValue, GroupDescriptor
 MAX_APPENDED_CELLS = 256
 
 
+class RunLogError(Exception):
+    """The run log could not be written: an output I/O failure (exit 3)."""
+
+
 class Workspace:
     """A directory with named descriptors, named snapshots, and a run log."""
 
@@ -52,8 +56,11 @@ class Workspace:
     def log(self, op: str, input_hash: str) -> None:
         ts = datetime.datetime.now(datetime.timezone.utc).isoformat()
         line = jsonutil.dumps({"ts": ts, "op": op, "input_hash": input_hash}).strip()
-        with open(self.root / "runlog.jsonl", "a", encoding="utf-8") as fh:
-            fh.write(line.replace("\n", " ") + "\n")
+        try:
+            with open(self.root / "runlog.jsonl", "a", encoding="utf-8") as fh:
+                fh.write(line.replace("\n", " ") + "\n")
+        except OSError as exc:
+            raise RunLogError(exc) from exc
 
 
 def _workspace(args) -> Workspace | None:
@@ -458,6 +465,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except RunLogError as exc:
+        sys.stderr.write(f"cannot write run log: {exc}\n")
+        return 3
     except GoodMeasuresError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 2

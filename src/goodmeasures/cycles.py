@@ -3,9 +3,10 @@
 A matrix whose rows have one nonzero entry is, up to its indexing partition,
 a multiset of weighted cycles: a tuple of (weight, length) pairs.  Morphisms
 group source cycles over target cycles with integer winding numbers.  This
-module implements the tuple algebra, bounded morphism search, the ring-like
-product lift, amalgamation over Q-like value sets, and the decision
-procedures for the (strong) Rokhlin property of the automorphism group.
+module implements their verification and composition, bounded morphism
+search, the ring-like product lift, amalgamation over Q-like value sets,
+and the decision procedures for the (strong) Rokhlin property of the
+automorphism group.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from typing import Sequence
 from .errors import (
     EffortExhausted,
     MassMismatch,
-    MassOverflow,
     NotGroupLike,
-    NotInV,
     NotQLike,
     NotRingLike,
     PreconditionFailed,
@@ -101,37 +100,6 @@ def identity_tuple_morphism(c: CycleTuple) -> TupleMorphism:
 
 
 # ---------------------------------------------------------------------------
-# sums and scalings
-# ---------------------------------------------------------------------------
-
-
-def tuple_sum_with_positions(
-    c: CycleTuple, d: CycleTuple, V: GroupDescriptor
-) -> tuple[CycleTuple, list[int], list[int]]:
-    """The sum of two tuples (their concatenation, canonically sorted) and the
-    new positions of c's and d's entries in it."""
-    total = c.mass + d.mass
-    if total > ONE:
-        raise MassOverflow(f"masses sum to {total} > 1")
-    if not V.member(total):
-        raise NotInV(f"summed mass {total} not in V")
-    merged = list(c.entries) + list(d.entries)
-    out, pos = _sorted_with_positions(merged)
-    return out, pos[: len(c.entries)], pos[len(c.entries):]
-
-
-def tuple_scale(n: int, c: CycleTuple, V: GroupDescriptor) -> CycleTuple:
-    if n < 1:
-        raise ValueError("scale must be a positive integer")
-    total = c.mass.scale(n)
-    if total > ONE:
-        raise MassOverflow(f"scaled mass {total} > 1")
-    if not V.member(total):
-        raise NotInV(f"scaled mass {total} not in V")
-    return CycleTuple.make(list(c.entries) * n)
-
-
-# ---------------------------------------------------------------------------
 # morphisms
 # ---------------------------------------------------------------------------
 
@@ -160,28 +128,6 @@ def compose_tuple_morphisms(outer: TupleMorphism, inner: TupleMorphism) -> Tuple
     return TupleMorphism.make(
         [[i for mid in block for i in inner.blocks[mid]] for block in outer.blocks]
     )
-
-
-def sum_tuple_morphisms(
-    m_c: TupleMorphism,
-    m_d: TupleMorphism,
-    src_pos_c: Sequence[int],
-    src_pos_d: Sequence[int],
-    tgt_pos_c: Sequence[int],
-    tgt_pos_d: Sequence[int],
-) -> TupleMorphism:
-    """The blockwise sum of two morphisms after their tuples were summed.
-
-    Position lists say where each original entry landed in the canonical
-    concatenations (see ``tuple_sum_with_positions``).
-    """
-    n_targets = len(tgt_pos_c) + len(tgt_pos_d)
-    blocks: list[list[int]] = [[] for _ in range(n_targets)]
-    for j, block in enumerate(m_c.blocks):
-        blocks[tgt_pos_c[j]] = [src_pos_c[i] for i in block]
-    for j, block in enumerate(m_d.blocks):
-        blocks[tgt_pos_d[j]] = [src_pos_d[i] for i in block]
-    return TupleMorphism.make(blocks)
 
 
 def exact_fill(

@@ -45,10 +45,6 @@ class DepthTooShallow(GoodMeasuresError):
     """An automorphism prefix is not deep enough for the requested check."""
 
 
-class MassOverflow(GoodMeasuresError):
-    """A cycle tuple operation would exceed total mass 1."""
-
-
 class MassMismatch(GoodMeasuresError):
     """Cycle tuples with different masses where equal masses are required."""
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from goodmeasures.chain import AutomorphismPrefix, GoodMeasureChain
-from goodmeasures.cycles import CycleTuple, TupleMorphism
+from goodmeasures.cycles import CycleTuple, TupleMorphism, _sorted_with_positions
 from goodmeasures.errors import DepthTooShallow, MassMismatch, NotEquiSummed
 from goodmeasures.matrices import BalancedMatrix, MatrixMorphism
 from goodmeasures.partitions import (
@@ -338,6 +338,36 @@ def tuple_morphism_by_blocks(m: TupleMorphism, src: CycleTuple, tgt: CycleTuple)
         if s != w_j.scale(k_j):
             return False
     return True
+
+
+def tuple_sum_with_positions(
+    c: CycleTuple, d: CycleTuple
+) -> tuple[CycleTuple, list[int], list[int]]:
+    """The sum of two tuples (their concatenation, canonically sorted) and the
+    new positions of c's and d's entries in it."""
+    out, pos = _sorted_with_positions([*c.entries, *d.entries])
+    return out, pos[: len(c.entries)], pos[len(c.entries):]
+
+
+def sum_tuple_morphisms(
+    m_c: TupleMorphism,
+    m_d: TupleMorphism,
+    src_pos_c: Sequence[int],
+    src_pos_d: Sequence[int],
+    tgt_pos_c: Sequence[int],
+    tgt_pos_d: Sequence[int],
+) -> TupleMorphism:
+    """The blockwise sum of two morphisms after their tuples were summed.
+
+    Position lists say where each original entry landed in the canonical
+    concatenations (``tuple_sum_with_positions``).
+    """
+    blocks: list[list[int]] = [[] for _ in range(len(tgt_pos_c) + len(tgt_pos_d))]
+    for j, block in enumerate(m_c.blocks):
+        blocks[tgt_pos_c[j]] = [src_pos_c[i] for i in block]
+    for j, block in enumerate(m_d.blocks):
+        blocks[tgt_pos_d[j]] = [src_pos_d[i] for i in block]
+    return TupleMorphism.make(blocks)
 
 
 def equi_summed_by_vertices(entries) -> None:

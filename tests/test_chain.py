@@ -41,7 +41,7 @@ from goodmeasures.values import (
 )
 
 from conftest import E, random_partition, random_refining_morphism, sqrt2_symbol, value_pool
-from oracles import fiber_index_by_walk, index_sums_to_one, peel_amalgam
+from oracles import fiber_index_by_walk, index_sums_to_one, peel_amalgam, prefix_by_sets
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -526,13 +526,6 @@ def test_no_atoms_every_cell_splits(dyadic, triadic):
                 assert verify_morphism(pi)
 
 
-def test_canonicalize_clopen(dyadic):
-    ch = GoodMeasureChain(dyadic)
-    ch.absorb_object(obj("1/2", "1/2"))
-    full = ClopenSet.of(1, ch.levels[1].cells)
-    assert ch.canonicalize(full) == ClopenSet.of(0, ["r"])
-
-
 # -- automorphism prefixes --------------------------------------------------------------------
 
 
@@ -617,6 +610,27 @@ def test_extend_prefix_beyond_chain_splits_orbits(dyadic):
     deeper = ch.extend_prefix(sigma, want)
     assert deeper.depth >= want
     assert ch.prefix_valid(deeper)
+
+
+def test_extend_prefix_from_below_the_top(sqrt2_dyadic):
+    """A rotation of each class of equal-weight cells at a level below the
+    top, extended to the top: a valid prefix that keeps the given map."""
+    ch = GoodMeasureChain(sqrt2_dyadic).run_schedule(2)
+    rotated = 0
+    for k in range(ch.depth):
+        level = ch.levels[k]
+        classes: dict[ExactValue, list[str]] = {}
+        for c in level.cells:
+            classes.setdefault(level.weight(c), []).append(c)
+        m = {x: y for cells in classes.values() for x, y in zip(cells, cells[1:] + cells[:1])}
+        if all(x == y for x, y in m.items()):
+            continue  # no two cells of one weight
+        rotated += 1
+        top = ch.depth
+        sigma = ch.extend_prefix(AutomorphismPrefix({k: m}), top)
+        assert sigma.maps[k] == m and sigma.depth >= top
+        assert ch.prefix_valid(sigma) and prefix_by_sets(ch, sigma)
+    assert rotated >= 10
 
 
 def test_compose_and_invert(dyadic):

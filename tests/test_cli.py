@@ -16,6 +16,8 @@ from goodmeasures.cycles import CycleTuple, TupleMorphism, verify_tuple_morphism
 
 DYADIC = {"rational": {"default": "0", "exceptions": {"2": "inf"}}, "irrationals": []}
 BAD23 = {"rational": {"default": "0", "exceptions": {"2": 3}}, "irrationals": []}
+RATIONALS = {"rational": {"default": "inf", "exceptions": {}}, "irrationals": []}
+MIXED23 = {"rational": {"default": "0", "exceptions": {"2": "inf", "3": 1}}, "irrationals": []}
 SRC = Path(__file__).resolve().parent.parent / "src"
 COMPOSITE_SPEC = {
     "components": [
@@ -49,6 +51,8 @@ def files(tmp_path):
     jsonutil.write(bad, BAD23)
     spec = tmp_path / "composite.json"
     jsonutil.write(spec, COMPOSITE_SPEC)
+    jsonutil.write(tmp_path / "rationals.json", RATIONALS)
+    jsonutil.write(tmp_path / "mixed.json", MIXED23)
     return tmp_path
 
 
@@ -387,11 +391,7 @@ def test_find_morphism_exit_codes(files, capsys):
 def test_check_closure_exit_codes(files, capsys):
     code, env = run(capsys, "check-closure", "--descriptor", str(files / "dyadic.json"))
     assert code == 0 and env["result"]["count"] == 0
-    mixed = files / "mixed.json"
-    jsonutil.write(mixed, {"rational": {"default": "0",
-                                        "exceptions": {"2": "inf", "3": 1}},
-                           "irrationals": []})
-    code, env = run(capsys, "check-closure", "--descriptor", str(mixed))
+    code, env = run(capsys, "check-closure", "--descriptor", str(files / "mixed.json"))
     assert code == 1 and env["result"]["count"] >= 1
 
 
@@ -505,6 +505,19 @@ def test_workspace_logging(files, capsys, monkeypatch):
     assert entry["op"] == "decide-rokhlin" and "input_hash" in entry
 
 
+@pytest.mark.parametrize("command", ["decide-rokhlin", "build-chain"])
+def test_a_run_log_that_cannot_be_written_exits_3(files, capsys, command):
+    ws = files / "ws"
+    (ws / "runlog.jsonl").mkdir(parents=True)
+    argv = {
+        "decide-rokhlin": ["decide-rokhlin", "--descriptor", str(files / "dyadic.json")],
+        "build-chain": ["build-chain", "--descriptor", str(files / "dyadic.json"),
+                        "--budget", "1", "--out", str(files / "snap.json")],
+    }[command]
+    assert main(["--workspace", str(ws), *argv]) == 3
+    assert _one_line_error(capsys).startswith("cannot write run log: ")
+
+
 def test_workspace_named_artifacts(files, capsys):
     ws = files / "ws2"
     (ws / "descriptors").mkdir(parents=True)
@@ -570,6 +583,38 @@ def test_composite_refute_keeps_a_decided_no(files, capsys, monkeypatch):
 # -- snapshots are verified on load ----------------------------------------------------
 
 
+def test_dichotomy_on_a_q_like_set(files, capsys):
+    code, env = run(capsys, "dichotomy", "--descriptor", str(files / "rationals.json"),
+                    "--b", "1/2", "--n", "2", "--c", "1/4")
+    assert code == 0
+    assert env["result"] == {"kind": "strong_rokhlin_all", "scale": None,
+                             "scaled_descriptor": None, "violation": {}}
+    assert env["certificate"] is None
+
+
+def test_dichotomy_readme_example(files, capsys):
+    code, env = run(capsys, "dichotomy", "--descriptor", str(files / "mixed.json"),
+                    "--b", "1/3", "--n", "9", "--c", "1/12")
+    assert code == 1
+    assert env["result"]["kind"] == "no_rokhlin" and env["result"]["scale"] == {"q": "3/4"}
+    assert env["certificate"] == {"kind": "quotient", "n": 9, "v": {"q": "4/9"}}
+
+
+@pytest.mark.parametrize("b,n,c,check", [
+    ("1/9", "9", "1/12", "b in V"),
+    ("1", "9", "1/12", "b < 1"),
+    ("1/3", "1", "1/12", "n > 1"),
+    ("1/3", "2", "1/4", "b/n not in V"),
+    ("1/3", "9", "1/9", "c in V"),
+    ("1/3", "9", "1/2", "c in [b/n, 1/n]"),
+])
+def test_dichotomy_precondition_failed_is_invalid_input(files, capsys, b, n, c, check):
+    code = main(["dichotomy", "--descriptor", str(files / "mixed.json"),
+                 "--b", b, "--n", n, "--c", c])
+    assert code == 2
+    assert _one_line_error(capsys).startswith(f"PreconditionFailed: precondition failed: {check} (")
+
+
 def _snapshot_inputs(files, capsys):
     """A budget-3 dyadic snapshot, a two-cycle on level 1 and the identity on level 1."""
     snap = files / "snap.json"
@@ -582,6 +627,23 @@ def _snapshot_inputs(files, capsys):
     prefix = files / "prefix.json"
     jsonutil.write(prefix, {"maps": {"1": {"r/0": "r/0", "r/1": "r/1"}}})
     return snap, mat, prefix
+
+
+@pytest.mark.parametrize("command", ["build-chain", "check-good", "witness", "composite build"])
+def test_an_output_that_cannot_be_written_exits_3(files, capsys, command):
+    snap, mat, _ = _snapshot_inputs(files, capsys)
+    out = str(files / "missing" / "out.json")
+    argv = {
+        "build-chain": ["build-chain", "--descriptor", str(files / "dyadic.json"),
+                        "--budget", "1", "--out", out],
+        "check-good": ["check-good", "--snapshot", str(snap), "--depth", "1", "--out", out],
+        "witness": ["witness", "--matrix", str(mat), "--snapshot", str(snap),
+                    "--out-snapshot", out],
+        "composite build": ["composite", "build", "--spec", str(files / "composite.json"),
+                            "--out", out],
+    }[command]
+    assert main(argv) == 3
+    assert _one_line_error(capsys).startswith("cannot write ")
 
 
 def _load_commands(snapshot, mat, prefix):

@@ -181,16 +181,66 @@ def sixths(chain):
                                         (c, c): E("1/3")})
 
 
-@pytest.mark.parametrize("name", ["rationals", "triadic"])
+def thirds_and_sixths(V):
+    """Entries of 1/6 on a level of thirds, whose table has the denominator 3."""
+    chain = thirds_chain(V)
+    return chain, sixths(chain)
+
+
+def swap(chain, eps):
+    """A matrix on the top moving eps from each of its first two cells to the other."""
+    top = chain.top
+    a, b = top.cells[:2]
+    entries = {(c, c): top.weight(c) for c in top.cells}
+    entries.update({(a, a): top.weight(a) - eps, (a, b): eps,
+                    (b, a): eps, (b, b): top.weight(b) - eps})
+    return BalancedMatrix(chain.depth, entries)
+
+
+def finer_than_the_table(V):
+    """An entry of 2**-20 on the top of a budget-2 schedule, whose table
+    (with a symbol slot) has the denominator 16."""
+    chain = GoodMeasureChain(V)
+    chain.run_schedule(2)
+    assert chain._table(chain.depth)[0].den == 16
+    return chain, swap(chain, E(Fraction(1, 2**20)))
+
+
+def a_symbol_the_table_lacks(V):
+    """An entry with sqrt(3) on a level of sqrt(2) - 1 and 2 - sqrt(2),
+    whose table has a sqrt(2) slot only."""
+    chain = GoodMeasureChain(V)
+    s2, s3 = V.symbols()["s2"], V.symbols()["s3"]
+    s = E(0, {s2: 1})
+    chain.absorb_object(WeightedPartition.make([("a", s), ("b", ONE - s)]))
+    assert [t.name for t in chain._table(chain.depth)[0].syms] == ["s2"]
+    return chain, swap(chain, E("-1/2", {s3: 1}))
+
+
+#: per value set: a chain and a matrix on a level whose table cannot take
+#: the matrix's entries, and whether the matrix is valid over the value set
+UNPACKED_CASES = {
+    "rationals": (thirds_and_sixths, True),
+    "triadic": (thirds_and_sixths, False),
+    "sqrt2_dyadic": (finer_than_the_table, True),
+    "two_symbol": (a_symbol_the_table_lacks, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNPACKED_CASES))
 def test_entries_that_do_not_pack_over_the_level(name, request):
-    """Entries of 1/6 on a level of thirds: valid over Q, not over the
-    triadic rationals, and each check says what its reference says."""
+    """Entries the level's table cannot take: 1/6 on a level of thirds
+    (valid over Q, not over the triadic rationals), one finer than the
+    table's denominator, or one with a symbol the table has no slot for.
+    Each check says what its reference says."""
     V = request.getfixturevalue(name)
     rng = random.Random(1750)
-    chain = thirds_chain(V)
-    A = sixths(chain)
-    assert chain._table(A.level)[0].den == 3
-    assert validate(chain, A) is matrix_by_rows(chain, A) is (name == "rationals")
+    build, valid = UNPACKED_CASES[name]
+    chain, A = build(V)
+    assert chain._table(A.level)[0].pack_all(list(A.entries.values())) is None
+    assert validate(chain, A) is matrix_by_rows(chain, A) is valid
+    if valid:  # the level's table was rebuilt over its weights and the entries
+        assert chain._table(A.level)[0].pack_all(list(A.entries.values())) is not None
     for entries in doctored_entries(rng, A.entries):
         B = BalancedMatrix(chain.depth, entries)
         assert validate(chain, B) is matrix_by_rows(chain, B)
@@ -201,7 +251,7 @@ def test_entries_that_do_not_pack_over_the_level(name, request):
         m = MatrixMorphism(p, B, A)
         want = outcome(matrix_morphism_by_fibers, chain, m)
         assert outcome(verify_matrix_morphism, chain, m) == want
-    if name == "rationals":
+    if valid:
         sigma = compatible_witness(chain, A)
         assert compatible(chain, sigma, A)
         assert transport_entries(chain, sigma, A.level) == transport_by_cells(chain, sigma, A.level)
