@@ -28,15 +28,24 @@ from .errors import (
     WeightMismatch,
 )
 from .flows import cycles_through, decompose_entries, orbits
-from .jsonutil import parse_int, parse_object
+from .jsonutil import (
+    json_type,
+    parse_array,
+    parse_ids,
+    parse_int,
+    parse_object,
+    parse_positions,
+)
 from .partitions import (
     PartitionMorphism,
     WeightedPartition,
     _assemble,
+    _checked,
     _cumulative,
     _parts,
     _place,
     _subdivide,
+    _value_json,
     lift_edges,
     maps_onto,
     verify_morphism,
@@ -140,17 +149,25 @@ class LedgerEntry:
     challenge_map: Mapping[str, str] | None
     response_map: Mapping[str, str]  # lift (object) or r (morphism), from levels[stage]
 
-    def _to_json(self, formatted: dict) -> dict:
-        """The entry's JSON; the challenge (total 1) is written by ``WeightedPartition._to_json``."""
+    def _to_json(self, stage_cells: Sequence[str], index: list[dict], table: dict) -> dict:
+        """The entry in format 2 (``GoodMeasureChain.to_json``), given its
+        stage's cells, each level's position of each cell, and the position
+        in the snapshot's weight table of each challenge weight met so far,
+        which it extends."""
+        obj = self.challenge_object
+        at = {c: i for i, c in enumerate(obj.cells)}
+        response = self.response_map
         out: dict = {
             "kind": self.kind,
             "stage": self.stage,
-            "challenge": self.challenge_object._to_json(formatted, ONE),
-            "response": {"map": dict(self.response_map)},
+            "cells": list(obj.cells),
+            "weights": [table.setdefault(w, len(table)) for w in obj.weight_list()],
+            "response": [at[response[c]] for c in stage_cells],
         }
         if self.kind == "morphism":
+            below = index[self.target_level]
             out["target_level"] = self.target_level
-            out["challenge_map"] = dict(self.challenge_map)
+            out["challenge_map"] = [below[self.challenge_map[c]] for c in obj.cells]
         return out
 
 
@@ -763,27 +780,53 @@ class GoodMeasureChain:
     # -- serialisation -------------------------------------------------------------
 
     def to_json(self) -> dict:
-        """The snapshot; each distinct weight is formatted once per call, and
-        every total is written as 1, the chain's invariant, not summed."""
+        """The snapshot, in format 2.
+
+        Levels are written as in format 1: each cell's id and weight, and the
+        total, written as 1, the chain's invariant, not summed.  The rest is
+        positional.  Link k lists, for each cell of level k+1, the position
+        of its image in level k.  The distinct weights of the ledger's
+        challenges are written once, in ``weights``, in the order they are
+        first met.  A ledger entry lists its challenge's cell ids, their
+        weights as positions in ``weights``, its response as the challenge
+        position of each cell of its stage, and, for a morphism, its
+        challenge map as positions in its target level.  Each distinct
+        weight is formatted once per call.
+        """
         formatted: dict = {}  # see WeightedPartition._to_json
+        index = [{c: i for i, c in enumerate(P.cells)} for P in self.levels]
+        table: dict[ExactValue, int] = {}
+        ledger = [e._to_json(self.levels[e.stage].cells, index, table) for e in self.ledger]
         return {
             "descriptor": self.V.to_json(),
+            "format": 2,
             "levels": [L._to_json(formatted, ONE) for L in self.levels],
-            "links": [{"map": dict(l.mapping)} for l in self.links],
-            "ledger": [e._to_json(formatted) for e in self.ledger],
+            "links": [
+                [below[link.mapping[c]] for c in link.source.cells]
+                for below, link in zip(index, self.links)
+            ],
+            "weights": [_value_json(v, formatted) for v in table],
+            "ledger": ledger,
         }
 
     @staticmethod
     def from_json(data: Mapping) -> "GoodMeasureChain":
-        """Load a snapshot and verify it once; a fault raises a one-line ValueError.
+        """Load a snapshot of format 1 or 2 and verify it once; a fault
+        raises a one-line ValueError.
 
-        The snapshot is parsed first: its levels, its link maps and its
-        ledger entries, each ledger stage and target level an integer in
-        range.  It is then checked: every distinct weight of the levels and
-        of the ledger challenges lies in V, level 0 has total 1, each link
-        maps level k+1 onto level k, each morphism challenge maps onto its
-        target level, each response maps its stage onto its challenge, and a
-        morphism response commutes with the chain projection.
+        Format 1, which has no ``format`` key, writes link, response and
+        challenge maps as objects from cell ids to cell ids, and each
+        ledger challenge as a partition with its weights; format 2 is
+        positional (``to_json``).  Both are read into positions, which one
+        verifier checks.  The snapshot is parsed first: its levels, its
+        links, format 2's weight table and the ledger entries, each stage
+        and target level an integer in range and each format-2 position an
+        integer in range.  It is then checked: every distinct weight of the
+        levels and of the ledger challenges lies in V, level 0 has total 1,
+        each link maps level k+1 onto level k, each morphism challenge maps
+        onto its target level, each response maps its stage onto its
+        challenge, and a morphism response commutes with the chain
+        projection.
 
         The mass checks add ints, not values: the distinct weights are packed
         once into one ``PackedValues`` with room for the largest partition,
@@ -796,32 +839,74 @@ class GoodMeasureChain:
         V = GroupDescriptor.from_json(data["descriptor"])
         chain = GoodMeasureChain(V)
         symbols = V.symbols()
+        fmt = data.get("format", 1)
+        if type(fmt) is not int or fmt not in (1, 2):
+            raise ValueError(
+                f"unknown snapshot format {fmt}" if type(fmt) is int
+                else f"snapshot format is {json_type(fmt)}, not a number"
+            )
         memo: dict = {}  # one parse per distinct weight, see WeightedPartition.from_json
         levels = [WeightedPartition.from_json(d, symbols, memo) for d in data["levels"]]
+        cells = [parse_ids(P.cells, f"level {i} cells") for i, P in enumerate(levels)]
         if len(data["links"]) != len(levels) - 1:
             raise ValueError(f"snapshot has {len(levels)} levels but {len(data['links'])} links")
-        link_maps = [
-            dict(parse_object(d["map"], f"snapshot link {i} map"))
-            for i, d in enumerate(data["links"])
-        ]
-        parsed = []  # (kind, stage, challenge, target level, challenge map, response map)
+        if fmt == 1:
+            index = [{c: i for i, c in enumerate(cs)} for cs in cells]
+            links = [
+                _positions_of(
+                    parse_object(d["map"], f"snapshot link {i} map"), cells[i + 1], index[i]
+                )
+                for i, d in enumerate(data["links"])
+            ]
+        else:
+            links = [
+                parse_positions(d, len(cells[i + 1]), len(cells[i]), f"snapshot link {i}")
+                for i, d in enumerate(data["links"])
+            ]
+            table = []  # its weights join the memo; no partition is parsed after them
+            for w in parse_array(data["weights"], "snapshot weights"):
+                key = repr(w)
+                value = memo.get(key)
+                if value is None:
+                    value = memo[key] = ExactValue.from_json(w, symbols)
+                table.append(value)
+        parsed = []  # (kind, stage, challenge, target level, challenge map, response), positional
         for n, e in enumerate(data["ledger"]):
+            what = f"ledger entry {n}"
             stage = parse_int(e["stage"])
             if not 0 <= stage < len(levels):
-                raise ValueError(f"ledger entry {n}: stage {stage} is not a level of the snapshot")
-            obj = WeightedPartition.from_json(e["challenge"], symbols, memo)
-            response = dict(parse_object(e["response"]["map"], f"ledger entry {n}: response map"))
+                raise ValueError(f"{what}: stage {stage} is not a level of the snapshot")
+            if fmt == 1:
+                obj = WeightedPartition.from_json(e["challenge"], symbols, memo)
+                at = {c: i for i, c in enumerate(obj.cells)}
+                response = _positions_of(
+                    parse_object(e["response"]["map"], f"{what}: response map"), cells[stage], at
+                )
+            else:
+                ids = parse_ids(parse_array(e["cells"], f"{what}: cells"), f"{what}: cells")
+                w = parse_positions(e["weights"], len(ids), len(table), f"{what}: weights")
+                obj = _checked(list(zip(ids, map(table.__getitem__, w))), ())
+                response = parse_positions(
+                    e["response"], len(cells[stage]), len(ids), f"{what}: response"
+                )
             kind, target, cm = e["kind"], None, None
             if kind == "morphism":
                 target = parse_int(e["target_level"])
                 if not 0 <= target <= stage:
                     raise ValueError(
-                        f"ledger entry {n}: target level {target} is not a level "
-                        f"at or below stage {stage}"
+                        f"{what}: target level {target} is not a level at or below stage {stage}"
                     )
-                cm = dict(parse_object(e["challenge_map"], f"ledger entry {n}: challenge map"))
+                if fmt == 1:
+                    cm = _positions_of(
+                        parse_object(e["challenge_map"], f"{what}: challenge map"),
+                        obj.cells, index[target],
+                    )
+                else:
+                    cm = parse_positions(
+                        e["challenge_map"], len(ids), len(cells[target]), f"{what}: challenge map"
+                    )
             elif kind != "object":
-                raise ValueError(f"ledger entry {n}: unknown kind {kind!r}")
+                raise ValueError(f"{what}: unknown kind {kind!r}")
             parsed.append((kind, stage, obj, target, cm, response))
 
         values = list(memo.values())  # every weight of the snapshot is one of these objects
@@ -834,35 +919,63 @@ class GoodMeasureChain:
         # keyed by identity: the memo holds one object per distinct weight, so no value is hashed
         packed_of = dict(zip(map(id, values), pv.packed))
 
-        def packed(P: WeightedPartition) -> dict[str, int]:
-            return {c: packed_of[id(w)] for c, w in P.weights.items()}
+        def packed(P: WeightedPartition) -> list[int]:  # P.weights lists its cells in order
+            return list(map(packed_of.__getitem__, map(id, P.weights.values())))
 
-        weights = [packed(P) for P in levels]  # each level's packed weights by cell
-        if sum(weights[0].values()) != pv.one:
+        weights = [packed(P) for P in levels]  # each level's packed weights, in cell order
+        if sum(weights[0]) != pv.one:
             raise ValueError(f"level 0 of the snapshot has total {levels[0].total}, expected 1")
         chain.levels = levels
-        chain._tables = {i: (pv, w) for i, w in enumerate(weights)}
-        for i, mapping in enumerate(link_maps):
-            if not maps_onto(mapping, weights[i + 1], weights[i]):
+        chain._tables = {i: (pv, dict(zip(cells[i], w))) for i, w in enumerate(weights)}
+        for i, pos in enumerate(links):
+            if pos is None or not _carries(pos, weights[i + 1], weights[i]):
                 raise ValueError(f"snapshot link {i} does not map level {i + 1} onto level {i}")
-            chain.links.append(PartitionMorphism(levels[i + 1], levels[i], mapping))
+            chain.links.append(PartitionMorphism(
+                levels[i + 1], levels[i], dict(zip(cells[i + 1], map(cells[i].__getitem__, pos)))
+            ))
         for n, (kind, stage, obj, target, cm, response) in enumerate(parsed):
             ow = packed(obj)
-            if kind == "morphism" and not maps_onto(cm, ow, weights[target]):
+            if kind == "morphism" and (cm is None or not _carries(cm, ow, weights[target])):
                 raise ValueError(f"ledger entry {n}: challenge does not map onto level {target}")
-            if not maps_onto(response, weights[stage], ow):
+            if response is None or not _carries(response, weights[stage], ow):
                 raise ValueError(
                     f"ledger entry {n}: response does not map level {stage} onto its challenge"
                 )
+            ids = obj.cells
+            response_map = dict(zip(cells[stage], map(ids.__getitem__, response)))
             if kind == "object":
-                key = _obj_key(obj)
+                key, cm_map = _obj_key(obj), None
             else:
-                if not _commutes(cm, response, chain.composite_mapping(stage, target)):
+                cm_map = dict(zip(ids, map(cells[target].__getitem__, cm)))
+                if not _commutes(cm_map, response_map, chain.composite_mapping(stage, target)):
                     raise ValueError(f"ledger entry {n}: response does not commute with the chain")
-                key = _mor_key(target, PartitionMorphism(obj, levels[target], cm))
-            chain.ledger.append(LedgerEntry(kind, stage, obj, target, cm, response))
+                key = _mor_key(target, PartitionMorphism(obj, levels[target], cm_map))
+            chain.ledger.append(LedgerEntry(kind, stage, obj, target, cm_map, response_map))
             chain._ledger_index[key] = n
         return chain
+
+
+def _positions_of(mapping: Mapping, cells: Sequence[str], index: Mapping) -> list[int] | None:
+    """A format-1 map as positions: the ``index`` of each cell's image, in
+    cell order, or None unless the map is defined on exactly ``cells`` and
+    each image has a position."""
+    if len(mapping) != len(cells):
+        return None
+    pos = list(map(index.get, map(mapping.get, cells)))
+    return None if None in pos else pos
+
+
+def _carries(pos: list[int], source: list[int], target: list[int]) -> bool:
+    """True iff the map sending source cell i to target cell ``pos[i]``
+    carries the source's packed weights onto the target's: each target
+    cell's weight is the sum over its fiber.  Every weight is positive, so
+    a target cell with no preimage fails.  Precondition: pos has one
+    position in range(len(target)) per source cell, and the table has room
+    for a sum over the source."""
+    sums = [0] * len(target)
+    for p, w in zip(pos, source):
+        sums[p] += w
+    return sums == target
 
 
 def _den_slack(V: GroupDescriptor) -> int:

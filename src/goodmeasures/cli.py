@@ -40,8 +40,11 @@ class Workspace:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        (self.root / "descriptors").mkdir(parents=True, exist_ok=True)
-        (self.root / "snapshots").mkdir(parents=True, exist_ok=True)
+        try:
+            (self.root / "descriptors").mkdir(parents=True, exist_ok=True)
+            (self.root / "snapshots").mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # the run log could not go there either
+            raise RunLogError(exc) from exc
 
     def resolve(self, name: str, kind: str) -> Path:
         p = Path(name)
@@ -73,13 +76,19 @@ def _read_json(path: str | Path, ws: Workspace | None, kind: str):
     return jsonutil.read(p)
 
 
-def _emit(op: str, input_obj, result, certificate, ws: Workspace | None) -> str:
+def _emit(op: str, input_obj, result, certificate, ws: Workspace | None, out=None) -> bool:
+    """Log the op, write its file and print its envelope; False if the file
+    cannot be written (exit 3).  ``out`` is the (path, obj, what) of the
+    file the op writes, if any.  The run log comes first, so an op whose
+    log line cannot be written leaves no file."""
     h = jsonutil.digest(input_obj)
     if ws:
         ws.log(op, h)
+    if out is not None and not _write(*out):
+        return False
     envelope = {"op": op, "input_hash": h, "result": result, "certificate": certificate}
     sys.stdout.write(jsonutil.dumps(envelope))
-    return h
+    return True
 
 
 def _write(path, obj, what: str) -> bool:
@@ -112,16 +121,15 @@ def cmd_build_chain(args) -> int:
         sys.stderr.write("build-chain needs --descriptor or --resume\n")
         return 2
     chain.run_schedule(args.budget)
-    if not _write(args.out, chain.to_json(), "snapshot"):
-        return 3
     result = {
         "levels": len(chain.levels),
         "top_cells": len(chain.top.cells),
         "ledger_entries": len(chain.ledger),
         "out": str(args.out),
     }
-    _emit("build-chain", {"descriptor": descriptor, "budget": args.budget}, result, None, ws)
-    return 0
+    written = _emit("build-chain", {"descriptor": descriptor, "budget": args.budget}, result,
+                    None, ws, (args.out, chain.to_json(), "snapshot"))
+    return 0 if written else 3
 
 
 def cmd_check_good(args) -> int:
@@ -184,10 +192,10 @@ def cmd_check_good(args) -> int:
         "maximality": maximality,
         "truncated": truncated,
     }
-    if args.out and not _write(args.out, report, "report"):
+    if not _emit("check-good", {"snapshot": snapshot, "depth": depth},
+                 {"all_ok": all_ok, "pairs_checked": len(pairs)}, None, ws,
+                 (args.out, report, "report") if args.out else None):
         return 3
-    _emit("check-good", {"snapshot": snapshot, "depth": depth},
-          {"all_ok": all_ok, "pairs_checked": len(pairs)}, None, ws)
     return 0 if all_ok else 1
 
 
@@ -231,10 +239,10 @@ def cmd_witness(args) -> int:
     A = BalancedMatrix.from_json(matrix, chain.V.symbols())
     sigma = matrices_mod.compatible_witness(chain, A)
     ok = matrices_mod.compatible(chain, sigma, A)
-    if args.out_snapshot and not _write(args.out_snapshot, chain.to_json(), "snapshot"):
+    if not _emit("witness", {"snapshot": snapshot, "matrix": matrix},
+                 {"compatible": ok, "depth": sigma.depth}, sigma.to_json(), ws,
+                 (args.out_snapshot, chain.to_json(), "snapshot") if args.out_snapshot else None):
         return 3
-    _emit("witness", {"snapshot": snapshot, "matrix": matrix},
-          {"compatible": ok, "depth": sigma.depth}, sigma.to_json(), ws)
     return 0 if ok else 1
 
 
@@ -348,15 +356,13 @@ def cmd_composite_build(args) -> int:
             {"scale": str(s), "snapshot": chain.to_json()} for chain, s in m.components
         ]
     }
-    if not _write(args.out, out, "composite"):
-        return 3
     result = {
         "components": len(m.components),
         "levels": [len(chain.levels) for chain, _ in m.components],
         "out": str(args.out),
     }
-    _emit("composite-build", spec, result, None, ws)
-    return 0
+    written = _emit("composite-build", spec, result, None, ws, (args.out, out, "composite"))
+    return 0 if written else 3
 
 
 def cmd_composite_refute(args) -> int:

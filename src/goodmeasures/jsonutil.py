@@ -34,6 +34,8 @@ def _encode(o, out, nl: str) -> None:
     """Append the text of o, whose lines after the first begin with ``nl``."""
     if type(o) is str:
         out(_encode_str(o))
+    elif type(o) is int:  # a position, a stage or a level
+        out(int.__repr__(o))
     elif isinstance(o, dict):
         if not o:
             out("{}")
@@ -120,6 +122,7 @@ def parse_int(text) -> int:
 
 
 _JSON_TYPES = {
+    dict: "a JSON object",
     list: "a JSON array",
     str: "a JSON string",
     bool: "a JSON boolean",
@@ -129,13 +132,55 @@ _JSON_TYPES = {
 }
 
 
+def json_type(value) -> str:
+    """The JSON type of a parsed value, as a one-line message names it."""
+    return _JSON_TYPES.get(type(value), f"a Python {type(value).__name__}")
+
+
 def parse_object(value, what: str) -> Mapping:
     """value, if it is a JSON object; otherwise a one-line ValueError naming
     the place and the JSON type found there, never the value itself, which
     may be as large as a whole level's map."""
     if not isinstance(value, Mapping):
-        found = _JSON_TYPES.get(type(value), f"a Python {type(value).__name__}")
-        raise ValueError(f"{what} is {found}, not an object")
+        raise ValueError(f"{what} is {json_type(value)}, not an object")
+    return value
+
+
+def parse_array(value, what: str) -> list:
+    """value, if it is a JSON array; otherwise a one-line ValueError naming
+    the place and the JSON type found there, as ``parse_object`` does."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} is {json_type(value)}, not an array")
+    return value
+
+
+_INT, _STR = frozenset([int]), frozenset([str])
+
+
+def parse_ids(value, what: str):
+    """value, if each of its members is a JSON string, such as a cell id;
+    otherwise a one-line ValueError naming the place and the JSON type of
+    the first other member."""
+    if not _STR.issuperset(map(type, value)):
+        bad = next(v for v in value if type(v) is not str)
+        raise ValueError(f"{what} holds {json_type(bad)}, not a cell id")
+    return value
+
+
+def parse_positions(value, n: int, m: int, what: str) -> list[int]:
+    """value, if it is a JSON array of n positions, each an integer in
+    range(m); otherwise a one-line ValueError naming the place and what is
+    wrong there.  A boolean is not a position, although Python's ``True``
+    indexes a list."""
+    parse_array(value, what)
+    if len(value) != n:
+        raise ValueError(f"{what} has {len(value)} positions, expected {n}")
+    if not _INT.issuperset(map(type, value)):
+        bad = next(p for p in value if type(p) is not int)
+        raise ValueError(f"{what} holds {json_type(bad)}, not a position")
+    if value and (min(value) < 0 or max(value) >= m):
+        bad = next(p for p in value if not 0 <= p < m)
+        raise ValueError(f"{what} holds position {bad}, not in 0..{m - 1}")
     return value
 
 

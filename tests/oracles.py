@@ -451,3 +451,29 @@ def peel_cycles_by_rebuild(entries) -> list[tuple[tuple[str, ...], ExactValue]]:
         k = min(range(len(cycle)), key=lambda i: cycle[i])
         out.append((tuple(cycle[k:]) + tuple(cycle[:k]), w))
     return out
+
+
+def snapshot_format1(chain: GoodMeasureChain) -> dict:
+    """The chain's snapshot in format 1, the format before positions: link,
+    response and challenge maps as objects from cell ids to cell ids, and
+    each ledger challenge as a partition with its weights and total.  The
+    reference writer of the format-1 golden digests and fixture; every total
+    is summed here, where the engine writes the 1 it knows."""
+    ledger = []
+    for e in chain.ledger:
+        entry = {
+            "kind": e.kind,
+            "stage": e.stage,
+            "challenge": e.challenge_object.to_json(),
+            "response": {"map": dict(e.response_map)},
+        }
+        if e.kind == "morphism":
+            entry["target_level"] = e.target_level
+            entry["challenge_map"] = dict(e.challenge_map)
+        ledger.append(entry)
+    return {
+        "descriptor": chain.V.to_json(),
+        "levels": [P.to_json() for P in chain.levels],
+        "links": [link.to_json() for link in chain.links],
+        "ledger": ledger,
+    }

@@ -22,7 +22,7 @@ from goodmeasures.errors import (
     SumMismatch,
     WeightMismatch,
 )
-from goodmeasures.matrices import BalancedMatrix, to_cycle_object
+from goodmeasures.matrices import BalancedMatrix, compatible_witness, to_cycle_object
 from goodmeasures.partitions import (
     PartitionMorphism,
     WeightedPartition,
@@ -40,8 +40,21 @@ from goodmeasures.values import (
     check_all_in,
 )
 
-from conftest import E, random_partition, random_refining_morphism, sqrt2_symbol, value_pool
-from oracles import fiber_index_by_walk, index_sums_to_one, peel_amalgam, prefix_by_sets
+from conftest import (
+    E,
+    random_balanced_matrix,
+    random_partition,
+    random_refining_morphism,
+    sqrt2_symbol,
+    value_pool,
+)
+from oracles import (
+    fiber_index_by_walk,
+    index_sums_to_one,
+    peel_amalgam,
+    prefix_by_sets,
+    snapshot_format1,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -720,22 +733,24 @@ def test_save_formats_each_distinct_weight_once(sqrt2_dyadic, monkeypatch):
 
 
 def _written_weights(out) -> list[str]:
-    """Every weight dict of a written snapshot, cells and totals, as text."""
-    parts = [*out["levels"], *(e["challenge"] for e in out["ledger"])]
-    return [jsonutil.dumps(w) for P in parts for w in [*(c["w"] for c in P["cells"]), P["total"]]]
+    """Every weight dict of a written snapshot, cells, totals and the
+    ledger's weight table, as text."""
+    levels = [w for P in out["levels"] for w in [*(c["w"] for c in P["cells"]), P["total"]]]
+    return [jsonutil.dumps(w) for w in [*levels, *out["weights"]]]
 
 
 def test_saved_cells_share_no_dict(sqrt2_dyadic):
-    """Cells and totals of equal weight get weight dicts of their own:
-    editing one in place changes nothing else and no later ``to_json``."""
+    """Cells, totals and table entries of equal weight get weight dicts of
+    their own: editing one in place changes nothing else and no later
+    ``to_json``."""
     loaded = _loaded_sqrt2_dyadic(sqrt2_dyadic)
     text = jsonutil.dumps(loaded.to_json())
     out = loaded.to_json()
-    parts = [*out["levels"], *(e["challenge"] for e in out["ledger"])]
-    cells = [c for P in parts for c in P["cells"]]
+    cells = [c for P in out["levels"] for c in P["cells"]]
     edits = [c["w"] for c in cells if c["w"] == {"q": "1/2"}][:1]
     edits += [c["w"] for c in cells if "irr" in c["w"]][:1]
-    edits += [P["total"] for P in parts][:1]
+    edits += [P["total"] for P in out["levels"]][:1]
+    edits += [w for w in out["weights"] if w == {"q": "1/2"}][:1]
     for w in edits:
         before = _written_weights(out)
         w["q"] = "1/3"
@@ -836,7 +851,48 @@ def test_snapshot_written_before_relabelling_still_answers():
             assert stage == entry.stage and r.mapping == entry.response_map
     assert len(ch.levels) == 8
     ch.run_schedule(3)
-    assert jsonutil.dumps(ch.to_json()) == text
+    assert jsonutil.dumps(snapshot_format1(ch)) == text
+    # written in format 2 and read back, it still has the fixture's format-1 bytes
+    again = GoodMeasureChain.from_json(jsonutil.loads(jsonutil.dumps(ch.to_json())))
+    assert jsonutil.dumps(snapshot_format1(again)) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    irrational=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(
+        st.sampled_from(["object", "morphism", "shuffled", "witness", "deepen"]),
+        min_size=1, max_size=5,
+    ),
+)
+def test_format2_round_trip_gives_identical_bytes(irrational, seed, steps, dyadic, sqrt2_dyadic):
+    """A chain grown by random absorptions, witnesses and splits, written in
+    format 2, read back and written again, gives the same bytes and the same
+    format-1 snapshot.  A ``shuffled`` challenge lists its cells out of the
+    target's order, so its challenge map and response are not monotone."""
+    rng = random.Random(seed)
+    V = sqrt2_dyadic if irrational else dyadic
+    ch = GoodMeasureChain(V)
+    for n, step in enumerate(steps):
+        level = rng.randint(0, ch.depth)
+        if step == "object":
+            ch.absorb_object(random_partition(rng, V, 4, f"o{n}/"))
+        elif step in ("morphism", "shuffled"):
+            m = random_refining_morphism(rng, V, ch.levels[level], 3, f"m{n}/")
+            if step == "shuffled":
+                cells = rng.sample(m.source.cells, len(m.source.cells))
+                src = WeightedPartition.make([(c, m.source.weight(c)) for c in cells])
+                m = PartitionMorphism(src, m.target, m.mapping)
+            ch.absorb_morphism(m, level)
+        elif step == "witness":
+            compatible_witness(ch, random_balanced_matrix(rng, ch, level))
+        else:
+            ch.ensure_depth(ch.depth + 1)
+    text = jsonutil.dumps(ch.to_json())
+    loaded = GoodMeasureChain.from_json(jsonutil.loads(text))
+    assert jsonutil.dumps(loaded.to_json()) == text
+    assert snapshot_format1(loaded) == snapshot_format1(ch)
 
 
 def test_sqrt2_module_chain(sqrt2_module):
@@ -987,9 +1043,13 @@ def test_schedule_checks_each_value_once(sqrt2_dyadic, monkeypatch):
     ch = GoodMeasureChain(sqrt2_dyadic)
     ch.run_schedule(2)
     assert counts == {"values": 0, "morphisms": 0}
-    snapshot = jsonutil.dumps(ch.to_json()).encode("utf-8")
+    snapshot = jsonutil.dumps(snapshot_format1(ch)).encode("utf-8")
     assert hashlib.sha256(snapshot).hexdigest() == (
         "430cdb0f8146b112b55d1836d26e3cffff62e3ee479b84c79bf98c493dabe7af"
+    )
+    snapshot = jsonutil.dumps(ch.to_json()).encode("utf-8")  # format 2
+    assert hashlib.sha256(snapshot).hexdigest() == (
+        "5b75d4695ee154b9dc3cc8d4b9e60411529ae3e65db0bed20ecd27dd5a793fbf"
     )
 
 

@@ -14,6 +14,8 @@ from goodmeasures.chain import GoodMeasureChain
 from goodmeasures.cli import build_parser, main
 from goodmeasures.cycles import CycleTuple, TupleMorphism, verify_tuple_morphism
 
+from oracles import snapshot_format1
+
 DYADIC = {"rational": {"default": "0", "exceptions": {"2": "inf"}}, "irrationals": []}
 BAD23 = {"rational": {"default": "0", "exceptions": {"2": 3}}, "irrationals": []}
 RATIONALS = {"rational": {"default": "inf", "exceptions": {}}, "irrationals": []}
@@ -285,11 +287,18 @@ def test_json_float_in_integer_field_is_invalid_input(files, capsys):
     assert "inexact number 2.5" in _one_line_error(capsys)
 
 
+def _format1(path) -> dict:
+    """The snapshot at path as format-1 JSON (``oracles.snapshot_format1``)."""
+    return jsonutil.loads(jsonutil.dumps(snapshot_format1(GoodMeasureChain.from_json(
+        jsonutil.read(path)
+    ))))
+
+
 def test_check_good_rejects_doctored_maximality_lift(files, capsys):
     snap = files / "snap.json"
     run(capsys, "build-chain", "--descriptor", str(files / "dyadic.json"),
         "--budget", "1", "--out", str(snap))
-    data = jsonutil.read(snap)
+    data = _format1(snap)
     entry = next(e for e in data["ledger"]
                  if e["kind"] == "object" and len(e["challenge"]["cells"]) == 2)
     first = entry["challenge"]["cells"][0]["id"]
@@ -518,6 +527,42 @@ def test_a_run_log_that_cannot_be_written_exits_3(files, capsys, command):
     assert _one_line_error(capsys).startswith("cannot write run log: ")
 
 
+@pytest.mark.parametrize("command", ["build-chain", "check-good", "witness", "composite build"])
+def test_a_run_log_that_cannot_be_written_leaves_no_output(files, capsys, command):
+    snap, mat, _ = _snapshot_inputs(files, capsys)
+    ws = files / "ws"
+    (ws / "runlog.jsonl").mkdir(parents=True)
+    out = files / "out.json"
+    argv = {
+        "build-chain": ["build-chain", "--descriptor", str(files / "dyadic.json"),
+                        "--budget", "1", "--out", str(out)],
+        "check-good": ["check-good", "--snapshot", str(snap), "--depth", "1", "--out", str(out)],
+        "witness": ["witness", "--matrix", str(mat), "--snapshot", str(snap),
+                    "--out-snapshot", str(out)],
+        "composite build": ["composite", "build", "--spec", str(files / "composite.json"),
+                            "--out", str(out)],
+    }[command]
+    assert main(["--workspace", str(ws), *argv]) == 3
+    assert _one_line_error(capsys).startswith("cannot write run log: ")
+    assert not out.exists()
+    assert main(argv) in (0, 1) and out.exists()
+
+
+@pytest.mark.parametrize("command", ["decide-rokhlin", "build-chain"])
+def test_a_workspace_that_cannot_be_created_exits_3(files, capsys, command):
+    ws = files / "a_file"
+    ws.write_text("not a directory\n", encoding="utf-8")
+    out = files / "snap.json"
+    argv = {
+        "decide-rokhlin": ["decide-rokhlin", "--descriptor", str(files / "dyadic.json")],
+        "build-chain": ["build-chain", "--descriptor", str(files / "dyadic.json"),
+                        "--budget", "1", "--out", str(out)],
+    }[command]
+    assert main(["--workspace", str(ws), *argv]) == 3
+    assert _one_line_error(capsys).startswith("cannot write run log: ")
+    assert not out.exists()
+
+
 def test_workspace_named_artifacts(files, capsys):
     ws = files / "ws2"
     (ws / "descriptors").mkdir(parents=True)
@@ -686,6 +731,11 @@ def _duplicate_cell_id(data):
     return "cell identifiers must be unique"
 
 
+def _level_cell_id_not_a_string(data):
+    data["levels"][0]["cells"][0]["id"] = 5
+    return "level 0 cells holds a JSON number, not a cell id"
+
+
 def _link_moves_mass(data):
     k = len(data["links"]) - 1
     link = data["links"][k]["map"]
@@ -791,6 +841,7 @@ DOCTORED = {
     "irrational_part_not_an_object": _irrational_part_not_an_object,
     "empty_level": _empty_level,
     "duplicate_cell_id": _duplicate_cell_id,
+    "level_cell_id_not_a_string": _level_cell_id_not_a_string,
     "zero_weight": _zero_weight,
     "link_moves_mass": _link_moves_mass,
     "link_map_missing_a_cell": _link_map(lambda m: m.pop(next(iter(m)))),
@@ -815,12 +866,118 @@ def test_doctored_snapshot_is_invalid_input(files, capsys, case, command):
     snap, mat, prefix = _snapshot_inputs(files, capsys)
     assert main(_load_commands(snap, mat, prefix)[command]) in (0, 1)
     capsys.readouterr()
-    data = jsonutil.read(snap)
+    data = _format1(snap)
     reason = DOCTORED[case](data)
     doctored = files / "doctored.json"
     jsonutil.write(doctored, data)
     assert main(_load_commands(doctored, mat, prefix)[command]) == 2
     assert _one_line_error(capsys) == f"invalid input: ValueError: {reason}"
+
+
+# -- format 2: positions and the weight table --------------------------------------
+
+
+def _format(value):
+    def doctor(data):
+        data["format"] = value
+        if type(value) is int:
+            return f"ValueError: unknown snapshot format {value}"
+        return f"ValueError: snapshot format is {jsonutil.json_type(value)}, not a number"
+    return doctor
+
+
+def _weights_missing(data):
+    del data["weights"]
+    return "KeyError: 'weights'"
+
+
+def _weights_not_an_array(data):
+    data["weights"] = {"0": data["weights"][0]}
+    return "ValueError: snapshot weights is a JSON object, not an array"
+
+
+def _challenge_cell_id_not_a_string(data):
+    data["ledger"][0]["cells"][-1] = None
+    return "ValueError: ledger entry 0: cells holds JSON null, not a cell id"
+
+
+def _link_not_an_array(data):
+    data["links"][0] = {"map": {}}
+    return "ValueError: snapshot link 0 is a JSON object, not an array"
+
+
+def _last_link(data):
+    k = len(data["links"]) - 1
+    return data["links"][k], len(data["levels"][k]["cells"]), f"snapshot link {k}"
+
+
+def _object_response(data):
+    n, e = next((n, e) for n, e in enumerate(data["ledger"])
+                if e["kind"] == "object" and len(e["cells"]) > 1)
+    return e["response"], len(e["cells"]), f"ledger entry {n}: response"
+
+
+def _challenge_map(data):
+    n, e = next((n, e) for n, e in enumerate(data["ledger"]) if e["kind"] == "morphism")
+    m = len(data["levels"][e["target_level"]]["cells"])
+    return e["challenge_map"], m, f"ledger entry {n}: challenge map"
+
+
+def _challenge_weights(data):
+    return data["ledger"][0]["weights"], len(data["weights"]), "ledger entry 0: weights"
+
+
+def _position_fault(place, fault):
+    """A doctored position list of a format-2 snapshot: ``place`` finds the
+    list, the number of cells its positions name and its name in the line."""
+    def doctor(data):
+        pos, m, what = place(data)
+        if fault == "true":
+            pos[0] = True
+            return f"ValueError: {what} holds a JSON boolean, not a position"
+        if fault == "negative":
+            pos[0] = -1
+            return f"ValueError: {what} holds position -1, not in 0..{m - 1}"
+        if fault == "out_of_range":
+            pos[-1] = m
+            return f"ValueError: {what} holds position {m}, not in 0..{m - 1}"
+        pos.append(0)
+        return f"ValueError: {what} has {len(pos)} positions, expected {len(pos) - 1}"
+    return doctor
+
+
+DOCTORED_FORMAT_2 = {
+    "format_3": _format(3),
+    "format_0": _format(0),
+    "format_as_text": _format("2"),
+    "format_true": _format(True),
+    "weights_missing": _weights_missing,
+    "weights_not_an_array": _weights_not_an_array,
+    "link_not_an_array": _link_not_an_array,
+    "level_cell_id_not_a_string": lambda data: (
+        f"ValueError: {_level_cell_id_not_a_string(data)}"
+    ),
+    "challenge_cell_id_not_a_string": _challenge_cell_id_not_a_string,
+    **{
+        f"{name}_{fault}": _position_fault(place, fault)
+        for name, place in [("link", _last_link), ("response", _object_response),
+                            ("challenge_map", _challenge_map), ("weights", _challenge_weights)]
+        for fault in ("true", "negative", "out_of_range", "wrong_length")
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["check-compat", "witness"])
+@pytest.mark.parametrize("case", sorted(DOCTORED_FORMAT_2))
+def test_doctored_format_2_snapshot_is_invalid_input(files, capsys, case, command):
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    data = jsonutil.read(snap)
+    assert data["format"] == 2
+    line = DOCTORED_FORMAT_2[case](data)
+    doctored = files / "doctored.json"
+    jsonutil.write(doctored, data)
+    assert main(_load_commands(doctored, mat, prefix)[command]) == 2
+    assert _one_line_error(capsys) == f"invalid input: {line}"
 
 
 def test_written_snapshots_load(files, capsys):
@@ -884,13 +1041,13 @@ def _sqrt2_snapshot(files, capsys):
     return snap
 
 
-def _s2_cells(data) -> list[dict]:
-    """The cells of weight s2, in the order from_json parses them: the levels,
-    then the ledger challenges."""
-    cells = [c for L in data["levels"] for c in L["cells"]]
-    cells += [c for e in data["ledger"] for c in e["challenge"]["cells"]]
-    found = [c for c in cells if c["w"] == S2]
-    assert len(found) > 2
+def _s2_weights(data) -> list[tuple]:
+    """Where a weight s2 is written, in the order from_json parses them: the
+    levels' cells, then the ledger's weight table, as (holder, key) pairs."""
+    slots = [(c, "w") for L in data["levels"] for c in L["cells"]]
+    slots += [(data["weights"], i) for i in range(len(data["weights"]))]
+    found = [(holder, key) for holder, key in slots if holder[key] == S2]
+    assert len(found) > 2 and found[-1][0] is data["weights"]
     return found
 
 
@@ -900,8 +1057,8 @@ def test_loaded_snapshot_writes_the_bytes_it_was_read_from(files, capsys):
     assert jsonutil.dumps(chain.to_json()).encode("utf-8") == snap.read_bytes()
     # the same weight written as JSON ints is parsed to the same value
     data = jsonutil.read(snap)
-    for cell in _s2_cells(data):
-        cell["w"] = dict(S2_AS_INTS)
+    for holder, key in _s2_weights(data):
+        holder[key] = dict(S2_AS_INTS)
     assert jsonutil.dumps(GoodMeasureChain.from_json(data).to_json()) == snap.read_text()
 
 
@@ -914,8 +1071,8 @@ def test_loaded_snapshot_writes_the_bytes_it_was_read_from(files, capsys):
 def test_a_repeated_weight_in_a_bad_form_is_still_rejected(files, capsys, bad, reason):
     snap = _sqrt2_snapshot(files, capsys)
     data = jsonutil.read(snap)
-    first, *_, last = _s2_cells(data)
-    first["w"], last["w"] = dict(S2_AS_INTS), bad
+    (first, i), *_, (last, j) = _s2_weights(data)
+    first[i], last[j] = dict(S2_AS_INTS), bad
     with pytest.raises((TypeError, KeyError)):
         GoodMeasureChain.from_json(data)
     doctored = files / "doctored.json"

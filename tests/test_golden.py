@@ -4,6 +4,11 @@ Each digest is the sha256 of canonical JSON (``jsonutil.dumps``) produced by
 a fixed, seeded computation.  A refactor of the engine must leave every one
 of them unchanged; a deliberate change of output bytes must update them and
 say why.
+
+Snapshots are pinned twice.  The format-1 digests, recorded before format 2,
+are of ``oracles.snapshot_format1`` applied to the chain after a format-2
+round trip, so they also pin what a chain keeps across a save and a load.
+The ``_2`` digests are of the engine's own format-2 snapshots.
 """
 
 import hashlib
@@ -18,6 +23,7 @@ from goodmeasures.matrices import compatible_witness, conjugate_transport_check,
 from goodmeasures.partitions import common_refinement
 
 from conftest import E, random_balanced_matrix
+from oracles import snapshot_format1
 from test_matrices import fiber_permutation
 
 SCHEDULE_DIGESTS = {
@@ -35,25 +41,50 @@ SCHEDULE_DIGESTS = {
 WITNESS_DIGEST = "47b95e7b863965babd6a4452fe8ff82e02d59a499e455f1b0dc7224336b1e71b"
 TRANSPORT_DIGEST = "a9a509051836880fe29e47001945a54f3f6fc8d3872afcb8dbd081261b3306b5"
 ORBIT_SPLIT_DIGEST = "30c3f33110d94bdf5f24c353d57fd98785cf5108aac88f190ec8d8ff6f9dd291"
-# re-recorded when the report's maximality entries lost their always-true "ok"
-CHECK_GOOD_DIGEST = "25a85567d9ef2dcbcea5b7a17f379d7f4b394a80be1649c83b19c567dc645529"
+SCHEDULE_DIGESTS_2 = {
+    ("dyadic", 1): "5253e56554e8af000bf29250c4909bde1f9396ed2f763d7e302c0e873e7bdd86",
+    ("dyadic", 2): "5253e56554e8af000bf29250c4909bde1f9396ed2f763d7e302c0e873e7bdd86",
+    ("dyadic", 3): "21a4eb100a0782cf2ed23e7dc37905d3015eae057ac224a7ea97e0eec8013ef0",
+    ("triadic", 1): "70c490406b02b6f8c1a71ca61962ca8371ad9de7e17160fb40264fe4e21ec2e4",
+    ("triadic", 2): "557474b0baa625c48d5c21412470d9286c92f6c28f84948e7a6eb80295ad69ac",
+    ("triadic", 3): "557474b0baa625c48d5c21412470d9286c92f6c28f84948e7a6eb80295ad69ac",
+    ("sqrt2_module", 1): "0caceb16640daa0ed72a9d62f15d5fd8559a7901ac9b325a72d5f6a7bb07b604",
+    ("sqrt2_module", 2): "1eca847d85d1bc2ae20c58e3e268166176335fb34c2685d01e20e4901a5a6c8c",
+    ("sqrt2_dyadic", 3): "63b5ec1c9754224c4cf6da91d6f4b124e804272a97bd707c31ccdb72d5144518",
+    ("two_symbol", 2): "62ef3abca211548463669b7be2096ade4ca8eae73205e3f01b1b6ce28354c497",
+}
+WITNESS_DIGEST_2 = "b0684798f4f22b0c0f9a91fa70260d52781caa906405be7e11149b693cec1b15"
+TRANSPORT_DIGEST_2 = "81b34b902364fcb1a2d42aa932f76c8862698068aa1315826faff8e0eb526810"
+ORBIT_SPLIT_DIGEST_2 = "c321f3a1e9dfae27a7652b2bdc0e0dc81c7001e8f4893fdf08c38f646bfa34d2"
+# re-recorded when the report's maximality entries lost their always-true "ok",
+# and when build-chain began to write format 2, which the input_hash covers
+CHECK_GOOD_DIGEST = "3297c132d863667566d4660b8cd05338300c89b757f1a4e3ee96839da4f390bf"
 
 
 def _sha(obj) -> str:
     return hashlib.sha256(jsonutil.dumps(obj).encode("utf-8")).hexdigest()
 
 
+def _snapshots(chain: GoodMeasureChain) -> tuple[dict, dict]:
+    """The chain's format-1 snapshot after a format-2 round trip through
+    canonical text, and its format-2 snapshot."""
+    loaded = GoodMeasureChain.from_json(jsonutil.loads(jsonutil.dumps(chain.to_json())))
+    return snapshot_format1(loaded), chain.to_json()
+
+
 @pytest.mark.parametrize("name,budget", sorted(SCHEDULE_DIGESTS))
 def test_schedule_snapshot_digest(name, budget, request):
     chain = GoodMeasureChain(request.getfixturevalue(name))
     chain.run_schedule(budget)
-    assert _sha(chain.to_json()) == SCHEDULE_DIGESTS[(name, budget)]
+    format1, format2 = _snapshots(chain)
+    assert _sha(format1) == SCHEDULE_DIGESTS[(name, budget)]
+    assert _sha(format2) == SCHEDULE_DIGESTS_2[(name, budget)]
 
 
 def test_witness_and_cycle_object_digest(dyadic):
     """Matrices drawn as in C05, plus one per chain at the top level."""
     rng = random.Random(1005)
-    record = []
+    record, record2 = [], []
     for _ in range(4):
         chain = GoodMeasureChain(dyadic)
         chain.run_schedule(3)
@@ -63,14 +94,17 @@ def test_witness_and_cycle_object_digest(dyadic):
             C, proj = to_cycle_object(chain, A)
             sigma = compatible_witness(chain, A)
             record.append([A.to_json(), C.to_json(), proj.underlying.to_json(), sigma.to_json()])
-        record.append(chain.to_json())
+            record2.append(record[-1])
+        for r, snapshot in zip((record, record2), _snapshots(chain)):
+            r.append(snapshot)
     assert _sha(record) == WITNESS_DIGEST
+    assert _sha(record2) == WITNESS_DIGEST_2
 
 
 def test_conjugation_transport_digest(dyadic):
     """Prefixes drawn as in C06; composing them extends the chain."""
     rng = random.Random(1006)
-    record = []
+    record, record2 = [], []
     for _ in range(3):
         chain = GoodMeasureChain(dyadic)
         chain.run_schedule(3)
@@ -82,23 +116,29 @@ def test_conjugation_transport_digest(dyadic):
             g = fiber_permutation(chain, B.level, f.depth, rng=rng, group_level=A.level)
             assert conjugate_transport_check(chain, f, g, p)
             record.append([B.to_json(), f.to_json(), g.to_json()])
-        record.append(chain.to_json())
+            record2.append(record[-1])
+        for r, snapshot in zip((record, record2), _snapshots(chain)):
+            r.append(snapshot)
     assert _sha(record) == TRANSPORT_DIGEST
+    assert _sha(record2) == TRANSPORT_DIGEST_2
 
 
 def test_orbit_split_digest(dyadic, triadic):
     """Prefixes extended past the top, and canonical splits by ensure_depth."""
     rng = random.Random(1011)
-    record = []
+    record, record2 = [], []
     for V in (dyadic, triadic):
         chain = GoodMeasureChain(V)
         chain.run_schedule(2)
         A = random_balanced_matrix(rng, chain, min(2, chain.depth))
         sigma = compatible_witness(chain, A)
         record.append(chain.extend_prefix(sigma, sigma.depth + 2).to_json())
+        record2.append(record[-1])
         chain.ensure_depth(chain.depth + 2)
-        record.append(chain.to_json())
+        for r, snapshot in zip((record, record2), _snapshots(chain)):
+            r.append(snapshot)
     assert _sha(record) == ORBIT_SPLIT_DIGEST
+    assert _sha(record2) == ORBIT_SPLIT_DIGEST_2
 
 
 def test_check_good_envelope_and_report_digest(tmp_path, capsys):
