@@ -195,8 +195,6 @@ class GoodMeasureChain:
         self._projections: dict[int, tuple[int, dict[str, str]]] = {}
         # per level: the top's fibers over it, on first use (``_fiber_index``)
         self._fibers: dict[int, dict[str, tuple]] = {}
-        # the level, placements and link of the amalgam that made the top (``_respond``)
-        self._seed: tuple | None = None
         # per level: its weight table and each cell's packed weight (``_table``)
         self._tables: dict[int, tuple[PackedValues, dict[str, int]]] = {}
         self._slack = _den_slack(V)
@@ -251,7 +249,7 @@ class GoodMeasureChain:
             raise ValueError("link must map the new level onto the current top")
         self.levels.append(P)
         self.links.append(link)
-        self._fibers, self._seed = {}, None
+        self._fibers = {}
 
     def _table(
         self, level: int, values: Collection[ExactValue] = (), summands: int = 0
@@ -281,7 +279,7 @@ class GoodMeasureChain:
         )
         self._tables[level] = pv, dict(zip(P.cells, pv.packed))
         if table is not None and level == self.depth:
-            self._fibers, self._seed = {}, None
+            self._fibers = {}
         return pv, self._tables[level][1], pv.packed[n:]
 
     def _adopt(self, pv: PackedValues, packed: dict[str, int]) -> None:
@@ -346,23 +344,18 @@ class GoodMeasureChain:
     def _fiber_index(self, level: int) -> dict[str, tuple]:
         """Per cell x of a level: the top cells over x in top order, their
         packed weights in the top's table and those weights' ``_cumulative``,
-        kept for the top's lifetime (and its table's), on first use.  Over
-        the level an amalgam answered when it made the top, the index is read
-        off that amalgam's placements (``_seeded_fibers``); over any other
-        level it is computed here."""
+        computed on first use and kept for the top's lifetime (and its
+        table's)."""
         fibers = self._fibers.get(level)
         if fibers is not None:
             return fibers
-        if self._seed is not None and self._seed[0] == level:
-            fibers = self._fibers[level] = _seeded_fibers(*self._seed[1:])
-        else:
-            proj = self.composite_mapping(self.depth, level)
-            f1 = PartitionMorphism(self.top, self.levels[level], proj)
-            weight = self._table(self.depth)[1]
-            fibers = self._fibers[level] = {}
-            for x, ys in f1.fibers().items():
-                left = [weight[y] for y in ys]
-                fibers[x] = (ys, left, *_cumulative(left))
+        proj = self.composite_mapping(self.depth, level)
+        f1 = PartitionMorphism(self.top, self.levels[level], proj)
+        weight = self._table(self.depth)[1]
+        fibers = self._fibers[level] = {}
+        for x, ys in f1.fibers().items():
+            left = [weight[y] for y in ys]
+            fibers[x] = (ys, left, *_cumulative(left))
         return fibers
 
     def _respond(self, f2: PartitionMorphism, level: int) -> dict[str, str]:
@@ -374,11 +367,9 @@ class GoodMeasureChain:
         each top cell maps to the challenge cell whose interval holds it: the
         ``p2 ∘ p1⁻¹`` of an amalgam as large as the top, read off without
         building it.  Otherwise the same placements give the amalgam of the
-        top's projection with f2, the new top, and its p2 is the response;
-        the placements are kept for the new top's fiber index over the
-        level, which then needs no addition.  Either way f2 ∘ response is
-        the chain projection onto the level.  Precondition: f2 is a valid
-        morphism onto the level.
+        top's projection with f2, the new top, and its p2 is the response.
+        Either way f2 ∘ response is the chain projection onto the level.
+        Precondition: f2 is a valid morphism onto the level.
 
         The walk adds and compares packed ints of the top's table, which
         takes f2's weights too (``_table``); each part of the amalgam is read
@@ -393,25 +384,23 @@ class GoodMeasureChain:
         for x, zs in f2.fibers().items():
             ys, left, sums, index = fibers[x]
             right = [weight[z] for z in zs]
-            walks.append((x, ys, zs, left, right, sums, _place(sums, index, right, pv)))
+            walks.append((ys, zs, left, right, sums, _place(sums, index, right, pv)))
         if all(acc is None for *_, places in walks for _, acc in places):
             return {
                 y: z
-                for _, ys, zs, *_, places in walks
+                for ys, zs, *_, places in walks
                 for z, (start, _), (end, _) in zip(zs, [(0, None), *places], places)
                 for y in ys[start:end]
             }
         refined = [
             (ys, zs, _parts(left, right, sums, places))
-            for _, ys, zs, left, right, sums, places in walks
+            for ys, zs, left, right, sums, places in walks
         ]
         # the amalgam of packed weights, then its parts read back as its weights
         Gp, p1, p2 = _assemble(self.top, source, refined)
         G = WeightedPartition(Gp.cells, pv.unpacked(Gp.weights))
-        p1 = PartitionMorphism(G, self.top, p1.mapping)
-        self._append_level(G, p1)
+        self._append_level(G, PartitionMorphism(G, self.top, p1.mapping))
         self._adopt(pv, Gp.weights)
-        self._seed = (level, walks, refined, p1)
         return p2.mapping
 
     def absorb_morphism(
@@ -817,10 +806,11 @@ class GoodMeasureChain:
         Format 1, which has no ``format`` key, writes link, response and
         challenge maps as objects from cell ids to cell ids, and each
         ledger challenge as a partition with its weights; format 2 is
-        positional (``to_json``).  Both are read into positions, which one
-        verifier checks.  The snapshot is parsed first: its levels, its
-        links, format 2's weight table and the ledger entries, each stage
-        and target level an integer in range and each format-2 position an
+        positional (``to_json``).  Both are read as maps: a format-1 map is
+        its JSON object, and a format-2 map names the cell at each position
+        (``_named``).  The snapshot is parsed first: its levels, its links,
+        format 2's weight table and the ledger entries, each stage and
+        target level an integer in range and each format-2 position an
         integer in range.  It is then checked: every distinct weight of the
         levels and of the ledger challenges lies in V, level 0 has total 1,
         each link maps level k+1 onto level k, each morphism challenge maps
@@ -828,13 +818,13 @@ class GoodMeasureChain:
         challenge, and a morphism response commutes with the chain
         projection.
 
-        The mass checks add ints, not values: the distinct weights are packed
-        once into one ``PackedValues`` with room for the largest partition,
-        so every fiber sum and level 0's total are exact.  Once they pass,
-        every partition of the snapshot has total 1, since level 0 does and
-        links and responses preserve mass.  That table stays every level's
-        weight table (``_table``), so the chain builds none for a loaded
-        level.
+        The mass checks are ``maps_onto`` over packed ints, not values: the
+        distinct weights are packed once into one ``PackedValues`` with room
+        for the largest partition, so every fiber sum and level 0's total
+        are exact.  Once they pass, every partition of the snapshot has
+        total 1, since level 0 does and links and responses preserve mass.
+        That table stays every level's weight table (``_table``), so the
+        chain builds none for a loaded level.
         """
         V = GroupDescriptor.from_json(data["descriptor"])
         chain = GoodMeasureChain(V)
@@ -846,22 +836,20 @@ class GoodMeasureChain:
                 else f"snapshot format is {json_type(fmt)}, not a number"
             )
         memo: dict = {}  # one parse per distinct weight, see WeightedPartition.from_json
-        levels = [WeightedPartition.from_json(d, symbols, memo) for d in data["levels"]]
+        levels = []
+        for i, d in enumerate(parse_array(data["levels"], "snapshot levels")):
+            parse_array(d["cells"], f"level {i} cells")
+            levels.append(WeightedPartition.from_json(d, symbols, memo))
         cells = [parse_ids(P.cells, f"level {i} cells") for i, P in enumerate(levels)]
-        if len(data["links"]) != len(levels) - 1:
-            raise ValueError(f"snapshot has {len(levels)} levels but {len(data['links'])} links")
+        links = parse_array(data["links"], "snapshot links")
+        if len(links) != len(levels) - 1:
+            raise ValueError(f"snapshot has {len(levels)} levels but {len(links)} links")
         if fmt == 1:
-            index = [{c: i for i, c in enumerate(cs)} for cs in cells]
-            links = [
-                _positions_of(
-                    parse_object(d["map"], f"snapshot link {i} map"), cells[i + 1], index[i]
-                )
-                for i, d in enumerate(data["links"])
-            ]
+            maps = [parse_object(d["map"], f"snapshot link {i} map") for i, d in enumerate(links)]
         else:
-            links = [
-                parse_positions(d, len(cells[i + 1]), len(cells[i]), f"snapshot link {i}")
-                for i, d in enumerate(data["links"])
+            maps = [
+                _named(d, cells[i + 1], cells[i], f"snapshot link {i}")
+                for i, d in enumerate(links)
             ]
             table = []  # its weights join the memo; no partition is parsed after them
             for w in parse_array(data["weights"], "snapshot weights"):
@@ -870,25 +858,20 @@ class GoodMeasureChain:
                 if value is None:
                     value = memo[key] = ExactValue.from_json(w, symbols)
                 table.append(value)
-        parsed = []  # (kind, stage, challenge, target level, challenge map, response), positional
-        for n, e in enumerate(data["ledger"]):
+        parsed = []  # (kind, stage, challenge, target level, challenge map, response map)
+        for n, e in enumerate(parse_array(data["ledger"], "snapshot ledger")):
             what = f"ledger entry {n}"
             stage = parse_int(e["stage"])
             if not 0 <= stage < len(levels):
                 raise ValueError(f"{what}: stage {stage} is not a level of the snapshot")
             if fmt == 1:
                 obj = WeightedPartition.from_json(e["challenge"], symbols, memo)
-                at = {c: i for i, c in enumerate(obj.cells)}
-                response = _positions_of(
-                    parse_object(e["response"]["map"], f"{what}: response map"), cells[stage], at
-                )
+                response = parse_object(e["response"]["map"], f"{what}: response map")
             else:
                 ids = parse_ids(parse_array(e["cells"], f"{what}: cells"), f"{what}: cells")
                 w = parse_positions(e["weights"], len(ids), len(table), f"{what}: weights")
                 obj = _checked(list(zip(ids, map(table.__getitem__, w))), ())
-                response = parse_positions(
-                    e["response"], len(cells[stage]), len(ids), f"{what}: response"
-                )
+                response = _named(e["response"], cells[stage], ids, f"{what}: response")
             kind, target, cm = e["kind"], None, None
             if kind == "morphism":
                 target = parse_int(e["target_level"])
@@ -897,14 +880,9 @@ class GoodMeasureChain:
                         f"{what}: target level {target} is not a level at or below stage {stage}"
                     )
                 if fmt == 1:
-                    cm = _positions_of(
-                        parse_object(e["challenge_map"], f"{what}: challenge map"),
-                        obj.cells, index[target],
-                    )
+                    cm = parse_object(e["challenge_map"], f"{what}: challenge map")
                 else:
-                    cm = parse_positions(
-                        e["challenge_map"], len(ids), len(cells[target]), f"{what}: challenge map"
-                    )
+                    cm = _named(e["challenge_map"], ids, cells[target], f"{what}: challenge map")
             elif kind != "object":
                 raise ValueError(f"{what}: unknown kind {kind!r}")
             parsed.append((kind, stage, obj, target, cm, response))
@@ -919,63 +897,42 @@ class GoodMeasureChain:
         # keyed by identity: the memo holds one object per distinct weight, so no value is hashed
         packed_of = dict(zip(map(id, values), pv.packed))
 
-        def packed(P: WeightedPartition) -> list[int]:  # P.weights lists its cells in order
-            return list(map(packed_of.__getitem__, map(id, P.weights.values())))
+        def packed(P: WeightedPartition) -> dict[str, int]:
+            return {c: packed_of[id(w)] for c, w in P.weights.items()}
 
-        weights = [packed(P) for P in levels]  # each level's packed weights, in cell order
-        if sum(weights[0]) != pv.one:
+        weights = [packed(P) for P in levels]  # each level's packed weights by cell
+        if sum(weights[0].values()) != pv.one:
             raise ValueError(f"level 0 of the snapshot has total {levels[0].total}, expected 1")
         chain.levels = levels
-        chain._tables = {i: (pv, dict(zip(cells[i], w))) for i, w in enumerate(weights)}
-        for i, pos in enumerate(links):
-            if pos is None or not _carries(pos, weights[i + 1], weights[i]):
+        chain._tables = {i: (pv, w) for i, w in enumerate(weights)}
+        for i, mapping in enumerate(maps):
+            if not maps_onto(mapping, weights[i + 1], weights[i]):
                 raise ValueError(f"snapshot link {i} does not map level {i + 1} onto level {i}")
-            chain.links.append(PartitionMorphism(
-                levels[i + 1], levels[i], dict(zip(cells[i + 1], map(cells[i].__getitem__, pos)))
-            ))
+            chain.links.append(PartitionMorphism(levels[i + 1], levels[i], mapping))
         for n, (kind, stage, obj, target, cm, response) in enumerate(parsed):
             ow = packed(obj)
-            if kind == "morphism" and (cm is None or not _carries(cm, ow, weights[target])):
+            if kind == "morphism" and not maps_onto(cm, ow, weights[target]):
                 raise ValueError(f"ledger entry {n}: challenge does not map onto level {target}")
-            if response is None or not _carries(response, weights[stage], ow):
+            if not maps_onto(response, weights[stage], ow):
                 raise ValueError(
                     f"ledger entry {n}: response does not map level {stage} onto its challenge"
                 )
-            ids = obj.cells
-            response_map = dict(zip(cells[stage], map(ids.__getitem__, response)))
             if kind == "object":
-                key, cm_map = _obj_key(obj), None
+                key = _obj_key(obj)
             else:
-                cm_map = dict(zip(ids, map(cells[target].__getitem__, cm)))
-                if not _commutes(cm_map, response_map, chain.composite_mapping(stage, target)):
+                if not _commutes(cm, response, chain.composite_mapping(stage, target)):
                     raise ValueError(f"ledger entry {n}: response does not commute with the chain")
-                key = _mor_key(target, PartitionMorphism(obj, levels[target], cm_map))
-            chain.ledger.append(LedgerEntry(kind, stage, obj, target, cm_map, response_map))
+                key = _mor_key(target, PartitionMorphism(obj, levels[target], cm))
+            chain.ledger.append(LedgerEntry(kind, stage, obj, target, cm, response))
             chain._ledger_index[key] = n
         return chain
 
 
-def _positions_of(mapping: Mapping, cells: Sequence[str], index: Mapping) -> list[int] | None:
-    """A format-1 map as positions: the ``index`` of each cell's image, in
-    cell order, or None unless the map is defined on exactly ``cells`` and
-    each image has a position."""
-    if len(mapping) != len(cells):
-        return None
-    pos = list(map(index.get, map(mapping.get, cells)))
-    return None if None in pos else pos
-
-
-def _carries(pos: list[int], source: list[int], target: list[int]) -> bool:
-    """True iff the map sending source cell i to target cell ``pos[i]``
-    carries the source's packed weights onto the target's: each target
-    cell's weight is the sum over its fiber.  Every weight is positive, so
-    a target cell with no preimage fails.  Precondition: pos has one
-    position in range(len(target)) per source cell, and the table has room
-    for a sum over the source."""
-    sums = [0] * len(target)
-    for p, w in zip(pos, source):
-        sums[p] += w
-    return sums == target
+def _named(value, source: Sequence[str], target: Sequence[str], what: str) -> dict[str, str]:
+    """A format-2 map read as a map: each source cell sent to the target
+    cell at its position, once ``parse_positions`` has checked the list."""
+    pos = parse_positions(value, len(source), len(target), what)
+    return dict(zip(source, map(target.__getitem__, pos)))
 
 
 def _den_slack(V: GroupDescriptor) -> int:
@@ -996,31 +953,6 @@ def _commutes(
 ) -> bool:
     """challenge ∘ response equals proj, the chain projection from the response's stage."""
     return all(challenge_map[response_map[c]] == t for c, t in proj.items())
-
-
-def _seeded_fibers(walks, refined, link: PartitionMorphism) -> dict[str, tuple]:
-    """The ``_fiber_index`` of an amalgam's top over the level its challenge
-    named, from ``_respond``'s walks and refined fibers and the amalgam's
-    link onto the old top.  The top cells over x are the parts of x's fiber,
-    in order, and their cumulative sums are the old top's with the cuts put
-    in place, so no value is added."""
-    children = link.fibers()
-    out: dict[str, tuple] = {}
-    for (x, ys, *_, sums, places), (_, _, parts) in zip(walks, refined):
-        cut, start = [], 0
-        for n, acc in places:
-            if acc is not None:  # a cut inside old entry n
-                cut += sums[start:n]
-                cut.append(acc)
-                start = n
-        cut += sums[start:]
-        out[x] = (
-            [c for y in ys for c in children[y]],
-            [w for w, _, _ in parts],
-            cut,
-            {s: n for n, s in enumerate(cut, 1)},
-        )
-    return out
 
 
 def _sums_to_one(values: list[ExactValue], room: int) -> list[tuple[int, ...]]:

@@ -298,6 +298,9 @@ def cmd_product_lift(args) -> int:
 
 
 def cmd_find_morphism(args) -> int:
+    if args.effort < 0:  # no search runs on a negative budget, so none can use it up
+        sys.stderr.write(f"effort {args.effort} is negative\n")
+        return 2
     ws = _workspace(args)
     data = _read_json(args.input, ws, "descriptors")
     symbols = {}

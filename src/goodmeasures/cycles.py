@@ -313,28 +313,45 @@ class RokhlinVerdict:
 def rokhlin_decide(V: GroupDescriptor) -> RokhlinVerdict:
     """Decide the (strong) Rokhlin property of the automorphism group.
 
-    Rational value sets: both properties hold iff every prime exponent is 0
-    or infinite; a finite nonzero exponent is the certificate against both.
-    Otherwise: yes for Q-like sets; no for sets containing all rationals of
-    the unit interval without being Q-like; unknown beyond that.
+    Yes for rational value sets whose every prime exponent is 0 or infinite
+    (the exponent table is the certificate), and for Q-like sets.  No
+    exactly when ``divisibility_closure_check`` finds a quotient violation:
+    some v and 1/n in V, n >= 2, with v/n not in V.  Unknown beyond that.
+
+    The lemma behind the "no": let N_v be the automorphisms that fix some
+    clopen set A of measure v, and N_n those that permute some clopen
+    partition B_0, ..., B_{n-1} cyclically.  Both are open and invariant
+    under conjugation.  The identity lies in N_v; N_n is nonempty by the
+    subset condition and Akin's theorem (Trans. AMS 357, 2005: for a good
+    measure, clopen sets of equal measure are carried onto each other by
+    measure-preserving homeomorphisms).  A T in both would carry A ∩ B_i
+    onto A ∩ B_{i+1}, so each A ∩ B_i would be a clopen set of measure
+    v/n, which is not in V.  So N_v and N_n are disjoint, nonempty, open
+    and invariant, no conjugacy class is dense, and neither property holds.
+
+    A "no" on a rational set keeps its ``prime``/``exponent`` certificate,
+    and one on a set holding every rational its ``contains_unit_rationals``
+    /``non_divisible_symbol`` one, filled from the violation; any other
+    "no" carries the violation itself.
     """
     cls = V.classify()
     if not cls.group_like:
         raise NotGroupLike("descriptor is not group-like")
-    if V.is_purely_rational:
-        witness = V.rational.finite_exponent_witness()
-        if witness is None:
-            cert = {"ring_like": True, "rational_group": V.rational.to_json()}
-            return RokhlinVerdict("yes", "yes", cert)
-        p, e = witness
-        return RokhlinVerdict("no", "no", {"prime": p, "exponent": e})
+    if cls.ring_like:
+        cert = {"ring_like": True, "rational_group": V.rational.to_json()}
+        return RokhlinVerdict("yes", "yes", cert)
     if cls.q_like:
         return RokhlinVerdict("yes", "yes", {"q_like": True})
-    if V.rational.is_all_rationals:
-        broken = next(s.name for s, g in V.irr if not g.is_all_rationals)
-        cert = {"contains_unit_rationals": True, "non_divisible_symbol": broken}
-        return RokhlinVerdict("no", "no", cert)
-    return RokhlinVerdict("unknown", "unknown", {})
+    quotient = next((x for x in divisibility_closure_check(V) if x["kind"] == "quotient"), None)
+    if quotient is None:
+        return RokhlinVerdict("unknown", "unknown", {})
+    if V.is_purely_rational:
+        cert = {"prime": quotient["n"], "exponent": quotient["exponent"]}
+    elif V.rational.is_all_rationals:
+        cert = {"contains_unit_rationals": True, "non_divisible_symbol": quotient["symbol"]}
+    else:
+        cert = {"violation": quotient}
+    return RokhlinVerdict("no", "no", cert)
 
 
 def divisibility_closure_check(V: GroupDescriptor) -> list[dict]:
@@ -354,10 +371,9 @@ def divisibility_closure_check(V: GroupDescriptor) -> list[dict]:
     m = n**e, and ``{"kind": "quotient", "n": p, "exponent": f, "symbol":
     None or s}`` for v = 1/n**f or s/n**f.
 
-    Returns at most one violation of each kind, the product first.  Where
-    ``rokhlin_decide`` answers "yes" there is none, and where it answers "no"
-    there is one.  A violation on a set it leaves "unknown", such as
-    Z[1/2] + Z*s, is a fact about V, not a verdict on the Rokhlin property.
+    Returns at most one violation of each kind, the product first.  A
+    quotient violation is a proof that neither Rokhlin property holds
+    (``rokhlin_decide``), which answers "no" exactly when there is one.
     A descriptor that is not group-like raises ``NotGroupLike``, as in
     ``rokhlin_decide``.
     """

@@ -574,13 +574,6 @@ class RationalGroup:
     def is_ring_like(self) -> bool:
         return all(e in (0, INF) for _, e in self.exceptions)
 
-    def finite_exponent_witness(self) -> tuple[int, int] | None:
-        """Smallest prime with exponent outside {0, inf}, with its exponent."""
-        for p, e in self.exceptions:
-            if e not in (0, INF):
-                return p, int(e)
-        return None
-
     def to_json(self) -> dict:
         return {
             "default": "inf" if self.default == INF else "0",

@@ -164,7 +164,7 @@ def fiber_index_by_walk(chain: GoodMeasureChain, level: int) -> dict[str, tuple]
     """Per cell x of a level: the top cells over x in top order, their
     weights, the running sums of those weights and each sum mapped to its
     count, with the top's projection walked afresh link by link.  The
-    reference for ``GoodMeasureChain._fiber_index``, fresh or seeded."""
+    reference for ``GoodMeasureChain._fiber_index``."""
     over = {c: c for c in chain.top.cells}
     for k in range(chain.depth, level, -1):
         link = chain.links[k - 1].mapping

@@ -307,19 +307,12 @@ def _index_values(ch, index) -> dict[str, tuple]:
     }
 
 
-def _assert_fiber_indexes_fresh(ch) -> None:
-    """The index an amalgam seeded, and every other kept one, equals a
-    fresh ``_fiber_index`` and, read back, the walk; the kept ones stay in
-    place."""
-    if ch._seed is not None:
-        ch._fiber_index(ch._seed[0])  # read off the amalgam's placements
-    kept, seed = ch._fibers, ch._seed
-    ch._seed = None
-    for level, index in kept.items():
-        ch._fibers = {}
-        assert ch._fiber_index(level) == index
-        assert _index_values(ch, index) == fiber_index_by_walk(ch, level)
-    ch._fibers, ch._seed = kept, seed
+def _assert_fiber_indexes_fresh(ch, level: int) -> None:
+    """The index over the level, and every other kept one, read back, is
+    the one walked link by link."""
+    ch._fiber_index(level)
+    for kept, index in ch._fibers.items():
+        assert _index_values(ch, index) == fiber_index_by_walk(ch, kept)
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,48 +323,47 @@ def _assert_fiber_indexes_fresh(ch) -> None:
         st.sampled_from(["permute", "random", "split", "deepen"]), min_size=1, max_size=4
     ),
 )
-def test_amalgam_seeds_a_fresh_fiber_index(irrational, seed, kinds, dyadic, sqrt2_dyadic):
-    """After each challenge, appended or not, the index over the challenged
-    level is the one computed afresh, also when it was seeded from a
-    seeded one; a level appended by a cycle split (``deepen``) leaves no
-    seed behind."""
+def test_fiber_indexes_stay_fresh_across_challenges(irrational, seed, kinds, dyadic, sqrt2_dyadic):
+    """After each challenge, appended or not, every kept fiber index is the
+    walked one; a level appended by an amalgam or by a cycle split
+    (``deepen``) drops the old top's indexes."""
     rng = random.Random(seed)
     ch = _interval_top(rng, sqrt2_dyadic if irrational else dyadic)
     for kind in kinds:
         if kind == "deepen":
             ch.ensure_depth(ch.depth + 1)
-            assert ch._fibers == {} and ch._seed is None
+            assert ch._fibers == {}
             continue
         f2, level = _interval_challenge(rng, ch, kind)
         depth = ch.depth
         ch._respond(f2, level)
         if ch.depth > depth:  # nothing is indexed until it is asked for
-            assert ch._fibers == {} and ch._seed[0] == level
-        _assert_fiber_indexes_fresh(ch)
+            assert ch._fibers == {}
+        _assert_fiber_indexes_fresh(ch, level)
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3])
-def test_schedule_seeds_a_fresh_fiber_index_at_each_append(budget, sqrt2_dyadic, monkeypatch):
-    """Each amalgam the schedule appends leaves the index over the level it
-    answered equal to a fresh one, at level 0 and at the levels above it that
-    the morphism challenges name; the snapshot is the one an unwatched run
-    writes."""
+def test_schedule_keeps_fiber_indexes_fresh(budget, sqrt2_dyadic, monkeypatch):
+    """After each challenge the schedule answers, appended or not, every
+    kept fiber index is the walked one, at level 0 and at the levels above
+    it that the morphism challenges name; the snapshot is the one an
+    unwatched run writes."""
     real = GoodMeasureChain._respond
-    seeded = []
+    answered = []
 
     def checked(self, f2, level):
         depth = self.depth
         response = real(self, f2, level)
-        if self.depth > depth:
-            seeded.append(level)
-            _assert_fiber_indexes_fresh(self)
+        answered.append((level, self.depth > depth))
+        _assert_fiber_indexes_fresh(self, level)
         return response
 
     want = jsonutil.dumps(GoodMeasureChain(sqrt2_dyadic).run_schedule(budget).to_json())
     monkeypatch.setattr(GoodMeasureChain, "_respond", checked)
     ch = GoodMeasureChain(sqrt2_dyadic).run_schedule(budget)
-    assert len(seeded) == ch.depth
-    assert (max(seeded) > 0) == (budget > 1)
+    appended = [level for level, grew in answered if grew]
+    assert len(appended) == ch.depth
+    assert (max(appended) > 0) == (budget > 1)
     assert jsonutil.dumps(ch.to_json()) == want
 
 

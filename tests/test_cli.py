@@ -397,6 +397,17 @@ def test_find_morphism_exit_codes(files, capsys):
     assert code == 1 and not env["result"]["found"]
 
 
+@pytest.mark.parametrize("effort", [-1, -5])
+def test_find_morphism_refuses_a_negative_effort(files, capsys, effort):
+    """A negative budget runs no search, so it is refused as bad input, not
+    reported as used up."""
+    inp = files / "findm.json"
+    jsonutil.write(inp, {"src": [{"w": {"q": "1/2"}, "n": 2}],
+                         "tgt": [{"w": {"q": "1/2"}, "n": 2}]})
+    assert main(["find-morphism", "--input", str(inp), "--effort", str(effort)]) == 2
+    assert _one_line_error(capsys) == f"effort {effort} is negative"
+
+
 def test_check_closure_exit_codes(files, capsys):
     code, env = run(capsys, "check-closure", "--descriptor", str(files / "dyadic.json"))
     assert code == 0 and env["result"]["count"] == 0
@@ -456,6 +467,28 @@ def test_decide_rokhlin_unknown_is_no_verdict(files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "not decided: the Rokhlin property of this value set is unknown\n"
+
+
+@pytest.mark.parametrize("rational,group,quotient", [
+    ({"2": "inf"}, {}, {"kind": "quotient", "n": 2, "exponent": 0, "symbol": "s"}),
+    ({"2": "inf", "3": "inf"}, {"2": "inf"},
+     {"kind": "quotient", "n": 3, "exponent": 0, "symbol": "s"}),
+    ({"2": 2}, {"2": "inf"}, {"kind": "quotient", "n": 2, "exponent": 2, "symbol": None}),
+])
+def test_decide_rokhlin_answers_no_from_a_quotient_violation(files, capsys, rational, group,
+                                                             quotient):
+    """Z[1/2] + Z*s, Z[1/6] + Z[1/2]*s and exponent 2 at 2 plus Z[1/2]*s
+    answer no, exit 1, with the violation that check-closure finds."""
+    path = files / "quotient.json"
+    jsonutil.write(path, {"rational": {"default": "0", "exceptions": rational},
+                          "irrationals": [{"name": "s", "enclosure": SQRT2,
+                                           "group": {"default": "0", "exceptions": group}}]})
+    code, env = run(capsys, "decide-rokhlin", "--descriptor", str(path))
+    assert code == 1
+    assert env["result"] == {"strong_rokhlin": "no", "rokhlin": "no"}
+    assert env["certificate"] == {"violation": quotient}
+    code, closure = run(capsys, "check-closure", "--descriptor", str(path))
+    assert code == 1 and quotient in closure["result"]["violations"]
 
 
 def test_check_closure_rejects_non_group_like(files, capsys):
@@ -835,7 +868,31 @@ def _target_level(value):
     return doctor
 
 
+def _array_as_object(key):
+    """A doctored snapshot whose top-level array ``key`` is a JSON object
+    keyed by position; an empty ledger object once loaded as no ledger."""
+    def doctor(data):
+        data[key] = {} if key == "ledger" else {str(i): v for i, v in enumerate(data[key])}
+        return f"snapshot {key} is a JSON object, not an array"
+    return doctor
+
+
+def _level_cells_as_object(data):
+    k = len(data["levels"]) - 1
+    data["levels"][k]["cells"] = {c["id"]: c["w"] for c in data["levels"][k]["cells"]}
+    return f"level {k} cells is a JSON object, not an array"
+
+
+NOT_AN_ARRAY = {
+    "levels_not_an_array": _array_as_object("levels"),
+    "links_not_an_array": _array_as_object("links"),
+    "ledger_not_an_array": _array_as_object("ledger"),
+    "level_cells_not_an_array": _level_cells_as_object,
+}
+
+
 DOCTORED = {
+    **NOT_AN_ARRAY,
     "weight_outside_v": _weight_outside_v,
     "weight_not_an_object": _weight_not_an_object,
     "irrational_part_not_an_object": _irrational_part_not_an_object,
@@ -946,7 +1003,15 @@ def _position_fault(place, fault):
     return doctor
 
 
+def _value_error(doctor):
+    """``doctor`` with its reason as the whole line after ``invalid input: ``."""
+    def doctored(data):
+        return f"ValueError: {doctor(data)}"
+    return doctored
+
+
 DOCTORED_FORMAT_2 = {
+    **{name: _value_error(doctor) for name, doctor in NOT_AN_ARRAY.items()},
     "format_3": _format(3),
     "format_0": _format(0),
     "format_as_text": _format("2"),
@@ -954,9 +1019,7 @@ DOCTORED_FORMAT_2 = {
     "weights_missing": _weights_missing,
     "weights_not_an_array": _weights_not_an_array,
     "link_not_an_array": _link_not_an_array,
-    "level_cell_id_not_a_string": lambda data: (
-        f"ValueError: {_level_cell_id_not_a_string(data)}"
-    ),
+    "level_cell_id_not_a_string": _value_error(_level_cell_id_not_a_string),
     "challenge_cell_id_not_a_string": _challenge_cell_id_not_a_string,
     **{
         f"{name}_{fault}": _position_fault(place, fault)

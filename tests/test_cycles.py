@@ -506,10 +506,26 @@ def test_closure_agrees_with_rokhlin_decide(V):
     assume(V.classify().group_like)
     verdict = rokhlin_decide(V).rokhlin
     violations = divisibility_closure_check(V)
-    if verdict == "no":
-        assert violations
+    assert (verdict == "no") == any(x["kind"] == "quotient" for x in violations)
     if verdict == "yes":
         assert violations == []
+
+
+@pytest.mark.parametrize("rational,s_group,quotient", [
+    # Z[1/2] + Z*s: s/2 is not in V
+    (RationalGroup.make(0, {2: INF}), RationalGroup.integers(), _quotient(2, 0, "s2")),
+    # Z[1/6] + Z[1/2]*s: s/3 is not in V
+    (RationalGroup.make(0, {2: INF, 3: INF}), RationalGroup.make(0, {2: INF}),
+     _quotient(3, 0, "s2")),
+    # exponent 2 at 2, plus Z[1/2]*s: (1/4)/2 is not in V
+    (RationalGroup.make(0, {2: 2}), RationalGroup.make(0, {2: INF}), _quotient(2, 2)),
+])
+def test_a_quotient_violation_answers_no(rational, s_group, quotient):
+    """Beyond the rational and all-rationals sets, a "no" carries the
+    quotient violation that proves it."""
+    verdict = rokhlin_decide(GroupDescriptor.make(rational, {_S2: s_group}))
+    assert (verdict.strong_rokhlin, verdict.rokhlin) == ("no", "no")
+    assert verdict.certificate == {"violation": quotient}
 
 
 # -- dichotomy ------------------------------------------------------------------------------
