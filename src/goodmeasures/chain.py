@@ -807,16 +807,17 @@ class GoodMeasureChain:
         challenge maps as objects from cell ids to cell ids, and each
         ledger challenge as a partition with its weights; format 2 is
         positional (``to_json``).  Both are read as maps: a format-1 map is
-        its JSON object, and a format-2 map names the cell at each position
+        its JSON object, once each image is known to be a cell id
+        (``_object_map``), and a format-2 map names the cell at each position
         (``_named``).  The snapshot is parsed first: its levels, its links,
-        format 2's weight table and the ledger entries, each stage and
-        target level an integer in range and each format-2 position an
-        integer in range.  It is then checked: every distinct weight of the
-        levels and of the ledger challenges lies in V, level 0 has total 1,
-        each link maps level k+1 onto level k, each morphism challenge maps
-        onto its target level, each response maps its stage onto its
-        challenge, and a morphism response commutes with the chain
-        projection.
+        format 2's weight table and the ledger entries, each level and
+        ledger entry a JSON object, each stage and target level an integer
+        in range and each format-2 position an integer in range.  It is
+        then checked: every distinct weight of the levels and of the ledger
+        challenges lies in V, level 0 has total 1, each link maps level k+1
+        onto level k, each morphism challenge maps onto its target level,
+        each response maps its stage onto its challenge, and a morphism
+        response commutes with the chain projection.
 
         The mass checks are ``maps_onto`` over packed ints, not values: the
         distinct weights are packed once into one ``PackedValues`` with room
@@ -838,6 +839,7 @@ class GoodMeasureChain:
         memo: dict = {}  # one parse per distinct weight, see WeightedPartition.from_json
         levels = []
         for i, d in enumerate(parse_array(data["levels"], "snapshot levels")):
+            d = parse_object(d, f"level {i}")
             parse_array(d["cells"], f"level {i} cells")
             levels.append(WeightedPartition.from_json(d, symbols, memo))
         cells = [parse_ids(P.cells, f"level {i} cells") for i, P in enumerate(levels)]
@@ -845,7 +847,10 @@ class GoodMeasureChain:
         if len(links) != len(levels) - 1:
             raise ValueError(f"snapshot has {len(levels)} levels but {len(links)} links")
         if fmt == 1:
-            maps = [parse_object(d["map"], f"snapshot link {i} map") for i, d in enumerate(links)]
+            maps = [
+                _object_map(parse_object(d, f"snapshot link {i}")["map"], f"snapshot link {i} map")
+                for i, d in enumerate(links)
+            ]
         else:
             maps = [
                 _named(d, cells[i + 1], cells[i], f"snapshot link {i}")
@@ -861,12 +866,15 @@ class GoodMeasureChain:
         parsed = []  # (kind, stage, challenge, target level, challenge map, response map)
         for n, e in enumerate(parse_array(data["ledger"], "snapshot ledger")):
             what = f"ledger entry {n}"
+            e = parse_object(e, what)
             stage = parse_int(e["stage"])
             if not 0 <= stage < len(levels):
                 raise ValueError(f"{what}: stage {stage} is not a level of the snapshot")
             if fmt == 1:
-                obj = WeightedPartition.from_json(e["challenge"], symbols, memo)
-                response = parse_object(e["response"]["map"], f"{what}: response map")
+                challenge = parse_object(e["challenge"], f"{what}: challenge")
+                obj = WeightedPartition.from_json(challenge, symbols, memo)
+                response = parse_object(e["response"], f"{what}: response")["map"]
+                response = _object_map(response, f"{what}: response map")
             else:
                 ids = parse_ids(parse_array(e["cells"], f"{what}: cells"), f"{what}: cells")
                 w = parse_positions(e["weights"], len(ids), len(table), f"{what}: weights")
@@ -880,7 +888,7 @@ class GoodMeasureChain:
                         f"{what}: target level {target} is not a level at or below stage {stage}"
                     )
                 if fmt == 1:
-                    cm = parse_object(e["challenge_map"], f"{what}: challenge map")
+                    cm = _object_map(e["challenge_map"], f"{what}: challenge map")
                 else:
                     cm = _named(e["challenge_map"], ids, cells[target], f"{what}: challenge map")
             elif kind != "object":
@@ -926,6 +934,14 @@ class GoodMeasureChain:
             chain.ledger.append(LedgerEntry(kind, stage, obj, target, cm, response))
             chain._ledger_index[key] = n
         return chain
+
+
+def _object_map(value, what: str) -> Mapping[str, str]:
+    """A format-1 map: value, if it is a JSON object whose every image is a
+    cell id; otherwise the one-line ValueError of ``parse_object`` or
+    ``parse_ids``, naming the place."""
+    parse_ids(parse_object(value, what).values(), what)
+    return value
 
 
 def _named(value, source: Sequence[str], target: Sequence[str], what: str) -> dict[str, str]:

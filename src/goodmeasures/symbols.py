@@ -2,9 +2,15 @@
 
 A symbol is a named irrational constant in (0,1) with an oracle of nested
 integer enclosures.  ``compare`` decides the sign of an integer combination
-n0 + n1*s1 + ... + nk*sk against a rational by refining those enclosures,
-which terminates when the symbols are linearly independent over the
-rationals together with 1.
+n0 + n1*s1 + ... + nk*sk against a rational, by the kind of its symbols:
+
+* one ``sqrt`` symbol s = sqrt(d) + c: exactly, on integers, by
+  ``sqrt_sign``, which squares instead of refining, so the sign of every
+  such combination is decided, however close to 0 it lies;
+* a ``digits`` symbol, or two or more symbols: by refining the enclosures
+  up to ``_MAX_BITS``, which terminates when the symbols are linearly
+  independent over the rationals together with 1 and the combination is
+  not too close to 0; past that it is "undecided".
 """
 
 from __future__ import annotations
@@ -84,13 +90,15 @@ class IrrationalSymbol:
     oracle maps a stage k to an integer enclosure (lo, hi, d) of the symbol,
     an interval [lo/d, hi/d] of width at most 2**-k; successive intervals are
     nested.  ``depth`` is the deepest stage the oracle reaches, at most
-    ``_MAX_BITS``.
+    ``_MAX_BITS``.  ``root`` is (d, cn, cd) of a ``sqrt`` symbol
+    sqrt(d) + cn/cd, as ``sqrt_sign`` takes it, and None for other kinds.
     """
 
     name: str
     spec: tuple = field(compare=False)
     _bounds: Callable[[int], _Bounds] = field(compare=False, repr=False)
     depth: int = field(default=_MAX_BITS, compare=False, repr=False)
+    root: tuple[int, int, int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         lo, hi = self.enclosure(4)
@@ -102,7 +110,10 @@ class IrrationalSymbol:
         if radicand < 0 or math.isqrt(radicand) ** 2 == radicand:
             raise ValueError(f"symbol {name}: sqrt({radicand}) is not an irrational real")
         shift = Fraction(shift)
-        return IrrationalSymbol(name, ("sqrt", radicand, shift), _sqrt_bounds(radicand, shift))
+        root = (radicand, shift.numerator, shift.denominator)
+        return IrrationalSymbol(
+            name, ("sqrt", radicand, shift), _sqrt_bounds(radicand, shift), root=root
+        )
 
     @staticmethod
     def digits(name: str, base: int, digits: str) -> "IrrationalSymbol":
@@ -179,8 +190,37 @@ def enclose(nums, syms, bits: int) -> _Bounds:
     return lo, hi, d
 
 
+def sqrt_sign(x: int, y: int, root: tuple[int, int, int]) -> int:
+    """sign(x + y * (sqrt(d) + cn/cd)) for root = (d, cn, cd), d > 0 not a
+    square and cd > 0, decided on integers.
+
+    Times cd > 0 the value is a + b*sqrt(d) with a = x*cd + y*cn and
+    b = y*cd.  Unless a and b have opposite signs the sign is read off;
+    otherwise the term of larger magnitude decides, found by comparing a**2
+    with d*b**2, which are never equal since sqrt(d) is irrational.
+    """
+    d, cn, cd = root
+    a = x * cd + y * cn
+    b = y * cd
+    if a > 0:
+        return 1 if b >= 0 or a * a > d * b * b else -1
+    if a < 0:
+        return -1 if b <= 0 or a * a > d * b * b else 1
+    return (b > 0) - (b < 0)
+
+
 def compare(nums, syms, rn: int, rd: int) -> int:
-    """sign(nums[0] + sum of nums[i] * syms[i - 1] - rn/rd) for rd > 0, syms nonempty."""
+    """sign(nums[0] + sum of nums[i] * syms[i - 1] - rn/rd) for rd > 0, syms nonempty.
+
+    One ``sqrt`` symbol is decided exactly by ``sqrt_sign``.  Otherwise the
+    enclosures are refined at the precisions of ``stages`` until they lie
+    strictly on one side of rn/rd; if the last stage does not decide, the
+    sign is undecided and ``ArithmeticError`` is raised.
+    """
+    if len(syms) == 1:
+        root = syms[0].root
+        if root is not None:
+            return sqrt_sign(nums[0] * rd - rn, nums[1] * rd, root)
     for bits in stages(syms):
         lo, hi, d = enclose(nums, syms, bits)
         t = rn * d

@@ -5,8 +5,8 @@ rational coefficients on finitely many irrational symbols (``symbols``).
 Symbols are declared together with an enclosure oracle (nested rational
 intervals) and are linearly independent over the rationals together with 1
 (checked for ``sqrt`` symbols, trusted for ``digits`` symbols), so equality is
-decided coefficientwise and sign questions terminate by refining the
-enclosures.
+decided coefficientwise.  A sign over one ``sqrt`` symbol is decided exactly
+on integers; any other sign by refining the enclosures (``symbols.compare``).
 
 Value sets ("clopen values sets") are described by a ``GroupDescriptor``:
 a subgroup of the rationals given by prime exponents, plus one such subgroup
@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NonRationalScale, NotInV
 from .jsonutil import format_ratio, parse_int, parse_object, parse_ratio
-from .symbols import IrrationalSymbol, compare, enclose, stages
+from .symbols import IrrationalSymbol, compare, enclose, sqrt_sign, stages
 
 #: Exponent value standing for "all powers of the prime are admitted".
 INF = float("inf")
@@ -46,7 +46,8 @@ class ExactValue:
     coefficients are never stored and ``gcd(den, *nums) == 1``, so equality
     is plain field equality.  ``rational`` and ``coeffs`` are ``Fraction``
     views of these integers.  All arithmetic is exact; the comparison
-    operators refine symbol enclosures until the order is determined.  The
+    operators decide the order by ``symbols.compare``: exactly over one
+    ``sqrt`` symbol, by refining symbol enclosures otherwise.  The
     sign of an irrational value and the sort key of any value are worked out
     once per instance and then remembered.
 
@@ -163,8 +164,9 @@ class ExactValue:
     def _cmp(self, r: Fraction | int, d: int = 1) -> int:
         """sign(self - r/d) for an int or Fraction r and an int d > 0.
 
-        Refines this value's enclosure at the precisions of ``stages`` until
-        it lies strictly on one side of r/d.
+        Decided by ``symbols.compare``: on integers over one ``sqrt``
+        symbol, otherwise by refining this value's enclosure until it lies
+        strictly on one side of r/d.
         """
         rn, rd = r.numerator, r.denominator * d
         if not self.syms:
@@ -183,10 +185,10 @@ class ExactValue:
         return s
 
     # The order of exact values is decided here and nowhere else.  Against a
-    # rational side the irrational side's enclosure is refined directly
-    # (against 0 through the memoised sign); two irrational values compare
-    # by the sign of their difference.  The order is total, so the other
-    # three operators are __lt__ with the operands swapped or negated.
+    # rational side the irrational side is compared directly (against 0
+    # through the memoised sign); two irrational values compare by the sign
+    # of their difference.  The order is total, so the other three operators
+    # are __lt__ with the operands swapped or negated.
 
     def __lt__(self, other: "ExactValue") -> bool:
         if not other.syms:
@@ -333,6 +335,9 @@ class PackedValues:
     a symbol, ``den`` is ``slack`` times the listed values' common
     denominator, so that values somewhat finer than the listed ones still
     pack and the table is built again less often.
+
+    A table whose only symbol is a ``sqrt`` symbol keeps its root (d, cn,
+    cd) once, and ``sign`` hands its two coordinates to ``sqrt_sign``.
     """
 
     def __init__(self, values: Sequence[ExactValue], room: int, slack: int = 1):
@@ -343,6 +348,8 @@ class PackedValues:
         names = sorted(symbols)
         self._slot = {n: i for i, n in enumerate(names, 1)}
         self.syms = tuple(symbols[n] for n in names)
+        #: (d, cn, cd) of the table's one symbol if it is ``sqrt``, else None
+        self._root = self.syms[0].root if len(self.syms) == 1 else None
         self.den = den = math.lcm(1, *[v.den for v in values]) * (slack if symbols else 1)
         self.one = den
         self.cap = den  # the coordinates of 1 are (den, 0, ...)
@@ -457,7 +464,9 @@ class PackedValues:
     def sign(self, p: int) -> int:
         """The sign of a packed signed sum of at most ``room`` members,
         decided on its integer coordinates, zero coefficients left out, with
-        no value built.  With no symbol it is the int's own sign."""
+        no value built.  With no symbol it is the int's own sign; with one
+        ``sqrt`` symbol ``sqrt_sign`` decides it exactly from the two
+        coordinates; otherwise ``compare`` refines enclosures."""
         if not self.syms:
             return (p > 0) - (p < 0)
         x = p & self._mask
@@ -465,6 +474,9 @@ class PackedValues:
             x -= self._base
         if p == x:  # every symbol coordinate is 0
             return (x > 0) - (x < 0)
+        root = self._root
+        if root is not None:
+            return sqrt_sign(x, (p - x) >> self.width, root)
         coords = self._split(p)
         kept = [s for s, x in zip(self.syms, coords[1:]) if x]
         return compare([coords[0], *[x for x in coords[1:] if x]], kept, 0, 1)

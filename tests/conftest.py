@@ -56,6 +56,14 @@ def sqrt2_symbol() -> IrrationalSymbol:
     return IrrationalSymbol.sqrt("s2", 2, -1)
 
 
+def sqrt2_unit_power(n: int) -> tuple[int, int]:
+    """(a, b) with (sqrt(2) - 1)**n = a + b*s for s = sqrt(2) - 1, by s**2 = 1 - 2s."""
+    a, b = 1, 0
+    for _ in range(n):
+        a, b = b, a - 2 * b
+    return a, b
+
+
 @pytest.fixture(scope="session")
 def sqrt2_module() -> GroupDescriptor:
     """Z + Z*sqrt(2), presented through the shifted symbol sqrt(2)-1."""

@@ -14,6 +14,7 @@ from goodmeasures.chain import GoodMeasureChain
 from goodmeasures.cli import build_parser, main
 from goodmeasures.cycles import CycleTuple, TupleMorphism, verify_tuple_morphism
 
+from conftest import sqrt2_unit_power
 from oracles import snapshot_format1
 
 DYADIC = {"rational": {"default": "0", "exceptions": {"2": "inf"}}, "irrationals": []}
@@ -270,6 +271,24 @@ def test_undecided_sign_is_invalid_input(files, capsys):
     assert code == 2
     assert "sign undecided" in _one_line_error(capsys)
     assert not (files / "never.json").exists()
+
+
+@pytest.mark.parametrize("n", [1612, 4000])
+def test_decompose_decides_a_sign_past_the_enclosure_cap(files, capsys, n):
+    # (sqrt(2) - 1)**n as a + b*s: refinement to 4096 bits cannot tell its
+    # sign, squaring can, so the one-entry matrix is one cycle
+    a, b = sqrt2_unit_power(n)
+    weight = {"q": str(a), "irr": {"s2": str(b)}}
+    desc, mat = files / "sqrt2_dyadic.json", files / "unit_power.json"
+    jsonutil.write(desc, {
+        "rational": {"default": "0", "exceptions": {"2": "inf"}},
+        "irrationals": [{"name": "s2", "group": {"default": "0", "exceptions": {"2": "inf"}},
+                         "enclosure": {"kind": "sqrt", "radicand": 2, "shift": "-1"}}],
+    })
+    jsonutil.write(mat, {"level": 0, "entries": [{"from": "r", "to": "r", "w": weight}]})
+    code, env = run(capsys, "decompose", "--descriptor", str(desc), "--matrix", str(mat))
+    assert code == 0
+    assert env["result"] == {"count": 1, "cycles": [{"vertices": ["r"], "w": weight}]}
 
 
 def test_zero_denominator_is_invalid_input(files, capsys):
@@ -891,8 +910,72 @@ NOT_AN_ARRAY = {
 }
 
 
+def _entry_as_array(key, what):
+    """A doctored snapshot whose last entry of the top-level array ``key``
+    is written as the JSON array of its members' values."""
+    def doctor(data):
+        n = len(data[key]) - 1
+        data[key][n] = list(data[key][n].values())
+        return f"{what} {n} is a JSON array, not an object"
+    return doctor
+
+
+NOT_AN_OBJECT = {
+    "level_not_an_object": _entry_as_array("levels", "level"),
+    "ledger_entry_not_an_object": _entry_as_array("ledger", "ledger entry"),
+}
+
+
+def _link_not_an_object(data):
+    data["links"][0] = "r"
+    return "snapshot link 0 is a JSON string, not an object"
+
+
+def _map_image_not_a_cell_id(place):
+    """A doctored format-1 map whose first image is a JSON array holding it."""
+    def doctor(data):
+        m, what = place(data)
+        first = next(iter(m))
+        m[first] = [m[first]]
+        return f"{what} holds a JSON array, not a cell id"
+    return doctor
+
+
+def _link_map_1(data):
+    k = len(data["links"]) - 1
+    return data["links"][k]["map"], f"snapshot link {k} map"
+
+
+def _response_map_1(data):
+    n, e = next((n, e) for n, e in enumerate(data["ledger"]) if e["kind"] == "object")
+    return e["response"]["map"], f"ledger entry {n}: response map"
+
+
+def _response_not_an_object(data):
+    n, entry = next((n, e) for n, e in enumerate(data["ledger"]) if e["kind"] == "object")
+    entry["response"] = [entry["response"]["map"]]
+    return f"ledger entry {n}: response is a JSON array, not an object"
+
+
+def _challenge_not_an_object(data):
+    data["ledger"][0]["challenge"] = data["ledger"][0]["challenge"]["cells"]
+    return "ledger entry 0: challenge is a JSON array, not an object"
+
+
+def _challenge_map_1(data):
+    n, e = next((n, e) for n, e in enumerate(data["ledger"]) if e["kind"] == "morphism")
+    return e["challenge_map"], f"ledger entry {n}: challenge map"
+
+
 DOCTORED = {
     **NOT_AN_ARRAY,
+    **NOT_AN_OBJECT,
+    "link_not_an_object": _link_not_an_object,
+    "response_not_an_object": _response_not_an_object,
+    "challenge_not_an_object": _challenge_not_an_object,
+    "link_map_image_not_a_cell_id": _map_image_not_a_cell_id(_link_map_1),
+    "response_map_image_not_a_cell_id": _map_image_not_a_cell_id(_response_map_1),
+    "challenge_map_image_not_a_cell_id": _map_image_not_a_cell_id(_challenge_map_1),
     "weight_outside_v": _weight_outside_v,
     "weight_not_an_object": _weight_not_an_object,
     "irrational_part_not_an_object": _irrational_part_not_an_object,
@@ -1011,7 +1094,7 @@ def _value_error(doctor):
 
 
 DOCTORED_FORMAT_2 = {
-    **{name: _value_error(doctor) for name, doctor in NOT_AN_ARRAY.items()},
+    **{name: _value_error(doctor) for name, doctor in {**NOT_AN_ARRAY, **NOT_AN_OBJECT}.items()},
     "format_3": _format(3),
     "format_0": _format(0),
     "format_as_text": _format("2"),

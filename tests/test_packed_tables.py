@@ -5,8 +5,10 @@ towers, the schedule's answers and checks along a copy of a level make no
 checked with; and every table the chain keeps, built, inherited or rebuilt,
 reads back its level's weights."""
 
+import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -27,10 +29,10 @@ from goodmeasures.matrices import (
     verify_matrix_morphism,
 )
 from goodmeasures.partitions import PartitionMorphism, WeightedPartition, pushforward
-from goodmeasures.values import ONE, ExactValue
+from goodmeasures.values import ONE, ExactValue, IrrationalSymbol, PackedValues
 
-from conftest import E, random_balanced_matrix, random_partition
-from oracles import matrix_morphism_by_fibers
+from conftest import E, random_balanced_matrix, random_partition, sqrt2_symbol
+from oracles import matrix_morphism_by_fibers, unpack
 
 WATCHED = {
     "pushforward": pushforward,
@@ -116,6 +118,49 @@ def test_schedule_answers_add_no_value(sqrt2_dyadic, monkeypatch):
     assert seen == []
     assert any(pv.syms for pv, _ in chain._tables.values())
     assert_tables_fresh(chain)
+
+
+def _near_cancelling(rng, s: IrrationalSymbol) -> ExactValue:
+    """(a + b*s)/den with |b| up to 10**30 and a within a few units of -b*s."""
+    d, cn, cd = s.root
+    b = rng.choice([-1, 1]) * rng.randint(1, 10**30)
+    t = math.isqrt(b * b * d)
+    a = -(t if b > 0 else -t) - b * cn // cd + rng.randint(-3, 3)
+    den = rng.choice([1, 2, 3, 8])
+    return E(Fraction(a, den), {s: Fraction(b, den)})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sign_on_a_one_sqrt_table_is_the_sign_read_back(seed, monkeypatch):
+    """On a table whose one symbol is ``sqrt``, the sign of a packed signed
+    sum is decided from its two coordinates, with no ``_split`` and no
+    ``compare``, and is the sign of the value read back; where a 4096-bit
+    enclosure of that value lies on one side of 0, it is that side."""
+    rng = random.Random(f"one-sqrt/{seed}")
+    s = [sqrt2_symbol(), IrrationalSymbol.sqrt("s7", 7, "-5/2")][seed % 2]
+    values = [_near_cancelling(rng, s) for _ in range(6)]
+    values += [E(Fraction(rng.randint(-9, 9), 4), {s: Fraction(rng.randint(-9, 9), 2)})
+               for _ in range(6)]
+    room = 5
+    pv = PackedValues(values, room)
+    sums = []
+    for _ in range(200):
+        picked = rng.sample(range(len(values)), rng.randint(1, room))
+        sums.append(sum(rng.choice([-1, 1]) * pv.packed[i] for i in picked))
+
+    def forbidden(*args):
+        raise AssertionError("a one-sqrt table splits no list and calls no compare")
+
+    monkeypatch.setattr(values_module, "compare", forbidden)
+    monkeypatch.setattr(PackedValues, "_split", forbidden)
+    signs = [pv.sign(p) for p in sums]
+    monkeypatch.undo()
+    for p, sign in zip(sums, signs):
+        v = unpack(pv, p)
+        assert sign == v.sign()
+        lo, hi = v.interval(4096)
+        assert (lo > 0) <= (sign > 0) and (hi < 0) <= (sign < 0)
+    assert {-1, 1} <= set(signs)
 
 
 def test_from_json_builds_one_table_and_keeps_it(sqrt2_dyadic, monkeypatch):

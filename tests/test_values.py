@@ -23,9 +23,10 @@ from goodmeasures.values import (
     PackedValues,
     RationalGroup,
     ZERO,
+    check_all_in,
 )
 
-from conftest import E, alpha_module, sqrt2_symbol
+from conftest import E, alpha_module, sqrt2_symbol, sqrt2_unit_power
 from oracles import unpack, values_by_filter
 
 
@@ -973,6 +974,26 @@ def test_undecided_comparison_takes_few_rounds():
     with pytest.raises(ArithmeticError, match="sign undecided"):
         E(-1, {sym: 1}).sign()
     assert len(calls) <= 10 and calls[-1] == 4096
+
+
+@pytest.mark.parametrize("n,digits", [(1612, 617), (4000, 1531)])
+def test_sign_over_one_sqrt_symbol_is_decided_past_the_cap(sqrt2_module, n, digits):
+    """(sqrt(2) - 1)**n = a + b*s, with a and b of the given number of
+    digits, lies closer to 0 than b times the 4096-bit enclosure's width, so
+    refinement leaves its sign undecided; one ``sqrt`` symbol is decided by
+    squaring, in every comparison that reaches it."""
+    a, b = sqrt2_unit_power(n)
+    assert len(str(abs(a))) == len(str(abs(b))) == digits
+    s = sqrt2_symbol()
+    assert E(a, {s: b}).sign() == 1 and E(-a, {s: -b}).sign() == -1
+    v = E(a, {s: b})
+    assert ZERO < E(a, {s: b}) < ONE and v > ZERO and -v < ZERO
+    # 1/4 < sqrt(2) - 1 < 1/2
+    assert v._cmp(Fraction(1, 2**n)) == -1 and v._cmp(Fraction(1, 4**n)) == 1
+    assert sqrt2_module.member(v) and not sqrt2_module.member(-v)
+    check_all_in([v], sqrt2_module)
+    with pytest.raises(NotInV, match="is not positive"):
+        check_all_in([E(-a, {s: -b})], sqrt2_module)
 
 
 @pytest.mark.parametrize("length", [17, 20, 40])
