@@ -17,6 +17,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -48,6 +49,7 @@ from .partitions import (
     _value_json,
     lift_edges,
     maps_onto,
+    positions_onto,
     verify_morphism,
 )
 from .values import ExactValue, GroupDescriptor, ONE, PackedValues, check_all_in
@@ -133,42 +135,71 @@ def _obj_key(P: WeightedPartition) -> tuple:
     return ("object", P.sorted_weight_key())
 
 
-def _mor_key(target_level: int, m: PartitionMorphism) -> tuple:
-    body = tuple(
-        (c, m.source.weight(c).sort_key(), m.mapping[c]) for c in m.source.cells
-    )
+def _mor_key(target_level: int, source: WeightedPartition, images: Iterable[str]) -> tuple:
+    """The ledger key of a morphism challenge from source onto a level,
+    given the image of each source cell in cell order."""
+    weight = source.weights
+    body = tuple(zip(source.cells, [weight[c].sort_key() for c in source.cells], images))
     return ("morphism", target_level, body)
 
 
 @dataclass
 class LedgerEntry:
+    """An absorbed challenge and the chain's answer to it, held as positions.
+
+    ``response`` lists, for each cell of the stage in level order, the
+    position among the challenge's cells of its image: the lift of an
+    object challenge, or the response r of a morphism challenge.  A
+    morphism entry's ``challenge`` lists, for each challenge cell, the
+    position of its image among the target level's cells.  Each is a list
+    of ints that the entry owns.  ``stage_cells`` and ``target_cells`` are
+    those levels' cell tuples.  Format 2 writes the positions as they are;
+    ``response_map`` and ``challenge_map`` read them as maps from cell ids
+    to cell ids, built on first use and read only.
+    """
+
     kind: str  # "object" | "morphism"
     stage: int
     challenge_object: WeightedPartition
     target_level: int | None
-    challenge_map: Mapping[str, str] | None
-    response_map: Mapping[str, str]  # lift (object) or r (morphism), from levels[stage]
+    response: list[int]
+    challenge: list[int] | None
+    stage_cells: tuple[str, ...]
+    target_cells: tuple[str, ...] | None
 
-    def _to_json(self, stage_cells: Sequence[str], index: list[dict], table: dict) -> dict:
-        """The entry in format 2 (``GoodMeasureChain.to_json``), given its
-        stage's cells, each level's position of each cell, and the position
-        in the snapshot's weight table of each challenge weight met so far,
-        which it extends."""
+    @cached_property
+    def response_map(self) -> Mapping[str, str]:
+        """The response from the stage's cells onto the challenge's."""
+        return _as_map(self.stage_cells, self.challenge_object.cells, self.response)
+
+    @cached_property
+    def challenge_map(self) -> Mapping[str, str] | None:
+        """A morphism challenge from its cells onto the target level's, or None."""
+        if self.challenge is None:
+            return None
+        return _as_map(self.challenge_object.cells, self.target_cells, self.challenge)
+
+    def _to_json(self, table: dict) -> dict:
+        """The entry in format 2 (``GoodMeasureChain.to_json``), given the
+        position in the snapshot's weight table of each challenge weight met
+        so far, which it extends."""
         obj = self.challenge_object
-        at = {c: i for i, c in enumerate(obj.cells)}
-        response = self.response_map
         out: dict = {
             "kind": self.kind,
             "stage": self.stage,
             "cells": list(obj.cells),
             "weights": [table.setdefault(w, len(table)) for w in obj.weight_list()],
-            "response": [at[response[c]] for c in stage_cells],
+            "response": list(self.response),
         }
         if self.kind == "morphism":
-            below = index[self.target_level]
             out["target_level"] = self.target_level
-            out["challenge_map"] = [below[self.challenge_map[c]] for c in obj.cells]
+            out["challenge_map"] = list(self.challenge)
         return out
+
+
+def _as_map(source: Sequence[str], target: Sequence[str], positions: Sequence[int]) -> Mapping:
+    """A read-only map sending each source cell to the target cell at its position."""
+    return MappingProxyType(dict(zip(source, map(target.__getitem__, positions))))
 
 
 class GoodMeasureChain:
@@ -336,72 +367,79 @@ class GoodMeasureChain:
         if lift is None:
             # the collapse is valid: the target has total 1
             lift = self._respond(self._collapse(target), 0)
-        entry = LedgerEntry("object", self.depth, target, None, None, lift)
         self._ledger_index[key] = len(self.ledger)
-        self.ledger.append(entry)
-        return entry.stage
+        self.ledger.append(
+            LedgerEntry("object", self.depth, target, None, lift, None, self.top.cells, None)
+        )
+        return self.depth
 
     def _fiber_index(self, level: int) -> dict[str, tuple]:
-        """Per cell x of a level: the top cells over x in top order, their
-        packed weights in the top's table and those weights' ``_cumulative``,
-        computed on first use and kept for the top's lifetime (and its
-        table's)."""
+        """Per cell x of a level: the positions of the top cells over x, in
+        top order, their packed weights in the top's table and those
+        weights' ``_cumulative``, computed on first use and kept for the
+        top's lifetime (and its table's)."""
         fibers = self._fibers.get(level)
         if fibers is not None:
             return fibers
-        proj = self.composite_mapping(self.depth, level)
-        f1 = PartitionMorphism(self.top, self.levels[level], proj)
+        top = self.top
+        f1 = PartitionMorphism(top, self.levels[level], self.composite_mapping(self.depth, level))
         weight = self._table(self.depth)[1]
+        packed = [weight[c] for c in top.cells]
         fibers = self._fibers[level] = {}
-        for x, ys in f1.fibers().items():
-            left = [weight[y] for y in ys]
+        for x, ys in f1.fiber_positions().items():
+            left = [packed[y] for y in ys]
             fibers[x] = (ys, left, *_cumulative(left))
         return fibers
 
-    def _respond(self, f2: PartitionMorphism, level: int) -> dict[str, str]:
-        """Answer the challenge f2 onto a level; returns a map from the top
-        after this call onto f2's source.
+    def _respond(self, f2: PartitionMorphism, level: int) -> list[int]:
+        """Answer the challenge f2 onto a level; returns the response, a map
+        from the top after this call onto f2's source, as the position in
+        f2's source of the image of each top cell, in top order.
 
         Each challenge fiber is placed once among the top's cumulative sums
         over its cell (``partitions._place``).  If no sum cuts a top cell,
         each top cell maps to the challenge cell whose interval holds it: the
         ``p2 ∘ p1⁻¹`` of an amalgam as large as the top, read off without
-        building it.  Otherwise the same placements give the amalgam of the
-        top's projection with f2, the new top, and its p2 is the response.
-        Either way f2 ∘ response is the chain projection onto the level.
-        Precondition: f2 is a valid morphism onto the level.
+        building it; over level 0 it is one run of one position per
+        challenge cell.  Otherwise the same placements give the amalgam of
+        the top's projection with f2, the new top, and its p2 is the
+        response.  Either way f2 ∘ response is the chain projection onto
+        the level.  Precondition: f2 is a valid morphism onto the level.
 
         The walk adds and compares packed ints of the top's table, which
         takes f2's weights too (``_table``); each part of the amalgam is read
         back once, and the new top inherits the table.
         """
         source, depth = f2.source, len(self.links)
-        pv, _, right = self._table(
-            depth, source.weights.values(), len(self.levels[depth].cells) + len(source.cells)
+        top = self.levels[depth]
+        pv, _, weight = self._table(
+            depth, source.weight_list(), len(top.cells) + len(source.cells)
         )
-        fibers, weight = self._fiber_index(level), dict(zip(source.weights, right))
+        fibers = self._fiber_index(level)
         walks = []
-        for x, zs in f2.fibers().items():
+        for x, zs in f2.fiber_positions().items():
             ys, left, sums, index = fibers[x]
             right = [weight[z] for z in zs]
             walks.append((ys, zs, left, right, sums, _place(sums, index, right, pv)))
         if all(acc is None for *_, places in walks for _, acc in places):
-            return {
-                y: z
-                for ys, zs, *_, places in walks
-                for z, (start, _), (end, _) in zip(zs, [(0, None), *places], places)
-                for y in ys[start:end]
-            }
+            response = [0] * len(top.cells)
+            for ys, zs, *_, places in walks:
+                start = 0
+                for z, (end, _) in zip(zs, places):
+                    for y in ys[start:end]:
+                        response[y] = z
+                    start = end
+            return response
         refined = [
             (ys, zs, _parts(left, right, sums, places))
             for ys, zs, left, right, sums, places in walks
         ]
         # the amalgam of packed weights, then its parts read back as its weights
-        Gp, p1, p2 = _assemble(self.top, source, refined)
+        Gp, p1, p2 = _assemble(top, refined)
         G = WeightedPartition(Gp.cells, pv.unpacked(Gp.weights))
-        self._append_level(G, PartitionMorphism(G, self.top, p1.mapping))
+        self._append_level(G, PartitionMorphism(G, top, p1.mapping))
         self._adopt(pv, Gp.weights)
-        return p2.mapping
+        return p2
 
     def absorb_morphism(
         self, challenge: PartitionMorphism, target_level: int
@@ -419,23 +457,30 @@ class GoodMeasureChain:
         if not verify_morphism(f2):
             raise InvalidChallenge(f"challenge is not a valid morphism onto level {target_level}")
         check_all_in(challenge.source.weight_list(), self.V, "challenge weight")
-        return self._absorb_morphism(f2, target_level)
-
-    def _absorb_morphism(self, f2: PartitionMorphism, level: int) -> tuple[int, PartitionMorphism]:
-        """``absorb_morphism`` unchecked: f2 is a valid morphism of V-weights onto levels[level]."""
-        key = _mor_key(level, f2)
-        if key not in self._ledger_index:
-            r = self._respond(f2, level)
-            if not _commutes(f2.mapping, r, self.composite_mapping(self.depth, level)):
-                raise RuntimeError("absorption failed to commute; this is a bug")
-            self._ledger_index[key] = len(self.ledger)
-            self.ledger.append(LedgerEntry(
-                "morphism", self.depth, f2.source, level, dict(f2.mapping), r,
-            ))
-        entry = self.ledger[self._ledger_index[key]]
+        entry = self._absorb_morphism(f2, target_level)
         return entry.stage, PartitionMorphism(
             self.levels[entry.stage], f2.source, dict(entry.response_map)
         )
+
+    def _absorb_morphism(self, f2: PartitionMorphism, level: int) -> LedgerEntry:
+        """``absorb_morphism`` unchecked, returning the ledger entry: f2 is a
+        valid morphism of V-weights onto levels[level]."""
+        source, below = f2.source, self.levels[level].cells
+        images = [f2.mapping[c] for c in source.cells]
+        key = _mor_key(level, source, images)
+        n = self._ledger_index.get(key)
+        if n is None:
+            response = self._respond(f2, level)
+            at = {c: i for i, c in enumerate(below)}
+            challenge = [at[x] for x in images]
+            proj = self.composite_mapping(self.depth, level)
+            if not _commutes(challenge, response, [at[proj[c]] for c in self.top.cells]):
+                raise RuntimeError("absorption failed to commute; this is a bug")
+            n = self._ledger_index[key] = len(self.ledger)
+            self.ledger.append(LedgerEntry(
+                "morphism", self.depth, source, level, response, challenge, self.top.cells, below,
+            ))
+        return self.ledger[n]
 
     # -- deterministic schedule -------------------------------------------------
 
@@ -591,13 +636,12 @@ class GoodMeasureChain:
             if P.weight(c) != P.weight(f[c]):
                 raise WeightMismatch(f"{c} and {f[c]} have different weights")
         taken = set(tgts)
-        rest = _match_by_weight(
-            [c for c in P.cells if c not in f], [c for c in P.cells if c not in taken],
-            P.weights, P.weights,
-        )
+        src = [c for c in P.cells if c not in f]
+        dst = [c for c in P.cells if c not in taken]
+        rest = _match_by_weight(src, dst, P.weights, P.weights)
         if rest is None:
             raise RuntimeError("complement weights fail to match; this is a bug")
-        sigma = {**f, **rest}
+        sigma = {**f, **dict(zip(src, map(dst.__getitem__, rest)))}
         maps: dict[int, dict[str, str]] = {level: sigma}
         self._descend(maps, level)
         self._ascend_to_top(maps, level)
@@ -625,10 +669,11 @@ class GoodMeasureChain:
         Q = self.levels[k + 1]
         out: dict[str, str] = {}
         for c, d in sigma.items():
-            matched = _match_by_weight(children[c], children[d], Q.weights, Q.weights)
+            ys, zs = children[c], children[d]
+            matched = _match_by_weight(ys, zs, Q.weights, Q.weights)
             if matched is None:
                 return None
-            out.update(matched)
+            out.update(zip(ys, map(zs.__getitem__, matched)))
         return out
 
     def _transport_split(self, maps: dict[int, dict[str, str]], k: int) -> int:
@@ -783,17 +828,17 @@ class GoodMeasureChain:
         weight is formatted once per call.
         """
         formatted: dict = {}  # see WeightedPartition._to_json
-        index = [{c: i for i, c in enumerate(P.cells)} for P in self.levels]
         table: dict[ExactValue, int] = {}
-        ledger = [e._to_json(self.levels[e.stage].cells, index, table) for e in self.ledger]
+        ledger = [e._to_json(table) for e in self.ledger]
+        links = []
+        for P, link in zip(self.levels, self.links):
+            below = {c: i for i, c in enumerate(P.cells)}
+            links.append([below[link.mapping[c]] for c in link.source.cells])
         return {
             "descriptor": self.V.to_json(),
             "format": 2,
             "levels": [L._to_json(formatted, ONE) for L in self.levels],
-            "links": [
-                [below[link.mapping[c]] for c in link.source.cells]
-                for below, link in zip(index, self.links)
-            ],
+            "links": links,
             "weights": [_value_json(v, formatted) for v in table],
             "ledger": ledger,
         }
@@ -806,26 +851,29 @@ class GoodMeasureChain:
         Format 1, which has no ``format`` key, writes link, response and
         challenge maps as objects from cell ids to cell ids, and each
         ledger challenge as a partition with its weights; format 2 is
-        positional (``to_json``).  Both are read as maps: a format-1 map is
-        its JSON object, once each image is known to be a cell id
-        (``_object_map``), and a format-2 map names the cell at each position
-        (``_named``).  The snapshot is parsed first: its levels, its links,
-        format 2's weight table and the ledger entries, each level and
-        ledger entry a JSON object, each stage and target level an integer
-        in range and each format-2 position an integer in range.  It is
-        then checked: every distinct weight of the levels and of the ledger
-        challenges lies in V, level 0 has total 1, each link maps level k+1
-        onto level k, each morphism challenge maps onto its target level,
-        each response maps its stage onto its challenge, and a morphism
-        response commutes with the chain projection.
+        positional (``to_json``).  Both are read as positions: a format-2
+        map is its list, once ``parse_positions`` has checked it, and a
+        format-1 map is the position of each source cell's image, once each
+        image is known to be a cell id (``_object_positions``).  The
+        snapshot is parsed first: its levels, its links, format 2's weight
+        table and the ledger entries, each level and ledger entry a JSON
+        object, each stage and target level an integer in range and each
+        format-2 position an integer in range.  It is then checked: every
+        distinct weight of the levels and of the ledger challenges lies in
+        V, level 0 has total 1, each link maps level k+1 onto level k, each
+        morphism challenge maps onto its target level, each response maps
+        its stage onto its challenge, and a morphism response commutes with
+        the chain projection.
 
-        The mass checks are ``maps_onto`` over packed ints, not values: the
-        distinct weights are packed once into one ``PackedValues`` with room
-        for the largest partition, so every fiber sum and level 0's total
-        are exact.  Once they pass, every partition of the snapshot has
-        total 1, since level 0 does and links and responses preserve mass.
-        That table stays every level's weight table (``_table``), so the
-        chain builds none for a loaded level.
+        The mass checks are ``positions_onto`` over packed ints, not values:
+        the distinct weights are packed once into one ``PackedValues`` with
+        room for the largest partition, so every fiber sum and level 0's
+        total are exact.  Once they pass, every partition of the snapshot
+        has total 1, since level 0 does and links and responses preserve
+        mass.  That table stays every level's weight table (``_table``), so
+        the chain builds none for a loaded level.  A ledger entry keeps the
+        positions it was checked with, and a link gets its map from its
+        positions.
         """
         V = GroupDescriptor.from_json(data["descriptor"])
         chain = GoodMeasureChain(V)
@@ -841,19 +889,22 @@ class GoodMeasureChain:
         for i, d in enumerate(parse_array(data["levels"], "snapshot levels")):
             d = parse_object(d, f"level {i}")
             parse_array(d["cells"], f"level {i} cells")
-            levels.append(WeightedPartition.from_json(d, symbols, memo))
+            levels.append(WeightedPartition.from_json(d, symbols, memo, f"level {i}"))
         cells = [parse_ids(P.cells, f"level {i} cells") for i, P in enumerate(levels)]
         links = parse_array(data["links"], "snapshot links")
         if len(links) != len(levels) - 1:
             raise ValueError(f"snapshot has {len(levels)} levels but {len(links)} links")
         if fmt == 1:
-            maps = [
-                _object_map(parse_object(d, f"snapshot link {i}")["map"], f"snapshot link {i} map")
+            links = [
+                _object_positions(
+                    parse_object(d, f"snapshot link {i}")["map"], cells[i + 1], cells[i],
+                    f"snapshot link {i} map",
+                )
                 for i, d in enumerate(links)
             ]
         else:
-            maps = [
-                _named(d, cells[i + 1], cells[i], f"snapshot link {i}")
+            links = [
+                parse_positions(d, len(cells[i + 1]), len(cells[i]), f"snapshot link {i}")
                 for i, d in enumerate(links)
             ]
             table = []  # its weights join the memo; no partition is parsed after them
@@ -863,7 +914,7 @@ class GoodMeasureChain:
                 if value is None:
                     value = memo[key] = ExactValue.from_json(w, symbols)
                 table.append(value)
-        parsed = []  # (kind, stage, challenge, target level, challenge map, response map)
+        parsed = []  # (kind, stage, challenge, target level, challenge map, response)
         for n, e in enumerate(parse_array(data["ledger"], "snapshot ledger")):
             what = f"ledger entry {n}"
             e = parse_object(e, what)
@@ -872,14 +923,19 @@ class GoodMeasureChain:
                 raise ValueError(f"{what}: stage {stage} is not a level of the snapshot")
             if fmt == 1:
                 challenge = parse_object(e["challenge"], f"{what}: challenge")
-                obj = WeightedPartition.from_json(challenge, symbols, memo)
+                parse_array(challenge["cells"], f"{what}: challenge cells")
+                obj = WeightedPartition.from_json(challenge, symbols, memo, f"{what}: challenge")
                 response = parse_object(e["response"], f"{what}: response")["map"]
-                response = _object_map(response, f"{what}: response map")
+                response = _object_positions(
+                    response, cells[stage], obj.cells, f"{what}: response map"
+                )
             else:
                 ids = parse_ids(parse_array(e["cells"], f"{what}: cells"), f"{what}: cells")
                 w = parse_positions(e["weights"], len(ids), len(table), f"{what}: weights")
                 obj = _checked(list(zip(ids, map(table.__getitem__, w))), ())
-                response = _named(e["response"], cells[stage], ids, f"{what}: response")
+                response = list(parse_positions(
+                    e["response"], len(cells[stage]), len(ids), f"{what}: response"
+                ))
             kind, target, cm = e["kind"], None, None
             if kind == "morphism":
                 target = parse_int(e["target_level"])
@@ -888,9 +944,13 @@ class GoodMeasureChain:
                         f"{what}: target level {target} is not a level at or below stage {stage}"
                     )
                 if fmt == 1:
-                    cm = _object_map(e["challenge_map"], f"{what}: challenge map")
+                    cm = _object_positions(
+                        e["challenge_map"], obj.cells, cells[target], f"{what}: challenge map"
+                    )
                 else:
-                    cm = _named(e["challenge_map"], ids, cells[target], f"{what}: challenge map")
+                    cm = list(parse_positions(
+                        e["challenge_map"], len(ids), len(cells[target]), f"{what}: challenge map"
+                    ))
             elif kind != "object":
                 raise ValueError(f"{what}: unknown kind {kind!r}")
             parsed.append((kind, stage, obj, target, cm, response))
@@ -905,50 +965,60 @@ class GoodMeasureChain:
         # keyed by identity: the memo holds one object per distinct weight, so no value is hashed
         packed_of = dict(zip(map(id, values), pv.packed))
 
-        def packed(P: WeightedPartition) -> dict[str, int]:
-            return {c: packed_of[id(w)] for c, w in P.weights.items()}
+        def packed(P: WeightedPartition) -> list[int]:
+            # a parsed partition lists its weights in cell order
+            return [packed_of[id(w)] for w in P.weights.values()]
 
-        weights = [packed(P) for P in levels]  # each level's packed weights by cell
-        if sum(weights[0].values()) != pv.one:
+        weights = [packed(P) for P in levels]  # each level's packed weights, in cell order
+        if sum(weights[0]) != pv.one:
             raise ValueError(f"level 0 of the snapshot has total {levels[0].total}, expected 1")
         chain.levels = levels
-        chain._tables = {i: (pv, w) for i, w in enumerate(weights)}
-        for i, mapping in enumerate(maps):
-            if not maps_onto(mapping, weights[i + 1], weights[i]):
+        chain._tables = {i: (pv, dict(zip(cells[i], w))) for i, w in enumerate(weights)}
+        for i, pos in enumerate(links):
+            if pos is None or not positions_onto(pos, weights[i + 1], weights[i]):
                 raise ValueError(f"snapshot link {i} does not map level {i + 1} onto level {i}")
+            mapping = dict(zip(cells[i + 1], map(cells[i].__getitem__, pos)))
             chain.links.append(PartitionMorphism(levels[i + 1], levels[i], mapping))
         for n, (kind, stage, obj, target, cm, response) in enumerate(parsed):
             ow = packed(obj)
-            if kind == "morphism" and not maps_onto(cm, ow, weights[target]):
+            if kind == "morphism" and (cm is None or not positions_onto(cm, ow, weights[target])):
                 raise ValueError(f"ledger entry {n}: challenge does not map onto level {target}")
-            if not maps_onto(response, weights[stage], ow):
+            if response is None or not positions_onto(response, weights[stage], ow):
                 raise ValueError(
                     f"ledger entry {n}: response does not map level {stage} onto its challenge"
                 )
             if kind == "object":
-                key = _obj_key(obj)
+                below, key = None, _obj_key(obj)
             else:
-                if not _commutes(cm, response, chain.composite_mapping(stage, target)):
+                below = cells[target]
+                at = {c: i for i, c in enumerate(below)}
+                proj = chain.composite_mapping(stage, target)
+                if not _commutes(cm, response, [at[proj[c]] for c in cells[stage]]):
                     raise ValueError(f"ledger entry {n}: response does not commute with the chain")
-                key = _mor_key(target, PartitionMorphism(obj, levels[target], cm))
-            chain.ledger.append(LedgerEntry(kind, stage, obj, target, cm, response))
+                key = _mor_key(target, obj, map(below.__getitem__, cm))
+            chain.ledger.append(
+                LedgerEntry(kind, stage, obj, target, response, cm, cells[stage], below)
+            )
             chain._ledger_index[key] = n
         return chain
 
 
-def _object_map(value, what: str) -> Mapping[str, str]:
-    """A format-1 map: value, if it is a JSON object whose every image is a
-    cell id; otherwise the one-line ValueError of ``parse_object`` or
-    ``parse_ids``, naming the place."""
+def _object_positions(
+    value, source: Sequence[str], target: Sequence[str], what: str
+) -> list[int] | None:
+    """A format-1 map as positions: the position in target of the image of
+    each source cell, once ``parse_object`` and ``parse_ids`` have checked
+    that value is a JSON object of cell ids (or raised their one-line
+    ValueError, naming the place); None unless it maps exactly the source
+    cells, each to a target cell, which the mass check then refuses."""
     parse_ids(parse_object(value, what).values(), what)
-    return value
-
-
-def _named(value, source: Sequence[str], target: Sequence[str], what: str) -> dict[str, str]:
-    """A format-2 map read as a map: each source cell sent to the target
-    cell at its position, once ``parse_positions`` has checked the list."""
-    pos = parse_positions(value, len(source), len(target), what)
-    return dict(zip(source, map(target.__getitem__, pos)))
+    if len(value) != len(source):
+        return None
+    at = {c: i for i, c in enumerate(target)}
+    try:
+        return [at[value[c]] for c in source]
+    except KeyError:
+        return None
 
 
 def _den_slack(V: GroupDescriptor) -> int:
@@ -964,11 +1034,10 @@ def _den_slack(V: GroupDescriptor) -> int:
     return slack
 
 
-def _commutes(
-    challenge_map: Mapping[str, str], response_map: Mapping[str, str], proj: Mapping[str, str]
-) -> bool:
-    """challenge ∘ response equals proj, the chain projection from the response's stage."""
-    return all(challenge_map[response_map[c]] == t for c, t in proj.items())
+def _commutes(challenge: Sequence[int], response: Sequence[int], proj: Sequence[int]) -> bool:
+    """challenge ∘ response equals proj, the chain projection from the
+    response's stage onto the challenge's target level, all as positions."""
+    return [challenge[r] for r in response] == proj
 
 
 def _sums_to_one(values: list[ExactValue], room: int) -> list[tuple[int, ...]]:
@@ -1021,21 +1090,22 @@ def _sums_to_one(values: list[ExactValue], room: int) -> list[tuple[int, ...]]:
 def _match_by_weight(
     src: Sequence[str], dst: Sequence[str],
     src_weight: Mapping[str, ExactValue], dst_weight: Mapping[str, ExactValue],
-) -> dict[str, str] | None:
+) -> list[int] | None:
     """Pair the k-th cell of each weight in src with the k-th cell of that
-    weight in dst, or None when the weight multisets differ.  Weights are
-    hashed and tested for equality, never ordered: one bucket per weight is
-    filled in dst order and emptied in src order (every caller lists cells
-    in level order)."""
+    weight in dst; returns the position in dst of each src cell's partner,
+    or None when the weight multisets differ.  Weights are hashed and
+    tested for equality, never ordered: one bucket per weight is filled in
+    dst order and emptied in src order (every caller lists cells in level
+    order)."""
     if len(src) != len(dst):
         return None
-    buckets: dict[ExactValue, list[str]] = {}
-    for y in reversed(dst):
-        buckets.setdefault(dst_weight[y], []).append(y)
-    out: dict[str, str] = {}
+    buckets: dict[ExactValue, list[int]] = {}
+    for j in range(len(dst) - 1, -1, -1):
+        buckets.setdefault(dst_weight[dst[j]], []).append(j)
+    out: list[int] = []
     for x in src:
-        cells = buckets.get(src_weight[x])
-        if not cells:
+        at = buckets.get(src_weight[x])
+        if not at:
             return None
-        out[x] = cells.pop()
+        out.append(at.pop())
     return out

@@ -15,6 +15,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
 
+_INT, _STR = frozenset([int]), frozenset([str])
+
 
 def dumps(obj) -> str:
     """Canonical text of obj: the text of
@@ -54,6 +56,9 @@ def _encode(o, out, nl: str) -> None:
             out("[]")
             return
         inner = nl + "  "
+        if _INT.issuperset(map(type, o)):  # positions: one join, no call per member
+            out("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
+            return
         lead, sep = "[" + inner, "," + inner
         for v in o:
             out(lead)
@@ -86,7 +91,10 @@ def _reject_float(text: str):
 
 
 def loads(text: str):
-    return json.loads(text, parse_float=_reject_float)
+    """The value of JSON text.  A float, and the ``NaN``, ``Infinity`` and
+    ``-Infinity`` the stdlib parser accepts, raise ``TypeError`` wherever
+    they stand, before any command reads the value."""
+    return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
 
 
 def write(path: str | Path, obj) -> None:
@@ -152,9 +160,6 @@ def parse_array(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{what} is {json_type(value)}, not an array")
     return value
-
-
-_INT, _STR = frozenset([int]), frozenset([str])
 
 
 def parse_ids(value, what: str):

@@ -266,7 +266,9 @@ def _lift_to_response_level(
         CycleMatrix(tuple(f"{v}@{ci}" for v in verts), w)
         for ci, (verts, w) in enumerate(cycles)
     ]
-    stage, r = chain._absorb_morphism(projD, A.level)
+    entry = chain._absorb_morphism(projD, A.level)
+    stage = entry.stage
+    r = PartitionMorphism(chain.levels[stage], D, entry.response_map)
     edges = [e for cyc in d_cycles for e in cyc.edges()]
     B = BalancedMatrix(stage, _lifted(chain, r, stage, edges))
     return B, MatrixMorphism(compose(projD, r), B, A)

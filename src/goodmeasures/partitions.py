@@ -22,6 +22,7 @@ from itertools import accumulate, chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SumMismatch
+from .jsonutil import parse_object
 from .values import ExactValue, GroupDescriptor, PackedValues, ZERO, check_all_in
 
 
@@ -50,7 +51,7 @@ class WeightedPartition:
         return [self.weights[c] for c in self.cells]
 
     def sorted_weight_key(self):
-        return tuple(sorted(w.sort_key() for w in self.weight_list()))
+        return tuple(sorted([w.sort_key() for w in self.weights.values()]))
 
     def to_json(self) -> dict:
         return self._to_json({}, self.total)
@@ -65,8 +66,12 @@ class WeightedPartition:
         }
 
     @staticmethod
-    def from_json(data: Mapping, symbols, memo: dict) -> "WeightedPartition":
-        """The partition of data, refused as ``make`` refuses (``_checked``).
+    def from_json(
+        data: Mapping, symbols, memo: dict, what: str = "partition"
+    ) -> "WeightedPartition":
+        """The partition of data, whose cells are a JSON array, refused as
+        ``make`` refuses (``_checked``); a cell that is not a JSON object is
+        refused by a one-line ValueError naming ``what`` and the cell's index.
 
         ``memo``, kept for one snapshot, maps the repr of a weight's JSON to
         its value, so that each distinct weight is parsed, and its sign
@@ -74,21 +79,28 @@ class WeightedPartition:
         The weights new to the memo enter it once their partition is
         accepted, so it holds positive weights only.  The repr keeps JSON
         types apart where a dict key would not: ``1 == True``, but
-        ``"1" != "True"``."""
+        ``"1" != "True"``.  The cells are not tested one by one: a cell that
+        is not an object raises TypeError where it is read, and only then
+        is that cell named."""
         cells = []
         fresh: dict = {}  # repr -> (first cell, value) of each weight new to the memo
-        for e in data["cells"]:
-            w = e["w"]
-            key = repr(w)
-            value = memo.get(key)
-            if value is None:
-                first = fresh.get(key)
-                if first is None:
-                    value = ExactValue.from_json(w, symbols)
-                    fresh[key] = (e["id"], value)
-                else:
-                    value = first[1]
-            cells.append((e["id"], value))
+        try:
+            for e in data["cells"]:
+                w = e["w"]
+                key = repr(w)
+                value = memo.get(key)
+                if value is None:
+                    first = fresh.get(key)
+                    if first is None:
+                        value = ExactValue.from_json(w, symbols)
+                        fresh[key] = (e["id"], value)
+                    else:
+                        value = first[1]
+                cells.append((e["id"], value))
+        except TypeError:
+            k = len(cells)  # the cell being read
+            parse_object(data["cells"][k], f"{what} cell {k}")
+            raise
         P = _checked(cells, fresh.values())
         memo.update((key, value) for key, (_, value) in fresh.items())
         return P
@@ -136,6 +148,14 @@ class PartitionMorphism:
             out[self.mapping[c]].append(c)
         return out
 
+    def fiber_positions(self) -> dict[str, list[int]]:
+        """``fibers`` as the positions of those cells in the source."""
+        out: dict[str, list[int]] = {x: [] for x in self.target.cells}
+        mapping = self.mapping
+        for i, c in enumerate(self.source.cells):
+            out[mapping[c]].append(i)
+        return out
+
     def to_json(self) -> dict:
         return {"map": {c: self.mapping[c] for c in self.source.cells}}
 
@@ -153,6 +173,17 @@ def maps_onto(mapping: Mapping, source: Mapping, target: dict) -> bool:
     return pushforward(mapping, source) == target
 
 
+def positions_onto(positions: Sequence, source: Sequence, target: Sequence) -> bool:
+    """``maps_onto`` for a map held as positions: True iff ``positions``
+    gives, for each entry of the weight list ``source``, the position of
+    its image in the weight list ``target``, every target entry is an
+    image, and the weights over each sum to it.  A position out of range
+    names no target entry and fails.  Weights as in ``pushforward``."""
+    return len(positions) == len(source) and (
+        _image_sums(zip(positions, source)) == dict(enumerate(target))
+    )
+
+
 def pushforward(mapping: Mapping, source: Mapping) -> dict | None:
     """The mass ``mapping`` carries onto each image cell, in the order the
     images first appear, or None unless it is defined on exactly the cells
@@ -164,16 +195,20 @@ def pushforward(mapping: Mapping, source: Mapping) -> dict | None:
     """
     if len(mapping) != len(source):
         return None
-    weight = source.get
+    return _image_sums(zip(mapping.values(), map(source.get, mapping)))
+
+
+def _image_sums(pairs: Iterable[tuple]) -> dict | None:
+    """The sum of the weights paired with each image, in the order the
+    images first appear, or None if a weight is None (its cell is not a
+    source cell).  Every mass identity of the package is summed here."""
     sums: dict = {}
-    for c, x in mapping.items():
-        w = weight(c)
-        if w is None:  # not a source cell
+    get = sums.get
+    for x, w in pairs:
+        if w is None:
             return None
-        if x in sums:
-            sums[x] += w
-        else:
-            sums[x] = w
+        s = get(x)
+        sums[x] = w if s is None else s + w
     return sums
 
 
@@ -369,36 +404,40 @@ def amalgamate(
         raise ValueError("amalgamation needs valid morphisms")
     if f1.target.cells != f2.target.cells:
         raise ValueError("morphisms must share their target")
-    check_all_in(f1.source.weight_list(), V, "left entry")
-    check_all_in(f2.source.weight_list(), V, "right entry")
-    w1, w2 = f1.source.weights, f2.source.weights
-    fibers1, fibers2 = f1.fibers(), f2.fibers()
+    w1, w2 = f1.source.weight_list(), f2.source.weight_list()
+    check_all_in(w1, V, "left entry")
+    check_all_in(w2, V, "right entry")
+    fibers1, fibers2 = f1.fiber_positions(), f2.fiber_positions()
     refined = []
     for x in f1.target.cells:
         ys, zs = fibers1[x], fibers2[x]
         refined.append((ys, zs, _refine([w1[y] for y in ys], [w2[z] for z in zs])))
-    return _assemble(f1.source, f2.source, refined)
+    G, p1, p2 = _assemble(f1.source, refined)
+    images = f2.source.cells
+    return G, p1, PartitionMorphism(G, f2.source, dict(zip(G.cells, map(images.__getitem__, p2))))
 
 
 def _assemble(
-    E1: WeightedPartition, E2: WeightedPartition, refined
-) -> tuple[WeightedPartition, PartitionMorphism, PartitionMorphism]:
-    """The amalgam (G, p1: G -> E1, p2: G -> E2) of jointly refined fibers.
+    E1: WeightedPartition, refined
+) -> tuple[WeightedPartition, PartitionMorphism, list[int]]:
+    """The amalgam (G, p1: G -> E1, p2: G -> E2) of jointly refined fibers
+    of a cospan E1 -> F <- E2, p2 as the position in E2 of the image of
+    each cell of G.
 
-    ``refined`` holds (ys, zs, parts) per cell of the common target: each
-    part (w, i, j) is a cell of weight w over ys[i] and zs[j], named after
+    ``refined`` holds (ys, zs, parts) per cell of the common target, ys and
+    zs the positions of its fibers in E1 and E2: each part (w, i, j) is a
+    cell of weight w over E1's cell ys[i] and E2's cell zs[j], named after
     its p1-image (``_subdivide``), and the square commutes.
     """
-    weights: dict[str, list[ExactValue]] = {y: [] for y in E1.cells}
-    images: dict[str, list[str]] = {y: [] for y in E1.cells}
+    weights: list[list[ExactValue]] = [[] for _ in E1.cells]
+    images: list[list[int]] = [[] for _ in E1.cells]
     for ys, zs, parts in refined:
         for w, i, j in parts:
-            weights[ys[i]].append(w)
-            images[ys[i]].append(zs[j])
-    p1 = _subdivide(E1, weights)
-    G = p1.source
-    p2 = dict(zip(G.cells, chain.from_iterable(images.values())))
-    return G, p1, PartitionMorphism(G, E2, p2)
+            y = ys[i]
+            weights[y].append(w)
+            images[y].append(zs[j])
+    p1 = _subdivide(E1, dict(zip(E1.cells, weights)))
+    return p1.source, p1, list(chain.from_iterable(images))
 
 
 def split_cell(

@@ -211,7 +211,20 @@ class ExactValue:
         return not ExactValue.__lt__(self, other)
 
     def floor(self) -> int:
-        # a rational value is decided at the first stage
+        """The greatest integer at most this value.
+
+        Over one ``sqrt`` symbol it is exact, however close the value lies
+        to an integer: one enclosure of width at most 1/2 puts the floor at
+        its lower end's floor k or at k + 1, and two comparisons, decided on
+        integers (``_cmp``), settle which.  Otherwise the enclosures are
+        refined until both ends have one floor; a rational value is decided
+        at the first stage.
+        """
+        if len(self.syms) == 1 and self.syms[0].root is not None:
+            # the coefficient's enclosure at |nums[1]|.bit_length() + 1 bits is at most 1/2 wide
+            lo, _, d = enclose(self.nums, self.syms, abs(self.nums[1]).bit_length() + 1)
+            k = lo // (d * self.den)
+            return k - (self._cmp(k) < 0) + (self._cmp(k + 1) >= 0)
         for bits in stages(self.syms):
             lo, hi, d = enclose(self.nums, self.syms, bits)
             d *= self.den

@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 
 from goodmeasures.chain import AutomorphismPrefix, GoodMeasureChain
 from goodmeasures.cycles import CycleTuple, TupleMorphism, _sorted_with_positions
-from goodmeasures.errors import DepthTooShallow, MassMismatch, NotEquiSummed
+from goodmeasures.errors import DepthTooShallow, MassMismatch, NotEquiSummed, PrecisionExhausted
 from goodmeasures.matrices import BalancedMatrix, MatrixMorphism
 from goodmeasures.partitions import (
     PartitionMorphism,
@@ -20,6 +20,7 @@ from goodmeasures.partitions import (
     _assemble,
     verify_morphism,
 )
+from goodmeasures.symbols import enclose, stages
 from goodmeasures.values import (
     ExactValue,
     GroupDescriptor,
@@ -160,6 +161,21 @@ def unpack(pv: PackedValues, p: int) -> ExactValue:
     return _reduced(pv.den, nums, pv.syms)
 
 
+def floor_by_enclosures(v: ExactValue) -> int | None:
+    """The floor of v read off the first of its stage enclosures whose two
+    ends have one floor, or None when no stage decides it: the engine's
+    former ``ExactValue.floor``, the reference wherever it decides."""
+    for bits in stages(v.syms):
+        try:
+            lo, hi, d = enclose(v.nums, v.syms, bits)
+        except PrecisionExhausted:
+            return None
+        d *= v.den
+        if lo // d == hi // d:
+            return lo // d
+    return None
+
+
 def fiber_index_by_walk(chain: GoodMeasureChain, level: int) -> dict[str, tuple]:
     """Per cell x of a level: the top cells over x in top order, their
     weights, the running sums of those weights and each sum mapped to its
@@ -222,14 +238,17 @@ def peel_amalgam(
     f1: PartitionMorphism, f2: PartitionMorphism
 ) -> tuple[WeightedPartition, PartitionMorphism, PartitionMorphism]:
     """The amalgam of a cospan of valid morphisms, each fiber refined by
-    ``peel_refinement`` and assembled as the engine assembles its own."""
-    w1, w2 = f1.source.weights, f2.source.weights
-    fibers1, fibers2 = f1.fibers(), f2.fibers()
+    ``peel_refinement`` and assembled as the engine assembles its own, p2
+    read back from positions as a morphism."""
+    w1, w2 = f1.source.weight_list(), f2.source.weight_list()
+    fibers1, fibers2 = f1.fiber_positions(), f2.fiber_positions()
     refined = []
     for x in f1.target.cells:
         ys, zs = fibers1[x], fibers2[x]
         refined.append((ys, zs, peel_refinement([w1[y] for y in ys], [w2[z] for z in zs])))
-    return _assemble(f1.source, f2.source, refined)
+    G, p1, p2 = _assemble(f1.source, refined)
+    images = f2.source.cells
+    return G, p1, PartitionMorphism(G, f2.source, {g: images[z] for g, z in zip(G.cells, p2)})
 
 
 def morphism_by_sets(m: PartitionMorphism) -> bool:

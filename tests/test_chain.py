@@ -285,7 +285,9 @@ def test_respond_matches_peel_amalgam(irrational, seed, kind, dyadic, sqrt2_dyad
     f2, level = _interval_challenge(rng, ch, kind)
     top, depth = ch.top, ch.depth
     G, p1, p2 = peel_amalgam(ch.composite_morphism(depth, level), f2)
-    response = ch._respond(f2, level)
+    positions = ch._respond(f2, level)
+    assert len(positions) == len(ch.top.cells) and all(type(z) is int for z in positions)
+    response = dict(zip(ch.top.cells, [f2.source.cells[z] for z in positions]))
     if len(G.cells) == len(top.cells):
         assert ch.depth == depth
         assert response == {p1.mapping[g]: p2.mapping[g] for g in G.cells}
@@ -299,10 +301,13 @@ def test_respond_matches_peel_amalgam(irrational, seed, kind, dyadic, sqrt2_dyad
 
 
 def _index_values(ch, index) -> dict[str, tuple]:
-    """A fiber index of packed ints read back in the top's table."""
+    """A fiber index of top positions and packed ints read back as top
+    cells and values in the top's table."""
     value = ch._tables[ch.depth][0].unpack
+    cells = ch.top.cells
     return {
-        x: (ys, [*map(value, left)], [*map(value, sums)], {value(s): n for s, n in at.items()})
+        x: ([cells[y] for y in ys], [*map(value, left)], [*map(value, sums)],
+            {value(s): n for s, n in at.items()})
         for x, (ys, left, sums, at) in index.items()
     }
 
@@ -386,9 +391,9 @@ def test_schedule_builds_one_amalgam_per_level(sqrt2_dyadic, monkeypatch):
     """Only a challenge that needs a finer level builds an amalgam."""
     calls = []
 
-    def counting(E1, E2, refined):
-        calls.append(E2)
-        return _assemble(E1, E2, refined)
+    def counting(E1, refined):
+        calls.append(E1)
+        return _assemble(E1, refined)
 
     monkeypatch.setattr(chain_module, "_assemble", counting)
     ch = GoodMeasureChain(sqrt2_dyadic)
@@ -887,6 +892,103 @@ def test_format2_round_trip_gives_identical_bytes(irrational, seed, steps, dyadi
     assert snapshot_format1(loaded) == snapshot_format1(ch)
 
 
+# -- the ledger held as positions ----------------------------------------------------------
+
+
+def assert_ledger_positional(chain):
+    """Each entry holds its response, and a morphism entry its challenge
+    map, as a list of ints of its own, one per source cell, each a position
+    in the target; its maps read those positions."""
+    for e in chain.ledger:
+        stage, obj = chain.levels[e.stage].cells, e.challenge_object.cells
+        assert type(e.response) is list and len(e.response) == len(stage)
+        assert all(type(p) is int and 0 <= p < len(obj) for p in e.response)
+        assert e.stage_cells is stage
+        assert dict(e.response_map) == {c: obj[p] for c, p in zip(stage, e.response)}
+        if e.kind == "object":
+            assert e.challenge is None and e.challenge_map is None
+            continue
+        below = chain.levels[e.target_level].cells
+        assert type(e.challenge) is list and len(e.challenge) == len(obj)
+        assert all(type(p) is int and 0 <= p < len(below) for p in e.challenge)
+        assert dict(e.challenge_map) == {c: below[p] for c, p in zip(obj, e.challenge)}
+
+
+def test_ledger_holds_positions_built_and_loaded_from_either_format(dyadic, sqrt2_dyadic):
+    text = (FIXTURES / "dyadic_budget3_before_relabel.json").read_text(encoding="utf-8")
+    for V in (dyadic, sqrt2_dyadic):
+        built = GoodMeasureChain(V).run_schedule(2)
+        assert_ledger_positional(built)
+        data = jsonutil.loads(jsonutil.dumps(built.to_json()))
+        loaded = GoodMeasureChain.from_json(data)
+        assert_ledger_positional(loaded)
+        # the loaded entries own their positions: changing the JSON changes no entry
+        before = [list(e.response) for e in loaded.ledger]
+        for entry in data["ledger"]:
+            entry["response"].reverse()
+        assert [e.response for e in loaded.ledger] == before
+    assert_ledger_positional(GoodMeasureChain.from_json(jsonutil.loads(text)))
+
+
+def test_ledger_maps_are_read_only():
+    ch = GoodMeasureChain(GroupDescriptor.dyadic())
+    ch.absorb_object(obj("1/2", "1/2"))
+    entry = ch.ledger[-1]
+    with pytest.raises(TypeError):
+        entry.response_map["r/0"] = "x1"
+    assert entry.response_map is entry.response_map  # built once
+
+
+@pytest.mark.parametrize("budget, digest", [
+    (2, "5b75d4695ee154b9dc3cc8d4b9e60411529ae3e65db0bed20ecd27dd5a793fbf"),
+    (3, "63b5ec1c9754224c4cf6da91d6f4b124e804272a97bd707c31ccdb72d5144518"),
+    (4, "2bbc45965fd68765fbed99c0bb30b436f532ba42c803e846c4ee871abe1c540a"),
+], ids=["budget2", "budget3", "budget4"])
+def test_sqrt2_dyadic_snapshot_round_trips_byte_for_byte(sqrt2_dyadic, budget, digest):
+    """Written, parsed, loaded and written again, a schedule's snapshot
+    keeps its bytes, the digests of the snapshots written when the ledger
+    held its maps as dicts."""
+    text = jsonutil.dumps(GoodMeasureChain(sqrt2_dyadic).run_schedule(budget).to_json())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    loaded = GoodMeasureChain.from_json(jsonutil.loads(text))
+    assert jsonutil.dumps(loaded.to_json()) == text
+
+
+def test_format1_fixture_loads_its_json_maps():
+    text = (FIXTURES / "dyadic_budget3_before_relabel.json").read_text(encoding="utf-8")
+    data = jsonutil.loads(text)
+    ch = GoodMeasureChain.from_json(data)
+    assert len(ch.ledger) == len(data["ledger"])
+    for e, written in zip(ch.ledger, data["ledger"]):
+        assert dict(e.response_map) == written["response"]["map"]
+        if e.kind == "morphism":
+            assert dict(e.challenge_map) == written["challenge_map"]
+
+
+def test_non_monotone_format1_response_loads():
+    """A format-1 response whose images, in stage order, go back to an
+    earlier challenge cell is a valid map: it loads as positions, not
+    assumed to run in order, and is written back in format 2 as it is."""
+    ch = GoodMeasureChain(GroupDescriptor.dyadic())
+    ch.absorb_object(obj("1/4", "1/4", "1/2"))
+    ch.absorb_object(obj("1/2", "1/2"))
+    data = snapshot_format1(ch)
+    n, entry = next((n, e) for n, e in enumerate(data["ledger"])
+                    if len(e["challenge"]["cells"]) == 2)
+    response = entry["response"]["map"]
+    first, second = entry["challenge"]["cells"][0]["id"], entry["challenge"]["cells"][1]["id"]
+    # the top's quarters go to one challenge cell, its half to the other: swapped, each
+    # challenge cell still carries 1/2
+    assert set(response.values()) == {first, second}
+    response.update({c: second if x == first else first for c, x in response.items()})
+    loaded = GoodMeasureChain.from_json(data)
+    positions = loaded.ledger[n].response
+    assert positions != sorted(positions)
+    assert dict(loaded.ledger[n].response_map) == response
+    again = GoodMeasureChain.from_json(jsonutil.loads(jsonutil.dumps(loaded.to_json())))
+    assert again.ledger[n].response == positions
+
+
 def test_sqrt2_module_chain(sqrt2_module):
     ch = GoodMeasureChain(sqrt2_module)
     ch.run_schedule(1)
@@ -1053,7 +1155,7 @@ def test_engine_builds_partitions_without_arithmetic(sqrt2_dyadic, monkeypatch):
     values_ = sqrt2_dyadic.enumerate_values(3)
     E1 = WeightedPartition.make([("a0", s), ("a1", ONE - s)])
     E2 = WeightedPartition.make([("b0", E("1/2")), ("b1", E("1/2"))])
-    refined = [(E1.cells, E2.cells, _refine(E1.weight_list(), E2.weight_list()))]
+    refined = [([0, 1], [0, 1], _refine(E1.weight_list(), E2.weight_list()))]
     calls = []
 
     def counted(name):
@@ -1068,7 +1170,7 @@ def test_engine_builds_partitions_without_arithmetic(sqrt2_dyadic, monkeypatch):
         monkeypatch.setattr(ExactValue, name, counted(name))
     ch = GoodMeasureChain(sqrt2_dyadic)
     challenges = ch._object_challenges(2, values_)
-    G, _, _ = _assemble(E1, E2, refined)
+    G, _, _ = _assemble(E1, refined)
     # the cycles cross as packed ints of the root's table, 1 - s a difference
     pv, weight, (ps,) = ch._table(0, [s], 2)
     ch._append_cycle_split([(["r"], ps), (["r"], weight["r"] - ps)], pv)

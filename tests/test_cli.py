@@ -232,6 +232,38 @@ def test_json_float_in_descriptor_is_invalid_input(files, capsys):
     assert "inexact number -0.5" in _one_line_error(capsys)
 
 
+_NAN_LINE = ('invalid input: TypeError: inexact number {}; '
+             'write fractions as strings such as "1/10"')
+
+
+@pytest.mark.parametrize("command", ["check-compat", "witness"])
+def test_snapshot_format_nan_is_an_inexact_number(files, capsys, command):
+    """NaN is refused where the JSON is parsed, as a float is, not read as a
+    format that is "a JSON number, not a number"."""
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    text = snap.read_text(encoding="utf-8")
+    assert '"format": 2,' in text
+    doctored = files / "nan.json"
+    doctored.write_text(text.replace('"format": 2,', '"format": NaN,'), encoding="utf-8")
+    assert main(_load_commands(doctored, mat, prefix)[command]) == 2
+    assert _one_line_error(capsys) == _NAN_LINE.format("NaN")
+
+
+@pytest.mark.parametrize("constant", ["Infinity", "-Infinity"])
+def test_infinity_under_an_unread_key_is_refused_before_the_work(files, capsys, constant):
+    """A key no parser reads is refused when the file is parsed: witness
+    writes no snapshot and prints nothing on stdout."""
+    snap, mat, _ = _snapshot_inputs(files, capsys)
+    text = snap.read_text(encoding="utf-8")
+    doctored = files / "infinite.json"
+    doctored.write_text(text.replace("{\n", f'{{\n  "note": {constant},\n', 1), encoding="utf-8")
+    out = files / "extended.json"
+    code = main(["witness", "--matrix", str(mat), "--snapshot", str(doctored),
+                 "--out-snapshot", str(out)])
+    assert code == 2 and not out.exists()
+    assert _one_line_error(capsys) == _NAN_LINE.format(constant)
+
+
 @pytest.mark.parametrize("radicand", [4, 0])
 def test_rational_sqrt_symbol_is_invalid_input(files, capsys, radicand):
     desc = files / "square.json"
@@ -920,9 +952,21 @@ def _entry_as_array(key, what):
     return doctor
 
 
+def _cell_as_array(cells, what: str) -> str:
+    """Write the second of cells as the JSON array of its id and weight."""
+    cells[1] = [cells[1]["id"], cells[1]["w"]]
+    return f"{what} cell 1 is a JSON array, not an object"
+
+
+def _level_cell_as_array(data):
+    k = len(data["levels"]) - 1
+    return _cell_as_array(data["levels"][k]["cells"], f"level {k}")
+
+
 NOT_AN_OBJECT = {
     "level_not_an_object": _entry_as_array("levels", "level"),
     "ledger_entry_not_an_object": _entry_as_array("ledger", "ledger entry"),
+    "level_cell_not_an_object": _level_cell_as_array,
 }
 
 
@@ -962,6 +1006,22 @@ def _challenge_not_an_object(data):
     return "ledger entry 0: challenge is a JSON array, not an object"
 
 
+def _format1_challenge(data):
+    return next((n, e["challenge"]) for n, e in enumerate(data["ledger"])
+                if len(e["challenge"]["cells"]) > 1)
+
+
+def _challenge_cell_as_array(data):
+    n, challenge = _format1_challenge(data)
+    return _cell_as_array(challenge["cells"], f"ledger entry {n}: challenge")
+
+
+def _challenge_cells_as_object(data):
+    n, challenge = _format1_challenge(data)
+    challenge["cells"] = {c["id"]: c["w"] for c in challenge["cells"]}
+    return f"ledger entry {n}: challenge cells is a JSON object, not an array"
+
+
 def _challenge_map_1(data):
     n, e = next((n, e) for n, e in enumerate(data["ledger"]) if e["kind"] == "morphism")
     return e["challenge_map"], f"ledger entry {n}: challenge map"
@@ -973,6 +1033,8 @@ DOCTORED = {
     "link_not_an_object": _link_not_an_object,
     "response_not_an_object": _response_not_an_object,
     "challenge_not_an_object": _challenge_not_an_object,
+    "challenge_cell_not_an_object": _challenge_cell_as_array,
+    "challenge_cells_not_an_array": _challenge_cells_as_object,
     "link_map_image_not_a_cell_id": _map_image_not_a_cell_id(_link_map_1),
     "response_map_image_not_a_cell_id": _map_image_not_a_cell_id(_response_map_1),
     "challenge_map_image_not_a_cell_id": _map_image_not_a_cell_id(_challenge_map_1),

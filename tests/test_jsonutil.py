@@ -79,3 +79,21 @@ def test_dumps_refuses_floats_non_json_values_and_non_string_keys(obj):
 def test_float_in_dumps_names_the_contract():
     with pytest.raises(TypeError, match="inexact number 1.5"):
         jsonutil.dumps({"w": [1.5]})
+
+
+@pytest.mark.parametrize("text, constant", [
+    ("NaN", "NaN"),
+    ("Infinity", "Infinity"),
+    ("-Infinity", "-Infinity"),
+    ('{"format": NaN}', "NaN"),
+    ('{"unread": [1, {"deep": Infinity}]}', "Infinity"),
+    ('[0, -Infinity]', "-Infinity"),
+])
+def test_loads_refuses_nan_and_infinity_as_it_refuses_floats(text, constant):
+    want = f'inexact number {constant}; write fractions as strings such as "1/10"'
+    with pytest.raises(TypeError) as err:
+        jsonutil.loads(text)
+    assert str(err.value) == want
+    with pytest.raises(TypeError) as err:
+        jsonutil.loads("1.5")
+    assert str(err.value) == want.replace(constant, "1.5")

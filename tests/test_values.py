@@ -27,7 +27,7 @@ from goodmeasures.values import (
 )
 
 from conftest import E, alpha_module, sqrt2_symbol, sqrt2_unit_power
-from oracles import unpack, values_by_filter
+from oracles import floor_by_enclosures, unpack, values_by_filter
 
 
 # -- membership -------------------------------------------------------------
@@ -1005,3 +1005,48 @@ def test_floor_reads_the_deepest_stage(length):
     y = IrrationalSymbol.digits("y", 2, "1" * length)
     with pytest.raises(PrecisionExhausted, match=f"width 2\\^-{length + 1}$"):
         E(0, {y: 1}).floor()
+
+
+# -- floor over one sqrt symbol ---------------------------------------------------------
+
+
+def _floor_of_multiple_of_sqrt2(b: int) -> int:
+    """floor(b * sqrt(2)) by integer square root; sqrt(2) is irrational."""
+    r = math.isqrt(2 * b * b)
+    return r if b > 0 else -r - 1
+
+
+@pytest.mark.parametrize("n", [1612, 4000])
+def test_floor_over_one_sqrt_symbol_is_exact_past_the_cap(n):
+    """(sqrt(2) - 1)**n = a + b*s, s = sqrt(2) - 1: its coefficient part b*s
+    lies closer to the integer -a than the 4096-bit enclosure's width, so
+    refinement leaves its floor undecided; two comparisons decide it."""
+    a, b = sqrt2_unit_power(n)
+    s = sqrt2_symbol()
+    part = E(0, {s: b})
+    assert floor_by_enclosures(part) is None
+    assert part.floor() == _floor_of_multiple_of_sqrt2(b) - b
+    assert (-part).floor() == _floor_of_multiple_of_sqrt2(-b) + b
+    v = E(a, {s: b})  # in (0, 1)
+    assert v.floor() == 0 and (-v).floor() == -1 and (v + ONE).floor() == 1
+
+
+_roots = st.sampled_from([2, 3, 5, 7, 10])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    radicand=_roots,
+    q=st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+    c=st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**6).filter(bool),
+)
+@example(radicand=2, q=Fraction(0), c=Fraction(1))
+@example(radicand=2, q=Fraction(-1), c=Fraction(1))  # -1 + s = sqrt(2) - 2
+@example(radicand=3, q=Fraction(7, 2), c=Fraction(-5, 3))
+def test_floor_over_one_sqrt_symbol_matches_enclosures_where_they_decide(radicand, q, c):
+    s = IrrationalSymbol.sqrt(f"s{radicand}", radicand, -math.isqrt(radicand))
+    v = E(q, {s: c})
+    want = floor_by_enclosures(v)
+    if want is not None:
+        assert v.floor() == want
+    assert E(q).floor() == math.floor(q) == floor_by_enclosures(E(q))
