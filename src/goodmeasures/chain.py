@@ -30,6 +30,7 @@ from .errors import (
 )
 from .flows import cycles_through, decompose_entries, orbits
 from .jsonutil import (
+    Place,
     json_type,
     parse_array,
     parse_ids,
@@ -915,26 +916,32 @@ class GoodMeasureChain:
                     value = memo[key] = ExactValue.from_json(w, symbols)
                 table.append(value)
         parsed = []  # (kind, stage, challenge, target level, challenge map, response)
+        n = 0  # the ledger entry being read; its places format n only when a refusal prints one
+        at = {
+            part: Place(lambda part=part: f"ledger entry {n}{part}")
+            for part in ("", ": cells", ": weights", ": response", ": response map",
+                         ": challenge", ": challenge cells", ": challenge map")
+        }
         for n, e in enumerate(parse_array(data["ledger"], "snapshot ledger")):
-            what = f"ledger entry {n}"
+            what = at[""]
             e = parse_object(e, what)
             stage = parse_int(e["stage"])
             if not 0 <= stage < len(levels):
                 raise ValueError(f"{what}: stage {stage} is not a level of the snapshot")
             if fmt == 1:
-                challenge = parse_object(e["challenge"], f"{what}: challenge")
-                parse_array(challenge["cells"], f"{what}: challenge cells")
-                obj = WeightedPartition.from_json(challenge, symbols, memo, f"{what}: challenge")
-                response = parse_object(e["response"], f"{what}: response")["map"]
+                challenge = parse_object(e["challenge"], at[": challenge"])
+                parse_array(challenge["cells"], at[": challenge cells"])
+                obj = WeightedPartition.from_json(challenge, symbols, memo, at[": challenge"])
+                response = parse_object(e["response"], at[": response"])["map"]
                 response = _object_positions(
-                    response, cells[stage], obj.cells, f"{what}: response map"
+                    response, cells[stage], obj.cells, at[": response map"]
                 )
             else:
-                ids = parse_ids(parse_array(e["cells"], f"{what}: cells"), f"{what}: cells")
-                w = parse_positions(e["weights"], len(ids), len(table), f"{what}: weights")
+                ids = parse_ids(parse_array(e["cells"], at[": cells"]), at[": cells"])
+                w = parse_positions(e["weights"], len(ids), len(table), at[": weights"])
                 obj = _checked(list(zip(ids, map(table.__getitem__, w))), ())
                 response = list(parse_positions(
-                    e["response"], len(cells[stage]), len(ids), f"{what}: response"
+                    e["response"], len(cells[stage]), len(ids), at[": response"]
                 ))
             kind, target, cm = e["kind"], None, None
             if kind == "morphism":
@@ -945,11 +952,11 @@ class GoodMeasureChain:
                     )
                 if fmt == 1:
                     cm = _object_positions(
-                        e["challenge_map"], obj.cells, cells[target], f"{what}: challenge map"
+                        e["challenge_map"], obj.cells, cells[target], at[": challenge map"]
                     )
                 else:
                     cm = list(parse_positions(
-                        e["challenge_map"], len(ids), len(cells[target]), f"{what}: challenge map"
+                        e["challenge_map"], len(ids), len(cells[target]), at[": challenge map"]
                     ))
             elif kind != "object":
                 raise ValueError(f"{what}: unknown kind {kind!r}")

@@ -31,20 +31,33 @@ from .values import ExactValue, GroupDescriptor
 MAX_APPENDED_CELLS = 256
 
 
-class RunLogError(Exception):
-    """The run log could not be written: an output I/O failure (exit 3)."""
+class WorkspaceError(Exception):
+    """The run log or a canonical record could not be written: an output I/O
+    failure (exit 3)."""
 
 
 class Workspace:
-    """A directory with named descriptors, named snapshots, and a run log."""
+    """A directory with named descriptors, named snapshots, a run log, and a
+    store of canonical texts.
+
+    The empty file ``canonical/<text_digest(text)>`` records that text is
+    canonical: ``jsonutil.dumps(jsonutil.loads(text)) == text``.  A record is
+    made for every text a command writes, and for every text it reads that
+    proves canonical when the digest of the command's input encodes it.  A
+    recorded input is then digested from its text, not walked (``known``).
+    The texts of a command's inputs live as long as the Workspace, which is
+    one command's.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self.canonical = self.root / "canonical"
+        self.texts: dict[int, tuple] = {}  # id(value) -> (value, text), per jsonutil.read
         try:
             (self.root / "descriptors").mkdir(parents=True, exist_ok=True)
             (self.root / "snapshots").mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # the run log could not go there either
-            raise RunLogError(exc) from exc
+            raise WorkspaceError(f"run log: {exc}") from exc
 
     def resolve(self, name: str, kind: str) -> Path:
         p = Path(name)
@@ -63,7 +76,30 @@ class Workspace:
             with open(self.root / "runlog.jsonl", "a", encoding="utf-8") as fh:
                 fh.write(line.replace("\n", " ") + "\n")
         except OSError as exc:
-            raise RunLogError(exc) from exc
+            raise WorkspaceError(f"run log: {exc}") from exc
+
+    def record(self, text: str) -> None:
+        """Record that text is canonical."""
+        try:
+            self.canonical.mkdir(exist_ok=True)
+            (self.canonical / jsonutil.text_digest(text)).touch()
+        except OSError as exc:
+            raise WorkspaceError(f"canonical record: {exc}") from exc
+
+    def known(self, value) -> str | None:
+        """The canonical text of value if it is an input read, else None:
+        the file's text if a record says so, else the value's encoding,
+        which records the text when the two agree."""
+        entry = self.texts.get(id(value))
+        if entry is None:
+            return None
+        text = entry[1]
+        if not (self.canonical / jsonutil.text_digest(text)).exists():
+            canonical = jsonutil.dumps(value)
+            if canonical != text:
+                return canonical
+            self.record(text)
+        return text
 
 
 def _workspace(args) -> Workspace | None:
@@ -72,29 +108,31 @@ def _workspace(args) -> Workspace | None:
 
 
 def _read_json(path: str | Path, ws: Workspace | None, kind: str):
-    p = ws.resolve(str(path), kind) if ws else Path(path)
-    return jsonutil.read(p)
+    if not ws:
+        return jsonutil.read(path)
+    return jsonutil.read(ws.resolve(str(path), kind), ws.texts)
 
 
 def _emit(op: str, input_obj, result, certificate, ws: Workspace | None, out=None) -> bool:
     """Log the op, write its file and print its envelope; False if the file
     cannot be written (exit 3).  ``out`` is the (path, obj, what) of the
-    file the op writes, if any.  The run log comes first, so an op whose
-    log line cannot be written leaves no file."""
-    h = jsonutil.digest(input_obj)
+    file the op writes, if any.  The run log and the records come first,
+    so an op whose log line or record cannot be written leaves no file."""
+    h = jsonutil.digest(input_obj, ws.known if ws else None)
     if ws:
         ws.log(op, h)
-    if out is not None and not _write(*out):
+    if out is not None and not _write(*out, ws):
         return False
     envelope = {"op": op, "input_hash": h, "result": result, "certificate": certificate}
     sys.stdout.write(jsonutil.dumps(envelope))
     return True
 
 
-def _write(path, obj, what: str) -> bool:
-    """Write canonical JSON; on failure report it and return False (exit 3)."""
+def _write(path, obj, what: str, ws: Workspace | None) -> bool:
+    """Write canonical JSON, recorded first in a workspace; on failure
+    report it and return False (exit 3)."""
     try:
-        jsonutil.write(path, obj)
+        jsonutil.write(path, obj, ws.record if ws else None)
     except OSError as exc:
         sys.stderr.write(f"cannot write {what}: {exc}\n")
         return False
@@ -331,8 +369,8 @@ def cmd_dichotomy(args) -> int:
     ws = _workspace(args)
     descriptor = _read_json(args.descriptor, ws, "descriptors")
     V = GroupDescriptor.from_json(descriptor)
-    b = ExactValue.of(jsonutil.parse_fraction(args.b))
-    c = ExactValue.of(jsonutil.parse_fraction(args.c))
+    b, c = (None if t is None else ExactValue.of(jsonutil.parse_fraction(t))
+            for t in (args.b, args.c))
     verdict = cycles_mod.dichotomy_analyze(V, b, args.n, c)
     _emit("dichotomy", {"descriptor": descriptor, "b": args.b, "n": args.n, "c": args.c},
           verdict.to_json(), verdict.violation or None, ws)
@@ -446,9 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dichotomy", help="scaled value set without a dense conjugacy class")
     p.add_argument("--descriptor", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", required=True)
+    p.add_argument("--b", help="b in V below 1; with --n, or both are taken from V")
+    p.add_argument("--n", type=int, help="n > 1 with b/n not in V")
+    p.add_argument("--c", help="c in V within [b/n, 1/n]; if left out, the first V lists")
     p.set_defaults(func=cmd_dichotomy)
 
     p = sub.add_parser("composite", help="weighted sums of chains")
@@ -474,8 +512,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except RunLogError as exc:
-        sys.stderr.write(f"cannot write run log: {exc}\n")
+    except WorkspaceError as exc:
+        sys.stderr.write(f"cannot write {exc}\n")
         return 3
     except GoodMeasuresError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")

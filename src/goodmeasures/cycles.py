@@ -380,10 +380,8 @@ def divisibility_closure_check(V: GroupDescriptor) -> list[dict]:
     if not V.classify().group_like:
         raise NotGroupLike("descriptor is not group-like")
     groups = [(None, V.rational), *V.irr]
-    listed = {p for _, g in groups for p, _ in g.exceptions}
-    unlisted = next(p for p in itertools.count(2) if p not in listed and _is_prime(p))
     product = quotient = None
-    for p in sorted(listed | {unlisted}):
+    for p in _deciding_primes(V):
         e = V.rational.exponent(p)
         if product is None and 0 < e < INF:
             product = {"kind": "product", "n": p, "exponent": int(e)}
@@ -395,6 +393,15 @@ def divisibility_closure_check(V: GroupDescriptor) -> list[dict]:
                     quotient = {"kind": "quotient", "n": p, "exponent": int(f), "symbol": name}
                     break
     return [x for x in (product, quotient) if x is not None]
+
+
+def _deciding_primes(V: GroupDescriptor) -> list[int]:
+    """The primes some exponent table of V lists, and the least prime none
+    lists, in increasing order.  Every unlisted prime takes each table's
+    default, so these primes decide any question asked prime by prime."""
+    listed = {p for g in (V.rational, *(g for _, g in V.irr)) for p, _ in g.exceptions}
+    unlisted = next(p for p in itertools.count(2) if p not in listed and _is_prime(p))
+    return sorted(listed | {unlisted})
 
 
 @dataclass(frozen=True)
@@ -416,33 +423,80 @@ class DichotomyVerdict:
 
 
 def dichotomy_analyze(
-    V: GroupDescriptor, b: ExactValue, n: int, c: ExactValue
+    V: GroupDescriptor,
+    b: ExactValue | None = None,
+    n: int | None = None,
+    c: ExactValue | None = None,
 ) -> DichotomyVerdict:
     """Either every positive scale keeps the strong Rokhlin property (Q-like
-    case) or the provided data pins a scaled value set whose automorphism
-    group has no dense conjugacy class, with the divisibility violation that
-    proves it."""
+    case) or the data pins a scaled value set whose automorphism group has
+    no dense conjugacy class, with the divisibility violation that proves
+    it.
+
+    b and n, left out together, are taken from V (``_dichotomy_b_n``), and
+    c, left out, is the first value ``enumerate_values`` lists in
+    [b/n, 1/n].  A Q-like set needs none of them."""
     if V.classify().q_like:
         return DichotomyVerdict("strong_rokhlin_all", None, None, {})
+    if (b is None) != (n is None):
+        raise PreconditionFailed("b and n given together")
+    if b is None:
+        b, n = _dichotomy_b_n(V)
     if not V.member(b):
         raise PreconditionFailed("b in V", str(b))
     if b >= ONE:
         raise PreconditionFailed("b < 1", str(b))
     if n <= 1:
         raise PreconditionFailed("n > 1", str(n))
-    b_over_n = b.scale(Fraction(1, n))
+    b_over_n, one_over_n = b.scale(Fraction(1, n)), ExactValue.of(Fraction(1, n))
     if V.member(b_over_n):
         raise PreconditionFailed("b/n not in V", str(b_over_n))
+    if c is None:
+        c = _first_listed(V, lambda v: b_over_n <= v <= one_over_n, "c from V")
     if not V.member(c):
         raise PreconditionFailed("c in V", str(c))
-    if not b_over_n <= c <= ExactValue.of(Fraction(1, n)):
+    if not b_over_n <= c <= one_over_n:
         raise PreconditionFailed("c in [b/n, 1/n]", str(c))
     a = c.scale(n)
     scaled = V.scale_value_set(a)
     v = b.scale(1 / a.rational)
-    if not scaled.member(v) or not scaled.member(ExactValue.of(Fraction(1, n))):
+    if not scaled.member(v) or not scaled.member(one_over_n):
         raise RuntimeError("dichotomy data lost membership; this is a bug")
     if scaled.member(v.scale(Fraction(1, n))):
         raise RuntimeError("expected divisibility violation is absent; this is a bug")
     violation = {"kind": "quotient", "v": v.to_json(), "n": n}
     return DichotomyVerdict("no_rokhlin", a, scaled, violation)
+
+
+#: The heights of V that ``_first_listed`` searches.  A group-like set is
+#: dense in [0, 1], so the values it looks for lie within a few.
+_LISTED_HEIGHTS = 1 << 10
+
+
+def _dichotomy_b_n(V: GroupDescriptor) -> tuple[ExactValue, int]:
+    """b and n for ``dichotomy_analyze`` from a set that is not Q-like: the
+    v = 1/n**f or s/n**f and the prime n of ``divisibility_closure_check``'s
+    quotient violation; failing one, the least prime n at which some
+    component group has a finite exponent, and the first listed value b
+    below 1 with b/n not in V."""
+    quotient = next((x for x in divisibility_closure_check(V) if x["kind"] == "quotient"), None)
+    if quotient is not None:
+        n, name = quotient["n"], quotient["symbol"]
+        power = Fraction(1, n ** quotient["exponent"])
+        if name is None:
+            return ExactValue.of(power), n
+        return ExactValue.of(0, {V.symbols()[name]: power}), n
+    groups = (V.rational, *(g for _, g in V.irr))
+    n = next(p for p in _deciding_primes(V) if any(g.exponent(p) != INF for g in groups))
+    b = _first_listed(V, lambda v: v < ONE and not V.member(v.scale(Fraction(1, n))), "b from V")
+    return b, n
+
+
+def _first_listed(V: GroupDescriptor, keep, check: str) -> ExactValue:
+    """The first value ``V.enumerate_values`` lists for which keep holds;
+    PreconditionFailed(check) if none has height up to _LISTED_HEIGHTS."""
+    for layer in itertools.islice(V._layers(), _LISTED_HEIGHTS):
+        for v in layer:
+            if keep(v):
+                return v
+    raise PreconditionFailed(check, f"no value of height up to {_LISTED_HEIGHTS}")

@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import re
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
@@ -18,21 +18,28 @@ from pathlib import Path
 _INT, _STR = frozenset([int]), frozenset([str])
 
 
-def dumps(obj) -> str:
+def dumps(obj, known: Callable[[object], str | None] | None = None) -> str:
     """Canonical text of obj: the text of
     ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``.
 
     The stdlib reaches its C encoder only without ``indent``, so the same text
     is assembled here, pieces joined once.  Floats raise ``TypeError``, as in
     ``loads``, and so do dict keys that are not strings.
+
+    ``known``, if given, is called with each nonempty object and array the
+    walk meets, obj itself first, and returns its canonical text,
+    ``dumps(value)``, or None; a value with a text is written from it
+    instead of walked.  The only newlines of canonical text are structural
+    (a string writes its own as ``\\n``), so indenting its lines by one
+    ``replace`` gives the bytes of the walk.
     """
     chunks: list[str] = []
-    _encode(obj, chunks.append, "\n")
+    _encode(obj, chunks.append, "\n", known)
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _encode(o, out, nl: str) -> None:
+def _encode(o, out, nl: str, known) -> None:
     """Append the text of o, whose lines after the first begin with ``nl``."""
     if type(o) is str:
         out(_encode_str(o))
@@ -42,18 +49,24 @@ def _encode(o, out, nl: str) -> None:
         if not o:
             out("{}")
             return
+        if known and (text := known(o)) is not None:
+            out(text[:-1].replace("\n", nl))
+            return
         inner = nl + "  "
         lead, sep = "{" + inner, "," + inner
         for k in sorted(o):
             out(lead)
             out(_encode_str(k))  # a TypeError if k is not a string
             out(": ")
-            _encode(o[k], out, inner)
+            _encode(o[k], out, inner, known)
             lead = sep
         out(nl + "}")
     elif isinstance(o, (list, tuple)):
         if not o:
             out("[]")
+            return
+        if known and (text := known(o)) is not None:
+            out(text[:-1].replace("\n", nl))
             return
         inner = nl + "  "
         if _INT.issuperset(map(type, o)):  # positions: one join, no call per member
@@ -62,7 +75,7 @@ def _encode(o, out, nl: str) -> None:
         lead, sep = "[" + inner, "," + inner
         for v in o:
             out(lead)
-            _encode(v, out, inner)
+            _encode(v, out, inner, known)
             lead = sep
         out(nl + "]")
     else:
@@ -97,16 +110,34 @@ def loads(text: str):
     return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
 
 
-def write(path: str | Path, obj) -> None:
-    Path(path).write_text(dumps(obj), encoding="utf-8")
+def write(path: str | Path, obj, before=None) -> None:
+    """Write the canonical text of obj; ``before``, if given, is called with
+    that text first, and the file is not opened if it raises."""
+    text = dumps(obj)
+    if before is not None:
+        before(text)
+    Path(path).write_text(text, encoding="utf-8")
 
 
-def read(path: str | Path):
-    return loads(Path(path).read_text(encoding="utf-8"))
+def read(path: str | Path, texts: dict[int, tuple] | None = None):
+    """The value of the JSON file at path.  With ``texts``, the file's text is
+    kept there as ``texts[id(value)] = (value, text)``; the value is kept
+    too, so that its id stays its own while the entry lives."""
+    text = Path(path).read_text(encoding="utf-8")
+    value = loads(text)
+    if texts is not None:
+        texts[id(value)] = (value, text)
+    return value
 
 
-def digest(obj) -> str:
-    return hashlib.sha256(dumps(obj).encode("utf-8")).hexdigest()
+def text_digest(text: str) -> str:
+    """The sha256 of text's UTF-8 bytes, in hex: the one hash of the package."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def digest(obj, known: Callable[[object], str | None] | None = None) -> str:
+    """The digest of obj's canonical text, ``text_digest(dumps(obj, known))``."""
+    return text_digest(dumps(obj, known))
 
 
 # -- exact numbers in JSON ------------------------------------------------------
@@ -143,6 +174,21 @@ _JSON_TYPES = {
 def json_type(value) -> str:
     """The JSON type of a parsed value, as a one-line message names it."""
     return _JSON_TYPES.get(type(value), f"a Python {type(value).__name__}")
+
+
+class Place:
+    """A place name built only when a refusal prints it: ``str(place)`` is
+    ``name()``.  Every parser here takes one for ``what``, which it formats
+    only in its refusal line, so a loop may name each of its items without
+    formatting a name per item."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __str__(self) -> str:
+        return self.name()
 
 
 def parse_object(value, what: str) -> Mapping:

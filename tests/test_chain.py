@@ -965,6 +965,20 @@ def test_format1_fixture_loads_its_json_maps():
             assert dict(e.challenge_map) == written["challenge_map"]
 
 
+def test_a_snapshot_that_loads_formats_no_place_name(monkeypatch, sqrt2_dyadic):
+    ch = GoodMeasureChain(sqrt2_dyadic)
+    ch.run_schedule(2)
+    format2 = jsonutil.loads(jsonutil.dumps(ch.to_json()))
+    format1 = jsonutil.loads((FIXTURES / "dyadic_budget3_before_relabel.json").read_text("utf-8"))
+
+    def formatted(place):
+        raise AssertionError("a place name was formatted for a snapshot that loads")
+
+    monkeypatch.setattr(jsonutil.Place, "__str__", formatted)
+    for data in (format1, format2):
+        assert len(GoodMeasureChain.from_json(data).ledger) == len(data["ledger"])
+
+
 def test_non_monotone_format1_response_loads():
     """A format-1 response whose images, in stage order, go back to an
     earlier challenge cell is a valid map: it loads as positions, not

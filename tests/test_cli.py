@@ -1,15 +1,18 @@
 """CLI envelopes, exit codes, determinism, artifact round-trips."""
 
+import gc
+import hashlib
 import json
 import os
 import shlex
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from goodmeasures import composite, jsonutil
+from goodmeasures import cli, composite, jsonutil
 from goodmeasures.chain import GoodMeasureChain
 from goodmeasures.cli import build_parser, main
 from goodmeasures.cycles import CycleTuple, TupleMorphism, verify_tuple_morphism
@@ -22,6 +25,7 @@ BAD23 = {"rational": {"default": "0", "exceptions": {"2": 3}}, "irrationals": []
 RATIONALS = {"rational": {"default": "inf", "exceptions": {}}, "irrationals": []}
 MIXED23 = {"rational": {"default": "0", "exceptions": {"2": "inf", "3": 1}}, "irrationals": []}
 SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 COMPOSITE_SPEC = {
     "components": [
         {
@@ -656,6 +660,142 @@ def test_workspace_named_artifacts(files, capsys):
     assert code == 0 and env["result"]["rokhlin"] == "yes"
 
 
+# -- the store of canonical texts ---------------------------------------------------------
+
+
+def _hash_commands(snap, mat, prefix):
+    return {
+        "witness": ["witness", "--matrix", str(mat), "--snapshot", str(snap)],
+        "check-compat": ["check-compat", "--matrix", str(mat), "--snapshot", str(snap),
+                         "--prefix", str(prefix)],
+        "check-good": ["check-good", "--snapshot", str(snap), "--depth", "1"],
+    }
+
+
+def _record(ws, path) -> Path:
+    return ws / "canonical" / hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["witness", "check-compat", "check-good"])
+def test_input_hash_does_not_depend_on_the_store(files, capsys, monkeypatch, command):
+    monkeypatch.delenv("CANTOR_WORKSPACE", raising=False)
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    argv = _hash_commands(snap, mat, prefix)[command]
+    ws = files / "ws"
+    outs = []
+    for workspace in ([], ["--workspace", str(ws)], ["--workspace", str(ws)]):
+        # no workspace; a workspace with no record; the record the last run made
+        assert main([*workspace, *argv]) in (0, 1)
+        outs.append(capsys.readouterr().out)
+        assert _record(ws, snap).exists() == bool(workspace)
+    assert outs[0] == outs[1] == outs[2]
+
+
+def _reindented(text: str) -> str:
+    return json.dumps(json.loads(text), indent=4)
+
+
+def _keys_out_of_order(text: str) -> str:
+    data = json.loads(text)
+    return json.dumps(dict(reversed(list(data.items()))), indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("rewrite", [None, _reindented, _keys_out_of_order])
+def test_a_snapshot_text_is_recorded_only_if_canonical(files, capsys, monkeypatch, rewrite):
+    monkeypatch.delenv("CANTOR_WORKSPACE", raising=False)
+    text = (FIXTURES / "dyadic_budget3_before_relabel.json").read_text(encoding="utf-8")
+    snap = files / "format1.json"
+    snap.write_text(rewrite(text) if rewrite else text, encoding="utf-8")
+    canonical = snap.read_text(encoding="utf-8") == jsonutil.dumps(jsonutil.read(snap))
+    assert canonical == (rewrite is None)
+    argv = ["check-good", "--snapshot", str(snap), "--depth", "1"]
+    code, env = run(capsys, *argv)
+    ws = files / "ws"
+    assert run(capsys, "--workspace", str(ws), *argv) == (code, env)
+    assert env["input_hash"] == jsonutil.digest({"snapshot": jsonutil.read(snap), "depth": 1})
+    assert _record(ws, snap).exists() == canonical
+    assert len(list(ws.glob("canonical/*"))) == canonical
+
+
+def test_each_written_file_is_recorded_by_the_sha256_of_its_text(files, capsys):
+    snap, mat, _ = _snapshot_inputs(files, capsys)
+    ws = files / "ws"
+    outs = {name: files / f"{name}.json" for name in ("built", "extended", "report", "composite")}
+    for argv in (
+        ["build-chain", "--descriptor", str(files / "dyadic.json"), "--budget", "2",
+         "--out", str(outs["built"])],
+        ["witness", "--matrix", str(mat), "--snapshot", str(snap),
+         "--out-snapshot", str(outs["extended"])],
+        ["check-good", "--snapshot", str(snap), "--depth", "1", "--out", str(outs["report"])],
+        ["composite", "build", "--spec", str(files / "composite.json"),
+         "--out", str(outs["composite"])],
+    ):
+        assert main(["--workspace", str(ws), *argv]) in (0, 1)
+        capsys.readouterr()
+    for out in outs.values():
+        assert _record(ws, out).exists()
+        assert _record(ws, out).read_bytes() == b""
+
+
+def test_an_input_the_input_hash_does_not_cover_is_not_recorded(files, capsys):
+    # build-chain --resume digests the snapshot's descriptor, not the snapshot
+    snap, ws, out = files / "snap.json", files / "ws", files / "resumed.json"
+    assert main(["build-chain", "--descriptor", str(files / "dyadic.json"),
+                 "--budget", "2", "--out", str(snap)]) == 0
+    assert main(["--workspace", str(ws), "build-chain", "--resume", str(snap),
+                 "--budget", "3", "--out", str(out)]) == 0
+    assert not _record(ws, snap).exists() and _record(ws, out).exists()
+
+
+def test_a_recorded_snapshot_is_digested_without_walking_its_levels(files, capsys, monkeypatch):
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    argv = ["--workspace", str(files / "ws"), *_hash_commands(snap, mat, prefix)["check-compat"]]
+    encode, walked = jsonutil._encode, []
+
+    def counting(o, *rest):
+        if isinstance(o, dict) and o.keys() == {"cells", "total"}:  # a level of the snapshot
+            walked.append(o)
+        return encode(o, *rest)
+
+    monkeypatch.setattr(jsonutil, "_encode", counting)
+    levels = len(jsonutil.read(snap)["levels"])
+    for want in (levels, 0):  # the first run makes the record the second reads
+        walked.clear()
+        assert main(argv) in (0, 1)
+        capsys.readouterr()
+        assert len(walked) == want
+
+
+def test_a_record_that_cannot_be_written_exits_3_and_leaves_no_output(files, capsys):
+    snap, mat, _ = _snapshot_inputs(files, capsys)
+    ws = files / "ws"
+    ws.mkdir()
+    (ws / "canonical").write_text("not a directory\n", encoding="utf-8")
+    out = files / "out.json"
+    argv = ["witness", "--matrix", str(mat), "--snapshot", str(snap), "--out-snapshot", str(out)]
+    assert main(["--workspace", str(ws), *argv]) == 3
+    assert _one_line_error(capsys).startswith("cannot write canonical record: ")
+    assert not out.exists()
+    assert not (ws / "runlog.jsonl").exists()
+
+
+def test_the_texts_a_command_read_go_with_it(files, capsys, monkeypatch):
+    snap, mat, _ = _snapshot_inputs(files, capsys)
+    made = []
+
+    class Kept(cli.Workspace):
+        def __init__(self, root):
+            super().__init__(root)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(cli, "Workspace", Kept)
+    assert main(["--workspace", str(files / "ws"), "witness", "--matrix", str(mat),
+                 "--snapshot", str(snap)]) == 0
+    capsys.readouterr()
+    gc.collect()
+    assert len(made) == 1 and made[0]() is None
+
+
 def test_find_morphism_on_1500_entries_gives_a_verdict(files, capsys):
     inp = files / "deep.json"
     data = {
@@ -727,6 +867,48 @@ def test_dichotomy_readme_example(files, capsys):
     assert code == 1
     assert env["result"]["kind"] == "no_rokhlin" and env["result"]["scale"] == {"q": "3/4"}
     assert env["certificate"] == {"kind": "quotient", "n": 9, "v": {"q": "4/9"}}
+
+
+def test_dichotomy_with_all_three_flags_prints_the_envelope_it_printed_before(files, capsys):
+    main(["dichotomy", "--descriptor", str(files / "mixed.json"),
+          "--b", "1/3", "--n", "9", "--c", "1/12"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "e7367d83a1043b6e86789be55ccf355f6b3a8c74aa5c8848626c372e4af04e98"
+    )
+
+
+def test_dichotomy_from_v_alone(files, capsys):
+    # mixed_23's quotient violation is v = 1/3, n = 3; the first value listed
+    # in [1/9, 1/3] is 1/3, so the scale is 1
+    code, env = run(capsys, "dichotomy", "--descriptor", str(files / "mixed.json"))
+    assert code == 1
+    assert env["result"]["kind"] == "no_rokhlin" and env["result"]["scale"] == {"q": "1"}
+    assert env["certificate"] == {"kind": "quotient", "n": 3, "v": {"q": "1/3"}}
+    assert env["input_hash"] == jsonutil.digest(
+        {"descriptor": MIXED23, "b": None, "n": None, "c": None}
+    )
+
+
+def test_dichotomy_takes_c_from_v_when_left_out(files, capsys):
+    # the first value listed in [1/27, 1/9] is 1/12
+    code, env = run(capsys, "dichotomy", "--descriptor", str(files / "mixed.json"),
+                    "--b", "1/3", "--n", "9")
+    assert code == 1 and env["result"]["scale"] == {"q": "3/4"}
+    assert env["certificate"] == {"kind": "quotient", "n": 9, "v": {"q": "4/9"}}
+
+
+def test_dichotomy_without_flags_on_a_q_like_set(files, capsys):
+    code, env = run(capsys, "dichotomy", "--descriptor", str(files / "rationals.json"))
+    assert code == 0 and env["result"]["kind"] == "strong_rokhlin_all"
+
+
+@pytest.mark.parametrize("flag", [["--b", "1/3"], ["--n", "3"]])
+def test_dichotomy_with_b_or_n_alone_is_invalid_input(files, capsys, flag):
+    assert main(["dichotomy", "--descriptor", str(files / "mixed.json"), *flag]) == 2
+    assert _one_line_error(capsys) == (
+        "PreconditionFailed: precondition failed: b and n given together"
+    )
 
 
 @pytest.mark.parametrize("b,n,c,check", [

@@ -545,6 +545,28 @@ def test_dichotomy_derived_example(mixed_23):
     assert verdict.violation == {"kind": "quotient", "v": {"q": "4/9"}, "n": 9}
 
 
+def test_dichotomy_from_the_quotient_violation(mixed_23):
+    # v = 1/3 and n = 3; the first value listed in [1/9, 1/3] is 1/3
+    verdict = dichotomy_analyze(mixed_23)
+    assert verdict.kind == "no_rokhlin" and verdict.scale == E("1")
+    assert verdict.violation == {"kind": "quotient", "v": {"q": "1/3"}, "n": 3}
+
+
+def test_dichotomy_from_the_least_prime_of_finite_exponent(dyadic):
+    # no quotient violation: n = 3, the least prime of exponent 0; b = 1/2,
+    # the first value below 1 whose third is not in V; c = 1/4, the first in
+    # [1/6, 1/3].  The dyadic set has the Rokhlin property; its scale by 4/3
+    # is mixed_23, which has not.
+    verdict = dichotomy_analyze(dyadic)
+    assert verdict.kind == "no_rokhlin" and verdict.scale == E("3/4")
+    assert verdict.violation == {"kind": "quotient", "v": {"q": "2/3"}, "n": 3}
+    assert verdict.scaled_descriptor.rational.exponent(3) == 1
+
+
+def test_dichotomy_from_v_alone_on_a_q_like_set(rationals):
+    assert dichotomy_analyze(rationals).kind == "strong_rokhlin_all"
+
+
 def test_dichotomy_precondition_failures(mixed_23):
     with pytest.raises(PreconditionFailed) as err:
         dichotomy_analyze(mixed_23, E("1/9"), 9, E("1/12"))

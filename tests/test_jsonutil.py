@@ -1,5 +1,6 @@
 """Canonical JSON: ``dumps`` against the stdlib's indent-2 text, and its refusals."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -54,6 +55,68 @@ def test_dumps_matches_the_stdlib_on_a_sqrt2_dyadic_snapshot(sqrt2_dyadic):
     chain.run_schedule(3)
     snapshot = chain.to_json()
     assert jsonutil.dumps(snapshot) == stdlib_text(snapshot)
+
+
+def _containers(o):
+    """o and every object and array inside it."""
+    if isinstance(o, dict):
+        yield o
+        for v in o.values():
+            yield from _containers(v)
+    elif isinstance(o, (list, tuple)):
+        yield o
+        for v in o:
+            yield from _containers(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_JSON, data=st.data())
+@example(obj={"a": {"b": ["\n", {"c": "\n  "}]}}, data=None)
+def test_dumps_writes_a_known_value_from_its_text(obj, data):
+    # strings of newlines and spaces show that only structural newlines are re-indented
+    containers = list(_containers(obj))
+    chosen = containers if data is None else data.draw(st.lists(st.sampled_from(containers))
+                                                      if containers else st.just([]))
+    known = {id(o): jsonutil.dumps(o) for o in chosen}
+    assert jsonutil.dumps(obj, lambda o: known.get(id(o))) == jsonutil.dumps(obj)
+
+
+def test_dumps_does_not_walk_a_known_value(monkeypatch):
+    inner = {"levels": [{"cells": ["a", "b"]}, {"cells": ["c"]}]}
+    text = jsonutil.dumps(inner)
+    walked = []
+    encode = jsonutil._encode
+
+    def counting(o, *rest):
+        walked.append(o)
+        return encode(o, *rest)
+
+    monkeypatch.setattr(jsonutil, "_encode", counting)
+    outer = {"snapshot": inner, "depth": 1}
+    assert jsonutil.dumps(outer, lambda o: text if o is inner else None) == stdlib_text(outer)
+    assert not any(o is inner["levels"] for o in walked)
+
+
+def test_write_calls_before_with_its_text_and_opens_no_file_if_it_raises(tmp_path):
+    seen = []
+    jsonutil.write(tmp_path / "a.json", {"b": [1]}, seen.append)
+    assert seen == [(tmp_path / "a.json").read_text(encoding="utf-8")]
+
+    def refuse(text):
+        raise OSError("no")
+
+    with pytest.raises(OSError):
+        jsonutil.write(tmp_path / "never.json", {"b": [1]}, refuse)
+    assert not (tmp_path / "never.json").exists()
+
+
+def test_read_keeps_the_text_with_its_value(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text('{"b":  [1]}', encoding="utf-8")
+    texts = {}
+    value = jsonutil.read(path, texts)
+    assert texts == {id(value): (value, '{"b":  [1]}')}
+    assert jsonutil.text_digest('{"b":  [1]}') == hashlib.sha256(b'{"b":  [1]}').hexdigest()
 
 
 @pytest.mark.parametrize("obj", [
