@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InvalidChallenge,
@@ -31,12 +31,18 @@ from .errors import (
 from .flows import cycles_through, decompose_entries, orbits
 from .jsonutil import (
     Place,
+    Texts,
+    array,
+    encode,
     json_type,
+    layout,
+    loads,
     parse_array,
     parse_ids,
     parse_int,
     parse_object,
     parse_positions,
+    string,
 )
 from .partitions import (
     PartitionMorphism,
@@ -47,7 +53,6 @@ from .partitions import (
     _parts,
     _place,
     _subdivide,
-    _value_json,
     lift_edges,
     maps_onto,
     positions_onto,
@@ -120,12 +125,21 @@ class AutomorphismPrefix:
 
     @staticmethod
     def from_json(data: Mapping) -> "AutomorphismPrefix":
-        maps = parse_object(data["maps"], "prefix maps")
+        """The prefix of data; a fault of its form raises a one-line
+        ValueError that names the place."""
+        maps = parse_object(parse_object(data, "prefix")["maps"], "prefix maps")
         if not maps:
             raise ValueError("prefix maps is empty")
-        return AutomorphismPrefix({
-            parse_int(k): dict(parse_object(v, f"prefix map {k}")) for k, v in maps.items()
-        })
+        out = {}
+        for k, m in maps.items():
+            try:
+                level = parse_int(k)
+            except ValueError:
+                raise ValueError(f"prefix level {string(k)} is not an integer") from None
+            what = f"prefix map {k}"
+            out[level] = dict(parse_object(m, what))
+            parse_ids(out[level].values(), what)
+        return AutomorphismPrefix(out)
 
 
 def invert_prefix(sigma: AutomorphismPrefix) -> AutomorphismPrefix:
@@ -179,23 +193,6 @@ class LedgerEntry:
         if self.challenge is None:
             return None
         return _as_map(self.challenge_object.cells, self.target_cells, self.challenge)
-
-    def _to_json(self, table: dict) -> dict:
-        """The entry in format 2 (``GoodMeasureChain.to_json``), given the
-        position in the snapshot's weight table of each challenge weight met
-        so far, which it extends."""
-        obj = self.challenge_object
-        out: dict = {
-            "kind": self.kind,
-            "stage": self.stage,
-            "cells": list(obj.cells),
-            "weights": [table.setdefault(w, len(table)) for w in obj.weight_list()],
-            "response": list(self.response),
-        }
-        if self.kind == "morphism":
-            out["target_level"] = self.target_level
-            out["challenge_map"] = list(self.challenge)
-        return out
 
 
 def _as_map(source: Sequence[str], target: Sequence[str], positions: Sequence[int]) -> Mapping:
@@ -814,8 +811,10 @@ class GoodMeasureChain:
 
     # -- serialisation -------------------------------------------------------------
 
-    def to_json(self) -> dict:
-        """The snapshot, in format 2.
+    def to_text(self) -> str:
+        """The snapshot in format 2, as canonical text: the text of
+        ``jsonutil.dumps`` of its JSON value, written in one pass with no
+        JSON tree.
 
         Levels are written as in format 1: each cell's id and weight, and the
         total, written as 1, the chain's invariant, not summed.  The rest is
@@ -825,24 +824,52 @@ class GoodMeasureChain:
         first met.  A ledger entry lists its challenge's cell ids, their
         weights as positions in ``weights``, its response as the challenge
         position of each cell of its stage, and, for a morphism, its
-        challenge map as positions in its target level.  Each distinct
-        weight is formatted once per call.
+        challenge map as positions in its target level.
+
+        Each distinct weight is formatted once, and moved to each other
+        indentation it stands at by one ``replace`` (``Texts.at``); each
+        position list is one join, and each level cell and ledger entry
+        fills a template fixed once per key set and indentation
+        (``jsonutil.layout``).  The ledger, most of the text, is joined
+        first, so that its entries' texts are gone before the whole is
+        formatted.
         """
-        formatted: dict = {}  # see WeightedPartition._to_json
-        table: dict[ExactValue, int] = {}
-        ledger = [e._to_json(table) for e in self.ledger]
+        nl = ["\n" + "  " * k for k in range(6)]  # the indentation of each depth
+        table: dict[ExactValue, int] = {}  # the challenge weights, by first appearance
+        # the weight table is complete once the ledger is written
+        ledger = array(_entry_texts(self.ledger, table, nl[2]), nl[1])
+        weight = Texts.of(ExactValue.to_json)  # each distinct weight, formatted once
+        cell_weight = weight.at(nl[5])
+        cell = layout(("id", "w"), nl[4])
+        level = layout(("cells", "total"), nl[2])
+        total = weight.at(nl[3])[ONE]
+        levels = [
+            level.format(
+                array(map(cell.format, map(string, P.cells),
+                          map(cell_weight.__getitem__, P.weight_list())), nl[3]),
+                total,
+            )
+            for P in self.levels
+        ]
         links = []
         for P, link in zip(self.levels, self.links):
             below = {c: i for i, c in enumerate(P.cells)}
-            links.append([below[link.mapping[c]] for c in link.source.cells])
-        return {
-            "descriptor": self.V.to_json(),
-            "format": 2,
-            "levels": [L._to_json(formatted, ONE) for L in self.levels],
-            "links": links,
-            "weights": [_value_json(v, formatted) for v in table],
-            "ledger": ledger,
-        }
+            image = map(link.mapping.__getitem__, link.source.cells)
+            links.append(array(map(int.__repr__, map(below.__getitem__, image)), nl[2]))
+        snapshot = layout(("descriptor", "format", "levels", "links", "weights", "ledger"), nl[0])
+        return (snapshot + "\n").format(
+            encode(self.V.to_json(), nl[1]),
+            "2",
+            array(levels, nl[1]),
+            array(links, nl[1]),
+            array(map(weight.at(nl[2]).__getitem__, table), nl[1]),
+            ledger,
+        )
+
+    def to_json(self) -> dict:
+        """The snapshot's JSON value, read back from ``to_text``, its only
+        writer."""
+        return loads(self.to_text())
 
     @staticmethod
     def from_json(data: Mapping) -> "GoodMeasureChain":
@@ -852,7 +879,7 @@ class GoodMeasureChain:
         Format 1, which has no ``format`` key, writes link, response and
         challenge maps as objects from cell ids to cell ids, and each
         ledger challenge as a partition with its weights; format 2 is
-        positional (``to_json``).  Both are read as positions: a format-2
+        positional (``to_text``).  Both are read as positions: a format-2
         map is its list, once ``parse_positions`` has checked it, and a
         format-1 map is the position of each source cell's image, once each
         image is known to be a cell id (``_object_positions``).  The
@@ -1008,6 +1035,31 @@ class GoodMeasureChain:
             )
             chain._ledger_index[key] = n
         return chain
+
+
+def _entry_texts(ledger: Iterable[LedgerEntry], table: dict, nl: str) -> Iterator[str]:
+    """The text at nl of each ledger entry in format 2 (``to_text``).  Each
+    challenge weight is written as its position in table, which maps the
+    weights met so far to their positions and is extended by the others."""
+    inner = nl + "  "
+    entry = {
+        kind: layout(("kind", "stage", "cells", "weights", "response", *more), nl)
+        for kind, more in (("object", ()), ("morphism", ("target_level", "challenge_map")))
+    }
+    kinds = {kind: string(kind) for kind in entry}
+    for e in ledger:
+        obj = e.challenge_object
+        weights = [table.setdefault(w, len(table)) for w in obj.weight_list()]
+        parts = [
+            kinds[e.kind],
+            int.__repr__(e.stage),
+            array(map(string, obj.cells), inner),
+            array(map(int.__repr__, weights), inner),
+            array(map(int.__repr__, e.response), inner),
+        ]
+        if e.challenge is not None:
+            parts += int.__repr__(e.target_level), array(map(int.__repr__, e.challenge), inner)
+        yield entry[e.kind].format(*parts)
 
 
 def _object_positions(

@@ -115,8 +115,8 @@ def _read_json(path: str | Path, ws: Workspace | None, kind: str):
 
 def _emit(op: str, input_obj, result, certificate, ws: Workspace | None, out=None) -> bool:
     """Log the op, write its file and print its envelope; False if the file
-    cannot be written (exit 3).  ``out`` is the (path, obj, what) of the
-    file the op writes, if any.  The run log and the records come first,
+    cannot be written (exit 3).  ``out`` is the (path, text, what) of the
+    file the op writes, if any, its text canonical.  The run log and the records come first,
     so an op whose log line or record cannot be written leaves no file."""
     h = jsonutil.digest(input_obj, ws.known if ws else None)
     if ws:
@@ -128,11 +128,11 @@ def _emit(op: str, input_obj, result, certificate, ws: Workspace | None, out=Non
     return True
 
 
-def _write(path, obj, what: str, ws: Workspace | None) -> bool:
-    """Write canonical JSON, recorded first in a workspace; on failure
+def _write(path, text: str, what: str, ws: Workspace | None) -> bool:
+    """Write a canonical text, recorded first in a workspace; on failure
     report it and return False (exit 3)."""
     try:
-        jsonutil.write(path, obj, ws.record if ws else None)
+        jsonutil.write(path, text, ws.record if ws else None)
     except OSError as exc:
         sys.stderr.write(f"cannot write {what}: {exc}\n")
         return False
@@ -166,7 +166,7 @@ def cmd_build_chain(args) -> int:
         "out": str(args.out),
     }
     written = _emit("build-chain", {"descriptor": descriptor, "budget": args.budget}, result,
-                    None, ws, (args.out, chain.to_json(), "snapshot"))
+                    None, ws, (args.out, chain.to_text(), "snapshot"))
     return 0 if written else 3
 
 
@@ -232,7 +232,7 @@ def cmd_check_good(args) -> int:
     }
     if not _emit("check-good", {"snapshot": snapshot, "depth": depth},
                  {"all_ok": all_ok, "pairs_checked": len(pairs)}, None, ws,
-                 (args.out, report, "report") if args.out else None):
+                 (args.out, jsonutil.dumps(report), "report") if args.out else None):
         return 3
     return 0 if all_ok else 1
 
@@ -279,7 +279,7 @@ def cmd_witness(args) -> int:
     ok = matrices_mod.compatible(chain, sigma, A)
     if not _emit("witness", {"snapshot": snapshot, "matrix": matrix},
                  {"compatible": ok, "depth": sigma.depth}, sigma.to_json(), ws,
-                 (args.out_snapshot, chain.to_json(), "snapshot") if args.out_snapshot else None):
+                 (args.out_snapshot, chain.to_text(), "snapshot") if args.out_snapshot else None):
         return 3
     return 0 if ok else 1
 
@@ -402,7 +402,8 @@ def cmd_composite_build(args) -> int:
         "levels": [len(chain.levels) for chain, _ in m.components],
         "out": str(args.out),
     }
-    written = _emit("composite-build", spec, result, None, ws, (args.out, out, "composite"))
+    written = _emit("composite-build", spec, result, None, ws,
+                    (args.out, jsonutil.dumps(out), "composite"))
     return 0 if written else 3
 
 

@@ -1,7 +1,12 @@
 """Canonical JSON: sorted keys, fixed separators, no floats, trailing newline.
 
-Every artifact this package writes goes through ``dumps``/``write`` so that
-identical inputs always produce byte-identical files.
+Every artifact this package writes is canonical text, so that identical
+inputs always produce byte-identical files: ``dumps`` of a JSON value, or a
+text assembled from the parts below ``dumps`` (``encode``, ``string``,
+``array``, ``layout`` and ``Texts``), which lay out the same separators,
+indentation and key order, so that a writer such as
+``GoodMeasureChain.to_text`` builds no JSON tree.  ``write`` writes a text
+it is given.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ import hashlib
 import json
 import math
 import re
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
@@ -68,10 +73,10 @@ def _encode(o, out, nl: str, known) -> None:
         if known and (text := known(o)) is not None:
             out(text[:-1].replace("\n", nl))
             return
-        inner = nl + "  "
         if _INT.issuperset(map(type, o)):  # positions: one join, no call per member
-            out("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
+            out(array(map(int.__repr__, o), nl))
             return
+        inner = nl + "  "
         lead, sep = "[" + inner, "," + inner
         for v in o:
             out(lead)
@@ -99,21 +104,123 @@ def _scalar(o) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
+# -- canonical text in parts ------------------------------------------------------
+#
+# Each part is the text of a JSON value as it stands inside a larger canonical
+# text: its lines after the first begin with ``nl``, a newline and the
+# indentation of the line the value starts on, and it has no trailing newline.
+# A member of an array or object at ``nl`` is written for ``nl + "  "``.
+
+#: The text of a JSON string, as ``dumps`` writes it.
+string = _encode_str
+
+
+def encode(obj, nl: str = "\n") -> str:
+    """The text of the JSON value obj at nl; ``dumps(obj)`` is
+    ``encode(obj) + "\\n"``."""
+    chunks: list[str] = []
+    _encode(obj, chunks.append, nl, None)
+    return "".join(chunks)
+
+
+def array(texts: Iterable[str], nl: str) -> str:
+    """The text of a JSON array at nl whose members have the given texts, in
+    one join: ``array(map(int.__repr__, positions), nl)`` for a list of ints,
+    ``array(map(string, ids), nl)`` for a list of cell ids."""
+    inner = nl + "  "
+    body = ("," + inner).join(texts)  # no member's text is empty
+    return "[" + inner + body + nl + "]" if body else "[]"
+
+
+def layout(keys: Sequence[str], nl: str) -> str:
+    """A ``str.format`` template of the text of a JSON object at nl with
+    these keys: ``layout(keys, nl).format(*texts)``, given the text of each
+    key's value in the order of keys, is the object's text, its members in
+    sorted key order.  A writer fixes the template once per key set and
+    indentation, and fills it once per object."""
+    inner = nl + "  "
+    members = [
+        string(k).replace("{", "{{").replace("}", "}}") + ": {" + str(keys.index(k)) + "}"
+        for k in sorted(keys)
+    ]
+    return "{{" + inner + ("," + inner).join(members) + nl + "}}"
+
+
+class Texts(dict):
+    """A memo of texts: ``texts[v]`` is ``make(v)``, made on v's first
+    lookup only, so ``map(texts.__getitem__, values)`` costs one dict lookup
+    per value met before."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[object], str]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, v) -> str:
+        text = self[v] = self.make(v)
+        return text
+
+    @staticmethod
+    def of(to_json: Callable[[object], object]) -> "Texts":
+        """The text of the JSON value ``to_json(v)`` for each v, at "\\n"."""
+        return Texts(lambda v: encode(to_json(v)))
+
+    def at(self, nl: str) -> "Texts":
+        """These texts at nl, each made from this one's by one ``replace``:
+        the only newlines of canonical text are structural (a string writes
+        its own as ``\\n``), so ``to_json`` runs once per value for every
+        indentation."""
+        return Texts(lambda v: self[v].replace("\n", nl))
+
+
 def _reject_float(text: str):
     raise TypeError(f"inexact number {text}; write fractions as strings such as \"1/10\"")
+
+
+#: A surrogate escape, ``\ud800`` to ``\udfff``, or an escaped backslash
+#: before such letters, which only the walk of ``_lone_surrogate`` tells apart.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89abcdefABCDEF]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def loads(text: str):
     """The value of JSON text.  A float, and the ``NaN``, ``Infinity`` and
     ``-Infinity`` the stdlib parser accepts, raise ``TypeError`` wherever
-    they stand, before any command reads the value."""
-    return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+    they stand, before any command reads the value.  A string with an
+    unpaired surrogate escape, which no UTF-8 text can hold, raises
+    ``ValueError``.  The parser joins each escaped pair into one character,
+    so only a text with a surrogate escape is walked for a lone one, and a
+    text is searched for such escapes only if it holds a backslash, which
+    a one-character search (``memchr``) tells."""
+    value = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+    if "\\" in text and _SURROGATE_ESCAPE.search(text):
+        lone = _lone_surrogate(value)
+        if lone is not None:
+            raise ValueError(f"a JSON string holds the unpaired surrogate U+{ord(lone):04X}")
+    return value
 
 
-def write(path: str | Path, obj, before=None) -> None:
-    """Write the canonical text of obj; ``before``, if given, is called with
-    that text first, and the file is not opened if it raises."""
-    text = dumps(obj)
+def _lone_surrogate(value) -> str | None:
+    """The first surrogate character met in a string of value, keys included."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if type(v) is str:
+            if m := _SURROGATE.search(v):
+                return m[0]
+        elif type(v) is dict:
+            stack += v
+            stack += v.values()
+        elif type(v) is list:
+            stack += v
+    return None
+
+
+def write(path: str | Path, text: str, before=None) -> None:
+    """Write text, a canonical text such as ``dumps(obj)`` or
+    ``GoodMeasureChain.to_text()``; ``before``, if given, is called with the
+    text first, and the file is not opened if it raises."""
     if before is not None:
         before(text)
     Path(path).write_text(text, encoding="utf-8")

@@ -17,7 +17,7 @@ from typing import Mapping
 from .chain import AutomorphismPrefix, GoodMeasureChain, invert_prefix
 from .errors import DepthTooShallow, NotCycleObject, PreconditionFailed
 from .flows import check_equi_summed, cycles_through, decompose_entries, orbits
-from .jsonutil import parse_int
+from .jsonutil import Place, parse_array, parse_ids, parse_int, parse_object
 from .partitions import (
     PartitionMorphism,
     WeightedPartition,
@@ -53,15 +53,22 @@ class BalancedMatrix:
 
     @staticmethod
     def from_json(data: Mapping, symbols) -> "BalancedMatrix":
+        data = parse_object(data, "matrix")
         return BalancedMatrix(parse_int(data["level"]), entries_from_json(data, symbols))
 
 
 def entries_from_json(data: Mapping, symbols) -> dict[tuple[str, str], ExactValue]:
-    """The entries of a matrix's JSON by (from, to) pair; a pair listed
-    twice is refused with a ValueError rather than read as its last entry."""
+    """The entries of a matrix's JSON by (from, to) pair.  A matrix that is
+    not an object, entries that are not an array, an entry that is not an
+    object or whose ends are not cell ids, and a pair listed twice (rather
+    than read as its last entry) are refused by a one-line ValueError that
+    names the place."""
     entries: dict[tuple[str, str], ExactValue] = {}
-    for e in data["entries"]:
-        pair = (e["from"], e["to"])
+    n = 0  # the entry being read, formatted only in a refusal
+    at = Place(lambda: f"matrix entry {n}")
+    for n, e in enumerate(parse_array(parse_object(data, "matrix")["entries"], "matrix entries")):
+        e = parse_object(e, at)
+        pair = parse_ids((e["from"], e["to"]), at)
         if pair in entries:
             raise ValueError(f"matrix entry {pair[0]}->{pair[1]} is repeated")
         entries[pair] = ExactValue.from_json(e["w"], symbols)

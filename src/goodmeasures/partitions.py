@@ -54,15 +54,9 @@ class WeightedPartition:
         return tuple(sorted([w.sort_key() for w in self.weights.values()]))
 
     def to_json(self) -> dict:
-        return self._to_json({}, self.total)
-
-    def _to_json(self, formatted: dict, total: ExactValue) -> dict:
-        """``to_json`` with ``formatted``, one caller's table of the JSON of
-        each value it has written (``_value_json``), and the ``total`` the
-        caller knows the partition to have."""
         return {
-            "cells": [{"id": c, "w": _value_json(self.weights[c], formatted)} for c in self.cells],
-            "total": _value_json(total, formatted),
+            "cells": [{"id": c, "w": self.weights[c].to_json()} for c in self.cells],
+            "total": self.total.to_json(),
         }
 
     @staticmethod
@@ -120,17 +114,6 @@ def _checked(cells: Sequence[tuple[str, ExactValue]], unchecked) -> WeightedPart
         if w.sign() <= 0:
             raise ValueError(f"weight of {c} must be positive")
     return WeightedPartition(tuple(weights), weights)
-
-
-def _value_json(v: ExactValue, formatted: dict) -> dict:
-    """A fresh copy of ``v.to_json()``, which runs once per ``formatted``
-    table: equal weights are formatted once, but no two cells share a dict."""
-    out = formatted.get(v)
-    if out is None:
-        out = formatted[v] = v.to_json()
-    if "irr" in out:
-        return {"q": out["q"], "irr": dict(out["irr"])}
-    return {"q": out["q"]}
 
 
 @dataclass(frozen=True)

@@ -496,3 +496,42 @@ def snapshot_format1(chain: GoodMeasureChain) -> dict:
         "links": [link.to_json() for link in chain.links],
         "ledger": ledger,
     }
+
+
+def snapshot_format2(chain: GoodMeasureChain) -> dict:
+    """The chain's snapshot in format 2 as a JSON value, built as dicts and
+    lists: the reference of ``GoodMeasureChain.to_text``, whose text is
+    ``jsonutil.dumps`` of this.  Each level total is the 1 of the chain's
+    invariant; the distinct ledger challenge weights form the ``weights``
+    table in the order they are first met."""
+    table: dict[ExactValue, int] = {}
+    ledger = []
+    for e in chain.ledger:
+        obj = e.challenge_object
+        entry = {
+            "kind": e.kind,
+            "stage": e.stage,
+            "cells": list(obj.cells),
+            "weights": [table.setdefault(w, len(table)) for w in obj.weight_list()],
+            "response": list(e.response),
+        }
+        if e.kind == "morphism":
+            entry["target_level"] = e.target_level
+            entry["challenge_map"] = list(e.challenge)
+        ledger.append(entry)
+    links = []
+    for P, link in zip(chain.levels, chain.links):
+        below = {c: i for i, c in enumerate(P.cells)}
+        links.append([below[link.mapping[c]] for c in link.source.cells])
+    return {
+        "descriptor": chain.V.to_json(),
+        "format": 2,
+        "levels": [
+            {"cells": [{"id": c, "w": P.weights[c].to_json()} for c in P.cells],
+             "total": ONE.to_json()}
+            for P in chain.levels
+        ],
+        "links": links,
+        "weights": [v.to_json() for v in table],
+        "ledger": ledger,
+    }

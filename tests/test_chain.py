@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goodmeasures import chain as chain_module
@@ -54,6 +54,7 @@ from oracles import (
     peel_amalgam,
     prefix_by_sets,
     snapshot_format1,
+    snapshot_format2,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -890,6 +891,69 @@ def test_format2_round_trip_gives_identical_bytes(irrational, seed, steps, dyadi
     loaded = GoodMeasureChain.from_json(jsonutil.loads(text))
     assert jsonutil.dumps(loaded.to_json()) == text
     assert snapshot_format1(loaded) == snapshot_format1(ch)
+
+
+#: Cell ids whose JSON text needs escaping, or is not ASCII.
+_ESCAPED_IDS = ['"', "\\", "\n", "\t", "\u2028", "é", "\U0001f600"]
+_WRITER_SETS = ["dyadic", "triadic", "rationals", "sqrt2_dyadic"]
+
+
+def _each_writer_case(test):
+    """An ``example`` of each schedule, and of each other case once."""
+    for name in _WRITER_SETS:
+        for budget in (1, 2, 3):
+            test = example(case="schedule", name=name, budget=budget, seed=0, ids=["é"])(test)
+    for case in ("witness", "fixture", "depth 0"):
+        test = example(case=case, name="sqrt2_dyadic", budget=2, seed=1, ids=["é"])(test)
+    return example(case="escaped", name="sqrt2_dyadic", budget=1, seed=2, ids=_ESCAPED_IDS)(test)
+
+
+@settings(max_examples=60, deadline=None)
+@_each_writer_case
+@given(
+    case=st.sampled_from(["schedule", "witness", "fixture", "depth 0", "escaped"]),
+    name=st.sampled_from(_WRITER_SETS),
+    budget=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    ids=st.lists(st.sampled_from(_ESCAPED_IDS), min_size=1, max_size=3),
+)
+def test_to_text_writes_the_bytes_of_the_reference_snapshot(
+    case, name, budget, seed, ids, dyadic, triadic, rationals, sqrt2_dyadic
+):
+    """``to_text`` is ``jsonutil.dumps`` of the dict-built reference
+    (``oracles.snapshot_format2``), and canonical: on schedules, on chains
+    extended by witnesses (cycle splits and morphism entries), on the loaded
+    format-1 fixture, on a depth-0 chain (no links, ledger or weights), and
+    on challenges whose cell ids need escaping."""
+    V = {"dyadic": dyadic, "triadic": triadic, "rationals": rationals,
+         "sqrt2_dyadic": sqrt2_dyadic}[name]
+    rng = random.Random(seed)
+    if case == "schedule":
+        ch = GoodMeasureChain(V)
+        ch.run_schedule(budget)
+    elif case == "witness":
+        ch = GoodMeasureChain(V)
+        ch.run_schedule(2)
+        for _ in range(budget):
+            compatible_witness(ch, random_balanced_matrix(rng, ch, rng.randint(0, ch.depth)))
+    elif case == "fixture":
+        text = (FIXTURES / "dyadic_budget3_before_relabel.json").read_text(encoding="utf-8")
+        ch = GoodMeasureChain.from_json(jsonutil.loads(text))
+    elif case == "depth 0":
+        ch = GoodMeasureChain(V)
+    else:
+        ch = GoodMeasureChain(V)
+        prefix = "".join(ids)
+        ch.absorb_object(random_partition(rng, V, 4, prefix))
+        ch.absorb_morphism(random_refining_morphism(rng, V, ch.top, 3, prefix + "/"), ch.depth)
+        assert prefix + "0" in ch.ledger[0].challenge_object.cells
+    text = ch.to_text()
+    reference = snapshot_format2(ch)
+    assert text == jsonutil.dumps(reference)
+    assert jsonutil.dumps(jsonutil.loads(text)) == text
+    assert ch.to_json() == reference
+    if case == "depth 0":
+        assert reference["links"] == reference["ledger"] == reference["weights"] == []
 
 
 # -- the ledger held as positions ----------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from goodmeasures import cli, composite, jsonutil
 from goodmeasures.chain import GoodMeasureChain
 from goodmeasures.cli import build_parser, main
+from goodmeasures.jsonutil import dumps, write
 from goodmeasures.cycles import CycleTuple, TupleMorphism, verify_tuple_morphism
 
 from conftest import sqrt2_unit_power
@@ -53,13 +54,13 @@ COMPOSITE_SPEC = {
 @pytest.fixture()
 def files(tmp_path):
     desc = tmp_path / "dyadic.json"
-    jsonutil.write(desc, DYADIC)
+    write(desc, dumps(DYADIC))
     bad = tmp_path / "bad.json"
-    jsonutil.write(bad, BAD23)
+    write(bad, dumps(BAD23))
     spec = tmp_path / "composite.json"
-    jsonutil.write(spec, COMPOSITE_SPEC)
-    jsonutil.write(tmp_path / "rationals.json", RATIONALS)
-    jsonutil.write(tmp_path / "mixed.json", MIXED23)
+    write(spec, dumps(COMPOSITE_SPEC))
+    write(tmp_path / "rationals.json", dumps(RATIONALS))
+    write(tmp_path / "mixed.json", dumps(MIXED23))
     return tmp_path
 
 
@@ -88,7 +89,7 @@ def test_snapshot_save_load_save(files, capsys):
         "--budget", "2", "--out", str(out))
     chain = GoodMeasureChain.from_json(jsonutil.read(out))
     again = files / "again.json"
-    jsonutil.write(again, chain.to_json())
+    write(again, chain.to_text())
     assert out.read_bytes() == again.read_bytes()
 
 
@@ -183,13 +184,13 @@ def test_decide_exit_codes(files, capsys):
 
 def test_decompose_two_cycle(files, capsys):
     mat = files / "mat.json"
-    jsonutil.write(mat, {
+    write(mat, dumps({
         "level": 1,
         "entries": [
             {"from": "r/0", "to": "r/1", "w": {"q": "1/2"}},
             {"from": "r/1", "to": "r/0", "w": {"q": "1/2"}},
         ],
-    })
+    }))
     code, env = run(capsys, "decompose", "--matrix", str(mat))
     assert code == 0
     assert env["result"]["count"] == 1
@@ -197,8 +198,8 @@ def test_decompose_two_cycle(files, capsys):
 
 def test_decompose_invalid_matrix(files, capsys):
     mat = files / "mat.json"
-    jsonutil.write(mat, {"level": 0, "entries": [
-        {"from": "a", "to": "b", "w": {"q": "1/2"}}]})
+    write(mat, dumps({"level": 0, "entries": [
+        {"from": "a", "to": "b", "w": {"q": "1/2"}}]}))
     assert main(["decompose", "--matrix", str(mat)]) == 2
     assert _one_line_error(capsys) == "NotEquiSummed: row/column sums differ at a"
 
@@ -268,10 +269,30 @@ def test_infinity_under_an_unread_key_is_refused_before_the_work(files, capsys, 
     assert _one_line_error(capsys) == _NAN_LINE.format(constant)
 
 
+def test_an_unpaired_surrogate_is_refused_before_the_work(files, capsys, monkeypatch):
+    """A cell id written as the lone surrogate \\ud800 is refused where the
+    snapshot is parsed, with one line, not after the sweep at the digest."""
+    snap = files / "snap.json"
+    run(capsys, "build-chain", "--descriptor", str(files / "dyadic.json"),
+        "--budget", "1", "--out", str(snap))
+    text = snap.read_text(encoding="utf-8")
+    assert '"r"' in text
+    snap.write_text(text.replace('"r"', '"\\ud800"'), encoding="utf-8")
+
+    def unreachable(data):
+        raise AssertionError("a snapshot with a lone surrogate was loaded")
+
+    monkeypatch.setattr(GoodMeasureChain, "from_json", staticmethod(unreachable))
+    assert main(["check-good", "--snapshot", str(snap), "--depth", "1"]) == 2
+    assert _one_line_error(capsys) == (
+        "invalid input: ValueError: a JSON string holds the unpaired surrogate U+D800"
+    )
+
+
 @pytest.mark.parametrize("radicand", [4, 0])
 def test_rational_sqrt_symbol_is_invalid_input(files, capsys, radicand):
     desc = files / "square.json"
-    jsonutil.write(desc, _sqrt_descriptor(radicand, "-3/2" if radicand else "1/2"))
+    write(desc, dumps(_sqrt_descriptor(radicand, "-3/2" if radicand else "1/2")))
     code = main(["build-chain", "--descriptor", str(desc), "--budget", "1",
                  "--out", str(files / "never.json")])
     assert code == 2
@@ -289,8 +310,8 @@ def _descriptor(*enclosures, exponent="0") -> dict:
 
 def test_dependent_sqrt_symbols_are_invalid_input(files, capsys):
     desc = files / "dependent.json"
-    jsonutil.write(desc, _descriptor(("s2", {"kind": "sqrt", "radicand": 2, "shift": "-1"}),
-                                     ("s8", {"kind": "sqrt", "radicand": 8, "shift": "-2"})))
+    write(desc, dumps(_descriptor(("s2", {"kind": "sqrt", "radicand": 2, "shift": "-1"}),
+                                  ("s8", {"kind": "sqrt", "radicand": 8, "shift": "-2"}))))
     code = main(["build-chain", "--descriptor", str(desc), "--budget", "1",
                  "--out", str(files / "never.json")])
     assert code == 2
@@ -301,7 +322,7 @@ def test_dependent_sqrt_symbols_are_invalid_input(files, capsys):
 def test_undecided_sign_is_invalid_input(files, capsys):
     # 0.111...1 in binary, 4096 digits: x - 1 straddles 0 at every precision
     desc = files / "digits.json"
-    jsonutil.write(desc, _descriptor(("x", {"kind": "digits", "base": 2, "digits": "1" * 4096})))
+    write(desc, dumps(_descriptor(("x", {"kind": "digits", "base": 2, "digits": "1" * 4096}))))
     code = main(["build-chain", "--descriptor", str(desc), "--budget", "1",
                  "--out", str(files / "never.json")])
     assert code == 2
@@ -316,12 +337,12 @@ def test_decompose_decides_a_sign_past_the_enclosure_cap(files, capsys, n):
     a, b = sqrt2_unit_power(n)
     weight = {"q": str(a), "irr": {"s2": str(b)}}
     desc, mat = files / "sqrt2_dyadic.json", files / "unit_power.json"
-    jsonutil.write(desc, {
+    write(desc, dumps({
         "rational": {"default": "0", "exceptions": {"2": "inf"}},
         "irrationals": [{"name": "s2", "group": {"default": "0", "exceptions": {"2": "inf"}},
                          "enclosure": {"kind": "sqrt", "radicand": 2, "shift": "-1"}}],
-    })
-    jsonutil.write(mat, {"level": 0, "entries": [{"from": "r", "to": "r", "w": weight}]})
+    }))
+    write(mat, dumps({"level": 0, "entries": [{"from": "r", "to": "r", "w": weight}]}))
     code, env = run(capsys, "decompose", "--descriptor", str(desc), "--matrix", str(mat))
     assert code == 0
     assert env["result"] == {"count": 1, "cycles": [{"vertices": ["r"], "w": weight}]}
@@ -329,7 +350,7 @@ def test_decompose_decides_a_sign_past_the_enclosure_cap(files, capsys, n):
 
 def test_zero_denominator_is_invalid_input(files, capsys):
     desc = files / "zero_den.json"
-    jsonutil.write(desc, _sqrt_descriptor(2, "1/0"))
+    write(desc, dumps(_sqrt_descriptor(2, "1/0")))
     assert main(["decide-rokhlin", "--descriptor", str(desc)]) == 2
     assert "ZeroDivisionError" in _one_line_error(capsys)
 
@@ -359,7 +380,7 @@ def test_check_good_rejects_doctored_maximality_lift(files, capsys):
     first = entry["challenge"]["cells"][0]["id"]
     entry["response"]["map"] = {c: first for c in entry["response"]["map"]}
     doctored = files / "doctored.json"
-    jsonutil.write(doctored, data)
+    write(doctored, dumps(data))
     report = files / "report.json"
     code = main(["check-good", "--snapshot", str(doctored), "--depth", "1",
                  "--out", str(report)])
@@ -376,7 +397,7 @@ def test_snapshot_with_ledger_stage_beyond_levels_is_invalid_input(files, capsys
         "--budget", "1", "--out", str(snap))
     data = jsonutil.read(snap)
     data["ledger"][0]["stage"] = len(data["levels"])
-    jsonutil.write(snap, data)
+    write(snap, dumps(data))
     assert main(["check-good", "--snapshot", str(snap), "--depth", "1"]) == 2
     assert "is not a level of the snapshot" in _one_line_error(capsys)
 
@@ -386,19 +407,19 @@ def test_witness_and_check_compat(files, capsys):
     run(capsys, "build-chain", "--descriptor", str(files / "dyadic.json"),
         "--budget", "2", "--out", str(snap))
     mat = files / "mat.json"
-    jsonutil.write(mat, {
+    write(mat, dumps({
         "level": 1,
         "entries": [
             {"from": "r/0", "to": "r/1", "w": {"q": "1/2"}},
             {"from": "r/1", "to": "r/0", "w": {"q": "1/2"}},
         ],
-    })
+    }))
     out_snap = files / "extended.json"
     code, env = run(capsys, "witness", "--matrix", str(mat), "--snapshot", str(snap),
                     "--out-snapshot", str(out_snap))
     assert code == 0 and env["result"]["compatible"]
     prefix = files / "prefix.json"
-    jsonutil.write(prefix, env["certificate"])
+    write(prefix, dumps(env["certificate"]))
     code, env = run(capsys, "check-compat", "--matrix", str(mat),
                     "--snapshot", str(out_snap), "--prefix", str(prefix))
     assert code == 0 and env["result"]["compatible"]
@@ -407,7 +428,7 @@ def test_witness_and_check_compat(files, capsys):
     top = len(chain_data["levels"]) - 1
     ident = {"maps": {str(top): {
         e["id"]: e["id"] for e in chain_data["levels"][top]["cells"]}}}
-    jsonutil.write(prefix, ident)
+    write(prefix, dumps(ident))
     code, env = run(capsys, "check-compat", "--matrix", str(mat),
                     "--snapshot", str(out_snap), "--prefix", str(prefix))
     assert code == 1 and not env["result"]["compatible"]
@@ -415,22 +436,22 @@ def test_witness_and_check_compat(files, capsys):
 
 def test_amalgamate_and_product(files, capsys):
     tuples = files / "tuples.json"
-    jsonutil.write(tuples, {
+    write(tuples, dumps({
         "descriptor": {"rational": {"default": "inf", "exceptions": {}}, "irrationals": []},
         "A": [{"w": {"q": "1"}, "n": 1}],
         "B0": [{"w": {"q": "1/2"}, "n": 1}, {"w": {"q": "1/2"}, "n": 1}],
         "p0": [[0, 1]],
         "B1": [{"w": {"q": "1/4"}, "n": 1}, {"w": {"q": "3/4"}, "n": 1}],
         "p1": [[0, 1]],
-    })
+    }))
     code, env = run(capsys, "amalgamate-tuples", "--input", str(tuples))
     assert code == 0 and len(env["result"]["C"]) == 3
     prod = files / "prod.json"
-    jsonutil.write(prod, {
+    write(prod, dumps({
         "descriptor": {"rational": {"default": "inf", "exceptions": {}}, "irrationals": []},
         "c": [{"w": {"q": "1/2"}, "n": 2}],
         "d": [{"w": {"q": "1/3"}, "n": 3}],
-    })
+    }))
     code, env = run(capsys, "product-lift", "--input", str(prod))
     assert code == 0
     assert env["result"]["u"] == [{"n": 6, "w": {"q": "1/6"}}]
@@ -438,16 +459,16 @@ def test_amalgamate_and_product(files, capsys):
 
 def test_find_morphism_exit_codes(files, capsys):
     inp = files / "findm.json"
-    jsonutil.write(inp, {
+    write(inp, dumps({
         "src": [{"w": {"q": "1/4"}, "n": 2}, {"w": {"q": "1/4"}, "n": 2}],
         "tgt": [{"w": {"q": "1/2"}, "n": 2}],
-    })
+    }))
     code, env = run(capsys, "find-morphism", "--input", str(inp))
     assert code == 0 and env["result"]["found"]
-    jsonutil.write(inp, {
+    write(inp, dumps({
         "src": [{"w": {"q": "1/3"}, "n": 3}],
         "tgt": [{"w": {"q": "1/2"}, "n": 2}],
-    })
+    }))
     code, env = run(capsys, "find-morphism", "--input", str(inp))
     assert code == 1 and not env["result"]["found"]
 
@@ -457,8 +478,8 @@ def test_find_morphism_refuses_a_negative_effort(files, capsys, effort):
     """A negative budget runs no search, so it is refused as bad input, not
     reported as used up."""
     inp = files / "findm.json"
-    jsonutil.write(inp, {"src": [{"w": {"q": "1/2"}, "n": 2}],
-                         "tgt": [{"w": {"q": "1/2"}, "n": 2}]})
+    write(inp, dumps({"src": [{"w": {"q": "1/2"}, "n": 2}],
+                      "tgt": [{"w": {"q": "1/2"}, "n": 2}]}))
     assert main(["find-morphism", "--input", str(inp), "--effort", str(effort)]) == 2
     assert _one_line_error(capsys) == f"effort {effort} is negative"
 
@@ -485,7 +506,7 @@ SQRT2 = {"kind": "sqrt", "radicand": 2, "shift": "-1"}
 ])
 def test_check_closure_decides_beyond_small_primes(files, capsys, descriptor, certificate):
     path = files / "closure.json"
-    jsonutil.write(path, descriptor)
+    write(path, dumps(descriptor))
     code, env = run(capsys, "check-closure", "--descriptor", str(path))
     assert code == 1
     assert env["certificate"] == certificate == env["result"]["violations"][0]
@@ -499,7 +520,7 @@ def test_check_closure_answers_a_large_exponent(files, capsys):
     exponent, never the 6,021-digit power."""
     descriptor = {"rational": {"default": "0", "exceptions": {"2": "20000"}}, "irrationals": []}
     path = files / "closure.json"
-    jsonutil.write(path, descriptor)
+    write(path, dumps(descriptor))
     code, env = run(capsys, "check-closure", "--descriptor", str(path))
     assert code == 1
     assert env["result"]["violations"] == [
@@ -515,9 +536,9 @@ def test_decide_rokhlin_unknown_is_no_verdict(files, capsys):
     """On Z + Z*s (s = sqrt(2) - 1) neither property is decided: exit 2 with
     one line and no envelope, as for a search that used up its effort."""
     path = files / "sqrt2_module.json"
-    jsonutil.write(path, {"rational": {"default": "0", "exceptions": {}},
-                          "irrationals": [{"name": "s", "enclosure": SQRT2,
-                                           "group": {"default": "0", "exceptions": {}}}]})
+    write(path, dumps({"rational": {"default": "0", "exceptions": {}},
+                       "irrationals": [{"name": "s", "enclosure": SQRT2,
+                                        "group": {"default": "0", "exceptions": {}}}]}))
     assert main(["decide-rokhlin", "--descriptor", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -535,9 +556,9 @@ def test_decide_rokhlin_answers_no_from_a_quotient_violation(files, capsys, rati
     """Z[1/2] + Z*s, Z[1/6] + Z[1/2]*s and exponent 2 at 2 plus Z[1/2]*s
     answer no, exit 1, with the violation that check-closure finds."""
     path = files / "quotient.json"
-    jsonutil.write(path, {"rational": {"default": "0", "exceptions": rational},
-                          "irrationals": [{"name": "s", "enclosure": SQRT2,
-                                           "group": {"default": "0", "exceptions": group}}]})
+    write(path, dumps({"rational": {"default": "0", "exceptions": rational},
+                       "irrationals": [{"name": "s", "enclosure": SQRT2,
+                                        "group": {"default": "0", "exceptions": group}}]}))
     code, env = run(capsys, "decide-rokhlin", "--descriptor", str(path))
     assert code == 1
     assert env["result"] == {"strong_rokhlin": "no", "rokhlin": "no"}
@@ -549,7 +570,7 @@ def test_decide_rokhlin_answers_no_from_a_quotient_violation(files, capsys, rati
 def test_check_closure_rejects_non_group_like(files, capsys):
     """On Z both commands exit 2 with the same one-line reason and no envelope."""
     path = files / "integers.json"
-    jsonutil.write(path, {"rational": {"default": "0", "exceptions": {}}})
+    write(path, dumps({"rational": {"default": "0", "exceptions": {}}}))
     for command in ("check-closure", "decide-rokhlin"):
         assert main([command, "--descriptor", str(path)]) == 2
         captured = capsys.readouterr()
@@ -559,7 +580,7 @@ def test_check_closure_rejects_non_group_like(files, capsys):
 
 def test_infinite_key_is_ignored(files, capsys):
     path = files / "dyadic-infinite.json"
-    jsonutil.write(path, dict(DYADIC, infinite=False))
+    write(path, dumps(dict(DYADIC, infinite=False)))
     code, env = run(capsys, "decide-rokhlin", "--descriptor", str(path))
     assert code == 0 and env["result"]["rokhlin"] == "yes"
     code, env = run(capsys, "check-closure", "--descriptor", str(path))
@@ -654,7 +675,7 @@ def test_a_workspace_that_cannot_be_created_exits_3(files, capsys, command):
 def test_workspace_named_artifacts(files, capsys):
     ws = files / "ws2"
     (ws / "descriptors").mkdir(parents=True)
-    jsonutil.write(ws / "descriptors" / "dyadic.json", DYADIC)
+    write(ws / "descriptors" / "dyadic.json", dumps(DYADIC))
     code, env = run(capsys, "--workspace", str(ws), "decide-rokhlin",
                     "--descriptor", "dyadic")
     assert code == 0 and env["result"]["rokhlin"] == "yes"
@@ -802,7 +823,7 @@ def test_find_morphism_on_1500_entries_gives_a_verdict(files, capsys):
         "src": [{"w": {"q": "1/1500"}, "n": 1}] * 1500,
         "tgt": [{"w": {"q": "1"}, "n": 1}],
     }
-    jsonutil.write(inp, data)
+    write(inp, dumps(data))
     code, env = run(capsys, "find-morphism", "--input", str(inp))
     assert code == 0 and env["result"]["found"]
     src, tgt = CycleTuple.from_json(data["src"], {}), CycleTuple.from_json(data["tgt"], {})
@@ -811,10 +832,10 @@ def test_find_morphism_on_1500_entries_gives_a_verdict(files, capsys):
 
 def test_composite_refute_on_1200_targets_gives_a_verdict(files, capsys):
     spec = files / "q_only.json"
-    jsonutil.write(spec, {"components": [{
+    write(spec, dumps({"components": [{
         "descriptor": {"rational": {"default": "inf", "exceptions": {}}, "irrationals": []},
         "scale": "1", "budget": 1,
-    }]})
+    }]}))
     code, env = run(capsys, "composite", "refute-maximality", "--spec", str(spec),
                     "--targets", ",".join(["1/1200"] * 1200))
     assert code == 0 and env["result"]["feasible"]
@@ -823,10 +844,10 @@ def test_composite_refute_on_1200_targets_gives_a_verdict(files, capsys):
 def test_find_morphism_out_of_effort_is_not_a_verdict(files, capsys):
     # a morphism exists (two 1/8-cycles onto each 1/4-cycle), but one try cannot find it
     inp = files / "findm.json"
-    jsonutil.write(inp, {
+    write(inp, dumps({
         "src": [{"w": {"q": "1/8"}, "n": 2}] * 4,
         "tgt": [{"w": {"q": "1/4"}, "n": 2}] * 2,
-    })
+    }))
     assert main(["find-morphism", "--input", str(inp), "--effort", "1"]) == 2
     assert _one_line_error(capsys).startswith("EffortExhausted: ")
 
@@ -932,11 +953,11 @@ def _snapshot_inputs(files, capsys):
     run(capsys, "build-chain", "--descriptor", str(files / "dyadic.json"),
         "--budget", "3", "--out", str(snap))
     mat = files / "mat.json"
-    jsonutil.write(mat, {"level": 1, "entries": [
+    write(mat, dumps({"level": 1, "entries": [
         {"from": "r/0", "to": "r/1", "w": {"q": "1/2"}},
-        {"from": "r/1", "to": "r/0", "w": {"q": "1/2"}}]})
+        {"from": "r/1", "to": "r/0", "w": {"q": "1/2"}}]}))
     prefix = files / "prefix.json"
-    jsonutil.write(prefix, {"maps": {"1": {"r/0": "r/0", "r/1": "r/1"}}})
+    write(prefix, dumps({"maps": {"1": {"r/0": "r/0", "r/1": "r/1"}}}))
     return snap, mat, prefix
 
 
@@ -1253,7 +1274,7 @@ def test_doctored_snapshot_is_invalid_input(files, capsys, case, command):
     data = _format1(snap)
     reason = DOCTORED[case](data)
     doctored = files / "doctored.json"
-    jsonutil.write(doctored, data)
+    write(doctored, dumps(data))
     assert main(_load_commands(doctored, mat, prefix)[command]) == 2
     assert _one_line_error(capsys) == f"invalid input: ValueError: {reason}"
 
@@ -1365,7 +1386,7 @@ def test_doctored_format_2_snapshot_is_invalid_input(files, capsys, case, comman
     assert data["format"] == 2
     line = DOCTORED_FORMAT_2[case](data)
     doctored = files / "doctored.json"
-    jsonutil.write(doctored, data)
+    write(doctored, dumps(data))
     assert main(_load_commands(doctored, mat, prefix)[command]) == 2
     assert _one_line_error(capsys) == f"invalid input: {line}"
 
@@ -1394,19 +1415,79 @@ def test_repeated_matrix_entry_is_invalid_input(files, capsys, command):
     last entry winning, it was the valid matrix r->r 1, which is answered."""
     snap, _, _ = _snapshot_inputs(files, capsys)
     prefix = files / "root.json"
-    jsonutil.write(prefix, {"maps": {"0": {"r": "r"}}})
+    write(prefix, dumps({"maps": {"0": {"r": "r"}}}))
     mat = files / "loop.json"
     argv = {
         "decompose": ["decompose", "--matrix", str(mat)],
         **_load_commands(snap, mat, prefix),
     }[command]
     once = {"from": "r", "to": "r", "w": {"q": "1"}}
-    jsonutil.write(mat, {"level": 0, "entries": [once]})
+    write(mat, dumps({"level": 0, "entries": [once]}))
     assert main(argv) == 0
     capsys.readouterr()
-    jsonutil.write(mat, {"level": 0, "entries": [{**once, "w": {"q": "1/2"}}, once]})
+    write(mat, dumps({"level": 0, "entries": [{**once, "w": {"q": "1/2"}}, once]}))
     assert main(argv) == 2
     assert _one_line_error(capsys) == "invalid input: ValueError: matrix entry r->r is repeated"
+
+
+# -- a matrix or prefix of the wrong form is refused with its place -----------------------
+
+
+def _with_entry(k, **change):
+    """The matrix with entry k changed."""
+    def doctor(matrix):
+        entries = list(matrix["entries"])
+        entries[k] = {**entries[k], **change}
+        return {**matrix, "entries": entries}
+    return doctor
+
+
+MALFORMED_MATRIX = {
+    "an_array": (lambda m: [m], "matrix is a JSON array, not an object"),
+    "entries_an_object": (lambda m: {**m, "entries": {"0": m["entries"][0]}},
+                          "matrix entries is a JSON object, not an array"),
+    "entries_strings": (lambda m: {**m, "entries": ["r/0", "r/1"]},
+                        "matrix entry 0 is a JSON string, not an object"),
+    "from_an_array": (_with_entry(1, **{"from": ["r/1"]}),
+                      "matrix entry 1 holds a JSON array, not a cell id"),
+    "to_an_object": (_with_entry(0, to={"id": "r/1"}),
+                     "matrix entry 0 holds a JSON object, not a cell id"),
+}
+
+
+@pytest.mark.parametrize("command", ["decompose", "check-compat", "witness"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_MATRIX))
+def test_malformed_matrix_is_invalid_input(files, capsys, case, command):
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    commands = {"decompose": ["decompose", "--matrix", str(mat)],
+                **_load_commands(snap, mat, prefix)}
+    assert main(commands[command]) in (0, 1)
+    capsys.readouterr()
+    doctor, reason = MALFORMED_MATRIX[case]
+    write(mat, dumps(doctor(jsonutil.read(mat))))
+    assert main(commands[command]) == 2
+    assert _one_line_error(capsys) == f"invalid input: ValueError: {reason}"
+
+
+MALFORMED_PREFIX = {
+    "an_array": (lambda p: [p], "prefix is a JSON array, not an object"),
+    "level_not_an_integer": (lambda p: {"maps": {"x": p["maps"]["1"]}},
+                             'prefix level "x" is not an integer'),
+    "image_an_array": (lambda p: {"maps": {"1": {"r/0": ["r/0"], "r/1": "r/1"}}},
+                       "prefix map 1 holds a JSON array, not a cell id"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PREFIX))
+def test_malformed_prefix_is_invalid_input(files, capsys, case):
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    argv = _load_commands(snap, mat, prefix)["check-compat"]
+    assert main(argv) == 1  # the identity is no witness of a two-cycle: a "no"
+    capsys.readouterr()
+    doctor, reason = MALFORMED_PREFIX[case]
+    write(prefix, dumps(doctor(jsonutil.read(prefix))))
+    assert main(argv) == 2
+    assert _one_line_error(capsys) == f"invalid input: ValueError: {reason}"
 
 
 # -- one parse per distinct weight -------------------------------------------------------
@@ -1423,7 +1504,7 @@ S2_AS_INTS = {"irr": {"s2": 1}, "q": 0}
 
 def _sqrt2_snapshot(files, capsys):
     desc = files / "sqrt2_dyadic.json"
-    jsonutil.write(desc, SQRT2_DYADIC)
+    write(desc, dumps(SQRT2_DYADIC))
     snap = files / "sqrt2_snap.json"
     code, _ = run(capsys, "build-chain", "--descriptor", str(desc), "--budget", "2",
                   "--out", str(snap))
@@ -1466,9 +1547,9 @@ def test_a_repeated_weight_in_a_bad_form_is_still_rejected(files, capsys, bad, r
     with pytest.raises((TypeError, KeyError)):
         GoodMeasureChain.from_json(data)
     doctored = files / "doctored.json"
-    jsonutil.write(doctored, data)
+    write(doctored, dumps(data))
     mat = files / "mat.json"
-    jsonutil.write(mat, {"level": 0, "entries": [{"from": "r", "to": "r", "w": {"q": "1"}}]})
+    write(mat, dumps({"level": 0, "entries": [{"from": "r", "to": "r", "w": {"q": "1"}}]}))
     assert main(["witness", "--matrix", str(mat), "--snapshot", str(doctored)]) == 2
     assert _one_line_error(capsys).startswith(f"invalid input: {reason}")
 
@@ -1496,14 +1577,14 @@ def test_descriptor_part_not_an_object_is_invalid_input(files, capsys, doctor):
     data = json.loads(json.dumps(SQRT2_DYADIC))
     reason = doctor(data)
     desc = files / "not_an_object.json"
-    jsonutil.write(desc, data)
+    write(desc, dumps(data))
     assert main(["decide-rokhlin", "--descriptor", str(desc)]) == 2
     assert _one_line_error(capsys) == f"invalid input: ValueError: {reason}"
 
 
 def test_prefix_maps_not_an_object_is_invalid_input(files, capsys):
     snap, mat, prefix = _snapshot_inputs(files, capsys)
-    jsonutil.write(prefix, {"maps": []})
+    write(prefix, dumps({"maps": []}))
     assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
     assert _one_line_error(capsys) == (
         "invalid input: ValueError: prefix maps is a JSON array, not an object"
@@ -1513,7 +1594,7 @@ def test_prefix_maps_not_an_object_is_invalid_input(files, capsys):
 def test_prefix_map_written_as_pairs_is_invalid_input(files, capsys):
     snap, mat, prefix = _snapshot_inputs(files, capsys)
     swap = [["r/0", "r/1"], ["r/1", "r/0"]]
-    jsonutil.write(prefix, {"maps": {"1": swap}})
+    write(prefix, dumps({"maps": {"1": swap}}))
     assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
     reason = "prefix map 1 is a JSON array, not an object"
     assert _one_line_error(capsys) == f"invalid input: ValueError: {reason}"
@@ -1532,10 +1613,10 @@ _NOT_A_PREFIX = "invalid input: ValueError: prefix is not an automorphism prefix
 def test_check_compat_refuses_a_map_that_is_no_prefix(files, capsys, top_map):
     snap, mat, prefix = _snapshot_inputs(files, capsys)
     # the matrix this map would induce, so only the prefix is at fault
-    jsonutil.write(mat, {"level": 1, "entries": [
+    write(mat, dumps({"level": 1, "entries": [
         {"from": "r/0", "to": "r/0", "w": {"q": "1/2"}},
-        {"from": "r/1", "to": "r/0", "w": {"q": "1/2"}}]})
-    jsonutil.write(prefix, {"maps": {"1": top_map}})
+        {"from": "r/1", "to": "r/0", "w": {"q": "1/2"}}]}))
+    write(prefix, dumps({"maps": {"1": top_map}}))
     assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
     assert _one_line_error(capsys) == _NOT_A_PREFIX
 
@@ -1546,8 +1627,8 @@ def test_check_compat_refuses_a_prefix_level_off_the_snapshot(files, capsys, lev
     if level == "past the top":
         level = len(jsonutil.read(snap)["levels"])
     # level 1 is a valid prefix map on its own: -1 must not reach the top
-    jsonutil.write(prefix, {"maps": {"1": {"r/0": "r/0", "r/1": "r/1"},
-                                     str(level): {"r/0": "r/0", "r/1": "r/1"}}})
+    write(prefix, dumps({"maps": {"1": {"r/0": "r/0", "r/1": "r/1"},
+                                  str(level): {"r/0": "r/0", "r/1": "r/1"}}}))
     assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
     assert _one_line_error(capsys) == (
         f"invalid input: ValueError: prefix level {level} is not a level of the snapshot"
@@ -1556,8 +1637,8 @@ def test_check_compat_refuses_a_prefix_level_off_the_snapshot(files, capsys, lev
 
 def test_check_compat_refuses_an_invalid_matrix(files, capsys):
     snap, mat, prefix = _snapshot_inputs(files, capsys)
-    jsonutil.write(mat, {"level": 1, "entries": [
-        {"from": "r/0", "to": "r/1", "w": {"q": "1/2"}}]})
+    write(mat, dumps({"level": 1, "entries": [
+        {"from": "r/0", "to": "r/1", "w": {"q": "1/2"}}]}))
     assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
     assert _one_line_error(capsys) == (
         "invalid input: ValueError: matrix is not a valid balanced matrix over the chain"
@@ -1566,7 +1647,7 @@ def test_check_compat_refuses_an_invalid_matrix(files, capsys):
 
 def test_check_compat_refuses_an_empty_prefix(files, capsys):
     snap, mat, prefix = _snapshot_inputs(files, capsys)
-    jsonutil.write(prefix, {"maps": {}})
+    write(prefix, dumps({"maps": {}}))
     assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
     assert _one_line_error(capsys) == "invalid input: ValueError: prefix maps is empty"
 
@@ -1608,8 +1689,8 @@ def test_main_twice_in_one_process_carries_nothing_over(files, capsys, monkeypat
 @pytest.mark.parametrize("default", ["INF", "5"])
 def test_default_exponent_other_than_0_or_inf_is_invalid_input(files, capsys, default):
     desc = files / "default.json"
-    jsonutil.write(desc, {"rational": {"default": default, "exceptions": {"2": "inf"}},
-                          "irrationals": []})
+    write(desc, dumps({"rational": {"default": default, "exceptions": {"2": "inf"}},
+                       "irrationals": []}))
     assert main(["decide-rokhlin", "--descriptor", str(desc)]) == 2
     _one_line_error(capsys)
 
@@ -1621,15 +1702,15 @@ def test_bool_matrix_level_is_invalid_input(files, capsys):
     snap, mat, _ = _snapshot_inputs(files, capsys)
     data = jsonutil.read(mat)
     data["level"] = True
-    jsonutil.write(mat, data)
+    write(mat, dumps(data))
     assert main(["witness", "--matrix", str(mat), "--snapshot", str(snap)]) == 2
     assert _BOOL_INT in _one_line_error(capsys)
 
 
 def test_bool_cycle_length_is_invalid_input(files, capsys):
     inp = files / "findm.json"
-    jsonutil.write(inp, {"src": [{"w": {"q": "1"}, "n": True}],
-                         "tgt": [{"w": {"q": "1"}, "n": 1}]})
+    write(inp, dumps({"src": [{"w": {"q": "1"}, "n": True}],
+                      "tgt": [{"w": {"q": "1"}, "n": 1}]}))
     assert main(["find-morphism", "--input", str(inp)]) == 2
     assert _BOOL_INT in _one_line_error(capsys)
 
@@ -1637,10 +1718,10 @@ def test_bool_cycle_length_is_invalid_input(files, capsys):
 def test_bool_tuple_morphism_block_is_invalid_input(files, capsys):
     halves = [{"w": {"q": "1/2"}, "n": 1}, {"w": {"q": "1/2"}, "n": 1}]
     tuples = files / "tuples.json"
-    jsonutil.write(tuples, {
+    write(tuples, dumps({
         "descriptor": {"rational": {"default": "inf", "exceptions": {}}, "irrationals": []},
         "A": halves, "B0": halves, "p0": [[0], [True]], "B1": halves, "p1": [[0], [1]],
-    })
+    }))
     assert main(["amalgamate-tuples", "--input", str(tuples)]) == 2
     assert _BOOL_INT in _one_line_error(capsys)
 
@@ -1649,7 +1730,7 @@ def test_bool_ledger_stage_is_invalid_input(files, capsys):
     snap, mat, prefix = _snapshot_inputs(files, capsys)
     data = jsonutil.read(snap)
     next(e for e in data["ledger"] if e["stage"] == 1)["stage"] = True
-    jsonutil.write(snap, data)
+    write(snap, dumps(data))
     assert main(_load_commands(snap, mat, prefix)["check-compat"]) == 2
     assert _BOOL_INT in _one_line_error(capsys)
 
@@ -1658,7 +1739,7 @@ def test_bool_composite_budget_is_invalid_input(files, capsys):
     spec = json.loads(json.dumps(COMPOSITE_SPEC))
     spec["components"][0]["budget"] = True
     path = files / "bool_budget.json"
-    jsonutil.write(path, spec)
+    write(path, dumps(spec))
     assert main(["composite", "build", "--spec", str(path),
                  "--out", str(files / "never.json")]) == 2
     assert _BOOL_INT in _one_line_error(capsys)

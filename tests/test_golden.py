@@ -143,8 +143,8 @@ def test_orbit_split_digest(dyadic, triadic):
 
 def test_check_good_envelope_and_report_digest(tmp_path, capsys):
     desc = tmp_path / "dyadic.json"
-    jsonutil.write(desc, {"rational": {"default": "0", "exceptions": {"2": "inf"}},
-                          "irrationals": []})
+    jsonutil.write(desc, jsonutil.dumps({"rational": {"default": "0", "exceptions": {"2": "inf"}},
+                                         "irrationals": []}))
     snap, report = tmp_path / "snap.json", tmp_path / "report.json"
     assert main(["build-chain", "--descriptor", str(desc), "--budget", "1",
                  "--out", str(snap)]) == 0

@@ -99,14 +99,14 @@ def test_dumps_does_not_walk_a_known_value(monkeypatch):
 
 def test_write_calls_before_with_its_text_and_opens_no_file_if_it_raises(tmp_path):
     seen = []
-    jsonutil.write(tmp_path / "a.json", {"b": [1]}, seen.append)
+    jsonutil.write(tmp_path / "a.json", jsonutil.dumps({"b": [1]}), seen.append)
     assert seen == [(tmp_path / "a.json").read_text(encoding="utf-8")]
 
     def refuse(text):
         raise OSError("no")
 
     with pytest.raises(OSError):
-        jsonutil.write(tmp_path / "never.json", {"b": [1]}, refuse)
+        jsonutil.write(tmp_path / "never.json", jsonutil.dumps({"b": [1]}), refuse)
     assert not (tmp_path / "never.json").exists()
 
 
@@ -160,3 +160,25 @@ def test_loads_refuses_nan_and_infinity_as_it_refuses_floats(text, constant):
     with pytest.raises(TypeError) as err:
         jsonutil.loads("1.5")
     assert str(err.value) == want.replace(constant, "1.5")
+
+
+@pytest.mark.parametrize("text, code", [
+    ('"\\ud800"', "D800"),
+    ('{"\\udc00": 1}', "DC00"),
+    ('["a", {"b": "x\\uDBFF"}]', "DBFF"),
+    ('"\\ude00\\ud83d"', "DE00"),  # a pair in the wrong order is two lone halves
+    ('"\\ud83d\\u0041"', "D83D"),
+])
+def test_loads_refuses_an_unpaired_surrogate(text, code):
+    with pytest.raises(ValueError) as err:
+        jsonutil.loads(text)
+    assert str(err.value) == f"a JSON string holds the unpaired surrogate U+{code}"
+
+
+@pytest.mark.parametrize("text, value", [
+    ('"\\ud83d\\ude00"', "\U0001f600"),
+    ('{"\\uD835\\uDD38": ["\\u00e9"]}', {"\U0001d538": ["é"]}),
+    ('"\\\\ud800"', "\\ud800"),  # an escaped backslash, then letters
+])
+def test_loads_reads_surrogate_pairs_and_escaped_backslashes(text, value):
+    assert jsonutil.loads(text) == value
