@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -30,9 +30,10 @@ from .errors import (
 )
 from .flows import cycles_through, decompose_entries, orbits
 from .jsonutil import (
+    Canonical,
     Place,
-    Texts,
     array,
+    dumps,
     encode,
     json_type,
     layout,
@@ -482,13 +483,14 @@ class GoodMeasureChain:
 
     # -- deterministic schedule -------------------------------------------------
 
-    def _object_challenges(
+    def object_challenges(
         self, height: int, values: list[ExactValue] | None = None
     ) -> list[WeightedPartition]:
         """The object challenges of a height: every nondecreasing index tuple
         of at most height + 1 values of height at most height + 1 summing to
-        1, in depth-first order, built unchecked.  ``values`` is that
-        enumeration, when the caller already has it."""
+        1, in depth-first order, built unchecked: their weights lie in V and
+        sum to 1, so each passes ``absorb_object``'s checks.  ``values`` is
+        that enumeration, when the caller already has it."""
         if values is None:
             values = self.V.enumerate_values(height + 1)
         ids = [f"x{k}" for k in range(height + 1)]
@@ -517,7 +519,7 @@ class GoodMeasureChain:
         heights = [v.height() for v in enumerated]
         for h in range(1, budget + 1):
             values = enumerated[:bisect_right(heights, h + 1)]
-            for obj in self._object_challenges(h, values):
+            for obj in self.object_challenges(h, values):
                 self._absorb_object(obj)
             lvl = min(h - 1, self.depth)
             P = self.levels[lvl]
@@ -826,9 +828,9 @@ class GoodMeasureChain:
         position of each cell of its stage, and, for a morphism, its
         challenge map as positions in its target level.
 
-        Each distinct weight is formatted once, and moved to each other
-        indentation it stands at by one ``replace`` (``Texts.at``); each
-        position list is one join, and each level cell and ledger entry
+        Each distinct weight is formatted once, as a ``Canonical`` text, and
+        moved to each indentation it stands at by ``encode``; each position
+        list is one join, and each level cell and ledger entry
         fills a template fixed once per key set and indentation
         (``jsonutil.layout``).  The ledger, most of the text, is joined
         first, so that its entries' texts are gone before the whole is
@@ -838,15 +840,15 @@ class GoodMeasureChain:
         table: dict[ExactValue, int] = {}  # the challenge weights, by first appearance
         # the weight table is complete once the ledger is written
         ledger = array(_entry_texts(self.ledger, table, nl[2]), nl[1])
-        weight = Texts.of(ExactValue.to_json)  # each distinct weight, formatted once
-        cell_weight = weight.at(nl[5])
+        weight = cache(lambda v: Canonical(dumps(v.to_json())))  # each distinct weight, once
+        cell_weight = cache(lambda v: encode(weight(v), nl[5]))
         cell = layout(("id", "w"), nl[4])
         level = layout(("cells", "total"), nl[2])
-        total = weight.at(nl[3])[ONE]
+        total = encode(weight(ONE), nl[3])
         levels = [
             level.format(
                 array(map(cell.format, map(string, P.cells),
-                          map(cell_weight.__getitem__, P.weight_list())), nl[3]),
+                          map(cell_weight, P.weight_list())), nl[3]),
                 total,
             )
             for P in self.levels
@@ -862,7 +864,7 @@ class GoodMeasureChain:
             "2",
             array(levels, nl[1]),
             array(links, nl[1]),
-            array(map(weight.at(nl[2]).__getitem__, table), nl[1]),
+            array([encode(weight(v), nl[2]) for v in table], nl[1]),
             ledger,
         )
 

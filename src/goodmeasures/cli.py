@@ -44,7 +44,7 @@ class Workspace:
     canonical: ``jsonutil.dumps(jsonutil.loads(text)) == text``.  A record is
     made for every text a command writes, and for every text it reads that
     proves canonical when the digest of the command's input encodes it.  A
-    recorded input is then digested from its text, not walked (``known``).
+    recorded input is then digested from its text, not walked (``splice``).
     The texts of a command's inputs live as long as the Workspace, which is
     one command's.
     """
@@ -86,20 +86,27 @@ class Workspace:
         except OSError as exc:
             raise WorkspaceError(f"canonical record: {exc}") from exc
 
-    def known(self, value) -> str | None:
-        """The canonical text of value if it is an input read, else None:
-        the file's text if a record says so, else the value's encoding,
-        which records the text when the two agree."""
-        entry = self.texts.get(id(value))
-        if entry is None:
-            return None
-        text = entry[1]
+    def known(self, value) -> jsonutil.Canonical:
+        """The canonical text of value, an input read: the file's text if a
+        record says so, else the value's encoding, which records the text
+        when the two agree."""
+        text = self.texts[id(value)][1]
         if not (self.canonical / jsonutil.text_digest(text)).exists():
             canonical = jsonutil.dumps(value)
             if canonical != text:
-                return canonical
+                return jsonutil.Canonical(canonical)
             self.record(text)
-        return text
+        return jsonutil.Canonical(text)
+
+    def splice(self, obj):
+        """obj with each input read, obj itself or one of its values, as its
+        canonical text (``known``): the object a command digests holds its
+        inputs at most one key down."""
+        if id(obj) in self.texts:
+            return self.known(obj)
+        if type(obj) is dict:
+            return {k: self.known(v) if id(v) in self.texts else v for k, v in obj.items()}
+        return obj
 
 
 def _workspace(args) -> Workspace | None:
@@ -118,7 +125,7 @@ def _emit(op: str, input_obj, result, certificate, ws: Workspace | None, out=Non
     cannot be written (exit 3).  ``out`` is the (path, text, what) of the
     file the op writes, if any, its text canonical.  The run log and the records come first,
     so an op whose log line or record cannot be written leaves no file."""
-    h = jsonutil.digest(input_obj, ws.known if ws else None)
+    h = jsonutil.digest(ws.splice(input_obj) if ws else input_obj)
     if ws:
         ws.log(op, h)
     if out is not None and not _write(*out, ws):
@@ -129,10 +136,13 @@ def _emit(op: str, input_obj, result, certificate, ws: Workspace | None, out=Non
 
 
 def _write(path, text: str, what: str, ws: Workspace | None) -> bool:
-    """Write a canonical text, recorded first in a workspace; on failure
-    report it and return False (exit 3)."""
+    """Write a canonical text, recorded first in a workspace, so that a
+    record that cannot be made leaves no file; on failure report it and
+    return False (exit 3)."""
+    if ws:
+        ws.record(text)
     try:
-        jsonutil.write(path, text, ws.record if ws else None)
+        jsonutil.write(path, text)
     except OSError as exc:
         sys.stderr.write(f"cannot write {what}: {exc}\n")
         return False
@@ -219,8 +229,8 @@ def cmd_check_good(args) -> int:
     # a loaded snapshot's lifts are verified on load, and the engine builds
     # the ones absorbed here, so each stage is all there is to report
     maximality = [
-        {"weights": [w.to_json() for w in obj.weight_list()], "stage": chain._absorb_object(obj)}
-        for obj in chain._object_challenges(2)
+        {"weights": [w.to_json() for w in obj.weight_list()], "stage": chain.absorb_object(obj)}
+        for obj in chain.object_challenges(2)
     ]
     all_ok = ok_count == len(pairs)
     report = {
@@ -254,10 +264,10 @@ def cmd_decide_rokhlin(args) -> int:
 def cmd_decompose(args) -> int:
     ws = _workspace(args)
     matrix = _read_json(args.matrix, ws, "snapshots")
-    symbols = {}
+    digested, symbols = {"matrix": matrix}, {}
     if args.descriptor:
-        V = GroupDescriptor.from_json(_read_json(args.descriptor, ws, "descriptors"))
-        symbols = V.symbols()
+        descriptor = digested["descriptor"] = _read_json(args.descriptor, ws, "descriptors")
+        symbols = GroupDescriptor.from_json(descriptor).symbols()
     cycles = matrices_mod.cycle_decompose(matrices_mod.entries_from_json(matrix, symbols))
     result = {
         "cycles": [
@@ -265,7 +275,7 @@ def cmd_decompose(args) -> int:
         ],
         "count": len(cycles),
     }
-    _emit("decompose", {"matrix": matrix}, result, None, ws)
+    _emit("decompose", digested, result, None, ws)
     return 0
 
 
@@ -394,7 +404,8 @@ def cmd_composite_build(args) -> int:
     m = _build_composite(spec)
     out = {
         "components": [
-            {"scale": str(s), "snapshot": chain.to_json()} for chain, s in m.components
+            {"scale": str(s), "snapshot": jsonutil.Canonical(chain.to_text())}
+            for chain, s in m.components
         ]
     }
     result = {

@@ -495,8 +495,6 @@ def _dichotomy_b_n(V: GroupDescriptor) -> tuple[ExactValue, int]:
 def _first_listed(V: GroupDescriptor, keep, check: str) -> ExactValue:
     """The first value ``V.enumerate_values`` lists for which keep holds;
     PreconditionFailed(check) if none has height up to _LISTED_HEIGHTS."""
-    for layer in itertools.islice(V._layers(), _LISTED_HEIGHTS):
-        for v in layer:
-            if keep(v):
-                return v
-    raise PreconditionFailed(check, f"no value of height up to {_LISTED_HEIGHTS}")
+    if (v := V.first_listed(keep, _LISTED_HEIGHTS)) is None:
+        raise PreconditionFailed(check, f"no value of height up to {_LISTED_HEIGHTS}")
+    return v

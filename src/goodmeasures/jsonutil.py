@@ -3,10 +3,12 @@
 Every artifact this package writes is canonical text, so that identical
 inputs always produce byte-identical files: ``dumps`` of a JSON value, or a
 text assembled from the parts below ``dumps`` (``encode``, ``string``,
-``array``, ``layout`` and ``Texts``), which lay out the same separators,
-indentation and key order, so that a writer such as
-``GoodMeasureChain.to_text`` builds no JSON tree.  ``write`` writes a text
-it is given.
+``array`` and ``layout``), which lay out the same separators, indentation
+and key order, so that a writer such as ``GoodMeasureChain.to_text`` builds
+no JSON tree.  A known canonical text goes into a larger one in one way:
+as a ``Canonical`` leaf of the value, which ``dumps`` writes from its text
+instead of walking the value it stands for.  ``write`` writes a text it is
+given.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import hashlib
 import json
 import math
 import re
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
@@ -23,28 +25,32 @@ from pathlib import Path
 _INT, _STR = frozenset([int]), frozenset([str])
 
 
-def dumps(obj, known: Callable[[object], str | None] | None = None) -> str:
+class Canonical(str):
+    """The canonical text ``dumps(v)`` of a JSON value v, standing in for v
+    as a leaf of a larger value: ``dumps`` writes it as v's text, not as a
+    string.  The only newlines of canonical text are structural (a string
+    writes its own as ``\\n``), so indenting its lines by one ``replace``
+    gives the bytes of the walk of v."""
+
+    __slots__ = ()
+
+
+def dumps(obj) -> str:
     """Canonical text of obj: the text of
-    ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``.
+    ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``,
+    each ``Canonical`` leaf read as the value it stands for.
 
     The stdlib reaches its C encoder only without ``indent``, so the same text
     is assembled here, pieces joined once.  Floats raise ``TypeError``, as in
     ``loads``, and so do dict keys that are not strings.
-
-    ``known``, if given, is called with each nonempty object and array the
-    walk meets, obj itself first, and returns its canonical text,
-    ``dumps(value)``, or None; a value with a text is written from it
-    instead of walked.  The only newlines of canonical text are structural
-    (a string writes its own as ``\\n``), so indenting its lines by one
-    ``replace`` gives the bytes of the walk.
     """
     chunks: list[str] = []
-    _encode(obj, chunks.append, "\n", known)
+    _encode(obj, chunks.append, "\n")
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _encode(o, out, nl: str, known) -> None:
+def _encode(o, out, nl: str) -> None:
     """Append the text of o, whose lines after the first begin with ``nl``."""
     if type(o) is str:
         out(_encode_str(o))
@@ -54,24 +60,18 @@ def _encode(o, out, nl: str, known) -> None:
         if not o:
             out("{}")
             return
-        if known and (text := known(o)) is not None:
-            out(text[:-1].replace("\n", nl))
-            return
         inner = nl + "  "
         lead, sep = "{" + inner, "," + inner
         for k in sorted(o):
             out(lead)
             out(_encode_str(k))  # a TypeError if k is not a string
             out(": ")
-            _encode(o[k], out, inner, known)
+            _encode(o[k], out, inner)
             lead = sep
         out(nl + "}")
     elif isinstance(o, (list, tuple)):
         if not o:
             out("[]")
-            return
-        if known and (text := known(o)) is not None:
-            out(text[:-1].replace("\n", nl))
             return
         if _INT.issuperset(map(type, o)):  # positions: one join, no call per member
             out(array(map(int.__repr__, o), nl))
@@ -80,9 +80,11 @@ def _encode(o, out, nl: str, known) -> None:
         lead, sep = "[" + inner, "," + inner
         for v in o:
             out(lead)
-            _encode(v, out, inner, known)
+            _encode(v, out, inner)
             lead = sep
         out(nl + "]")
+    elif type(o) is Canonical:
+        out(o[:-1].replace("\n", nl))
     else:
         out(_scalar(o))
 
@@ -119,7 +121,7 @@ def encode(obj, nl: str = "\n") -> str:
     """The text of the JSON value obj at nl; ``dumps(obj)`` is
     ``encode(obj) + "\\n"``."""
     chunks: list[str] = []
-    _encode(obj, chunks.append, nl, None)
+    _encode(obj, chunks.append, nl)
     return "".join(chunks)
 
 
@@ -144,34 +146,6 @@ def layout(keys: Sequence[str], nl: str) -> str:
         for k in sorted(keys)
     ]
     return "{{" + inner + ("," + inner).join(members) + nl + "}}"
-
-
-class Texts(dict):
-    """A memo of texts: ``texts[v]`` is ``make(v)``, made on v's first
-    lookup only, so ``map(texts.__getitem__, values)`` costs one dict lookup
-    per value met before."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[object], str]):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, v) -> str:
-        text = self[v] = self.make(v)
-        return text
-
-    @staticmethod
-    def of(to_json: Callable[[object], object]) -> "Texts":
-        """The text of the JSON value ``to_json(v)`` for each v, at "\\n"."""
-        return Texts(lambda v: encode(to_json(v)))
-
-    def at(self, nl: str) -> "Texts":
-        """These texts at nl, each made from this one's by one ``replace``:
-        the only newlines of canonical text are structural (a string writes
-        its own as ``\\n``), so ``to_json`` runs once per value for every
-        indentation."""
-        return Texts(lambda v: self[v].replace("\n", nl))
 
 
 def _reject_float(text: str):
@@ -217,12 +191,9 @@ def _lone_surrogate(value) -> str | None:
     return None
 
 
-def write(path: str | Path, text: str, before=None) -> None:
+def write(path: str | Path, text: str) -> None:
     """Write text, a canonical text such as ``dumps(obj)`` or
-    ``GoodMeasureChain.to_text()``; ``before``, if given, is called with the
-    text first, and the file is not opened if it raises."""
-    if before is not None:
-        before(text)
+    ``GoodMeasureChain.to_text()``."""
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -242,9 +213,9 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def digest(obj, known: Callable[[object], str | None] | None = None) -> str:
-    """The digest of obj's canonical text, ``text_digest(dumps(obj, known))``."""
-    return text_digest(dumps(obj, known))
+def digest(obj) -> str:
+    """The digest of obj's canonical text, ``text_digest(dumps(obj))``."""
+    return text_digest(dumps(obj))
 
 
 # -- exact numbers in JSON ------------------------------------------------------

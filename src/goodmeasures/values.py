@@ -20,7 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import NonRationalScale, NotInV
 from .jsonutil import format_ratio, parse_int, parse_object, parse_ratio
@@ -783,13 +783,17 @@ class GroupDescriptor:
             raise ValueError("budget must be >= 1")
         return [v for layer in itertools.islice(self._layers(), budget) for v in layer]
 
+    def first_listed(self, keep: Callable[[ExactValue], bool], heights: int) -> ExactValue | None:
+        """The first value ``enumerate_values`` lists for which keep holds,
+        or None if none has height up to heights."""
+        layers = itertools.islice(self._layers(), heights)
+        return next((v for layer in layers for v in layer if keep(v)), None)
+
     def smallest_below(self, w: ExactValue) -> ExactValue:
         """First enumerated element of V strictly below w (w must exceed some element)."""
-        for layer in itertools.islice(self._layers(), 1 << 16):
-            for v in layer:
-                if v < w:
-                    return v
-        raise NotInV(f"no element of V found below {w}")
+        if (v := self.first_listed(lambda v: v < w, 1 << 16)) is None:
+            raise NotInV(f"no element of V found below {w}")
+        return v
 
     # -- scaling -------------------------------------------------------------
 

@@ -137,7 +137,7 @@ def test_c03_goodness_at_finite_level(dyadic, triadic):
         want = 50 - witness_count if V is triadic else 25
         targets_pool = []
         for h in range(1, 10):
-            for obj in chain._object_challenges(h):
+            for obj in chain.object_challenges(h):
                 weights = obj.weight_list()
                 if weights not in targets_pool:
                     targets_pool.append(weights)

@@ -1247,7 +1247,7 @@ def test_engine_builds_partitions_without_arithmetic(sqrt2_dyadic, monkeypatch):
     for name in ("sign", "__add__"):
         monkeypatch.setattr(ExactValue, name, counted(name))
     ch = GoodMeasureChain(sqrt2_dyadic)
-    challenges = ch._object_challenges(2, values_)
+    challenges = ch.object_challenges(2, values_)
     G, _, _ = _assemble(E1, refined)
     # the cycles cross as packed ints of the root's table, 1 - s a difference
     pv, weight, (ps,) = ch._table(0, [s], 2)

@@ -1,5 +1,6 @@
 """CLI envelopes, exit codes, determinism, artifact round-trips."""
 
+import argparse
 import gc
 import hashlib
 import json
@@ -346,6 +347,41 @@ def test_decompose_decides_a_sign_past_the_enclosure_cap(files, capsys, n):
     code, env = run(capsys, "decompose", "--descriptor", str(desc), "--matrix", str(mat))
     assert code == 0
     assert env["result"] == {"count": 1, "cycles": [{"vertices": ["r"], "w": weight}]}
+
+
+def _w(q, a="0"):
+    return {"q": q, "irr": {"a": a}}
+
+
+def test_decompose_digests_the_descriptor_it_reads(files, capsys):
+    # one equi-summed matrix over the symbol a, with a = sqrt(2) - 1 and a =
+    # sqrt(3) - 1: the first cycle (x, y) weighs 1/4 + a under one, 3/4 under the other
+    matrix = {"level": 1, "entries": [
+        {"from": "x", "to": "y", "w": _w("1/4", "1")}, {"from": "y", "to": "x", "w": _w("3/4")},
+        {"from": "x", "to": "z", "w": _w("1/2")}, {"from": "z", "to": "x", "w": _w("0", "1")},
+        {"from": "y", "to": "z", "w": _w("0", "1")}, {"from": "z", "to": "y", "w": _w("1/2")},
+    ]}
+    mat = files / "over_a.json"
+    write(mat, dumps(matrix))
+    envs = []
+    for radicand in (2, 3):
+        desc = files / f"sqrt{radicand}.json"
+        write(desc, dumps(_sqrt_descriptor(radicand, "-1")))
+        code, env = run(capsys, "decompose", "--matrix", str(mat), "--descriptor", str(desc))
+        assert code == 0
+        assert env["input_hash"] == jsonutil.digest(
+            {"matrix": matrix, "descriptor": _sqrt_descriptor(radicand, "-1")}
+        )
+        envs.append(env)
+    first = [env["result"]["cycles"][0] for env in envs]
+    assert first[0] == {"vertices": ["x", "y"], "w": {"q": "1/4", "irr": {"a": "1"}}}
+    assert first[1] == {"vertices": ["x", "y"], "w": {"q": "3/4"}}
+    assert envs[0]["input_hash"] != envs[1]["input_hash"]
+    # without --descriptor the digest is the matrix's alone, as it always was
+    rational = {"level": 1, "entries": [{"from": "x", "to": "x", "w": {"q": "1"}}]}
+    write(mat, dumps(rational))
+    code, env = run(capsys, "decompose", "--matrix", str(mat))
+    assert code == 0 and env["input_hash"] == jsonutil.digest({"matrix": rational})
 
 
 def test_zero_denominator_is_invalid_input(files, capsys):
@@ -815,6 +851,107 @@ def test_the_texts_a_command_read_go_with_it(files, capsys, monkeypatch):
     capsys.readouterr()
     gc.collect()
     assert len(made) == 1 and made[0]() is None
+
+
+def test_composite_build_splices_each_component_snapshot_as_its_text(files, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("composite build parses a snapshot back")
+
+    encode, walked = jsonutil._encode, []
+
+    def counting(o, *rest):
+        if isinstance(o, dict) and "ledger" in o:  # a component snapshot
+            walked.append(o)
+        return encode(o, *rest)
+
+    monkeypatch.setattr(GoodMeasureChain, "to_json", refuse)
+    monkeypatch.setattr(jsonutil, "_encode", counting)
+    out = files / "composite-out.json"
+    assert main(["composite", "build", "--spec", str(files / "composite.json"),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert walked == []
+    text = out.read_text(encoding="utf-8")
+    components = cli._build_composite(COMPOSITE_SPEC).components
+    assert text == dumps({"components": [
+        {"scale": str(s), "snapshot": jsonutil.loads(chain.to_text())} for chain, s in components
+    ]})
+
+
+def _leaf_commands(parser, path=()):
+    """The name of each command of parser that runs, nested ones joined by a space."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                if sub.get_default("func"):
+                    yield " ".join((*path, name))
+                yield from _leaf_commands(sub, (*path, name))
+
+
+def _every_input(files, capsys):
+    """Arguments of each command that runs, every file input given."""
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    tuples, prod, findm = files / "tuples.json", files / "prod.json", files / "findm.json"
+    write(tuples, dumps({
+        "descriptor": RATIONALS,
+        "A": [{"w": {"q": "1"}, "n": 1}],
+        "B0": [{"w": {"q": "1/2"}, "n": 1}, {"w": {"q": "1/2"}, "n": 1}],
+        "p0": [[0, 1]],
+        "B1": [{"w": {"q": "1/4"}, "n": 1}, {"w": {"q": "3/4"}, "n": 1}],
+        "p1": [[0, 1]],
+    }))
+    write(prod, dumps({"descriptor": RATIONALS, "c": [{"w": {"q": "1/2"}, "n": 2}],
+                       "d": [{"w": {"q": "1/3"}, "n": 3}]}))
+    write(findm, dumps({"descriptor": DYADIC, "src": [{"w": {"q": "1/4"}, "n": 2}] * 2,
+                        "tgt": [{"w": {"q": "1/2"}, "n": 2}]}))
+    dyadic, spec, out = str(files / "dyadic.json"), str(files / "composite.json"), str(files / "o")
+    return {
+        "build-chain": ["--descriptor", dyadic, "--budget", "1", "--out", out],
+        "check-good": ["--snapshot", str(snap), "--depth", "1"],
+        "decide-rokhlin": ["--descriptor", dyadic],
+        "decompose": ["--matrix", str(mat), "--descriptor", dyadic],
+        "witness": ["--matrix", str(mat), "--snapshot", str(snap)],
+        "check-compat": ["--matrix", str(mat), "--snapshot", str(snap), "--prefix", str(prefix)],
+        "amalgamate-tuples": ["--input", str(tuples)],
+        "product-lift": ["--input", str(prod)],
+        "find-morphism": ["--input", str(findm)],
+        "check-closure": ["--descriptor", dyadic],
+        "dichotomy": ["--descriptor", str(files / "mixed.json")],
+        "composite build": ["--spec", spec, "--out", out],
+        "composite refute-maximality": ["--spec", spec, "--targets", "1/3,2/3"],
+    }
+
+
+def test_every_file_a_command_reads_is_in_what_it_digests(files, capsys, monkeypatch):
+    # the one exception, build-chain --resume, digests its snapshot's
+    # descriptor only (test_an_input_the_input_hash_does_not_cover_is_not_recorded)
+    monkeypatch.delenv("CANTOR_WORKSPACE", raising=False)
+    inputs = _every_input(files, capsys)
+    assert sorted(inputs) == sorted(_leaf_commands(build_parser()))
+    read_json, emit = cli._read_json, cli._emit
+    reads, digested = [], []
+
+    def reading(*args):
+        reads.append(read_json(*args))
+        return reads[-1]
+
+    def emitting(op, input_obj, *rest):
+        digested.append(input_obj)
+        return emit(op, input_obj, *rest)
+
+    monkeypatch.setattr(cli, "_read_json", reading)
+    monkeypatch.setattr(cli, "_emit", emitting)
+    for command, argv in inputs.items():
+        reads.clear()
+        digested.clear()
+        assert main([*command.split(), *argv]) in (0, 1), command
+        capsys.readouterr()
+        assert reads and len(digested) == 1, command
+        (obj,) = digested
+        values = [obj, *obj.values()] if isinstance(obj, dict) else [obj]
+        for value in reads:
+            assert any(value is v for v in values), command
 
 
 def test_find_morphism_on_1500_entries_gives_a_verdict(files, capsys):

@@ -69,21 +69,31 @@ def _containers(o):
             yield from _containers(v)
 
 
+def _spliced(o, chosen):
+    """o with each value of chosen, by identity, as its ``Canonical`` text."""
+    if any(o is c for c in chosen):
+        return jsonutil.Canonical(jsonutil.dumps(o))
+    if isinstance(o, dict):
+        return {k: _spliced(v, chosen) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return type(o)(_spliced(v, chosen) for v in o)
+    return o
+
+
 @settings(max_examples=200, deadline=None)
 @given(obj=_JSON, data=st.data())
 @example(obj={"a": {"b": ["\n", {"c": "\n  "}]}}, data=None)
-def test_dumps_writes_a_known_value_from_its_text(obj, data):
+def test_dumps_reads_a_canonical_leaf_as_its_value(obj, data):
     # strings of newlines and spaces show that only structural newlines are re-indented
     containers = list(_containers(obj))
     chosen = containers if data is None else data.draw(st.lists(st.sampled_from(containers))
                                                       if containers else st.just([]))
-    known = {id(o): jsonutil.dumps(o) for o in chosen}
-    assert jsonutil.dumps(obj, lambda o: known.get(id(o))) == jsonutil.dumps(obj)
+    assert jsonutil.dumps(_spliced(obj, chosen)) == jsonutil.dumps(obj)
 
 
-def test_dumps_does_not_walk_a_known_value(monkeypatch):
+def test_dumps_does_not_walk_a_canonical_leaf(monkeypatch):
     inner = {"levels": [{"cells": ["a", "b"]}, {"cells": ["c"]}]}
-    text = jsonutil.dumps(inner)
+    outer = {"snapshot": jsonutil.Canonical(jsonutil.dumps(inner)), "depth": 1}
     walked = []
     encode = jsonutil._encode
 
@@ -92,22 +102,8 @@ def test_dumps_does_not_walk_a_known_value(monkeypatch):
         return encode(o, *rest)
 
     monkeypatch.setattr(jsonutil, "_encode", counting)
-    outer = {"snapshot": inner, "depth": 1}
-    assert jsonutil.dumps(outer, lambda o: text if o is inner else None) == stdlib_text(outer)
-    assert not any(o is inner["levels"] for o in walked)
-
-
-def test_write_calls_before_with_its_text_and_opens_no_file_if_it_raises(tmp_path):
-    seen = []
-    jsonutil.write(tmp_path / "a.json", jsonutil.dumps({"b": [1]}), seen.append)
-    assert seen == [(tmp_path / "a.json").read_text(encoding="utf-8")]
-
-    def refuse(text):
-        raise OSError("no")
-
-    with pytest.raises(OSError):
-        jsonutil.write(tmp_path / "never.json", jsonutil.dumps({"b": [1]}), refuse)
-    assert not (tmp_path / "never.json").exists()
+    assert jsonutil.dumps(outer) == stdlib_text({"snapshot": inner, "depth": 1})
+    assert len(walked) == 3 and all(any(o is v for v in (outer, *outer.values())) for o in walked)
 
 
 def test_read_keeps_the_text_with_its_value(tmp_path):
