@@ -17,6 +17,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -169,9 +170,16 @@ class LedgerEntry:
     morphism entry's ``challenge`` lists, for each challenge cell, the
     position of its image among the target level's cells.  Each is a list
     of ints that the entry owns.  ``stage_cells`` and ``target_cells`` are
-    those levels' cell tuples.  Format 2 writes the positions as they are;
-    ``response_map`` and ``challenge_map`` read them as maps from cell ids
-    to cell ids, built on first use and read only.
+    those levels' cell tuples.  ``response_map`` and ``challenge_map`` read
+    the positions as maps from cell ids to cell ids, built on first use and
+    read only.
+
+    Format 3 writes the challenge map as it is, and the response only if it
+    has a descent.  A non-decreasing response is the only one of its kind:
+    the run of stage cells over each challenge cell carries that cell's
+    weight, and stage weights are positive, so each run ends where the
+    stage's cumulative sum meets the challenge's, and the loader recovers
+    it from those sums.
     """
 
     kind: str  # "object" | "morphism"
@@ -814,27 +822,34 @@ class GoodMeasureChain:
     # -- serialisation -------------------------------------------------------------
 
     def to_text(self) -> str:
-        """The snapshot in format 2, as canonical text: the text of
+        """The snapshot in format 3, as canonical text: the text of
         ``jsonutil.dumps`` of its JSON value, written in one pass with no
         JSON tree.
 
-        Levels are written as in format 1: each cell's id and weight, and the
-        total, written as 1, the chain's invariant, not summed.  The rest is
+        A level lists each cell's id and weight, as in format 1, and no
+        total: every level has total 1, the chain's invariant.  The rest is
         positional.  Link k lists, for each cell of level k+1, the position
         of its image in level k.  The distinct weights of the ledger's
         challenges are written once, in ``weights``, in the order they are
         first met.  A ledger entry lists its challenge's cell ids, their
-        weights as positions in ``weights``, its response as the challenge
-        position of each cell of its stage, and, for a morphism, its
+        weights as positions in ``weights`` and, for a morphism, its
         challenge map as positions in its target level.
+
+        An entry writes its response, the challenge position of each cell of
+        its stage, only when the response has a descent: a stage cell that
+        maps to an earlier challenge cell than the stage cell before it.  A
+        non-decreasing response is left out, because it is the only
+        non-decreasing map of the stage onto the challenge that preserves
+        mass: stage weights are positive, so the run of stage cells over
+        each challenge cell must end where the stage's cumulative sum meets
+        the challenge's.  ``from_json`` walks those sums to recover it.
 
         Each distinct weight is formatted once, as a ``Canonical`` text, and
         moved to each indentation it stands at by ``encode``; each position
         list is one join, and each level cell and ledger entry
         fills a template fixed once per key set and indentation
-        (``jsonutil.layout``).  The ledger, most of the text, is joined
-        first, so that its entries' texts are gone before the whole is
-        formatted.
+        (``jsonutil.layout``).  The ledger is joined first, so that its
+        entries' texts are gone before the whole is formatted.
         """
         nl = ["\n" + "  " * k for k in range(6)]  # the indentation of each depth
         table: dict[ExactValue, int] = {}  # the challenge weights, by first appearance
@@ -843,14 +858,10 @@ class GoodMeasureChain:
         weight = cache(lambda v: Canonical(dumps(v.to_json())))  # each distinct weight, once
         cell_weight = cache(lambda v: encode(weight(v), nl[5]))
         cell = layout(("id", "w"), nl[4])
-        level = layout(("cells", "total"), nl[2])
-        total = encode(weight(ONE), nl[3])
+        level = layout(("cells",), nl[2])
         levels = [
-            level.format(
-                array(map(cell.format, map(string, P.cells),
-                          map(cell_weight, P.weight_list())), nl[3]),
-                total,
-            )
+            level.format(array(map(cell.format, map(string, P.cells),
+                                   map(cell_weight, P.weight_list())), nl[3]))
             for P in self.levels
         ]
         links = []
@@ -861,7 +872,7 @@ class GoodMeasureChain:
         snapshot = layout(("descriptor", "format", "levels", "links", "weights", "ledger"), nl[0])
         return (snapshot + "\n").format(
             encode(self.V.to_json(), nl[1]),
-            "2",
+            "3",
             array(levels, nl[1]),
             array(links, nl[1]),
             array([encode(weight(v), nl[2]) for v in table], nl[1]),
@@ -875,41 +886,46 @@ class GoodMeasureChain:
 
     @staticmethod
     def from_json(data: Mapping) -> "GoodMeasureChain":
-        """Load a snapshot of format 1 or 2 and verify it once; a fault
+        """Load a snapshot of format 1, 2 or 3 and verify it once; a fault
         raises a one-line ValueError.
 
         Format 1, which has no ``format`` key, writes link, response and
         challenge maps as objects from cell ids to cell ids, and each
-        ledger challenge as a partition with its weights; format 2 is
-        positional (``to_text``).  Both are read as positions: a format-2
-        map is its list, once ``parse_positions`` has checked it, and a
-        format-1 map is the position of each source cell's image, once each
-        image is known to be a cell id (``_object_positions``).  The
-        snapshot is parsed first: its levels, its links, format 2's weight
-        table and the ledger entries, each level and ledger entry a JSON
-        object, each stage and target level an integer in range and each
-        format-2 position an integer in range.  It is then checked: every
-        distinct weight of the levels and of the ledger challenges lies in
-        V, level 0 has total 1, each link maps level k+1 onto level k, each
-        morphism challenge maps onto its target level, each response maps
-        its stage onto its challenge, and a morphism response commutes with
-        the chain projection.
+        ledger challenge as a partition with its weights.  Formats 2 and 3
+        are positional; format 3 (``to_text``) is format 2 with no level
+        totals, which no loader reads, and with the response of a ledger
+        entry left out when it is non-decreasing.  All are read as
+        positions: a written format-2 or format-3 map is its list, once
+        ``parse_positions`` has checked it, and a format-1 map is the
+        position of each source cell's image, once each image is known to
+        be a cell id (``_object_positions``).  The snapshot is parsed
+        first: its levels, its links, the weight table and the ledger
+        entries, each level and ledger entry a JSON object, each stage and
+        target level an integer in range and each position an integer in
+        range; a format-3 challenge weight must also be positive.  It is
+        then checked: every distinct weight of the levels and of the ledger
+        challenges lies in V, level 0 has total 1, each link maps level k+1
+        onto level k, each morphism challenge maps onto its target level,
+        each response maps its stage onto its challenge, and a morphism
+        response commutes with the chain projection.
 
         The mass checks are ``positions_onto`` over packed ints, not values:
         the distinct weights are packed once into one ``PackedValues`` with
         room for the largest partition, so every fiber sum and level 0's
-        total are exact.  Once they pass, every partition of the snapshot
-        has total 1, since level 0 does and links and responses preserve
-        mass.  That table stays every level's weight table (``_table``), so
-        the chain builds none for a loaded level.  A ledger entry keeps the
-        positions it was checked with, and a link gets its map from its
-        positions.
+        total are exact.  A response a format-3 entry leaves out is
+        recovered from the stage's cumulative sums, indexed once per stage
+        (``_cumulative``), and that walk is its mass check (``_recovered``).
+        Once they pass, every partition of the snapshot has total 1, since
+        level 0 does and links and responses preserve mass.  That table
+        stays every level's weight table (``_table``), so the chain builds
+        none for a loaded level.  A ledger entry keeps the positions it was
+        checked with, and a link gets its map from its positions.
         """
         V = GroupDescriptor.from_json(data["descriptor"])
         chain = GoodMeasureChain(V)
         symbols = V.symbols()
         fmt = data.get("format", 1)
-        if type(fmt) is not int or fmt not in (1, 2):
+        if type(fmt) is not int or fmt not in (1, 2, 3):
             raise ValueError(
                 f"unknown snapshot format {fmt}" if type(fmt) is int
                 else f"snapshot format is {json_type(fmt)}, not a number"
@@ -944,6 +960,8 @@ class GoodMeasureChain:
                 if value is None:
                     value = memo[key] = ExactValue.from_json(w, symbols)
                 table.append(value)
+            # format 3 refuses a challenge weight that is not positive at its entry
+            nonpositive = set() if fmt == 2 else {i for i, v in enumerate(table) if v.sign() <= 0}
         parsed = []  # (kind, stage, challenge, target level, challenge map, response)
         n = 0  # the ledger entry being read; its places format n only when a refusal prints one
         at = {
@@ -969,9 +987,15 @@ class GoodMeasureChain:
                 ids = parse_ids(parse_array(e["cells"], at[": cells"]), at[": cells"])
                 w = parse_positions(e["weights"], len(ids), len(table), at[": weights"])
                 obj = _checked(list(zip(ids, map(table.__getitem__, w))), ())
-                response = list(parse_positions(
-                    e["response"], len(cells[stage]), len(ids), at[": response"]
-                ))
+                if nonpositive and not nonpositive.isdisjoint(w):
+                    c = next(c for c, p in zip(ids, w) if p in nonpositive)
+                    raise ValueError(f"{what}: weight of {c} must be positive")
+                if fmt == 3 and "response" not in e:
+                    response = None  # non-decreasing: recovered by the check below
+                else:
+                    response = list(parse_positions(
+                        e["response"], len(cells[stage]), len(ids), at[": response"]
+                    ))
             kind, target, cm = e["kind"], None, None
             if kind == "morphism":
                 target = parse_int(e["target_level"])
@@ -1015,11 +1039,20 @@ class GoodMeasureChain:
                 raise ValueError(f"snapshot link {i} does not map level {i + 1} onto level {i}")
             mapping = dict(zip(cells[i + 1], map(cells[i].__getitem__, pos)))
             chain.links.append(PartitionMorphism(levels[i + 1], levels[i], mapping))
+        indexes: dict[int, dict[int, int]] = {}  # per stage: its ``_cumulative`` index
         for n, (kind, stage, obj, target, cm, response) in enumerate(parsed):
             ow = packed(obj)
             if kind == "morphism" and (cm is None or not positions_onto(cm, ow, weights[target])):
                 raise ValueError(f"ledger entry {n}: challenge does not map onto level {target}")
-            if response is None or not positions_onto(response, weights[stage], ow):
+            if fmt == 3 and response is None:  # left out of the entry
+                index = indexes.get(stage)
+                if index is None:
+                    index = indexes[stage] = _cumulative(weights[stage])[1]
+                response = _recovered(index, len(cells[stage]), ow)
+                onto = response is not None
+            else:
+                onto = response is not None and positions_onto(response, weights[stage], ow)
+            if not onto:
                 raise ValueError(
                     f"ledger entry {n}: response does not map level {stage} onto its challenge"
                 )
@@ -1040,28 +1073,34 @@ class GoodMeasureChain:
 
 
 def _entry_texts(ledger: Iterable[LedgerEntry], table: dict, nl: str) -> Iterator[str]:
-    """The text at nl of each ledger entry in format 2 (``to_text``).  Each
+    """The text at nl of each ledger entry in format 3 (``to_text``).  Each
     challenge weight is written as its position in table, which maps the
-    weights met so far to their positions and is extended by the others."""
+    weights met so far to their positions and is extended by the others.
+    A response is written only if it has a descent."""
     inner = nl + "  "
     entry = {
-        kind: layout(("kind", "stage", "cells", "weights", "response", *more), nl)
+        (kind, written): layout(
+            ("kind", "stage", "cells", "weights", *more, *(("response",) if written else ())), nl
+        )
         for kind, more in (("object", ()), ("morphism", ("target_level", "challenge_map")))
+        for written in (False, True)
     }
-    kinds = {kind: string(kind) for kind in entry}
+    kinds = {kind: string(kind) for kind in ("object", "morphism")}
     for e in ledger:
-        obj = e.challenge_object
+        obj, response = e.challenge_object, e.response
         weights = [table.setdefault(w, len(table)) for w in obj.weight_list()]
         parts = [
             kinds[e.kind],
             int.__repr__(e.stage),
             array(map(string, obj.cells), inner),
             array(map(int.__repr__, weights), inner),
-            array(map(int.__repr__, e.response), inner),
         ]
         if e.challenge is not None:
             parts += int.__repr__(e.target_level), array(map(int.__repr__, e.challenge), inner)
-        yield entry[e.kind].format(*parts)
+        written = response != sorted(response)  # a descent
+        if written:
+            parts.append(array(map(int.__repr__, response), inner))
+        yield entry[e.kind, written].format(*parts)
 
 
 def _object_positions(
@@ -1099,6 +1138,27 @@ def _commutes(challenge: Sequence[int], response: Sequence[int], proj: Sequence[
     """challenge ∘ response equals proj, the chain projection from the
     response's stage onto the challenge's target level, all as positions."""
     return [challenge[r] for r in response] == proj
+
+
+def _recovered(index: Mapping[int, int], n: int, weights: Iterable[int]) -> list[int] | None:
+    """The non-decreasing response of a stage of n cells onto a challenge
+    with these packed weights, or None if it has none.  ``index`` maps each
+    cumulative sum of the stage's weights to the number of cells it covers
+    (``_cumulative``).  Challenge cell j receives the stage cells from the
+    count of its cumulative sum before it to the count of its own, so every
+    count must be found, the counts must strictly increase and the last
+    must be n.  Then each challenge cell receives at least one stage cell
+    and exactly the mass of its weight: the walk is the response's mass
+    check."""
+    response: list[int] = []
+    start = 0
+    for j, s in enumerate(accumulate(weights)):
+        end = index.get(s, 0)
+        if end <= start:
+            return None
+        response += [j] * (end - start)
+        start = end
+    return response if start == n else None
 
 
 def _sums_to_one(values: list[ExactValue], room: int) -> list[tuple[int, ...]]:

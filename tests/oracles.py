@@ -500,10 +500,11 @@ def snapshot_format1(chain: GoodMeasureChain) -> dict:
 
 def snapshot_format2(chain: GoodMeasureChain) -> dict:
     """The chain's snapshot in format 2 as a JSON value, built as dicts and
-    lists: the reference of ``GoodMeasureChain.to_text``, whose text is
-    ``jsonutil.dumps`` of this.  Each level total is the 1 of the chain's
-    invariant; the distinct ledger challenge weights form the ``weights``
-    table in the order they are first met."""
+    lists: the reference writer of format 2, which ``GoodMeasureChain.to_text``
+    wrote before format 3, of the format-2 golden digests, fixture and
+    refusal tests.  Each level total is the 1 of the chain's invariant; the
+    distinct ledger challenge weights form the ``weights`` table in the
+    order they are first met."""
     table: dict[ExactValue, int] = {}
     ledger = []
     for e in chain.ledger:
@@ -535,3 +536,20 @@ def snapshot_format2(chain: GoodMeasureChain) -> dict:
         "weights": [v.to_json() for v in table],
         "ledger": ledger,
     }
+
+
+def snapshot_format3(chain: GoodMeasureChain) -> dict:
+    """The chain's snapshot in format 3 as a JSON value: the reference of
+    ``GoodMeasureChain.to_text``, whose text is ``jsonutil.dumps`` of this.
+    It is format 2 (``snapshot_format2``) with no level totals, and with no
+    ``response`` in a ledger entry whose response is non-decreasing in stage
+    order, tested pair by pair."""
+    data = snapshot_format2(chain)
+    data["format"] = 3
+    for level in data["levels"]:
+        del level["total"]
+    for entry in data["ledger"]:
+        r = entry["response"]
+        if all(a <= b for a, b in zip(r, r[1:])):
+            del entry["response"]
+    return data

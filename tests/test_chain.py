@@ -55,6 +55,7 @@ from oracles import (
     prefix_by_sets,
     snapshot_format1,
     snapshot_format2,
+    snapshot_format3,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -731,15 +732,15 @@ def test_save_formats_each_distinct_weight_once(sqrt2_dyadic, monkeypatch):
 
 
 def _written_weights(out) -> list[str]:
-    """Every weight dict of a written snapshot, cells, totals and the
-    ledger's weight table, as text."""
-    levels = [w for P in out["levels"] for w in [*(c["w"] for c in P["cells"]), P["total"]]]
+    """Every weight dict of a written snapshot, cells and the ledger's
+    weight table, as text."""
+    levels = [c["w"] for P in out["levels"] for c in P["cells"]]
     return [jsonutil.dumps(w) for w in [*levels, *out["weights"]]]
 
 
 def test_saved_cells_share_no_dict(sqrt2_dyadic):
-    """Cells, totals and table entries of equal weight get weight dicts of
-    their own: editing one in place changes nothing else and no later
+    """Cells and table entries of equal weight get weight dicts of their
+    own: editing one in place changes nothing else and no later
     ``to_json``."""
     loaded = _loaded_sqrt2_dyadic(sqrt2_dyadic)
     text = jsonutil.dumps(loaded.to_json())
@@ -747,7 +748,7 @@ def test_saved_cells_share_no_dict(sqrt2_dyadic):
     cells = [c for P in out["levels"] for c in P["cells"]]
     edits = [c["w"] for c in cells if c["w"] == {"q": "1/2"}][:1]
     edits += [c["w"] for c in cells if "irr" in c["w"]][:1]
-    edits += [P["total"] for P in out["levels"]][:1]
+    edits += [c["w"] for c in cells if c["w"] == {"q": "1"}][:1]
     edits += [w for w in out["weights"] if w == {"q": "1/2"}][:1]
     for w in edits:
         before = _written_weights(out)
@@ -850,9 +851,40 @@ def test_snapshot_written_before_relabelling_still_answers():
     assert len(ch.levels) == 8
     ch.run_schedule(3)
     assert jsonutil.dumps(snapshot_format1(ch)) == text
-    # written in format 2 and read back, it still has the fixture's format-1 bytes
-    again = GoodMeasureChain.from_json(jsonutil.loads(jsonutil.dumps(ch.to_json())))
+    # written in format 3 and read back, it still has the fixture's format-1 bytes
+    again = GoodMeasureChain.from_json(jsonutil.loads(ch.to_text()))
     assert jsonutil.dumps(snapshot_format1(again)) == text
+
+
+def _answers(ch: GoodMeasureChain) -> list:
+    """Each ledger challenge absorbed again: its stage, its response map and
+    the chain's levels after it; a ledger hit appends no level."""
+    out = []
+    for entry in list(ch.ledger):
+        if entry.kind == "object":
+            stage, response = ch.absorb_object(entry.challenge_object), entry.response_map
+        else:
+            target = ch.levels[entry.target_level]
+            challenge = PartitionMorphism(entry.challenge_object, target, entry.challenge_map)
+            stage, r = ch.absorb_morphism(challenge, entry.target_level)
+            response = r.mapping
+        out.append((stage, dict(response), len(ch.levels)))
+    return out
+
+
+def test_format2_fixture_and_its_format3_save_answer_the_same():
+    """A dyadic budget-2 snapshot written in format 2 by
+    ``oracles.snapshot_format2`` loads.  Saved in format 3 and loaded again,
+    it answers each ledger challenge at its recorded stage with its
+    recorded response and no new level, as the format-2 load does, and both
+    give the fixture's bytes back through the format-2 writer."""
+    text = (FIXTURES / "dyadic_budget2_format2.json").read_text(encoding="utf-8")
+    ch = GoodMeasureChain.from_json(jsonutil.loads(text))
+    again = GoodMeasureChain.from_json(jsonutil.loads(ch.to_text()))
+    assert jsonutil.dumps(snapshot_format2(ch)) == jsonutil.dumps(snapshot_format2(again)) == text
+    answers = _answers(ch)
+    assert answers == _answers(again)
+    assert answers == [(e.stage, dict(e.response_map), len(ch.levels)) for e in ch.ledger]
 
 
 @settings(max_examples=40, deadline=None)
@@ -866,9 +898,10 @@ def test_snapshot_written_before_relabelling_still_answers():
 )
 def test_format2_round_trip_gives_identical_bytes(irrational, seed, steps, dyadic, sqrt2_dyadic):
     """A chain grown by random absorptions, witnesses and splits, written in
-    format 2, read back and written again, gives the same bytes and the same
-    format-1 snapshot.  A ``shuffled`` challenge lists its cells out of the
-    target's order, so its challenge map and response are not monotone."""
+    format 2 (``oracles.snapshot_format2``), read back and written again,
+    gives the same bytes, the same format-1 snapshot and the same format-3
+    text.  A ``shuffled`` challenge lists its cells out of the target's
+    order, so its challenge map and response are not monotone."""
     rng = random.Random(seed)
     V = sqrt2_dyadic if irrational else dyadic
     ch = GoodMeasureChain(V)
@@ -887,10 +920,11 @@ def test_format2_round_trip_gives_identical_bytes(irrational, seed, steps, dyadi
             compatible_witness(ch, random_balanced_matrix(rng, ch, level))
         else:
             ch.ensure_depth(ch.depth + 1)
-    text = jsonutil.dumps(ch.to_json())
+    text = jsonutil.dumps(snapshot_format2(ch))
     loaded = GoodMeasureChain.from_json(jsonutil.loads(text))
-    assert jsonutil.dumps(loaded.to_json()) == text
+    assert jsonutil.dumps(snapshot_format2(loaded)) == text
     assert snapshot_format1(loaded) == snapshot_format1(ch)
+    assert loaded.to_text() == ch.to_text()
 
 
 #: Cell ids whose JSON text needs escaping, or is not ASCII.
@@ -921,7 +955,7 @@ def test_to_text_writes_the_bytes_of_the_reference_snapshot(
     case, name, budget, seed, ids, dyadic, triadic, rationals, sqrt2_dyadic
 ):
     """``to_text`` is ``jsonutil.dumps`` of the dict-built reference
-    (``oracles.snapshot_format2``), and canonical: on schedules, on chains
+    (``oracles.snapshot_format3``), and canonical: on schedules, on chains
     extended by witnesses (cycle splits and morphism entries), on the loaded
     format-1 fixture, on a depth-0 chain (no links, ledger or weights), and
     on challenges whose cell ids need escaping."""
@@ -948,7 +982,7 @@ def test_to_text_writes_the_bytes_of_the_reference_snapshot(
         ch.absorb_morphism(random_refining_morphism(rng, V, ch.top, 3, prefix + "/"), ch.depth)
         assert prefix + "0" in ch.ledger[0].challenge_object.cells
     text = ch.to_text()
-    reference = snapshot_format2(ch)
+    reference = snapshot_format3(ch)
     assert text == jsonutil.dumps(reference)
     assert jsonutil.dumps(jsonutil.loads(text)) == text
     assert ch.to_json() == reference
@@ -983,7 +1017,8 @@ def test_ledger_holds_positions_built_and_loaded_from_either_format(dyadic, sqrt
     for V in (dyadic, sqrt2_dyadic):
         built = GoodMeasureChain(V).run_schedule(2)
         assert_ledger_positional(built)
-        data = jsonutil.loads(jsonutil.dumps(built.to_json()))
+        assert_ledger_positional(GoodMeasureChain.from_json(jsonutil.loads(built.to_text())))
+        data = jsonutil.loads(jsonutil.dumps(snapshot_format2(built)))
         loaded = GoodMeasureChain.from_json(data)
         assert_ledger_positional(loaded)
         # the loaded entries own their positions: changing the JSON changes no entry
@@ -1003,19 +1038,25 @@ def test_ledger_maps_are_read_only():
     assert entry.response_map is entry.response_map  # built once
 
 
-@pytest.mark.parametrize("budget, digest", [
-    (2, "5b75d4695ee154b9dc3cc8d4b9e60411529ae3e65db0bed20ecd27dd5a793fbf"),
-    (3, "63b5ec1c9754224c4cf6da91d6f4b124e804272a97bd707c31ccdb72d5144518"),
-    (4, "2bbc45965fd68765fbed99c0bb30b436f532ba42c803e846c4ee871abe1c540a"),
+@pytest.mark.parametrize("budget, digest2, digest3", [
+    (2, "5b75d4695ee154b9dc3cc8d4b9e60411529ae3e65db0bed20ecd27dd5a793fbf",
+     "0f85b66bdc1dcca52552ed23200cc13d3ac69787a76c5d80b92a91a3e8eec50a"),
+    (3, "63b5ec1c9754224c4cf6da91d6f4b124e804272a97bd707c31ccdb72d5144518",
+     "b373fc10a3827fbe5c9ff2bb8cbdc3c5d4f05701b801cd59869f232f292329fb"),
+    (4, "2bbc45965fd68765fbed99c0bb30b436f532ba42c803e846c4ee871abe1c540a",
+     "0a15e48309851a674b88cc87a6ab007e45fc77095219e5baa8e0976a2a356edd"),
 ], ids=["budget2", "budget3", "budget4"])
-def test_sqrt2_dyadic_snapshot_round_trips_byte_for_byte(sqrt2_dyadic, budget, digest):
+def test_sqrt2_dyadic_snapshot_round_trips_byte_for_byte(sqrt2_dyadic, budget, digest2, digest3):
     """Written, parsed, loaded and written again, a schedule's snapshot
-    keeps its bytes, the digests of the snapshots written when the ledger
-    held its maps as dicts."""
-    text = jsonutil.dumps(GoodMeasureChain(sqrt2_dyadic).run_schedule(budget).to_json())
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    keeps its bytes, and the loaded chain's format-2 snapshot
+    (``oracles.snapshot_format2``) has the digest of the snapshots written
+    when the ledger held its maps as dicts."""
+    text = GoodMeasureChain(sqrt2_dyadic).run_schedule(budget).to_text()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest3
     loaded = GoodMeasureChain.from_json(jsonutil.loads(text))
-    assert jsonutil.dumps(loaded.to_json()) == text
+    assert loaded.to_text() == text
+    format2 = jsonutil.dumps(snapshot_format2(loaded)).encode("utf-8")
+    assert hashlib.sha256(format2).hexdigest() == digest2
 
 
 def test_format1_fixture_loads_its_json_maps():
@@ -1032,21 +1073,22 @@ def test_format1_fixture_loads_its_json_maps():
 def test_a_snapshot_that_loads_formats_no_place_name(monkeypatch, sqrt2_dyadic):
     ch = GoodMeasureChain(sqrt2_dyadic)
     ch.run_schedule(2)
-    format2 = jsonutil.loads(jsonutil.dumps(ch.to_json()))
+    format3 = jsonutil.loads(ch.to_text())
+    format2 = jsonutil.loads(jsonutil.dumps(snapshot_format2(ch)))
     format1 = jsonutil.loads((FIXTURES / "dyadic_budget3_before_relabel.json").read_text("utf-8"))
 
     def formatted(place):
         raise AssertionError("a place name was formatted for a snapshot that loads")
 
     monkeypatch.setattr(jsonutil.Place, "__str__", formatted)
-    for data in (format1, format2):
+    for data in (format1, format2, format3):
         assert len(GoodMeasureChain.from_json(data).ledger) == len(data["ledger"])
 
 
 def test_non_monotone_format1_response_loads():
     """A format-1 response whose images, in stage order, go back to an
     earlier challenge cell is a valid map: it loads as positions, not
-    assumed to run in order, and is written back in format 2 as it is."""
+    assumed to run in order, and format 3 writes it back as it is."""
     ch = GoodMeasureChain(GroupDescriptor.dyadic())
     ch.absorb_object(obj("1/4", "1/4", "1/2"))
     ch.absorb_object(obj("1/2", "1/2"))
@@ -1065,6 +1107,89 @@ def test_non_monotone_format1_response_loads():
     assert dict(loaded.ledger[n].response_map) == response
     again = GoodMeasureChain.from_json(jsonutil.loads(jsonutil.dumps(loaded.to_json())))
     assert again.ledger[n].response == positions
+
+
+# -- format 3: a non-decreasing response is recovered, not written ------------------------
+
+
+def _descent_chain() -> GoodMeasureChain:
+    """Over the dyadic set: (1/2, 1/2) absorbed, r/1 split into two quarters
+    by a morphism challenge, then the object (1/4, 1/4, 1/2) absorbed from
+    the top's weights, whose half comes first: its lift has a descent."""
+    ch = GoodMeasureChain(GroupDescriptor.dyadic())
+    ch.absorb_object(obj("1/2", "1/2"))
+    split = WeightedPartition.make([("h", E("1/2")), ("q0", E("1/4")), ("q1", E("1/4"))])
+    ch.absorb_morphism(PartitionMorphism(split, ch.top, {"h": "r/0", "q0": "r/1", "q1": "r/1"}), 1)
+    assert ch.absorb_object(obj("1/4", "1/4", "1/2")) == 2
+    return ch
+
+
+def test_a_response_with_a_descent_is_written_and_survives_a_round_trip():
+    ch = _descent_chain()
+    assert [e.response for e in ch.ledger] == [[0, 1], [0, 1, 2], [2, 0, 1]]
+    data = jsonutil.loads(ch.to_text())
+    assert data["format"] == 3
+    assert ["response" in e for e in data["ledger"]] == [False, False, True]
+    assert data["ledger"][2]["response"] == [2, 0, 1]
+    loaded = GoodMeasureChain.from_json(data)
+    assert [e.response for e in loaded.ledger] == [e.response for e in ch.ledger]
+    assert [dict(e.response_map) for e in loaded.ledger] == [
+        dict(e.response_map) for e in ch.ledger
+    ]
+    levels, entries = len(loaded.levels), len(loaded.ledger)
+    assert loaded.absorb_object(obj("1/4", "1/4", "1/2")) == 2
+    assert (len(loaded.levels), len(loaded.ledger)) == (levels, entries)  # a ledger hit
+    assert loaded.to_text() == ch.to_text()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["dyadic", "triadic", "sqrt2_dyadic"]),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(
+        st.sampled_from(["object", "shuffled object", "morphism", "shuffled morphism"]),
+        min_size=1, max_size=6,
+    ),
+)
+def test_format3_round_trip_keeps_every_ledger_position(
+    name, seed, steps, dyadic, triadic, sqrt2_dyadic
+):
+    """Random object and morphism challenges, absorbed in a random order,
+    some listing their cells out of order so that responses have descents:
+    ``to_text``, ``loads`` and ``from_json`` keep every entry's positions
+    and the format-2 snapshot, and the loaded chain writes the same text."""
+    V = {"dyadic": dyadic, "triadic": triadic, "sqrt2_dyadic": sqrt2_dyadic}[name]
+    rng = random.Random(seed)
+    ch = GoodMeasureChain(V)
+    for n, step in enumerate(steps):
+        if step.endswith("object"):
+            P = random_partition(rng, V, 4, f"o{n}/")
+            level = None
+        else:
+            level = rng.randint(0, ch.depth)
+            m = random_refining_morphism(rng, V, ch.levels[level], 3, f"m{n}/")
+            P = m.source
+        if step.startswith("shuffled"):
+            P = WeightedPartition.make([(c, P.weight(c)) for c in rng.sample(P.cells, len(P.cells))])
+        if level is None:
+            ch.absorb_object(P)
+        else:
+            ch.absorb_morphism(PartitionMorphism(P, m.target, m.mapping), level)
+    text = ch.to_text()
+    loaded = GoodMeasureChain.from_json(jsonutil.loads(text))
+    assert [(e.kind, e.stage, e.target_level, e.response, e.challenge) for e in loaded.ledger] == [
+        (e.kind, e.stage, e.target_level, e.response, e.challenge) for e in ch.ledger
+    ]
+    assert snapshot_format2(loaded) == snapshot_format2(ch)
+    assert loaded.to_text() == text
+
+
+def test_sqrt2_dyadic_budget3_snapshot_writes_no_response(sqrt2_dyadic):
+    """Every response the schedule records is non-decreasing, so the
+    budget-3 snapshot writes none, and no level writes a total."""
+    text = GoodMeasureChain(sqrt2_dyadic).run_schedule(3).to_text()
+    assert '"response"' not in text and '"total"' not in text
+    assert len(text.encode("utf-8")) < 1_000_000  # 1,588,290 bytes in format 2
 
 
 def test_sqrt2_module_chain(sqrt2_module):
@@ -1219,9 +1344,12 @@ def test_schedule_checks_each_value_once(sqrt2_dyadic, monkeypatch):
     assert hashlib.sha256(snapshot).hexdigest() == (
         "430cdb0f8146b112b55d1836d26e3cffff62e3ee479b84c79bf98c493dabe7af"
     )
-    snapshot = jsonutil.dumps(ch.to_json()).encode("utf-8")  # format 2
+    snapshot = jsonutil.dumps(snapshot_format2(ch)).encode("utf-8")
     assert hashlib.sha256(snapshot).hexdigest() == (
         "5b75d4695ee154b9dc3cc8d4b9e60411529ae3e65db0bed20ecd27dd5a793fbf"
+    )
+    assert hashlib.sha256(ch.to_text().encode("utf-8")).hexdigest() == (
+        "0f85b66bdc1dcca52552ed23200cc13d3ac69787a76c5d80b92a91a3e8eec50a"
     )
 
 

@@ -3,12 +3,14 @@
 import argparse
 import gc
 import hashlib
+import itertools
 import json
 import os
 import shlex
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from goodmeasures.jsonutil import dumps, write
 from goodmeasures.cycles import CycleTuple, TupleMorphism, verify_tuple_morphism
 
 from conftest import sqrt2_unit_power
-from oracles import snapshot_format1
+from oracles import snapshot_format1, snapshot_format2
 
 DYADIC = {"rational": {"default": "0", "exceptions": {"2": "inf"}}, "irrationals": []}
 BAD23 = {"rational": {"default": "0", "exceptions": {"2": 3}}, "irrationals": []}
@@ -248,9 +250,9 @@ def test_snapshot_format_nan_is_an_inexact_number(files, capsys, command):
     format that is "a JSON number, not a number"."""
     snap, mat, prefix = _snapshot_inputs(files, capsys)
     text = snap.read_text(encoding="utf-8")
-    assert '"format": 2,' in text
+    assert '"format": 3,' in text
     doctored = files / "nan.json"
-    doctored.write_text(text.replace('"format": 2,', '"format": NaN,'), encoding="utf-8")
+    doctored.write_text(text.replace('"format": 3,', '"format": NaN,'), encoding="utf-8")
     assert main(_load_commands(doctored, mat, prefix)[command]) == 2
     assert _one_line_error(capsys) == _NAN_LINE.format("NaN")
 
@@ -810,7 +812,7 @@ def test_a_recorded_snapshot_is_digested_without_walking_its_levels(files, capsy
     encode, walked = jsonutil._encode, []
 
     def counting(o, *rest):
-        if isinstance(o, dict) and o.keys() == {"cells", "total"}:  # a level of the snapshot
+        if isinstance(o, dict) and o.keys() == {"cells"}:  # a level of the snapshot
             walked.append(o)
         return encode(o, *rest)
 
@@ -1497,7 +1499,7 @@ def _value_error(doctor):
 
 DOCTORED_FORMAT_2 = {
     **{name: _value_error(doctor) for name, doctor in {**NOT_AN_ARRAY, **NOT_AN_OBJECT}.items()},
-    "format_3": _format(3),
+    "format_4": _format(4),
     "format_0": _format(0),
     "format_as_text": _format("2"),
     "format_true": _format(True),
@@ -1515,13 +1517,115 @@ DOCTORED_FORMAT_2 = {
 }
 
 
+def _format2(path) -> dict:
+    """The snapshot at path as format-2 JSON (``oracles.snapshot_format2``)."""
+    return jsonutil.loads(jsonutil.dumps(snapshot_format2(GoodMeasureChain.from_json(
+        jsonutil.read(path)
+    ))))
+
+
 @pytest.mark.parametrize("command", ["check-compat", "witness"])
 @pytest.mark.parametrize("case", sorted(DOCTORED_FORMAT_2))
 def test_doctored_format_2_snapshot_is_invalid_input(files, capsys, case, command):
     snap, mat, prefix = _snapshot_inputs(files, capsys)
-    data = jsonutil.read(snap)
+    data = _format2(snap)
     assert data["format"] == 2
     line = DOCTORED_FORMAT_2[case](data)
+    doctored = files / "doctored.json"
+    write(doctored, dumps(data))
+    assert main(_load_commands(doctored, mat, prefix)[command]) == 2
+    assert _one_line_error(capsys) == f"invalid input: {line}"
+
+
+# -- format 3: responses recovered by the cumulative-sum walk -----------------------------
+
+
+def _fractions(weights) -> list[Fraction]:
+    """Rational weight dicts, as the dyadic snapshot writes them, as fractions."""
+    return [Fraction(w["q"]) for w in weights]
+
+
+def _walked_object_entry(data):
+    """The first object entry with more than one cell and no written response."""
+    return next((n, e) for n, e in enumerate(data["ledger"])
+                if e["kind"] == "object" and len(e["cells"]) > 1 and "response" not in e)
+
+
+def _response_line(n, e):
+    return f"ValueError: ledger entry {n}: response does not map level {e['stage']} onto its challenge"
+
+
+def _sums_miss_the_stage(data):
+    # reorder the challenge's weights until a cumulative sum is not one of the stage's
+    stage_sums = [
+        set(itertools.accumulate(_fractions(c["w"] for c in level["cells"])))
+        for level in data["levels"]
+    ]
+    for n, e in enumerate(data["ledger"]):
+        if e["kind"] != "object" or "response" in e:
+            continue
+        w = e["weights"]
+        for order in (w[::-1], *(w[k:] + w[:k] for k in range(1, len(w)))):
+            sums = itertools.accumulate(_fractions(data["weights"][p] for p in order))
+            if not stage_sums[e["stage"]].issuperset(sums):
+                e["weights"] = order
+                return _response_line(n, e)
+    raise AssertionError("no object entry to doctor")
+
+
+def _zero_challenge_weight(data):
+    n, e = _walked_object_entry(data)
+    data["weights"].append({"q": "0"})
+    e["weights"][1] = len(data["weights"]) - 1
+    return f"ValueError: ledger entry {n}: weight of {e['cells'][1]} must be positive"
+
+
+def _written_response_wrong_length(data):
+    n, e = _walked_object_entry(data)
+    m = len(data["levels"][e["stage"]]["cells"])
+    e["response"] = [0] * (m + 1)
+    return f"ValueError: ledger entry {n}: response has {m + 1} positions, expected {m}"
+
+
+def _written_response_moves_mass(data):
+    n, e = _walked_object_entry(data)
+    e["response"] = [0] * len(data["levels"][e["stage"]]["cells"])
+    return _response_line(n, e)
+
+
+def _walked_response_not_commuting(data):
+    # swap the images of two challenge cells of equal weight over different cells of
+    # the target level: the challenge still maps onto it, and the same response is
+    # recovered, but it no longer commutes with the chain
+    for n, e in enumerate(data["ledger"]):
+        if e["kind"] != "morphism" or "response" in e:
+            continue
+        w, cm = e["weights"], e["challenge_map"]
+        for a, b in itertools.combinations(range(len(w)), 2):
+            if w[a] == w[b] and cm[a] != cm[b]:
+                cm[a], cm[b] = cm[b], cm[a]
+                return f"ValueError: ledger entry {n}: response does not commute with the chain"
+    raise AssertionError("no morphism entry to doctor")
+
+
+DOCTORED_FORMAT_3 = {
+    "challenge_sums_miss_the_stage": _sums_miss_the_stage,
+    "zero_challenge_weight": _zero_challenge_weight,
+    "written_response_wrong_length": _written_response_wrong_length,
+    "written_response_moves_mass": _written_response_moves_mass,
+    "walked_response_not_commuting": _walked_response_not_commuting,
+}
+
+
+@pytest.mark.parametrize("command", ["check-compat", "witness"])
+@pytest.mark.parametrize("case", sorted(DOCTORED_FORMAT_3))
+def test_doctored_format_3_snapshot_is_invalid_input(files, capsys, case, command):
+    """A format-3 entry's response, written or recovered by the walk of the
+    stage's cumulative sums, is refused with one line naming the entry."""
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    data = jsonutil.read(snap)
+    assert data["format"] == 3
+    line = DOCTORED_FORMAT_3[case](data)
     doctored = files / "doctored.json"
     write(doctored, dumps(data))
     assert main(_load_commands(doctored, mat, prefix)[command]) == 2

@@ -5,10 +5,12 @@ a fixed, seeded computation.  A refactor of the engine must leave every one
 of them unchanged; a deliberate change of output bytes must update them and
 say why.
 
-Snapshots are pinned twice.  The format-1 digests, recorded before format 2,
-are of ``oracles.snapshot_format1`` applied to the chain after a format-2
-round trip, so they also pin what a chain keeps across a save and a load.
-The ``_2`` digests are of the engine's own format-2 snapshots.
+Snapshots are pinned three times.  The format-1 digests, recorded before
+format 2, are of ``oracles.snapshot_format1``, and the ``_2`` digests,
+recorded before format 3, of ``oracles.snapshot_format2``, each applied to
+the chain after a round trip through its format-3 text, so they also pin
+what a chain keeps across a save and a load.  The ``_3`` digests are of the
+engine's own format-3 snapshots.
 """
 
 import hashlib
@@ -23,7 +25,7 @@ from goodmeasures.matrices import compatible_witness, conjugate_transport_check,
 from goodmeasures.partitions import common_refinement
 
 from conftest import E, random_balanced_matrix
-from oracles import snapshot_format1
+from oracles import snapshot_format1, snapshot_format2
 from test_matrices import fiber_permutation
 
 SCHEDULE_DIGESTS = {
@@ -56,35 +58,52 @@ SCHEDULE_DIGESTS_2 = {
 WITNESS_DIGEST_2 = "b0684798f4f22b0c0f9a91fa70260d52781caa906405be7e11149b693cec1b15"
 TRANSPORT_DIGEST_2 = "81b34b902364fcb1a2d42aa932f76c8862698068aa1315826faff8e0eb526810"
 ORBIT_SPLIT_DIGEST_2 = "c321f3a1e9dfae27a7652b2bdc0e0dc81c7001e8f4893fdf08c38f646bfa34d2"
+SCHEDULE_DIGESTS_3 = {
+    ("dyadic", 1): "dc3bdd9e24a43626b1d80c2dbd680dac424ab9004b23c7e32b7448f9d6d944f8",
+    ("dyadic", 2): "dc3bdd9e24a43626b1d80c2dbd680dac424ab9004b23c7e32b7448f9d6d944f8",
+    ("dyadic", 3): "163ce42efe47a1beedb22b7f98d835a4a266b95997fa647908955a492fe8e2ff",
+    ("triadic", 1): "af218354fad4aecb4efb1f17179cea89894bdb2e93cb093f467e049dd29209c8",
+    ("triadic", 2): "86572ab4962eb84a55fda80158701496576d1474d2d942d4244c69f9cc1a2fdd",
+    ("triadic", 3): "86572ab4962eb84a55fda80158701496576d1474d2d942d4244c69f9cc1a2fdd",
+    ("sqrt2_module", 1): "d612f3726fd1d2b7b8cc455c64dfa5c58cdc92a8044099fa9376fc03913d9a27",
+    ("sqrt2_module", 2): "89ee53087a9997c0f6dbe863720adc78380e690c4e0fea0714eb3c45141f4a89",
+    ("sqrt2_dyadic", 3): "b373fc10a3827fbe5c9ff2bb8cbdc3c5d4f05701b801cd59869f232f292329fb",
+    ("two_symbol", 2): "1cb223303d59e8fbec29d5fed36b53d51d238f595bbbe66099514e44ef7670b1",
+}
+WITNESS_DIGEST_3 = "ad13c45d15442c3e41f1114ad8ba6f0f7449012a27bafc3640e405b7229cb95b"
+TRANSPORT_DIGEST_3 = "ab8216e8313a27165fab2ab8cbda6e09d706b49524d59a4ced456ccc09e75c7a"
+ORBIT_SPLIT_DIGEST_3 = "fb5f64fe856780039e5f8ca7b786069fa639e5251900636858c647f4cea6e3db"
 # re-recorded when the report's maximality entries lost their always-true "ok",
-# and when build-chain began to write format 2, which the input_hash covers
-CHECK_GOOD_DIGEST = "3297c132d863667566d4660b8cd05338300c89b757f1a4e3ee96839da4f390bf"
+# and when build-chain began to write format 2, then format 3, which the
+# input_hash covers
+CHECK_GOOD_DIGEST = "28205b2b963917581c8601dc750263da5496166699219b119d660fc1a9e56246"
 
 
 def _sha(obj) -> str:
     return hashlib.sha256(jsonutil.dumps(obj).encode("utf-8")).hexdigest()
 
 
-def _snapshots(chain: GoodMeasureChain) -> tuple[dict, dict]:
-    """The chain's format-1 snapshot after a format-2 round trip through
-    canonical text, and its format-2 snapshot."""
-    loaded = GoodMeasureChain.from_json(jsonutil.loads(jsonutil.dumps(chain.to_json())))
-    return snapshot_format1(loaded), chain.to_json()
+def _snapshots(chain: GoodMeasureChain) -> tuple[dict, dict, dict]:
+    """The chain's format-1 and format-2 snapshots after a round trip
+    through its format-3 text, and its format-3 snapshot."""
+    loaded = GoodMeasureChain.from_json(jsonutil.loads(chain.to_text()))
+    return snapshot_format1(loaded), snapshot_format2(loaded), chain.to_json()
 
 
 @pytest.mark.parametrize("name,budget", sorted(SCHEDULE_DIGESTS))
 def test_schedule_snapshot_digest(name, budget, request):
     chain = GoodMeasureChain(request.getfixturevalue(name))
     chain.run_schedule(budget)
-    format1, format2 = _snapshots(chain)
+    format1, format2, format3 = _snapshots(chain)
     assert _sha(format1) == SCHEDULE_DIGESTS[(name, budget)]
     assert _sha(format2) == SCHEDULE_DIGESTS_2[(name, budget)]
+    assert _sha(format3) == SCHEDULE_DIGESTS_3[(name, budget)]
 
 
 def test_witness_and_cycle_object_digest(dyadic):
     """Matrices drawn as in C05, plus one per chain at the top level."""
     rng = random.Random(1005)
-    record, record2 = [], []
+    record, record2, record3 = [], [], []
     for _ in range(4):
         chain = GoodMeasureChain(dyadic)
         chain.run_schedule(3)
@@ -95,16 +114,18 @@ def test_witness_and_cycle_object_digest(dyadic):
             sigma = compatible_witness(chain, A)
             record.append([A.to_json(), C.to_json(), proj.underlying.to_json(), sigma.to_json()])
             record2.append(record[-1])
-        for r, snapshot in zip((record, record2), _snapshots(chain)):
+            record3.append(record[-1])
+        for r, snapshot in zip((record, record2, record3), _snapshots(chain)):
             r.append(snapshot)
     assert _sha(record) == WITNESS_DIGEST
     assert _sha(record2) == WITNESS_DIGEST_2
+    assert _sha(record3) == WITNESS_DIGEST_3
 
 
 def test_conjugation_transport_digest(dyadic):
     """Prefixes drawn as in C06; composing them extends the chain."""
     rng = random.Random(1006)
-    record, record2 = [], []
+    record, record2, record3 = [], [], []
     for _ in range(3):
         chain = GoodMeasureChain(dyadic)
         chain.run_schedule(3)
@@ -117,16 +138,18 @@ def test_conjugation_transport_digest(dyadic):
             assert conjugate_transport_check(chain, f, g, p)
             record.append([B.to_json(), f.to_json(), g.to_json()])
             record2.append(record[-1])
-        for r, snapshot in zip((record, record2), _snapshots(chain)):
+            record3.append(record[-1])
+        for r, snapshot in zip((record, record2, record3), _snapshots(chain)):
             r.append(snapshot)
     assert _sha(record) == TRANSPORT_DIGEST
     assert _sha(record2) == TRANSPORT_DIGEST_2
+    assert _sha(record3) == TRANSPORT_DIGEST_3
 
 
 def test_orbit_split_digest(dyadic, triadic):
     """Prefixes extended past the top, and canonical splits by ensure_depth."""
     rng = random.Random(1011)
-    record, record2 = [], []
+    record, record2, record3 = [], [], []
     for V in (dyadic, triadic):
         chain = GoodMeasureChain(V)
         chain.run_schedule(2)
@@ -134,11 +157,13 @@ def test_orbit_split_digest(dyadic, triadic):
         sigma = compatible_witness(chain, A)
         record.append(chain.extend_prefix(sigma, sigma.depth + 2).to_json())
         record2.append(record[-1])
+        record3.append(record[-1])
         chain.ensure_depth(chain.depth + 2)
-        for r, snapshot in zip((record, record2), _snapshots(chain)):
+        for r, snapshot in zip((record, record2, record3), _snapshots(chain)):
             r.append(snapshot)
     assert _sha(record) == ORBIT_SPLIT_DIGEST
     assert _sha(record2) == ORBIT_SPLIT_DIGEST_2
+    assert _sha(record3) == ORBIT_SPLIT_DIGEST_3
 
 
 def test_check_good_envelope_and_report_digest(tmp_path, capsys):
