@@ -538,9 +538,8 @@ class GoodMeasureChain:
                     rest = w - pa
                     if pv.sign(rest - pa) < 0:  # a > 0, so a kept rest is positive
                         continue
-                    children = {
-                        d: [a, pv.unpack(rest)] if d == c else [P.weights[d]] for d in P.cells
-                    }
+                    children = {d: [P.weights[d]] for d in P.cells}
+                    children[c] = [a, pv.unpack(rest)]
                     self._absorb_morphism(_subdivide(P, children), lvl)
         return self
 
@@ -582,7 +581,7 @@ class GoodMeasureChain:
             else:
                 pieces = (r, w - r)
                 link = _subdivide(
-                    P, {d: [*map(pv.unpack, pieces)] if d == c else [P.weights[d]] for d in P.cells}
+                    P, {d: pv.unpack_all(pieces) if d == c else [P.weights[d]] for d in P.cells}
                 )
                 self._append_level(link.source, link)
                 self._adopt(pv, dict(zip(link.source.cells, [
@@ -723,7 +722,7 @@ class GoodMeasureChain:
         """
         top = self.top
         through = cycles_through(top.cells, [verts for verts, _ in cycles])
-        weights = [pv.unpack(w) for _, w in cycles]
+        weights = pv.unpack_all([w for _, w in cycles])
         link = _subdivide(top, {c: [weights[ci] for ci, _ in through[c]] for c in top.cells})
         self._append_level(link.source, link)
         self._adopt(pv, dict(zip(link.source.cells, [

@@ -62,7 +62,7 @@ def decompose_entries(
     """
     readback = pv is not None and pv.syms
     if readback:
-        entries = {e: pv.unpack(p) for e, p in entries.items()}
+        entries = pv.unpacked(entries)
     zero = ZERO if pv is None or readback else 0
     rest = {e: w for e, w in entries.items() if w > zero}
     succ: dict[str, list[str]] = {}

@@ -147,25 +147,38 @@ def verify_matrix_morphism(chain: GoodMeasureChain, m: MatrixMorphism) -> bool:
     entries aggregate exactly along its fibers.
 
     Both mass identities are decided on packed ints of the source level's
-    table, which takes the underlying partitions' weights and both
-    matrices' entries."""
+    table, which takes both matrices' entries.  When the underlying
+    partitions are the chain's level objects, the source's weights are the
+    packed ints that table holds, and the target's are the ones its own
+    table holds if it is the same table, or else the source's carried onto
+    the target level by the chain's projection, which the chain's links
+    make mass-preserving.  Any other partition, a caller's copy of a level
+    included, is checked on its own weights, packed with the entries."""
     S, T = m.underlying.source, m.underlying.target
     if not (0 <= m.source.level <= chain.depth and 0 <= m.target.level <= chain.depth):
         return False
-    if S.cells != chain.levels[m.source.level].cells:
-        return False
-    if T.cells != chain.levels[m.target.level].cells:
+    lo, hi = m.target.level, m.source.level
+    if S.cells != chain.levels[hi].cells or T.cells != chain.levels[lo].cells:
         return False
     f, source, target = m.underlying.mapping, m.source.entries, m.target.entries
-    values = [*S.weight_list(), *T.weight_list(), *source.values(), *target.values()]
-    s, t, n = len(S.cells), len(T.cells), len(source)
-    _, _, packed = chain._table(m.source.level, values, s + n)
-    if not maps_onto(f, dict(zip(S.cells, packed[:s])), dict(zip(T.cells, packed[s:s + t]))):
+    entries, s, n = [*source.values(), *target.values()], len(S.cells), len(source)
+    if S is chain.levels[hi] and T is chain.levels[lo] and lo <= hi:
+        pv, s_weights, packed = chain._table(hi, entries, s + n)
+        kept = chain._tables.get(lo)
+        if kept is not None and kept[0] is pv:
+            t_weights = kept[1]
+        else:
+            t_weights = pushforward(chain.composite_mapping(hi, lo), s_weights)
+    else:
+        values = [*S.weight_list(), *T.weight_list(), *entries]
+        _, _, packed = chain._table(hi, values, s + n)
+        t = s + len(T.cells)
+        s_weights, t_weights = dict(zip(S.cells, packed)), dict(zip(T.cells, packed[s:t]))
+        packed = packed[t:]
+    if not maps_onto(f, s_weights, t_weights):
         return False
-    source = dict(zip(source, packed[s + t:s + t + n]))
-    return maps_onto(
-        {e: (f[e[0]], f[e[1]]) for e in source}, source, dict(zip(target, packed[s + t + n:]))
-    )
+    source = dict(zip(source, packed))
+    return maps_onto({e: (f[e[0]], f[e[1]]) for e in source}, source, dict(zip(target, packed[n:])))
 
 
 def identity_matrix_morphism(chain: GoodMeasureChain, A: BalancedMatrix) -> MatrixMorphism:
@@ -207,11 +220,15 @@ def lift_cycle(
     if not validate(chain, A):
         raise ValueError("matrix is not a valid balanced matrix over the chain")
     cycles = _cycles_of_cycle_object(A)
-    P_A = chain.levels[A.level]
+    P_A, P = chain.levels[A.level], chain.levels[source_level]
     if p.target.cells != P_A.cells:
         raise ValueError("morphism target is not the matrix index partition")
-    if p.source.cells != chain.levels[source_level].cells:
+    if p.source.cells != P.cells:
         raise ValueError("morphism source is not the given chain level")
+    if p.target.weights != P_A.weights:
+        raise ValueError("morphism target weights differ from the matrix index partition's")
+    if p.source.weights != P.weights:
+        raise ValueError("morphism source weights differ from the given chain level's")
     if not verify_morphism(p):
         raise ValueError("p is not a valid morphism")
     return BalancedMatrix(source_level, _lifted(chain, p, source_level, [
@@ -222,11 +239,11 @@ def lift_cycle(
 def _lifted(
     chain: GoodMeasureChain, p: PartitionMorphism, level: int, edges
 ) -> dict[tuple[str, str], ExactValue]:
-    """``lift_edges`` along p from a chain level, on p's source weights
-    packed in the level's table, each entry read back once."""
-    pv, _, packed = chain._table(level, p.source.weight_list(), 2 * len(p.source.cells))
-    weight = dict(zip(p.source.cells, packed))
-    return {e: pv.unpack(w) for e, w in lift_edges(p, edges, weight, pv).items()}
+    """``lift_edges`` along p from a chain level, whose weights p's source
+    has, on the packed weights the level's table holds, each entry read
+    back once."""
+    pv, weight, _ = chain._table(level, summands=2 * len(p.source.cells))
+    return pv.unpacked(lift_edges(p, edges, weight, pv))
 
 
 def _cycles(chain: GoodMeasureChain, A: BalancedMatrix):
@@ -264,14 +281,14 @@ def _lift_to_response_level(
     A is valid, so D is a valid challenge, absorbed without the public checks."""
     P_A = chain.levels[A.level]
     cycles, pv = _cycles(chain, A)
-    cycles = [(verts, pv.unpack(w)) for verts, w in cycles]
+    weights = pv.unpack_all([w for _, w in cycles])
     through = cycles_through(P_A.cells, [verts for verts, _ in cycles])
-    d_weights = {f"{c}@{ci}": cycles[ci][1] for c in P_A.cells for ci, _ in through[c]}
+    d_weights = {f"{c}@{ci}": weights[ci] for c in P_A.cells for ci, _ in through[c]}
     D = WeightedPartition(tuple(d_weights), d_weights)
     projD = PartitionMorphism(D, P_A, {cid: cid.rsplit("@", 1)[0] for cid in d_weights})
     d_cycles = [
-        CycleMatrix(tuple(f"{v}@{ci}" for v in verts), w)
-        for ci, (verts, w) in enumerate(cycles)
+        CycleMatrix(tuple(f"{v}@{ci}" for v in verts), weights[ci])
+        for ci, (verts, _) in enumerate(cycles)
     ]
     entry = chain._absorb_morphism(projD, A.level)
     stage = entry.stage
@@ -363,7 +380,7 @@ def transport_entries(
     bijection: the top's packed weights added per pair, each sum read back
     once."""
     pv, entries, _ = _transport(chain, sigma, level)
-    return {e: pv.unpack(w) for e, w in entries.items()}
+    return pv.unpacked(entries)
 
 
 def compatible(chain: GoodMeasureChain, sigma: AutomorphismPrefix, A: BalancedMatrix) -> bool:

@@ -20,7 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import NonRationalScale, NotInV
 from .jsonutil import format_ratio, parse_int, parse_object, parse_ratio
@@ -30,6 +30,7 @@ from .symbols import IrrationalSymbol, compare, enclose, sqrt_sign, stages
 INF = float("inf")
 
 _FracLike = Fraction | int | str
+_K = TypeVar("_K")
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +352,14 @@ class PackedValues:
 
     A table whose only symbol is a ``sqrt`` symbol keeps its root (d, cn,
     cd) once, and ``sign`` hands its two coordinates to ``sqrt_sign``.
+
+    The list kernels give what the per-value calls give, in one call.
+    ``pack_all`` packs a list: with no symbol a member's int is its
+    numerator over ``den``, worked out with no call per value; with a
+    symbol a member already met is taken from the table, not packed again.
+    ``unpack_all`` (a list) and ``unpacked`` (a dict's values) read ints
+    back: an int already met gives the very value it stands for, not a
+    rebuilt one.
     """
 
     def __init__(self, values: Sequence[ExactValue], room: int, slack: int = 1):
@@ -460,19 +469,39 @@ class PackedValues:
             self._packs[id(v)] = v, p
         return v
 
-    def pack_all(self, values: Iterable[ExactValue]) -> list[int] | None:
-        """``pack`` of each value, or None if one does not pack."""
+    def pack_all(self, values: Collection[ExactValue]) -> list[int] | None:
+        """``pack`` of each value, or None if one does not pack.
+
+        With no symbol a value's int is its numerator over ``den``, worked
+        out in one comprehension.  With a symbol a member already met is
+        taken from ``_packs`` as it is, and only a value not met goes
+        through ``pack``."""
+        if not self.syms:
+            den = self.den
+            out = [v.nums[0] * (den // v.den) for v in values if not (den % v.den or v.syms)]
+            return out if len(out) == len(values) else None
         out = []
+        packs, pack = self._packs, self.pack
         for v in values:
-            p = self.pack(v)
-            if p is None:
+            known = packs.get(id(v))
+            if known is not None and known[0] is v:
+                out.append(known[1])
+            elif (p := pack(v)) is not None:
+                out.append(p)
+            else:
                 return None
-            out.append(p)
         return out
 
-    def unpacked(self, packed: Mapping[str, int]) -> dict[str, ExactValue]:
-        """``unpack`` of each packed int of a dict, keys kept."""
-        return {c: self.unpack(p) for c, p in packed.items()}
+    def unpack_all(self, packed: Iterable[int]) -> list[ExactValue]:
+        """``unpack`` of each packed int, in order: an int already met gives
+        the value it read back as, taken from ``_values``, not rebuilt."""
+        get, unpack = self._values.get, self.unpack
+        return [get(p) or unpack(p) for p in packed]
+
+    def unpacked(self, packed: Mapping[_K, int]) -> dict[_K, ExactValue]:
+        """``unpack_all`` of the packed ints of a dict, keys kept."""
+        get, unpack = self._values.get, self.unpack
+        return {k: get(p) or unpack(p) for k, p in packed.items()}
 
     def sign(self, p: int) -> int:
         """The sign of a packed signed sum of at most ``room`` members,

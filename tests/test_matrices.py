@@ -24,7 +24,7 @@ from goodmeasures.matrices import (
     validate,
     verify_matrix_morphism,
 )
-from goodmeasures.partitions import PartitionMorphism, WeightedPartition, split_cell
+from goodmeasures.partitions import PartitionMorphism, WeightedPartition, split_cell, verify_morphism
 from goodmeasures.values import ONE, ZERO
 
 from conftest import E, random_balanced_matrix, random_equi_summed
@@ -207,6 +207,30 @@ def test_lift_cycle_rejects_non_cycle(dyadic):
     ident = PartitionMorphism(P, P, {c: c for c in P.cells})
     with pytest.raises(NotCycleObject):
         lift_cycle(ch, A, ident, 1)
+
+
+def test_lift_cycle_refuses_a_copy_of_a_level_with_other_weights(sqrt2_dyadic):
+    """A source with level 1's cells but its two weights swapped maps onto
+    level 0 as a valid morphism, yet the lift it would give is no valid
+    matrix; a target copy of the index level with swapped weights, under a
+    valid morphism, would give a lift that p does not project onto A.  Both
+    are refused; a copy with the level's own weights lifts as the level."""
+    ch = GoodMeasureChain(sqrt2_dyadic).run_schedule(2)
+    L0, L1 = ch.levels[0], ch.levels[1]
+    a, b = L1.cells
+    swapped = WeightedPartition.make([(a, L1.weights[b]), (b, L1.weights[a])])
+    p = PartitionMorphism(swapped, L0, {a: "r", b: "r"})
+    assert verify_morphism(p)
+    A = BalancedMatrix(0, {("r", "r"): ONE})
+    with pytest.raises(ValueError, match="^morphism source weights differ from the given chain level's$"):
+        lift_cycle(ch, A, p, 1)
+    copy = PartitionMorphism(WeightedPartition(L1.cells, dict(L1.weights)), L0, p.mapping)
+    assert lift_cycle(ch, A, copy, 1) == lift_cycle(ch, A, ch.links[0], 1)
+    q = PartitionMorphism(L1, swapped, {a: b, b: a})
+    assert verify_morphism(q)
+    A1 = diag_matrix(ch, 1)
+    with pytest.raises(ValueError, match="^morphism target weights differ from the matrix index"):
+        lift_cycle(ch, A1, q, 1)
 
 
 # -- reverse projection -----------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The chain's per-level weight tables: the mass identities and order tests
 over chain weights add and compare packed ints, so the witness path on Q
 towers, the schedule's answers and checks along a copy of a level make no
-``ExactValue`` addition; a loaded snapshot keeps the one table it was
-checked with; and every table the chain keeps, built, inherited or rebuilt,
-reads back its level's weights."""
+``ExactValue`` addition, and matrix checks on level objects pack no level
+weight again; a loaded snapshot keeps the one table it was checked with;
+every table the chain keeps, built, inherited or rebuilt, reads back its
+level's weights; and the whole-list kernels agree with the per-value ones."""
 
 import math
 import random
@@ -11,7 +12,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from goodmeasures import matrices as matrices_module
 from goodmeasures import values as values_module
 from goodmeasures.chain import AutomorphismPrefix, ClopenSet, GoodMeasureChain
 from goodmeasures.matrices import (
@@ -23,6 +27,7 @@ from goodmeasures.matrices import (
     conjugate_transport_check,
     lift_cycle,
     matrix_of_prefix,
+    reverse_projection,
     to_cycle_object,
     transport_entries,
     validate,
@@ -107,6 +112,66 @@ def test_witness_path_on_a_q_tower_adds_no_value(rationals, seed, monkeypatch):
     assert seen == []
     assert out["compatible"] and out["transported"]
     assert out["measures"][0] == out["measures"][1]
+    assert_tables_fresh(chain)
+
+
+def sevenths(rng, chain: GoodMeasureChain, level: int) -> BalancedMatrix:
+    """The level's diagonal with a seventh of the lighter of two cells
+    moved each way between them: entries off the level's denominator."""
+    P = chain.levels[level]
+    a, b = rng.sample(P.cells, 2)
+    eps = min(P.weights[a], P.weights[b]).scale(Fraction(1, 7))
+    entries = {(c, c): P.weights[c] for c in P.cells}
+    entries.update({(a, a): P.weights[a] - eps, (a, b): eps,
+                    (b, a): eps, (b, b): P.weights[b] - eps})
+    return BalancedMatrix(level, entries)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("matrix", [random_balanced_matrix, sevenths])
+def test_witness_path_hands_pack_all_no_level_weight(rationals, seed, matrix, monkeypatch):
+    """On a loaded Q tower, ``verify_matrix_morphism`` on the chain's level
+    objects hands ``pack_all`` the two matrices' entries and nothing else,
+    and ``_lifted`` hands it nothing: the levels' weights are the packed
+    ints their tables hold.  A matrix of sevenths gives its level a table
+    of its own, so the target's weights are the source's carried down."""
+    rng = random.Random(2140 + seed)
+    chain = q_tower(rng, rationals)
+    A = matrix(rng, chain, rng.randint(1, chain.depth - 1))
+    names = ("verify_matrix_morphism", "_lifted")
+    codes = {WATCHED[n].__code__: n for n in names}
+    handed = dict.fromkeys(names, 0)
+    entries, lifts = [], 0
+    pack_all = PackedValues.pack_all
+
+    def counting(self, values):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in codes:
+            frame = frame.f_back
+        if frame is not None:
+            handed[codes[frame.f_code]] += len(values)
+        return pack_all(self, values)
+
+    def verifying(chain, m):
+        entries.append(len(m.source.entries) + len(m.target.entries))
+        return verify_matrix_morphism(chain, m)
+
+    def lifting(*args):
+        nonlocal lifts
+        lifts += 1
+        return _lifted(*args)
+
+    monkeypatch.setattr(PackedValues, "pack_all", counting)
+    monkeypatch.setattr(matrices_module, "verify_matrix_morphism", verifying)
+    monkeypatch.setattr(matrices_module, "_lifted", lifting)
+    B, p = to_cycle_object(chain, A)
+    f = compatible_witness(chain, B)
+    transported = conjugate_transport_check(chain, f, chain.identity_prefix(f.depth), p)
+    C, r = reverse_projection(chain, p)
+    monkeypatch.undo()
+    assert transported and validate(chain, C)
+    assert len(entries) >= 3 and lifts
+    assert handed == {"verify_matrix_morphism": sum(entries), "_lifted": 0}
     assert_tables_fresh(chain)
 
 
@@ -275,6 +340,73 @@ def test_a_save_after_a_witness_sums_no_partition(sqrt2_dyadic, monkeypatch):
     assert calls == []
     assert all(P.keys() == {"cells"} for P in data["levels"])
     assert all(P.total == ONE for P in [*chain.levels, *(e.challenge_object for e in chain.ledger)])
+
+
+# -- the whole-list kernels against their per-value references ----------------
+
+S3 = IrrationalSymbol.sqrt("s3", 3, -1)
+
+
+@st.composite
+def tables_and_values(draw):
+    """Two twin tables, rational or over sqrt(2) - 1, and values to pack in
+    them: members, equal copies, values over a finer denominator, values
+    with a foreign symbol and values over the table's denominator."""
+    s = sqrt2_symbol() if draw(st.booleans()) else None
+    dens = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 8]), min_size=1, max_size=3))
+
+    def value(den):
+        q = Fraction(draw(st.integers(-30, 30)), den)
+        c = Fraction(draw(st.integers(-30, 30)), den) if s is not None else 0
+        return E(q, {s: c} if c else None)
+
+    members = [value(draw(st.sampled_from(dens))) for _ in range(draw(st.integers(1, 6)))]
+    room, slack = draw(st.integers(1, 8)), draw(st.sampled_from([1, 2]))
+    twins = [PackedValues(members, room, slack) for _ in range(2)]
+    den = twins[0].den
+    def copy(v):
+        return ExactValue(v.den, v.nums, v.syms)
+
+    kinds = {
+        "member": lambda: draw(st.sampled_from(members)),
+        "copy": lambda: copy(draw(st.sampled_from(members))),
+        "finer": lambda: value(den * draw(st.sampled_from([2, 3, 5]))),
+        "foreign": lambda: E(Fraction(1, den), {S3: Fraction(draw(st.integers(1, 9)), den)}),
+        "over_den": lambda: value(den),
+    }
+    values = [kinds[k]() for k in draw(st.lists(st.sampled_from(sorted(kinds)), max_size=8))]
+    return twins, members, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables_and_values())
+def test_pack_all_is_pack_of_each_value(case):
+    (pv, twin), _, values = case
+    want = [twin.pack(v) for v in values]
+    assert pv.pack_all(values) == (None if None in want else want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables_and_values(), st.randoms(use_true_random=False))
+def test_unpack_all_and_unpacked_read_back_as_unpack(case, rng):
+    """Known ints give the very value ``unpack`` gives; ints not met give
+    an equal value, the one a twin table reads back."""
+    (pv, twin), members, _ = case
+    k = len(members)
+    ints = [*pv.packed]
+    for _ in range(6):
+        picked = rng.sample(range(k), rng.randint(1, min(k, pv.room)))
+        ints.append(sum(rng.choice([-1, 1]) * pv.packed[i] for i in picked))
+    rng.shuffle(ints)
+    known = {p: pv._values[p] for p in ints if p in pv._values}
+    listed, keyed = pv.unpack_all(ints), pv.unpacked(dict(enumerate(ints)))
+    assert list(keyed) == list(range(len(ints)))
+    for p, v, w in zip(ints, listed, keyed.values()):
+        assert v is w is pv.unpack(p)
+        if p in known:
+            assert v is known[p]
+        else:
+            assert v == twin.unpack(p)
 
 
 # -- arguments outside the chain --------------------------------------------------
