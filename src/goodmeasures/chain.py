@@ -213,12 +213,13 @@ class GoodMeasureChain:
     """Single-writer, append-only prefix of a Fraïssé chain over a value set.
 
     Invariant: level 0 has total 1, every level weight lies in V, each link
-    is a valid morphism from level k+1 onto level k, and each ledger
-    response maps its stage onto its challenge (commuting with the chain
-    projection for morphism entries).  Public methods check their arguments
-    and ``from_json`` checks a snapshot, once, where the data enters; every
-    level the engine appends is derived from checked data by V's group
-    operations, so the invariant holds without checking it again.
+    is a valid morphism from level k+1 onto level k that lists level k+1 in
+    the order of its images (so each cell's children are consecutive), and
+    each ledger response maps its stage onto its challenge (commuting with
+    the chain projection for morphism entries).  Public methods check their
+    arguments and ``from_json`` checks a snapshot, once, where the data
+    enters; every level the engine appends is derived from checked data by
+    V's group operations, so the invariant holds without checking it again.
     """
 
     def __init__(self, V: GroupDescriptor):
@@ -231,8 +232,8 @@ class GoodMeasureChain:
         self._ledger_index: dict[tuple, int] = {}
         # per target level: the deepest level projected onto it so far, and that projection
         self._projections: dict[int, tuple[int, dict[str, str]]] = {}
-        # per level: the top's fibers over it, on first use (``_fiber_index``)
-        self._fibers: dict[int, dict[str, tuple]] = {}
+        # the top's packed weights in top order and their ``_cumulative``, on first use
+        self._top_index: tuple[list[int], list[int], dict[int, int]] | None = None
         # per level: its weight table and each cell's packed weight (``_table``)
         self._tables: dict[int, tuple[PackedValues, dict[str, int]]] = {}
         self._slack = _den_slack(V)
@@ -287,7 +288,7 @@ class GoodMeasureChain:
             raise ValueError("link must map the new level onto the current top")
         self.levels.append(P)
         self.links.append(link)
-        self._fibers = {}
+        self._top_index = None
 
     def _table(
         self, level: int, values: Collection[ExactValue] = (), summands: int = 0
@@ -301,8 +302,8 @@ class GoodMeasureChain:
         value (one not over its denominator, say 1/6 on a level of thirds),
         or that has no room left for a signed sum of ``summands`` members,
         is replaced by one over the level's weights and the values, with
-        room for the sums.  The top's fiber index is in the top's packing,
-        so it goes with the top's table.
+        room for the sums.  The top's index (``_respond``) is in the top's
+        packing, so it goes with the top's table.
         """
         table = self._tables.get(level)
         if table is not None:
@@ -317,7 +318,7 @@ class GoodMeasureChain:
         )
         self._tables[level] = pv, dict(zip(P.cells, pv.packed))
         if table is not None and level == self.depth:
-            self._fibers = {}
+            self._top_index = None
         return pv, self._tables[level][1], pv.packed[n:]
 
     def _adopt(self, pv: PackedValues, packed: dict[str, int]) -> None:
@@ -380,38 +381,33 @@ class GoodMeasureChain:
         )
         return self.depth
 
-    def _fiber_index(self, level: int) -> dict[str, tuple]:
-        """Per cell x of a level: the positions of the top cells over x, in
-        top order, their packed weights in the top's table and those
-        weights' ``_cumulative``, computed on first use and kept for the
-        top's lifetime (and its table's)."""
-        fibers = self._fibers.get(level)
-        if fibers is not None:
-            return fibers
-        top = self.top
-        f1 = PartitionMorphism(top, self.levels[level], self.composite_mapping(self.depth, level))
-        weight = self._table(self.depth)[1]
-        packed = [weight[c] for c in top.cells]
-        fibers = self._fibers[level] = {}
-        for x, ys in f1.fiber_positions().items():
-            left = [packed[y] for y in ys]
-            fibers[x] = (ys, left, *_cumulative(left))
-        return fibers
-
     def _respond(self, f2: PartitionMorphism, level: int) -> list[int]:
         """Answer the challenge f2 onto a level; returns the response, a map
         from the top after this call onto f2's source, as the position in
         f2's source of the image of each top cell, in top order.
 
-        Each challenge fiber is placed once among the top's cumulative sums
-        over its cell (``partitions._place``).  If no sum cuts a top cell,
-        each top cell maps to the challenge cell whose interval holds it: the
-        ``p2 ∘ p1⁻¹`` of an amalgam as large as the top, read off without
-        building it; over level 0 it is one run of one position per
-        challenge cell.  Otherwise the same placements give the amalgam of
-        the top's projection with f2, the new top, and its p2 is the
-        response.  Either way f2 ∘ response is the chain projection onto
-        the level.  Precondition: f2 is a valid morphism onto the level.
+        Links list each level in the order of its images (the chain's
+        invariant), so the top's fibers over the level are runs of the top,
+        in level order.  A stable sort lists f2's cells the same way, by
+        their images' positions (no sort over a one-cell level).  The
+        cumulative sums of the top and of the sorted challenge then meet at
+        the end of every fiber, and one walk places the challenge's sums
+        among the top's, held in the top's index (``partitions._place``).
+        If no sum cuts a top cell, the response is read off the runs: the
+        ``p2 ∘ p1⁻¹`` of an amalgam as large as the top.  Otherwise the same
+        placements give the amalgam of the top's projection with f2, the new
+        top, and its p2 is the response.  Either way f2 ∘ response is the
+        chain projection onto the level.  Precondition: f2 is a valid
+        morphism onto the level.
+
+        A challenge listed in image order gets a non-decreasing response.
+        Its sort is the identity, so its intervals follow in challenge
+        order, and each cell the walk yields (a top cell, or a part of the
+        amalgam) maps to the challenge cell whose interval holds it.  The
+        walk yields its cells in interval order: the top's cells are, and
+        the amalgam lists each top cell's parts in turn (``_assemble``).
+        The new top's link, each part onto its top cell, does not decrease
+        either, so appends keep the invariant.
 
         The walk adds and compares packed ints of the top's table, which
         takes f2's weights too (``_table``); each part of the amalgam is read
@@ -419,28 +415,29 @@ class GoodMeasureChain:
         """
         source, depth = f2.source, len(self.links)
         top = self.levels[depth]
-        pv, _, weight = self._table(
+        pv, weight, packed = self._table(
             depth, source.weight_list(), len(top.cells) + len(source.cells)
         )
-        fibers = self._fiber_index(level)
-        walks = []
-        for x, zs in f2.fiber_positions().items():
-            ys, left, sums, index = fibers[x]
-            right = [weight[z] for z in zs]
-            walks.append((ys, zs, left, right, sums, _place(sums, index, right, pv)))
-        if all(acc is None for *_, places in walks for _, acc in places):
-            response = [0] * len(top.cells)
-            for ys, zs, *_, places in walks:
-                start = 0
-                for z, (end, _) in zip(zs, places):
-                    for y in ys[start:end]:
-                        response[y] = z
-                    start = end
+        order = range(len(source.cells))
+        below = self.levels[level].cells
+        if len(below) > 1:
+            at = {c: i for i, c in enumerate(below)}
+            image = [at[f2.mapping[c]] for c in source.cells]
+            order = sorted(order, key=image.__getitem__)
+        if self._top_index is None:
+            left = [weight[c] for c in top.cells]
+            self._top_index = (left, *_cumulative(left))
+        left, sums, index = self._top_index
+        right = [packed[z] for z in order]
+        places = _place(sums, index, right, pv)
+        if all(acc is None for _, acc in places):
+            response: list[int] = []
+            start = 0
+            for z, (end, _) in zip(order, places):
+                response += [z] * (end - start)
+                start = end
             return response
-        refined = [
-            (ys, zs, _parts(left, right, sums, places))
-            for ys, zs, left, right, sums, places in walks
-        ]
+        refined = [(range(len(top.cells)), order, _parts(left, right, sums, places))]
         # the amalgam of packed weights, then its parts read back as its weights
         Gp, p1, p2 = _assemble(top, refined)
         G = WeightedPartition(Gp.cells, pv.unpacked(Gp.weights))
@@ -836,12 +833,9 @@ class GoodMeasureChain:
 
         An entry writes its response, the challenge position of each cell of
         its stage, only when the response has a descent: a stage cell that
-        maps to an earlier challenge cell than the stage cell before it.  A
-        non-decreasing response is left out, because it is the only
-        non-decreasing map of the stage onto the challenge that preserves
-        mass: stage weights are positive, so the run of stage cells over
-        each challenge cell must end where the stage's cumulative sum meets
-        the challenge's.  ``from_json`` walks those sums to recover it.
+        maps to an earlier challenge cell than the stage cell before it.
+        ``from_json`` recovers a non-decreasing one (``LedgerEntry``) by
+        walking the cumulative sums of the stage and of the challenge.
 
         Each distinct weight is formatted once, as a ``Canonical`` text, and
         moved to each indentation it stands at by ``encode``; each position
@@ -904,7 +898,8 @@ class GoodMeasureChain:
         range; a format-3 challenge weight must also be positive.  It is
         then checked: every distinct weight of the levels and of the ledger
         challenges lies in V, level 0 has total 1, each link maps level k+1
-        onto level k, each morphism challenge maps onto its target level,
+        onto level k and lists it in the order of its images (the chain's
+        invariant), each morphism challenge maps onto its target level,
         each response maps its stage onto its challenge, and a morphism
         response commutes with the chain projection.
 
@@ -1036,6 +1031,10 @@ class GoodMeasureChain:
         for i, pos in enumerate(links):
             if pos is None or not positions_onto(pos, weights[i + 1], weights[i]):
                 raise ValueError(f"snapshot link {i} does not map level {i + 1} onto level {i}")
+            if pos != sorted(pos):
+                raise ValueError(
+                    f"snapshot link {i} does not list level {i + 1} in the order of its images"
+                )
             mapping = dict(zip(cells[i + 1], map(cells[i].__getitem__, pos)))
             chain.links.append(PartitionMorphism(levels[i + 1], levels[i], mapping))
         indexes: dict[int, dict[int, int]] = {}  # per stage: its ``_cumulative`` index

@@ -18,6 +18,8 @@ from goodmeasures.partitions import (
     PartitionMorphism,
     WeightedPartition,
     _assemble,
+    _parts,
+    _place,
     verify_morphism,
 )
 from goodmeasures.symbols import enclose, stages
@@ -146,9 +148,13 @@ def values_by_filter(V: GroupDescriptor, budget: int) -> list[ExactValue]:
 
 def unpack(pv: PackedValues, p: int) -> ExactValue:
     """The value of a packed sum of at most ``pv``'s room of its values, read
-    back digit by digit.  The engine's former way to decide ``> 1``, as
+    back digit by digit: a signed digit of ``width`` bits per slot, or the
+    whole int in a table with no symbol, whose one slot is unbounded.  The
+    engine's former way to decide ``> 1``, as
     ``unpack(pv, p) > ONE``; the reference for ``PackedValues.sign`` of a
     packed sum minus 1."""
+    if not pv.syms:  # one slot, which cannot carry
+        return _reduced(pv.den, [p], ())
     w = pv.width
     mask, half = (1 << w) - 1, 1 << (w - 1)
     nums = []
@@ -180,7 +186,7 @@ def fiber_index_by_walk(chain: GoodMeasureChain, level: int) -> dict[str, tuple]
     """Per cell x of a level: the top cells over x in top order, their
     weights, the running sums of those weights and each sum mapped to its
     count, with the top's projection walked afresh link by link.  The
-    reference for ``GoodMeasureChain._fiber_index``."""
+    reference for the top's fibers in ``respond_by_fibers``."""
     over = {c: c for c in chain.top.cells}
     for k in range(chain.depth, level, -1):
         link = chain.links[k - 1].mapping
@@ -194,6 +200,47 @@ def fiber_index_by_walk(chain: GoodMeasureChain, level: int) -> dict[str, tuple]
         sums.append(sums[-1] + w if sums else w)
         index[sums[-1]] = len(sums)
     return out
+
+
+def respond_by_fibers(
+    chain: GoodMeasureChain, f2: PartitionMorphism, level: int
+) -> tuple[list[int], tuple[WeightedPartition, dict[str, str]] | None]:
+    """The chain's answer to the challenge f2 onto a level, fiber by fiber,
+    with the chain left as it is: the response as positions in f2's source,
+    and the new top with its link map onto the top, or None when the top
+    answers with no new level.
+
+    Each challenge fiber is placed among the top's cumulative sums over its
+    cell, taken from ``fiber_index_by_walk``, in exact values: if no sum
+    cuts a top cell, each top cell maps to the challenge cell whose interval
+    holds it; otherwise the placements give the amalgam of the top's
+    projection with f2.  The engine's former ``_respond``, with its former
+    ``_fiber_index``; the reference for the one walk over the whole top.
+    """
+    top = chain.top
+    at = {c: i for i, c in enumerate(top.cells)}
+    fibers = fiber_index_by_walk(chain, level)
+    weight = f2.source.weight_list()
+    walks = []
+    for x, zs in f2.fiber_positions().items():
+        ys, left, sums, index = fibers[x]
+        right = [weight[z] for z in zs]
+        walks.append(([at[y] for y in ys], zs, left, right, sums, _place(sums, index, right)))
+    if all(acc is None for *_, places in walks for _, acc in places):
+        response = [0] * len(top.cells)
+        for ys, zs, *_, places in walks:
+            start = 0
+            for z, (end, _) in zip(zs, places):
+                for y in ys[start:end]:
+                    response[y] = z
+                start = end
+        return response, None
+    refined = [
+        (ys, zs, _parts(left, right, sums, places))
+        for ys, zs, left, right, sums, places in walks
+    ]
+    G, p1, p2 = _assemble(top, refined)
+    return p2, (G, dict(p1.mapping))
 
 
 def peel_refinement(left, right) -> list[tuple[ExactValue, int, int]]:

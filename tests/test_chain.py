@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goodmeasures import chain as chain_module
-from goodmeasures import jsonutil, partitions, values
+from goodmeasures import cli, jsonutil, partitions, values
 from goodmeasures.chain import AutomorphismPrefix, ClopenSet, GoodMeasureChain, invert_prefix
 from goodmeasures.errors import (
     InvalidChallenge,
@@ -22,7 +22,12 @@ from goodmeasures.errors import (
     SumMismatch,
     WeightMismatch,
 )
-from goodmeasures.matrices import BalancedMatrix, compatible_witness, to_cycle_object
+from goodmeasures.matrices import (
+    BalancedMatrix,
+    compatible,
+    compatible_witness,
+    to_cycle_object,
+)
 from goodmeasures.partitions import (
     PartitionMorphism,
     WeightedPartition,
@@ -53,6 +58,7 @@ from oracles import (
     index_sums_to_one,
     peel_amalgam,
     prefix_by_sets,
+    respond_by_fibers,
     snapshot_format1,
     snapshot_format2,
     snapshot_format3,
@@ -302,24 +308,59 @@ def test_respond_matches_peel_amalgam(irrational, seed, kind, dyadic, sqrt2_dyad
         assert ch.depth == depth
 
 
-def _index_values(ch, index) -> dict[str, tuple]:
-    """A fiber index of top positions and packed ints read back as top
-    cells and values in the top's table."""
+def _assert_top_index_fresh(ch) -> None:
+    """The top's index, if one is kept, read back in the top's table, is
+    the top's weights in top order with their running sums, each sum
+    mapped to its count: the one fiber over level 0, walked link by link."""
+    if ch._top_index is None:
+        return
     value = ch._tables[ch.depth][0].unpack
-    cells = ch.top.cells
-    return {
-        x: ([cells[y] for y in ys], [*map(value, left)], [*map(value, sums)],
-            {value(s): n for s, n in at.items()})
-        for x, (ys, left, sums, at) in index.items()
-    }
+    left, sums, at = ch._top_index
+    (cells, weights, walked, counts), = fiber_index_by_walk(ch, 0).values()
+    assert cells == list(ch.top.cells)
+    assert [*map(value, left)] == weights and [*map(value, sums)] == walked
+    assert {value(s): n for s, n in at.items()} == counts
 
 
-def _assert_fiber_indexes_fresh(ch, level: int) -> None:
-    """The index over the level, and every other kept one, read back, is
-    the one walked link by link."""
-    ch._fiber_index(level)
-    for kept, index in ch._fibers.items():
-        assert _index_values(ch, index) == fiber_index_by_walk(ch, kept)
+def _listed_out_of_order(rng, f2: PartitionMorphism) -> PartitionMorphism:
+    """f2 with its source's cells shuffled, weights and map kept."""
+    cells = list(f2.source.cells)
+    rng.shuffle(cells)
+    A = WeightedPartition(tuple(cells), {c: f2.source.weights[c] for c in cells})
+    return PartitionMorphism(A, f2.target, f2.mapping)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    irrational=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(
+        st.sampled_from(["coarsen", "permute", "random", "split"]), min_size=1, max_size=3
+    ),
+    shuffled=st.lists(st.booleans(), min_size=3, max_size=3),
+)
+def test_respond_matches_the_per_fiber_walk(
+    irrational, seed, kinds, shuffled, dyadic, sqrt2_dyadic
+):
+    """One walk over the whole top gives the per-fiber walk's response,
+    depth and appended level (cells, weights and link map), challenge after
+    challenge on one chain, with challenges listed in image order or not."""
+    rng = random.Random(seed)
+    ch = _interval_top(rng, sqrt2_dyadic if irrational else dyadic)
+    for kind, out_of_order in zip(kinds, shuffled):
+        f2, level = _interval_challenge(rng, ch, kind)
+        if out_of_order:
+            f2 = _listed_out_of_order(rng, f2)
+        top, depth = ch.top, ch.depth
+        want, appended = respond_by_fibers(ch, f2, level)
+        assert ch._respond(f2, level) == want
+        if appended is None:
+            assert ch.depth == depth
+        else:
+            G, link = appended
+            assert ch.depth == depth + 1
+            assert ch.top.cells == G.cells and ch.top.weights == G.weights
+            assert ch.links[-1].target is top and ch.links[-1].mapping == link
 
 
 @settings(max_examples=60, deadline=None)
@@ -331,29 +372,27 @@ def _assert_fiber_indexes_fresh(ch, level: int) -> None:
     ),
 )
 def test_fiber_indexes_stay_fresh_across_challenges(irrational, seed, kinds, dyadic, sqrt2_dyadic):
-    """After each challenge, appended or not, every kept fiber index is the
-    walked one; a level appended by an amalgam or by a cycle split
-    (``deepen``) drops the old top's indexes."""
+    """After each challenge the top answers, the top's index is kept and is
+    the walked one; a level appended by an amalgam or by a cycle split
+    (``deepen``) drops it, until the next challenge asks for it."""
     rng = random.Random(seed)
     ch = _interval_top(rng, sqrt2_dyadic if irrational else dyadic)
     for kind in kinds:
         if kind == "deepen":
             ch.ensure_depth(ch.depth + 1)
-            assert ch._fibers == {}
+            assert ch._top_index is None
             continue
         f2, level = _interval_challenge(rng, ch, kind)
         depth = ch.depth
         ch._respond(f2, level)
-        if ch.depth > depth:  # nothing is indexed until it is asked for
-            assert ch._fibers == {}
-        _assert_fiber_indexes_fresh(ch, level)
+        assert (ch._top_index is None) == (ch.depth > depth)
+        _assert_top_index_fresh(ch)
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3])
 def test_schedule_keeps_fiber_indexes_fresh(budget, sqrt2_dyadic, monkeypatch):
-    """After each challenge the schedule answers, appended or not, every
-    kept fiber index is the walked one, at level 0 and at the levels above
-    it that the morphism challenges name; the snapshot is the one an
+    """After each challenge the schedule answers, the top's index is the
+    walked one, or none once a level is appended; the snapshot is the one an
     unwatched run writes."""
     real = GoodMeasureChain._respond
     answered = []
@@ -362,7 +401,8 @@ def test_schedule_keeps_fiber_indexes_fresh(budget, sqrt2_dyadic, monkeypatch):
         depth = self.depth
         response = real(self, f2, level)
         answered.append((level, self.depth > depth))
-        _assert_fiber_indexes_fresh(self, level)
+        assert (self._top_index is None) == (self.depth > depth)
+        _assert_top_index_fresh(self)
         return response
 
     want = jsonutil.dumps(GoodMeasureChain(sqrt2_dyadic).run_schedule(budget).to_json())
@@ -372,6 +412,19 @@ def test_schedule_keeps_fiber_indexes_fresh(budget, sqrt2_dyadic, monkeypatch):
     assert len(appended) == ch.depth
     assert (max(appended) > 0) == (budget > 1)
     assert jsonutil.dumps(ch.to_json()) == want
+
+
+def test_a_rebuilt_top_table_drops_the_top_index(dyadic):
+    """A value off the top table's denominator rebuilds the table, and the
+    index in the old table's packing goes with it."""
+    ch = GoodMeasureChain(dyadic).run_schedule(1)
+    ch._respond(ch._collapse(ch.top), 0)  # answered by the top, which indexes it
+    assert ch._top_index is not None
+    ch._table(ch.depth)
+    assert ch._top_index is not None
+    finer = E(Fraction(1, 2 * ch._tables[ch.depth][0].den))
+    ch._table(ch.depth, [finer])
+    assert ch._top_index is None
 
 
 def test_respond_draws_need_finer_levels(dyadic, sqrt2_dyadic):
@@ -387,6 +440,72 @@ def test_respond_draws_need_finer_levels(dyadic, sqrt2_dyadic):
             answered.setdefault(kind, set()).add(ch.depth == depth)
     assert answered == {"coarsen": {True}, "permute": {True, False},
                         "random": {True, False}, "split": {True, False}}
+
+
+def _in_order_answers_do_not_decrease(ledger) -> int:
+    """Assert over recorded entries that each one whose challenge is listed
+    in image order (an object's, over the one cell of level 0, always is)
+    has a non-decreasing response, and return how many it checked.
+    ``_respond`` answers so by its invariant; an object paired with the top
+    by weight (``_match_by_weight``) could have a descent, but none of the
+    runs below records one."""
+    checked = 0
+    for e in ledger:
+        if e.challenge is None or e.challenge == sorted(e.challenge):
+            assert e.response == sorted(e.response), (e.kind, e.stage)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("name", ["dyadic", "triadic", "sqrt2_dyadic"])
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_schedule_responses_do_not_decrease(name, budget, request):
+    """The schedule lists every challenge in image order, so no response it
+    records has a descent."""
+    ch = GoodMeasureChain(request.getfixturevalue(name)).run_schedule(budget)
+    assert _in_order_answers_do_not_decrease(ch.ledger) == len(ch.ledger) > 0
+
+
+def test_witness_extensions_of_q_towers_record_no_descent(rationals):
+    """``witness`` on loaded towers over Q (a few absorbed objects) records
+    responses with no descent."""
+    checked = 0
+    for seed in range(12):
+        rng = random.Random(2100 + seed)
+        built = GoodMeasureChain(rationals)
+        for i in range(4):
+            built.absorb_object(random_partition(rng, rationals, 4, prefix=f"o{i}"))
+        chain = GoodMeasureChain.from_json(built.to_json())
+        loaded = len(chain.ledger)
+        A = random_balanced_matrix(rng, chain, rng.randint(1, chain.depth))
+        assert compatible(chain, compatible_witness(chain, A), A)
+        checked += _in_order_answers_do_not_decrease(chain.ledger[loaded:])
+    assert checked > 0
+
+
+def test_check_good_absorptions_record_no_descent(dyadic, triadic, sqrt2_dyadic, tmp_path,
+                                                  monkeypatch, capsys):
+    """``check-good`` on budget-1 snapshots records responses with no descent."""
+    loaded = []
+    real = GoodMeasureChain.from_json
+
+    def keeping(data):
+        loaded.append(real(data))
+        return loaded[-1]
+
+    monkeypatch.setattr(GoodMeasureChain, "from_json", staticmethod(keeping))
+    checked = 0
+    for V in (dyadic, triadic, sqrt2_dyadic):
+        snap = tmp_path / "snap.json"
+        snap.write_text(GoodMeasureChain(V).run_schedule(1).to_text(), encoding="utf-8")
+        for depth in (1, 2):
+            loaded.clear()
+            assert cli.main(["check-good", "--snapshot", str(snap), "--depth", str(depth)]) == 0
+            capsys.readouterr()
+            chain = loaded[0]
+            written = len(real(jsonutil.read(snap)).ledger)
+            checked += _in_order_answers_do_not_decrease(chain.ledger[written:])
+    assert checked > 0
 
 
 def test_schedule_builds_one_amalgam_per_level(sqrt2_dyadic, monkeypatch):

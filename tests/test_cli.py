@@ -1632,6 +1632,37 @@ def test_doctored_format_3_snapshot_is_invalid_input(files, capsys, case, comman
     assert _one_line_error(capsys) == f"invalid input: {line}"
 
 
+def _top_link_out_of_order(data) -> str:
+    """Swap the first and last cells of the top level, and their positions
+    in the link onto the level below when it is positional: the link still
+    maps the top onto that level with its mass, but no longer lists the top
+    in the order of its images."""
+    k = len(data["links"]) - 1
+    cells, link = data["levels"][-1]["cells"], data["links"][k]
+    first, last = cells[0]["id"], cells[-1]["id"]
+    cells[0], cells[-1] = cells[-1], cells[0]
+    if data.get("format", 1) == 1:  # a map from cell ids, read in the level's order
+        assert link["map"][first] != link["map"][last]
+    else:
+        assert link[0] != link[-1]
+        link[0], link[-1] = link[-1], link[0]
+    return f"ValueError: snapshot link {k} does not list level {k + 1} in the order of its images"
+
+
+@pytest.mark.parametrize("command", ["check-compat", "witness"])
+@pytest.mark.parametrize("fmt", [1, 2, 3])
+def test_a_link_out_of_order_is_invalid_input(files, capsys, fmt, command):
+    """A link that preserves mass but lists its level out of the order of
+    its images is refused in every format, with one line naming the link."""
+    snap, mat, prefix = _snapshot_inputs(files, capsys)
+    data = {1: _format1, 2: _format2, 3: jsonutil.read}[fmt](snap)
+    line = _top_link_out_of_order(data)
+    doctored = files / "doctored.json"
+    write(doctored, dumps(data))
+    assert main(_load_commands(doctored, mat, prefix)[command]) == 2
+    assert _one_line_error(capsys) == f"invalid input: {line}"
+
+
 def test_written_snapshots_load(files, capsys):
     snap, mat, prefix = _snapshot_inputs(files, capsys)
     out = files / "extended.json"

@@ -390,8 +390,8 @@ def test_pack_all_is_pack_of_each_value(case):
 @given(tables_and_values(), st.randoms(use_true_random=False))
 def test_unpack_all_and_unpacked_read_back_as_unpack(case, rng):
     """Known ints give the very value ``unpack`` gives; ints not met give
-    an equal value, the one a twin table reads back."""
-    (pv, twin), members, _ = case
+    an equal value, the one the digit-by-digit oracle reads back."""
+    (pv, _), members, _ = case
     k = len(members)
     ints = [*pv.packed]
     for _ in range(6):
@@ -406,7 +406,15 @@ def test_unpack_all_and_unpacked_read_back_as_unpack(case, rng):
         if p in known:
             assert v is known[p]
         else:
-            assert v == twin.unpack(p)
+            assert v == unpack(pv, p)
+
+
+def test_oracle_reads_a_rational_int_as_one_slot():
+    """A table with no symbol has one unbounded slot: the sum 2 of members
+    0, -1, 1, 0 is read back as 2, not as a signed digit of ``width`` bits."""
+    pv = PackedValues([E(0), E(-1), E(1), E(0)], 1)
+    assert pv.width == 2
+    assert unpack(pv, 2) == E(2) == pv.unpack(2)
 
 
 # -- arguments outside the chain --------------------------------------------------
