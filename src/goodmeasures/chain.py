@@ -49,7 +49,6 @@ from .jsonutil import (
 from .partitions import (
     PartitionMorphism,
     WeightedPartition,
-    _assemble,
     _checked,
     _cumulative,
     _parts,
@@ -297,7 +296,7 @@ class GoodMeasureChain:
         values packed in the table.
 
         The table is built on first use, or inherited from the level the
-        engine derived this one from (``_adopt``), and then kept: levels are
+        engine derived this one from (``_append_parts``), and then kept: levels are
         append-only, so it never goes stale.  A table that cannot take a
         value (one not over its denominator, say 1/6 on a level of thirds),
         or that has no room left for a signed sum of ``summands`` members,
@@ -321,10 +320,13 @@ class GoodMeasureChain:
             self._top_index = None
         return pv, self._tables[level][1], pv.packed[n:]
 
-    def _adopt(self, pv: PackedValues, packed: dict[str, int]) -> None:
-        """Give the top, just appended, the table pv in which the engine
-        derived its weights, with each cell's packed weight."""
+    def _append_parts(self, parts: Sequence[tuple], pv: PackedValues) -> PartitionMorphism:
+        """Append the level that cuts the top into ``parts``, packed ints of
+        the top's table pv (``_subdivide``), which it inherits; returns its link."""
+        link, packed = _subdivide(self.top, parts, pv)
+        self._append_level(link.source, link)
         self._tables[self.depth] = pv, packed
+        return link
 
     # -- measures and clopen sets ---------------------------------------------
 
@@ -360,7 +362,9 @@ class GoodMeasureChain:
         refines is answered from the current top, with no new level.
         """
         check_all_in(target.weight_list(), self.V, "challenge weight")
-        if target.total != ONE:
+        # the total is decided on packed ints of the top's table, and formatted only to refuse
+        pv, _, packed = self._table(self.depth, target.weight_list(), len(target.cells))
+        if sum(packed) != pv.one:
             raise SumMismatch(f"object challenge has total {target.total}, expected 1")
         return self._absorb_object(target)
 
@@ -381,10 +385,14 @@ class GoodMeasureChain:
         )
         return self.depth
 
-    def _respond(self, f2: PartitionMorphism, level: int) -> list[int]:
+    def _respond(
+        self, f2: PartitionMorphism, level: int, image: Sequence[int] | None = None
+    ) -> list[int]:
         """Answer the challenge f2 onto a level; returns the response, a map
         from the top after this call onto f2's source, as the position in
-        f2's source of the image of each top cell, in top order.
+        f2's source of the image of each top cell, in top order.  ``image``
+        is the position in the level of the image of each cell of f2's
+        source, worked out here when it is None.
 
         Links list each level in the order of its images (the chain's
         invariant), so the top's fibers over the level are runs of the top,
@@ -395,23 +403,24 @@ class GoodMeasureChain:
         among the top's, held in the top's index (``partitions._place``).
         If no sum cuts a top cell, the response is read off the runs: the
         ``p2 ∘ p1⁻¹`` of an amalgam as large as the top.  Otherwise the same
-        placements give the amalgam of the top's projection with f2, the new
-        top, and its p2 is the response.  Either way f2 ∘ response is the
-        chain projection onto the level.  Precondition: f2 is a valid
-        morphism onto the level.
+        placements give the parts of the amalgam of the top's projection
+        with f2 (``_parts``), which become the new top (``_subdivide``), and
+        each part's challenge cell is the response.  Either way f2 ∘
+        response is the chain projection onto the level.  Precondition: f2
+        is a valid morphism onto the level.
 
         A challenge listed in image order gets a non-decreasing response.
         Its sort is the identity, so its intervals follow in challenge
         order, and each cell the walk yields (a top cell, or a part of the
         amalgam) maps to the challenge cell whose interval holds it.  The
         walk yields its cells in interval order: the top's cells are, and
-        the amalgam lists each top cell's parts in turn (``_assemble``).
-        The new top's link, each part onto its top cell, does not decrease
-        either, so appends keep the invariant.
+        the parts list each top cell's pieces in turn.  The new top's link,
+        each part onto its top cell, does not decrease either, so appends
+        keep the invariant.
 
         The walk adds and compares packed ints of the top's table, which
-        takes f2's weights too (``_table``); each part of the amalgam is read
-        back once, and the new top inherits the table.
+        takes f2's weights too (``_table``); only the parts of a cut top
+        cell are read back, and the new top inherits the table.
         """
         source, depth = f2.source, len(self.links)
         top = self.levels[depth]
@@ -421,8 +430,9 @@ class GoodMeasureChain:
         order = range(len(source.cells))
         below = self.levels[level].cells
         if len(below) > 1:
-            at = {c: i for i, c in enumerate(below)}
-            image = [at[f2.mapping[c]] for c in source.cells]
+            if image is None:
+                at = {c: i for i, c in enumerate(below)}
+                image = [at[f2.mapping[c]] for c in source.cells]
             order = sorted(order, key=image.__getitem__)
         if self._top_index is None:
             left = [weight[c] for c in top.cells]
@@ -437,13 +447,9 @@ class GoodMeasureChain:
                 response += [z] * (end - start)
                 start = end
             return response
-        refined = [(range(len(top.cells)), order, _parts(left, right, sums, places))]
-        # the amalgam of packed weights, then its parts read back as its weights
-        Gp, p1, p2 = _assemble(top, refined)
-        G = WeightedPartition(Gp.cells, pv.unpacked(Gp.weights))
-        self._append_level(G, PartitionMorphism(G, top, p1.mapping))
-        self._adopt(pv, Gp.weights)
-        return p2
+        parts = _parts(left, right, sums, places)
+        self._append_parts(parts, pv)
+        return [order[j] for _, _, j in parts]
 
     def absorb_morphism(
         self, challenge: PartitionMorphism, target_level: int
@@ -474,9 +480,9 @@ class GoodMeasureChain:
         key = _mor_key(level, source, images)
         n = self._ledger_index.get(key)
         if n is None:
-            response = self._respond(f2, level)
             at = {c: i for i, c in enumerate(below)}
             challenge = [at[x] for x in images]
+            response = self._respond(f2, level, challenge)
             proj = self.composite_mapping(self.depth, level)
             if not _commutes(challenge, response, [at[proj[c]] for c in self.top.cells]):
                 raise RuntimeError("absorption failed to commute; this is a bug")
@@ -529,15 +535,15 @@ class GoodMeasureChain:
             lvl = min(h - 1, self.depth)
             P = self.levels[lvl]
             pv, weight, packed = self._table(lvl, values, 3)
-            for c in P.cells:
+            whole = [(w, i) for i, w in enumerate(P.weight_list())]
+            for k, c in enumerate(P.cells):
                 w = weight[c]
                 for a, pa in zip(values, packed):
                     rest = w - pa
                     if pv.sign(rest - pa) < 0:  # a > 0, so a kept rest is positive
                         continue
-                    children = {d: [P.weights[d]] for d in P.cells}
-                    children[c] = [a, pv.unpack(rest)]
-                    self._absorb_morphism(_subdivide(P, children), lvl)
+                    parts = [*whole[:k], (a, k), (pv.unpack(rest), k), *whole[k + 1:]]
+                    self._absorb_morphism(_subdivide(P, parts)[0], lvl)
         return self
 
     # -- goodness witnesses -----------------------------------------------------
@@ -576,14 +582,9 @@ class GoodMeasureChain:
                 picked.append(c)
                 r -= w
             else:
-                pieces = (r, w - r)
-                link = _subdivide(
-                    P, {d: pv.unpack_all(pieces) if d == c else [P.weights[d]] for d in P.cells}
-                )
-                self._append_level(link.source, link)
-                self._adopt(pv, dict(zip(link.source.cells, [
-                    x for d in P.cells for x in (pieces if d == c else (packed[d],))
-                ])))
+                k = P.cells.index(c)
+                whole = [(packed[d], i) for i, d in enumerate(P.cells)]
+                self._append_parts([*whole[:k], (r, k), (w - r, k), *whole[k + 1:]], pv)
                 picked.append(f"{c}/0")  # whole cells keep their ids in the new level
                 r = 0
                 top_level = self.depth
@@ -712,19 +713,16 @@ class GoodMeasureChain:
         weight a packed int of the table pv (``decompose_entries``) whose
         value lies in V, and they cover each cell's weight exactly, so the
         link onto the top is a valid morphism.  A cell on one cycle keeps
-        its id; a cell on several gets one child per cycle, in cycle order.
-        Each weight is read back once, and the new level inherits pv.
+        its id and weight; a cell on several gets one child per cycle, in
+        cycle order, whose weight is read back once (``_append_parts``).
         Returns the permutation of the new level that moves each child
         along its cycle.
         """
         top = self.top
         through = cycles_through(top.cells, [verts for verts, _ in cycles])
-        weights = pv.unpack_all([w for _, w in cycles])
-        link = _subdivide(top, {c: [weights[ci] for ci, _ in through[c]] for c in top.cells})
-        self._append_level(link.source, link)
-        self._adopt(pv, dict(zip(link.source.cells, [
-            cycles[ci][1] for c in top.cells for ci, _ in through[c]
-        ])))
+        link = self._append_parts(
+            [(cycles[ci][1], k) for k, c in enumerate(top.cells) for ci, _ in through[c]], pv
+        )
         visits = [(c, ci) for c in top.cells for ci, _ in through[c]]
         child_id = dict(zip(visits, link.source.cells))
         return {child_id[(c, ci)]: child_id[(d, ci)] for c in top.cells for ci, d in through[c]}

@@ -4,11 +4,13 @@ Objects are finite partitions with positive weights from a group-like value
 set; morphisms are mass-preserving surjections of cells.  Two equal-sum
 weight tuples are refined jointly as intervals of one mass: each cumulative
 sum of one is placed among the other's (``_place``) and the pieces between
-breakpoints are read off in order (``_parts``).  An amalgam assembles the
-joint refinements of the fibers of a cospan (``_assemble``).
+breakpoints are read off in order (``_parts``).  Every derived level (an
+amalgam, a split, a cycle split) is built by one kernel, ``_subdivide``, in
+one walk over its parts: an only child keeps its parent's id and weight,
+and over a packed table only a split cell's parts are read back.
 
 Public functions and ``WeightedPartition.make`` check their arguments.  The
-kernels ``lift_edges``, ``_refine``, ``_place``, ``_parts``, ``_assemble`` and
+kernels ``lift_edges``, ``_refine``, ``_place``, ``_parts`` and
 ``_subdivide`` check nothing: they only see checked or derived data, and each
 states the precondition it relies on.
 """
@@ -18,7 +20,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SumMismatch
@@ -351,26 +354,43 @@ def lift_edges(
 # ---------------------------------------------------------------------------
 
 
-def _subdivide(P: WeightedPartition, children: Mapping[str, list]) -> PartitionMorphism:
-    """The merge morphism onto P from the partition of the children of P's
-    cells, in order, with the given weights.  An only child keeps its
-    parent's id; siblings are ``parent/0``, ``parent/1``, ...  Precondition:
-    each cell's children are V-values summing to its weight."""
-    weights: dict[str, ExactValue] = {}
-    link: dict[str, str] = {}
-    for c in P.cells:
-        ws = children[c]
-        if len(ws) == 1:
-            weights[c] = ws[0]
-            link[c] = c
-            continue
-        for i, w in enumerate(ws):
-            cid = f"{c}/{i}"
-            weights[cid] = w
-            link[cid] = c
-    if len(weights) != sum(map(len, children.values())):  # P held both c and c/0
+def _subdivide(
+    P: WeightedPartition, parts: Sequence[tuple], pv: PackedValues | None = None
+) -> tuple[PartitionMorphism, dict[str, int] | None]:
+    """The merge morphism onto P from the partition of ``parts``, and with
+    pv each new cell's packed int.
+
+    ``parts`` lists (weight, position in P, ...) tuples in P's order, every
+    cell at least once, so ``_parts``' output passes straight in.  One walk
+    names the cells and builds the weights and the link: an only child
+    keeps its parent's id and weight object; siblings are ``c/0``, ``c/1``,
+    ...  With pv the weights are pv's packed ints, and only siblings' are
+    read back.  A P holding both c and c/0 is refused as ``_checked``
+    refuses a repeated id.  Precondition: each cell's parts are V-values
+    summing to its weight."""
+    cells, parent = P.cells, P.weights
+    ids, up, ws, given = [], [], [], []  # per new cell: id, parent, weight, part weight
+    last = n = -1  # the position of the last part, and the parts over it so far
+    for part in parts:
+        w, i = part[0], part[1]
+        if i != last:  # an only child until a sibling follows
+            last, n, c = i, 1, cells[i]
+            ids.append(c)
+            ws.append(parent[c])
+        else:
+            if n == 1:
+                ids[-1] = f"{c}/0"
+                ws[-1] = given[-1] if pv is None else pv.unpack(given[-1])
+            ids.append(f"{c}/{n}")
+            ws.append(w if pv is None else pv.unpack(w))
+            n += 1
+        up.append(c)
+        given.append(w)
+    weights = dict(zip(ids, ws))
+    if len(weights) != len(ids):  # P held both c and c/0
         raise ValueError("cell identifiers must be unique")
-    return PartitionMorphism(WeightedPartition(tuple(weights), weights), P, link)
+    link = PartitionMorphism(WeightedPartition(tuple(weights), weights), P, dict(zip(ids, up)))
+    return link, None if pv is None else dict(zip(ids, given))
 
 
 def amalgamate(
@@ -380,8 +400,10 @@ def amalgamate(
 
     Checks that both maps are valid morphisms onto one shared target and
     that every source weight lies in V.  Both fibers of a cell of F carry
-    its weight, so each pair is refined jointly (``_refine``) and the parts
-    become the cells of G (``_assemble``).
+    its weight, so each pair is refined jointly (``_refine``).  Each part
+    (w, y, z) is a cell of weight w over E1's cell y and E2's cell z: a
+    stable sort by y lists them in E1's order, each cell's parts in
+    interval order, for ``_subdivide``, and the square commutes.
     """
     if not verify_morphism(f1) or not verify_morphism(f2):
         raise ValueError("amalgamation needs valid morphisms")
@@ -391,36 +413,15 @@ def amalgamate(
     check_all_in(w1, V, "left entry")
     check_all_in(w2, V, "right entry")
     fibers1, fibers2 = f1.fiber_positions(), f2.fiber_positions()
-    refined = []
+    parts = []
     for x in f1.target.cells:
         ys, zs = fibers1[x], fibers2[x]
-        refined.append((ys, zs, _refine([w1[y] for y in ys], [w2[z] for z in zs])))
-    G, p1, p2 = _assemble(f1.source, refined)
-    images = f2.source.cells
-    return G, p1, PartitionMorphism(G, f2.source, dict(zip(G.cells, map(images.__getitem__, p2))))
-
-
-def _assemble(
-    E1: WeightedPartition, refined
-) -> tuple[WeightedPartition, PartitionMorphism, list[int]]:
-    """The amalgam (G, p1: G -> E1, p2: G -> E2) of jointly refined fibers
-    of a cospan E1 -> F <- E2, p2 as the position in E2 of the image of
-    each cell of G.
-
-    ``refined`` holds (ys, zs, parts) per cell of the common target, ys and
-    zs the positions of its fibers in E1 and E2: each part (w, i, j) is a
-    cell of weight w over E1's cell ys[i] and E2's cell zs[j], named after
-    its p1-image (``_subdivide``), and the square commutes.
-    """
-    weights: list[list[ExactValue]] = [[] for _ in E1.cells]
-    images: list[list[int]] = [[] for _ in E1.cells]
-    for ys, zs, parts in refined:
-        for w, i, j in parts:
-            y = ys[i]
-            weights[y].append(w)
-            images[y].append(zs[j])
-    p1 = _subdivide(E1, dict(zip(E1.cells, weights)))
-    return p1.source, p1, list(chain.from_iterable(images))
+        refined = _refine([w1[y] for y in ys], [w2[z] for z in zs])
+        parts += [(w, ys[i], zs[j]) for w, i, j in refined]
+    parts.sort(key=itemgetter(1))
+    p1, _ = _subdivide(f1.source, parts)
+    p2 = dict(zip(p1.source.cells, [f2.source.cells[z] for _, _, z in parts]))
+    return p1.source, p1, PartitionMorphism(p1.source, f2.source, p2)
 
 
 def split_cell(
@@ -436,5 +437,6 @@ def split_cell(
     total = sum(parts[1:], parts[0])
     if total != P.weight(cell):
         raise SumMismatch(f"parts sum to {total}, cell has weight {P.weight(cell)}")
-    pi = _subdivide(P, {c: parts if c == cell else [w] for c, w in P.weights.items()})
+    cut = [(w, k) for k, c in enumerate(P.cells) for w in (parts if c == cell else [P.weights[c]])]
+    pi, _ = _subdivide(P, cut)
     return pi.source, pi

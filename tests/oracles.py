@@ -17,7 +17,7 @@ from goodmeasures.matrices import BalancedMatrix, MatrixMorphism
 from goodmeasures.partitions import (
     PartitionMorphism,
     WeightedPartition,
-    _assemble,
+    _cumulative,
     _parts,
     _place,
     verify_morphism,
@@ -239,8 +239,80 @@ def respond_by_fibers(
         (ys, zs, _parts(left, right, sums, places))
         for ys, zs, left, right, sums, places in walks
     ]
-    G, p1, p2 = _assemble(top, refined)
+    G, p1, p2 = assemble_by_cells(top, refined)
     return p2, (G, dict(p1.mapping))
+
+
+def subdivide_by_children(P: WeightedPartition, children) -> PartitionMorphism:
+    """The merge morphism onto P from the partition of the children of P's
+    cells, in order, with the given weights: ``children`` maps each cell to
+    its list of child weights.  An only child keeps its parent's id;
+    siblings are ``parent/0``, ``parent/1``, ...  The engine's former
+    ``_subdivide``; the reference for the one-walk kernel."""
+    weights = {}
+    link = {}
+    for c in P.cells:
+        ws = children[c]
+        if len(ws) == 1:
+            weights[c] = ws[0]
+            link[c] = c
+            continue
+        for i, w in enumerate(ws):
+            weights[f"{c}/{i}"] = w
+            link[f"{c}/{i}"] = c
+    if len(weights) != sum(map(len, children.values())):  # P held both c and c/0
+        raise ValueError("cell identifiers must be unique")
+    return PartitionMorphism(WeightedPartition(tuple(weights), weights), P, link)
+
+
+def assemble_by_cells(E1: WeightedPartition, refined):
+    """The amalgam (G, p1: G -> E1, p2) of jointly refined fibers of a
+    cospan E1 -> F <- E2, p2 as the position in E2 of the image of each
+    cell of G.  ``refined`` holds (ys, zs, parts) per cell of F, ys and zs
+    the positions of its fibers in E1 and E2, each part (w, i, j) a cell
+    over E1's cell ys[i] and E2's cell zs[j]: the parts are grouped into
+    per-cell lists, then named by ``subdivide_by_children``.  The engine's
+    former ``_assemble``."""
+    weights = [[] for _ in E1.cells]
+    images = [[] for _ in E1.cells]
+    for ys, zs, parts in refined:
+        for w, i, j in parts:
+            weights[ys[i]].append(w)
+            images[ys[i]].append(zs[j])
+    p1 = subdivide_by_children(E1, dict(zip(E1.cells, weights)))
+    return p1.source, p1, [z for zs in images for z in zs]
+
+
+def respond_two_pass(chain: GoodMeasureChain, f2: PartitionMorphism, level: int):
+    """The chain's answer to the challenge f2 onto a level by the engine's
+    former two-pass route, with the chain's levels left as they are: the
+    response as positions in f2's source, and the new top's partition, its
+    link map and its cells' packed ints, or None when the top answers.
+
+    The walk over the top's index is the engine's; an amalgam's parts are
+    grouped per top cell and named (``assemble_by_cells``) as a partition
+    of packed ints, and every cell is then read back (``unpacked``).  The
+    reference for ``partitions._subdivide`` on packed parts."""
+    source, top = f2.source, chain.top
+    pv, weight, packed = chain._table(
+        chain.depth, source.weight_list(), len(top.cells) + len(source.cells)
+    )
+    below = {c: i for i, c in enumerate(chain.levels[level].cells)}
+    order = sorted(range(len(source.cells)), key=lambda z: below[f2.mapping[source.cells[z]]])
+    left = [weight[c] for c in top.cells]
+    sums, index = _cumulative(left)
+    right = [packed[z] for z in order]
+    places = _place(sums, index, right, pv)
+    if all(acc is None for _, acc in places):
+        response, start = [], 0
+        for z, (end, _) in zip(order, places):
+            response += [z] * (end - start)
+            start = end
+        return response, None
+    refined = [(range(len(top.cells)), order, _parts(left, right, sums, places))]
+    Gp, p1, p2 = assemble_by_cells(top, refined)
+    G = WeightedPartition(Gp.cells, pv.unpacked(Gp.weights))
+    return p2, (G, dict(p1.mapping), dict(Gp.weights))
 
 
 def peel_refinement(left, right) -> list[tuple[ExactValue, int, int]]:
@@ -293,7 +365,7 @@ def peel_amalgam(
     for x in f1.target.cells:
         ys, zs = fibers1[x], fibers2[x]
         refined.append((ys, zs, peel_refinement([w1[y] for y in ys], [w2[z] for z in zs])))
-    G, p1, p2 = _assemble(f1.source, refined)
+    G, p1, p2 = assemble_by_cells(f1.source, refined)
     images = f2.source.cells
     return G, p1, PartitionMorphism(G, f2.source, {g: images[z] for g, z in zip(G.cells, p2)})
 

@@ -31,8 +31,8 @@ from goodmeasures.matrices import (
 from goodmeasures.partitions import (
     PartitionMorphism,
     WeightedPartition,
-    _assemble,
     _refine,
+    _subdivide,
     split_cell,
     verify_morphism,
 )
@@ -40,6 +40,7 @@ from goodmeasures.values import (
     ExactValue,
     GroupDescriptor,
     ONE,
+    PackedValues,
     RationalGroup,
     ZERO,
     check_all_in,
@@ -59,6 +60,7 @@ from oracles import (
     peel_amalgam,
     prefix_by_sets,
     respond_by_fibers,
+    respond_two_pass,
     snapshot_format1,
     snapshot_format2,
     snapshot_format3,
@@ -363,6 +365,124 @@ def test_respond_matches_the_per_fiber_walk(
             assert ch.links[-1].target is top and ch.links[-1].mapping == link
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    irrational=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(
+        st.sampled_from(["coarsen", "permute", "random", "split"]), min_size=1, max_size=3
+    ),
+    shuffled=st.lists(st.booleans(), min_size=3, max_size=3),
+)
+def test_subdivide_matches_the_two_pass_route(
+    irrational, seed, kinds, shuffled, dyadic, sqrt2_dyadic
+):
+    """The one-walk kernel on packed parts builds the level the former
+    route built (per-cell lists, a partition of packed ints, every cell
+    read back): the same ids, weights, link, response and packed ints,
+    challenge after challenge, listed in image order or not."""
+    rng = random.Random(seed)
+    ch = _interval_top(rng, sqrt2_dyadic if irrational else dyadic)
+    for kind, out_of_order in zip(kinds, shuffled):
+        f2, level = _interval_challenge(rng, ch, kind)
+        if out_of_order:
+            f2 = _listed_out_of_order(rng, f2)
+        depth = ch.depth
+        want, appended = respond_two_pass(ch, f2, level)
+        assert ch._respond(f2, level) == want
+        if appended is None:
+            assert ch.depth == depth
+            continue
+        G, link, packed = appended
+        assert ch.depth == depth + 1
+        assert ch.top.cells == G.cells and ch.top.weights == G.weights
+        assert ch.links[-1].mapping == link
+        assert ch._tables[ch.depth][1] == packed
+
+
+def test_an_only_child_is_its_parents_weight(sqrt2_dyadic):
+    """A cell the kernel does not cut keeps its parent's weight object,
+    whether the parts are values or packed ints, and so does every uncut
+    top cell of an amalgam; a cut cell's parts are read back as values."""
+    s = E(0, {sqrt2_symbol(): 1})
+    P = WeightedPartition.make([("a", E("1/2")), ("b", s), ("c", E("1/2") - s)])
+    cut = [(E("1/2"), 0), (s, 1), (E("1/16"), 2), (E("7/16") - s, 2)]
+    pv = PackedValues([w for w, _ in cut], 8)
+    link, packed = _subdivide(P, cut)
+    assert packed is None and link.source.cells == ("a", "b", "c/0", "c/1")
+    assert link.source.weights["a"] is P.weights["a"] and link.source.weights["b"] is P.weights["b"]
+    by_pack = list(zip(pv.packed, [0, 1, 2, 2]))
+    link, packed = _subdivide(P, by_pack, pv)
+    assert link.source.weights["a"] is P.weights["a"] and link.source.weights["b"] is P.weights["b"]
+    assert link.source.weights == dict(zip(link.source.cells, [w for w, _ in cut]))
+    assert packed == dict(zip(link.source.cells, [p for p, _ in by_pack]))
+    ch = GoodMeasureChain(sqrt2_dyadic)
+    ch.absorb_object(obj("1/4", "1/4", "1/2"))
+    top = ch.top
+    ch.absorb_object(obj("1/8", "1/8", "1/4", "1/2"))
+    kept = [c for c in ch.top.cells if c in top.weights]
+    assert ch.depth == 2 and kept
+    assert all(ch.top.weights[c] is top.weights[c] for c in kept)
+
+
+def test_unpack_runs_only_for_split_parts(sqrt2_dyadic, monkeypatch):
+    """An amalgam reads back the packed ints of its cut cells' parts, each
+    once and in part order, and no other."""
+    ch = GoodMeasureChain(sqrt2_dyadic)
+    ch.absorb_object(obj("1/4", "1/4", "1/2"))
+    top = ch.top
+    seen = []
+    real = PackedValues.unpack
+
+    def unpack(self, p):
+        seen.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(PackedValues, "unpack", unpack)
+    s = E(0, {sqrt2_symbol(): 1})
+    ch.absorb_object(WeightedPartition.make([("a", s), ("b", ONE - s)]))
+    monkeypatch.undo()
+    assert ch.links[-1].target is top
+    packed = ch._tables[ch.depth][1]
+    split = [c for c in ch.top.cells if c not in top.weights]
+    assert split and len(split) < len(ch.top.cells)
+    assert seen == [packed[c] for c in split]
+
+
+def test_a_top_holding_c_and_c0_refuses_a_cut_of_c(dyadic):
+    """A loaded top whose cells are c and c/0 cannot take a challenge that
+    cuts c, whose children would be c/0 and c/1: the level kernel refuses
+    it with the message of a repeated id, and the chain keeps its depth and
+    ledger."""
+    built = GoodMeasureChain(dyadic)
+    built.absorb_object(obj("1/2", "1/2"))
+    data = built.to_json()
+    for cell, cid in zip(data["levels"][1]["cells"], ["c", "c/0"]):
+        cell["id"] = cid
+    ch = GoodMeasureChain.from_json(data)
+    assert ch.top.cells == ("c", "c/0")
+    ledger = list(ch.ledger)
+    with pytest.raises(ValueError, match="^cell identifiers must be unique$"):
+        ch.absorb_object(obj("1/4", "1/4", "1/2"))
+    assert ch.depth == 1 and ch.ledger == ledger and len(ch._ledger_index) == len(ledger)
+
+
+def test_a_challenge_of_another_total_is_refused_on_packed_ints(sqrt2_dyadic):
+    """The total of an object challenge is decided on the top table's
+    packed ints; a sqrt(2)-dyadic challenge of another total is refused
+    with its total formatted as the values' sum."""
+    s = E(0, {sqrt2_symbol(): 1})
+    ch = GoodMeasureChain(sqrt2_dyadic).run_schedule(1)
+    depth = ch.depth
+    for weights in ([s, E("1/2")], [s, s, E("1/4")], [ONE - s, s, s]):
+        P = WeightedPartition.make([(f"x{i}", w) for i, w in enumerate(weights)])
+        total = sum(weights[1:], weights[0])
+        with pytest.raises(SumMismatch) as refused:
+            ch.absorb_object(P)
+        assert str(refused.value) == f"object challenge has total {total}, expected 1"
+    assert ch.depth == depth
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     irrational=st.booleans(),
@@ -397,9 +517,9 @@ def test_schedule_keeps_fiber_indexes_fresh(budget, sqrt2_dyadic, monkeypatch):
     real = GoodMeasureChain._respond
     answered = []
 
-    def checked(self, f2, level):
+    def checked(self, f2, level, image=None):
         depth = self.depth
-        response = real(self, f2, level)
+        response = real(self, f2, level, image)
         answered.append((level, self.depth > depth))
         assert (self._top_index is None) == (self.depth > depth)
         _assert_top_index_fresh(self)
@@ -509,14 +629,26 @@ def test_check_good_absorptions_record_no_descent(dyadic, triadic, sqrt2_dyadic,
 
 
 def test_schedule_builds_one_amalgam_per_level(sqrt2_dyadic, monkeypatch):
-    """Only a challenge that needs a finer level builds an amalgam."""
+    """Only a challenge that needs a finer level builds an amalgam: the
+    level kernel runs once inside ``_respond`` per appended level."""
     calls = []
+    responding = []
+    respond = GoodMeasureChain._respond
 
-    def counting(E1, refined):
-        calls.append(E1)
-        return _assemble(E1, refined)
+    def counting(P, parts, pv=None):
+        if responding:
+            calls.append(P)
+        return _subdivide(P, parts, pv)
 
-    monkeypatch.setattr(chain_module, "_assemble", counting)
+    def watched(self, *args):
+        responding.append(True)
+        try:
+            return respond(self, *args)
+        finally:
+            responding.pop()
+
+    monkeypatch.setattr(chain_module, "_subdivide", counting)
+    monkeypatch.setattr(GoodMeasureChain, "_respond", watched)
     ch = GoodMeasureChain(sqrt2_dyadic)
     ch.run_schedule(3)
     assert ch.depth == 89 and len(calls) == 89
@@ -1480,7 +1612,8 @@ def test_engine_builds_partitions_without_arithmetic(sqrt2_dyadic, monkeypatch):
     values_ = sqrt2_dyadic.enumerate_values(3)
     E1 = WeightedPartition.make([("a0", s), ("a1", ONE - s)])
     E2 = WeightedPartition.make([("b0", E("1/2")), ("b1", E("1/2"))])
-    refined = [([0, 1], [0, 1], _refine(E1.weight_list(), E2.weight_list()))]
+    # both fibers lie over one cell, so the refinement's parts are the amalgam's
+    parts = _refine(E1.weight_list(), E2.weight_list())
     calls = []
 
     def counted(name):
@@ -1495,7 +1628,7 @@ def test_engine_builds_partitions_without_arithmetic(sqrt2_dyadic, monkeypatch):
         monkeypatch.setattr(ExactValue, name, counted(name))
     ch = GoodMeasureChain(sqrt2_dyadic)
     challenges = ch.object_challenges(2, values_)
-    G, _, _ = _assemble(E1, refined)
+    G = _subdivide(E1, parts)[0].source
     # the cycles cross as packed ints of the root's table, 1 - s a difference
     pv, weight, (ps,) = ch._table(0, [s], 2)
     ch._append_cycle_split([(["r"], ps), (["r"], weight["r"] - ps)], pv)

@@ -44,6 +44,7 @@ WATCHED = {
     "validate": validate,
     "compatible": compatible,
     "_respond": GoodMeasureChain._respond,
+    "absorb_object": GoodMeasureChain.absorb_object,
     "verify_matrix_morphism": verify_matrix_morphism,
     "_lifted": _lifted,
 }
@@ -182,6 +183,28 @@ def test_schedule_answers_add_no_value(sqrt2_dyadic, monkeypatch):
     seen = additions_inside(monkeypatch, ["pushforward", "_respond"], lambda: chain.run_schedule(2))
     assert seen == []
     assert any(pv.syms for pv, _ in chain._tables.values())
+    assert_tables_fresh(chain)
+
+
+def test_an_accepted_object_challenge_adds_no_value(sqrt2_dyadic, monkeypatch):
+    """``absorb_object`` decides the total of a challenge it accepts on
+    packed ints of the top's table, and answers it with no ``ExactValue``
+    addition, whether the top answers it or a level is appended."""
+    s = E(0, {sqrt2_symbol(): 1})
+    chain = GoodMeasureChain(sqrt2_dyadic).run_schedule(1)
+    challenges = [
+        WeightedPartition.make([("a", s), ("b", E("1/2") - s), ("c", E("1/2"))]),
+        WeightedPartition.make([("a", E("1/8")), ("b", s), ("c", E("7/8") - s)]),
+        WeightedPartition.make([("a", E("1/2")), ("b", E("1/2"))]),
+    ]
+    depth = chain.depth
+
+    def absorb():
+        for P in challenges:
+            chain.absorb_object(P)
+
+    assert additions_inside(monkeypatch, ["absorb_object"], absorb) == []
+    assert chain.depth > depth
     assert_tables_fresh(chain)
 
 
