@@ -14,7 +14,6 @@ Levels are append-only: witnesses may extend the chain but never rewrite it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
@@ -494,20 +493,20 @@ class GoodMeasureChain:
 
     # -- deterministic schedule -------------------------------------------------
 
-    def object_challenges(
-        self, height: int, values: list[ExactValue] | None = None
-    ) -> list[WeightedPartition]:
+    def object_challenges(self, height: int) -> list[WeightedPartition]:
         """The object challenges of a height: every nondecreasing index tuple
         of at most height + 1 values of height at most height + 1 summing to
         1, in depth-first order, built unchecked: their weights lie in V and
-        sum to 1, so each passes ``absorb_object``'s checks.  ``values`` is
-        that enumeration, when the caller already has it."""
-        if values is None:
-            values = self.V.enumerate_values(height + 1)
+        sum to 1, so each passes ``absorb_object``'s checks.  The values and
+        the tuples are V's, held by the descriptor
+        (``GroupDescriptor.mass_one_tuples``), so a second chain over the
+        same descriptor lists and walks neither again; each call returns new
+        partitions in a new list."""
+        values = self.V.enumerate_values(height + 1)
         ids = [f"x{k}" for k in range(height + 1)]
         return [
             WeightedPartition(tuple(ids[:len(seq)]), {ids[k]: values[i] for k, i in enumerate(seq)})
-            for seq in _sums_to_one(values, height + 1)
+            for seq in self.V.mass_one_tuples(height)
         ]
 
     def run_schedule(self, budget: int) -> "GoodMeasureChain":
@@ -517,8 +516,9 @@ class GoodMeasureChain:
         schedule idempotent for a fixed budget, and larger budgets only append
         further levels.  A challenge the top already refines is answered from
         the current top, so only challenges that need a finer partition
-        append a level.  V is enumerated once, up to height budget + 1; the
-        values of height at most h + 1 are a prefix of that list.  Challenges
+        append a level.  The values of height at most h + 1 and the object
+        challenges' tuples are held by the descriptor, which lists each
+        height of V once however many chains run over it.  Challenges
         built from V skip the public checks, and no value or morphism is
         checked: each split of a level weight w into a and w - a, with a in V
         and 0 < a <= w - a < w <= 1, has both parts in V summing to w.  The
@@ -526,12 +526,10 @@ class GoodMeasureChain:
         the values too, and a kept w - a is read back once."""
         if budget < 1:
             raise ValueError("budget must be >= 1")
-        enumerated = self.V.enumerate_values(budget + 1)
-        heights = [v.height() for v in enumerated]
         for h in range(1, budget + 1):
-            values = enumerated[:bisect_right(heights, h + 1)]
-            for obj in self.object_challenges(h, values):
+            for obj in self.object_challenges(h):
                 self._absorb_object(obj)
+            values = self.V.enumerate_values(h + 1)
             lvl = min(h - 1, self.depth)
             P = self.levels[lvl]
             pv, weight, packed = self._table(lvl, values, 3)
@@ -1155,53 +1153,6 @@ def _recovered(index: Mapping[int, int], n: int, weights: Iterable[int]) -> list
         response += [j] * (end - start)
         start = end
     return response if start == n else None
-
-
-def _sums_to_one(values: list[ExactValue], room: int) -> list[tuple[int, ...]]:
-    """Index tuples i1 <= i2 <= ... of at most ``room`` entries with
-    values[i1] + values[i2] + ... == 1, depth first.
-
-    Partial sums are packed ints (``PackedValues``), so a sum is one int
-    addition and ``== 1`` one int comparison.  A partial sum is extended only
-    if it is not above 1, decided by the sign of its packed difference with
-    1 (``PackedValues.sign``; the table has room for that one more member)
-    once per distinct sum, in the order the sums are first met.  The last
-    entry of a tuple is looked up: the values are distinct, so at most one
-    completes the sum.
-    """
-    pv = PackedValues(values, room + 1)
-    packed, one = pv.packed, pv.one
-    where = {p: j for j, p in enumerate(packed)}
-    above: dict[int, bool] = {}
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-    sums = [0]  # sums[k]: the packed sum of prefix[:k]
-    i, n = 0, len(packed)
-    while True:
-        acc = sums[-1]
-        if len(prefix) == room - 1:
-            j = where.get(one - acc)
-            if j is not None and j >= i:
-                out.append((*prefix, j))
-            i = n
-        while i < n:
-            s = acc + packed[i]
-            if s == one:
-                out.append((*prefix, i))
-            else:
-                big = above.get(s)
-                if big is None:
-                    big = above[s] = pv.sign(s - one) > 0
-                if not big:
-                    prefix.append(i)  # the next entry starts at i again
-                    sums.append(s)
-                    break
-            i += 1
-        else:
-            if not prefix:
-                return out
-            i = prefix.pop() + 1
-            sums.pop()
 
 
 def _match_by_weight(

@@ -10,7 +10,9 @@ on integers; any other sign by refining the enclosures (``symbols.compare``).
 
 Value sets ("clopen values sets") are described by a ``GroupDescriptor``:
 a subgroup of the rationals given by prime exponents, plus one such subgroup
-of coefficients per irrational symbol.
+of coefficients per irrational symbol.  Each descriptor instance keeps what
+it has listed of its set: the values up to a height and, per height, the
+index tuples of values summing to 1.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import NonRationalScale, NotInV
@@ -536,6 +539,54 @@ class PackedValues:
         return lo
 
 
+def _sums_to_one(values: list[ExactValue], room: int) -> list[tuple[int, ...]]:
+    """Index tuples i1 <= i2 <= ... of at most ``room`` entries with
+    values[i1] + values[i2] + ... == 1, depth first: the walk behind
+    ``GroupDescriptor.mass_one_tuples``.
+
+    Partial sums are packed ints (``PackedValues``), so a sum is one int
+    addition and ``== 1`` one int comparison.  A partial sum is extended only
+    if it is not above 1, decided by the sign of its packed difference with
+    1 (``PackedValues.sign``; the table has room for that one more member)
+    once per distinct sum, in the order the sums are first met.  The last
+    entry of a tuple is looked up: the values are distinct, so at most one
+    completes the sum.
+    """
+    pv = PackedValues(values, room + 1)
+    packed, one = pv.packed, pv.one
+    where = {p: j for j, p in enumerate(packed)}
+    above: dict[int, bool] = {}
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+    sums = [0]  # sums[k]: the packed sum of prefix[:k]
+    i, n = 0, len(packed)
+    while True:
+        acc = sums[-1]
+        if len(prefix) == room - 1:
+            j = where.get(one - acc)
+            if j is not None and j >= i:
+                out.append((*prefix, j))
+            i = n
+        while i < n:
+            s = acc + packed[i]
+            if s == one:
+                out.append((*prefix, i))
+            else:
+                big = above.get(s)
+                if big is None:
+                    big = above[s] = pv.sign(s - one) > 0
+                if not big:
+                    prefix.append(i)  # the next entry starts at i again
+                    sums.append(s)
+                    break
+            i += 1
+        else:
+            if not prefix:
+                return out
+            i = prefix.pop() + 1
+            sums.pop()
+
+
 # ---------------------------------------------------------------------------
 # subgroups of Q containing Z, described by prime exponents
 # ---------------------------------------------------------------------------
@@ -681,6 +732,19 @@ class Classification:
     ring_like: bool | None
 
 
+@dataclass
+class _Listing:
+    """What one descriptor has listed of V so far: ``values`` in the order
+    ``enumerate_values`` lists them, ``ends[h - 1]`` the number of them of
+    height at most h, and ``tuples[h]`` the index tuples of
+    ``mass_one_tuples(h)``.  It holds lists only, never a live generator, and
+    hands out copies."""
+
+    values: list[ExactValue] = field(default_factory=list)
+    ends: list[int] = field(default_factory=list)
+    tuples: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
+
+
 @dataclass(frozen=True)
 class GroupDescriptor:
     """A finitely described group-like set V = G ∩ [0,1].
@@ -773,48 +837,80 @@ class GroupDescriptor:
 
     # -- enumeration ---------------------------------------------------------
 
-    def _layers(self) -> Iterator[list[ExactValue]]:
-        """Yield, for h = 1, 2, ..., the elements of V ∩ (0,1] of height exactly h.
+    def _layers(self, skip: int = 0) -> Iterator[list[ExactValue]]:
+        """Yield, for h = skip + 1, skip + 2, ..., the elements of V ∩ (0,1]
+        of height exactly h.
 
         Each layer comes sorted by ``sort_key``.  A value's height is the
         largest height of its components, so the tuples of components of
         height exactly h are split by the first component that reaches h:
         components before it lie below h, components after it at most h.
         A candidate's bounds are decided on its integer coordinates
-        (``_in_unit``); only a kept one becomes an ``ExactValue``.
+        (``_in_unit``); only a kept one becomes an ``ExactValue``.  The
+        first ``skip`` heights only list their components, no candidate.
         """
         symbols = [s for s, _ in self.irr]
         heights = [_heights(self.rational, with_negative=bool(symbols))]
         heights += [_heights(g, with_negative=True) for _, g in self.irr]
         below: list[list[tuple[int, int]]] = [[] for _ in heights]
-        while True:
+        for h in itertools.count(1):
             exact = [next(it) for it in heights]
-            layer = []
-            for i in range(len(heights)):
-                upto = [b + e for b, e in zip(below[i + 1:], exact[i + 1:])]
-                parts = below[:i] + [exact[i]] + upto
-                for ratios in itertools.product(*parts):
-                    v = _in_unit(ratios, symbols)
-                    if v is not None:
-                        layer.append(v)
-            layer.sort(key=ExactValue.sort_key)
-            yield layer
+            if h > skip:
+                layer = []
+                for i in range(len(heights)):
+                    upto = [b + e for b, e in zip(below[i + 1:], exact[i + 1:])]
+                    parts = below[:i] + [exact[i]] + upto
+                    for ratios in itertools.product(*parts):
+                        v = _in_unit(ratios, symbols)
+                        if v is not None:
+                            layer.append(v)
+                layer.sort(key=ExactValue.sort_key)
+                yield layer
             for b, e in zip(below, exact):
                 b += e
+
+    @cached_property
+    def _listing(self) -> "_Listing":
+        """This instance's memo of its enumeration.  It is an attribute of
+        the instance, never looked up by ``==`` or ``hash``: symbols compare
+        by name, so descriptors over different symbols of one name are equal
+        and still list different values."""
+        return _Listing()
 
     def enumerate_values(self, budget: int) -> list[ExactValue]:
         """Deterministic, prefix-stable listing of V ∩ (0,1] up to the given height.
 
         Ordered by height, ties broken by (rational numerator, denominator,
-        symbol name, coefficient).
+        symbol name, coefficient).  The descriptor keeps the heights it has
+        listed, so each is listed once per instance; every call returns a
+        list of its own.
         """
         if budget < 1:
             raise ValueError("budget must be >= 1")
-        return [v for layer in itertools.islice(self._layers(), budget) for v in layer]
+        memo = self._listing
+        values, ends = memo.values, memo.ends
+        if len(ends) < budget:
+            for layer in itertools.islice(self._layers(len(ends)), budget - len(ends)):
+                values += layer
+                ends.append(len(values))
+        return values[:ends[budget - 1]]
+
+    def mass_one_tuples(self, height: int) -> list[tuple[int, ...]]:
+        """Every nondecreasing index tuple of at most height + 1 entries
+        into ``enumerate_values(height + 1)`` whose values sum to 1, depth
+        first (``_sums_to_one``).  The descriptor keeps each height's tuples,
+        so each height is walked once per instance; every call returns a
+        list of its own."""
+        tuples = self._listing.tuples
+        out = tuples.get(height)
+        if out is None:
+            out = tuples[height] = _sums_to_one(self.enumerate_values(height + 1), height + 1)
+        return list(out)
 
     def first_listed(self, keep: Callable[[ExactValue], bool], heights: int) -> ExactValue | None:
         """The first value ``enumerate_values`` lists for which keep holds,
-        or None if none has height up to heights."""
+        or None if none has height up to heights.  It streams the layers and
+        keeps none of them, so a long search leaves the memo as it was."""
         layers = itertools.islice(self._layers(), heights)
         return next((v for layer in layers for v in layer if keep(v)), None)
 

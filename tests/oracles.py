@@ -110,7 +110,7 @@ def index_sums_to_one(
 
     The engine's former enumeration of object challenges: every partial sum
     is an ``ExactValue``, and ``> 1`` is decided afresh for each one.  The
-    reference for the packed-integer enumeration ``chain._sums_to_one``.
+    reference for the packed-integer enumeration ``values._sums_to_one``.
     """
     for i in range(lo, len(values)):
         nxt = acc + values[i]

@@ -666,12 +666,47 @@ def test_sums_to_one_matches_oracle(name, height, request):
     """
     V = request.getfixturevalue(name)
     vals = V.enumerate_values(height + 1)
-    got = chain_module._sums_to_one(vals, height + 1)
+    got = values._sums_to_one(vals, height + 1)
     want = index_sums_to_one(vals, 0, ZERO, height + 1)
     if name == "two_symbol" and height == 3:
         assert len(got) == 62840
         got, want = got[:200], itertools.islice(want, 200)
     assert got == list(want)
+
+
+def test_a_second_chain_reuses_the_descriptors_listing(sqrt2_dyadic, monkeypatch):
+    """V's values and mass-1 tuples are held by the descriptor instance: a
+    second chain's schedule over it lists no candidate and walks no tuple,
+    and writes the same snapshot.  Callers get lists of their own."""
+    V = GroupDescriptor.from_json(sqrt2_dyadic.to_json())
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(values, "_in_unit", counted("_in_unit", values._in_unit))
+    monkeypatch.setattr(values, "_sums_to_one", counted("walk", values._sums_to_one))
+    digest = "0f85b66bdc1dcca52552ed23200cc13d3ac69787a76c5d80b92a91a3e8eec50a"
+    first = GoodMeasureChain(V).run_schedule(2).to_text()
+    assert "_in_unit" in calls and calls.count("walk") == 2
+    calls.clear()
+    ch = GoodMeasureChain(V)
+    second = ch.run_schedule(2).to_text()
+    assert calls == []
+    for text in (first, second):
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    listed, tuples, challenges = V.enumerate_values(3), V.mass_one_tuples(2), ch.object_challenges(2)
+    kept = [list(listed), list(tuples), [P.weight_list() for P in challenges]]
+    for got in (listed, tuples, challenges):
+        got.reverse()
+        got.pop()
+    challenges[0].weights["x0"] = ONE
+    again = V.enumerate_values(3), V.mass_one_tuples(2), ch.object_challenges(2)
+    assert [again[0], again[1], [P.weight_list() for P in again[2]]] == kept
+    assert calls == []
 
 
 # -- schedule ---------------------------------------------------------------------------
@@ -1609,7 +1644,6 @@ def test_engine_builds_partitions_without_arithmetic(sqrt2_dyadic, monkeypatch):
     cycle split are built with no sign() call and no addition; their totals
     are summed on first use."""
     s = E(0, {sqrt2_symbol(): 1})
-    values_ = sqrt2_dyadic.enumerate_values(3)
     E1 = WeightedPartition.make([("a0", s), ("a1", ONE - s)])
     E2 = WeightedPartition.make([("b0", E("1/2")), ("b1", E("1/2"))])
     # both fibers lie over one cell, so the refinement's parts are the amalgam's
@@ -1627,7 +1661,7 @@ def test_engine_builds_partitions_without_arithmetic(sqrt2_dyadic, monkeypatch):
     for name in ("sign", "__add__"):
         monkeypatch.setattr(ExactValue, name, counted(name))
     ch = GoodMeasureChain(sqrt2_dyadic)
-    challenges = ch.object_challenges(2, values_)
+    challenges = ch.object_challenges(2)
     G = _subdivide(E1, parts)[0].source
     # the cycles cross as packed ints of the root's table, 1 - s a difference
     pv, weight, (ps,) = ch._table(0, [s], 2)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goodmeasures import jsonutil
+from goodmeasures.chain import GoodMeasureChain
 from goodmeasures.errors import NonRationalScale, NotInV, PrecisionExhausted
 from goodmeasures.values import (
     INF,
@@ -27,7 +28,7 @@ from goodmeasures.values import (
 )
 
 from conftest import E, alpha_module, sqrt2_symbol, sqrt2_unit_power
-from oracles import floor_by_enclosures, unpack, values_by_filter
+from oracles import floor_by_enclosures, index_sums_to_one, unpack, values_by_filter
 
 
 # -- membership -------------------------------------------------------------
@@ -490,9 +491,55 @@ def _descriptors(draw) -> GroupDescriptor:
 
 
 @settings(max_examples=60, deadline=None)
-@given(V=_descriptors(), budget=st.integers(1, 3))
-def test_enumeration_matches_the_loop_on_drawn_descriptors(V, budget):
-    assert _outcome(V.enumerate_values, budget) == _outcome(values_by_filter, V, budget)
+@given(V=_descriptors(), budget=st.integers(1, 3), deeper=st.booleans())
+def test_enumeration_matches_the_loop_on_drawn_descriptors(V, budget, deeper):
+    """The listing is the build-then-filter loop's, and the mass-1 tuples of
+    height 1 are the oracle's, also when the descriptor has listed a greater
+    height first: what it keeps holds every prefix."""
+    want = _outcome(values_by_filter, V, budget)
+    if deeper:
+        _outcome(V.enumerate_values, budget + 1)
+        _outcome(V.mass_one_tuples, 2)
+    assert _outcome(V.enumerate_values, budget) == want
+    listed = _outcome(V.enumerate_values, 2)
+    if isinstance(listed, list):
+        oracle = _outcome(lambda: list(index_sums_to_one(listed, 0, ZERO, 2)))
+        assert _outcome(V.mass_one_tuples, 1) == oracle
+
+
+def test_streaming_searches_leave_the_listing_as_it_was():
+    """``smallest_below`` and ``first_listed`` stream the layers: a search
+    deeper than the descriptor has listed keeps none of what it met."""
+    V = GroupDescriptor.make(RationalGroup.integers(), {sqrt2_symbol(): RationalGroup.integers()})
+    listed = V.enumerate_values(2)
+    small = V.smallest_below(E(Fraction(1, 9)))
+    a, b = sqrt2_unit_power(3)
+    assert small.height() > 2 and small == E(a, {sqrt2_symbol(): b})
+    assert V.first_listed(lambda v: v < small, 64).height() > small.height()
+    assert V._listing.ends == [len(V.enumerate_values(1)), len(listed)]
+    assert V._listing.values == listed
+
+
+def test_equal_descriptors_keep_listings_of_their_own():
+    """Symbols compare by name, so descriptors over sqrt(2) - 1 and
+    sqrt(3) - 1 under one name are equal and hash equal.  Each still lists
+    its own values and mass-1 tuples after the other has filled its memo,
+    and their schedules differ: nothing is looked up by ``==`` or hash."""
+    dyadic = RationalGroup.make(0, {2: INF})
+    V2, V3 = (
+        GroupDescriptor.make(dyadic, {IrrationalSymbol.sqrt("s", d, -1): dyadic}) for d in (2, 3)
+    )
+    assert V2 == V3 and hash(V2) == hash(V3)
+    listed2, tuples2 = V2.enumerate_values(3), V2.mass_one_tuples(2)
+    schedule2 = GoodMeasureChain(V2).run_schedule(2)
+    listed3, tuples3 = V3.enumerate_values(3), V3.mass_one_tuples(2)
+    assert listed2 == values_by_filter(V2, 3) and listed3 == values_by_filter(V3, 3)
+    assert listed3 != listed2
+    assert all(s is V3.irr[0][0] for v in listed3 for s in v.syms)
+    assert tuples3 == list(index_sums_to_one(listed3, 0, ZERO, 3)) != tuples2
+    schedule3 = GoodMeasureChain(V3).run_schedule(2)
+    assert schedule3.depth != schedule2.depth
+    assert schedule3.to_text() != schedule2.to_text()
 
 
 @settings(max_examples=80, deadline=None)
