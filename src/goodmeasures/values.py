@@ -737,8 +737,8 @@ class _Listing:
     """What one descriptor has listed of V so far: ``values`` in the order
     ``enumerate_values`` lists them, ``ends[h - 1]`` the number of them of
     height at most h, and ``tuples[h]`` the index tuples of
-    ``mass_one_tuples(h)``.  It holds lists only, never a live generator, and
-    hands out copies."""
+    ``mass_one_tuples(h)``.  It holds lists only, never a live generator;
+    the descriptor hands out copies of them."""
 
     values: list[ExactValue] = field(default_factory=list)
     ends: list[int] = field(default_factory=list)
