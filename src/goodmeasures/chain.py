@@ -516,9 +516,10 @@ class GoodMeasureChain:
         schedule idempotent for a fixed budget, and larger budgets only append
         further levels.  A challenge the top already refines is answered from
         the current top, so only challenges that need a finer partition
-        append a level.  The values of height at most h + 1 and the object
-        challenges' tuples are held by the descriptor, which lists each
-        height of V once however many chains run over it.  Challenges
+        append a level.  V is listed up to height budget + 1 before any
+        level is appended; the descriptor keeps that listing and the object
+        challenges' tuples, so a second run over it lists and walks neither
+        (``GroupDescriptor.mass_one_tuples``).  Challenges
         built from V skip the public checks, and no value or morphism is
         checked: each split of a level weight w into a and w - a, with a in V
         and 0 < a <= w - a < w <= 1, has both parts in V summing to w.  The
@@ -526,6 +527,7 @@ class GoodMeasureChain:
         the values too, and a kept w - a is read back once."""
         if budget < 1:
             raise ValueError("budget must be >= 1")
+        self.V.enumerate_values(budget + 1)
         for h in range(1, budget + 1):
             for obj in self.object_challenges(h):
                 self._absorb_object(obj)

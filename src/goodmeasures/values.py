@@ -732,13 +732,20 @@ class Classification:
     ring_like: bool | None
 
 
+#: The most mass-1 index tuples one descriptor keeps, over all heights.  A
+#: height whose tuples would take it past this is walked again on each call:
+#: at height 3 a Q-like set can have millions of them.
+_KEPT_TUPLES = 1 << 16
+
+
 @dataclass
 class _Listing:
     """What one descriptor has listed of V so far: ``values`` in the order
     ``enumerate_values`` lists them, ``ends[h - 1]`` the number of them of
     height at most h, and ``tuples[h]`` the index tuples of
-    ``mass_one_tuples(h)``.  It holds lists only, never a live generator;
-    the descriptor hands out copies of them."""
+    ``mass_one_tuples(h)``, for the heights kept under ``_KEPT_TUPLES``.
+    It holds lists only, never a live generator; the descriptor hands out
+    copies of them."""
 
     values: list[ExactValue] = field(default_factory=list)
     ends: list[int] = field(default_factory=list)
@@ -837,35 +844,32 @@ class GroupDescriptor:
 
     # -- enumeration ---------------------------------------------------------
 
-    def _layers(self, skip: int = 0) -> Iterator[list[ExactValue]]:
-        """Yield, for h = skip + 1, skip + 2, ..., the elements of V ∩ (0,1]
-        of height exactly h.
+    def _layers(self) -> Iterator[list[ExactValue]]:
+        """Yield, for h = 1, 2, ..., the elements of V ∩ (0,1] of height exactly h.
 
         Each layer comes sorted by ``sort_key``.  A value's height is the
         largest height of its components, so the tuples of components of
         height exactly h are split by the first component that reaches h:
         components before it lie below h, components after it at most h.
         A candidate's bounds are decided on its integer coordinates
-        (``_in_unit``); only a kept one becomes an ``ExactValue``.  The
-        first ``skip`` heights only list their components, no candidate.
+        (``_in_unit``); only a kept one becomes an ``ExactValue``.
         """
         symbols = [s for s, _ in self.irr]
         heights = [_heights(self.rational, with_negative=bool(symbols))]
         heights += [_heights(g, with_negative=True) for _, g in self.irr]
         below: list[list[tuple[int, int]]] = [[] for _ in heights]
-        for h in itertools.count(1):
+        while True:
             exact = [next(it) for it in heights]
-            if h > skip:
-                layer = []
-                for i in range(len(heights)):
-                    upto = [b + e for b, e in zip(below[i + 1:], exact[i + 1:])]
-                    parts = below[:i] + [exact[i]] + upto
-                    for ratios in itertools.product(*parts):
-                        v = _in_unit(ratios, symbols)
-                        if v is not None:
-                            layer.append(v)
-                layer.sort(key=ExactValue.sort_key)
-                yield layer
+            layer = []
+            for i in range(len(heights)):
+                upto = [b + e for b, e in zip(below[i + 1:], exact[i + 1:])]
+                parts = below[:i] + [exact[i]] + upto
+                for ratios in itertools.product(*parts):
+                    v = _in_unit(ratios, symbols)
+                    if v is not None:
+                        layer.append(v)
+            layer.sort(key=ExactValue.sort_key)
+            yield layer
             for b, e in zip(below, exact):
                 b += e
 
@@ -882,15 +886,16 @@ class GroupDescriptor:
 
         Ordered by height, ties broken by (rational numerator, denominator,
         symbol name, coefficient).  The descriptor keeps the heights it has
-        listed, so each is listed once per instance; every call returns a
-        list of its own.
+        listed: a call within them lists nothing, and a deeper one lists the
+        layers again up to its budget and keeps the new ones.  Every call
+        returns a list of its own.
         """
         if budget < 1:
             raise ValueError("budget must be >= 1")
         memo = self._listing
         values, ends = memo.values, memo.ends
         if len(ends) < budget:
-            for layer in itertools.islice(self._layers(len(ends)), budget - len(ends)):
+            for layer in itertools.islice(self._layers(), len(ends), budget):
                 values += layer
                 ends.append(len(values))
         return values[:ends[budget - 1]]
@@ -898,13 +903,16 @@ class GroupDescriptor:
     def mass_one_tuples(self, height: int) -> list[tuple[int, ...]]:
         """Every nondecreasing index tuple of at most height + 1 entries
         into ``enumerate_values(height + 1)`` whose values sum to 1, depth
-        first (``_sums_to_one``).  The descriptor keeps each height's tuples,
-        so each height is walked once per instance; every call returns a
-        list of its own."""
-        tuples = self._listing.tuples
-        out = tuples.get(height)
-        if out is None:
-            out = tuples[height] = _sums_to_one(self.enumerate_values(height + 1), height + 1)
+        first (``_sums_to_one``).  The descriptor keeps a height's tuples
+        while it keeps at most ``_KEPT_TUPLES`` in all, so such a height is
+        walked once per instance; every call returns a list of its own."""
+        kept = self._listing.tuples
+        if height in kept:
+            return list(kept[height])
+        out = _sums_to_one(self.enumerate_values(height + 1), height + 1)
+        if sum(map(len, kept.values())) + len(out) > _KEPT_TUPLES:
+            return out
+        kept[height] = out
         return list(out)
 
     def first_listed(self, keep: Callable[[ExactValue], bool], heights: int) -> ExactValue | None:

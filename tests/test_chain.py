@@ -19,6 +19,7 @@ from goodmeasures.errors import (
     NotGroupLike,
     NotInV,
     NotSmaller,
+    PrecisionExhausted,
     SumMismatch,
     WeightMismatch,
 )
@@ -707,6 +708,43 @@ def test_a_second_chain_reuses_the_descriptors_listing(sqrt2_dyadic, monkeypatch
     again = V.enumerate_values(3), V.mass_one_tuples(2), ch.object_challenges(2)
     assert [again[0], again[1], [P.weight_list() for P in again[2]]] == kept
     assert calls == []
+
+
+def test_a_descriptor_keeps_a_bounded_number_of_tuples(sqrt2_dyadic, monkeypatch):
+    """A height whose mass-1 tuples would take the descriptor past
+    ``_KEPT_TUPLES`` is walked again on each call, with the same tuples."""
+    V = GroupDescriptor.from_json(sqrt2_dyadic.to_json())
+    monkeypatch.setattr(values, "_KEPT_TUPLES", 40)
+    walks = []
+    walk = values._sums_to_one
+    monkeypatch.setattr(values, "_sums_to_one", lambda *a: walks.append(a[1]) or walk(*a))
+    first = [V.mass_one_tuples(h) for h in (1, 2, 1, 2)]
+    assert walks == [2, 3, 3] and list(V._listing.tuples) == [1]
+    assert first[2:] == first[:2] and [len(t) for t in first[:2]] == [7, 38]
+    snapshot = GoodMeasureChain(V).run_schedule(2).to_text()
+    assert hashlib.sha256(snapshot.encode("utf-8")).hexdigest() == (
+        "0f85b66bdc1dcca52552ed23200cc13d3ac69787a76c5d80b92a91a3e8eec50a"
+    )
+
+
+def test_schedule_lists_V_before_it_appends_a_level(dyadic, monkeypatch):
+    """``run_schedule`` lists V up to height budget + 1 first, so a listing
+    that fails (a ``digits`` symbol can run out of precision) fails before
+    the chain changes."""
+    V = GroupDescriptor.from_json(dyadic.to_json())
+    real = GroupDescriptor.enumerate_values
+
+    def listing(self, budget):
+        if budget > 2:
+            raise PrecisionExhausted("no deeper enclosure")
+        return real(self, budget)
+
+    monkeypatch.setattr(GroupDescriptor, "enumerate_values", listing)
+    ch = GoodMeasureChain(V)
+    with pytest.raises(PrecisionExhausted):
+        ch.run_schedule(2)
+    assert ch.depth == 0 and ch.ledger == []
+    assert ch.run_schedule(1).depth > 0
 
 
 # -- schedule ---------------------------------------------------------------------------
@@ -1640,9 +1678,12 @@ def test_schedule_checks_each_value_once(sqrt2_dyadic, monkeypatch):
 
 
 def test_engine_builds_partitions_without_arithmetic(sqrt2_dyadic, monkeypatch):
-    """The root level, the schedule's object challenges, an amalgam and a
-    cycle split are built with no sign() call and no addition; their totals
-    are summed on first use."""
+    """The root level, the schedule's object challenges (their mass-1 tuples
+    walked on packed ints), an amalgam and a cycle split are built with no
+    sign() call and no addition; their totals are summed on first use."""
+    # a descriptor of its own, so the walk runs here and not in an earlier test
+    V = GroupDescriptor.from_json(sqrt2_dyadic.to_json())
+    V.enumerate_values(3)
     s = E(0, {sqrt2_symbol(): 1})
     E1 = WeightedPartition.make([("a0", s), ("a1", ONE - s)])
     E2 = WeightedPartition.make([("b0", E("1/2")), ("b1", E("1/2"))])
@@ -1660,8 +1701,12 @@ def test_engine_builds_partitions_without_arithmetic(sqrt2_dyadic, monkeypatch):
 
     for name in ("sign", "__add__"):
         monkeypatch.setattr(ExactValue, name, counted(name))
-    ch = GoodMeasureChain(sqrt2_dyadic)
+    walk = values._sums_to_one
+    monkeypatch.setattr(values, "_sums_to_one", lambda *a: calls.append("walk") or walk(*a))
+    ch = GoodMeasureChain(V)
     challenges = ch.object_challenges(2)
+    assert calls == ["walk"]
+    calls.clear()
     G = _subdivide(E1, parts)[0].source
     # the cycles cross as packed ints of the root's table, 1 - s a difference
     pv, weight, (ps,) = ch._table(0, [s], 2)
