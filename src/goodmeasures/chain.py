@@ -499,8 +499,9 @@ class GoodMeasureChain:
         1, in depth-first order, built unchecked: their weights lie in V and
         sum to 1, so each passes ``absorb_object``'s checks.  The values and
         the tuples are V's, held by the descriptor
-        (``GroupDescriptor.mass_one_tuples``), so a second chain over the
-        same descriptor lists and walks neither again; each call returns new
+        (``GroupDescriptor.mass_one_tuples``, which keeps a bounded number
+        of tuples), so a second chain over the same descriptor lists no value
+        and, within that bound, walks no tuple; each call returns new
         partitions in a new list."""
         values = self.V.enumerate_values(height + 1)
         ids = [f"x{k}" for k in range(height + 1)]
@@ -517,8 +518,9 @@ class GoodMeasureChain:
         further levels.  A challenge the top already refines is answered from
         the current top, so only challenges that need a finer partition
         append a level.  V is listed up to height budget + 1 before any
-        level is appended; the descriptor keeps that listing and the object
-        challenges' tuples, so a second run over it lists and walks neither
+        level is appended; the descriptor keeps that listing and, up to a
+        bound, the object challenges' tuples, so a second run over it lists
+        nothing and walks only the heights past that bound
         (``GroupDescriptor.mass_one_tuples``).  Challenges
         built from V skip the public checks, and no value or morphism is
         checked: each split of a level weight w into a and w - a, with a in V
