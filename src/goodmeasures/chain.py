@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InvalidChallenge,
@@ -350,9 +350,6 @@ class GoodMeasureChain:
 
     # -- absorption -----------------------------------------------------------
 
-    def _collapse(self, P: WeightedPartition) -> PartitionMorphism:
-        return PartitionMorphism(P, self.levels[0], {c: ROOT_CELL for c in P.cells})
-
     def absorb_object(self, target: WeightedPartition) -> int:
         """Extend the chain so the target partition has a lift; returns the stage.
 
@@ -360,24 +357,31 @@ class GoodMeasureChain:
         ledger and do not extend the chain.  A challenge the top already
         refines is answered from the current top, with no new level.
         """
-        check_all_in(target.weight_list(), self.V, "challenge weight")
+        weights = target.weight_list()
+        check_all_in(weights, self.V, "challenge weight")
         # the total is decided on packed ints of the top's table, and formatted only to refuse
-        pv, _, packed = self._table(self.depth, target.weight_list(), len(target.cells))
+        pv, _, packed = self._table(self.depth, weights, len(weights))
         if sum(packed) != pv.one:
             raise SumMismatch(f"object challenge has total {target.total}, expected 1")
-        return self._absorb_object(target)
-
-    def _absorb_object(self, target: WeightedPartition) -> int:
-        """``absorb_object`` unchecked.  Precondition: weights in V, summing to 1.
-        A challenge with the top's weight multiset is answered by pairing its
-        cells with the top's (``_match_by_weight``), any other by an amalgam."""
         key = _obj_key(target)
         if key in self._ledger_index:
             return self.ledger[self._ledger_index[key]].stage
-        lift = _match_by_weight(self.top.cells, target.cells, self.top.weights, target.weights)
+        room = len(self.top.cells) + len(weights)
+        return self._absorb_object(target, key, lambda: self._table(self.depth, weights, room)[2])
+
+    def _absorb_object(
+        self, target: WeightedPartition, key: tuple, packing: Callable[[], Sequence[int]]
+    ) -> int:
+        """Record the lift of an object challenge whose ledger key the ledger
+        lacks.  Precondition: weights in V, summing to 1.  A challenge with
+        the top's weight multiset is answered by pairing its cells with the
+        top's (``_match_by_weight``), any other by ``_answer`` in cell order,
+        as the one fiber over level 0, on the packed weights ``packing()``
+        returns in the top's table."""
+        top = self.top
+        lift = _match_by_weight(top.cells, target.cells, top.weights, target.weights)
         if lift is None:
-            # the collapse is valid: the target has total 1
-            lift = self._respond(self._collapse(target), 0)
+            lift = self._answer(packing(), range(len(target.cells)))
         self._ledger_index[key] = len(self.ledger)
         self.ledger.append(
             LedgerEntry("object", self.depth, target, None, lift, None, self.top.cells, None)
@@ -396,36 +400,15 @@ class GoodMeasureChain:
         Links list each level in the order of its images (the chain's
         invariant), so the top's fibers over the level are runs of the top,
         in level order.  A stable sort lists f2's cells the same way, by
-        their images' positions (no sort over a one-cell level).  The
-        cumulative sums of the top and of the sorted challenge then meet at
-        the end of every fiber, and one walk places the challenge's sums
-        among the top's, held in the top's index (``partitions._place``).
-        If no sum cuts a top cell, the response is read off the runs: the
-        ``p2 ∘ p1⁻¹`` of an amalgam as large as the top.  Otherwise the same
-        placements give the parts of the amalgam of the top's projection
-        with f2 (``_parts``), which become the new top (``_subdivide``), and
-        each part's challenge cell is the response.  Either way f2 ∘
-        response is the chain projection onto the level.  Precondition: f2
-        is a valid morphism onto the level.
-
-        A challenge listed in image order gets a non-decreasing response.
-        Its sort is the identity, so its intervals follow in challenge
-        order, and each cell the walk yields (a top cell, or a part of the
-        amalgam) maps to the challenge cell whose interval holds it.  The
-        walk yields its cells in interval order: the top's cells are, and
-        the parts list each top cell's pieces in turn.  The new top's link,
-        each part onto its top cell, does not decrease either, so appends
-        keep the invariant.
-
-        The walk adds and compares packed ints of the top's table, which
-        takes f2's weights too (``_table``); only the parts of a cut top
-        cell are read back, and the new top inherits the table.
+        their images' positions (no sort over a one-cell level), and
+        ``_answer`` walks them in that order over f2's weights, packed in
+        the top's table, which takes them too (``_table``).  Precondition:
+        f2 is a valid morphism onto the level.
         """
-        source, depth = f2.source, len(self.links)
-        top = self.levels[depth]
-        pv, weight, packed = self._table(
-            depth, source.weight_list(), len(top.cells) + len(source.cells)
-        )
+        source = f2.source
+        packed = self._table(
+            self.depth, source.weight_list(), len(self.top.cells) + len(source.cells)
+        )[2]
         order = range(len(source.cells))
         below = self.levels[level].cells
         if len(below) > 1:
@@ -433,8 +416,40 @@ class GoodMeasureChain:
                 at = {c: i for i, c in enumerate(below)}
                 image = [at[f2.mapping[c]] for c in source.cells]
             order = sorted(order, key=image.__getitem__)
+        return self._answer(packed, order)
+
+    def _answer(self, packed: Sequence[int], order: Sequence[int]) -> list[int]:
+        """The response to a challenge whose cells, listed in ``order``, lie
+        over the runs of the top in turn: a map from the top after this call
+        onto the challenge, as the position among the challenge's cells of
+        the image of each top cell, in top order.  ``packed`` holds each
+        challenge cell's weight as a packed int of the top's table, which has
+        room for the top's cells and the challenge's together.  Every
+        challenge, object or morphism, is answered here.
+
+        The cumulative sums of the top and of the challenge in that order
+        meet at the end of every run, and one walk places the challenge's
+        sums among the top's, held in the top's index (``partitions._place``).
+        If no sum cuts a top cell, the response is read off the runs: the
+        ``p2 ∘ p1⁻¹`` of an amalgam as large as the top.  Otherwise the same
+        placements give the parts of the amalgam of the top's projection
+        with the challenge (``_parts``), which become the new top
+        (``_subdivide``), and each part's challenge cell is the response.
+        Either way the challenge ∘ response is the chain projection.
+
+        A challenge listed in image order gets a non-decreasing response.
+        Its order is the identity, so its intervals follow in challenge
+        order, and each cell the walk yields (a top cell, or a part of the
+        amalgam) maps to the challenge cell whose interval holds it.  The
+        walk yields its cells in interval order: the top's cells are, and
+        the parts list each top cell's pieces in turn.  The new top's link,
+        each part onto its top cell, does not decrease either, so appends
+        keep the invariant.  Only the parts of a cut top cell are read
+        back, and the new top inherits the table.
+        """
+        pv, weight = self._tables[self.depth]
         if self._top_index is None:
-            left = [weight[c] for c in top.cells]
+            left = [weight[c] for c in self.top.cells]
             self._top_index = (left, *_cumulative(left))
         left, sums, index = self._top_index
         right = [packed[z] for z in order]
@@ -521,7 +536,8 @@ class GoodMeasureChain:
         level is appended; the descriptor keeps that listing and, up to a
         bound, the object challenges' tuples, so a second run over it lists
         nothing and walks only the heights past that bound
-        (``GroupDescriptor.mass_one_tuples``).  Challenges
+        (``GroupDescriptor.mass_one_tuples``).  The object challenges are
+        absorbed from the tuples (``_absorb_tuples``).  Challenges
         built from V skip the public checks, and no value or morphism is
         checked: each split of a level weight w into a and w - a, with a in V
         and 0 < a <= w - a < w <= 1, has both parts in V summing to w.  The
@@ -531,9 +547,8 @@ class GoodMeasureChain:
             raise ValueError("budget must be >= 1")
         self.V.enumerate_values(budget + 1)
         for h in range(1, budget + 1):
-            for obj in self.object_challenges(h):
-                self._absorb_object(obj)
             values = self.V.enumerate_values(h + 1)
+            self._absorb_tuples(values, self.V.mass_one_tuples(h))
             lvl = min(h - 1, self.depth)
             P = self.levels[lvl]
             pv, weight, packed = self._table(lvl, values, 3)
@@ -547,6 +562,47 @@ class GoodMeasureChain:
                     parts = [*whole[:k], (a, k), (pv.unpack(rest), k), *whole[k + 1:]]
                     self._absorb_morphism(_subdivide(P, parts)[0], lvl)
         return self
+
+    def _absorb_tuples(self, values: Sequence[ExactValue], tuples: Sequence[Sequence[int]]) -> None:
+        """Absorb the object challenge of each index tuple into values, as
+        ``object_challenges`` lists it, with no packing per challenge.
+
+        A tuple's ledger key is its values' ``sort_key``s, read once per
+        call, sorted; a tuple the ledger holds builds nothing, and any other
+        builds its partition for its ledger entry.  Its packed weights are
+        its values' ints in the top's table, each packed on first use and
+        kept while the top keeps that table.  A value the table cannot take,
+        or a table without room for the top and the tuple, sends the tuple's
+        values to ``_table``, as any challenge's are, and the table it
+        returns is packed anew."""
+        keys = [v.sort_key() for v in values]
+        ids = tuple(f"x{k}" for k in range(max(map(len, tuples), default=0)))
+        pv, packs = None, {}  # the top's table, and the values packed in it by index
+
+        def packing(seq):
+            nonlocal pv, packs
+            table = self._tables.get(self.depth)
+            if table is None or table[0] is not pv:
+                pv, packs = table and table[0], {}
+            summands = len(self.top.cells) + len(seq)
+            for i in seq:
+                if i not in packs:
+                    if pv is None or (p := pv.pack(values[i])) is None:
+                        break
+                    packs[i] = p
+            else:
+                if pv.room >= summands:
+                    return [packs[i] for i in seq]
+            pv, _, packed = self._table(self.depth, [values[i] for i in seq], summands)
+            packs = dict(zip(seq, packed))
+            return packed
+
+        for seq in tuples:
+            key = ("object", tuple(sorted([keys[i] for i in seq])))
+            if key not in self._ledger_index:
+                cells = ids[:len(seq)]
+                target = WeightedPartition(cells, dict(zip(cells, map(values.__getitem__, seq))))
+                self._absorb_object(target, key, lambda: packing(seq))
 
     # -- goodness witnesses -----------------------------------------------------
 

@@ -536,10 +536,14 @@ def main(argv=None) -> int:
         # none is a mathematical "no"
         sys.stderr.write(f"invalid input: {type(exc).__name__}: {exc}\n")
         return 2
-    except RuntimeError as exc:
-        # the "this is a bug" checks, and a RecursionError from a deep input:
-        # no verdict either way
-        sys.stderr.write(f"not decided: {type(exc).__name__}: {exc}\n")
+    except MemoryError:
+        sys.stderr.write("not decided: out of memory\n")
+        return 2
+    except Exception as exc:
+        # the "this is a bug" checks, a RecursionError from a deep input, and
+        # anything else: no verdict either way, and never the exit 1 of a "no"
+        text = str(exc).replace("\n", " ")
+        sys.stderr.write(f"not decided: {type(exc).__name__}: {text}\n")
         return 2
 
 

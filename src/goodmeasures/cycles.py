@@ -473,16 +473,26 @@ def dichotomy_analyze(
 _LISTED_HEIGHTS = 1 << 10
 
 
+#: The largest exponent f of a quotient violation whose v = 1/n**f (or
+#: s/n**f) ``_dichotomy_b_n`` builds as b; a larger one is refused before
+#: n**f is computed.
+MAX_DICHOTOMY_EXPONENT = 1 << 16
+
+
 def _dichotomy_b_n(V: GroupDescriptor) -> tuple[ExactValue, int]:
     """b and n for ``dichotomy_analyze`` from a set that is not Q-like: the
     v = 1/n**f or s/n**f and the prime n of ``divisibility_closure_check``'s
-    quotient violation; failing one, the least prime n at which some
-    component group has a finite exponent, and the first listed value b
-    below 1 with b/n not in V."""
+    quotient violation, if f is at most MAX_DICHOTOMY_EXPONENT; failing one,
+    the least prime n at which some component group has a finite exponent,
+    and the first listed value b below 1 with b/n not in V."""
     quotient = next((x for x in divisibility_closure_check(V) if x["kind"] == "quotient"), None)
     if quotient is not None:
-        n, name = quotient["n"], quotient["symbol"]
-        power = Fraction(1, n ** quotient["exponent"])
+        n, name, f = quotient["n"], quotient["symbol"], quotient["exponent"]
+        if f > MAX_DICHOTOMY_EXPONENT:
+            raise PreconditionFailed(
+                f"quotient exponent at most {MAX_DICHOTOMY_EXPONENT}", f"exponent {f} at {n}"
+            )
+        power = Fraction(1, n ** f)
         if name is None:
             return ExactValue.of(power), n
         return ExactValue.of(0, {V.symbols()[name]: power}), n

@@ -401,11 +401,12 @@ def matrix_of_prefix(
 def compatible_witness(chain: GoodMeasureChain, A: BalancedMatrix) -> AutomorphismPrefix:
     """An automorphism prefix compatible with A (the neighbourhood of any
     valid matrix is nonempty): take the cycle representative, read off its
-    permutation, and extend it to a prefix."""
+    permutation, and extend it to a prefix.  A matrix already in the cycle
+    category is its own representative, and is checked once."""
     C, _proj = to_cycle_object(chain, A)
     perm = {a: b for (a, b) in C.entries}
     sigma = chain.extend_partial_isomorphism(C.level, perm)
-    if not compatible(chain, sigma, C) or not compatible(chain, sigma, A):
+    if not compatible(chain, sigma, C) or (C is not A and not compatible(chain, sigma, A)):
         raise RuntimeError("constructed witness is not compatible; this is a bug")
     return sigma
 

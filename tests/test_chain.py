@@ -260,7 +260,8 @@ def _interval_challenge(rng, ch, kind):
     if kind == "random":
         if level == 0:
             A = random_partition(rng, V, 5, prefix="z")
-            return ch._collapse(A), 0
+            collapse = dict.fromkeys(A.cells, chain_module.ROOT_CELL)
+            return PartitionMorphism(A, ch.levels[0], collapse), 0
         return random_refining_morphism(rng, V, L, 3, "z"), level
     c = rng.choice(L.cells)
     w = L.weight(c)
@@ -512,22 +513,33 @@ def test_fiber_indexes_stay_fresh_across_challenges(irrational, seed, kinds, dya
 
 @pytest.mark.parametrize("budget", [1, 2, 3])
 def test_schedule_keeps_fiber_indexes_fresh(budget, sqrt2_dyadic, monkeypatch):
-    """After each challenge the schedule answers, the top's index is the
-    walked one, or none once a level is appended; the snapshot is the one an
-    unwatched run writes."""
-    real = GoodMeasureChain._respond
+    """After each challenge the schedule answers (``_answer``, over level 0
+    for an object and over the level ``_respond`` names for a morphism),
+    the top's index is the walked one, or none once a level is appended;
+    the snapshot is the one an unwatched run writes."""
+    real, respond = GoodMeasureChain._answer, GoodMeasureChain._respond
     answered = []
+    levels = []  # the level of the morphism challenge being answered, if any
 
-    def checked(self, f2, level, image=None):
+    def checked(self, packed, order):
         depth = self.depth
-        response = real(self, f2, level, image)
+        level = levels[-1] if levels else 0
+        response = real(self, packed, order)
         answered.append((level, self.depth > depth))
         assert (self._top_index is None) == (self.depth > depth)
         _assert_top_index_fresh(self)
         return response
 
+    def onto(self, f2, level, image=None):
+        levels.append(level)
+        try:
+            return respond(self, f2, level, image)
+        finally:
+            levels.pop()
+
     want = jsonutil.dumps(GoodMeasureChain(sqrt2_dyadic).run_schedule(budget).to_json())
-    monkeypatch.setattr(GoodMeasureChain, "_respond", checked)
+    monkeypatch.setattr(GoodMeasureChain, "_answer", checked)
+    monkeypatch.setattr(GoodMeasureChain, "_respond", onto)
     ch = GoodMeasureChain(sqrt2_dyadic).run_schedule(budget)
     appended = [level for level, grew in answered if grew]
     assert len(appended) == ch.depth
@@ -539,7 +551,7 @@ def test_a_rebuilt_top_table_drops_the_top_index(dyadic):
     """A value off the top table's denominator rebuilds the table, and the
     index in the old table's packing goes with it."""
     ch = GoodMeasureChain(dyadic).run_schedule(1)
-    ch._respond(ch._collapse(ch.top), 0)  # answered by the top, which indexes it
+    ch._respond(ch.composite_morphism(ch.depth, 0), 0)  # answered by the top, which indexes it
     assert ch._top_index is not None
     ch._table(ch.depth)
     assert ch._top_index is not None
@@ -631,10 +643,11 @@ def test_check_good_absorptions_record_no_descent(dyadic, triadic, sqrt2_dyadic,
 
 def test_schedule_builds_one_amalgam_per_level(sqrt2_dyadic, monkeypatch):
     """Only a challenge that needs a finer level builds an amalgam: the
-    level kernel runs once inside ``_respond`` per appended level."""
+    level kernel runs once inside ``_answer``, which answers every
+    challenge, per appended level."""
     calls = []
     responding = []
-    respond = GoodMeasureChain._respond
+    respond = GoodMeasureChain._answer
 
     def counting(P, parts, pv=None):
         if responding:
@@ -649,10 +662,108 @@ def test_schedule_builds_one_amalgam_per_level(sqrt2_dyadic, monkeypatch):
             responding.pop()
 
     monkeypatch.setattr(chain_module, "_subdivide", counting)
-    monkeypatch.setattr(GoodMeasureChain, "_respond", watched)
+    monkeypatch.setattr(GoodMeasureChain, "_answer", watched)
     ch = GoodMeasureChain(sqrt2_dyadic)
     ch.run_schedule(3)
     assert ch.depth == 89 and len(calls) == 89
+
+
+def test_schedule_objects_build_no_morphism_and_pack_no_table(sqrt2_dyadic, monkeypatch):
+    """A budget-2 schedule absorbs its object challenges from the tuples:
+    while it does, the only morphisms built are the links of the levels it
+    appends, and every ``_table`` call builds a table (none the first
+    challenge, none after), so none is made per object challenge."""
+    real_init, real_table = PartitionMorphism.__init__, GoodMeasureChain._table
+    absorb_tuples, absorb_object = GoodMeasureChain._absorb_tuples, GoodMeasureChain._absorb_object
+    seen = {"objects": 0, "appended": 0, "morphisms": 0, "tables": 0, "built": 0}
+    inside = []
+
+    def tuples(self, *args):
+        depth = self.depth
+        inside.append(True)
+        try:
+            absorb_tuples(self, *args)
+        finally:
+            inside.pop()
+        seen["appended"] += self.depth - depth
+
+    def morphism(self, *args):
+        seen["morphisms"] += bool(inside)
+        real_init(self, *args)
+
+    def table(self, level, *args):
+        kept = self._tables.get(level)
+        out = real_table(self, level, *args)
+        if inside:
+            seen["tables"] += 1
+            seen["built"] += self._tables[level] is not kept
+        return out
+
+    def objects(self, *args):
+        seen["objects"] += 1
+        return absorb_object(self, *args)
+
+    monkeypatch.setattr(GoodMeasureChain, "_absorb_tuples", tuples)
+    monkeypatch.setattr(PartitionMorphism, "__init__", morphism)
+    monkeypatch.setattr(GoodMeasureChain, "_table", table)
+    monkeypatch.setattr(GoodMeasureChain, "_absorb_object", objects)
+    ch = GoodMeasureChain(sqrt2_dyadic).run_schedule(2)
+    assert seen["objects"] == 38 and seen["appended"] > 0
+    assert seen["morphisms"] == seen["appended"]
+    assert seen["tables"] == seen["built"] == 1
+    assert len({id(pv) for pv, _ in ch._tables.values()}) == 1
+
+
+def _collapse(ch: GoodMeasureChain, A: WeightedPartition) -> PartitionMorphism:
+    return PartitionMorphism(A, ch.levels[0], dict.fromkeys(A.cells, chain_module.ROOT_CELL))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["dyadic", "triadic", "sqrt2_dyadic"]),
+    height=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_schedule_objects_answer_as_absorb_object_and_the_fiber_walk(
+    name, height, seed, dyadic, triadic, sqrt2_dyadic
+):
+    """Tuples of a height drawn at random, repeats included, absorbed one by
+    one by the schedule's path (``_absorb_tuples``) on one chain and by
+    ``absorb_object`` on another: both record the same stage and response,
+    and the chains stay equal.  A challenge the top does not pair by weight
+    gets the fiber walk's response and new top (``respond_by_fibers``)."""
+    V = {"dyadic": dyadic, "triadic": triadic, "sqrt2_dyadic": sqrt2_dyadic}[name]
+    rng = random.Random(seed)
+    values, tuples = V.enumerate_values(height + 1), V.mass_one_tuples(height)
+    by_schedule, by_public = GoodMeasureChain(V), GoodMeasureChain(V)
+    for seq in (rng.choice(tuples) for _ in range(8)):
+        cells = tuple(f"x{k}" for k in range(len(seq)))
+        A = WeightedPartition(cells, dict(zip(cells, [values[i] for i in seq])))
+        held, top = len(by_schedule.ledger), by_schedule.top
+        key = sorted(values[i].sort_key() for i in seq)
+        paired = sorted(w.sort_key() for w in top.weight_list()) == key
+        want = None if paired else respond_by_fibers(by_schedule, _collapse(by_schedule, A), 0)
+        by_schedule._absorb_tuples(values, [seq])
+        stage = by_public.absorb_object(A)
+        assert len(by_schedule.ledger) == len(by_public.ledger)
+        entry, other = by_schedule.ledger[-1], by_public.ledger[-1]
+        assert (entry.stage, entry.response) == (other.stage, other.response)
+        assert by_schedule.depth == by_public.depth
+        if len(by_schedule.ledger) == held:  # a ledger hit builds nothing
+            assert by_public.ledger[by_public._ledger_index["object", tuple(key)]].stage == stage
+            continue
+        assert entry.stage == stage == by_schedule.depth
+        assert entry.challenge_object == A
+        if want is not None:
+            response, appended = want
+            assert entry.response == response
+            if appended is None:
+                assert by_schedule.top is top
+            else:
+                G, link = appended
+                assert by_schedule.top.cells == G.cells and by_schedule.top.weights == G.weights
+                assert by_schedule.links[-1].mapping == link
+    assert by_schedule.to_text() == by_public.to_text()
 
 
 @pytest.mark.parametrize("height", [1, 2, 3])

@@ -553,6 +553,67 @@ def test_check_closure_decides_beyond_small_primes(files, capsys, descriptor, ce
     assert code == 1 and verdict["result"]["rokhlin"] == "no"
 
 
+class _Unmapped(Exception):
+    """An exception no handler of ``cli.main`` names."""
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError(), "not decided: out of memory"),
+    (MemoryError("cannot allocate"), "not decided: out of memory"),
+    (_Unmapped("first\nsecond"), "not decided: _Unmapped: first second"),
+])
+def test_an_exception_is_never_a_no(files, capsys, monkeypatch, exc, line):
+    """Running out of memory, or any exception no other handler names, is no
+    verdict: exit 2 with one line, never the exit 1 of a "no" and never a
+    traceback."""
+    def raising(args):
+        raise exc
+
+    subparsers = next(a for a in cli._parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    monkeypatch.setitem(subparsers.choices["check-closure"]._defaults, "func", raising)
+    assert main(["check-closure", "--descriptor", str(files / "dyadic.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line + "\n"
+
+
+def test_dichotomy_refuses_a_huge_exponent_before_its_power(files):
+    """Exponent 2**70 at the prime 2 (default 0): ``dichotomy`` refuses it with
+    one line, before it builds 2**(2**70), while ``decide-rokhlin`` and
+    ``check-closure`` answer it from the exponent alone.  The commands run in
+    a process whose address space is capped, so building the power fails
+    there, not on the host."""
+    e = 2**70
+    path = files / "huge.json"
+    write(path, dumps({"rational": {"default": "0", "exceptions": {"2": e}}, "irrationals": []}))
+    script = (
+        "import json, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+        "from goodmeasures.cli import main\n"
+        "for command in ('dichotomy', 'decide-rokhlin', 'check-closure'):\n"
+        "    print(main([command, '--descriptor', sys.argv[1]]), file=sys.stderr)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines() == [
+        "PreconditionFailed: precondition failed: quotient exponent at most 65536"
+        f" (exponent {e} at 2)",
+        "2", "1", "1",
+    ]
+    *envelopes, rest = done.stdout.split("\n}\n")
+    assert rest == "" and len(envelopes) == 2
+    rokhlin, closure = (jsonutil.loads(text + "\n}") for text in envelopes)
+    assert rokhlin["result"] == {"rokhlin": "no", "strong_rokhlin": "no"}
+    assert rokhlin["certificate"] == {"prime": 2, "exponent": e}
+    assert closure["result"]["violations"] == [
+        {"kind": "product", "n": 2, "exponent": e},
+        {"kind": "quotient", "n": 2, "exponent": e, "symbol": None},
+    ]
+
+
 def test_check_closure_answers_a_large_exponent(files, capsys):
     """1/2**20000 is in V and 1/2**20001 is not: the certificate carries the
     exponent, never the 6,021-digit power."""

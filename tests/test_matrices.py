@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from goodmeasures import matrices
 from goodmeasures.chain import AutomorphismPrefix, GoodMeasureChain
 from goodmeasures.errors import DepthTooShallow, NotCycleObject, NotEquiSummed, WeightMismatch
 from goodmeasures.matrices import (
@@ -248,7 +249,7 @@ def test_reverse_projection_two_cycle_over_loop(dyadic):
     loop = BalancedMatrix(0, {("r", "r"): ONE})
     ch.absorb_object(WeightedPartition.make([("x0", E("1/2")), ("x1", E("1/2"))]))
     B = two_cycle(ch, 1)
-    p = MatrixMorphism(ch._collapse(ch.levels[1]), B, loop)
+    p = MatrixMorphism(ch.composite_morphism(1, 0), B, loop)
     assert verify_matrix_morphism(ch, p)
     C, r = reverse_projection(ch, p)
     assert verify_matrix_morphism(ch, r)
@@ -354,6 +355,28 @@ def test_witness_mixing(dyadic):
     A = mixing_matrix(ch, 1)
     sigma = compatible_witness(ch, A)
     assert compatible(ch, sigma, A)
+
+
+def test_witness_checks_a_cycle_object_once(dyadic, monkeypatch):
+    """A matrix in the cycle category is its own representative, so the
+    witness is checked against it once; a matrix that needs a lift is
+    checked against its representative and itself.  The verdict is the same."""
+    calls = []
+    real = matrices.compatible
+
+    def counting(chain, sigma, A):
+        calls.append(A)
+        return real(chain, sigma, A)
+
+    monkeypatch.setattr(matrices, "compatible", counting)
+    ch = halves_chain(dyadic)
+    for make, cycle in ((diag_matrix, True), (two_cycle, True), (mixing_matrix, False)):
+        A = make(ch, 1)
+        assert in_cycle_category(A) == cycle
+        calls.clear()
+        sigma = compatible_witness(ch, A)
+        assert calls[-1] is A and len(calls) == (1 if cycle else 2)
+        assert real(ch, sigma, A)
 
 
 def test_pi_lift_monotone(dyadic):

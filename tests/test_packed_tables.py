@@ -44,6 +44,7 @@ WATCHED = {
     "validate": validate,
     "compatible": compatible,
     "_respond": GoodMeasureChain._respond,
+    "_answer": GoodMeasureChain._answer,
     "absorb_object": GoodMeasureChain.absorb_object,
     "verify_matrix_morphism": verify_matrix_morphism,
     "_lifted": _lifted,
@@ -180,7 +181,9 @@ def test_schedule_answers_add_no_value(sqrt2_dyadic, monkeypatch):
     """A budget-2 schedule over the sqrt(2)-dyadic module, whose tables have
     a symbol slot."""
     chain = GoodMeasureChain(sqrt2_dyadic)
-    seen = additions_inside(monkeypatch, ["pushforward", "_respond"], lambda: chain.run_schedule(2))
+    seen = additions_inside(
+        monkeypatch, ["pushforward", "_respond", "_answer"], lambda: chain.run_schedule(2)
+    )
     assert seen == []
     assert any(pv.syms for pv, _ in chain._tables.values())
     assert_tables_fresh(chain)
