@@ -50,7 +50,6 @@ from .partitions import (
     WeightedPartition,
     _checked,
     _cumulative,
-    _parts,
     _place,
     _subdivide,
     lift_edges,
@@ -295,7 +294,7 @@ class GoodMeasureChain:
         values packed in the table.
 
         The table is built on first use, or inherited from the level the
-        engine derived this one from (``_append_parts``), and then kept: levels are
+        engine derived this one from (``_append_cuts``), and then kept: levels are
         append-only, so it never goes stale.  A table that cannot take a
         value (one not over its denominator, say 1/6 on a level of thirds),
         or that has no room left for a signed sum of ``summands`` members,
@@ -319,12 +318,23 @@ class GoodMeasureChain:
             self._top_index = None
         return pv, self._tables[level][1], pv.packed[n:]
 
-    def _append_parts(self, parts: Sequence[tuple], pv: PackedValues) -> PartitionMorphism:
-        """Append the level that cuts the top into ``parts``, packed ints of
-        the top's table pv (``_subdivide``), which it inherits; returns its link."""
-        link, packed = _subdivide(self.top, parts, pv)
-        self._append_level(link.source, link)
-        self._tables[self.depth] = pv, packed
+    def _append_cuts(
+        self, cuts: Sequence[tuple[int, Sequence[int]]], pv: PackedValues
+    ) -> PartitionMorphism:
+        """Append the level that cuts the top as ``cuts`` says, each cut
+        cell's pieces packed ints of the top's table pv (``_subdivide``),
+        which the level inherits; returns its link.  The top's packed ints
+        are read from its index when one is kept."""
+        top = self.top
+        weight = self._tables[self.depth][1]
+        if self._top_index is None:
+            packed = list(map(weight.__getitem__, top.cells))
+        else:
+            packed = self._top_index[0]
+        G, up, given = _subdivide(top, cuts, pv, packed)
+        link = PartitionMorphism(G, top, dict(zip(G.cells, up)))
+        self._append_level(G, link)
+        self._tables[self.depth] = pv, dict(zip(G.cells, given))
         return link
 
     # -- measures and clopen sets ---------------------------------------------
@@ -430,40 +440,55 @@ class GoodMeasureChain:
         The cumulative sums of the top and of the challenge in that order
         meet at the end of every run, and one walk places the challenge's
         sums among the top's, held in the top's index (``partitions._place``).
-        If no sum cuts a top cell, the response is read off the runs: the
-        ``p2 ∘ p1⁻¹`` of an amalgam as large as the top.  Otherwise the same
-        placements give the parts of the amalgam of the top's projection
-        with the challenge (``_parts``), which become the new top
-        (``_subdivide``), and each part's challenge cell is the response.
+        Each placement gives a challenge cell z its share of the response
+        and of the new level at once: the top cells its interval covers
+        whole, a run ``[z] * k``, and a piece of each top cell one of its
+        ends cuts, held as a cut of that cell.  If no sum cuts a top cell,
+        the response is the ``p2 ∘ p1⁻¹`` of an amalgam as large as the top,
+        and no level is appended.  Otherwise the cut cells are cut into
+        their pieces and the others kept (``_subdivide``): that is the
+        amalgam of the top's projection with the challenge, which becomes
+        the new top, and each piece's challenge cell is the response.
         Either way the challenge ∘ response is the chain projection.
 
         A challenge listed in image order gets a non-decreasing response.
         Its order is the identity, so its intervals follow in challenge
-        order, and each cell the walk yields (a top cell, or a part of the
-        amalgam) maps to the challenge cell whose interval holds it.  The
-        walk yields its cells in interval order: the top's cells are, and
-        the parts list each top cell's pieces in turn.  The new top's link,
-        each part onto its top cell, does not decrease either, so appends
-        keep the invariant.  Only the parts of a cut top cell are read
-        back, and the new top inherits the table.
+        order.  The walk meets the cells of the new level in interval
+        order: whole top cells in top order, and each cut cell's pieces in
+        turn, at the place of that cell, which is where ``_subdivide`` lists
+        them.  Each maps to the challenge cell whose interval holds it, and
+        those come in challenge order, so the response does not decrease.
+        The new top's link, each piece onto the cell it cuts and each kept
+        cell onto itself, does not decrease either, so appends keep the
+        invariant.  Only the pieces of a cut top cell are read back, and the
+        new top inherits the table.
         """
         pv, weight = self._tables[self.depth]
         if self._top_index is None:
             left = [weight[c] for c in self.top.cells]
             self._top_index = (left, *_cumulative(left))
-        left, sums, index = self._top_index
+        _, sums, index = self._top_index
         right = [packed[z] for z in order]
-        places = _place(sums, index, right, pv)
-        if all(acc is None for _, acc in places):
-            response: list[int] = []
-            start = 0
-            for z, (end, _) in zip(order, places):
-                response += [z] * (end - start)
-                start = end
-            return response
-        parts = _parts(left, right, sums, places)
-        self._append_parts(parts, pv)
-        return [order[j] for _, _, j in parts]
+        response: list[int] = []
+        cuts: list[tuple[int, list[int]]] = []  # (top cell, its pieces) in top order
+        i, cut = 0, None  # the top cell the next piece starts in, and the sum that cut it
+        for z, w, (n, acc) in zip(order, right, _place(sums, index, right, pv)):
+            if cut is not None and n > i:  # the rest of the cut cell i
+                cuts[-1][1].append(sums[i] - cut)
+            if acc is None:  # z's interval ends where top cell n - 1 does
+                response += [z] * (n - i)
+            else:  # or inside top cell n, which it cuts
+                response += [z] * (n - i + 1)
+                if n > i:  # from the start of cell n
+                    cuts.append((n, [acc - sums[n - 1]]))
+                elif cut is None:  # from the start of cell n, where the last interval ended
+                    cuts.append((n, [w]))
+                else:  # from the last cut
+                    cuts[-1][1].append(w)
+            i, cut = n, acc
+        if cuts:
+            self._append_cuts(cuts, pv)
+        return response
 
     def absorb_morphism(
         self, challenge: PartitionMorphism, target_level: int
@@ -496,15 +521,29 @@ class GoodMeasureChain:
         if n is None:
             at = {c: i for i, c in enumerate(below)}
             challenge = [at[x] for x in images]
-            response = self._respond(f2, level, challenge)
-            proj = self.composite_mapping(self.depth, level)
-            if not _commutes(challenge, response, [at[proj[c]] for c in self.top.cells]):
-                raise RuntimeError("absorption failed to commute; this is a bug")
-            n = self._ledger_index[key] = len(self.ledger)
-            self.ledger.append(LedgerEntry(
-                "morphism", self.depth, source, level, response, challenge, self.top.cells, below,
-            ))
+            n = self._record_morphism(
+                key, source, level, challenge, self._respond(f2, level, challenge), at
+            )
         return self.ledger[n]
+
+    def _record_morphism(
+        self, key: tuple, source: WeightedPartition, level: int,
+        challenge: list[int], response: list[int], at: Mapping[str, int],
+    ) -> int:
+        """Record the answer to a morphism challenge from source onto a
+        level, once its commute check passes, under the ledger key the
+        ledger lacks; returns the entry's index.  ``challenge`` and
+        ``response`` are positions (``LedgerEntry``), and ``at`` maps each
+        cell of the level to its position."""
+        proj = self.composite_mapping(self.depth, level)
+        if not _commutes(challenge, response, [at[proj[c]] for c in self.top.cells]):
+            raise RuntimeError("absorption failed to commute; this is a bug")
+        n = self._ledger_index[key] = len(self.ledger)
+        self.ledger.append(LedgerEntry(
+            "morphism", self.depth, source, level, response, challenge, self.top.cells,
+            self.levels[level].cells,
+        ))
+        return n
 
     # -- deterministic schedule -------------------------------------------------
 
@@ -537,31 +576,65 @@ class GoodMeasureChain:
         bound, the object challenges' tuples, so a second run over it lists
         nothing and walks only the heights past that bound
         (``GroupDescriptor.mass_one_tuples``).  The object challenges are
-        absorbed from the tuples (``_absorb_tuples``).  Challenges
-        built from V skip the public checks, and no value or morphism is
-        checked: each split of a level weight w into a and w - a, with a in V
-        and 0 < a <= w - a < w <= 1, has both parts in V summing to w.  The
-        splits are tried on packed ints of the level's table, which takes
-        the values too, and a kept w - a is read back once."""
+        absorbed from the tuples (``_absorb_tuples``), then the splits of
+        the cells of level height - 1, or of the top if it is shallower
+        (``_absorb_splits``).  Challenges built from V skip the public
+        checks, and no value or morphism is checked."""
         if budget < 1:
             raise ValueError("budget must be >= 1")
         self.V.enumerate_values(budget + 1)
         for h in range(1, budget + 1):
             values = self.V.enumerate_values(h + 1)
             self._absorb_tuples(values, self.V.mass_one_tuples(h))
-            lvl = min(h - 1, self.depth)
-            P = self.levels[lvl]
-            pv, weight, packed = self._table(lvl, values, 3)
-            whole = [(w, i) for i, w in enumerate(P.weight_list())]
-            for k, c in enumerate(P.cells):
-                w = weight[c]
-                for a, pa in zip(values, packed):
-                    rest = w - pa
-                    if pv.sign(rest - pa) < 0:  # a > 0, so a kept rest is positive
-                        continue
-                    parts = [*whole[:k], (a, k), (pv.unpack(rest), k), *whole[k + 1:]]
-                    self._absorb_morphism(_subdivide(P, parts)[0], lvl)
+            self._absorb_splits(min(h - 1, self.depth), values)
         return self
+
+    def _absorb_splits(self, level: int, values: Sequence[ExactValue]) -> None:
+        """Absorb, as morphism challenges onto the level, the split of each
+        of its cells c, of weight w, into ``c/0`` and ``c/1`` of weights a
+        and w - a, for each a of values with a <= w - a, in cell order and
+        then in the values' order, on packed ints of the level's table,
+        which takes the values too.  Both parts are in V and sum to w, as
+        0 < a <= w - a < w, so nothing is checked; a kept w - a is read back
+        once.
+
+        No link is built: the challenge's images are the level's cells in
+        order with c twice, already in image order, so ``_answer`` takes
+        the challenge in its own order.  Its ledger key is ``_mor_key``'s,
+        built from the level's sort keys and the values', each read once
+        per call; a key the ledger holds builds nothing.  Its packed
+        weights are the level's, with a and w - a at c's place, while the
+        level shares the top's table and that table has room for the top
+        and the challenge together; otherwise they go to ``_table``, as any
+        challenge's do.  Each answer passes the commute check before it is
+        recorded (``_record_morphism``)."""
+        P = self.levels[level]
+        cells, n = P.cells, len(P.cells)
+        pv, weight, packed = self._table(level, values, 3)
+        own = list(map(weight.__getitem__, cells))  # the level's packed ints
+        rows = [(c, w.sort_key(), c) for c, w in zip(cells, P.weight_list())]
+        keys = [a.sort_key() for a in values]
+        at = {c: i for i, c in enumerate(cells)}
+        for k, c in enumerate(cells):
+            w, c0, c1 = own[k], f"{c}/0", f"{c}/1"
+            challenge = [*range(k + 1), *range(k, n)]
+            for a, pa, ka in zip(values, packed, keys):
+                rest = w - pa
+                if pv.sign(rest - pa) < 0:  # a > 0, so a kept rest is positive
+                    continue
+                b = pv.unpack(rest)
+                body = (*rows[:k], (c0, ka, c), (c1, b.sort_key(), c), *rows[k + 1:])
+                key = ("morphism", level, body)
+                if key in self._ledger_index:
+                    continue
+                A = _subdivide(P, [(k, [a, b])])[0]
+                summands = len(self.top.cells) + n + 1
+                if self._tables[self.depth][0] is pv and pv.room >= summands:
+                    split = [*own[:k], pa, rest, *own[k + 1:]]
+                else:
+                    split = self._table(self.depth, A.weight_list(), summands)[2]
+                response = self._answer(split, range(n + 1))
+                self._record_morphism(key, A, level, challenge, response, at)
 
     def _absorb_tuples(self, values: Sequence[ExactValue], tuples: Sequence[Sequence[int]]) -> None:
         """Absorb the object challenge of each index tuple into values, as
@@ -640,9 +713,7 @@ class GoodMeasureChain:
                 picked.append(c)
                 r -= w
             else:
-                k = P.cells.index(c)
-                whole = [(packed[d], i) for i, d in enumerate(P.cells)]
-                self._append_parts([*whole[:k], (r, k), (w - r, k), *whole[k + 1:]], pv)
+                self._append_cuts([(P.cells.index(c), [r, w - r])], pv)
                 picked.append(f"{c}/0")  # whole cells keep their ids in the new level
                 r = 0
                 top_level = self.depth
@@ -768,19 +839,20 @@ class GoodMeasureChain:
         """Append a level splitting every top cell by the cycles through it.
 
         ``cycles`` are (vertices, weight) pairs over the top cells, each
-        weight a packed int of the table pv (``decompose_entries``) whose
-        value lies in V, and they cover each cell's weight exactly, so the
-        link onto the top is a valid morphism.  A cell on one cycle keeps
-        its id and weight; a cell on several gets one child per cycle, in
-        cycle order, whose weight is read back once (``_append_parts``).
+        weight a packed int of the top's table pv (``decompose_entries``)
+        whose value lies in V, and they cover each cell's weight exactly, so
+        the link onto the top is a valid morphism.  A cell on one cycle keeps
+        its id and weight; a cell on several is cut, one child per cycle in
+        cycle order, whose weight is read back once (``_append_cuts``).
         Returns the permutation of the new level that moves each child
         along its cycle.
         """
         top = self.top
         through = cycles_through(top.cells, [verts for verts, _ in cycles])
-        link = self._append_parts(
-            [(cycles[ci][1], k) for k, c in enumerate(top.cells) for ci, _ in through[c]], pv
-        )
+        link = self._append_cuts([
+            (k, [cycles[ci][1] for ci, _ in through[c]])
+            for k, c in enumerate(top.cells) if len(through[c]) > 1
+        ], pv)
         visits = [(c, ci) for c in top.cells for ci, _ in through[c]]
         child_id = dict(zip(visits, link.source.cells))
         return {child_id[(c, ci)]: child_id[(d, ci)] for c in top.cells for ci, d in through[c]}

@@ -5,9 +5,10 @@ set; morphisms are mass-preserving surjections of cells.  Two equal-sum
 weight tuples are refined jointly as intervals of one mass: each cumulative
 sum of one is placed among the other's (``_place``) and the pieces between
 breakpoints are read off in order (``_parts``).  Every derived level (an
-amalgam, a split, a cycle split) is built by one kernel, ``_subdivide``, in
-one walk over its parts: an only child keeps its parent's id and weight,
-and over a packed table only a split cell's parts are read back.
+amalgam, a split, a cycle split) is built by one kernel, ``_subdivide``,
+from the cells it cuts: every stretch of uncut cells is copied by slices,
+each an only child that keeps its parent's id and weight, and only the
+pieces of a cut cell are walked and, over a packed table, read back.
 
 Public functions and ``WeightedPartition.make`` check their arguments.  The
 kernels ``lift_edges``, ``_refine``, ``_place``, ``_parts`` and
@@ -21,7 +22,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SumMismatch
@@ -355,42 +355,58 @@ def lift_edges(
 
 
 def _subdivide(
-    P: WeightedPartition, parts: Sequence[tuple], pv: PackedValues | None = None
-) -> tuple[PartitionMorphism, dict[str, int] | None]:
-    """The merge morphism onto P from the partition of ``parts``, and with
-    pv each new cell's packed int.
+    P: WeightedPartition,
+    cuts: Iterable[tuple[int, Sequence]],
+    pv: PackedValues | None = None,
+    packed: Sequence[int] = (),
+) -> tuple[WeightedPartition, list[str], list[int] | None]:
+    """The partition that cuts P's cells as ``cuts`` says, the parent in P
+    of each of its cells, and with pv each cell's packed int, in cell order.
 
-    ``parts`` lists (weight, position in P, ...) tuples in P's order, every
-    cell at least once, so ``_parts``' output passes straight in.  One walk
-    names the cells and builds the weights and the link: an only child
-    keeps its parent's id and weight object; siblings are ``c/0``, ``c/1``,
-    ...  With pv the weights are pv's packed ints, and only siblings' are
-    read back.  A P holding both c and c/0 is refused as ``_checked``
-    refuses a repeated id.  Precondition: each cell's parts are V-values
-    summing to its weight."""
-    cells, parent = P.cells, P.weights
-    ids, up, ws, given = [], [], [], []  # per new cell: id, parent, weight, part weight
-    last = n = -1  # the position of the last part, and the parts over it so far
-    for part in parts:
-        w, i = part[0], part[1]
-        if i != last:  # an only child until a sibling follows
-            last, n, c = i, 1, cells[i]
-            ids.append(c)
-            ws.append(parent[c])
-        else:
-            if n == 1:
-                ids[-1] = f"{c}/0"
-                ws[-1] = given[-1] if pv is None else pv.unpack(given[-1])
-            ids.append(f"{c}/{n}")
-            ws.append(w if pv is None else pv.unpack(w))
-            n += 1
-        up.append(c)
-        given.append(w)
+    ``cuts`` lists (position in P, pieces) pairs in P's order, each with
+    at least two pieces.  A cell it does not name is an only child, which
+    keeps its id and its weight object; a cut cell c has the children
+    ``c/0``, ``c/1``, ... carrying its pieces.  Every stretch of uncut
+    cells is copied by slices: their ids, which are also their parents,
+    their weights and, with pv, their ints in ``packed``, P's packed ints in
+    cell order.  Only the pieces are walked one by one, so an append costs
+    Python steps per piece of a cut cell, not per cell.  With pv the
+    pieces are pv's packed ints, and only they are read back, in order.  A
+    P holding both c and c/0 is refused as ``_checked`` refuses a repeated
+    id.  Precondition: each cut cell's pieces are positive V-values summing
+    to its weight."""
+    cells = P.cells
+    cell_weights = list(map(P.weights.__getitem__, cells))
+    ids: list[str] = []
+    up: list[str] = []
+    ws: list[ExactValue] = []
+    given = None if pv is None else []
+    unpack = None if pv is None else pv.unpack
+    start = 0  # the first cell not yet copied
+    for k, pieces in cuts:
+        if start < k:
+            ids += cells[start:k]
+            up += cells[start:k]
+            ws += cell_weights[start:k]
+            if given is not None:
+                given += packed[start:k]
+        c = cells[k]
+        for i, w in enumerate(pieces):
+            ids.append(f"{c}/{i}")
+            up.append(c)
+            ws.append(w if unpack is None else unpack(w))
+        if given is not None:
+            given += pieces
+        start = k + 1
+    ids += cells[start:]
+    up += cells[start:]
+    ws += cell_weights[start:]
+    if given is not None:
+        given += packed[start:]
     weights = dict(zip(ids, ws))
     if len(weights) != len(ids):  # P held both c and c/0
         raise ValueError("cell identifiers must be unique")
-    link = PartitionMorphism(WeightedPartition(tuple(weights), weights), P, dict(zip(ids, up)))
-    return link, None if pv is None else dict(zip(ids, given))
+    return WeightedPartition(tuple(ids), weights), up, given
 
 
 def amalgamate(
@@ -401,9 +417,10 @@ def amalgamate(
     Checks that both maps are valid morphisms onto one shared target and
     that every source weight lies in V.  Both fibers of a cell of F carry
     its weight, so each pair is refined jointly (``_refine``).  Each part
-    (w, y, z) is a cell of weight w over E1's cell y and E2's cell z: a
-    stable sort by y lists them in E1's order, each cell's parts in
-    interval order, for ``_subdivide``, and the square commutes.
+    (w, i, j) is a cell of weight w over E1's cell ys[i] and E2's cell
+    zs[j]: gathered per cell of E1, each cell's parts in interval order,
+    a cell with several parts is cut into them (``_subdivide``), and the
+    square commutes.
     """
     if not verify_morphism(f1) or not verify_morphism(f2):
         raise ValueError("amalgamation needs valid morphisms")
@@ -413,15 +430,17 @@ def amalgamate(
     check_all_in(w1, V, "left entry")
     check_all_in(w2, V, "right entry")
     fibers1, fibers2 = f1.fiber_positions(), f2.fiber_positions()
-    parts = []
+    pieces: list[list[ExactValue]] = [[] for _ in w1]  # per cell of E1: its parts' weights
+    images: list[list[int]] = [[] for _ in w1]  # and the position in E2 of each part's image
     for x in f1.target.cells:
         ys, zs = fibers1[x], fibers2[x]
-        refined = _refine([w1[y] for y in ys], [w2[z] for z in zs])
-        parts += [(w, ys[i], zs[j]) for w, i, j in refined]
-    parts.sort(key=itemgetter(1))
-    p1, _ = _subdivide(f1.source, parts)
-    p2 = dict(zip(p1.source.cells, [f2.source.cells[z] for _, _, z in parts]))
-    return p1.source, p1, PartitionMorphism(p1.source, f2.source, p2)
+        for w, i, j in _refine([w1[y] for y in ys], [w2[z] for z in zs]):
+            pieces[ys[i]].append(w)
+            images[ys[i]].append(zs[j])
+    G, up, _ = _subdivide(f1.source, [(y, ws) for y, ws in enumerate(pieces) if len(ws) > 1])
+    p2 = dict(zip(G.cells, [f2.source.cells[z] for zs in images for z in zs]))
+    p1 = dict(zip(G.cells, up))
+    return G, PartitionMorphism(G, f1.source, p1), PartitionMorphism(G, f2.source, p2)
 
 
 def split_cell(
@@ -437,6 +456,6 @@ def split_cell(
     total = sum(parts[1:], parts[0])
     if total != P.weight(cell):
         raise SumMismatch(f"parts sum to {total}, cell has weight {P.weight(cell)}")
-    cut = [(w, k) for k, c in enumerate(P.cells) for w in (parts if c == cell else [P.weights[c]])]
-    pi, _ = _subdivide(P, cut)
-    return pi.source, pi
+    cuts = [(P.cells.index(cell), list(parts))] if len(parts) > 1 else []
+    G, up, _ = _subdivide(P, cuts)
+    return G, PartitionMorphism(G, P, dict(zip(G.cells, up)))

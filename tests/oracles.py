@@ -248,7 +248,7 @@ def subdivide_by_children(P: WeightedPartition, children) -> PartitionMorphism:
     cells, in order, with the given weights: ``children`` maps each cell to
     its list of child weights.  An only child keeps its parent's id;
     siblings are ``parent/0``, ``parent/1``, ...  The engine's former
-    ``_subdivide``; the reference for the one-walk kernel."""
+    ``_subdivide``; the reference for the cut kernel."""
     weights = {}
     link = {}
     for c in P.cells:
@@ -292,7 +292,7 @@ def respond_two_pass(chain: GoodMeasureChain, f2: PartitionMorphism, level: int)
     The walk over the top's index is the engine's; an amalgam's parts are
     grouped per top cell and named (``assemble_by_cells``) as a partition
     of packed ints, and every cell is then read back (``unpacked``).  The
-    reference for ``partitions._subdivide`` on packed parts."""
+    reference for ``partitions._subdivide`` on packed pieces."""
     source, top = f2.source, chain.top
     pv, weight, packed = chain._table(
         chain.depth, source.weight_list(), len(top.cells) + len(source.cells)

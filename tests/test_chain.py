@@ -379,7 +379,7 @@ def test_respond_matches_the_per_fiber_walk(
 def test_subdivide_matches_the_two_pass_route(
     irrational, seed, kinds, shuffled, dyadic, sqrt2_dyadic
 ):
-    """The one-walk kernel on packed parts builds the level the former
+    """The cut kernel on packed pieces builds the level the former
     route built (per-cell lists, a partition of packed ints, every cell
     read back): the same ids, weights, link, response and packed ints,
     challenge after challenge, listed in image order or not."""
@@ -408,16 +408,15 @@ def test_an_only_child_is_its_parents_weight(sqrt2_dyadic):
     top cell of an amalgam; a cut cell's parts are read back as values."""
     s = E(0, {sqrt2_symbol(): 1})
     P = WeightedPartition.make([("a", E("1/2")), ("b", s), ("c", E("1/2") - s)])
-    cut = [(E("1/2"), 0), (s, 1), (E("1/16"), 2), (E("7/16") - s, 2)]
-    pv = PackedValues([w for w, _ in cut], 8)
-    link, packed = _subdivide(P, cut)
-    assert packed is None and link.source.cells == ("a", "b", "c/0", "c/1")
-    assert link.source.weights["a"] is P.weights["a"] and link.source.weights["b"] is P.weights["b"]
-    by_pack = list(zip(pv.packed, [0, 1, 2, 2]))
-    link, packed = _subdivide(P, by_pack, pv)
-    assert link.source.weights["a"] is P.weights["a"] and link.source.weights["b"] is P.weights["b"]
-    assert link.source.weights == dict(zip(link.source.cells, [w for w, _ in cut]))
-    assert packed == dict(zip(link.source.cells, [p for p, _ in by_pack]))
+    weights = [E("1/2"), s, E("1/16"), E("7/16") - s]
+    pv = PackedValues(weights, 8)
+    G, up, packed = _subdivide(P, [(2, weights[2:])])
+    assert packed is None and G.cells == ("a", "b", "c/0", "c/1") and up == ["a", "b", "c", "c"]
+    assert G.weights["a"] is P.weights["a"] and G.weights["b"] is P.weights["b"]
+    G, _, packed = _subdivide(P, [(2, pv.packed[2:])], pv, pv.pack_all(P.weight_list()))
+    assert G.weights["a"] is P.weights["a"] and G.weights["b"] is P.weights["b"]
+    assert G.weights == dict(zip(G.cells, weights))
+    assert packed == pv.packed
     ch = GoodMeasureChain(sqrt2_dyadic)
     ch.absorb_object(obj("1/4", "1/4", "1/2"))
     top = ch.top
@@ -514,10 +513,10 @@ def test_fiber_indexes_stay_fresh_across_challenges(irrational, seed, kinds, dya
 @pytest.mark.parametrize("budget", [1, 2, 3])
 def test_schedule_keeps_fiber_indexes_fresh(budget, sqrt2_dyadic, monkeypatch):
     """After each challenge the schedule answers (``_answer``, over level 0
-    for an object and over the level ``_respond`` names for a morphism),
-    the top's index is the walked one, or none once a level is appended;
-    the snapshot is the one an unwatched run writes."""
-    real, respond = GoodMeasureChain._answer, GoodMeasureChain._respond
+    for an object and over the level ``_absorb_splits`` splits for a
+    morphism), the top's index is the walked one, or none once a level is
+    appended; the snapshot is the one an unwatched run writes."""
+    real, splits = GoodMeasureChain._answer, GoodMeasureChain._absorb_splits
     answered = []
     levels = []  # the level of the morphism challenge being answered, if any
 
@@ -530,16 +529,16 @@ def test_schedule_keeps_fiber_indexes_fresh(budget, sqrt2_dyadic, monkeypatch):
         _assert_top_index_fresh(self)
         return response
 
-    def onto(self, f2, level, image=None):
+    def onto(self, level, values_):
         levels.append(level)
         try:
-            return respond(self, f2, level, image)
+            return splits(self, level, values_)
         finally:
             levels.pop()
 
     want = jsonutil.dumps(GoodMeasureChain(sqrt2_dyadic).run_schedule(budget).to_json())
     monkeypatch.setattr(GoodMeasureChain, "_answer", checked)
-    monkeypatch.setattr(GoodMeasureChain, "_respond", onto)
+    monkeypatch.setattr(GoodMeasureChain, "_absorb_splits", onto)
     ch = GoodMeasureChain(sqrt2_dyadic).run_schedule(budget)
     appended = [level for level, grew in answered if grew]
     assert len(appended) == ch.depth
@@ -649,10 +648,10 @@ def test_schedule_builds_one_amalgam_per_level(sqrt2_dyadic, monkeypatch):
     responding = []
     respond = GoodMeasureChain._answer
 
-    def counting(P, parts, pv=None):
+    def counting(P, *args):
         if responding:
             calls.append(P)
-        return _subdivide(P, parts, pv)
+        return _subdivide(P, *args)
 
     def watched(self, *args):
         responding.append(True)
@@ -712,6 +711,127 @@ def test_schedule_objects_build_no_morphism_and_pack_no_table(sqrt2_dyadic, monk
     assert seen["morphisms"] == seen["appended"]
     assert seen["tables"] == seen["built"] == 1
     assert len({id(pv) for pv, _ in ch._tables.values()}) == 1
+
+
+def test_schedule_splits_build_no_link_and_pack_no_table(sqrt2_dyadic, monkeypatch):
+    """A budget-2 schedule absorbs its split challenges on packed ints of
+    the level's table: while it does, ``_respond`` is never called, the only
+    morphisms built are the links of the levels it appends, and the only
+    ``_table`` call is the one per height for the split level, since every
+    level shares the top's table."""
+    real_init, real_table = PartitionMorphism.__init__, GoodMeasureChain._table
+    absorb_splits, respond = GoodMeasureChain._absorb_splits, GoodMeasureChain._respond
+    seen = {"splits": 0, "appended": 0, "morphisms": 0, "responds": 0, "tables": []}
+    inside = []
+
+    def splits(self, level, values_):
+        depth, held = self.depth, len(self.ledger)
+        inside.append(True)
+        try:
+            absorb_splits(self, level, values_)
+        finally:
+            inside.pop()
+        seen["appended"] += self.depth - depth
+        seen["splits"] += len(self.ledger) - held
+
+    def morphism(self, *args):
+        seen["morphisms"] += bool(inside)
+        real_init(self, *args)
+
+    def table(self, level, *args):
+        if inside:
+            seen["tables"].append((level, len(args[0]) if args else 0))
+        return real_table(self, level, *args)
+
+    def responding(self, *args):
+        seen["responds"] += bool(inside)
+        return respond(self, *args)
+
+    monkeypatch.setattr(GoodMeasureChain, "_absorb_splits", splits)
+    monkeypatch.setattr(PartitionMorphism, "__init__", morphism)
+    monkeypatch.setattr(GoodMeasureChain, "_table", table)
+    monkeypatch.setattr(GoodMeasureChain, "_respond", responding)
+    ch = GoodMeasureChain(sqrt2_dyadic).run_schedule(2)
+    assert seen["splits"] == 18 and seen["appended"] > 0
+    assert seen["responds"] == 0
+    assert seen["morphisms"] == seen["appended"]
+    values_ = [len(sqrt2_dyadic.enumerate_values(h + 1)) for h in (1, 2)]
+    assert seen["tables"] == [(0, values_[0]), (1, values_[1])]
+    assert len({id(pv) for pv, _ in ch._tables.values()}) == 1
+
+
+def test_schedule_split_keys_are_mor_keys(sqrt2_dyadic):
+    """The ledger key each split challenge is recorded under is ``_mor_key``
+    of its partition and its images, which a loaded snapshot keys it by."""
+    ch = GoodMeasureChain(sqrt2_dyadic).run_schedule(2)
+    morphisms = [(n, e) for n, e in enumerate(ch.ledger) if e.kind == "morphism"]
+    assert len(morphisms) == 18 and len(ch._ledger_index) == len(ch.ledger)
+    for n, e in morphisms:
+        images = [e.challenge_map[c] for c in e.challenge_object.cells]
+        assert ch._ledger_index[chain_module._mor_key(e.target_level, e.challenge_object, images)] == n
+
+
+@pytest.mark.parametrize("name", ["dyadic", "triadic", "sqrt2_dyadic"])
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_a_loaded_schedule_runs_again_with_no_new_entry(name, budget, request):
+    """A chain loaded from its snapshot holds every challenge of its
+    schedule under the key the schedule looks up, so running the schedule
+    again appends no level and records no entry."""
+    V = request.getfixturevalue(name)
+    text = GoodMeasureChain(V).run_schedule(budget).to_text()
+    ch = GoodMeasureChain.from_json(jsonutil.loads(text))
+    depth, held = ch.depth, len(ch.ledger)
+    ch.run_schedule(budget)
+    assert (ch.depth, len(ch.ledger)) == (depth, held)
+    assert ch.to_text() == text
+
+
+@pytest.mark.parametrize("name", ["dyadic", "triadic", "sqrt2_dyadic"])
+@pytest.mark.parametrize("rebuilt", [False, True])
+def test_schedule_splits_answer_as_absorb_morphism(name, rebuilt, request, monkeypatch):
+    """The splits of a level absorbed on packed ints (``_absorb_splits``)
+    record the entries and append the levels that ``_absorb_morphism``
+    records and appends for the same split morphisms (``split_cell``), in
+    the same order.  The level shares the top's table, so the splits'
+    packed weights are the level's; with the top's table rebuilt
+    (``rebuilt``) it no longer does, and they go to ``_table``."""
+    V = request.getfixturevalue(name)
+    by_splits, by_links = GoodMeasureChain(V).run_schedule(1), GoodMeasureChain(V).run_schedule(1)
+    for ch in (by_splits, by_links):
+        for A in [*ch.object_challenges(2), *ch.object_challenges(3)]:
+            ch.absorb_object(A)
+    values_ = V.enumerate_values(4)  # finer than the schedule's, so some splits are new
+    level = min(1, by_splits.depth - 1)
+    assert level >= 0
+    if rebuilt:
+        for ch in (by_splits, by_links):
+            ch._table(ch.depth, [E(Fraction(1, 2 * ch._tables[ch.depth][0].den))])
+    assert (by_splits._tables[level][0] is by_splits._tables[by_splits.depth][0]) != rebuilt
+    P = by_links.levels[level]
+    by_links._table(level, values_, 3)
+    for c in P.cells:
+        w = P.weights[c]
+        for a in values_:
+            if a <= w - a:
+                by_links._absorb_morphism(split_cell(P, c, [a, w - a], V)[1], level)
+    tables = []
+    real_table = GoodMeasureChain._table
+
+    def table(self, *args):
+        tables.append(args[0])
+        return real_table(self, *args)
+
+    held = len(by_splits.ledger)
+    monkeypatch.setattr(GoodMeasureChain, "_table", table)
+    by_splits._absorb_splits(level, values_)
+    monkeypatch.undo()
+    assert len(by_splits.ledger) > held
+    assert tables[0] == level and (len(tables) > 1) == rebuilt
+    assert by_splits.to_text() == by_links.to_text()
+    # a non-decreasing response is left out of the text, so compare the entries too
+    assert [(e.stage, e.response, e.challenge) for e in by_splits.ledger] == [
+        (e.stage, e.response, e.challenge) for e in by_links.ledger
+    ]
 
 
 def _collapse(ch: GoodMeasureChain, A: WeightedPartition) -> PartitionMorphism:
@@ -1800,6 +1920,7 @@ def test_engine_builds_partitions_without_arithmetic(sqrt2_dyadic, monkeypatch):
     E2 = WeightedPartition.make([("b0", E("1/2")), ("b1", E("1/2"))])
     # both fibers lie over one cell, so the refinement's parts are the amalgam's
     parts = _refine(E1.weight_list(), E2.weight_list())
+    cuts = [(1, [w for w, i, _ in parts if i == 1])]
     calls = []
 
     def counted(name):
@@ -1818,7 +1939,7 @@ def test_engine_builds_partitions_without_arithmetic(sqrt2_dyadic, monkeypatch):
     challenges = ch.object_challenges(2)
     assert calls == ["walk"]
     calls.clear()
-    G = _subdivide(E1, parts)[0].source
+    G = _subdivide(E1, cuts)[0]
     # the cycles cross as packed ints of the root's table, 1 - s a difference
     pv, weight, (ps,) = ch._table(0, [s], 2)
     ch._append_cycle_split([(["r"], ps), (["r"], weight["r"] - ps)], pv)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +13,7 @@ from goodmeasures.partitions import (
     PartitionMorphism,
     WeightedPartition,
     _refine,
+    _subdivide,
     amalgamate,
     common_refinement,
     compose,
@@ -29,7 +32,7 @@ from conftest import (
     sqrt2_symbol,
     value_pool,
 )
-from oracles import morphism_by_sets, peel_refinement, refinement_feasible
+from oracles import morphism_by_sets, peel_refinement, refinement_feasible, subdivide_by_children
 
 
 def P(*weights, prefix="c"):
@@ -398,3 +401,85 @@ def test_children_may_not_take_a_cell_id(dyadic):
     f2 = PartitionMorphism(P("1/4", "3/4"), base, {"c0": "r", "c1": "r"})
     with pytest.raises(ValueError, match="^cell identifiers must be unique$"):
         amalgamate(f1, f2, dyadic)
+
+
+def _pieces(rng: random.Random, pool, w, count: int) -> list:
+    """w split into ``count`` positive pieces of V, a Z[1/2]-module: a pool
+    value below a piece is split off it, or else the piece is halved."""
+    pieces = [w]
+    while len(pieces) < count:
+        i = rng.randrange(len(pieces))
+        below = [v for v in pool if v < pieces[i]]
+        a = rng.choice(below) if below and rng.random() < 0.8 else pieces[i] * Fraction(1, 2)
+        pieces[i:i + 1] = [a, pieces[i] - a]
+    return pieces
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    irrational=st.booleans(),
+    packed=st.booleans(),
+    shape=st.sampled_from(["first", "last", "three or more", "every", "some"]),
+    clash=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_subdivide_matches_the_per_cell_oracle(
+    irrational, packed, shape, clash, seed, dyadic, sqrt2_dyadic
+):
+    """The cut kernel builds the level ``oracles.subdivide_by_children``
+    builds from every cell's children: the same ids, weights and link, and
+    over a table the same packed ints, with each only child keeping its
+    parent's weight object.  The first or the last cell is cut, one cell
+    into 3 or more pieces, every cell, or some.  A P holding a cut cell c
+    and a whole cell named c/0 is refused by both, with one message."""
+    V = sqrt2_dyadic if irrational else dyadic
+    rng = random.Random(seed)
+    pool = value_pool(V)
+    P = random_partition(rng, V, 6)
+    n = len(P.cells)
+    cut = {
+        "first": {0},
+        "last": {n - 1},
+        "three or more": {rng.randrange(n)},
+        "every": set(range(n)),
+        "some": set(rng.sample(range(n), rng.randint(0, n))),
+    }[shape]
+    if clash and cut and n > 1:  # a cell next to a cut cell c, left whole, takes the id c/0
+        k = min(cut)
+        other = k + 1 if k + 1 < n else k - 1
+        cut.discard(other)
+        ids = list(P.cells)
+        ids[other] = f"{ids[k]}/0"
+        P = WeightedPartition.make(list(zip(ids, P.weight_list())))
+    else:
+        clash = False
+    count = 3 if shape == "three or more" else 2
+    children = {
+        c: _pieces(rng, pool, P.weights[c], rng.randint(count, count + 2)) if k in cut
+        else [P.weights[c]]
+        for k, c in enumerate(P.cells)
+    }
+    cuts = [(k, children[c]) for k, c in enumerate(P.cells) if k in cut]
+    pv = None
+    if packed:
+        pv = PackedValues([*P.weight_list(), *[w for _, ws in cuts for w in ws]], 4 * n + 64)
+        cuts = [(k, pv.pack_all(ws)) for k, ws in cuts]
+    if clash:
+        with pytest.raises(ValueError, match="^cell identifiers must be unique$"):
+            subdivide_by_children(P, children)
+        with pytest.raises(ValueError, match="^cell identifiers must be unique$"):
+            _subdivide(P, cuts, pv, pv.pack_all(P.weight_list()) if packed else ())
+        return
+    want = subdivide_by_children(P, children)
+    if packed:
+        G, up, given = _subdivide(P, cuts, pv, pv.pack_all(P.weight_list()))
+        assert given == pv.pack_all(want.source.weight_list())
+    else:
+        G, up, given = _subdivide(P, cuts)
+        assert given is None
+    assert G.cells == want.source.cells and G.weights == want.source.weights
+    assert dict(zip(G.cells, up)) == want.mapping
+    assert G.total == ONE
+    for k, c in enumerate(P.cells):
+        if k not in cut:
+            assert G.weights[c] is P.weights[c]
