@@ -70,9 +70,9 @@ _ALIGN_ROUNDS = 8
 #: slack, which ran about 14% fewer ops per second (``BENCH_21.json``).
 _SLACK_POWER = 4
 
-#: Room of a level's weight table per cell of the level: enough for the
-#: sums over the level, a challenge or a matrix beside it, and the levels
-#: that inherit the table (``GoodMeasureChain._table``).  A ``schedule``
+#: Room of the chain's weight table per cell of the top: enough for the
+#: sums over any level and a challenge or a matrix beside them
+#: (``GoodMeasureChain._table``).  A ``schedule``
 #: op builds 11 tables at 1, 5 at 4, 4 at 8 to 32 and 3 from 64 up; at 1
 #: it ran about 20% fewer ops per second, and 64 with 3 slack powers no
 #: faster than 256 with 4 (``BENCH_21.json``).
@@ -229,10 +229,14 @@ class GoodMeasureChain:
         self._ledger_index: dict[tuple, int] = {}
         # per target level: the deepest level projected onto it so far, and that projection
         self._projections: dict[int, tuple[int, dict[str, str]]] = {}
-        # the top's packed weights in top order and their ``_cumulative``, on first use
-        self._top_index: tuple[list[int], list[int], dict[int, int]] | None = None
-        # per level: its weight table and each cell's packed weight (``_table``)
-        self._tables: dict[int, tuple[PackedValues, dict[str, int]]] = {}
+        # the ``_cumulative`` of the top's packed weights, on first use
+        self._top_index: tuple[list[int], dict[int, int]] | None = None
+        # the chain's one weight table, and per level each cell's packed
+        # weight in it, packed on first use (``_table``); every writer builds
+        # a level's dict in cell order, so its values are the level's ints
+        # in cell order, and while the table exists it holds the top's
+        self._pv: PackedValues | None = None
+        self._weights: dict[int, dict[str, int]] = {}
         self._slack = _den_slack(V)
 
     # -- structure -----------------------------------------------------------
@@ -290,51 +294,56 @@ class GoodMeasureChain:
     def _table(
         self, level: int, values: Collection[ExactValue] = (), summands: int = 0
     ) -> tuple[PackedValues, dict[str, int], list[int]]:
-        """The level's weight table, each cell's packed weight, and the given
-        values packed in the table.
+        """The chain's weight table, each cell's packed weight at the level,
+        and the given values packed in the table.
 
-        The table is built on first use, or inherited from the level the
-        engine derived this one from (``_append_cuts``), and then kept: levels are
-        append-only, so it never goes stale.  A table that cannot take a
-        value (one not over its denominator, say 1/6 on a level of thirds),
-        or that has no room left for a signed sum of ``summands`` members,
-        is replaced by one over the level's weights and the values, with
-        room for the sums.  The top's index (``_respond``) is in the top's
-        packing, so it goes with the top's table.
+        The chain keeps one table.  A level is packed in it the first time
+        it is asked for, before ``room`` is checked, since a level's
+        coordinates can raise a symbol table's cap; every level is
+        coarsened from the top, so each weight is a sum of the top's and
+        packs whenever the top does.  A level the engine appends from
+        packed pieces is packed as it is built (``_append_cuts``).  A table
+        that cannot take a value (one not over its denominator, say 1/6 on
+        a chain of thirds) or a level (one appended by ``_append_level``
+        alone, from values), or that has no room left for a signed sum of
+        ``summands`` members, is replaced by one over the top's weights,
+        the level's and the values, with room for the sums.  The
+        new table keeps only the top's and the level's packed ints, so the
+        other levels are packed again on their next use, and the top's
+        index (``_answer``), in the old packing, goes too.  A caller keeps
+        no packed int across a call that can replace the table.
         """
-        table = self._tables.get(level)
-        if table is not None:
-            pv, weights = table
+        pv, weights = self._pv, self._weights.get(level)
+        if pv is not None:
+            if weights is None:
+                P = self.levels[level]
+                packed = pv.pack_all(P.weight_list())
+                if packed is not None:
+                    weights = self._weights[level] = dict(zip(P.cells, packed))
             packed = pv.pack_all(values)
-            if packed is not None and pv.room >= summands:
+            if weights is not None and packed is not None and pv.room >= summands:
                 return pv, weights, packed
-        P = self.levels[level]
-        n = len(P.cells)
-        pv = PackedValues(
-            [*P.weight_list(), *values], _ROOM_PER_CELL * max(n, summands), self._slack
+        top, P = self.top, self.levels[level]
+        head = [*top.weight_list(), *(P.weight_list() if level < self.depth else ())]
+        pv = self._pv = PackedValues(
+            [*head, *values], _ROOM_PER_CELL * max(len(top.cells), summands), self._slack
         )
-        self._tables[level] = pv, dict(zip(P.cells, pv.packed))
-        if table is not None and level == self.depth:
-            self._top_index = None
-        return pv, self._tables[level][1], pv.packed[n:]
+        self._weights = {
+            self.depth: dict(zip(top.cells, pv.packed)),
+            level: dict(zip(P.cells, pv.packed[len(head) - len(P.cells):])),
+        }
+        self._top_index = None
+        return pv, self._weights[level], pv.packed[len(head):]
 
-    def _append_cuts(
-        self, cuts: Sequence[tuple[int, Sequence[int]]], pv: PackedValues
-    ) -> PartitionMorphism:
+    def _append_cuts(self, cuts: Sequence[tuple[int, Sequence[int]]]) -> PartitionMorphism:
         """Append the level that cuts the top as ``cuts`` says, each cut
-        cell's pieces packed ints of the top's table pv (``_subdivide``),
-        which the level inherits; returns its link.  The top's packed ints
-        are read from its index when one is kept."""
+        cell's pieces packed ints of the chain's table (``_subdivide``), in
+        which the level is packed as it is built; returns its link."""
         top = self.top
-        weight = self._tables[self.depth][1]
-        if self._top_index is None:
-            packed = list(map(weight.__getitem__, top.cells))
-        else:
-            packed = self._top_index[0]
-        G, up, given = _subdivide(top, cuts, pv, packed)
+        G, up, given = _subdivide(top, cuts, self._pv, list(self._weights[self.depth].values()))
         link = PartitionMorphism(G, top, dict(zip(G.cells, up)))
         self._append_level(G, link)
-        self._tables[self.depth] = pv, dict(zip(G.cells, given))
+        self._weights[self.depth] = dict(zip(G.cells, given))
         return link
 
     # -- measures and clopen sets ---------------------------------------------
@@ -369,7 +378,7 @@ class GoodMeasureChain:
         """
         weights = target.weight_list()
         check_all_in(weights, self.V, "challenge weight")
-        # the total is decided on packed ints of the top's table, and formatted only to refuse
+        # the total is decided on packed ints of the chain's table; it is formatted only to refuse
         pv, _, packed = self._table(self.depth, weights, len(weights))
         if sum(packed) != pv.one:
             raise SumMismatch(f"object challenge has total {target.total}, expected 1")
@@ -387,7 +396,7 @@ class GoodMeasureChain:
         the top's weight multiset is answered by pairing its cells with the
         top's (``_match_by_weight``), any other by ``_answer`` in cell order,
         as the one fiber over level 0, on the packed weights ``packing()``
-        returns in the top's table."""
+        returns in the chain's table."""
         top = self.top
         lift = _match_by_weight(top.cells, target.cells, top.weights, target.weights)
         if lift is None:
@@ -412,8 +421,8 @@ class GoodMeasureChain:
         in level order.  A stable sort lists f2's cells the same way, by
         their images' positions (no sort over a one-cell level), and
         ``_answer`` walks them in that order over f2's weights, packed in
-        the top's table, which takes them too (``_table``).  Precondition:
-        f2 is a valid morphism onto the level.
+        the chain's table, which takes them too (``_table``).
+        Precondition: f2 is a valid morphism onto the level.
         """
         source = f2.source
         packed = self._table(
@@ -433,13 +442,16 @@ class GoodMeasureChain:
         over the runs of the top in turn: a map from the top after this call
         onto the challenge, as the position among the challenge's cells of
         the image of each top cell, in top order.  ``packed`` holds each
-        challenge cell's weight as a packed int of the top's table, which has
-        room for the top's cells and the challenge's together.  Every
+        challenge cell's weight as a packed int of the chain's table, which
+        has room for the top's cells and the challenge's together.  Every
         challenge, object or morphism, is answered here.
 
         The cumulative sums of the top and of the challenge in that order
         meet at the end of every run, and one walk places the challenge's
-        sums among the top's, held in the top's index (``partitions._place``).
+        sums among the top's (``partitions._place``).  The top's sums are
+        its index, the ``_cumulative`` of its packed ints read in cell order
+        from its ``_weights`` dict, kept until a level is appended or the
+        table is replaced.
         Each placement gives a challenge cell z its share of the response
         and of the new level at once: the top cells its interval covers
         whole, a run ``[z] * k``, and a piece of each top cell one of its
@@ -461,13 +473,12 @@ class GoodMeasureChain:
         The new top's link, each piece onto the cell it cuts and each kept
         cell onto itself, does not decrease either, so appends keep the
         invariant.  Only the pieces of a cut top cell are read back, and the
-        new top inherits the table.
+        new top is packed in the table as it is built.
         """
-        pv, weight = self._tables[self.depth]
+        pv = self._pv
         if self._top_index is None:
-            left = [weight[c] for c in self.top.cells]
-            self._top_index = (left, *_cumulative(left))
-        _, sums, index = self._top_index
+            self._top_index = _cumulative(self._weights[self.depth].values())
+        sums, index = self._top_index
         right = [packed[z] for z in order]
         response: list[int] = []
         cuts: list[tuple[int, list[int]]] = []  # (top cell, its pieces) in top order
@@ -487,7 +498,7 @@ class GoodMeasureChain:
                     cuts[-1][1].append(w)
             i, cut = n, acc
         if cuts:
-            self._append_cuts(cuts, pv)
+            self._append_cuts(cuts)
         return response
 
     def absorb_morphism(
@@ -593,7 +604,7 @@ class GoodMeasureChain:
         """Absorb, as morphism challenges onto the level, the split of each
         of its cells c, of weight w, into ``c/0`` and ``c/1`` of weights a
         and w - a, for each a of values with a <= w - a, in cell order and
-        then in the values' order, on packed ints of the level's table,
+        then in the values' order, on packed ints of the chain's table,
         which takes the values too.  Both parts are in V and sum to w, as
         0 < a <= w - a < w, so nothing is checked; a kept w - a is read back
         once.
@@ -604,14 +615,14 @@ class GoodMeasureChain:
         built from the level's sort keys and the values', each read once
         per call; a key the ledger holds builds nothing.  Its packed
         weights are the level's, with a and w - a at c's place, while the
-        level shares the top's table and that table has room for the top
-        and the challenge together; otherwise they go to ``_table``, as any
-        challenge's do.  Each answer passes the commute check before it is
-        recorded (``_record_morphism``)."""
+        chain keeps the table they were packed in and it has room for the
+        top and the challenge together; otherwise they go to ``_table``, as
+        any challenge's do.  Each answer passes the commute check before it
+        is recorded (``_record_morphism``)."""
         P = self.levels[level]
         cells, n = P.cells, len(P.cells)
         pv, weight, packed = self._table(level, values, 3)
-        own = list(map(weight.__getitem__, cells))  # the level's packed ints
+        own = list(weight.values())  # the level's packed ints
         rows = [(c, w.sort_key(), c) for c, w in zip(cells, P.weight_list())]
         keys = [a.sort_key() for a in values]
         at = {c: i for i, c in enumerate(cells)}
@@ -629,7 +640,7 @@ class GoodMeasureChain:
                     continue
                 A = _subdivide(P, [(k, [a, b])])[0]
                 summands = len(self.top.cells) + n + 1
-                if self._tables[self.depth][0] is pv and pv.room >= summands:
+                if self._pv is pv and pv.room >= summands:
                     split = [*own[:k], pa, rest, *own[k + 1:]]
                 else:
                     split = self._table(self.depth, A.weight_list(), summands)[2]
@@ -643,20 +654,19 @@ class GoodMeasureChain:
         A tuple's ledger key is its values' ``sort_key``s, read once per
         call, sorted; a tuple the ledger holds builds nothing, and any other
         builds its partition for its ledger entry.  Its packed weights are
-        its values' ints in the top's table, each packed on first use and
-        kept while the top keeps that table.  A value the table cannot take,
-        or a table without room for the top and the tuple, sends the tuple's
-        values to ``_table``, as any challenge's are, and the table it
-        returns is packed anew."""
+        its values' ints in the chain's table, each packed on first use and
+        kept while the chain keeps that table.  A value the table cannot
+        take, or a table without room for the top and the tuple, sends the
+        tuple's values to ``_table``, as any challenge's are, and the table
+        it returns is packed anew."""
         keys = [v.sort_key() for v in values]
         ids = tuple(f"x{k}" for k in range(max(map(len, tuples), default=0)))
-        pv, packs = None, {}  # the top's table, and the values packed in it by index
+        pv, packs = None, {}  # the chain's table, and the values packed in it by index
 
         def packing(seq):
             nonlocal pv, packs
-            table = self._tables.get(self.depth)
-            if table is None or table[0] is not pv:
-                pv, packs = table and table[0], {}
+            if self._pv is not pv:
+                pv, packs = self._pv, {}
             summands = len(self.top.cells) + len(seq)
             for i in seq:
                 if i not in packs:
@@ -685,8 +695,8 @@ class GoodMeasureChain:
         Whole top-level cells of W are taken greedily in descending weight;
         at most one cell is split (extending the chain) to hit the measure
         exactly, which the group-like value set always permits.  Both
-        measures and the remainder are packed ints of the top's table; the
-        two parts of a split cell are read back once, and lie in V as
+        measures and the remainder are packed ints of the chain's table;
+        the two parts of a split cell are read back once, and lie in V as
         differences of V-values between 0 and the cell's weight.
         """
         self._check_clopen(U)
@@ -713,7 +723,7 @@ class GoodMeasureChain:
                 picked.append(c)
                 r -= w
             else:
-                self._append_cuts([(P.cells.index(c), [r, w - r])], pv)
+                self._append_cuts([(P.cells.index(c), [r, w - r])])
                 picked.append(f"{c}/0")  # whole cells keep their ids in the new level
                 r = 0
                 top_level = self.depth
@@ -758,6 +768,8 @@ class GoodMeasureChain:
         and pushed up to the chain top level by level, refining the chain with
         a transport-cycle split whenever child weights fail to align.
         """
+        if not 0 <= level <= self.depth:
+            raise ValueError(f"level {level} is not a level of the chain")
         P = self.levels[level]
         if not f:
             raise ValueError("empty partial isomorphism")
@@ -830,16 +842,14 @@ class GoodMeasureChain:
         if all(len(through[c]) == 1 for c in top.cells):
             maps[T] = {c: through[c][0][1] for c in top.cells}
             return T
-        maps[T + 1] = self._append_cycle_split(cycles, pv)
+        maps[T + 1] = self._append_cycle_split(cycles)
         return self.depth
 
-    def _append_cycle_split(
-        self, cycles: Sequence[tuple[Sequence[str], int]], pv: PackedValues
-    ) -> dict[str, str]:
+    def _append_cycle_split(self, cycles: Sequence[tuple[Sequence[str], int]]) -> dict[str, str]:
         """Append a level splitting every top cell by the cycles through it.
 
         ``cycles`` are (vertices, weight) pairs over the top cells, each
-        weight a packed int of the top's table pv (``decompose_entries``)
+        weight a packed int of the chain's table (``decompose_entries``)
         whose value lies in V, and they cover each cell's weight exactly, so
         the link onto the top is a valid morphism.  A cell on one cycle keeps
         its id and weight; a cell on several is cut, one child per cycle in
@@ -852,7 +862,7 @@ class GoodMeasureChain:
         link = self._append_cuts([
             (k, [cycles[ci][1] for ci, _ in through[c]])
             for k, c in enumerate(top.cells) if len(through[c]) > 1
-        ], pv)
+        ])
         visits = [(c, ci) for c in top.cells for ci, _ in through[c]]
         child_id = dict(zip(visits, link.source.cells))
         return {child_id[(c, ci)]: child_id[(d, ci)] for c in top.cells for ci, d in through[c]}
@@ -899,15 +909,15 @@ class GoodMeasureChain:
         of the top bijection, so the bijection lifts to the new level.  The
         bijection preserves weights, so one orbit has one weight w, and both
         pieces, a = smallest_below(w) and w - a, lie in V.  They are packed
-        ints of the top's table, w - a a difference of two members."""
+        ints of the chain's table, w - a a difference of two members."""
         top = self.levels[d]
         perm_orbits = orbits(maps[d], top.cells)
         below = [self.V.smallest_below(top.weight(orbit[0])) for orbit in perm_orbits]
-        pv, weight, packed = self._table(d, below, 2)
+        _, weight, packed = self._table(d, below, 2)
         cycles: list[tuple[list[str], int]] = []
         for orbit, a in zip(perm_orbits, packed):
             cycles += [(orbit, a), (orbit, weight[orbit[0]] - a)]
-        maps[d + 1] = self._append_cycle_split(cycles, pv)
+        maps[d + 1] = self._append_cycle_split(cycles)
         return self.depth
 
     def ensure_depth(self, depth: int) -> None:
@@ -1039,9 +1049,11 @@ class GoodMeasureChain:
         (``_cumulative``), and that walk is its mass check (``_recovered``).
         Once they pass, every partition of the snapshot has total 1, since
         level 0 does and links and responses preserve mass.  That table
-        stays every level's weight table (``_table``), so the chain builds
-        none for a loaded level.  A ledger entry keeps the positions it was
-        checked with, and a link gets its map from its positions.
+        becomes the chain's one weight table, and each level's packed
+        weights its ints at the level (``_table``), so the chain builds no
+        table and packs no level for a loaded snapshot.  A ledger entry
+        keeps the positions it was checked with, and a link gets its map
+        from its positions.
         """
         V = GroupDescriptor.from_json(data["descriptor"])
         chain = GoodMeasureChain(V)
@@ -1155,7 +1167,8 @@ class GoodMeasureChain:
         if sum(weights[0]) != pv.one:
             raise ValueError(f"level 0 of the snapshot has total {levels[0].total}, expected 1")
         chain.levels = levels
-        chain._tables = {i: (pv, dict(zip(cells[i], w))) for i, w in enumerate(weights)}
+        chain._pv = pv
+        chain._weights = {i: dict(zip(cells[i], w)) for i, w in enumerate(weights)}
         for i, pos in enumerate(links):
             if pos is None or not positions_onto(pos, weights[i + 1], weights[i]):
                 raise ValueError(f"snapshot link {i} does not map level {i + 1} onto level {i}")

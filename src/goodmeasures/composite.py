@@ -267,6 +267,8 @@ def partial_isomorphism_extend_composite(
                 f"cell {cell} (component {ci}) maps to {cell2} (component {cj}); "
                 "values in distinct components are incompatible"
             )
+        if not 0 <= ci < len(m.components):
+            raise ValueError(f"component {ci} is not a component of the composite")
         if li != lj or levels.setdefault(ci, li) != li:
             raise ValueError("all cells of one component must sit at one level")
         per_component.setdefault(ci, {})[cell] = cell2

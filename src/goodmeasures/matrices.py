@@ -104,7 +104,7 @@ def validate(chain: GoodMeasureChain, A: BalancedMatrix) -> bool:
     column sums, and row sums equal to the level's cell measures (so no zero
     rows, and the entries sum to the level's total, one).
 
-    Both marginals are decided on packed ints of the level's table, which
+    Both marginals are decided on packed ints of the chain's table, which
     takes the entries too.  In a table with no symbol whose denominator D
     V's rational group admits, every n/D lies in V + Z, so an entry n/D is
     a positive member of V iff 0 < n <= D; otherwise each entry is tested
@@ -146,13 +146,13 @@ def verify_matrix_morphism(chain: GoodMeasureChain, m: MatrixMorphism) -> bool:
     """Underlying map is a valid morphism of the index partitions and the
     entries aggregate exactly along its fibers.
 
-    Both mass identities are decided on packed ints of the source level's
+    Both mass identities are decided on packed ints of the chain's one
     table, which takes both matrices' entries.  When the underlying
-    partitions are the chain's level objects, the source's weights are the
-    packed ints that table holds, and the target's are the ones its own
-    table holds if it is the same table, or else the source's carried onto
-    the target level by the chain's projection, which the chain's links
-    make mass-preserving.  Any other partition, a caller's copy of a level
+    partitions are the chain's level objects, both levels' weights are the
+    packed ints the table holds for them.  The target level's are asked
+    for after the entries: it is coarsened from the source level, so it
+    packs in a table that took the source with room for its sums, and the
+    table is not replaced.  Any other partition, a caller's copy of a level
     included, is checked on its own weights, packed with the entries."""
     S, T = m.underlying.source, m.underlying.target
     if not (0 <= m.source.level <= chain.depth and 0 <= m.target.level <= chain.depth):
@@ -163,12 +163,8 @@ def verify_matrix_morphism(chain: GoodMeasureChain, m: MatrixMorphism) -> bool:
     f, source, target = m.underlying.mapping, m.source.entries, m.target.entries
     entries, s, n = [*source.values(), *target.values()], len(S.cells), len(source)
     if S is chain.levels[hi] and T is chain.levels[lo] and lo <= hi:
-        pv, s_weights, packed = chain._table(hi, entries, s + n)
-        kept = chain._tables.get(lo)
-        if kept is not None and kept[0] is pv:
-            t_weights = kept[1]
-        else:
-            t_weights = pushforward(chain.composite_mapping(hi, lo), s_weights)
+        _, s_weights, packed = chain._table(hi, entries, s + n)
+        t_weights = chain._table(lo)[1]
     else:
         values = [*S.weight_list(), *T.weight_list(), *entries]
         _, _, packed = chain._table(hi, values, s + n)
@@ -240,15 +236,15 @@ def _lifted(
     chain: GoodMeasureChain, p: PartitionMorphism, level: int, edges
 ) -> dict[tuple[str, str], ExactValue]:
     """``lift_edges`` along p from a chain level, whose weights p's source
-    has, on the packed weights the level's table holds, each entry read
-    back once."""
+    has, on the packed weights the chain's table holds for the level, each
+    entry read back once."""
     pv, weight, _ = chain._table(level, summands=2 * len(p.source.cells))
     return pv.unpacked(lift_edges(p, edges, weight, pv))
 
 
 def _cycles(chain: GoodMeasureChain, A: BalancedMatrix):
     """A's cycles (``decompose_entries``), their weights packed ints of the
-    table of A's level, which takes A's entries, and that table.
+    chain's table, which takes A's entries, and that table.
     Precondition: A is valid."""
     pv, _, packed = chain._table(A.level, A.entries.values(), len(A.entries))
     return decompose_entries(dict(zip(A.entries, packed)), pv), pv
@@ -265,7 +261,7 @@ def _split_at_top(
     """Split every top cell by the cycles through it; the split level carries
     a cycle-category representative projecting onto A.  Each child cell
     weighs exactly its cycle's weight, which is its entry in the result."""
-    perm = chain._append_cycle_split(*_cycles(chain, A))
+    perm = chain._append_cycle_split(_cycles(chain, A)[0])
     top = chain.top
     C = BalancedMatrix(chain.depth, {(x, y): top.weight(x) for x, y in perm.items()})
     return C, MatrixMorphism(chain.links[-1], C, A)
@@ -357,9 +353,9 @@ def reverse_projection(
 def _transport(
     chain: GoodMeasureChain, sigma: AutomorphismPrefix, level: int, values=()
 ) -> tuple[PackedValues, dict[tuple[str, str], int], list[int]]:
-    """The prefix top level's table, the transport onto a level as its packed
-    ints, and the given values packed in the same table.  A top map that
-    misses a cell of its level, or sends one outside it, is refused."""
+    """The chain's table, the transport onto a level as its packed ints,
+    and the given values packed in the same table.  A top map that misses
+    a cell of its level, or sends one outside it, is refused."""
     if sigma.depth < level:
         raise DepthTooShallow(f"prefix depth {sigma.depth} < level {level}")
     T = sigma.depth
@@ -385,7 +381,7 @@ def transport_entries(
 
 def compatible(chain: GoodMeasureChain, sigma: AutomorphismPrefix, A: BalancedMatrix) -> bool:
     """Membership of the prefix in the neighbourhood determined by A,
-    decided on packed ints of the prefix top level's table."""
+    decided on packed ints of the chain's table."""
     _, entries, packed = _transport(chain, sigma, A.level, A.entries.values())
     return entries == dict(zip(A.entries, packed))
 

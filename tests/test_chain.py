@@ -313,13 +313,13 @@ def test_respond_matches_peel_amalgam(irrational, seed, kind, dyadic, sqrt2_dyad
 
 
 def _assert_top_index_fresh(ch) -> None:
-    """The top's index, if one is kept, read back in the top's table, is
+    """The top's index, if one is kept, read back in the chain's table, is
     the top's weights in top order with their running sums, each sum
     mapped to its count: the one fiber over level 0, walked link by link."""
     if ch._top_index is None:
         return
-    value = ch._tables[ch.depth][0].unpack
-    left, sums, at = ch._top_index
+    value = ch._pv.unpack
+    left, (sums, at) = ch._weights[ch.depth].values(), ch._top_index
     (cells, weights, walked, counts), = fiber_index_by_walk(ch, 0).values()
     assert cells == list(ch.top.cells)
     assert [*map(value, left)] == weights and [*map(value, sums)] == walked
@@ -399,7 +399,7 @@ def test_subdivide_matches_the_two_pass_route(
         assert ch.depth == depth + 1
         assert ch.top.cells == G.cells and ch.top.weights == G.weights
         assert ch.links[-1].mapping == link
-        assert ch._tables[ch.depth][1] == packed
+        assert ch._weights[ch.depth] == packed
 
 
 def test_an_only_child_is_its_parents_weight(sqrt2_dyadic):
@@ -444,7 +444,7 @@ def test_unpack_runs_only_for_split_parts(sqrt2_dyadic, monkeypatch):
     ch.absorb_object(WeightedPartition.make([("a", s), ("b", ONE - s)]))
     monkeypatch.undo()
     assert ch.links[-1].target is top
-    packed = ch._tables[ch.depth][1]
+    packed = ch._weights[ch.depth]
     split = [c for c in ch.top.cells if c not in top.weights]
     assert split and len(split) < len(ch.top.cells)
     assert seen == [packed[c] for c in split]
@@ -554,7 +554,7 @@ def test_a_rebuilt_top_table_drops_the_top_index(dyadic):
     assert ch._top_index is not None
     ch._table(ch.depth)
     assert ch._top_index is not None
-    finer = E(Fraction(1, 2 * ch._tables[ch.depth][0].den))
+    finer = E(Fraction(1, 2 * ch._pv.den))
     ch._table(ch.depth, [finer])
     assert ch._top_index is None
 
@@ -691,11 +691,11 @@ def test_schedule_objects_build_no_morphism_and_pack_no_table(sqrt2_dyadic, monk
         real_init(self, *args)
 
     def table(self, level, *args):
-        kept = self._tables.get(level)
+        kept = self._pv
         out = real_table(self, level, *args)
         if inside:
             seen["tables"] += 1
-            seen["built"] += self._tables[level] is not kept
+            seen["built"] += self._pv is not kept
         return out
 
     def objects(self, *args):
@@ -710,15 +710,15 @@ def test_schedule_objects_build_no_morphism_and_pack_no_table(sqrt2_dyadic, monk
     assert seen["objects"] == 38 and seen["appended"] > 0
     assert seen["morphisms"] == seen["appended"]
     assert seen["tables"] == seen["built"] == 1
-    assert len({id(pv) for pv, _ in ch._tables.values()}) == 1
+    assert all(ch._pv.unpacked(w) == ch.levels[k].weights for k, w in ch._weights.items())
 
 
 def test_schedule_splits_build_no_link_and_pack_no_table(sqrt2_dyadic, monkeypatch):
     """A budget-2 schedule absorbs its split challenges on packed ints of
-    the level's table: while it does, ``_respond`` is never called, the only
+    the chain's table: while it does, ``_respond`` is never called, the only
     morphisms built are the links of the levels it appends, and the only
     ``_table`` call is the one per height for the split level, since every
-    level shares the top's table."""
+    level is packed in the chain's one table."""
     real_init, real_table = PartitionMorphism.__init__, GoodMeasureChain._table
     absorb_splits, respond = GoodMeasureChain._absorb_splits, GoodMeasureChain._respond
     seen = {"splits": 0, "appended": 0, "morphisms": 0, "responds": 0, "tables": []}
@@ -757,7 +757,7 @@ def test_schedule_splits_build_no_link_and_pack_no_table(sqrt2_dyadic, monkeypat
     assert seen["morphisms"] == seen["appended"]
     values_ = [len(sqrt2_dyadic.enumerate_values(h + 1)) for h in (1, 2)]
     assert seen["tables"] == [(0, values_[0]), (1, values_[1])]
-    assert len({id(pv) for pv, _ in ch._tables.values()}) == 1
+    assert all(ch._pv.unpacked(w) == ch.levels[k].weights for k, w in ch._weights.items())
 
 
 def test_schedule_split_keys_are_mor_keys(sqrt2_dyadic):
@@ -792,9 +792,10 @@ def test_schedule_splits_answer_as_absorb_morphism(name, rebuilt, request, monke
     """The splits of a level absorbed on packed ints (``_absorb_splits``)
     record the entries and append the levels that ``_absorb_morphism``
     records and appends for the same split morphisms (``split_cell``), in
-    the same order.  The level shares the top's table, so the splits'
-    packed weights are the level's; with the top's table rebuilt
-    (``rebuilt``) it no longer does, and they go to ``_table``."""
+    the same order.  The chain's table has room for the top and a split,
+    so the splits' packed weights are the level's; with a table that has
+    room for the level's own call only (``rebuilt``) it has not, and they
+    go to ``_table``, which builds the table again."""
     V = request.getfixturevalue(name)
     by_splits, by_links = GoodMeasureChain(V).run_schedule(1), GoodMeasureChain(V).run_schedule(1)
     for ch in (by_splits, by_links):
@@ -805,8 +806,8 @@ def test_schedule_splits_answer_as_absorb_morphism(name, rebuilt, request, monke
     assert level >= 0
     if rebuilt:
         for ch in (by_splits, by_links):
-            ch._table(ch.depth, [E(Fraction(1, 2 * ch._tables[ch.depth][0].den))])
-    assert (by_splits._tables[level][0] is by_splits._tables[by_splits.depth][0]) != rebuilt
+            ch._table(level, values_, 3)[0].room = 3
+    assert (by_splits._table(level, values_, 3)[0].room > len(by_splits.top.cells)) != rebuilt
     P = by_links.levels[level]
     by_links._table(level, values_, 3)
     for c in P.cells:
@@ -1121,6 +1122,18 @@ def test_extend_weight_mismatch(dyadic):
     cells = ch.levels[1].cells
     with pytest.raises(WeightMismatch):
         ch.extend_partial_isomorphism(1, {cells[0]: cells[2]})
+
+
+def test_extend_partial_isomorphism_refuses_a_level_outside_the_chain(dyadic):
+    ch = GoodMeasureChain(dyadic)
+    ch.absorb_object(obj("1/2", "1/2"))
+    ch.absorb_object(obj("1/4", "1/4", "1/2"))
+    assert ch.depth == 2
+    a, b = ch.levels[1].cells
+    for level in (-1, ch.depth + 1):
+        with pytest.raises(ValueError, match=f"^level {level} is not a level of the chain$"):
+            ch.extend_partial_isomorphism(level, {a: b, b: a})
+    assert ch.depth == 2
 
 
 def test_extend_needs_transport_split(dyadic):
@@ -1941,8 +1954,8 @@ def test_engine_builds_partitions_without_arithmetic(sqrt2_dyadic, monkeypatch):
     calls.clear()
     G = _subdivide(E1, cuts)[0]
     # the cycles cross as packed ints of the root's table, 1 - s a difference
-    pv, weight, (ps,) = ch._table(0, [s], 2)
-    ch._append_cycle_split([(["r"], ps), (["r"], weight["r"] - ps)], pv)
+    _, weight, (ps,) = ch._table(0, [s], 2)
+    ch._append_cycle_split([(["r"], ps), (["r"], weight["r"] - ps)])
     assert calls == []
     assert len(challenges) == 38 and all(P.total == ONE for P in challenges)
     assert G.weight_list() == [s, E("1/2") - s, E("1/2")] and G.total == ONE

@@ -261,6 +261,18 @@ def test_extend_rejects_component_mixing(example_composite):
         partial_isomorphism_extend_composite(m, {(0, 1, c0): (1, 1, c1)})
 
 
+@pytest.mark.parametrize("index", [3, -1])
+def test_extend_refuses_a_component_that_is_not_there(dyadic, index):
+    """A pair whose component index names no component is refused, not
+    dropped for the identity prefix."""
+    ch = GoodMeasureChain(dyadic).run_schedule(1)
+    m = weighted_sum([(ch, Fraction(1))])
+    a, b = ch.levels[1].cells[:2]
+    refused = f"^component {index} is not a component of the composite$"
+    with pytest.raises(ValueError, match=refused):
+        partial_isomorphism_extend_composite(m, {(index, 1, a): (index, 1, b)})
+
+
 def test_extend_random_partial_isomorphisms(example_composite):
     rng = random.Random(29)
     m = example_composite

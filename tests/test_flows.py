@@ -67,7 +67,7 @@ def test_packed_peel_equals_rebuild(data, symbol, zero_edges):
     weights = _WEIGHTS if symbol else [w for w in _WEIGHTS if w.is_rational]
     entries = cycle_sum(data.draw(_cycles_over(weights)), zero_edges)
     # (√2 - 1)/2 gives the table its symbol slot whether or not a drawn weight
-    # has one; 256 is the room of a one-cell level's table in the chain
+    # has one; 256 is the chain's table room per top cell
     pv = PackedValues([*entries.values(), *(_WEIGHTS[4:5] if symbol else [])], 256)
     assert bool(pv.syms) == symbol
     packed = dict(zip(entries, pv.packed))

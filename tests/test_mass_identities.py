@@ -144,7 +144,7 @@ def _matrix_checks_agree(rng, V, first=None):
         morphisms += [MatrixMorphism(p, B, BalancedMatrix(lo, e))
                       for e in doctored_entries(rng, A.entries)]
         # a copy of the source level, and one with two weights swapped, are
-        # checked on their own weights, packed in the level's table
+        # checked on their own weights, packed in the chain's table
         S = chain.levels[hi]
         weights = dict(S.weights)
         a, b = rng.sample(S.cells, 2) if len(S.cells) > 1 else (S.cells[0],) * 2
@@ -229,7 +229,7 @@ UNPACKED_CASES = {
 
 @pytest.mark.parametrize("name", sorted(UNPACKED_CASES))
 def test_entries_that_do_not_pack_over_the_level(name, request):
-    """Entries the level's table cannot take: 1/6 on a level of thirds
+    """Entries the chain's table cannot take: 1/6 on a level of thirds
     (valid over Q, not over the triadic rationals), one finer than the
     table's denominator, or one with a symbol the table has no slot for.
     Each check says what its reference says."""
@@ -239,7 +239,7 @@ def test_entries_that_do_not_pack_over_the_level(name, request):
     chain, A = build(V)
     assert chain._table(A.level)[0].pack_all(list(A.entries.values())) is None
     assert validate(chain, A) is matrix_by_rows(chain, A) is valid
-    if valid:  # the level's table was rebuilt over its weights and the entries
+    if valid:  # the chain's table was rebuilt over the top's weights and the entries
         assert chain._table(A.level)[0].pack_all(list(A.entries.values())) is not None
     for entries in doctored_entries(rng, A.entries):
         B = BalancedMatrix(chain.depth, entries)

@@ -1,10 +1,11 @@
-"""The chain's per-level weight tables: the mass identities and order tests
-over chain weights add and compare packed ints, so the witness path on Q
+"""The chain's weight table: the mass identities and order tests over
+chain weights add and compare packed ints, so the witness path on Q
 towers, the schedule's answers and checks along a copy of a level make no
 ``ExactValue`` addition, and matrix checks on level objects pack no level
 weight again; a loaded snapshot keeps the one table it was checked with;
-every table the chain keeps, built, inherited or rebuilt, reads back its
-level's weights; and the whole-list kernels agree with the per-value ones."""
+a chain holds one table, and every level it keeps packed, built,
+appended or packed again after a rebuild, reads back its weights; and the
+whole-list kernels agree with the per-value ones."""
 
 import math
 import random
@@ -85,10 +86,10 @@ def q_tower(rng, rationals) -> GoodMeasureChain:
 
 
 def assert_tables_fresh(chain: GoodMeasureChain) -> None:
-    """Each kept table holds exactly its level's cells, and reads back
-    their weights."""
-    for level, (pv, packed) in chain._tables.items():
-        assert pv.unpacked(packed) == chain.levels[level].weights
+    """Each level kept packed holds exactly its cells, and the chain's one
+    table reads back their weights."""
+    for level, packed in chain._weights.items():
+        assert chain._pv.unpacked(packed) == chain.levels[level].weights
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -135,8 +136,9 @@ def test_witness_path_hands_pack_all_no_level_weight(rationals, seed, matrix, mo
     """On a loaded Q tower, ``verify_matrix_morphism`` on the chain's level
     objects hands ``pack_all`` the two matrices' entries and nothing else,
     and ``_lifted`` hands it nothing: the levels' weights are the packed
-    ints their tables hold.  A matrix of sevenths gives its level a table
-    of its own, so the target's weights are the source's carried down."""
+    ints the chain's table holds.  A matrix of sevenths replaces the table
+    with one over the top, the matrix's level and its entries, and both
+    levels are read from that one."""
     rng = random.Random(2140 + seed)
     chain = q_tower(rng, rationals)
     A = matrix(rng, chain, rng.randint(1, chain.depth - 1))
@@ -185,13 +187,13 @@ def test_schedule_answers_add_no_value(sqrt2_dyadic, monkeypatch):
         monkeypatch, ["pushforward", "_respond", "_answer"], lambda: chain.run_schedule(2)
     )
     assert seen == []
-    assert any(pv.syms for pv, _ in chain._tables.values())
+    assert chain._pv.syms
     assert_tables_fresh(chain)
 
 
 def test_an_accepted_object_challenge_adds_no_value(sqrt2_dyadic, monkeypatch):
     """``absorb_object`` decides the total of a challenge it accepts on
-    packed ints of the top's table, and answers it with no ``ExactValue``
+    packed ints of the chain's table, and answers it with no ``ExactValue``
     addition, whether the top answers it or a level is appended."""
     s = E(0, {sqrt2_symbol(): 1})
     chain = GoodMeasureChain(sqrt2_dyadic).run_schedule(1)
@@ -266,15 +268,15 @@ def test_from_json_builds_one_table_and_keeps_it(sqrt2_dyadic, monkeypatch):
     monkeypatch.setattr(values_module.PackedValues, "__init__", counting)
     chain = GoodMeasureChain.from_json(snapshot)
     assert len(built) == 1
-    assert sorted(chain._tables) == list(range(chain.depth + 1))
-    assert {id(pv) for pv, _ in chain._tables.values()} == {id(built[0])}
+    assert sorted(chain._weights) == list(range(chain.depth + 1))
+    assert chain._pv is built[0]
     assert_tables_fresh(chain)
 
 
 def test_morphisms_along_a_copy_of_a_level_add_no_value(dyadic, monkeypatch):
     """A matrix morphism or a cycle lift along a partition that only copies
     its level's cells, with the level's weights or with two of them
-    swapped, is decided on packed ints of the level's table, like one along
+    swapped, is decided on packed ints of the chain's table, like one along
     the level itself."""
     chain = GoodMeasureChain(dyadic)
     chain.absorb_object(WeightedPartition.make([("x0", E("1/2")), ("x1", E("1/2"))]))
@@ -308,7 +310,8 @@ def test_morphisms_along_a_copy_of_a_level_add_no_value(dyadic, monkeypatch):
 @pytest.mark.parametrize("name", ["dyadic", "sqrt2_dyadic"])
 def test_inherited_tables_read_back_their_levels(name, request):
     """Levels appended by amalgams, cycle splits, orbit splits and subset
-    splits inherit or build tables that match their weights."""
+    splits are packed in the chain's table, as they are built or on first
+    use, to ints that read back their weights."""
     V = request.getfixturevalue(name)
     rng = random.Random(2110)
     chain = GoodMeasureChain(V)
@@ -339,9 +342,9 @@ def test_a_save_after_a_witness_sums_no_partition(sqrt2_dyadic, monkeypatch):
     ledger, split = len(chain.ledger), []
     real = GoodMeasureChain._append_cycle_split
 
-    def recording(self, cycles, pv):
-        perm = real(self, cycles, pv)
-        split.append((self.depth, pv))
+    def recording(self, cycles):
+        perm = real(self, cycles)
+        split.append((self.depth, self._pv))
         return perm
 
     monkeypatch.setattr(GoodMeasureChain, "_append_cycle_split", recording)
@@ -349,7 +352,7 @@ def test_a_save_after_a_witness_sums_no_partition(sqrt2_dyadic, monkeypatch):
     monkeypatch.undo()
     assert len(chain.ledger) > ledger and split
     for level, pv in split:
-        kept, packed = chain._tables[level]
+        kept, packed = chain._pv, chain._weights[level]
         assert kept is pv and pv.syms and pv.unpacked(packed) == chain.levels[level].weights
     calls = []
 
@@ -366,6 +369,112 @@ def test_a_save_after_a_witness_sums_no_partition(sqrt2_dyadic, monkeypatch):
     assert calls == []
     assert all(P.keys() == {"cells"} for P in data["levels"])
     assert all(P.total == ONE for P in [*chain.levels, *(e.challenge_object for e in chain.ledger)])
+
+
+# -- one table per chain ---------------------------------------------------------
+
+
+def tables_held(chain: GoodMeasureChain) -> list[PackedValues]:
+    """Every ``PackedValues`` the chain's attributes hold, through dicts,
+    lists and tuples, once each."""
+    found, stack = {}, list(vars(chain).values())
+    while stack:
+        x = stack.pop()
+        if isinstance(x, PackedValues):
+            found[id(x)] = x
+        elif isinstance(x, dict):
+            stack += x.values()
+        elif isinstance(x, (list, tuple)):
+            stack += x
+    return list(found.values())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_sevenths_witness_path_keeps_one_table(rationals, seed):
+    """A loaded Q tower taken through a matrix of sevenths, whose entries
+    lie over no level's denominator, by ``to_cycle_object``,
+    ``compatible_witness``, ``conjugate_transport_check``,
+    ``reverse_projection`` and ``subset_witness`` ends with one table, the
+    chain's, and every level it keeps packed reads back its weights."""
+    rng = random.Random(2160 + seed)
+    chain = q_tower(rng, rationals)
+    level = rng.randint(1, chain.depth - 1)
+    A = sevenths(rng, chain, level)
+    B, p = to_cycle_object(chain, A)
+    f = compatible_witness(chain, B)
+    assert conjugate_transport_check(chain, f, chain.identity_prefix(f.depth), p)
+    C, _ = reverse_projection(chain, p)
+    cells = chain.levels[level].cells
+    chain.subset_witness(ClopenSet.of(level, cells[:1]), ClopenSet.of(level, cells))
+    assert validate(chain, C)
+    assert tables_held(chain) == [chain._pv]
+    assert chain._weights
+    for k, packed in chain._weights.items():
+        assert chain._pv.unpacked(packed) == chain.levels[k].weights
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_morphism_onto_a_rebuilt_level_carries_no_weight(rationals, seed, monkeypatch):
+    """Once a matrix of sevenths has replaced the chain's table, the
+    projection ``to_cycle_object`` returns, from a deeper level onto the
+    matrix's, is verified on the ints the table holds for both levels:
+    no weight is carried down (``pushforward``) and no projection walked."""
+    rng = random.Random(2170 + seed)
+    chain = q_tower(rng, rationals)
+    loaded = chain._pv
+    A = sevenths(rng, chain, rng.randint(1, chain.depth - 1))
+    _, p = to_cycle_object(chain, A)
+    assert chain._pv is not loaded and p.source.level > p.target.level
+    assert p.underlying.source is chain.levels[p.source.level]
+    assert p.underlying.target is chain.levels[p.target.level]
+
+    def forbidden(*args):
+        raise AssertionError("a morphism between chain levels carries no weight")
+
+    monkeypatch.setattr(matrices_module, "pushforward", forbidden)
+    monkeypatch.setattr(GoodMeasureChain, "composite_mapping", forbidden)
+    assert verify_matrix_morphism(chain, p)
+
+
+#: ``PackedValues`` built by ``witness_run(rationals, 941)``; with a table
+#: per level, rebuilt one level at a time, the run built 20
+WITNESS_BUILDS = 16
+
+
+def witness_run(rationals, seed: int, ops: int = 12) -> int:
+    """The ``PackedValues`` built over ``ops`` witness ops, each on a Q
+    tower loaded from its snapshot (the load counted) and a random or
+    sevenths matrix in turn: ``to_cycle_object``, ``compatible_witness``,
+    ``compatible``, ``conjugate_transport_check`` and ``subset_witness``."""
+    rng = random.Random(f"witness/{seed}")
+    snapshots = [q_tower(rng, rationals).to_json() for _ in range(2)]
+    built = 0
+    real = values_module.PackedValues.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        real(self, *args, **kwargs)
+
+    values_module.PackedValues.__init__ = counting
+    try:
+        for i in range(ops):
+            chain = GoodMeasureChain.from_json(snapshots[i % 2])
+            level = rng.randint(1, chain.depth - 1)
+            A = [random_balanced_matrix, sevenths][i % 2](rng, chain, level)
+            B, p = to_cycle_object(chain, A)
+            f = compatible_witness(chain, B)
+            assert compatible(chain, f, A)
+            assert conjugate_transport_check(chain, f, chain.identity_prefix(f.depth), p)
+            cells = chain.levels[level].cells
+            chain.subset_witness(ClopenSet.of(level, cells[:1]), ClopenSet.of(level, cells))
+    finally:
+        values_module.PackedValues.__init__ = real
+    return built
+
+
+def test_a_witness_run_builds_a_fixed_number_of_tables(rationals):
+    assert witness_run(rationals, 941) == WITNESS_BUILDS
 
 
 # -- the whole-list kernels against their per-value references ----------------
